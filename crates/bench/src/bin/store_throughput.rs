@@ -18,8 +18,14 @@
 //! ```text
 //! cargo run --release -p dynvote-bench --bin store_throughput -- \
 //!     [--clients N] [--pipeline D] [--write-pct P] [--secs S] \
-//!     [--policy odv] [--sites 3] [--shards N] [--quick] [--out PATH]
+//!     [--policy odv] [--sites 3] [--shards N] [--keys K] [--payload B] \
+//!     [--quick] [--out PATH]
 //! ```
+//!
+//! `--payload B` sets the value size of every write; `--keys K` sets
+//! how many keys each shard's clients cycle (and so how large the
+//! shard's replicated map is) — the two knobs the keys-per-shard sweep
+//! in EXPERIMENTS.md turns.
 //!
 //! With `--shards N` the fleet runs N independent shard groups and the
 //! drivers speak the *keyed* protocol: each client thread owns one
@@ -53,6 +59,10 @@ struct Args {
     /// 0 = the classic unsharded store; N ≥ 1 = keyed workload over N
     /// shard groups.
     shards: usize,
+    /// Keys per shard the keyed clients cycle (`--shards` mode).
+    keys: usize,
+    /// Bytes per written value.
+    payload: usize,
     out: Option<String>,
 }
 
@@ -65,6 +75,8 @@ fn parse_args() -> Args {
         policy: "odv".to_string(),
         sites: 3,
         shards: 0,
+        keys: 64,
+        payload: 32,
         out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -83,19 +95,22 @@ fn parse_args() -> Args {
             "--policy" => args.policy = value("--policy"),
             "--sites" => args.sites = value("--sites").parse().expect("--sites"),
             "--shards" => args.shards = value("--shards").parse().expect("--shards"),
+            "--keys" => args.keys = value("--keys").parse().expect("--keys"),
+            "--payload" => args.payload = value("--payload").parse().expect("--payload"),
             "--quick" => args.secs = 2.0,
             "--out" => args.out = Some(value("--out")),
             other => {
                 eprintln!(
                     "error: unknown flag {other:?}\nusage: store_throughput \
                      [--clients N] [--pipeline D] [--write-pct P] [--secs S] \
-                     [--policy NAME] [--sites N] [--shards N] [--quick] [--out PATH]"
+                     [--policy NAME] [--sites N] [--shards N] [--keys K] [--payload B] \
+                     [--quick] [--out PATH]"
                 );
                 std::process::exit(2);
             }
         }
     }
-    assert!(args.clients >= 1 && args.pipeline >= 1 && args.sites >= 1);
+    assert!(args.clients >= 1 && args.pipeline >= 1 && args.sites >= 1 && args.keys >= 1);
     assert!(args.write_pct <= 100, "--write-pct is a percentage");
     args
 }
@@ -159,10 +174,17 @@ struct ClientRun {
 
 /// One closed-loop client: keep `depth` requests in flight on a single
 /// pipelined connection until `end`, then drain.
-fn drive_client(addr: &str, depth: usize, write_pct: u64, seed: u64, end: Instant) -> ClientRun {
+fn drive_client(
+    addr: &str,
+    depth: usize,
+    write_pct: u64,
+    payload: usize,
+    seed: u64,
+    end: Instant,
+) -> ClientRun {
     let conn = Connection::new(addr, ConnOptions::default());
     let mut jitter = dynvote_store::jitter::Jitter::new(seed);
-    let payload = vec![b'x'; 32];
+    let payload = vec![b'x'; payload];
     let mut run = ClientRun {
         samples: Vec::with_capacity(1 << 16),
         refused: 0,
@@ -225,12 +247,13 @@ fn drive_keyed_client(
     keys: &[String],
     depth: usize,
     write_pct: u64,
+    payload: usize,
     seed: u64,
     end: Instant,
 ) -> ClientRun {
     let conn = Connection::new(addr, ConnOptions::default());
     let mut jitter = dynvote_store::jitter::Jitter::new(seed);
-    let payload = vec![b'x'; 32];
+    let payload = vec![b'x'; payload];
     let mut run = ClientRun {
         samples: Vec::with_capacity(1 << 16),
         refused: 0,
@@ -326,27 +349,48 @@ fn run_sharded(args: &Args) {
     assert_eq!(map.shards.len(), args.shards, "fleet built the wrong map");
 
     // Pre-hash a key pool onto every shard, then warm each key with
-    // one routed write — a `GetKey` on a never-written key is a typed
-    // refusal, which the fault-free gate below counts as a failure.
-    const KEYS_PER_SHARD: usize = 64;
+    // one write of the run's payload size, pipelined at the shard's
+    // coordinator — a `GetKey` on a never-written key is a typed
+    // refusal, which the fault-free gate below counts as a failure, and
+    // the map must be at its full size before the clock starts.
     let mut pools: Vec<Vec<String>> = vec![Vec::new(); args.shards];
     let mut probe = 0u64;
-    while pools.iter().any(|pool| pool.len() < KEYS_PER_SHARD) {
+    while pools.iter().any(|pool| pool.len() < args.keys) {
         let key = format!("bench-{probe}");
         probe += 1;
         let shard = map.shard_of(key.as_bytes()) as usize;
-        if pools[shard].len() < KEYS_PER_SHARD {
+        if pools[shard].len() < args.keys {
             pools[shard].push(key);
         }
     }
-    let router =
-        dynvote_store::router::ShardRouter::new(vec![addrs[0].clone()], ConnOptions::default());
-    for pool in &pools {
+    for (shard, pool) in pools.iter().enumerate() {
+        let addr = map
+            .coordinator_addr(shard as u16)
+            .expect("coordinator addr");
+        let conn = Connection::new(addr, ConnOptions::default());
+        let mut inflight = VecDeque::with_capacity(args.pipeline);
+        let settle = |pending: dynvote_store::conn::Pending| {
+            let outcome = conn
+                .wait(&pending, &Deadline::within(Duration::from_secs(30)))
+                .expect("warmup put");
+            assert!(outcome.granted(), "warmup put: {outcome:?}");
+        };
         for key in pool {
-            let deadline = Deadline::within(Duration::from_secs(10));
-            let outcome = router.put(key, b"warm", &deadline).expect("warmup put");
-            assert!(outcome.granted(), "warmup put {key}: {outcome:?}");
+            if inflight.len() == args.pipeline {
+                settle(inflight.pop_front().expect("non-empty"));
+            }
+            let frame = Frame::PutKey {
+                epoch: map.epoch,
+                shard: shard as u16,
+                key: key.clone(),
+                value: vec![b'w'; args.payload],
+            };
+            let pending = conn
+                .submit(&frame, &Deadline::within(Duration::from_secs(30)))
+                .expect("warmup submit");
+            inflight.push_back(pending);
         }
+        inflight.into_iter().for_each(settle);
     }
 
     // One driver thread per shard slice; thread i owns shard i % N, so
@@ -377,6 +421,7 @@ fn run_sharded(args: &Args) {
                             pool,
                             args.pipeline,
                             args.write_pct,
+                            args.payload,
                             0x5eed_1000 + i as u64,
                             end,
                         ),
@@ -442,7 +487,7 @@ fn run_sharded(args: &Args) {
   "generated_by": "cargo run --release -p dynvote-bench --bin store_throughput -- --shards {shards}",
   "machine": {{ "cores": {cores} }},
   "cluster": {{ "policy": "{policy}", "sites": {sites}, "shards": {shards}, "placement": "ring:3", "durable": false }},
-  "workload": {{ "clients": {threads}, "pipeline_depth": {pipeline}, "write_pct": {write_pct}, "payload_bytes": 32, "keys_per_shard": {keys_per_shard}, "secs": {wall:.3} }},
+  "workload": {{ "clients": {threads}, "pipeline_depth": {pipeline}, "write_pct": {write_pct}, "payload_bytes": {payload}, "keys_per_shard": {keys_per_shard}, "secs": {wall:.3} }},
   "completed_requests": {completed},
   "requests_per_sec": {rps:.0},
   {hist_all},
@@ -460,7 +505,8 @@ fn run_sharded(args: &Args) {
         sites = args.sites,
         pipeline = args.pipeline,
         write_pct = args.write_pct,
-        keys_per_shard = KEYS_PER_SHARD,
+        payload = args.payload,
+        keys_per_shard = args.keys,
         hist_all = histogram_json("latency", all),
         hist_writes = histogram_json("write_latency", writes),
         hist_reads = histogram_json("read_latency", reads),
@@ -514,6 +560,7 @@ fn main() {
                         target,
                         args.pipeline,
                         args.write_pct,
+                        args.payload,
                         0x5eed_0000 + i as u64,
                         end,
                     )
@@ -556,7 +603,7 @@ fn main() {
   "generated_by": "cargo run --release -p dynvote-bench --bin store_throughput",
   "machine": {{ "cores": {cores} }},
   "cluster": {{ "policy": "{policy}", "sites": {sites}, "durable": false }},
-  "workload": {{ "clients": {clients}, "pipeline_depth": {pipeline}, "write_pct": {write_pct}, "payload_bytes": 32, "secs": {wall:.3} }},
+  "workload": {{ "clients": {clients}, "pipeline_depth": {pipeline}, "write_pct": {write_pct}, "payload_bytes": {payload}, "secs": {wall:.3} }},
   "completed_requests": {completed},
   "requests_per_sec": {rps:.0},
   {hist_all},
@@ -570,6 +617,7 @@ fn main() {
         clients = args.clients,
         pipeline = args.pipeline,
         write_pct = args.write_pct,
+        payload = args.payload,
         hist_all = histogram_json("latency", all),
         hist_writes = histogram_json("write_latency", writes),
         hist_reads = histogram_json("read_latency", reads),

@@ -19,7 +19,10 @@
 //!   eight-site fleet.
 //! * [`kv`] — the codec for the replicated value each shard group
 //!   actually votes on: an ordered `key → bytes` map, so one quorum
-//!   round can carry a whole batch of keyed writes.
+//!   round can carry a whole batch of keyed writes — as a full image,
+//!   as a put list applied to the image a copy already holds
+//!   ([`KvPuts`](kv::KvPuts)), and as the resident decoded form a
+//!   daemon keeps between batches ([`KvMap`](kv::KvMap)).
 //!
 //! Rebalancing is deliberately *not* a new protocol: moving a copy of
 //! shard `k` to site `t` is (1) an epoch bump adding `t` to `k`'s
@@ -33,6 +36,6 @@ pub mod kv;
 pub mod map;
 pub mod placement;
 
-pub use kv::{decode_kv, encode_kv};
+pub use kv::{decode_kv, encode_kv, fold_image, KvMap, KvPuts};
 pub use map::{route_hash, MapError, ShardMap, ShardSpec};
 pub use placement::Placement;

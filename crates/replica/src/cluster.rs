@@ -1048,6 +1048,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         payload: Option<&T>,
         ticket: u64,
         mark_pending: bool,
+        polled_version: Option<u64>,
     ) -> Carried<T> {
         self.trace.record(message.clone());
         let Cluster {
@@ -1073,6 +1074,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 payload,
                 ticket,
                 mark_pending,
+                polled_version,
             },
             &mut serve,
         );
@@ -1163,7 +1165,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                     self.trace.record(start);
                     continue;
                 }
-                let carried = self.exchange(start, None, ticket, mark_pending);
+                let carried = self.exchange(start, None, ticket, mark_pending, None);
                 if !self.up.contains(origin) {
                     break; // a crash fault killed the origin mid-poll
                 }
@@ -1240,10 +1242,16 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// every on-time one (reordering); a participant that dies, or
     /// whose retries run out, ends up in `missing` — and, having
     /// voted, stays wedged on its outstanding vote.
+    ///
+    /// `polled` is the operation's poll: each `COMMIT` carries the
+    /// version its recipient voted with (see
+    /// [`WireRequest::polled_version`]).
+    #[allow(clippy::too_many_arguments)] // one commit, named by its parts
     fn commit_phase(
         &mut self,
         origin: SiteId,
         ticket: u64,
+        polled: &StateTable,
         participants: SiteSet,
         op: u64,
         version: u64,
@@ -1301,7 +1309,8 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                     self.trace.record(commit);
                     break;
                 }
-                let carried = self.exchange(commit, value, 0, false);
+                let polled_version = Some(polled.get(site).version);
+                let carried = self.exchange(commit, value, 0, false, polled_version);
                 if carried.response.is_some() {
                     installed = true;
                     break;
@@ -1356,7 +1365,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 to: source,
                 kind: MessageKind::CopyRequest,
             };
-            let carried = self.exchange(request, None, 0, false);
+            let carried = self.exchange(request, None, 0, false, None);
             if let Some(response) = carried.response {
                 if response.arrived() {
                     if !self.up.contains(requester) {
@@ -1567,6 +1576,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let outcome = self.commit_phase(
             origin,
             ticket,
+            &poll.table,
             p.participants,
             p.new_op,
             p.new_version,
@@ -1705,6 +1715,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let outcome = self.commit_phase(
             origin,
             ticket,
+            &poll.table,
             p.participants,
             final_op,
             final_version,
@@ -1779,6 +1790,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let outcome = self.commit_phase(
             origin,
             ticket,
+            &poll.table,
             p.participants,
             p.new_op,
             p.new_version,
@@ -1910,8 +1922,15 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         // installing the commit locally (the origin is always a
         // participant of its own recovery) also releases any older
         // outstanding vote it was wedged on.
-        let outcome =
-            self.commit_phase(site, ticket, p.participants, p.new_op, p.new_version, None);
+        let outcome = self.commit_phase(
+            site,
+            ticket,
+            &poll.table,
+            p.participants,
+            p.new_op,
+            p.new_version,
+            None,
+        );
         if !outcome.applied.is_empty() {
             self.checker.note_commit(p.new_op, p.participants);
         }
@@ -2059,7 +2078,9 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                     self.trace.record(commit);
                     break;
                 }
-                let carried = self.exchange(commit, Some(&value), 0, false);
+                // No polled version: an MCV replier is not wedged, so
+                // nothing holds it at the version it reported.
+                let carried = self.exchange(commit, Some(&value), 0, false, None);
                 if carried.response.is_some() {
                     delivered = true;
                     break;

@@ -70,4 +70,6 @@ pub use scenario::{Command, ScenarioError};
 pub use snapshot::{DurableSiteState, Snapshot, SnapshotLoad};
 pub use step::StepEvent;
 pub use transport::{BusTransport, Carried, LocalServe, Reply, Response, Transport, WireRequest};
-pub use wal::{FsyncOutcome, Restored, SiteStore, Wal, WalEntry, WalRecord, WalReplay, WalTail};
+pub use wal::{
+    DeltaFold, FsyncOutcome, Restored, SiteStore, Wal, WalEntry, WalRecord, WalReplay, WalTail,
+};

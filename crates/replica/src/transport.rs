@@ -31,7 +31,8 @@ use crate::message::{Message, MessageKind};
 /// `ticket` and `mark_pending` are coordination metadata that ride the
 /// `START` frame on a real wire (the in-memory transport's `serve`
 /// callback already closes over them); `payload` is the data value a
-/// write's `COMMIT` carries.
+/// write's `COMMIT` carries; `polled_version` tells a transport which
+/// version of the file that `COMMIT` will land on.
 pub struct WireRequest<'a, T> {
     /// The protocol message (addressing + kind).
     pub message: &'a Message,
@@ -41,6 +42,15 @@ pub struct WireRequest<'a, T> {
     pub ticket: u64,
     /// Whether answering this `START` records an outstanding vote.
     pub mark_pending: bool,
+    /// On a `COMMIT` of a dynamic-voting operation: the version number
+    /// the recipient reported in this operation's poll. Its vote
+    /// wedges it — it answers no other coordinator until this commit
+    /// or a release reaches it — so that is still the version it holds
+    /// when the commit arrives, and a transport may ship the write as
+    /// a change against that version instead of the whole file. `None`
+    /// on every other request, and under MCV, whose repliers are not
+    /// wedged.
+    pub polled_version: Option<u64>,
 }
 
 /// What a recipient's handler produced for one request.
@@ -292,6 +302,7 @@ mod tests {
                 payload: None,
                 ticket: 1,
                 mark_pending: true,
+                polled_version: None,
             },
             &mut serve,
         );

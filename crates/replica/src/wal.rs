@@ -10,7 +10,7 @@
 //! periodically lands as an atomic snapshot (write-then-rename), after
 //! which the log is truncated.
 //!
-//! Three record kinds cover the whole durable surface:
+//! Four record kinds cover the whole durable surface:
 //!
 //! * [`WalRecord::Commit`] — an absolute install of ⟨o, v, P⟩ (plus the
 //!   data bytes when they changed). Replaying a commit twice is
@@ -18,6 +18,14 @@
 //!   crash between the snapshot rename and the log truncation leaves
 //!   stale records behind, and replay skips any record whose sequence
 //!   number the snapshot already covers.
+//! * [`WalRecord::Delta`] — a commit whose write is recorded as a
+//!   change against the data of version `base` instead of as the new
+//!   data. Unlike a `Commit` it is *not* absolute: it only means
+//!   something on top of the image it was logged on, so replay applies
+//!   deltas strictly in log order and refuses a log whose deltas do not
+//!   chain (see [`SiteStore::open_with_fold`]). The store never looks
+//!   inside the change; a [`DeltaFold`] supplied at open turns "image +
+//!   changes" back into an image when a snapshot needs one.
 //! * [`WalRecord::Vote`] — the site answered a `START` and is wedged on
 //!   an outstanding vote. Losing this across a crash could let the site
 //!   vote in two conflicting operations, so it is fsync'd *before* the
@@ -79,6 +87,7 @@ const MAX_RECORD: usize = 16 * 1024 * 1024;
 const KIND_COMMIT: u8 = 1;
 const KIND_VOTE: u8 = 2;
 const KIND_RELEASE: u8 = 3;
+const KIND_DELTA: u8 = 4;
 
 /// The checksum every durable artifact carries: the crate's fixed-key
 /// FNV-1a over the record body (no per-process randomness — artifacts
@@ -102,6 +111,18 @@ pub enum WalRecord {
         /// New data bytes, present only when the value changed
         /// (state-only commits from read absorption carry `None`).
         value: Option<Vec<u8>>,
+    },
+    /// A commit landed whose write is a change against the data this
+    /// site held at version `base`: adopt ⟨o, v, P⟩, apply `delta` to
+    /// the data. Clears any outstanding vote, like [`WalRecord::Commit`].
+    Delta {
+        /// The committed consistency-control state.
+        state: dynvote_core::state::ReplicaState,
+        /// The version of the data the change applies to — the version
+        /// the image must hold when this record is logged or replayed.
+        base: u64,
+        /// The change, in the format the store's [`DeltaFold`] reads.
+        delta: Vec<u8>,
     },
     /// The site answered a `START` for this operation ticket and is
     /// wedged until it learns the outcome.
@@ -272,6 +293,16 @@ fn encode_entry(entry: &WalEntry) -> Vec<u8> {
                 None => put_u8(&mut body, 0),
             }
         }
+        WalRecord::Delta { state, base, delta } => {
+            put_u8(&mut body, KIND_DELTA);
+            put_state(&mut body, state);
+            put_u64(&mut body, *base);
+            put_u32(
+                &mut body,
+                u32::try_from(delta.len()).expect("delta exceeds u32"),
+            );
+            body.extend_from_slice(delta);
+        }
         WalRecord::Vote { ticket } => {
             put_u8(&mut body, KIND_VOTE);
             put_u64(&mut body, *ticket);
@@ -307,6 +338,16 @@ fn decode_body(body: &[u8]) -> Option<WalEntry> {
                 _ => return None,
             };
             WalRecord::Commit { state, value }
+        }
+        KIND_DELTA => {
+            let state = r.state().ok()?;
+            let base = r.u64().ok()?;
+            let len = r.u32().ok()? as usize;
+            WalRecord::Delta {
+                state,
+                base,
+                delta: r.bytes(len).ok()?.to_vec(),
+            }
         }
         KIND_VOTE => WalRecord::Vote {
             ticket: r.u64().ok()?,
@@ -407,6 +448,22 @@ impl fmt::Display for FsyncOutcome {
     }
 }
 
+/// Turns a full image plus the changes [`WalRecord::Delta`] records
+/// logged on top of it (oldest first) back into one image. The store
+/// treats both as opaque bytes; whoever logs deltas supplies the
+/// function that understands them. `None` means the bytes do not parse
+/// — the store reports that as corrupt data, never guesses.
+pub type DeltaFold = fn(image: &[u8], deltas: &[Vec<u8>]) -> Option<Vec<u8>>;
+
+/// The fold of a store opened without one: no delta is understood.
+fn no_fold(_image: &[u8], _deltas: &[Vec<u8>]) -> Option<Vec<u8>> {
+    None
+}
+
+fn invalid_data(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
 /// What [`SiteStore::open`] found on disk.
 #[derive(Clone, Debug)]
 pub struct Restored {
@@ -441,7 +498,16 @@ pub struct Restored {
 pub struct SiteStore {
     dir: PathBuf,
     wal: Wal,
+    /// ⟨o, v, P⟩, vote and sequence number are always current; `value`
+    /// is the data as of the last full install, with `unfolded` still
+    /// to be applied on top.
     image: DurableSiteState,
+    /// Changes logged since `image.value` was last whole, oldest first.
+    /// Folded in only when a whole image is needed (a snapshot, a
+    /// caller asking for [`SiteStore::image`]), so logging a delta
+    /// costs the delta, not the image.
+    unfolded: Vec<Vec<u8>>,
+    fold: DeltaFold,
     next_seq: u64,
     snapshot_every: u64,
     snapshot_seq: u64,
@@ -469,6 +535,29 @@ impl SiteStore {
     /// snapshot or a torn/corrupt log tail is *not* an error — both are
     /// repaired and reported in [`Restored`].
     pub fn open(dir: &Path, snapshot_every: u64) -> io::Result<(SiteStore, Restored)> {
+        SiteStore::open_with_fold(dir, snapshot_every, no_fold)
+    }
+
+    /// [`SiteStore::open`] for a store whose log may hold
+    /// [`WalRecord::Delta`] records: `fold` is how their changes are
+    /// applied to an image.
+    ///
+    /// Deltas replay strictly in log order, each on the image the
+    /// records before it built, and each must find the image at the
+    /// version it names as its base.
+    ///
+    /// # Errors
+    ///
+    /// As [`SiteStore::open`], plus `InvalidData` when a delta does not
+    /// chain onto the image before it or `fold` rejects the bytes. That
+    /// takes two injuries at once (a lost snapshot *and* a lost stretch
+    /// of log), and the store refuses to come up holding ⟨o, v, P⟩ for
+    /// data it cannot rebuild.
+    pub fn open_with_fold(
+        dir: &Path,
+        snapshot_every: u64,
+        fold: DeltaFold,
+    ) -> io::Result<(SiteStore, Restored)> {
         std::fs::create_dir_all(dir)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let mut snapshot_was_corrupt = false;
@@ -509,6 +598,7 @@ impl SiteStore {
         let (wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
         let had_snapshot = snapshot_image.is_some();
         let mut image = snapshot_image.unwrap_or_else(DurableSiteState::blank);
+        let mut unfolded = Vec::new();
         let mut replayed = 0u64;
         for entry in prev_entries.iter().chain(&replay.entries) {
             // Skip records the snapshot already covers — the shape a
@@ -516,9 +606,10 @@ impl SiteStore {
             if entry.seq <= snapshot_seq {
                 continue;
             }
-            apply_entry(&mut image, entry);
+            apply_entry(&mut image, &mut unfolded, entry).map_err(invalid_data)?;
             replayed += 1;
         }
+        materialise(&mut image, &mut unfolded, fold)?;
         let restored = (had_snapshot || replayed > 0).then(|| image.clone());
         let next_seq = image.seq + 1;
         let epoch = bump_epoch(&dir.join(EPOCH_FILE))?;
@@ -527,6 +618,8 @@ impl SiteStore {
                 dir: dir.to_path_buf(),
                 wal,
                 image,
+                unfolded,
+                fold,
                 next_seq,
                 snapshot_every,
                 snapshot_seq,
@@ -562,6 +655,7 @@ impl SiteStore {
             pending,
             value,
         };
+        self.unfolded.clear();
         self.snapshot_now()
     }
 
@@ -573,8 +667,14 @@ impl SiteStore {
     /// # Errors
     ///
     /// The append/fsync (or a due snapshot) failed; the caller must not
-    /// acknowledge the event, and status reports the failed fsync.
+    /// acknowledge the event, and status reports the failed fsync. A
+    /// [`WalRecord::Delta`] whose base is not the image's version is
+    /// refused as `InvalidInput` before anything is written.
     pub fn log(&mut self, record: WalRecord) -> io::Result<()> {
+        if let WalRecord::Delta { base, .. } = &record {
+            check_chain(&self.image, *base)
+                .map_err(|why| io::Error::new(io::ErrorKind::InvalidInput, why))?;
+        }
         let entry = WalEntry {
             seq: self.next_seq,
             record,
@@ -587,7 +687,7 @@ impl SiteStore {
             }
         }
         self.next_seq += 1;
-        apply_entry(&mut self.image, &entry);
+        apply_entry(&mut self.image, &mut self.unfolded, &entry).expect("chain checked above");
         if self.snapshot_every > 0 && self.wal.records() >= self.snapshot_every {
             self.snapshot_now()?;
         }
@@ -610,6 +710,7 @@ impl SiteStore {
     ///
     /// The snapshot write or a rename along the rotation failed.
     pub fn snapshot_now(&mut self) -> io::Result<()> {
+        materialise(&mut self.image, &mut self.unfolded, self.fold)?;
         let snapshot_path = self.dir.join(SNAPSHOT_FILE);
         if snapshot_path.exists() {
             std::fs::rename(&snapshot_path, self.dir.join(SNAPSHOT_PREV_FILE))?;
@@ -627,10 +728,28 @@ impl SiteStore {
         Ok(())
     }
 
-    /// The running durable image (snapshot state + folded log).
+    /// The running durable image (snapshot state + folded log), with
+    /// every logged delta folded into its data first.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the store's [`DeltaFold`] rejects the image
+    /// or a logged delta.
+    pub fn image(&mut self) -> io::Result<&DurableSiteState> {
+        materialise(&mut self.image, &mut self.unfolded, self.fold)?;
+        Ok(&self.image)
+    }
+
+    /// The durable ⟨o, v, P⟩.
     #[must_use]
-    pub fn image(&self) -> &DurableSiteState {
-        &self.image
+    pub fn state(&self) -> dynvote_core::state::ReplicaState {
+        self.image.state
+    }
+
+    /// The durable outstanding vote, if any.
+    #[must_use]
+    pub fn pending(&self) -> Option<u64> {
+        self.image.pending
     }
 
     /// The sequence number the on-disk snapshot covers.
@@ -698,20 +817,77 @@ fn bump_epoch(path: &Path) -> io::Result<u64> {
     Ok(epoch)
 }
 
-fn apply_entry(image: &mut DurableSiteState, entry: &WalEntry) {
-    image.seq = entry.seq;
+/// Whether a delta against the data of version `base` applies to
+/// `image` as it stands.
+fn check_chain(image: &DurableSiteState, base: u64) -> Result<(), String> {
+    if image.value.is_none() {
+        return Err(format!(
+            "delta on version {base} logged at a site that holds no data"
+        ));
+    }
+    if image.state.version != base {
+        return Err(format!(
+            "delta on version {base} does not chain onto the image at version {} (seq {})",
+            image.state.version, image.seq
+        ));
+    }
+    Ok(())
+}
+
+/// Folds one log record into the image. A delta's change is queued on
+/// `unfolded`, not applied: [`materialise`] does that for the whole
+/// queue at once.
+fn apply_entry(
+    image: &mut DurableSiteState,
+    unfolded: &mut Vec<Vec<u8>>,
+    entry: &WalEntry,
+) -> Result<(), String> {
     match &entry.record {
         WalRecord::Commit { state, value } => {
             image.state = *state;
             if let Some(bytes) = value {
                 image.value = Some(bytes.clone());
+                unfolded.clear();
             }
             // A delivered commit resolves the outstanding vote.
+            image.pending = None;
+        }
+        WalRecord::Delta { state, base, delta } => {
+            check_chain(image, *base)?;
+            image.state = *state;
+            unfolded.push(delta.clone());
             image.pending = None;
         }
         WalRecord::Vote { ticket } => image.pending = Some(*ticket),
         WalRecord::Release { .. } => image.pending = None,
     }
+    image.seq = entry.seq;
+    Ok(())
+}
+
+/// Applies the queued changes to the image's data, leaving it whole.
+fn materialise(
+    image: &mut DurableSiteState,
+    unfolded: &mut Vec<Vec<u8>>,
+    fold: DeltaFold,
+) -> io::Result<()> {
+    if unfolded.is_empty() {
+        return Ok(());
+    }
+    let base = image
+        .value
+        .as_deref()
+        .expect("deltas are only queued on an image that holds data");
+    let folded = fold(base, unfolded).ok_or_else(|| {
+        invalid_data(format!(
+            "{} logged delta(s) do not apply to the image at seq {}",
+            unfolded.len(),
+            image.seq
+        ))
+    })?;
+    image.value = Some(folded);
+    unfolded.clear();
+    Ok(())
 }
 
 /// Truncates `drop_bytes` off the end of the file at `path` — the
@@ -815,17 +991,25 @@ mod tests {
                         value: None,
                     },
                 ),
+                (
+                    5,
+                    WalRecord::Delta {
+                        state: state(4, 3),
+                        base: 2,
+                        delta: b"change".to_vec(),
+                    },
+                ),
             ] {
                 let entry = WalEntry { seq, record };
                 wal.append(&entry).unwrap();
                 expected.push(entry);
             }
-            assert_eq!(wal.records(), 4);
+            assert_eq!(wal.records(), 5);
         }
         let (wal, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.entries, expected);
         assert_eq!(replay.tail, WalTail::Clean);
-        assert_eq!(wal.records(), 4);
+        assert_eq!(wal.records(), 5);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -917,13 +1101,13 @@ mod tests {
             assert_eq!(store.wal_records(), 2);
             assert_eq!(store.snapshot_seq(), 4);
             assert_eq!(store.last_fsync(), FsyncOutcome::Synced);
-            final_image = store.image().clone();
+            final_image = store.image().unwrap().clone();
         }
-        let (store, restored) = SiteStore::open(&dir, 4).unwrap();
+        let (mut store, restored) = SiteStore::open(&dir, 4).unwrap();
         assert_eq!(restored.image.as_ref(), Some(&final_image));
         assert_eq!(restored.replayed, 2);
         assert!(!restored.snapshot_was_corrupt);
-        assert_eq!(store.image(), &final_image);
+        assert_eq!(store.image().unwrap(), &final_image);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -986,7 +1170,7 @@ mod tests {
             // commits are parked in the previous log.
             store.snapshot_now().unwrap();
             store.log(commit(4, 4, b"v3")).unwrap();
-            final_image = store.image().clone();
+            final_image = store.image().unwrap().clone();
         }
         assert!(dir.join(SNAPSHOT_PREV_FILE).exists());
         assert!(dir.join(WAL_PREV_FILE).exists());
@@ -1000,12 +1184,12 @@ mod tests {
             .unwrap();
         garbage.write_all(&[0xA5; 3]).unwrap();
         drop(garbage);
-        let (store, restored) = SiteStore::open(&dir, 0).unwrap();
+        let (mut store, restored) = SiteStore::open(&dir, 0).unwrap();
         assert!(restored.snapshot_was_corrupt);
         assert!(restored.used_previous_snapshot);
         assert!(matches!(restored.wal_tail, WalTail::Torn { .. }));
         assert_eq!(restored.image.as_ref(), Some(&final_image));
-        assert_eq!(store.image(), &final_image);
+        assert_eq!(store.image().unwrap(), &final_image);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1021,13 +1205,113 @@ mod tests {
             store.log(commit(2, 2, b"v1")).unwrap();
             store.snapshot_now().unwrap();
             store.log(commit(3, 3, b"v2")).unwrap();
-            final_image = store.image().clone();
+            final_image = store.image().unwrap().clone();
         }
         std::fs::rename(dir.join(SNAPSHOT_FILE), dir.join(SNAPSHOT_PREV_FILE)).unwrap();
         let (_, restored) = SiteStore::open(&dir, 0).unwrap();
         assert!(restored.used_previous_snapshot);
         assert!(!restored.snapshot_was_corrupt);
         assert_eq!(restored.image.as_ref(), Some(&final_image));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A toy change format for the store's own tests: the bytes to
+    /// append to the image. (The store never looks inside a delta; the
+    /// keyed store's real fold lives in `dynvote-control`.)
+    fn append_fold(image: &[u8], deltas: &[Vec<u8>]) -> Option<Vec<u8>> {
+        let mut out = image.to_vec();
+        for delta in deltas {
+            if delta.is_empty() {
+                return None; // stands in for "does not parse"
+            }
+            out.extend_from_slice(delta);
+        }
+        Some(out)
+    }
+
+    fn delta(op: u64, base: u64, bytes: &[u8]) -> WalRecord {
+        WalRecord::Delta {
+            state: state(op, base + 1),
+            base,
+            delta: bytes.to_vec(),
+        }
+    }
+
+    #[test]
+    fn wal_delta_records_fold_in_log_order_across_reopen_and_snapshot() {
+        let dir = scratch_dir("delta");
+        let final_image;
+        {
+            let (mut store, _) = SiteStore::open_with_fold(&dir, 3, append_fold).unwrap();
+            store.seed(state(1, 1), None, Some(b"v".to_vec())).unwrap();
+            store.log(delta(2, 1, b"a")).unwrap();
+            // A state-only commit between deltas keeps the chain.
+            store
+                .log(WalRecord::Commit {
+                    state: state(3, 2),
+                    value: None,
+                })
+                .unwrap();
+            // The third record lands a snapshot of the folded image.
+            store.log(delta(4, 2, b"b")).unwrap();
+            assert_eq!(store.snapshot_seq(), 3);
+            store.log(delta(5, 3, b"c")).unwrap();
+            // A full commit replaces the data and whatever was queued.
+            store.log(commit(6, 5, b"W")).unwrap();
+            store.log(delta(7, 5, b"d")).unwrap();
+            final_image = store.image().unwrap().clone();
+            assert_eq!(final_image.value.as_deref(), Some(&b"Wd"[..]));
+            assert_eq!(final_image.state, state(7, 6));
+        }
+        let (mut store, restored) = SiteStore::open_with_fold(&dir, 3, append_fold).unwrap();
+        assert_eq!(restored.image.as_ref(), Some(&final_image));
+        assert_eq!(store.image().unwrap(), &final_image);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wal_delta_on_the_wrong_base_is_refused_before_it_is_written() {
+        let dir = scratch_dir("delta-base");
+        let (mut store, _) = SiteStore::open_with_fold(&dir, 0, append_fold).unwrap();
+        store.seed(state(1, 1), None, Some(b"v".to_vec())).unwrap();
+        let refused = store.log(delta(2, 7, b"x")).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(store.wal_records(), 0, "nothing reached the log");
+        // A witness holds no data for a delta to apply to.
+        store.seed(state(1, 1), None, None).unwrap();
+        assert!(store.log(delta(2, 1, b"x")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wal_delta_log_that_lost_its_image_refuses_to_open() {
+        let dir = scratch_dir("delta-orphan");
+        {
+            let (mut store, _) = SiteStore::open_with_fold(&dir, 0, append_fold).unwrap();
+            store.seed(state(1, 1), None, Some(b"v".to_vec())).unwrap();
+            store.log(delta(2, 1, b"a")).unwrap();
+        }
+        // First generation, so there is no previous snapshot to fall
+        // back to: the delta has nothing to apply to.
+        std::fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
+        let error = SiteStore::open_with_fold(&dir, 0, append_fold).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wal_delta_the_fold_rejects_fails_the_snapshot_not_the_process() {
+        let dir = scratch_dir("delta-unfoldable");
+        let (mut store, _) = SiteStore::open_with_fold(&dir, 0, append_fold).unwrap();
+        store.seed(state(1, 1), None, Some(b"v".to_vec())).unwrap();
+        store.log(delta(2, 1, b"")).unwrap();
+        assert_eq!(
+            store.snapshot_now().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        // A store opened without a fold understands no delta at all.
+        drop(store);
+        assert!(SiteStore::open(&dir, 0).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Batched-commit equivalence: `Cluster::write_batch` must be
 //! observationally identical to the serial writes it amortizes.
 //!
-//! Four angles:
+//! Six angles:
 //!
 //! * **serial equivalence** — a fault-free K-batch leaves every site
 //!   with the same final `⟨o, v, P⟩`, the same committed-op history,
@@ -16,8 +16,17 @@
 //!   whole batch, so a partial commit refuses every write in it as
 //!   `Indeterminate`, never some prefix;
 //! * **fault adversity** — under injected drop/dup message faults the
-//!   batch path keeps every checker invariant the serial path keeps.
+//!   batch path keeps every checker invariant the serial path keeps;
+//! * **keyed batches** — a run of K keyed puts folded into one write
+//!   of the map (what the store's batch worker commits, and ships as a
+//!   delta) leaves every copy holding the map K serial keyed writes
+//!   leave;
+//! * **the delta premise** — every `COMMIT` of a dynamic-voting
+//!   operation names the version its recipient really holds when it
+//!   lands, which is what lets a transport ship a write as a change
+//!   against that version; MCV, which wedges nobody, names none.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dynvote_core::state::ReplicaState;
@@ -87,8 +96,13 @@ fn a_k_batch_is_indistinguishable_from_k_serial_writes() {
 enum Event {
     /// `commit_point` — the durable-ledger hook.
     Point { op: u64, version: u64 },
-    /// A `COMMIT` frame handed to the wire.
-    CommitSent { op: u64, to: SiteId },
+    /// A `COMMIT` frame handed to the wire, with the version the
+    /// cluster says its recipient voted with.
+    CommitSent {
+        op: u64,
+        to: SiteId,
+        polled_version: Option<u64>,
+    },
 }
 
 /// Wraps the nemesis bus and journals the transport-level events the
@@ -107,6 +121,7 @@ impl<T> Transport<T> for RecordingTransport {
                 .push(Event::CommitSent {
                     op,
                     to: request.message.to,
+                    polled_version: request.polled_version,
                 });
         }
         self.inner.carry(request, serve)
@@ -282,4 +297,137 @@ fn batches_keep_invariants_under_drop_and_dup_faults() {
         .expect("non-empty participant set");
     assert_eq!(cluster.read(reader).expect("read granted"), 1001);
     assert!(cluster.checker().violations().is_empty());
+}
+
+type KeyedMap = BTreeMap<String, u64>;
+
+/// The store's keyed read-modify-write, in miniature: one quorum read
+/// of the map, the puts applied in order, one write of the result.
+fn keyed_write<X: Transport<KeyedMap>>(cluster: &mut Cluster<KeyedMap, X>, puts: &[(&str, u64)]) {
+    let mut map = cluster.read(origin()).expect("keyed read granted");
+    for (key, value) in puts {
+        map.insert((*key).to_string(), *value);
+    }
+    let results = cluster.write_batch(origin(), vec![map]);
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+}
+
+/// K keyed puts committed as one write of the folded map — the unit
+/// the store ships as a delta — leave every copy holding exactly the
+/// map K serial keyed writes leave (a later put of a key winning), and
+/// a reader anywhere sees the same.
+#[test]
+fn a_keyed_k_batch_leaves_the_map_k_serial_keyed_writes_leave() {
+    let puts = [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5)];
+    for protocol in [Protocol::Odv, Protocol::Ldv, Protocol::Dv, Protocol::Mcv] {
+        let build = || {
+            ClusterBuilder::new()
+                .copies([0, 1, 2])
+                .protocol(protocol)
+                .build_with_value(KeyedMap::new())
+        };
+        let mut batched = build();
+        let mut serial = build();
+        keyed_write(&mut batched, &puts);
+        for put in puts {
+            keyed_write(&mut serial, &[put]);
+        }
+        for site in 0..3 {
+            assert_eq!(
+                batched.value_at(SiteId::new(site)),
+                serial.value_at(SiteId::new(site)),
+                "{protocol:?}: S{site} holds a different map"
+            );
+        }
+        assert_eq!(
+            batched.read(SiteId::new(2)).expect("read granted"),
+            serial.read(SiteId::new(2)).expect("read granted"),
+        );
+        // One batch is one write: one version up, not K.
+        let base = build().state_at(origin()).version;
+        assert_eq!(batched.state_at(origin()).version, base + 1);
+        assert_eq!(serial.state_at(origin()).version, base + puts.len() as u64);
+        assert!(batched.checker().violations().is_empty());
+    }
+}
+
+/// Runs `operate` on a recording cluster and checks every `COMMIT` it
+/// sent against the versions the recipients held just before.
+fn assert_commits_name_held_versions(
+    protocol: Protocol,
+    prepare: impl Fn(&mut Cluster<u64, RecordingTransport>),
+    operate: impl Fn(&mut Cluster<u64, RecordingTransport>),
+) {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let transport = RecordingTransport {
+        inner: BusTransport::new(),
+        events: Arc::clone(&events),
+    };
+    let mut cluster = ClusterBuilder::new()
+        .copies([0, 1, 2])
+        .protocol(protocol)
+        .build_with_transport(transport, 0u64);
+    prepare(&mut cluster);
+    events.lock().expect("journal poisoned").clear();
+    let held: Vec<u64> = (0..3)
+        .map(|site| cluster.state_at(SiteId::new(site)).version)
+        .collect();
+    operate(&mut cluster);
+    let events = events.lock().expect("journal poisoned");
+    let mut commits = 0;
+    for event in events.iter() {
+        if let Event::CommitSent {
+            to, polled_version, ..
+        } = event
+        {
+            commits += 1;
+            let expected = (protocol != Protocol::Mcv).then_some(held[to.index()]);
+            assert_eq!(
+                *polled_version,
+                expected,
+                "{protocol:?}: COMMIT to S{} names the wrong version ({events:?})",
+                to.index()
+            );
+        }
+    }
+    assert!(commits > 0, "{protocol:?}: the operation sent no COMMIT");
+}
+
+/// The premise of delta commits, checked where it is established: the
+/// version a `COMMIT` names is the one its recipient holds — for a
+/// write among current copies, for a batch, and for the commits a
+/// recovery sends from a stale site to the current ones. MCV repliers
+/// are not wedged at the version they reported, so MCV names none.
+#[test]
+fn every_commit_names_the_version_its_recipient_holds() {
+    for protocol in [Protocol::Odv, Protocol::Ldv, Protocol::Dv, Protocol::Mcv] {
+        assert_commits_name_held_versions(
+            protocol,
+            |_| {},
+            |cluster| cluster.write(origin(), 7).expect("write granted"),
+        );
+        assert_commits_name_held_versions(
+            protocol,
+            |cluster| cluster.write(origin(), 1).expect("write granted"),
+            |cluster| {
+                let results = cluster.write_batch(origin(), vec![2, 3, 4]);
+                assert!(results.iter().all(Result::is_ok), "{results:?}");
+            },
+        );
+    }
+    // S2 misses two writes, comes back stale, and recovers: its RECOVER
+    // commits at S0 and S1 (at the current version), from a coordinator
+    // that itself holds an older one.
+    for protocol in [Protocol::Odv, Protocol::Ldv, Protocol::Dv] {
+        assert_commits_name_held_versions(
+            protocol,
+            |cluster| {
+                cluster.fail_site(SiteId::new(2));
+                cluster.write(origin(), 1).expect("write granted");
+                cluster.write(origin(), 2).expect("write granted");
+                cluster.repair_site(SiteId::new(2));
+            },
+            |cluster| cluster.recover(SiteId::new(2)).expect("recover granted"),
+        );
+    }
 }

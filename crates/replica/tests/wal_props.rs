@@ -8,6 +8,14 @@
 //! **byte-identical** to the cluster that never crashed — at the crash
 //! point and after both continue with the same subsequent operations.
 //!
+//! Writes reach the log in both of its forms: as the new data
+//! ([`WalRecord::Commit`]) and, when a write extends the data the site
+//! already holds durably, as the change alone ([`WalRecord::Delta`]) —
+//! the toy change format here is "bytes to append"; the log never
+//! looks inside one. Replay must fold snapshot, full records and deltas
+//! back into the same bytes, in log order, and a tail torn *inside* a
+//! delta must cost exactly that one unacknowledged record.
+//!
 //! Campaigns are seed-driven (the seed is the whole test case, as in
 //! `nemesis_props.rs`), so a failure replays exactly. The case budget
 //! honours `PROPTEST_CASES` (default 256), which CI pins.
@@ -15,8 +23,10 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dynvote_replica::wal::{inject_flip_byte, SiteStore, WalRecord, SNAPSHOT_FILE, WAL_FILE};
-use dynvote_replica::{Cluster, ClusterBuilder, Protocol};
+use dynvote_replica::wal::{
+    inject_flip_byte, inject_torn_tail, SiteStore, WalRecord, SNAPSHOT_FILE, WAL_FILE,
+};
+use dynvote_replica::{Cluster, ClusterBuilder, Protocol, WalTail};
 use dynvote_sim::SimRng;
 use dynvote_types::SiteId;
 use proptest::prelude::*;
@@ -39,30 +49,58 @@ fn cluster(protocol: Protocol) -> Cluster<Vec<u8>> {
         .build_with_value(b"v0".to_vec())
 }
 
-/// The daemon's durability discipline, in miniature: diff the site's
-/// protocol-visible state against the store image and append whatever
-/// records close the gap.
+/// The toy change format: the bytes to append to the image.
+fn append_fold(image: &[u8], deltas: &[Vec<u8>]) -> Option<Vec<u8>> {
+    let mut out = image.to_vec();
+    for delta in deltas {
+        out.extend_from_slice(delta);
+    }
+    Some(out)
+}
+
+fn open_store(
+    dir: &std::path::Path,
+    snapshot_every: u64,
+) -> (SiteStore, dynvote_replica::Restored) {
+    SiteStore::open_with_fold(dir, snapshot_every, append_fold).unwrap()
+}
+
+/// The daemon's durability discipline, in miniature: compare the
+/// site's protocol-visible state with the store's and append whatever
+/// records close the gap. Equal versions mean equal data; a write that
+/// took the site one version up by extending the data the store holds
+/// is logged as that extension, anything else as the new data.
 fn mirror(cluster: &Cluster<Vec<u8>>, site: SiteId, store: &mut SiteStore) {
     let state = cluster.state_at(site);
     let pending = cluster.pending_at(site);
-    let value = cluster
-        .copies()
-        .contains(site)
-        .then(|| cluster.value_at(site));
-    if store.image().state != state || store.image().value != value {
-        let value_changed = store.image().value != value;
-        store
-            .log(WalRecord::Commit {
-                state,
-                value: if value_changed { value } else { None },
-            })
-            .expect("scratch-dir WAL append");
+    let durable = store.state();
+    if durable != state {
+        let record = if durable.version == state.version {
+            WalRecord::Commit { state, value: None }
+        } else {
+            let value = cluster.value_at(site);
+            let held = store.image().unwrap().value.clone().unwrap();
+            match value.strip_prefix(held.as_slice()) {
+                Some(suffix) if durable.version + 1 == state.version && !suffix.is_empty() => {
+                    WalRecord::Delta {
+                        state,
+                        base: durable.version,
+                        delta: suffix.to_vec(),
+                    }
+                }
+                _ => WalRecord::Commit {
+                    state,
+                    value: Some(value),
+                },
+            }
+        };
+        store.log(record).expect("scratch-dir WAL append");
     }
-    if store.image().pending != pending {
+    if store.pending() != pending {
         let record = match pending {
             Some(ticket) => WalRecord::Vote { ticket },
             None => WalRecord::Release {
-                ticket: store.image().pending.unwrap_or(0),
+                ticket: store.pending().unwrap_or(0),
             },
         };
         store.log(record).expect("scratch-dir WAL append");
@@ -92,6 +130,14 @@ fn random_event(
         3 | 4 => {
             let _ = reference.read(site);
             let _ = mirrored.read(site);
+        }
+        n @ 5..=7 => {
+            // A write that extends what the site holds: every copy that
+            // held the same data logs it as a delta.
+            let mut value = reference.value_at(site);
+            value.extend_from_slice(format!("+{n}{}", rng.below(1 << 8)).as_bytes());
+            let _ = reference.write(site, value.clone());
+            let _ = mirrored.write(site, value);
         }
         n => {
             let value = format!("w{n}-{}", rng.below(1 << 16)).into_bytes();
@@ -141,7 +187,7 @@ fn crash_restart_campaign(protocol: Protocol, seed: u64) {
         .iter()
         .enumerate()
         .map(|(index, dir)| {
-            let (mut store, restored) = SiteStore::open(dir, snapshot_every).unwrap();
+            let (mut store, restored) = open_store(dir, snapshot_every);
             assert!(restored.image.is_none(), "fresh scratch dir");
             let site = SiteId::new(SITES[index]);
             store
@@ -171,7 +217,7 @@ fn crash_restart_campaign(protocol: Protocol, seed: u64) {
                 .iter()
                 .enumerate()
                 .map(|(index, dir)| {
-                    let (store, restored) = SiteStore::open(dir, snapshot_every).unwrap();
+                    let (store, restored) = open_store(dir, snapshot_every);
                     let image = restored.image.expect("seeded store restores");
                     mirrored.install_durable_state(
                         SiteId::new(SITES[index]),
@@ -222,7 +268,7 @@ fn combined_corruption_campaign(seed: u64) {
     let snapshot_every = 1 + rng.below(4) as u64;
     let total = 4 + rng.below(24);
     let final_image = {
-        let (mut store, restored) = SiteStore::open(&dir, snapshot_every).unwrap();
+        let (mut store, restored) = open_store(&dir, snapshot_every);
         assert!(restored.image.is_none(), "fresh scratch dir");
         let boot = dynvote_core::state::ReplicaState {
             op: 1,
@@ -231,28 +277,10 @@ fn combined_corruption_campaign(seed: u64) {
         };
         store.seed(boot, None, Some(b"v0".to_vec())).unwrap();
         for step in 0..total {
-            let state = dynvote_core::state::ReplicaState {
-                op: 2 + step as u64,
-                version: 2 + step as u64,
-                partition: boot.partition,
-            };
-            let record = match rng.below(8) {
-                0 => WalRecord::Vote {
-                    ticket: 100 + step as u64,
-                },
-                1 => WalRecord::Release {
-                    ticket: 100 + step as u64,
-                },
-                _ => WalRecord::Commit {
-                    state,
-                    value: rng
-                        .bernoulli(0.7)
-                        .then(|| format!("w{step}-{}", rng.below(1 << 16)).into_bytes()),
-                },
-            };
+            let record = random_record(&mut rng, &store, step);
             store.log(record).unwrap();
         }
-        store.image().clone()
+        store.image().unwrap().clone()
     };
     // Both injuries in the same data dir.
     let garbage_len = 1 + rng.below(48);
@@ -268,7 +296,7 @@ fn combined_corruption_campaign(seed: u64) {
     let offset = rng.below(snapshot_len as usize) as u64;
     inject_flip_byte(&dir.join(SNAPSHOT_FILE), offset).unwrap();
 
-    let (store, restored) = SiteStore::open(&dir, snapshot_every).unwrap();
+    let (mut store, restored) = open_store(&dir, snapshot_every);
     assert!(
         restored.snapshot_was_corrupt,
         "seed {seed}: flipped byte at {offset} must invalidate the snapshot"
@@ -282,7 +310,102 @@ fn combined_corruption_campaign(seed: u64) {
         Some(&final_image),
         "seed {seed}: every acknowledged record must survive both injuries"
     );
-    assert_eq!(store.image(), &final_image);
+    assert_eq!(store.image().unwrap(), &final_image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One random record a site at `store`'s state could log next: a vote,
+/// a release, a state-only commit, a full write, or a delta write on
+/// the version the store holds.
+fn random_record(rng: &mut SimRng, store: &SiteStore, step: usize) -> WalRecord {
+    let held = store.state();
+    let next = |version| dynvote_core::state::ReplicaState {
+        op: held.op + 1,
+        version,
+        partition: held.partition,
+    };
+    match rng.below(10) {
+        0 => WalRecord::Vote {
+            ticket: 100 + step as u64,
+        },
+        1 => WalRecord::Release {
+            ticket: 100 + step as u64,
+        },
+        2 => WalRecord::Commit {
+            state: next(held.version),
+            value: None,
+        },
+        3..=5 => WalRecord::Commit {
+            state: next(held.version + 1),
+            value: Some(format!("w{step}-{}", rng.below(1 << 16)).into_bytes()),
+        },
+        _ => WalRecord::Delta {
+            state: next(held.version + 1),
+            base: held.version,
+            delta: format!("+{step}-{}", rng.below(1 << 16)).into_bytes(),
+        },
+    }
+}
+
+/// One torn-tail campaign: a random history of full records and deltas
+/// across snapshot cadences, then a crash in the middle of appending
+/// the *last* record — a delta — which loses some of its bytes. The
+/// reopened store must hold exactly the image acknowledged before that
+/// record, report the torn tail, and take the same delta again.
+fn torn_delta_campaign(seed: u64) {
+    let mut rng = SimRng::new(seed);
+    let dir = scratch_dir(&format!("torn-delta-{seed}"));
+    let snapshot_every = [0u64, 3, 8][rng.below(3)];
+    let total = 1 + rng.below(20);
+    let (acknowledged, last, last_len) = {
+        let (mut store, _) = open_store(&dir, snapshot_every);
+        let boot = dynvote_core::state::ReplicaState {
+            op: 1,
+            version: 1,
+            partition: dynvote_types::SiteSet::from_indices(SITES),
+        };
+        store.seed(boot, None, Some(b"v0".to_vec())).unwrap();
+        for step in 0..total {
+            let record = random_record(&mut rng, &store, step);
+            store.log(record).unwrap();
+        }
+        // Keep the torn record in the live log: a snapshot landing on
+        // it would park the log it sits in.
+        if snapshot_every > 0 && store.wal_records() + 1 >= snapshot_every {
+            store.snapshot_now().unwrap();
+        }
+        let acknowledged = store.image().unwrap().clone();
+        let last = WalRecord::Delta {
+            state: dynvote_core::state::ReplicaState {
+                op: acknowledged.state.op + 1,
+                version: acknowledged.state.version + 1,
+                partition: acknowledged.state.partition,
+            },
+            base: acknowledged.state.version,
+            delta: b"+torn-away".to_vec(),
+        };
+        let before = store.wal_bytes();
+        store.log(last.clone()).unwrap();
+        (acknowledged, last, store.wal_bytes() - before)
+    };
+    let torn = 1 + rng.below(last_len as usize - 1) as u64;
+    inject_torn_tail(&dir.join(WAL_FILE), torn).unwrap();
+
+    let (mut store, restored) = open_store(&dir, snapshot_every);
+    assert!(
+        matches!(restored.wal_tail, WalTail::Torn { .. }),
+        "seed {seed}: {torn} of {last_len} bytes torn off, got {:?}",
+        restored.wal_tail
+    );
+    assert_eq!(
+        restored.image.as_ref(),
+        Some(&acknowledged),
+        "seed {seed}: a delta torn mid-append must cost exactly itself"
+    );
+    store.log(last).unwrap();
+    let mut expected = acknowledged.value.clone().unwrap();
+    expected.extend_from_slice(b"+torn-away");
+    assert_eq!(store.image().unwrap().value.as_deref(), Some(&expected[..]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -304,6 +427,21 @@ proptest! {
     fn wal_combined_corruption_falls_back_to_previous_generation(seed in any::<u64>()) {
         combined_corruption_campaign(seed);
     }
+
+    /// A crash in the middle of appending a delta record loses that
+    /// record and nothing else, whatever mix of snapshots, full
+    /// records and deltas came before it.
+    #[test]
+    fn wal_tail_torn_inside_a_delta_loses_only_that_delta(seed in any::<u64>()) {
+        torn_delta_campaign(seed);
+    }
+}
+
+/// Deterministic anchor for the torn-delta property.
+#[test]
+fn wal_tail_torn_inside_a_delta_pinned_seed() {
+    torn_delta_campaign(7);
+    torn_delta_campaign(42);
 }
 
 /// Deterministic anchor for the combined-corruption property.

@@ -15,6 +15,9 @@
 //! * [`tcp`] — [`tcp::TcpTransport`]: per-peer I/O threads, capped
 //!   exponential reconnect backoff, and the runtime [`tcp::LinkRules`]
 //!   that cut *real* partitions into a live cluster;
+//! * [`value`] — [`value::ShardValue`]: the replicated value as the
+//!   cluster holds it — cheap to clone, resident as a decoded map for
+//!   a shard group, carrying the delta a keyed batch made it by;
 //! * [`config`] / [`server`] — the `dynvote-stored` daemon: one site
 //!   per process, one listener for peer, client, and admin frames;
 //! * [`client`] — one-shot framed requests, as `dynvote-ctl` sends;
@@ -59,6 +62,7 @@ pub mod replay;
 pub mod router;
 pub mod server;
 pub mod tcp;
+pub mod value;
 pub mod wire;
 
 pub use client::{

@@ -48,6 +48,7 @@
 //! then retries the protocol-level RECOVER (Figures 3/7) in the
 //! background to catch up from the majority partition.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,14 +58,17 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use dynvote_control::{decode_kv, encode_kv, ShardMap};
+use dynvote_control::kv::MAX_KEY_LEN;
+use dynvote_control::{fold_image, KvPuts, ShardMap};
+use dynvote_core::state::ReplicaState;
 use dynvote_replica::wal::{shard_dir, SiteStore, WalRecord};
 use dynvote_replica::{Cluster, ClusterBuilder, MessageKind, Reply};
 use dynvote_types::{AccessError, SiteId, SiteSet};
 
 use crate::config::Config;
-use crate::probe::{coordinator_of, epoch_of, OpLedger, ProbeAnswer};
+use crate::probe::{coordinator_of, epoch_of, CommitBody, CommitRecord, OpLedger, ProbeAnswer};
 use crate::tcp::{LinkRules, TcpTransport};
+use crate::value::{Delta, ShardValue};
 use crate::wire::{read_frame, write_frame, Frame, UnavailableReason};
 
 /// The paper clause behind a refusal — every ABORT in Figures 1–3/5–7
@@ -141,10 +145,10 @@ impl Logger {
 /// it: the batch worker executes these in queue order.
 ///
 /// The keyed variants exist only on sharded daemons, whose replicated
-/// value is an encoded KV map ([`dynvote_control::encode_kv`]): the
-/// batch worker folds a run of keyed puts into one quorum
-/// read-modify-write — sound because the shard's *coordinator funnel*
-/// (only `placement[0]` of the current epoch accepts keyed operations)
+/// value is a KV map ([`ShardValue`] keeps it decoded): the batch
+/// worker folds a run of keyed puts into one quorum read-modify-write
+/// — sound because the shard's *coordinator funnel* (only
+/// `placement[0]` of the current epoch accepts keyed operations)
 /// serializes every mutation of the image through this one queue.
 enum DataOp {
     Put(Vec<u8>),
@@ -160,8 +164,12 @@ struct PendingData {
     done: Box<dyn FnOnce(Frame) + Send>,
 }
 
+/// The cluster one daemon runs: its own participant, every peer behind
+/// the TCP transport.
+type StoreCluster = Cluster<ShardValue, TcpTransport>;
+
 struct Daemon {
-    cluster: Mutex<Cluster<Vec<u8>, TcpTransport>>,
+    cluster: Mutex<StoreCluster>,
     links: Arc<LinkRules>,
     local: SiteId,
     policy_name: &'static str,
@@ -206,16 +214,26 @@ struct Daemon {
 }
 
 /// Folds the local participant's current protocol state into the
-/// durable store: diffs ⟨o, v, P⟩ + data + outstanding vote against the
-/// store's image and appends the WAL records that close the gap,
-/// fsync'ing each. Call this *before* letting any acknowledgement leave
-/// the site; on `Ok` the acknowledged state survives a crash.
+/// durable store: appends the WAL records that bring the store's
+/// ⟨o, v, P⟩ + data + outstanding vote up to the node's, fsync'ing
+/// each. Call this *before* letting any acknowledgement leave the
+/// site; on `Ok` the acknowledged state survives a crash.
 ///
-/// Always called with the cluster lock held, so the image diff and the
+/// The data is never compared. A copy's data changes only by a commit
+/// (or a copy transfer) that changes its version number, so equal
+/// versions mean the store already holds the data. When they differ,
+/// `applied` says how the data got there: the delta the commits since
+/// the last sync applied, which is logged as such when it starts at
+/// the version the store holds — the whole image is written only when
+/// no such delta exists (a full-image COMMIT, a legacy write, a
+/// recovery's copy, or a store left behind by a failed sync).
+///
+/// Always called with the cluster lock held, so the comparison and the
 /// append are atomic with respect to other operations.
 fn sync_durable(
     daemon: &Daemon,
-    cluster: &Cluster<Vec<u8>, TcpTransport>,
+    cluster: &StoreCluster,
+    applied: Option<&Delta>,
 ) -> std::io::Result<bool> {
     let Some(store) = &daemon.store else {
         return Ok(false);
@@ -231,24 +249,30 @@ fn sync_durable(
     let mut store = store.lock().expect("site store poisoned");
     let state = cluster.state_at(daemon.local);
     let pending = cluster.pending_at(daemon.local);
-    let value = cluster
-        .copies()
-        .contains(daemon.local)
-        .then(|| cluster.value_at(daemon.local));
+    let durable = store.state();
     let mut wrote = false;
-    if store.image().state != state || store.image().value != value {
-        let value_changed = store.image().value != value;
-        store.log(WalRecord::Commit {
-            state,
-            value: if value_changed { value } else { None },
-        })?;
+    if durable != state {
+        let same_data =
+            durable.version == state.version || !cluster.copies().contains(daemon.local);
+        let record = match applied {
+            Some(delta) if !same_data && delta.base == durable.version => WalRecord::Delta {
+                state,
+                base: delta.base,
+                delta: delta.puts.clone(),
+            },
+            _ => WalRecord::Commit {
+                state,
+                value: (!same_data).then(|| cluster.value_at(daemon.local).to_image()),
+            },
+        };
+        store.log(record)?;
         wrote = true;
     }
-    if store.image().pending != pending {
+    if store.pending() != pending {
         let record = match pending {
             Some(ticket) => WalRecord::Vote { ticket },
             None => WalRecord::Release {
-                ticket: store.image().pending.unwrap_or(0),
+                ticket: store.pending().unwrap_or(0),
             },
         };
         store.log(record)?;
@@ -358,7 +382,7 @@ fn boot_daemon(
     shard: Option<u16>,
     copies: Vec<usize>,
     witnesses: Vec<usize>,
-    override_state: Option<(dynvote_core::state::ReplicaState, Vec<u8>, Option<u64>)>,
+    override_state: Option<(ReplicaState, ShardValue, Option<u64>)>,
 ) -> std::io::Result<Arc<Daemon>> {
     let network = config
         .network()
@@ -394,8 +418,8 @@ fn boot_daemon(
     // The legacy store replicates `--value`; a shard's replicated value
     // is its KV image, which starts out as the empty map's encoding.
     let initial = match shard {
-        Some(_) => Vec::new(),
-        None => config.initial.clone(),
+        Some(_) => ShardValue::from_image(Vec::new()),
+        None => ShardValue::opaque(config.initial.clone()),
     };
     let mut cluster = ClusterBuilder::new()
         .network(network)
@@ -410,7 +434,8 @@ fn boot_daemon(
     let mut boot_epoch = None;
     let store = match &data_dir {
         Some(dir) => {
-            let (mut store, restored) = SiteStore::open(dir, config.snapshot_every)?;
+            let (mut store, restored) =
+                SiteStore::open_with_fold(dir, config.snapshot_every, fold_image)?;
             if restored.snapshot_was_corrupt {
                 log.log("durable restore: snapshot failed validation, moved aside; falling back");
             }
@@ -439,7 +464,9 @@ fn boot_daemon(
                     cluster.install_durable_state(
                         config.local,
                         image.state,
-                        image.value.clone(),
+                        image
+                            .value
+                            .map(|bytes| ShardValue::received(bytes, shard.is_some())),
                         image.pending,
                     );
                     restored_from_disk = true;
@@ -449,7 +476,7 @@ fn boot_daemon(
                     let value = cluster
                         .copies()
                         .contains(config.local)
-                        .then(|| cluster.value_at(config.local));
+                        .then(|| cluster.value_at(config.local).to_image());
                     store.seed(state, cluster.pending_at(config.local), value)?;
                     log.log(&format!(
                         "durable boot: fresh data dir seeded at {}",
@@ -502,7 +529,7 @@ fn boot_daemon(
     if let Some((state, value, pending)) = override_state {
         let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
         cluster.install_durable_state(daemon.local, state, Some(value), pending);
-        if let Err(error) = sync_durable(&daemon, &cluster) {
+        if let Err(error) = sync_durable(&daemon, &cluster, None) {
             log.log(&format!(
                 "shard handoff: captured state not persisted: {error}"
             ));
@@ -700,7 +727,7 @@ fn boot_recover(daemon: &Arc<Daemon>, shutdown: &AtomicBool, window: Duration) {
             match cluster.recover(daemon.local) {
                 Ok(()) => {
                     let state = cluster.state_at(daemon.local);
-                    if let Err(error) = sync_durable(daemon, &cluster) {
+                    if let Err(error) = sync_durable(daemon, &cluster, None) {
                         daemon
                             .log
                             .log(&format!("boot RECOVER: durability failure: {error}"));
@@ -751,13 +778,15 @@ fn dead_and_unfenced(daemon: &Daemon, ticket: u64) -> bool {
 }
 
 /// Persists and logs a wedge resolution (the cluster lock is held).
+/// `applied` is the delta the resolving commit applied, if it did.
 fn note_probe_resolution(
     daemon: &Daemon,
-    cluster: &Cluster<Vec<u8>, TcpTransport>,
+    cluster: &StoreCluster,
     ticket: u64,
     what: &str,
+    applied: Option<&Delta>,
 ) {
-    if let Err(error) = sync_durable(daemon, cluster) {
+    if let Err(error) = sync_durable(daemon, cluster, applied) {
         daemon.log.log(&format!(
             "wedge probe ticket={ticket}: durability failure: {error}"
         ));
@@ -765,6 +794,100 @@ fn note_probe_resolution(
     daemon
         .log
         .log(&format!("wedge probe: ticket={ticket} {what}"));
+}
+
+/// What rode a [`Frame::Commit`].
+fn commit_body(value: Option<Vec<u8>>) -> CommitBody {
+    value.map_or(CommitBody::StateOnly, |bytes| {
+        CommitBody::Image(bytes.into())
+    })
+}
+
+/// A `COMMIT` installed at the local participant.
+struct Installed {
+    /// The delta it changed the local data by, if it did: what
+    /// [`sync_durable`] may log in place of the image.
+    applied: Option<Arc<Delta>>,
+}
+
+/// Installs a `COMMIT` — `state` plus what rode it, from a
+/// [`Frame::Commit`], a [`Frame::CommitDelta`] or the ledger record
+/// either is re-sent from — at the local participant (the cluster lock
+/// is held). `None`: not installed, and the sender must hear nothing.
+/// Otherwise sync, then acknowledge.
+///
+/// A delta is applied only to the data of the version it names: a copy
+/// holding any other version refuses it — applying puts to a different
+/// image would build an image no other copy has. A frame for a commit
+/// the site already holds (a retry whose first acknowledgement was
+/// lost, an answered probe) re-installs the state alone, which is what
+/// releases the vote.
+fn install_commit(
+    daemon: &Daemon,
+    cluster: &mut StoreCluster,
+    to: SiteId,
+    ticket: u64,
+    state: ReplicaState,
+    body: CommitBody,
+) -> Option<Installed> {
+    if to != daemon.local {
+        return None;
+    }
+    let held = cluster.state_at(to);
+    let mut applied = None;
+    let value = if held == state || !cluster.copies().contains(to) {
+        None
+    } else {
+        match body {
+            CommitBody::StateOnly => None,
+            CommitBody::Image(bytes) => Some(ShardValue::received(bytes, daemon.shard.is_some())),
+            CommitBody::Delta(delta) => {
+                let next = (held.version == delta.base)
+                    .then(|| cluster.value_at(to).with_delta(Arc::clone(&delta)))
+                    .flatten();
+                let Some(next) = next else {
+                    daemon.log.log(&format!(
+                        "commit delta on v={} NOT applied: this copy holds v={}",
+                        delta.base, held.version
+                    ));
+                    return None;
+                };
+                applied = Some(delta);
+                Some(next)
+            }
+        }
+    };
+    let kind = MessageKind::Commit {
+        op: state.op,
+        version: state.version,
+        partition: state.partition,
+    };
+    match cluster.serve_at(to, &kind, value.as_ref(), ticket, false) {
+        Some(Reply::Ack) => Some(Installed { applied }),
+        _ => None,
+    }
+}
+
+/// Resolves the local wedge on `ticket` with the commit that closed
+/// it, if the site is still wedged on exactly that ticket.
+fn resolve_by_commit(
+    daemon: &Daemon,
+    ticket: u64,
+    state: ReplicaState,
+    body: CommitBody,
+    what: &str,
+) {
+    let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
+    // Re-check under the lock: only the exact wedge the probe was sent
+    // for may be resolved by its reply.
+    if cluster.pending_at(daemon.local) != Some(ticket) {
+        return;
+    }
+    if let Some(installed) = install_commit(daemon, &mut cluster, daemon.local, ticket, state, body)
+    {
+        note_probe_resolution(daemon, &cluster, ticket, what, installed.applied.as_deref());
+        daemon.probe_commits.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// One raw frame exchange with a peer daemon under a hard deadline —
@@ -828,30 +951,13 @@ fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
                     .answer(ticket, daemon.local)
             };
             match answer {
-                ProbeAnswer::Commit(record) => {
-                    let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
-                    if cluster.pending_at(daemon.local) == Some(ticket) {
-                        let kind = MessageKind::Commit {
-                            op: record.state.op,
-                            version: record.state.version,
-                            partition: record.state.partition,
-                        };
-                        let _ = cluster.serve_at(
-                            daemon.local,
-                            &kind,
-                            record.value.as_ref(),
-                            ticket,
-                            false,
-                        );
-                        note_probe_resolution(
-                            daemon,
-                            &cluster,
-                            ticket,
-                            "own ledgered COMMIT applied",
-                        );
-                        daemon.probe_commits.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                ProbeAnswer::Commit(record) => resolve_by_commit(
+                    daemon,
+                    ticket,
+                    record.state,
+                    record.body,
+                    "own ledgered COMMIT applied",
+                ),
                 ProbeAnswer::Release(keep) if !keep.contains(daemon.local) => {
                     let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
                     if cluster.pending_at(daemon.local) == Some(ticket) {
@@ -861,6 +967,7 @@ fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
                             &cluster,
                             ticket,
                             "self-released (own ledgered release)",
+                            None,
                         );
                         daemon.probe_released.fetch_add(1, Ordering::Relaxed);
                     }
@@ -875,6 +982,7 @@ fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
                                 &cluster,
                                 ticket,
                                 "self-released (dead own epoch, above high water)",
+                                None,
                             );
                             daemon.probe_released.fetch_add(1, Ordering::Relaxed);
                         }
@@ -918,7 +1026,13 @@ fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
                 let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
                 if cluster.pending_at(daemon.local) == Some(ticket) {
                     cluster.local_release(ticket, keep);
-                    note_probe_resolution(daemon, &cluster, ticket, "released by coordinator");
+                    note_probe_resolution(
+                        daemon,
+                        &cluster,
+                        ticket,
+                        "released by coordinator",
+                        None,
+                    );
                     daemon.probe_released.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -927,21 +1041,26 @@ fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
                 state,
                 value,
                 ..
-            }) if answered == ticket => {
-                let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
-                // Re-check under the lock: only the exact wedge this
-                // probe was sent for may be resolved by its reply.
-                if cluster.pending_at(daemon.local) == Some(ticket) {
-                    let kind = MessageKind::Commit {
-                        op: state.op,
-                        version: state.version,
-                        partition: state.partition,
-                    };
-                    let _ = cluster.serve_at(daemon.local, &kind, value.as_ref(), ticket, false);
-                    note_probe_resolution(daemon, &cluster, ticket, "late COMMIT applied");
-                    daemon.probe_commits.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            }) if answered == ticket => resolve_by_commit(
+                daemon,
+                ticket,
+                state,
+                commit_body(value),
+                "late COMMIT applied",
+            ),
+            Ok(Frame::CommitDelta {
+                ticket: answered,
+                state,
+                base,
+                puts,
+                ..
+            }) if answered == ticket => resolve_by_commit(
+                daemon,
+                ticket,
+                state,
+                CommitBody::Delta(Arc::new(Delta { base, puts })),
+                "late COMMIT (delta) applied",
+            ),
             _ => {}
         }
     }
@@ -1098,12 +1217,8 @@ fn route_sharded(
                 shard,
                 key,
                 value,
-            } => match keyed_route(service, sharded, epoch, shard) {
-                Ok(daemon) => enqueue_data(
-                    &daemon,
-                    DataOp::PutKey { key, value },
-                    tagged_completion(writer, id),
-                ),
+            } => match keyed_put(service, sharded, epoch, shard, key, value) {
+                Ok((daemon, op)) => enqueue_data(&daemon, op, tagged_completion(writer, id)),
                 Err(reply) => write_tagged(writer, id, reply),
             },
             Frame::GetKey { epoch, shard, key } => {
@@ -1133,8 +1248,8 @@ fn route_sharded(
             shard,
             key,
             value,
-        } => match keyed_route(service, sharded, epoch, shard) {
-            Ok(daemon) => serve_legacy_data(&daemon, writer, DataOp::PutKey { key, value }),
+        } => match keyed_put(service, sharded, epoch, shard, key, value) {
+            Ok((daemon, op)) => serve_legacy_data(&daemon, writer, op),
             Err(reply) => write_shared(writer, &reply).is_ok(),
         },
         Frame::GetKey { epoch, shard, key } => match keyed_route(service, sharded, epoch, shard) {
@@ -1281,6 +1396,29 @@ fn keyed_route(
             message: format!("shard {shard} is not hosted at this site"),
         }),
     }
+}
+
+/// [`keyed_route`] for a put, which also checks the key: the KV entry
+/// layout carries a key's length in 16 bits, and keys come from
+/// clients.
+fn keyed_put(
+    service: &Arc<Service>,
+    sharded: &ShardedService,
+    epoch: u64,
+    shard: u16,
+    key: String,
+    value: Vec<u8>,
+) -> Result<(Arc<Daemon>, DataOp), Frame> {
+    if key.len() > MAX_KEY_LEN {
+        return Err(Frame::Refused {
+            message: format!(
+                "key of {} bytes exceeds the {MAX_KEY_LEN}-byte limit",
+                key.len()
+            ),
+        });
+    }
+    let daemon = keyed_route(service, sharded, epoch, shard)?;
+    Ok((daemon, DataOp::PutKey { key, value }))
 }
 
 /// Serves the frames a sharded service answers *as a service* — the
@@ -1620,35 +1758,84 @@ fn batch_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool, queue: &mpsc::Receive
     }
 }
 
+/// The keyed deltas a batch applied to the local copy's data, kept
+/// for as long as they account for *every* change to it since the
+/// batch began — what lets the batch's one durable record be a delta.
+struct AppliedDeltas {
+    /// The local version when the batch began.
+    base: u64,
+    /// The version the deltas lead to; `None` once something other
+    /// than a delta chained onto them changed the data.
+    reaches: Option<u64>,
+    /// The deltas' put lists, back to back.
+    puts: Vec<u8>,
+}
+
+impl AppliedDeltas {
+    fn starting_at(version: u64) -> Self {
+        AppliedDeltas {
+            base: version,
+            reaches: Some(version),
+            puts: Vec::new(),
+        }
+    }
+
+    /// Records that one run of operations moved the local version from
+    /// `before` to `after` — by `delta` alone, when there is one.
+    fn note(&mut self, before: u64, after: u64, delta: Option<&Delta>) {
+        if after == before {
+            return;
+        }
+        match delta {
+            Some(delta) if self.reaches == Some(before) && delta.base == before => {
+                self.puts.extend_from_slice(&delta.puts);
+                self.reaches = Some(after);
+            }
+            _ => self.reaches = None,
+        }
+    }
+
+    fn into_delta(self) -> Option<Delta> {
+        self.reaches
+            .is_some_and(|reached| reached != self.base)
+            .then_some(Delta {
+                base: self.base,
+                puts: self.puts,
+            })
+    }
+}
+
+const NOT_A_KV_MAP: &str = "shard image is not a KV map (corrupt replicated value)";
+
 /// Serves one drained batch under the cluster lock, syncs durably ONCE,
 /// and only then releases the replies — the batched generalisation of
 /// fsync-before-ack: no acknowledgement in the batch leaves before the
 /// WAL holds every state change the batch made.
-fn run_batch(
-    daemon: &Arc<Daemon>,
-    cluster: &mut Cluster<Vec<u8>, TcpTransport>,
-    items: Vec<PendingData>,
-) {
+fn run_batch(daemon: &Arc<Daemon>, cluster: &mut StoreCluster, items: Vec<PendingData>) {
     // (completion, reply, Some(op name) when the reply is a grant that
     // a failed fsync must downgrade to a durability refusal).
     type Staged = (Box<dyn FnOnce(Frame) + Send>, Frame, Option<&'static str>);
     let mut replies: Vec<Staged> = Vec::with_capacity(items.len());
     let mut wrote = false;
+    let mut applied = AppliedDeltas::starting_at(cluster.state_at(daemon.local).version);
     let mut iter = items.into_iter().peekable();
     while let Some(item) = iter.next() {
         match item.op {
             DataOp::Put(value) => {
                 wrote = true;
-                let mut values = vec![value];
+                let keyed = daemon.shard.is_some();
+                let mut values = vec![ShardValue::received(value, keyed)];
                 let mut dones = vec![item.done];
                 while matches!(iter.peek().map(|next| &next.op), Some(DataOp::Put(_))) {
                     let next = iter.next().expect("peeked");
                     if let DataOp::Put(value) = next.op {
-                        values.push(value);
+                        values.push(ShardValue::received(value, keyed));
                         dones.push(next.done);
                     }
                 }
+                let before = cluster.state_at(daemon.local).version;
                 let results = cluster.write_batch(daemon.local, values);
+                applied.note(before, cluster.state_at(daemon.local).version, None);
                 for (done, result) in dones.into_iter().zip(results) {
                     let staged = match result {
                         Ok(op) => {
@@ -1670,7 +1857,11 @@ fn run_batch(
             }
             DataOp::PutKey { key, value } => {
                 wrote = true;
-                let mut entries = vec![(key, value)];
+                // Only the last put of a key in the run can ever be
+                // observed, so only it is committed: the delta stays
+                // no larger than the map it changes, however often a
+                // deep pipeline rewrites the same keys.
+                let mut last_puts = BTreeMap::from([(key, value)]);
                 let mut dones = vec![item.done];
                 while matches!(
                     iter.peek().map(|next| &next.op),
@@ -1678,50 +1869,12 @@ fn run_batch(
                 ) {
                     let next = iter.next().expect("peeked");
                     if let DataOp::PutKey { key, value } = next.op {
-                        entries.push((key, value));
+                        last_puts.insert(key, value);
                         dones.push(next.done);
                     }
                 }
-                // The coordinator-funnel read-modify-write: one quorum
-                // read of the shard's KV image, the whole run's puts
-                // folded in (queue order, later put wins), one batched
-                // quorum write. Sound because only this worker — at the
-                // shard's coordinator of the current epoch — mutates
-                // the image.
-                let count = entries.len();
-                let staged: (Frame, Option<&'static str>) = match cluster.read(daemon.local) {
-                    Ok(bytes) => match decode_kv(&bytes) {
-                        Some(mut kv) => {
-                            for (key, value) in entries {
-                                kv.insert(key, value);
-                            }
-                            let results = cluster.write_batch(daemon.local, vec![encode_kv(&kv)]);
-                            match results.into_iter().next().expect("one value, one result") {
-                                Ok(op) => {
-                                    let detail = format!(
-                                        "committed o={} v={} P={{{}}}",
-                                        op.op,
-                                        op.version,
-                                        fmt_sites(op.participants)
-                                    );
-                                    daemon.log.log(&format!(
-                                        "GRANT keyed write ×{count}: {detail} — one folded image commit"
-                                    ));
-                                    (Frame::Done { detail }, Some("write"))
-                                }
-                                Err(err) => (refuse(daemon, "keyed write", &err), None),
-                            }
-                        }
-                        None => (
-                            Frame::Refused {
-                                message: "shard image is not a KV map (corrupt replicated value)"
-                                    .to_string(),
-                            },
-                            None,
-                        ),
-                    },
-                    Err(err) => (refuse(daemon, "keyed write", &err), None),
-                };
+                let puts = KvPuts(last_puts.into_iter().collect());
+                let staged = keyed_write(daemon, cluster, &puts, dones.len(), &mut applied);
                 for done in dones {
                     replies.push((done, staged.0.clone(), staged.1));
                 }
@@ -1744,7 +1897,7 @@ fn run_batch(
                 // *refusal* (the read itself was granted — the quorum
                 // ruled, the key just is not there).
                 match cluster.read(daemon.local) {
-                    Ok(bytes) => match decode_kv(&bytes) {
+                    Ok(image) => match image.kv() {
                         Some(kv) => {
                             let version = cluster.history().last().map_or_else(
                                 || cluster.state_at(daemon.local).version,
@@ -1757,7 +1910,7 @@ fn run_batch(
                                 let frame = match kv.get(&key) {
                                     Some(value) => Frame::Value {
                                         version,
-                                        value: value.clone(),
+                                        value: value.to_vec(),
                                     },
                                     None => Frame::Refused {
                                         message: format!("key {key:?} not found"),
@@ -1771,9 +1924,7 @@ fn run_batch(
                                 replies.push((
                                     done,
                                     Frame::Refused {
-                                        message:
-                                            "shard image is not a KV map (corrupt replicated value)"
-                                                .to_string(),
+                                        message: NOT_A_KV_MAP.to_string(),
                                     },
                                     None,
                                 ));
@@ -1810,7 +1961,13 @@ fn run_batch(
                             "GRANT read ×{}: v={version} — Algorithm 1: the group holds a strict majority of P_m",
                             dones.len()
                         ));
-                        (Frame::Value { version, value }, Some("read"))
+                        (
+                            Frame::Value {
+                                version,
+                                value: value.to_image(),
+                            },
+                            Some("read"),
+                        )
                     }
                     Err(err) => (refuse(daemon, "read", &err), None),
                 };
@@ -1822,7 +1979,7 @@ fn run_batch(
     }
     // Persist regardless of the outcomes: even a refused operation may
     // have changed local state (a partial commit landed).
-    let synced = sync_durable(daemon, cluster);
+    let synced = sync_durable(daemon, cluster, applied.into_delta().as_ref());
     if wrote && daemon.crash_after_wal_append && matches!(synced, Ok(true)) {
         // Crash-test hook: the WAL holds the commit, the client never
         // hears about it. The restart must serve it anyway —
@@ -1839,6 +1996,66 @@ fn run_batch(
             _ => frame,
         };
         done(frame);
+    }
+}
+
+/// The coordinator-funnel read-modify-write behind a run of `requests`
+/// keyed puts: one quorum read of the shard's KV map, the run's puts
+/// applied (the last put of each key), one batched quorum write.
+/// Sound because only this worker — at the shard's coordinator of the
+/// current epoch — mutates the map.
+///
+/// The write goes out as a *delta* when the version of the map just
+/// read is known: the read's own commit installs the maximal version's
+/// ⟨o, v, P⟩ at every copy that holds that version, so if it moved the
+/// local operation number, the local version is the version of the map
+/// that was served. (A stale coordinator, or MCV, whose reads commit
+/// nothing, learns no version and writes the whole image.)
+fn keyed_write(
+    daemon: &Arc<Daemon>,
+    cluster: &mut StoreCluster,
+    puts: &KvPuts,
+    requests: usize,
+    applied: &mut AppliedDeltas,
+) -> (Frame, Option<&'static str>) {
+    let op_before = cluster.state_at(daemon.local).op;
+    let current = match cluster.read(daemon.local) {
+        Ok(current) => current,
+        Err(err) => return (refuse(daemon, "keyed write", &err), None),
+    };
+    let held = cluster.state_at(daemon.local);
+    let base = (held.op > op_before).then_some(held.version);
+    let Some(next) = current.with_puts(puts, base) else {
+        return (
+            Frame::Refused {
+                message: NOT_A_KV_MAP.to_string(),
+            },
+            None,
+        );
+    };
+    let delta = next.delta().cloned();
+    let results = cluster.write_batch(daemon.local, vec![next]);
+    applied.note(
+        held.version,
+        cluster.state_at(daemon.local).version,
+        delta.as_deref(),
+    );
+    match results.into_iter().next().expect("one value, one result") {
+        Ok(op) => {
+            let detail = format!(
+                "committed o={} v={} P={{{}}}",
+                op.op,
+                op.version,
+                fmt_sites(op.participants)
+            );
+            daemon.log.log(&format!(
+                "GRANT keyed write ×{requests}: {detail} — one folded {} commit of {} key(s)",
+                if delta.is_some() { "delta" } else { "image" },
+                puts.0.len(),
+            ));
+            (Frame::Done { detail }, Some("write"))
+        }
+        Err(err) => (refuse(daemon, "keyed write", &err), None),
     }
 }
 
@@ -1872,7 +2089,7 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                     // again in a conflicting operation. Fsync before
                     // the state reply leaves — abstain if the disk
                     // cannot hold the vote.
-                    if let Err(error) = sync_durable(daemon, &cluster) {
+                    if let Err(error) = sync_durable(daemon, &cluster, None) {
                         daemon.log.log(&format!(
                             "abstain: START from S{} ticket={ticket} — durability failure: {error}",
                             from.index()
@@ -1887,7 +2104,7 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                         ticket,
                         from: to,
                         to: from,
-                        state: dynvote_core::state::ReplicaState {
+                        state: ReplicaState {
                             op,
                             version,
                             partition,
@@ -1913,46 +2130,22 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
             to,
             state,
             value,
-        } => {
-            if daemon.links.is_blocked(from) {
-                return Dispatch::Silent;
-            }
-            let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
-            let kind = MessageKind::Commit {
-                op: state.op,
-                version: state.version,
-                partition: state.partition,
-            };
-            match cluster.serve_at(to, &kind, value.as_ref(), ticket, false) {
-                Some(Reply::Ack) => {
-                    // Fsync the installed commit before acknowledging
-                    // it — an acked commit must survive a crash. A
-                    // durability failure stays silent: the coordinator
-                    // treats it as a missing ack (partial commit),
-                    // which is the honest outcome.
-                    if let Err(error) = sync_durable(daemon, &cluster) {
-                        daemon.log.log(&format!(
-                            "commit from S{} NOT acked — durability failure: {error}",
-                            from.index()
-                        ));
-                        return Dispatch::Silent;
-                    }
-                    daemon.log.log(&format!(
-                        "commit installed from S{}: o={} v={} P={{{}}}",
-                        from.index(),
-                        state.op,
-                        state.version,
-                        fmt_sites(state.partition)
-                    ));
-                    Dispatch::Reply(Frame::CommitAck {
-                        ticket,
-                        from: to,
-                        to: from,
-                    })
-                }
-                _ => Dispatch::Silent,
-            }
-        }
+        } => serve_commit(daemon, ticket, from, to, state, commit_body(value)),
+        Frame::CommitDelta {
+            ticket,
+            from,
+            to,
+            state,
+            base,
+            puts,
+        } => serve_commit(
+            daemon,
+            ticket,
+            from,
+            to,
+            state,
+            CommitBody::Delta(Arc::new(Delta { base, puts })),
+        ),
         Frame::CopyReq { ticket, from, to } => {
             if daemon.links.is_blocked(from) {
                 return Dispatch::Silent;
@@ -1964,7 +2157,7 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                     from: to,
                     to: from,
                     version,
-                    value,
+                    value: value.to_image(),
                 }),
                 _ => Dispatch::Reply(Frame::Abstain {
                     ticket,
@@ -1996,17 +2189,34 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                         keep,
                     })
                 }
-                ProbeAnswer::Commit(record) => {
+                ProbeAnswer::Commit(CommitRecord { state, body }) => {
                     daemon.log.log(&format!(
                         "vote probe from S{}: ticket={ticket} committed — re-sent COMMIT",
                         from.index()
                     ));
-                    Dispatch::Reply(Frame::Commit {
-                        ticket,
-                        from: daemon.local,
-                        to: from,
-                        state: record.state,
-                        value: record.value,
+                    Dispatch::Reply(match body {
+                        CommitBody::Delta(delta) => Frame::CommitDelta {
+                            ticket,
+                            from: daemon.local,
+                            to: from,
+                            state,
+                            base: delta.base,
+                            puts: delta.puts.clone(),
+                        },
+                        CommitBody::Image(image) => Frame::Commit {
+                            ticket,
+                            from: daemon.local,
+                            to: from,
+                            state,
+                            value: Some(image.as_ref().clone()),
+                        },
+                        CommitBody::StateOnly => Frame::Commit {
+                            ticket,
+                            from: daemon.local,
+                            to: from,
+                            state,
+                            value: None,
+                        },
                     })
                 }
                 ProbeAnswer::Unknown => {
@@ -2039,7 +2249,7 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                 // Best-effort: a release that fails to persist only
                 // leaves the site wedged after a crash — the safe
                 // direction (it abstains until a commit clears it).
-                if let Err(error) = sync_durable(daemon, &cluster) {
+                if let Err(error) = sync_durable(daemon, &cluster, None) {
                     daemon.log.log(&format!(
                         "release ticket={ticket}: durability failure: {error}"
                     ));
@@ -2066,7 +2276,7 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
             let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
             match cluster.recover(daemon.local) {
                 Ok(()) => {
-                    if let Err(error) = sync_durable(daemon, &cluster) {
+                    if let Err(error) = sync_durable(daemon, &cluster, None) {
                         return Dispatch::Reply(durability_refuse(daemon, "recover", &error));
                     }
                     let state = cluster.state_at(daemon.local);
@@ -2082,7 +2292,7 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                     Dispatch::Reply(Frame::Done { detail })
                 }
                 Err(err) => {
-                    if let Err(error) = sync_durable(daemon, &cluster) {
+                    if let Err(error) = sync_durable(daemon, &cluster, None) {
                         daemon
                             .log
                             .log(&format!("recover refusal: durability failure: {error}"));
@@ -2165,6 +2375,49 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
     }
 }
 
+/// The recipient side of a `COMMIT`, whole or delta: install it,
+/// fsync it, acknowledge it — or stay silent, which the coordinator
+/// counts as a missing acknowledgement.
+fn serve_commit(
+    daemon: &Arc<Daemon>,
+    ticket: u64,
+    from: SiteId,
+    to: SiteId,
+    state: ReplicaState,
+    body: CommitBody,
+) -> Dispatch {
+    if daemon.links.is_blocked(from) {
+        return Dispatch::Silent;
+    }
+    let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
+    let Some(installed) = install_commit(daemon, &mut cluster, to, ticket, state, body) else {
+        return Dispatch::Silent;
+    };
+    // Fsync the installed commit before acknowledging it — an acked
+    // commit must survive a crash. A durability failure stays silent:
+    // the coordinator treats it as a missing ack (partial commit),
+    // which is the honest outcome.
+    if let Err(error) = sync_durable(daemon, &cluster, installed.applied.as_deref()) {
+        daemon.log.log(&format!(
+            "commit from S{} NOT acked — durability failure: {error}",
+            from.index()
+        ));
+        return Dispatch::Silent;
+    }
+    daemon.log.log(&format!(
+        "commit installed from S{}: o={} v={} P={{{}}}",
+        from.index(),
+        state.op,
+        state.version,
+        fmt_sites(state.partition)
+    ));
+    Dispatch::Reply(Frame::CommitAck {
+        ticket,
+        from: to,
+        to: from,
+    })
+}
+
 /// The typed cause behind a data-operation refusal — what a client (or
 /// the fault-campaign workload) branches on without parsing prose.
 #[must_use]
@@ -2208,7 +2461,7 @@ fn durability_refuse(daemon: &Arc<Daemon>, op: &str, error: &std::io::Error) -> 
 /// The `dynvote-ctl status` body: the paper's per-copy state
 /// `⟨o_i, v_i, P_i⟩`, the operation counters, and per-link transport
 /// health, one `key=value` per line.
-fn status_text(daemon: &Arc<Daemon>, cluster: &Cluster<Vec<u8>, TcpTransport>) -> String {
+fn status_text(daemon: &Arc<Daemon>, cluster: &StoreCluster) -> String {
     let state = cluster.state_at(daemon.local);
     let stats = cluster.stats();
     let pending = cluster.pending_sites().contains(daemon.local);
@@ -2231,7 +2484,7 @@ fn status_text(daemon: &Arc<Daemon>, cluster: &Cluster<Vec<u8>, TcpTransport>) -
     if cluster.copies().contains(daemon.local) {
         line(
             "value_len",
-            cluster.value_at(daemon.local).len().to_string(),
+            cluster.value_at(daemon.local).image_len().to_string(),
         );
     } else {
         line("role", "witness".to_string());

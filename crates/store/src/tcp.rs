@@ -42,7 +42,8 @@ use dynvote_replica::{
 use dynvote_types::{SiteId, SiteSet};
 
 use crate::jitter::Jitter;
-use crate::probe::OpLedger;
+use crate::probe::{CommitBody, OpLedger};
+use crate::value::ShardValue;
 use crate::wire::{read_frame, Frame};
 
 /// The runtime-mutable partition surface shared by the transport (which
@@ -411,12 +412,12 @@ impl TcpTransport {
     }
 }
 
-impl Transport<Vec<u8>> for TcpTransport {
+impl Transport<ShardValue> for TcpTransport {
     fn carry(
         &mut self,
-        request: WireRequest<'_, Vec<u8>>,
-        serve: LocalServe<'_, Vec<u8>>,
-    ) -> Carried<Vec<u8>> {
+        request: WireRequest<'_, ShardValue>,
+        serve: LocalServe<'_, ShardValue>,
+    ) -> Carried<ShardValue> {
         let message = request.message;
         if message.to == self.local {
             // Defensive: the cluster never routes a coordinator's
@@ -442,17 +443,37 @@ impl Transport<Vec<u8>> for TcpTransport {
                 op,
                 version,
                 partition,
-            } => Frame::Commit {
-                ticket: request.ticket,
-                from: message.from,
-                to: message.to,
-                state: ReplicaState {
+            } => {
+                let state = ReplicaState {
                     op: *op,
                     version: *version,
                     partition: *partition,
-                },
-                value: request.payload.cloned(),
-            },
+                };
+                // The file moves whole only to a copy that is not at
+                // the version the write was built on; one that voted
+                // holding exactly that version gets the puts alone.
+                let delta = request
+                    .payload
+                    .and_then(ShardValue::delta)
+                    .filter(|delta| request.polled_version == Some(delta.base));
+                match delta {
+                    Some(delta) => Frame::CommitDelta {
+                        ticket: request.ticket,
+                        from: message.from,
+                        to: message.to,
+                        state,
+                        base: delta.base,
+                        puts: delta.puts.clone(),
+                    },
+                    None => Frame::Commit {
+                        ticket: request.ticket,
+                        from: message.from,
+                        to: message.to,
+                        state,
+                        value: request.payload.map(ShardValue::to_image),
+                    },
+                }
+            }
             MessageKind::CopyRequest => Frame::CopyReq {
                 ticket: request.ticket,
                 from: message.from,
@@ -515,7 +536,10 @@ impl Transport<Vec<u8>> for TcpTransport {
                         kind: MessageKind::CopyReply,
                     }),
                     verdict: Verdict::Deliver,
-                    body: Reply::Copy { version, value },
+                    body: Reply::Copy {
+                        version,
+                        value: ShardValue::received(value, self.shard.is_some()),
+                    },
                 }),
             },
             // A reply that answers no question we asked: protocol
@@ -524,7 +548,21 @@ impl Transport<Vec<u8>> for TcpTransport {
         }
     }
 
-    fn commit_point(&mut self, ticket: u64, state: ReplicaState, value: Option<&Vec<u8>>) {
+    fn commit_point(&mut self, ticket: u64, state: ReplicaState, value: Option<&ShardValue>) {
+        // A write's participants are the copies that polled at the
+        // maximal version v, and it commits v + 1. So a delta built on
+        // v is what *every* participant is sent, and the record a lost
+        // frame is re-sent from can be the delta; a delta built on any
+        // other version reached nobody, and the record is the image.
+        let body = match value {
+            None => CommitBody::StateOnly,
+            Some(value) => match value.delta() {
+                Some(delta) if delta.base + 1 == state.version => {
+                    CommitBody::Delta(Arc::clone(delta))
+                }
+                _ => CommitBody::Image(value.to_shared_image()),
+            },
+        };
         // The wedge-resolution record, fsync'd before the commit has
         // any effect (see `crate::probe`). A failed append is only
         // unsound if this process also dies and a wedged site probes
@@ -534,7 +572,7 @@ impl Transport<Vec<u8>> for TcpTransport {
             .ledger
             .lock()
             .expect("op ledger poisoned")
-            .note_commit(ticket, state, value)
+            .note(ticket, state, body)
         {
             eprintln!(
                 "S{} commit ledger write failed at ticket {ticket}: {error}",
@@ -568,7 +606,7 @@ impl Transport<Vec<u8>> for TcpTransport {
 
 /// Builds the [`Carried`] for a locally-served request (the defensive
 /// self-delivery path), mirroring the in-memory transport's wiring.
-fn local_response(message: &Message, body: Reply<Vec<u8>>) -> Carried<Vec<u8>> {
+fn local_response(message: &Message, body: Reply<ShardValue>) -> Carried<ShardValue> {
     let wire = match &body {
         Reply::State {
             op,
@@ -613,14 +651,15 @@ mod tests {
         }
     }
 
-    fn carry(transport: &mut TcpTransport, message: &Message) -> Carried<Vec<u8>> {
-        let mut serve = |_: &Message, _: Option<&Vec<u8>>| -> Option<Reply<Vec<u8>>> { None };
+    fn carry(transport: &mut TcpTransport, message: &Message) -> Carried<ShardValue> {
+        let mut serve = |_: &Message, _: Option<&ShardValue>| -> Option<Reply<ShardValue>> { None };
         transport.carry(
             WireRequest {
                 message,
                 payload: None,
                 ticket: 1,
                 mark_pending: true,
+                polled_version: None,
             },
             &mut serve,
         )
@@ -739,14 +778,14 @@ mod tests {
         assert_eq!(carried.request, Verdict::Deliver);
         let response = carried.response.expect("reply arrived");
         assert!(response.arrived());
-        assert_eq!(
+        assert!(matches!(
             response.body,
             Reply::State {
                 op: 6,
                 version: 5,
-                partition: SiteSet::from_indices([0, 1]),
-            }
-        );
+                partition,
+            } if partition == SiteSet::from_indices([0, 1])
+        ));
         let wire = response.wire.expect("state replies are wire messages");
         assert!(matches!(wire.kind, MessageKind::StateReply { .. }));
         let stats = transport.peer_stats();

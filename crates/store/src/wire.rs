@@ -5,10 +5,12 @@
 //! fields, encoded with the [`dynvote_core::wire`] primitives. Three
 //! frame families share the format (and the listener):
 //!
-//! * **peer frames** (`0x01..=0x08`) — the protocol exchanges of
-//!   Figures 1–3/5–7: `START` → state reply or abstention, `COMMIT` →
-//!   acknowledgement, copy request → copy reply, plus the abort
-//!   oracle's release broadcast;
+//! * **peer frames** (`0x01..=0x0A`) — the protocol exchanges of
+//!   Figures 1–3/5–7: `START` → state reply or abstention, `COMMIT`
+//!   (whole value, or [`Frame::CommitDelta`]: the puts of a keyed batch
+//!   against the version the recipient holds) → acknowledgement, copy
+//!   request → copy reply, plus the abort oracle's release broadcast
+//!   and the vote probe;
 //! * **client requests** (`0x10..=0x16`) — `dynvote-ctl` commands:
 //!   the data operations and the link-rule administration used to cut
 //!   real partitions into a live cluster;
@@ -218,6 +220,27 @@ pub enum Frame {
         /// The write value riding the commit, when there is one.
         value: Option<Vec<u8>>,
     },
+    /// `COMMIT` of a keyed write batch, as a delta: install the new
+    /// state and apply `puts` to the value of version `base`. Sent in
+    /// place of [`Frame::Commit`] to a participant that voted holding
+    /// version `base`; a recipient that holds any other version does
+    /// not apply it and does not acknowledge. Acknowledged like a
+    /// `COMMIT`, with [`Frame::CommitAck`].
+    CommitDelta {
+        /// The coordinator's operation ticket.
+        ticket: u64,
+        /// The coordinating site.
+        from: SiteId,
+        /// The participant being committed.
+        to: SiteId,
+        /// The new `⟨o, v, P⟩` to install.
+        state: ReplicaState,
+        /// The version of the value the puts apply to.
+        base: u64,
+        /// The batch's puts: an encoded `dynvote_control::KvPuts`,
+        /// opaque to this layer like the shard map's bytes.
+        puts: Vec<u8>,
+    },
     /// The commit acknowledgement.
     CommitAck {
         /// The ticket of the `COMMIT` being acknowledged.
@@ -422,6 +445,7 @@ const T_COPY_REP: u8 = 0x06;
 const T_RELEASE: u8 = 0x07;
 const T_ABSTAIN: u8 = 0x08;
 const T_VOTE_PROBE: u8 = 0x09;
+const T_COMMIT_DELTA: u8 = 0x0A;
 const T_PUT: u8 = 0x10;
 const T_GET: u8 = 0x11;
 const T_RECOVER: u8 = 0x12;
@@ -567,6 +591,22 @@ impl Frame {
                 if let Some(value) = value {
                     put_bytes(out, value);
                 }
+            }
+            Frame::CommitDelta {
+                ticket,
+                from,
+                to,
+                state,
+                base,
+                puts,
+            } => {
+                put_u8(out, T_COMMIT_DELTA);
+                put_u64(out, *ticket);
+                put_site(out, *from);
+                put_site(out, *to);
+                put_state(out, state);
+                put_u64(out, *base);
+                put_bytes(out, puts);
             }
             Frame::CommitAck { ticket, from, to } => {
                 put_u8(out, T_COMMIT_ACK);
@@ -755,6 +795,14 @@ impl Frame {
                     value,
                 }
             }
+            T_COMMIT_DELTA => Frame::CommitDelta {
+                ticket: r.u64()?,
+                from: read_site(r)?,
+                to: read_site(r)?,
+                state: r.state()?,
+                base: r.u64()?,
+                puts: read_blob(r)?,
+            },
             T_COMMIT_ACK => Frame::CommitAck {
                 ticket: r.u64()?,
                 from: read_site(r)?,
@@ -937,6 +985,14 @@ mod tests {
                 to: SiteId::new(3),
                 state: state(),
                 value: None,
+            },
+            Frame::CommitDelta {
+                ticket: 77,
+                from: SiteId::new(0),
+                to: SiteId::new(3),
+                state: state(),
+                base: 3,
+                puts: b"opaque put list".to_vec(),
             },
             Frame::Release {
                 ticket: 77,

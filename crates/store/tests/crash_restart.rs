@@ -10,7 +10,9 @@
 //!   `--crash-after-wal-append` the daemon aborts between the WAL
 //!   fsync and the client ack, the client sees a failure — and the
 //!   restarted daemon still serves the write, proving the ack point
-//!   sits strictly after stable storage.
+//!   sits strictly after stable storage — for the legacy store's full
+//!   commit record and for a shard's keyed batch, whose record is a
+//!   delta that only means something on top of the records before it.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -240,6 +242,87 @@ fn crash_between_wal_append_and_ack_still_durably_commits() {
     fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &[]));
     wait_status(&addr(&ports, 0));
     wait_for_value(&addr(&ports, 0), "precious");
+
+    drop(fleet);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// One keyed request to the single-site shard's coordinator.
+fn keyed(target: &str, frame: &Frame) -> std::io::Result<Outcome> {
+    request(target, frame, TIMEOUT)
+}
+
+fn put_key(key: &str, value: &str) -> Frame {
+    Frame::PutKey {
+        epoch: 1,
+        shard: 0,
+        key: key.to_string(),
+        value: value.as_bytes().to_vec(),
+    }
+}
+
+fn wait_for_key(target: &str, key: &str, expected: &str) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let get = Frame::GetKey {
+        epoch: 1,
+        shard: 0,
+        key: key.to_string(),
+    };
+    loop {
+        if let Ok(Outcome::Value { value, .. }) = keyed(target, &get) {
+            assert_eq!(value, expected.as_bytes(), "key {key:?}");
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{target} never served key {key:?} after restart"
+        );
+        std::thread::sleep(Duration::from_millis(200));
+    }
+}
+
+/// The same fsync-before-ack proof for a keyed batch, whose WAL record
+/// is a *delta*: the daemon logs ⟨base version, puts⟩, aborts before
+/// the ack, and the restart must rebuild the map from the seed
+/// snapshot, the earlier deltas and that last one — in order — and
+/// serve every committed key.
+#[test]
+fn crash_after_wal_append_with_a_delta_record_restarts_serving_the_keys() {
+    let ports = free_ports(1);
+    let dir = scratch_dir("delta-fsync-before-ack");
+    let sharded = ["--shards", "1", "--shard-placement", "ring:1"];
+    let target = addr(&ports, 0);
+    let mut fleet = Fleet {
+        children: vec![Some(spawn_daemon(0, &ports, &dir, &sharded))],
+    };
+    wait_status(&target);
+    // Two acknowledged batches first, so the crashing one is a delta on
+    // top of deltas.
+    for (key, value) in [("a", "1"), ("b", "2"), ("a", "3")] {
+        let outcome = keyed(&target, &put_key(key, value));
+        assert!(matches!(outcome, Ok(Outcome::Done(_))), "{outcome:?}");
+    }
+    let mut clean = fleet.children[0].take().expect("daemon running");
+    clean.kill().expect("kill -9");
+    clean.wait().expect("reap");
+
+    let mut hooked: Vec<&str> = sharded.to_vec();
+    hooked.push("--crash-after-wal-append");
+    fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &hooked));
+    wait_status(&target);
+    let outcome = keyed(&target, &put_key("c", "unacknowledged"));
+    assert!(
+        !matches!(outcome, Ok(Outcome::Done(_))),
+        "crash hook fired before the ack, yet the put was acked: {outcome:?}"
+    );
+    let mut victim = fleet.children[0].take().expect("daemon running");
+    victim.wait().expect("reap aborted daemon");
+
+    fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &sharded));
+    wait_status(&target);
+    wait_for_key(&target, "c", "unacknowledged");
+    wait_for_key(&target, "a", "3");
+    wait_for_key(&target, "b", "2");
 
     drop(fleet);
     std::fs::remove_dir_all(dir).ok();

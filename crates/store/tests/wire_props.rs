@@ -58,6 +58,14 @@ fn all_frames(
             state,
             value: if flag { Some(blob.clone()) } else { None },
         },
+        Frame::CommitDelta {
+            ticket,
+            from,
+            to,
+            state,
+            base: version.wrapping_sub(1),
+            puts: blob.clone(),
+        },
         Frame::CommitAck { ticket, from, to },
         Frame::CopyReq { ticket, from, to },
         Frame::CopyRep {
@@ -202,6 +210,35 @@ proptest! {
         bytes.extend_from_slice(&[0u8; 8]);
         let err = read_frame(&mut &bytes[..]).expect_err("oversized accepted");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// A delta COMMIT whose put list claims more bytes than the body
+    /// holds — up to the 4 GiB a length field can name — is a clean
+    /// truncation error: the claim is checked against the bytes present
+    /// before anything is copied.
+    #[test]
+    fn commit_delta_put_list_cannot_outgrow_its_body(
+        ticket in any::<u64>(),
+        base in any::<u64>(),
+        puts in vec(any::<u8>(), 0..64),
+        excess in 1u32..4096,
+    ) {
+        let frame = Frame::CommitDelta {
+            ticket,
+            from: SiteId::new(0),
+            to: SiteId::new(1),
+            state: ReplicaState { op: 2, version: base.wrapping_add(1), partition: SiteSet::first_n(3) },
+            base,
+            puts: puts.clone(),
+        };
+        let mut body = frame.encode()[4..].to_vec();
+        // The put list is the last field: its u32 length sits right
+        // before its bytes.
+        let at = body.len() - puts.len() - 4;
+        for claimed in [puts.len() as u32 + excess, u32::MAX] {
+            body[at..at + 4].copy_from_slice(&claimed.to_be_bytes());
+            prop_assert_eq!(Frame::decode(&body), Err(FrameError::Truncated));
+        }
     }
 
     /// Arbitrary garbage bodies never panic the decoder, and anything
