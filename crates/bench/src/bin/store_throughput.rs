@@ -37,11 +37,19 @@
 //! on a single core the gated property is *fairness* instead — every
 //! shard gets an even slice of the one core (`fairness.max_over_min`
 //! close to 1), and the aggregate stays within noise of one shard.
+//!
+//! The keyed mode ends with a *count phase*: a second, durable fleet
+//! takes a few serial keyed puts (one request per batch) and the
+//! report carries, from `Status` deltas, the quorum rounds the
+//! coordinator ran and the records a voter logged per batch — 1 and 2
+//! (vote, delta), which CI asserts.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
+use dynvote_store::campaign::monitor::parse_status;
 use dynvote_store::client::request;
 use dynvote_store::config::Config;
 use dynvote_store::conn::{ConnOptions, Connection};
@@ -119,7 +127,13 @@ fn parse_args() -> Args {
 /// names real addresses), then one daemon per site, then a status poll
 /// until all accept. `--quiet` keeps the grant log off stderr — at the
 /// rates this harness drives, the terminal would be the bottleneck.
-fn boot_fleet(policy: &str, sites: usize, shards: usize) -> (Vec<ServiceHandle>, Vec<String>) {
+/// With a `data_root` the daemons are durable, one directory per site.
+fn boot_fleet(
+    policy: &str,
+    sites: usize,
+    shards: usize,
+    data_root: Option<&Path>,
+) -> (Vec<ServiceHandle>, Vec<String>) {
     let listeners: Vec<TcpListener> = (0..sites)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
         .collect();
@@ -142,8 +156,11 @@ fn boot_fleet(policy: &str, sites: usize, shards: usize) -> (Vec<ServiceHandle>,
             } else {
                 "--value v0 ".to_string()
             };
+            let durable = data_root.map_or_else(String::new, |root| {
+                format!("--data-dir {} ", root.join(format!("site{i}")).display())
+            });
             let flags = format!(
-                "--site {i} --policy {policy} --peers {peers} {sharding}--quiet \
+                "--site {i} --policy {policy} --peers {peers} {sharding}{durable}--quiet \
                  --connect-timeout-ms 250 --read-timeout-ms 2000 \
                  --backoff-ms 10 --backoff-cap-ms 100"
             );
@@ -334,6 +351,81 @@ fn histogram_json(label: &str, samples: Vec<u64>) -> String {
     format!(r#""{label}": {}"#, histogram_object(samples))
 }
 
+/// Serial keyed puts in the count phase: each is a batch of its own.
+const COUNTED_BATCHES: u64 = 32;
+
+/// The count phase of the keyed mode: what one keyed batch costs in
+/// quorum rounds at the coordinator and in log records at a voter,
+/// from `Status` deltas over [`COUNTED_BATCHES`] serial puts on shard 0
+/// of a fresh durable fleet (a voter logs only when it has a disk).
+/// Returns `(rounds_per_batch, voter_wal_records_per_batch)`.
+fn count_per_batch(args: &Args) -> (f64, f64) {
+    let data_root = std::env::temp_dir().join(format!("dynvote-bench-{}", std::process::id()));
+    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards, Some(&data_root));
+    let map = dynvote_store::router::fetch_map(&addrs[0], Duration::from_secs(5))
+        .expect("shard map from the durable fleet");
+    let coordinator = map.coordinator_addr(0).expect("coordinator addr");
+    let voter = addrs
+        .iter()
+        .find(|addr| addr.as_str() != coordinator)
+        .expect("a second site");
+    let key = (0u64..)
+        .map(|probe| format!("count-{probe}"))
+        .find(|key| map.shard_of(key.as_bytes()) == 0)
+        .expect("some key hashes to shard 0");
+    let put = |i: u64| {
+        let frame = Frame::PutKey {
+            epoch: map.epoch,
+            shard: 0,
+            key: key.clone(),
+            value: i.to_le_bytes().to_vec(),
+        };
+        let outcome = request(coordinator, &frame, Duration::from_secs(30)).expect("counted put");
+        assert!(outcome.granted(), "counted put: {outcome:?}");
+    };
+    // The sum of `fields` in shard 0's `Status` at `addr`.
+    let counted = |addr: &str, fields: &[&str]| -> f64 {
+        let frame = Frame::Shard {
+            shard: 0,
+            inner: Box::new(Frame::Status),
+        };
+        let Ok(Outcome::Report(text)) = request(addr, &frame, Duration::from_secs(5)) else {
+            panic!("no status of shard 0 at {addr}");
+        };
+        let status = parse_status(&text);
+        fields
+            .iter()
+            .filter_map(|field| status.get(*field)?.parse::<f64>().ok())
+            .sum()
+    };
+    // Batches and quorum rounds at the coordinator; records ever logged
+    // (snapshotted or still in the log) at the voter.
+    let counts = || {
+        [
+            counted(coordinator, &["batch.rounds"]),
+            counted(coordinator, &["reads_ok", "writes_ok"]),
+            counted(
+                voter,
+                &["durability.snapshot_seq", "durability.wal_records"],
+            ),
+        ]
+    };
+    put(0); // warm-up: peer links up before the counted batches
+    let before = counts();
+    (1..=COUNTED_BATCHES).for_each(put);
+    let after = counts();
+    for handle in handles {
+        handle.stop();
+    }
+    std::fs::remove_dir_all(&data_root).ok();
+    let [batches, rounds, records] = std::array::from_fn(|i| after[i] - before[i]);
+    assert_eq!(
+        batches, COUNTED_BATCHES as f64,
+        "serial puts batch one by one"
+    );
+    (rounds / batches, records / batches)
+}
+
 /// The `--shards N` mode: keyed workload, one coordinator connection
 /// per shard, per-shard latency breakdown and a fairness summary in
 /// `BENCH_shard.json`.
@@ -343,7 +435,7 @@ fn run_sharded(args: &Args) {
         "booting {} x {} loopback fleet ({} shards) ...",
         args.sites, args.policy, args.shards
     );
-    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards);
+    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards, None);
     let map = dynvote_store::router::fetch_map(&addrs[0], Duration::from_secs(5))
         .expect("shard map from the fleet");
     assert_eq!(map.shards.len(), args.shards, "fleet built the wrong map");
@@ -461,6 +553,10 @@ fn run_sharded(args: &Args) {
         errors == 0 && refused == 0,
         "fault-free sharded run saw {refused} refusals / {errors} errors"
     );
+    for handle in handles {
+        handle.stop();
+    }
+    let (rounds_per_batch, voter_wal_records_per_batch) = count_per_batch(args);
 
     // The per-shard breakdown and the single-core fairness summary.
     let shard_rps: Vec<f64> = per_shard
@@ -497,6 +593,7 @@ fn run_sharded(args: &Args) {
 {per_shard_json}
   }},
   "fairness": {{ "min_shard_rps": {min_rps:.0}, "max_shard_rps": {max_rps:.0}, "max_over_min": {ratio:.3} }},
+  "per_keyed_batch": {{ "rounds_per_batch": {rounds_per_batch:.2}, "voter_wal_records_per_batch": {voter_wal_records_per_batch:.2}, "batches": {COUNTED_BATCHES}, "from": "Status deltas over serial puts on a durable fleet" }},
   "note": "keyed closed-loop over {shards} independent shard groups, one pipelined coordinator connection per shard; on a multi-core host the aggregate scales with shards (independent quorums and batch commits) — on a single core the gated property is fairness (max_over_min near 1) with the aggregate within noise of one shard"
 }}
 "#,
@@ -517,9 +614,6 @@ fn run_sharded(args: &Args) {
         },
     );
 
-    for handle in handles {
-        handle.stop();
-    }
     let out = args.out.clone().unwrap_or_else(|| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json").to_string()
     });
@@ -542,7 +636,7 @@ fn main() {
         "booting {} x {} loopback fleet ...",
         args.sites, args.policy
     );
-    let (handles, addrs) = boot_fleet(&args.policy, args.sites, 0);
+    let (handles, addrs) = boot_fleet(&args.policy, args.sites, 0, None);
     let target = addrs[0].clone();
 
     eprintln!(

@@ -3,7 +3,7 @@
 
 use dynvote_core::decision::Rule;
 use dynvote_core::lexicon::Lexicon;
-use dynvote_core::ops::{plan_with_witnesses, OpKind};
+use dynvote_core::ops::{plan_with_witnesses, OpKind, Plan};
 use dynvote_core::state::{ReplicaState, StateTable};
 use dynvote_topology::{Network, ReachabilityCache};
 use dynvote_types::{AccessError, AccessKind, SiteId, SiteSet};
@@ -123,8 +123,20 @@ pub struct CommittedOp {
     pub participants: SiteSet,
 }
 
-/// Retention cap for the history log; beyond it the log stops growing
-/// (operation *counting* lives in [`OpStats`] and never stops).
+impl CommittedOp {
+    /// The entry `steps` writes later in the same batch.
+    fn later(self, steps: u64) -> Self {
+        CommittedOp {
+            op: self.op + steps,
+            version: self.version + steps,
+            ..self
+        }
+    }
+}
+
+/// Retention floor for the history log: it always holds at least the
+/// latest `HISTORY_CAP` committed operations and never more than twice
+/// that (operation *counting* lives in [`OpStats`] and never stops).
 const HISTORY_CAP: usize = 4096;
 
 /// Builder for [`Cluster`].
@@ -443,11 +455,12 @@ pub struct Cluster<T, X = BusTransport> {
     /// the dense memo table, and so every branch keeps hitting memo
     /// entries interned by its siblings.
     reach_cache: std::sync::Arc<std::sync::Mutex<ReachabilityCache>>,
-    /// Deliberate fault for checker self-tests: a granted read serves
-    /// the origin's *local* copy (skipping the planned data source)
-    /// whenever the origin holds one — the classic "trust the local
-    /// replica" optimization that breaks one-copy semantics. Compiled
-    /// only for tests and the `stale-read-fault` feature; defaults off.
+    /// Deliberate fault for checker self-tests: a granted read — or the
+    /// read inside an [`Cluster::update`] — serves the origin's *local*
+    /// copy (skipping the planned data source) whenever the origin
+    /// holds one — the classic "trust the local replica" optimization
+    /// that breaks one-copy semantics. Compiled only for tests and the
+    /// `stale-read-fault` feature; defaults off.
     #[cfg(any(test, feature = "stale-read-fault"))]
     stale_read_fault: bool,
     trace: Trace,
@@ -484,15 +497,6 @@ struct Poll {
 struct CommitOutcome {
     applied: SiteSet,
     missing: SiteSet,
-}
-
-/// Why a data-copy transfer failed.
-enum CopyFailure {
-    /// Messages kept getting lost (or the source died); the retry
-    /// budget ran out.
-    Timeout,
-    /// The requesting site itself died during the transfer.
-    RequesterDown,
 }
 
 /// Serves one protocol request at a locally-hosted participant — the
@@ -692,17 +696,19 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.stats
     }
 
-    /// The committed-operation history (most recent last), capped at an
-    /// internal retention limit.
+    /// The committed-operation history (most recent last). Old entries
+    /// are dropped past an internal retention limit; the latest one is
+    /// always there.
     #[must_use]
     pub fn history(&self) -> &[CommittedOp] {
         &self.history
     }
 
     fn record_op(&mut self, entry: CommittedOp) {
-        if self.history.len() < HISTORY_CAP {
-            self.history.push(entry);
+        if self.history.len() == 2 * HISTORY_CAP {
+            self.history.drain(..HISTORY_CAP);
         }
+        self.history.push(entry);
     }
 
     /// Captures every participant's durable state and data — the image
@@ -857,8 +863,9 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     }
 
     /// Arms (or disarms) the deliberate stale-read fault: a granted
-    /// read at a copy-holding origin serves the origin's **local** data
-    /// instead of the planner's chosen source — the classic "trust the
+    /// read at a copy-holding origin, and an update's read of the
+    /// value it builds on, serve the origin's **local** data whether or
+    /// not the plan calls that copy current — the classic "trust the
     /// local replica" bug. Exists so the model checker's own tests can
     /// prove the invariant suite catches a real one-copy violation;
     /// compiled only for tests and under the `stale-read-fault`
@@ -1343,19 +1350,25 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// transport: one request/reply pair per attempt. Returns the
     /// value together with the version number it carries at the source
     /// — what a real copy reply ships, and what the invariant checker
-    /// grades a read against.
+    /// grades a read against. Fails as `kind`'s
+    /// [`AccessError::Timeout`] when the retry budget runs out (lost
+    /// messages, or the source died) and as
+    /// [`AccessError::OriginUnavailable`] when the requester itself
+    /// died during the transfer.
     fn transfer_copy(
         &mut self,
+        kind: AccessKind,
         requester: SiteId,
         source: SiteId,
-    ) -> Result<(T, u64), CopyFailure> {
+    ) -> Result<(T, u64), AccessError> {
         if requester == source {
             let node = self.node(source);
             return Ok((node.fetch(), node.state().version));
         }
+        let requester_down = AccessError::OriginUnavailable { origin: requester };
         for _ in 0..self.max_attempts {
             if !self.up.contains(requester) {
-                return Err(CopyFailure::RequesterDown);
+                return Err(requester_down);
             }
             if !self.up.contains(source) {
                 break;
@@ -1366,21 +1379,72 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 kind: MessageKind::CopyRequest,
             };
             let carried = self.exchange(request, None, 0, false, None);
+            if !self.up.contains(requester) {
+                return Err(requester_down);
+            }
             if let Some(response) = carried.response {
                 if response.arrived() {
-                    if !self.up.contains(requester) {
-                        return Err(CopyFailure::RequesterDown);
-                    }
                     if let Reply::Copy { version, value } = response.body {
                         return Ok((value, version));
                     }
                 }
             }
-            if !self.up.contains(requester) {
-                return Err(CopyFailure::RequesterDown);
-            }
         }
-        Err(CopyFailure::Timeout)
+        Err(AccessError::Timeout {
+            kind,
+            origin: requester,
+            attempts: self.max_attempts,
+        })
+    }
+
+    /// The current value behind a granted read or write plan, with the
+    /// version it carries: the origin's own copy when the origin is one
+    /// of the plan's current copies — no message moves — and a copy
+    /// transfer from the planner's source otherwise. Either way it
+    /// happens inside the operation's vote.
+    fn fetch_current(
+        &mut self,
+        kind: AccessKind,
+        origin: SiteId,
+        p: &Plan,
+    ) -> Result<(T, u64), AccessError> {
+        #[allow(unused_mut)]
+        let mut trust_local = p.participants.contains(origin);
+        #[cfg(any(test, feature = "stale-read-fault"))]
+        {
+            // The injected bug: trust the local replica whether or not
+            // the plan calls it current. Correct when the origin is
+            // current, silently stale when it is not.
+            trust_local |= self.stale_read_fault;
+        }
+        let local = trust_local && self.copies.contains(origin);
+        self.transfer_copy(kind, origin, if local { origin } else { p.data_source })
+    }
+
+    /// Plans `kind` from a finished poll; on a refusal releases every
+    /// vote the poll collected and names the refusal (see
+    /// [`Cluster::timeout_or`]).
+    fn plan_or_release(
+        &mut self,
+        kind: OpKind,
+        origin: SiteId,
+        ticket: u64,
+        poll: &Poll,
+        rule: &Rule,
+    ) -> Result<Plan, AccessError> {
+        plan_with_witnesses(
+            kind,
+            poll.heard,
+            self.copies,
+            self.witnesses,
+            &poll.table,
+            rule,
+            Some(&self.network),
+        )
+        .map_err(|refusal| {
+            self.release_pending(ticket, SiteSet::EMPTY);
+            self.timeout_or(refusal, kind.access_kind(), origin, poll)
+        })
     }
 
     /// Maps a quorum refusal to [`AccessError::Timeout`] when
@@ -1405,8 +1469,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         }
     }
 
-    fn origin_group(&self, origin: SiteId, kind: AccessKind) -> Result<SiteSet, AccessError> {
-        let _ = kind;
+    fn origin_group(&self, origin: SiteId) -> Result<SiteSet, AccessError> {
         self.group_of(origin)
             .ok_or(AccessError::OriginUnavailable { origin })
     }
@@ -1505,7 +1568,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// Returns the ABORT reason when the origin's group is not the
     /// majority partition (or, for MCV, holds no quorum).
     pub fn read(&mut self, origin: SiteId) -> Result<T, AccessError> {
-        let group = self.origin_group(origin, AccessKind::Read)?;
+        let group = self.origin_group(origin)?;
         let result = match self.rule.clone() {
             None => self.mcv_read(origin, group),
             Some(rule) => self.dynamic_read(origin, group, &rule),
@@ -1529,48 +1592,18 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             self.release_pending(ticket, SiteSet::EMPTY);
             return Err(AccessError::OriginUnavailable { origin });
         }
-        let p = match plan_with_witnesses(
-            OpKind::Read,
-            poll.heard,
-            self.copies,
-            self.witnesses,
-            &poll.table,
-            rule,
-            Some(&self.network),
-        ) {
-            Ok(p) => p,
-            Err(refusal) => {
-                self.release_pending(ticket, SiteSet::EMPTY);
-                return Err(self.timeout_or(refusal, AccessKind::Read, origin, &poll));
-            }
-        };
-        #[allow(unused_mut)]
-        let mut data_source = p.data_source;
-        #[cfg(any(test, feature = "stale-read-fault"))]
-        if self.stale_read_fault && self.copies.contains(origin) {
-            // The injected bug: trust the local replica, skip the
-            // planner's source. Correct when the origin is current,
-            // silently stale when it is not.
-            data_source = origin;
-        }
+        let p = self.plan_or_release(OpKind::Read, origin, ticket, &poll, rule)?;
         // The version actually being served — for a correct cluster this
         // equals the planned `p.new_version` (the source is a current
         // copy), but the checker must grade what was *served*, not what
         // was planned, or a bug in source selection would grade itself.
         // It rides the copy reply: on a real network the coordinator
         // has no other way to know what the source shipped.
-        let (value, served_version) = match self.transfer_copy(origin, data_source) {
+        let (value, served_version) = match self.fetch_current(AccessKind::Read, origin, &p) {
             Ok(pair) => pair,
             Err(failure) => {
                 self.release_pending(ticket, SiteSet::EMPTY);
-                return Err(match failure {
-                    CopyFailure::RequesterDown => AccessError::OriginUnavailable { origin },
-                    CopyFailure::Timeout => AccessError::Timeout {
-                        kind: AccessKind::Read,
-                        origin,
-                        attempts: self.max_attempts,
-                    },
-                });
+                return Err(failure);
             }
         };
         let outcome = self.commit_phase(
@@ -1616,16 +1649,12 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// Returns the ABORT reason when the origin's group is not the
     /// majority partition (or, for MCV, holds no quorum).
     pub fn write(&mut self, origin: SiteId, value: T) -> Result<(), AccessError> {
-        let group = self.origin_group(origin, AccessKind::Write)?;
-        let result = match self.rule.clone() {
-            None => self.mcv_write(origin, group, value),
-            Some(rule) => self.dynamic_write(origin, group, value, &rule),
-        };
-        match &result {
-            Ok(()) => self.stats.writes_ok += 1,
-            Err(_) => self.stats.writes_refused += 1,
+        match self.rule.clone() {
+            None => self.mcv_write(origin, value).map(|_| ()),
+            Some(rule) => self
+                .write_round(origin, 1, &rule, |_, _| Ok(Some(value)))
+                .map(|_| ()),
         }
-        result
     }
 
     /// WRITE, batched: commits `values` as `values.len()` consecutive
@@ -1649,175 +1678,162 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     pub fn write_batch(
         &mut self,
         origin: SiteId,
-        values: Vec<T>,
+        mut values: Vec<T>,
     ) -> Vec<Result<CommittedOp, AccessError>> {
-        let count = values.len();
-        if count == 0 {
-            return Vec::new();
-        }
-        let refuse_all = |this: &mut Self, err: AccessError| {
-            this.stats.writes_refused += count as u64;
-            (0..count).map(|_| Err(err.clone())).collect()
-        };
-        let group = match self.origin_group(origin, AccessKind::Write) {
-            Ok(group) => group,
-            Err(err) => return refuse_all(self, err),
-        };
         let Some(rule) = self.rule.clone() else {
             // MCV quorums count static votes, not a partition lineage:
             // there is no per-batch poll to amortize. Serve serially.
             return values
                 .into_iter()
-                .map(|value| {
-                    self.write(origin, value).map(|()| {
-                        self.history
-                            .last()
-                            .copied()
-                            .expect("a granted write records its history entry")
-                    })
-                })
+                .map(|value| self.mcv_write(origin, value))
                 .collect();
         };
-        let ticket = self.next_ticket();
-        let poll = self.poll_phase(origin, group, ticket, true);
-        if !poll.origin_alive {
-            self.release_pending(ticket, SiteSet::EMPTY);
-            return refuse_all(self, AccessError::OriginUnavailable { origin });
-        }
-        let p = match plan_with_witnesses(
-            OpKind::Write,
-            poll.heard,
-            self.copies,
-            self.witnesses,
-            &poll.table,
-            &rule,
-            Some(&self.network),
-        ) {
-            Ok(p) => p,
-            Err(refusal) => {
-                self.release_pending(ticket, SiteSet::EMPTY);
-                let err = self.timeout_or(refusal, AccessKind::Write, origin, &poll);
-                return refuse_all(self, err);
-            }
+        let count = values.len() as u64;
+        let Some(last) = values.pop() else {
+            return Vec::new();
         };
-        // The plan grants the first write ⟨o+1, v+1⟩; the batch's K-th
-        // lands at ⟨o+K, v+K⟩. Only the final state and the final value
-        // ride the COMMIT — the intermediate values are overwritten
-        // before any reader could be served, exactly as under K serial
-        // writes back to back.
-        let steps = (count - 1) as u64;
-        let final_op = p.new_op + steps;
-        let final_version = p.new_version + steps;
-        let last = values
-            .last()
-            .cloned()
-            .expect("batch verified non-empty above");
-        let outcome = self.commit_phase(
-            origin,
-            ticket,
-            &poll.table,
-            p.participants,
-            final_op,
-            final_version,
-            Some(&last),
-        );
-        if !outcome.applied.is_empty() {
-            for i in 0..count as u64 {
-                self.checker.note_commit(p.new_op + i, p.participants);
-            }
-        }
-        self.release_pending(ticket, outcome.missing);
-        if outcome.missing.is_empty() {
-            self.stats.writes_ok += count as u64;
-            (0..count as u64)
-                .map(|i| {
-                    self.checker.note_write(p.new_version + i);
-                    let entry = CommittedOp {
-                        kind: AccessKind::Write,
-                        origin,
-                        op: p.new_op + i,
-                        version: p.new_version + i,
-                        participants: p.participants,
-                    };
-                    self.record_op(entry);
-                    Ok(entry)
-                })
-                .collect()
-        } else {
-            refuse_all(
-                self,
-                AccessError::Indeterminate {
-                    kind: AccessKind::Write,
-                    origin,
-                    applied: outcome.applied,
-                    missing: outcome.missing,
-                },
-            )
-        }
+        // Only the final value rides the COMMIT — the intermediate
+        // ones are overwritten before any reader could be served,
+        // exactly as under K serial writes back to back.
+        let first = self
+            .write_round(origin, count, &rule, |_, _| Ok(Some(last)))
+            .map(|entry| entry.expect("a write that names its value always commits one"));
+        (0..count)
+            .map(|i| first.clone().map(|first| first.later(i)))
+            .collect()
     }
 
-    fn dynamic_write(
+    /// READ-MODIFY-WRITE decided by ONE poll: `build` is handed the
+    /// current value and returns the value to write in its place, or
+    /// `None` to write nothing (every vote is released and the result
+    /// is `Ok(None)`).
+    ///
+    /// The read needs no round of its own. Every replier to the write's
+    /// poll is wedged on its ticket until the COMMIT or a release
+    /// reaches it, so nothing can move the maximal version between the
+    /// poll and the commit: the value a current copy holds *inside the
+    /// vote* — the origin's own when it is current, one copy transfer
+    /// away when it is not — is the value the write replaces. `build`
+    /// is also told the version that value carries, which is the
+    /// version every participant voted with; a caller may describe its
+    /// write as a change against it (see
+    /// [`WireRequest::polled_version`]).
+    ///
+    /// Under MCV repliers are not wedged, so nothing pins a version
+    /// between a poll and a commit: the update is a quorum read
+    /// followed by a write, and `build` is told no version.
+    ///
+    /// # Errors
+    ///
+    /// A write's refusals (see [`Cluster::write`]), plus its `Timeout`
+    /// when a stale origin cannot fetch the current copy.
+    pub fn update(
         &mut self,
         origin: SiteId,
-        group: SiteSet,
-        value: T,
+        build: impl FnOnce(&T, Option<u64>) -> Option<T>,
+    ) -> Result<Option<CommittedOp>, AccessError> {
+        let Some(rule) = self.rule.clone() else {
+            let current = self.read(origin)?;
+            return build(&current, None)
+                .map(|next| self.mcv_write(origin, next))
+                .transpose();
+        };
+        self.write_round(origin, 1, &rule, |this, p| {
+            let (current, served_version) = this.fetch_current(AccessKind::Write, origin, p)?;
+            let next = build(&current, Some(served_version));
+            if next.is_some() {
+                // Graded as the read it is, and before the write it
+                // feeds is noted: a value built on a stale copy must
+                // not pass for current.
+                this.checker.note_read(served_version);
+            }
+            Ok(next)
+        })
+    }
+
+    /// One dynamic-voting write round for `count` consecutive writes:
+    /// poll, plan, `value` (handed the granted plan, with every replier
+    /// wedged), commit ⟨o + count, v + count, P⟩. Returns the first
+    /// write's entry — the i-th is `i` operations and versions later —
+    /// or `Ok(None)`, all votes released, when `value` declines.
+    fn write_round(
+        &mut self,
+        origin: SiteId,
+        count: u64,
         rule: &Rule,
-    ) -> Result<(), AccessError> {
+        value: impl FnOnce(&mut Self, &Plan) -> Result<Option<T>, AccessError>,
+    ) -> Result<Option<CommittedOp>, AccessError> {
+        let result = self.write_round_inner(origin, count, rule, value);
+        match &result {
+            Ok(Some(_)) => self.stats.writes_ok += count,
+            Ok(None) => {}
+            Err(_) => self.stats.writes_refused += count,
+        }
+        result
+    }
+
+    fn write_round_inner(
+        &mut self,
+        origin: SiteId,
+        count: u64,
+        rule: &Rule,
+        value: impl FnOnce(&mut Self, &Plan) -> Result<Option<T>, AccessError>,
+    ) -> Result<Option<CommittedOp>, AccessError> {
+        let group = self.origin_group(origin)?;
         let ticket = self.next_ticket();
         let poll = self.poll_phase(origin, group, ticket, true);
         if !poll.origin_alive {
             self.release_pending(ticket, SiteSet::EMPTY);
             return Err(AccessError::OriginUnavailable { origin });
         }
-        let p = match plan_with_witnesses(
-            OpKind::Write,
-            poll.heard,
-            self.copies,
-            self.witnesses,
-            &poll.table,
-            rule,
-            Some(&self.network),
-        ) {
-            Ok(p) => p,
-            Err(refusal) => {
+        let p = self.plan_or_release(OpKind::Write, origin, ticket, &poll, rule)?;
+        let value = match value(self, &p) {
+            Ok(Some(value)) => value,
+            declined_or_failed => {
                 self.release_pending(ticket, SiteSet::EMPTY);
-                return Err(self.timeout_or(refusal, AccessKind::Write, origin, &poll));
+                return declined_or_failed.map(|_| None);
             }
         };
-        // The value rides the COMMIT: a copy that never receives the
-        // commit keeps its old data — that is the partial-commit
-        // divergence this layer exists to exercise.
+        // The plan grants the first write ⟨o+1, v+1⟩; the K-th lands at
+        // ⟨o+K, v+K⟩. The value rides the COMMIT: a copy that never
+        // receives the commit keeps its old data — that is the
+        // partial-commit divergence this layer exists to exercise.
+        let steps = count - 1;
         let outcome = self.commit_phase(
             origin,
             ticket,
             &poll.table,
             p.participants,
-            p.new_op,
-            p.new_version,
+            p.new_op + steps,
+            p.new_version + steps,
             Some(&value),
         );
         if !outcome.applied.is_empty() {
-            self.checker.note_commit(p.new_op, p.participants);
+            for i in 0..count {
+                self.checker.note_commit(p.new_op + i, p.participants);
+            }
         }
         self.release_pending(ticket, outcome.missing);
-        if outcome.missing.is_empty() {
-            self.checker.note_write(p.new_version);
-            self.record_op(CommittedOp {
-                kind: AccessKind::Write,
-                origin,
-                op: p.new_op,
-                version: p.new_version,
-                participants: p.participants,
-            });
-            Ok(())
-        } else {
-            Err(AccessError::Indeterminate {
+        if !outcome.missing.is_empty() {
+            return Err(AccessError::Indeterminate {
                 kind: AccessKind::Write,
                 origin,
                 applied: outcome.applied,
                 missing: outcome.missing,
-            })
+            });
         }
+        let first = CommittedOp {
+            kind: AccessKind::Write,
+            origin,
+            op: p.new_op,
+            version: p.new_version,
+            participants: p.participants,
+        };
+        for i in 0..count {
+            self.checker.note_write(first.version + i);
+            self.record_op(first.later(i));
+        }
+        Ok(Some(first))
     }
 
     /// RECOVER (Figure 3 / Figure 7): reintegrates the (repaired)
@@ -1846,7 +1862,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             // there is no partition set to rejoin.
             return Ok(());
         };
-        let group = self.origin_group(site, AccessKind::Recover)?;
+        let group = self.origin_group(site)?;
         let ticket = self.next_ticket();
         let was_wedged = self.participant_pending(site).is_some_and(|t| t != ticket);
         let mut poll = self.poll_phase(site, group, ticket, true);
@@ -1885,36 +1901,13 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             );
             poll.heard.insert(site);
         }
-        let p = match plan_with_witnesses(
-            OpKind::Recover(site),
-            poll.heard,
-            self.copies,
-            self.witnesses,
-            &poll.table,
-            &rule,
-            Some(&self.network),
-        ) {
-            Ok(p) => p,
-            Err(refusal) => {
-                self.release_pending(ticket, SiteSet::EMPTY);
-                return Err(self.timeout_or(refusal, AccessKind::Recover, site, &poll));
-            }
-        };
+        let p = self.plan_or_release(OpKind::Recover(site), site, ticket, &poll, &rule)?;
         if p.copy_needed {
-            match self.transfer_copy(site, p.data_source) {
+            match self.transfer_copy(AccessKind::Recover, site, p.data_source) {
                 Ok((value, _version)) => self.node_mut(site).store(value),
                 Err(failure) => {
                     self.release_pending(ticket, SiteSet::EMPTY);
-                    return Err(match failure {
-                        CopyFailure::RequesterDown => {
-                            AccessError::OriginUnavailable { origin: site }
-                        }
-                        CopyFailure::Timeout => AccessError::Timeout {
-                            kind: AccessKind::Recover,
-                            origin: site,
-                            attempts: self.max_attempts,
-                        },
-                    });
+                    return Err(failure);
                 }
             }
         }
@@ -2008,21 +2001,30 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             .iter()
             .find(|&s| poll.table.get(s).version == version)
             .expect("a max-version copy exists");
-        match self.transfer_copy(origin, source) {
-            Ok((value, _served)) => {
-                self.checker.note_read(version);
-                Ok(value)
-            }
-            Err(CopyFailure::RequesterDown) => Err(AccessError::OriginUnavailable { origin }),
-            Err(CopyFailure::Timeout) => Err(AccessError::Timeout {
-                kind: AccessKind::Read,
-                origin,
-                attempts: self.max_attempts,
-            }),
-        }
+        let (value, _served) = self.transfer_copy(AccessKind::Read, origin, source)?;
+        self.checker.note_read(version);
+        Ok(value)
     }
 
-    fn mcv_write(&mut self, origin: SiteId, group: SiteSet, value: T) -> Result<(), AccessError> {
+    /// One MCV write, counted: the committed entry, so callers never
+    /// look it up in the (bounded) history.
+    fn mcv_write(&mut self, origin: SiteId, value: T) -> Result<CommittedOp, AccessError> {
+        let result = self
+            .origin_group(origin)
+            .and_then(|group| self.mcv_write_inner(origin, group, value));
+        match &result {
+            Ok(_) => self.stats.writes_ok += 1,
+            Err(_) => self.stats.writes_refused += 1,
+        }
+        result
+    }
+
+    fn mcv_write_inner(
+        &mut self,
+        origin: SiteId,
+        group: SiteSet,
+        value: T,
+    ) -> Result<CommittedOp, AccessError> {
         let (poll, reachable, version) = self.mcv_view(origin, group);
         if !poll.origin_alive {
             return Err(AccessError::OriginUnavailable { origin });
@@ -2102,14 +2104,15 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         }
         if missing.is_empty() {
             self.checker.note_write(new_version);
-            self.record_op(CommittedOp {
+            let entry = CommittedOp {
                 kind: AccessKind::Write,
                 origin,
                 op: 0, // MCV keeps no operation numbers
                 version: new_version,
                 participants: reachable,
-            });
-            Ok(())
+            };
+            self.record_op(entry);
+            Ok(entry)
         } else {
             // The write quorum never fully acknowledged: the client
             // must not treat the write as done (nor as undone).
@@ -2344,13 +2347,64 @@ mod tests {
 
     #[test]
     fn message_counts_read() {
-        // ODV read, all three up, origin S0: 2 START + 2 STATE + 2
-        // COMMIT and no data transfer (origin holds a current copy).
+        // ODV read, all three up: 2 START + 2 STATE + 2 COMMIT and no
+        // data transfer — whichever current copy coordinates serves
+        // its own, not only the lowest-numbered one.
+        for origin in 0..3 {
+            let mut c = cluster(Protocol::Odv);
+            c.clear_trace();
+            c.read(SiteId::new(origin)).unwrap();
+            assert_eq!(c.trace().count_of(&MessageKind::StartRequest), 2);
+            assert_eq!(c.trace().count_of(&MessageKind::CopyRequest), 0);
+            assert_eq!(c.trace().total(), 6, "origin S{origin}");
+        }
+    }
+
+    #[test]
+    fn history_keeps_the_latest_operations() {
+        // Well past the retention limit the log still ends with the
+        // operation that just committed.
         let mut c = cluster(Protocol::Odv);
-        c.clear_trace();
-        c.read(SiteId::new(0)).unwrap();
-        assert_eq!(c.trace().count_of(&MessageKind::StartRequest), 2);
-        assert_eq!(c.trace().total(), 6);
+        for i in 0..3 * HISTORY_CAP as u64 {
+            c.write(SiteId::new(0), format!("v{i}")).unwrap();
+            let last = c.history().last().expect("a granted write is recorded");
+            assert_eq!(last.version, c.state_at(SiteId::new(0)).version);
+        }
+        assert!(c.history().len() >= HISTORY_CAP);
+        assert!(c.history().len() <= 2 * HISTORY_CAP);
+    }
+
+    #[test]
+    fn an_update_built_on_a_stale_local_copy_is_graded_a_stale_read() {
+        // DESIGN §12's argument, run: the value an update builds on
+        // must come from a copy the plan calls current. S0 misses a
+        // write and comes back without RECOVER; trusting its own copy
+        // then is a stale read, and the checker says so.
+        for armed in [false, true] {
+            let mut c = cluster(Protocol::Odv);
+            c.fail_site(SiteId::new(0));
+            c.write(SiteId::new(1), "v2".to_string()).unwrap();
+            c.repair_site(SiteId::new(0));
+            c.set_stale_read_fault(armed);
+            let committed = c
+                .update(SiteId::new(0), |current, _| Some(format!("{current}+")))
+                .unwrap()
+                .expect("the build wrote");
+            assert_eq!(committed.version, 3);
+            if armed {
+                assert_eq!(c.value_at(SiteId::new(1)), "v1+", "built on the stale copy");
+                assert_eq!(
+                    c.checker().violations(),
+                    [crate::Violation::StaleRead {
+                        served: 1,
+                        latest: 2
+                    }]
+                );
+            } else {
+                assert_eq!(c.value_at(SiteId::new(1)), "v2+");
+                assert!(c.checker().violations().is_empty());
+            }
+        }
     }
 
     #[test]

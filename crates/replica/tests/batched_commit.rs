@@ -1,7 +1,7 @@
 //! Batched-commit equivalence: `Cluster::write_batch` must be
 //! observationally identical to the serial writes it amortizes.
 //!
-//! Six angles:
+//! Seven angles:
 //!
 //! * **serial equivalence** — a fault-free K-batch leaves every site
 //!   with the same final `⟨o, v, P⟩`, the same committed-op history,
@@ -24,7 +24,15 @@
 //! * **the delta premise** — every `COMMIT` of a dynamic-voting
 //!   operation names the version its recipient really holds when it
 //!   lands, which is what lets a transport ship a write as a change
-//!   against that version; MCV, which wedges nobody, names none.
+//!   against that version; MCV, which wedges nobody, names none;
+//! * **one-round updates** — `Cluster::update` reads the value under
+//!   the write's own vote: the same value, version and P as a quorum
+//!   read followed by a write, one operation number and one poll
+//!   fewer; a stale coordinator fetches the copy between its poll and
+//!   its commit point; refusals and aborts release every vote. (That a
+//!   value built on a stale local copy is *caught* is a unit test
+//!   beside the fault hook, `cluster::tests::
+//!   an_update_built_on_a_stale_local_copy_is_graded_a_stale_read`.)
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -94,6 +102,10 @@ fn a_k_batch_is_indistinguishable_from_k_serial_writes() {
 /// What the recording transport saw, in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Event {
+    /// A `START` handed to the wire.
+    StartSent { to: SiteId },
+    /// A copy request handed to the wire.
+    CopySent { to: SiteId },
     /// `commit_point` — the durable-ledger hook.
     Point { op: u64, version: u64 },
     /// A `COMMIT` frame handed to the wire, with the version the
@@ -114,16 +126,18 @@ struct RecordingTransport {
 
 impl<T> Transport<T> for RecordingTransport {
     fn carry(&mut self, request: WireRequest<'_, T>, serve: LocalServe<'_, T>) -> Carried<T> {
-        if let MessageKind::Commit { op, .. } = request.message.kind {
-            self.events
-                .lock()
-                .expect("journal poisoned")
-                .push(Event::CommitSent {
-                    op,
-                    to: request.message.to,
-                    polled_version: request.polled_version,
-                });
-        }
+        let to = request.message.to;
+        let event = match request.message.kind {
+            MessageKind::StartRequest => Some(Event::StartSent { to }),
+            MessageKind::CopyRequest => Some(Event::CopySent { to }),
+            MessageKind::Commit { op, .. } => Some(Event::CommitSent {
+                op,
+                to,
+                polled_version: request.polled_version,
+            }),
+            MessageKind::StateReply { .. } | MessageKind::CopyReply => None,
+        };
+        self.events.lock().expect("journal poisoned").extend(event);
         self.inner.carry(request, serve)
     }
 
@@ -143,21 +157,32 @@ impl<T> Transport<T> for RecordingTransport {
     }
 }
 
+type Journal = Arc<Mutex<Vec<Event>>>;
+
+/// A three-copy cluster on a recording transport, and its journal.
+fn recording_cluster<T: Clone>(
+    protocol: Protocol,
+    initial: T,
+) -> (Cluster<T, RecordingTransport>, Journal) {
+    let events = Journal::default();
+    let transport = RecordingTransport {
+        inner: BusTransport::new(),
+        events: Arc::clone(&events),
+    };
+    let cluster = ClusterBuilder::new()
+        .copies([0, 1, 2])
+        .protocol(protocol)
+        .build_with_transport(transport, initial);
+    (cluster, events)
+}
+
 /// The ledger hook fires exactly once per batch, carries the batch's
 /// *final* state, and strictly precedes every `COMMIT` frame — the
 /// ordering that lets a crashed coordinator's successor answer vote
 /// probes instead of forking the lineage (DESIGN §10–11).
 #[test]
 fn the_commit_point_precedes_the_commit_fanout_and_covers_the_batch() {
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let transport = RecordingTransport {
-        inner: BusTransport::new(),
-        events: Arc::clone(&events),
-    };
-    let mut cluster = ClusterBuilder::new()
-        .copies([0, 1, 2])
-        .protocol(Protocol::Odv)
-        .build_with_transport(transport, 0u64);
+    let (mut cluster, events) = recording_cluster(Protocol::Odv, 0u64);
 
     let results = cluster.write_batch(origin(), vec![7, 8, 9]);
     assert!(results.iter().all(Result::is_ok), "{results:?}");
@@ -301,15 +326,22 @@ fn batches_keep_invariants_under_drop_and_dup_faults() {
 
 type KeyedMap = BTreeMap<String, u64>;
 
-/// The store's keyed read-modify-write, in miniature: one quorum read
-/// of the map, the puts applied in order, one write of the result.
-fn keyed_write<X: Transport<KeyedMap>>(cluster: &mut Cluster<KeyedMap, X>, puts: &[(&str, u64)]) {
-    let mut map = cluster.read(origin()).expect("keyed read granted");
+fn with_puts(map: &KeyedMap, puts: &[(&str, u64)]) -> KeyedMap {
+    let mut map = map.clone();
     for (key, value) in puts {
         map.insert((*key).to_string(), *value);
     }
-    let results = cluster.write_batch(origin(), vec![map]);
-    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    map
+}
+
+/// The store's keyed read-modify-write, in miniature: the map read
+/// under the write's own vote, the puts applied in order, the result
+/// committed — one round.
+fn keyed_write<X: Transport<KeyedMap>>(cluster: &mut Cluster<KeyedMap, X>, puts: &[(&str, u64)]) {
+    let committed = cluster
+        .update(origin(), |map, _| Some(with_puts(map, puts)))
+        .expect("keyed write granted");
+    assert!(committed.is_some(), "the build never declines");
 }
 
 /// K keyed puts committed as one write of the folded map — the unit
@@ -358,15 +390,7 @@ fn assert_commits_name_held_versions(
     prepare: impl Fn(&mut Cluster<u64, RecordingTransport>),
     operate: impl Fn(&mut Cluster<u64, RecordingTransport>),
 ) {
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let transport = RecordingTransport {
-        inner: BusTransport::new(),
-        events: Arc::clone(&events),
-    };
-    let mut cluster = ClusterBuilder::new()
-        .copies([0, 1, 2])
-        .protocol(protocol)
-        .build_with_transport(transport, 0u64);
+    let (mut cluster, events) = recording_cluster(protocol, 0u64);
     prepare(&mut cluster);
     events.lock().expect("journal poisoned").clear();
     let held: Vec<u64> = (0..3)
@@ -430,4 +454,280 @@ fn every_commit_names_the_version_its_recipient_holds() {
             |cluster| cluster.recover(SiteId::new(2)).expect("recover granted"),
         );
     }
+}
+
+fn keyed_cluster(protocol: Protocol) -> Cluster<KeyedMap> {
+    ClusterBuilder::new()
+        .copies([0, 1, 2])
+        .protocol(protocol)
+        .build_with_value(KeyedMap::new())
+}
+
+/// `update` is a quorum read followed by a write, minus the read's
+/// round: whoever coordinates, every copy ends with the same value,
+/// version and partition set, a reader sees the same map, and the only
+/// trace of the difference is the operation number — one lower per
+/// update under dynamic voting (no read commit), equal under MCV
+/// (whose update *is* read-then-write, and whose reads commit nothing).
+#[test]
+fn an_update_is_a_quorum_read_and_a_write_minus_one_round() {
+    for protocol in [Protocol::Odv, Protocol::Ldv, Protocol::Dv, Protocol::Mcv] {
+        let mut updated = keyed_cluster(protocol);
+        let mut serial = keyed_cluster(protocol);
+        let rounds: [&[(&str, u64)]; 4] = [
+            &[("a", 1)],
+            &[("b", 2), ("a", 3)],
+            &[("c", 4)],
+            &[("a", 5), ("c", 6), ("d", 7)],
+        ];
+        for (round, puts) in rounds.into_iter().enumerate() {
+            let at = SiteId::new(round % 3);
+            let held = updated.state_at(at).version;
+            let mut told = None;
+            let committed = updated
+                .update(at, |map, base| {
+                    told = Some(base);
+                    Some(with_puts(map, puts))
+                })
+                .expect("update granted")
+                .expect("the build wrote");
+            let pinned = (protocol != Protocol::Mcv).then_some(held);
+            assert_eq!(
+                told,
+                Some(pinned),
+                "{protocol:?}: the version build is told"
+            );
+            assert_eq!(Some(&committed), updated.history().last());
+            assert_eq!(committed.version, held + 1);
+
+            let map = serial.read(at).expect("read granted");
+            let results = serial.write_batch(at, vec![with_puts(&map, puts)]);
+            assert!(results.iter().all(Result::is_ok), "{results:?}");
+
+            let read_commits = if protocol == Protocol::Mcv {
+                0
+            } else {
+                round as u64 + 1
+            };
+            for site in (0..3).map(SiteId::new) {
+                assert_eq!(
+                    updated.value_at(site),
+                    serial.value_at(site),
+                    "{protocol:?} S{site:?}"
+                );
+                let (u, s) = (updated.state_at(site), serial.state_at(site));
+                assert_eq!((u.version, u.partition), (s.version, s.partition));
+                assert_eq!(u.op + read_commits, s.op, "{protocol:?}: round {round}");
+            }
+        }
+        assert_eq!(updated.stats().writes_ok, serial.stats().writes_ok);
+        if protocol != Protocol::Mcv {
+            assert_eq!(updated.stats().reads_ok, 0, "{protocol:?}: no read was run");
+        }
+        assert_eq!(
+            updated.read(SiteId::new(2)).expect("read granted"),
+            serial.read(SiteId::new(2)).expect("read granted"),
+        );
+        assert!(updated.checker().violations().is_empty());
+    }
+}
+
+/// One update is one round on the wire: exactly one `START` per peer,
+/// no copy request when the coordinator is current, and the commit
+/// point before any `COMMIT` — each of which names the version its
+/// recipient voted with, the base `build` was told.
+#[test]
+fn an_update_polls_each_peer_once_and_commits_after_its_commit_point() {
+    let (mut cluster, events) = recording_cluster(Protocol::Odv, KeyedMap::new());
+    keyed_write(&mut cluster, &[("warm", 0)]);
+    events.lock().expect("journal poisoned").clear();
+    let held = cluster.state_at(origin());
+    let (op, base) = (held.op + 1, held.version);
+    keyed_write(&mut cluster, &[("k", 1)]);
+
+    let events = events.lock().expect("journal poisoned");
+    let to = |site| SiteId::new(site);
+    assert_eq!(
+        *events,
+        vec![
+            Event::StartSent { to: to(1) },
+            Event::StartSent { to: to(2) },
+            Event::Point {
+                op,
+                version: base + 1
+            },
+            Event::CommitSent {
+                op,
+                to: to(1),
+                polled_version: Some(base)
+            },
+            Event::CommitSent {
+                op,
+                to: to(2),
+                polled_version: Some(base)
+            },
+        ]
+    );
+}
+
+/// A coordinator that missed a write (down while S1 wrote, repaired
+/// without RECOVER) holds a stale copy. Its update fetches the current
+/// one *inside the vote* — after every `START`, before the commit
+/// point — builds on the version the participants voted with, and
+/// sends each of them a `COMMIT` naming that version: a delta a
+/// transport may ship. The coordinator itself is no participant and
+/// stays as stale as it was.
+#[test]
+fn a_stale_coordinator_fetches_the_copy_inside_the_vote() {
+    for protocol in [Protocol::Odv, Protocol::Ldv, Protocol::Dv] {
+        let (mut cluster, events) = recording_cluster(protocol, KeyedMap::new());
+        cluster.fail_site(origin());
+        let wrote = cluster.write_batch(
+            SiteId::new(1),
+            vec![with_puts(&KeyedMap::new(), &[("missed", 1)])],
+        );
+        assert!(wrote.iter().all(Result::is_ok), "{wrote:?}");
+        cluster.repair_site(origin());
+        let stale = cluster.state_at(origin());
+        let current = cluster.state_at(SiteId::new(1)).version;
+        assert_eq!(stale.version + 1, current);
+        events.lock().expect("journal poisoned").clear();
+
+        let mut told = None;
+        let committed = cluster
+            .update(origin(), |map, base| {
+                told = base;
+                assert_eq!(map.get("missed"), Some(&1), "built on the stale copy");
+                Some(with_puts(map, &[("k", 2)]))
+            })
+            .expect("update granted")
+            .expect("the build wrote");
+        assert_eq!(told, Some(current));
+        assert_eq!(committed.version, current + 1);
+        assert_eq!(committed.participants, SiteSet::from_indices([1, 2]));
+
+        let events = events.lock().expect("journal poisoned");
+        let kinds: Vec<&str> = events
+            .iter()
+            .map(|event| match event {
+                Event::StartSent { .. } => "start",
+                Event::CopySent { .. } => "copy",
+                Event::Point { .. } => "point",
+                Event::CommitSent { polled_version, .. } => {
+                    assert_eq!(*polled_version, Some(current), "{protocol:?}: {events:?}");
+                    "commit"
+                }
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["start", "start", "copy", "point", "commit", "commit"],
+            "{protocol:?}: {events:?}"
+        );
+        drop(events);
+
+        assert_eq!(
+            cluster.state_at(origin()),
+            stale,
+            "the coordinator did not take part"
+        );
+        for site in [1, 2] {
+            let map = cluster.value_at(SiteId::new(site));
+            assert_eq!((map.get("missed"), map.get("k")), (Some(&1), Some(&2)));
+        }
+        assert!(cluster.pending_sites().is_empty());
+        assert!(cluster.checker().violations().is_empty());
+    }
+}
+
+/// Under message faults an update is all-or-nothing and leaves no vote
+/// behind that its outcome does not bind: a lost fanout is
+/// `Indeterminate` with only the unreached participants still wedged;
+/// a copy that cannot be fetched, and a build that declines, release
+/// everybody and move nothing; duplicates change nothing at all.
+#[test]
+fn updates_under_drop_and_dup_faults_are_all_or_nothing_and_release_their_votes() {
+    // Both peers' COMMITs lost past the retry budget.
+    let mut cluster = keyed_cluster(Protocol::Odv);
+    for peer in [1, 2] {
+        cluster.inject_fault(
+            FaultRule::once(MessageClass::Commit, SiteId::new(peer), FaultAction::Drop).times(16),
+        );
+    }
+    let lost = cluster.update(origin(), |map, _| Some(with_puts(map, &[("k", 1)])));
+    match lost {
+        Err(AccessError::Indeterminate {
+            applied, missing, ..
+        }) => {
+            assert_eq!(applied, SiteSet::from_indices([0]));
+            assert_eq!(missing, SiteSet::from_indices([1, 2]));
+        }
+        other => panic!("a lost fanout must be indeterminate, got {other:?}"),
+    }
+    assert_eq!(cluster.pending_sites(), SiteSet::from_indices([1, 2]));
+    assert_eq!(cluster.stats().writes_refused, 1);
+    assert!(cluster.checker().violations().is_empty());
+
+    // A stale coordinator whose copy requests are all lost: the update
+    // times out as a write, with nothing moved and nobody wedged.
+    let mut cluster = keyed_cluster(Protocol::Odv);
+    cluster.fail_site(origin());
+    let wrote = cluster.write_batch(
+        SiteId::new(1),
+        vec![with_puts(&KeyedMap::new(), &[("missed", 1)])],
+    );
+    assert!(wrote.iter().all(Result::is_ok), "{wrote:?}");
+    cluster.repair_site(origin());
+    let before: Vec<_> = (0..3)
+        .map(|site| cluster.state_at(SiteId::new(site)))
+        .collect();
+    cluster.inject_fault(
+        FaultRule::once(MessageClass::CopyRequest, SiteId::new(1), FaultAction::Drop).times(16),
+    );
+    let starved = cluster.update(origin(), |_, _| panic!("no value was fetched to build on"));
+    assert!(
+        matches!(
+            starved,
+            Err(AccessError::Timeout {
+                kind: dynvote_types::AccessKind::Write,
+                ..
+            })
+        ),
+        "{starved:?}"
+    );
+    // A build that declines: granted, nothing written.
+    cluster.clear_message_faults();
+    let declined = cluster.update(origin(), |_, _| None);
+    assert_eq!(declined, Ok(None));
+    let after: Vec<_> = (0..3)
+        .map(|site| cluster.state_at(SiteId::new(site)))
+        .collect();
+    assert_eq!(after, before);
+    assert!(cluster.pending_sites().is_empty());
+    assert_eq!(
+        cluster.stats().writes_refused,
+        1,
+        "a declined build is no refusal"
+    );
+
+    // Duplicated STATE replies and COMMITs: one version up, once.
+    let mut cluster = keyed_cluster(Protocol::Odv);
+    cluster.inject_fault(FaultRule {
+        class: Some(MessageClass::State),
+        from: Some(SiteId::new(1)),
+        to: Some(origin()),
+        action: FaultAction::Duplicate,
+        remaining: 4,
+    });
+    cluster.inject_fault(
+        FaultRule::once(MessageClass::Commit, SiteId::new(2), FaultAction::Duplicate).times(4),
+    );
+    let base = cluster.state_at(origin()).version;
+    keyed_write(&mut cluster, &[("k", 1)]);
+    for site in 0..3 {
+        assert_eq!(cluster.state_at(SiteId::new(site)).version, base + 1);
+        assert_eq!(cluster.value_at(SiteId::new(site)).get("k"), Some(&1));
+    }
+    assert!(cluster.pending_sites().is_empty());
+    assert!(cluster.checker().violations().is_empty());
 }

@@ -49,17 +49,19 @@ proptest! {
 /// co-segment claims count votes of sites whose state was never
 /// observed. The seed is pinned so the failure is a regression anchor,
 /// not a flake: the same campaign that the sound protocols survive
-/// (seed 0 is in `prop_sound_protocols_survive_nemesis`'s universe)
-/// breaks both topological rules.
+/// (seed 2 is in `prop_sound_protocols_survive_nemesis`'s universe)
+/// breaks both topological rules. (Refreshed from seed 0 when reads
+/// at a current origin stopped sending copy requests: the campaign's
+/// message-fault rules now meet a different message sequence.)
 #[test]
 fn topological_protocols_fork_lineage_under_nemesis() {
     for protocol in [Protocol::Tdv, Protocol::Otdv] {
-        let violations = campaign(protocol, 0);
+        let violations = campaign(protocol, 2);
         assert!(
             violations
                 .iter()
                 .any(|v| matches!(v, Violation::LineageFork { .. })),
-            "{protocol:?} at seed 0 should fork lineage, got: {violations:?}"
+            "{protocol:?} at seed 2 should fork lineage, got: {violations:?}"
         );
     }
 }
@@ -68,7 +70,7 @@ fn topological_protocols_fork_lineage_under_nemesis() {
 /// tests' failure reports are actionable.
 #[test]
 fn topological_violations_replay_from_seed() {
-    assert_eq!(campaign(Protocol::Tdv, 0), campaign(Protocol::Tdv, 0));
+    assert_eq!(campaign(Protocol::Tdv, 2), campaign(Protocol::Tdv, 2));
 }
 
 /// Scans for topological-violation seeds. Not part of the suite; run

@@ -30,11 +30,13 @@
 //! Client data operations do not run on the session thread — they
 //! queue for the daemon's single *batch worker*, which drains the
 //! queue under the cluster lock and serves runs of consecutive writes
-//! through one poll/commit quorum exchange ([`Cluster::write_batch`])
-//! and runs of reads through one quorum read, then fsyncs once for the
-//! whole batch strictly before any acknowledgement leaves. Untagged
-//! data frames keep the old one-at-a-time semantics on the wire but
-//! share the same batch worker underneath.
+//! through one poll/commit quorum exchange ([`Cluster::write_batch`];
+//! keyed puts through [`Cluster::update`], which reads the shard map
+//! under that same vote) and runs of reads through one quorum read,
+//! then fsyncs once for the whole batch strictly before any
+//! acknowledgement leaves. Untagged data frames keep the old
+//! one-at-a-time semantics on the wire but share the same batch worker
+//! underneath.
 //!
 //! Every grant and refusal is logged with the paper clause that fired,
 //! so a partition experiment reads as a protocol trace.
@@ -146,8 +148,8 @@ impl Logger {
 ///
 /// The keyed variants exist only on sharded daemons, whose replicated
 /// value is a KV map ([`ShardValue`] keeps it decoded): the batch
-/// worker folds a run of keyed puts into one quorum read-modify-write
-/// — sound because the shard's *coordinator funnel* (only
+/// worker folds a run of keyed puts into one read-modify-write decided
+/// by one quorum round — sound because the shard's *coordinator funnel* (only
 /// `placement[0]` of the current epoch accepts keyed operations)
 /// serializes every mutation of the image through this one queue.
 enum DataOp {
@@ -2000,17 +2002,15 @@ fn run_batch(daemon: &Arc<Daemon>, cluster: &mut StoreCluster, items: Vec<Pendin
 }
 
 /// The coordinator-funnel read-modify-write behind a run of `requests`
-/// keyed puts: one quorum read of the shard's KV map, the run's puts
-/// applied (the last put of each key), one batched quorum write.
-/// Sound because only this worker — at the shard's coordinator of the
-/// current epoch — mutates the map.
-///
-/// The write goes out as a *delta* when the version of the map just
-/// read is known: the read's own commit installs the maximal version's
-/// ⟨o, v, P⟩ at every copy that holds that version, so if it moved the
-/// local operation number, the local version is the version of the map
-/// that was served. (A stale coordinator, or MCV, whose reads commit
-/// nothing, learns no version and writes the whole image.)
+/// keyed puts, in ONE quorum round ([`Cluster::update`]): the write's
+/// own poll wedges a majority at the maximal version, the shard's KV
+/// map is taken at that version — the coordinator's resident copy when
+/// it is current, one copy transfer inside the vote when it is not —
+/// the run's puts are applied (the last put of each key), and the
+/// commit ships them as a *delta* on the version every participant
+/// voted with. Sound because only this worker — at the shard's
+/// coordinator of the current epoch — mutates the map. (MCV wedges
+/// nobody, pins no version and writes the whole image.)
 fn keyed_write(
     daemon: &Arc<Daemon>,
     cluster: &mut StoreCluster,
@@ -2018,30 +2018,20 @@ fn keyed_write(
     requests: usize,
     applied: &mut AppliedDeltas,
 ) -> (Frame, Option<&'static str>) {
-    let op_before = cluster.state_at(daemon.local).op;
-    let current = match cluster.read(daemon.local) {
-        Ok(current) => current,
-        Err(err) => return (refuse(daemon, "keyed write", &err), None),
-    };
-    let held = cluster.state_at(daemon.local);
-    let base = (held.op > op_before).then_some(held.version);
-    let Some(next) = current.with_puts(puts, base) else {
-        return (
-            Frame::Refused {
-                message: NOT_A_KV_MAP.to_string(),
-            },
-            None,
-        );
-    };
-    let delta = next.delta().cloned();
-    let results = cluster.write_batch(daemon.local, vec![next]);
+    let before = cluster.state_at(daemon.local).version;
+    let mut delta = None;
+    let result = cluster.update(daemon.local, |current, base| {
+        let next = current.with_puts(puts, base)?;
+        delta = next.delta().cloned();
+        Some(next)
+    });
     applied.note(
-        held.version,
+        before,
         cluster.state_at(daemon.local).version,
         delta.as_deref(),
     );
-    match results.into_iter().next().expect("one value, one result") {
-        Ok(op) => {
+    match result {
+        Ok(Some(op)) => {
             let detail = format!(
                 "committed o={} v={} P={{{}}}",
                 op.op,
@@ -2055,6 +2045,12 @@ fn keyed_write(
             ));
             (Frame::Done { detail }, Some("write"))
         }
+        Ok(None) => (
+            Frame::Refused {
+                message: NOT_A_KV_MAP.to_string(),
+            },
+            None,
+        ),
         Err(err) => (refuse(daemon, "keyed write", &err), None),
     }
 }

@@ -13,7 +13,12 @@
 //!   applied and never acknowledged;
 //! * the coordinator's ledger re-sends a committed delta to a prober;
 //! * a pipelined run that rewrites the same keys commits each key's
-//!   last put, and that is what every reader then sees.
+//!   last put, and that is what every reader then sees;
+//! * a keyed batch is ONE quorum round: no read is run, and a voter
+//!   logs two records for it — its vote and the delta;
+//! * a coordinator that is itself a version behind still commits a
+//!   delta: it fetches the current map inside its write's vote and
+//!   builds on the version its participants voted with.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -22,9 +27,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use dynvote_control::{decode_kv, fold_image, KvPuts};
+use dynvote_control::{decode_kv, encode_kv, fold_image, KvPuts};
 use dynvote_core::state::ReplicaState;
-use dynvote_replica::wal::{shard_dir, SiteStore};
+use dynvote_replica::wal::{shard_dir, SiteStore, Wal, WalRecord, WAL_FILE};
 use dynvote_store::client::{request, Deadline, Outcome};
 use dynvote_store::config::Config;
 use dynvote_store::conn::{ConnOptions, Connection};
@@ -45,6 +50,12 @@ impl Fleet {
     /// Three durable daemons, one shard placed on all of them; site 0
     /// coordinates it.
     fn boot(tag: &str) -> Fleet {
+        Fleet::boot_snapshotting(tag, 5)
+    }
+
+    /// [`Fleet::boot`] with a snapshot every `snapshot_every` records —
+    /// large, for a test that reads the records back from the log.
+    fn boot_snapshotting(tag: &str, snapshot_every: u64) -> Fleet {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let data_root = std::env::temp_dir().join(format!(
             "dynvote-delta-{tag}-{}-{}",
@@ -71,7 +82,7 @@ impl Fleet {
                 let line = format!(
                     "--site {site} --policy odv --peers {peers} --quiet \
                      --shards 1 --shard-placement ring:{SITES} \
-                     --data-dir {} --snapshot-every 5 \
+                     --data-dir {} --snapshot-every {snapshot_every} \
                      --connect-timeout-ms 250 --read-timeout-ms 2000 \
                      --backoff-ms 10 --backoff-cap-ms 100",
                     data_root.join(format!("site{site}")).display()
@@ -209,6 +220,33 @@ impl Fleet {
             }
             Err(error) => panic!("peer exchange with S{site}: {error}"),
         }
+    }
+
+    /// Records ever logged at `site`: those its snapshot covers plus
+    /// those in the log since.
+    fn records_logged(&self, site: usize) -> u64 {
+        let status = self.status(site);
+        ["durability.snapshot_seq", "durability.wal_records"]
+            .iter()
+            .map(|field| status[*field].parse::<u64>().expect("a count"))
+            .sum()
+    }
+
+    /// Stops the daemons and reads back each site's log for the shard,
+    /// record by record.
+    fn stop_and_read_logs(self) -> Vec<Vec<WalRecord>> {
+        for daemon in self.daemons {
+            daemon.stop();
+        }
+        let logs = (0..SITES)
+            .map(|site| {
+                let dir = shard_dir(&self.data_root.join(format!("site{site}")), 0);
+                let (_, replay) = Wal::open(&dir.join(WAL_FILE)).expect("log reopens");
+                replay.entries.into_iter().map(|e| e.record).collect()
+            })
+            .collect();
+        std::fs::remove_dir_all(&self.data_root).ok();
+        logs
     }
 
     /// Stops the daemons and reads back what each site's disk holds for
@@ -362,7 +400,7 @@ fn a_vote_probe_is_answered_with_the_committed_delta() {
     fleet.put("probed", b"the lost frame");
     let committed: u64 = fleet.status(0)["version"].parse().unwrap();
     // A durable coordinator's tickets are ⟨site 0, boot epoch 1, n⟩;
-    // each keyed put took two (its read, its write).
+    // each keyed put took one.
     let mut deltas = Vec::new();
     for n in 1..=8u64 {
         let ticket = (1 << 32) | n;
@@ -385,8 +423,8 @@ fn a_vote_probe_is_answered_with_the_committed_delta() {
                 assert_eq!(state.version, base + 1);
                 deltas.push((state.version, KvPuts::decode(&puts).expect("a put list")));
             }
-            // The reads' state-only commits, and tickets not yet issued.
-            Some(Frame::Commit { value: None, .. } | Frame::Abstain { .. }) => {}
+            // Tickets not yet issued.
+            Some(Frame::Abstain { .. }) => {}
             other => panic!("probe for ticket {ticket:#x}: {other:?}"),
         }
     }
@@ -453,5 +491,116 @@ fn a_run_rewriting_the_same_keys_commits_each_keys_last_put() {
     for (site, disk) in disks.iter().enumerate() {
         let map = decode_kv(&disk.1).expect("a KV image");
         assert_eq!(map["k1"], 199u32.to_be_bytes(), "S{site}'s disk");
+    }
+}
+
+/// A keyed batch is one quorum round. At the coordinator no read runs
+/// and one record is logged (the delta); at each voter two are — the
+/// vote it cast and the delta it applied — and nothing else.
+#[test]
+fn a_keyed_batch_is_one_round_and_two_records_at_a_voter() {
+    let fleet = Fleet::boot_snapshotting("one-round", 1_000);
+    fleet.put("warm", b"0");
+    let logged: Vec<u64> = (0..SITES).map(|site| fleet.records_logged(site)).collect();
+    let before = fleet.status(0);
+    let base: u64 = before["version"].parse().unwrap();
+
+    fleet.put("k", b"v");
+
+    let after = fleet.status(0);
+    let moved =
+        |field: &str| after[field].parse::<u64>().unwrap() - before[field].parse::<u64>().unwrap();
+    assert_eq!(moved("reads_ok"), 0, "the batch ran a quorum read");
+    assert_eq!(moved("writes_ok"), 1);
+    assert_eq!((moved("op"), moved("version")), (1, 1));
+    assert_eq!(
+        fleet.records_logged(0) - logged[0],
+        1,
+        "the coordinator's log"
+    );
+    for (voter, before) in logged.iter().enumerate().skip(1) {
+        assert_eq!(fleet.records_logged(voter) - before, 2, "S{voter}'s log");
+    }
+    let logs = fleet.stop_and_read_logs();
+    for (site, log) in logs.iter().enumerate().skip(1) {
+        match &log[log.len() - 2..] {
+            [WalRecord::Vote { .. }, WalRecord::Delta {
+                base: on, state, ..
+            }] => {
+                assert_eq!((*on, state.version), (base, base + 1), "S{site}");
+            }
+            tail => panic!("S{site} logged {tail:?} for the batch"),
+        }
+    }
+    assert!(
+        matches!(logs[0].last(), Some(WalRecord::Delta { base: on, .. }) if *on == base),
+        "S0 logged {:?}",
+        logs[0].last()
+    );
+}
+
+/// The coordinator is cut off while S1 writes the shard, then healed
+/// without RECOVER: it holds a copy one version behind and is out of
+/// the partition set. Its next keyed batch polls, finds itself stale,
+/// fetches the map from a current copy inside that vote, and commits a
+/// delta on the version S1 and S2 voted with — which they log as a
+/// delta and apply. Every key reads back: the ones from before, the
+/// one the coordinator missed, and the one it just wrote.
+#[test]
+fn a_coordinator_one_version_behind_still_commits_a_delta() {
+    let fleet = Fleet::boot_snapshotting("stale-coordinator", 1_000);
+    fleet.put("before", &[7; 300]);
+
+    fleet.isolate(0);
+    let mut image = decode_kv(&match fleet.shard_req(1, Frame::Get) {
+        Outcome::Value { value, .. } => value,
+        other => panic!("raw get at S1: {other:?}"),
+    })
+    .expect("a KV image");
+    image.insert("missed".to_string(), b"written while S0 was away".to_vec());
+    let wrote = fleet.shard_req(
+        1,
+        Frame::Put {
+            value: encode_kv(&image),
+        },
+    );
+    assert!(matches!(wrote, Outcome::Done(_)), "{wrote:?}");
+    fleet.heal();
+
+    let current: u64 = fleet.status(1)["version"].parse().unwrap();
+    let stale = fleet.status(0);
+    assert_eq!(stale["version"].parse::<u64>().unwrap() + 1, current);
+    assert_eq!(fleet.status(1)["partition"], "1,2");
+
+    fleet.put("after", b"from the stale coordinator");
+
+    assert_eq!(fleet.get("before"), [7; 300]);
+    assert_eq!(fleet.get("missed"), b"written while S0 was away");
+    assert_eq!(fleet.get("after"), b"from the stale coordinator");
+    assert_eq!(
+        fleet.status(0)["version"],
+        stale["version"],
+        "the coordinator took no part in its own commit"
+    );
+    for voter in 1..SITES {
+        let status = fleet.status(voter);
+        assert_eq!(status["version"], (current + 1).to_string(), "S{voter}");
+        assert_eq!(status["pending"], "false", "S{voter}");
+    }
+    let logs = fleet.stop_and_read_logs();
+    for (site, log) in logs.iter().enumerate().skip(1) {
+        let delta = log.iter().rev().find_map(|record| match record {
+            WalRecord::Delta { base, delta, .. } => Some((*base, delta)),
+            _ => None,
+        });
+        let (base, puts) = delta.unwrap_or_else(|| panic!("S{site} logged no delta: {log:?}"));
+        assert_eq!(
+            base, current,
+            "S{site}: the delta is on the version it voted with"
+        );
+        assert_eq!(
+            KvPuts::decode(puts).expect("a put list").0,
+            vec![("after".to_string(), b"from the stale coordinator".to_vec())]
+        );
     }
 }
