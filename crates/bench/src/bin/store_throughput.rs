@@ -355,11 +355,12 @@ fn histogram_json(label: &str, samples: Vec<u64>) -> String {
 const COUNTED_BATCHES: u64 = 32;
 
 /// The count phase of the keyed mode: what one keyed batch costs in
-/// quorum rounds at the coordinator and in log records at a voter,
-/// from `Status` deltas over [`COUNTED_BATCHES`] serial puts on shard 0
-/// of a fresh durable fleet (a voter logs only when it has a disk).
-/// Returns `(rounds_per_batch, voter_wal_records_per_batch)`.
-fn count_per_batch(args: &Args) -> (f64, f64) {
+/// quorum rounds and peer frames at the coordinator and in log records
+/// at a voter, from `Status` deltas over [`COUNTED_BATCHES`] serial puts
+/// on shard 0 of a fresh durable fleet (a voter logs only when it has a
+/// disk). Returns `[rounds_per_batch, coordinator_frames_per_batch,
+/// voter_wal_records_per_batch]`.
+fn count_per_batch(args: &Args) -> [f64; 3] {
     let data_root = std::env::temp_dir().join(format!("dynvote-bench-{}", std::process::id()));
     let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards, Some(&data_root));
     let map = dynvote_store::router::fetch_map(&addrs[0], Duration::from_secs(5))
@@ -383,8 +384,9 @@ fn count_per_batch(args: &Args) -> (f64, f64) {
         let outcome = request(coordinator, &frame, Duration::from_secs(30)).expect("counted put");
         assert!(outcome.granted(), "counted put: {outcome:?}");
     };
-    // The sum of `fields` in shard 0's `Status` at `addr`.
-    let counted = |addr: &str, fields: &[&str]| -> f64 {
+    // The sum of the fields of shard 0's `Status` at `addr` that
+    // `wanted` picks.
+    let counted = |addr: &str, wanted: &dyn Fn(&str) -> bool| -> f64 {
         let frame = Frame::Shard {
             shard: 0,
             inner: Box::new(Frame::Status),
@@ -392,22 +394,25 @@ fn count_per_batch(args: &Args) -> (f64, f64) {
         let Ok(Outcome::Report(text)) = request(addr, &frame, Duration::from_secs(5)) else {
             panic!("no status of shard 0 at {addr}");
         };
-        let status = parse_status(&text);
-        fields
+        parse_status(&text)
             .iter()
-            .filter_map(|field| status.get(*field)?.parse::<f64>().ok())
+            .filter(|(field, _)| wanted(field))
+            .filter_map(|(_, value)| value.parse::<f64>().ok())
             .sum()
     };
-    // Batches and quorum rounds at the coordinator; records ever logged
-    // (snapshotted or still in the log) at the voter.
+    // Batches, quorum rounds and frames handed to peer links at the
+    // coordinator; records ever logged (snapshotted or still in the
+    // log) at the voter.
     let counts = || {
         [
-            counted(coordinator, &["batch.rounds"]),
-            counted(coordinator, &["reads_ok", "writes_ok"]),
-            counted(
-                voter,
-                &["durability.snapshot_seq", "durability.wal_records"],
-            ),
+            counted(coordinator, &|f| f == "batch.rounds"),
+            counted(coordinator, &|f| f == "reads_ok" || f == "writes_ok"),
+            counted(coordinator, &|f| {
+                f.starts_with("peer.") && f.ends_with(".sends")
+            }),
+            counted(voter, &|f| {
+                f == "durability.snapshot_seq" || f == "durability.wal_records"
+            }),
         ]
     };
     put(0); // warm-up: peer links up before the counted batches
@@ -418,12 +423,12 @@ fn count_per_batch(args: &Args) -> (f64, f64) {
         handle.stop();
     }
     std::fs::remove_dir_all(&data_root).ok();
-    let [batches, rounds, records] = std::array::from_fn(|i| after[i] - before[i]);
+    let [batches, rounds, frames, records] = std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
         batches, COUNTED_BATCHES as f64,
         "serial puts batch one by one"
     );
-    (rounds / batches, records / batches)
+    [rounds, frames, records].map(|count| count / batches)
 }
 
 /// The `--shards N` mode: keyed workload, one coordinator connection
@@ -556,7 +561,8 @@ fn run_sharded(args: &Args) {
     for handle in handles {
         handle.stop();
     }
-    let (rounds_per_batch, voter_wal_records_per_batch) = count_per_batch(args);
+    let [rounds_per_batch, coordinator_frames_per_batch, voter_wal_records_per_batch] =
+        count_per_batch(args);
 
     // The per-shard breakdown and the single-core fairness summary.
     let shard_rps: Vec<f64> = per_shard
@@ -593,7 +599,7 @@ fn run_sharded(args: &Args) {
 {per_shard_json}
   }},
   "fairness": {{ "min_shard_rps": {min_rps:.0}, "max_shard_rps": {max_rps:.0}, "max_over_min": {ratio:.3} }},
-  "per_keyed_batch": {{ "rounds_per_batch": {rounds_per_batch:.2}, "voter_wal_records_per_batch": {voter_wal_records_per_batch:.2}, "batches": {COUNTED_BATCHES}, "from": "Status deltas over serial puts on a durable fleet" }},
+  "per_keyed_batch": {{ "rounds_per_batch": {rounds_per_batch:.2}, "coordinator_frames_per_batch": {coordinator_frames_per_batch:.2}, "voter_wal_records_per_batch": {voter_wal_records_per_batch:.2}, "batches": {COUNTED_BATCHES}, "from": "Status deltas over serial puts on a durable fleet" }},
   "note": "keyed closed-loop over {shards} independent shard groups, one pipelined coordinator connection per shard; on a multi-core host the aggregate scales with shards (independent quorums and batch commits) — on a single core the gated property is fairness (max_over_min near 1) with the aggregate within noise of one shard"
 }}
 "#,

@@ -485,6 +485,9 @@ struct Poll {
     heard: SiteSet,
     /// Delivery rounds used.
     attempts: u32,
+    /// Sites a `START` was handed to the transport for: whether or not
+    /// a reply came back, each may hold a vote for this operation.
+    polled: SiteSet,
     /// Reachable, up participants that never answered: message-loss
     /// victims or outstanding-vote abstainers — the coordinator cannot
     /// tell which.
@@ -1004,10 +1007,13 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// participant) times out and frees itself. Participants whose
     /// `COMMIT` may still be outstanding are in `keep` and stay
     /// wedged. Locally-hosted participants release synchronously; the
-    /// transport forwards the release to remote peers best-effort.
-    fn release_pending(&mut self, ticket: u64, keep: SiteSet) {
+    /// transport forwards the release best-effort to the remote sites
+    /// that can still hold such a vote: `unresolved` — the sites the
+    /// operation polled, less those that acknowledged its `COMMIT` —
+    /// less `keep`.
+    fn release_pending(&mut self, ticket: u64, keep: SiteSet, unresolved: SiteSet) {
         self.local_release(ticket, keep);
-        self.transport.release(ticket, keep);
+        self.transport.release(ticket, keep, unresolved - keep);
     }
 
     fn next_ticket(&mut self) -> u64 {
@@ -1128,6 +1134,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let participants = self.participants();
         let mut table = StateTable::fresh(participants);
         let mut heard = SiteSet::EMPTY;
+        let mut polled = SiteSet::EMPTY;
         if participants.contains(origin) {
             match self.participant_pending(origin) {
                 // The origin holds an outstanding vote for another
@@ -1172,6 +1179,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                     self.trace.record(start);
                     continue;
                 }
+                polled.insert(site);
                 let carried = self.exchange(start, None, ticket, mark_pending, None);
                 if !self.up.contains(origin) {
                     break; // a crash fault killed the origin mid-poll
@@ -1211,6 +1219,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             table,
             heard,
             attempts,
+            polled,
             silent,
             origin_alive: self.up.contains(origin),
         }
@@ -1442,7 +1451,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             Some(&self.network),
         )
         .map_err(|refusal| {
-            self.release_pending(ticket, SiteSet::EMPTY);
+            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
             self.timeout_or(refusal, kind.access_kind(), origin, poll)
         })
     }
@@ -1589,7 +1598,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let ticket = self.next_ticket();
         let poll = self.poll_phase(origin, group, ticket, true);
         if !poll.origin_alive {
-            self.release_pending(ticket, SiteSet::EMPTY);
+            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
             return Err(AccessError::OriginUnavailable { origin });
         }
         let p = self.plan_or_release(OpKind::Read, origin, ticket, &poll, rule)?;
@@ -1602,7 +1611,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let (value, served_version) = match self.fetch_current(AccessKind::Read, origin, &p) {
             Ok(pair) => pair,
             Err(failure) => {
-                self.release_pending(ticket, SiteSet::EMPTY);
+                self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
                 return Err(failure);
             }
         };
@@ -1618,7 +1627,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         if !outcome.applied.is_empty() {
             self.checker.note_commit(p.new_op, p.participants);
         }
-        self.release_pending(ticket, outcome.missing);
+        self.release_pending(ticket, outcome.missing, poll.polled - outcome.applied);
         if outcome.missing.is_empty() {
             self.checker.note_read(served_version);
             self.record_op(CommittedOp {
@@ -1783,14 +1792,14 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let ticket = self.next_ticket();
         let poll = self.poll_phase(origin, group, ticket, true);
         if !poll.origin_alive {
-            self.release_pending(ticket, SiteSet::EMPTY);
+            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
             return Err(AccessError::OriginUnavailable { origin });
         }
         let p = self.plan_or_release(OpKind::Write, origin, ticket, &poll, rule)?;
         let value = match value(self, &p) {
             Ok(Some(value)) => value,
             declined_or_failed => {
-                self.release_pending(ticket, SiteSet::EMPTY);
+                self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
                 return declined_or_failed.map(|_| None);
             }
         };
@@ -1813,7 +1822,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 self.checker.note_commit(p.new_op + i, p.participants);
             }
         }
-        self.release_pending(ticket, outcome.missing);
+        self.release_pending(ticket, outcome.missing, poll.polled - outcome.applied);
         if !outcome.missing.is_empty() {
             return Err(AccessError::Indeterminate {
                 kind: AccessKind::Write,
@@ -1867,7 +1876,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let was_wedged = self.participant_pending(site).is_some_and(|t| t != ticket);
         let mut poll = self.poll_phase(site, group, ticket, true);
         if !poll.origin_alive {
-            self.release_pending(ticket, SiteSet::EMPTY);
+            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
             return Err(AccessError::OriginUnavailable { origin: site });
         }
         if was_wedged {
@@ -1878,7 +1887,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             // never enters the quorum computation, version 0 forces a
             // data copy.
             if poll.heard.is_empty() {
-                self.release_pending(ticket, SiteSet::EMPTY);
+                self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
                 return Err(self.timeout_or(
                     AccessError::NoQuorum {
                         kind: AccessKind::Recover,
@@ -1906,7 +1915,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             match self.transfer_copy(AccessKind::Recover, site, p.data_source) {
                 Ok((value, _version)) => self.node_mut(site).store(value),
                 Err(failure) => {
-                    self.release_pending(ticket, SiteSet::EMPTY);
+                    self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
                     return Err(failure);
                 }
             }
@@ -1927,7 +1936,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         if !outcome.applied.is_empty() {
             self.checker.note_commit(p.new_op, p.participants);
         }
-        self.release_pending(ticket, outcome.missing);
+        self.release_pending(ticket, outcome.missing, poll.polled - outcome.applied);
         if outcome.missing.is_empty() {
             self.record_op(CommittedOp {
                 kind: AccessKind::Recover,

@@ -154,12 +154,16 @@ pub trait Transport<T> {
         let _ = (ticket, state, value);
     }
 
-    /// Best-effort broadcast of the abort oracle: sites holding an
+    /// Best-effort delivery of the abort oracle: sites holding an
     /// outstanding vote for `ticket` and not in `keep` may release it.
+    /// `recipients` are the only sites that can still hold one — every
+    /// site the operation polled, less those that acknowledged its
+    /// `COMMIT` (installing it released their vote), less `keep` — so a
+    /// round that closed everywhere names nobody and sends nothing.
     /// In-memory clusters release their nodes directly, so the default
-    /// is a no-op; a networked transport forwards it to its peers.
-    fn release(&mut self, ticket: u64, keep: SiteSet) {
-        let _ = (ticket, keep);
+    /// is a no-op; a networked transport forwards it to `recipients`.
+    fn release(&mut self, ticket: u64, keep: SiteSet, recipients: SiteSet) {
+        let _ = (ticket, keep, recipients);
     }
 }
 
@@ -385,6 +389,6 @@ mod tests {
     #[test]
     fn release_defaults_to_noop() {
         let mut t = BusTransport::new();
-        Transport::<u64>::release(&mut t, 7, SiteSet::EMPTY);
+        Transport::<u64>::release(&mut t, 7, SiteSet::EMPTY, SiteSet::first_n(3));
     }
 }

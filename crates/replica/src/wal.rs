@@ -491,9 +491,10 @@ pub struct Restored {
 ///
 /// The contract a daemon builds on: call [`SiteStore::log`] with the
 /// protocol event *before* acknowledging it to anyone; on `Ok` the
-/// event is on stable storage. Snapshots land automatically every
-/// `snapshot_every` records (atomic write-then-rename, then log
-/// truncation) and can be forced with [`SiteStore::snapshot_now`].
+/// event is on stable storage. Snapshots land automatically once the
+/// log holds `snapshot_every` records and as many bytes as the image
+/// (atomic write-then-rename, then log truncation) and can be forced
+/// with [`SiteStore::snapshot_now`].
 #[derive(Debug)]
 pub struct SiteStore {
     dir: PathBuf,
@@ -519,8 +520,10 @@ impl SiteStore {
     /// Opens (creating if needed) the durable store in `dir`: loads the
     /// snapshot if one validates (a corrupt one is moved aside), then
     /// folds in every intact log record the snapshot does not already
-    /// cover. `snapshot_every` bounds the log's length in records
-    /// before an automatic snapshot; `0` disables automatic snapshots.
+    /// cover. `snapshot_every` is the log's length in records before
+    /// an automatic snapshot — deferred, for an image larger than that
+    /// much log, until the log is as large as the image; `0` disables
+    /// automatic snapshots.
     ///
     /// When the current snapshot is missing or corrupt, recovery chains
     /// back one generation: the previous snapshot
@@ -661,8 +664,9 @@ impl SiteStore {
 
     /// Logs one durable event: appends it to the WAL, fsyncs, folds it
     /// into the running image, and — when the log has grown past
-    /// `snapshot_every` records — lands a snapshot and truncates the
-    /// log. On `Ok`, the event survives a crash; acknowledge only then.
+    /// `snapshot_every` records and past the size of the image —
+    /// lands a snapshot and truncates the log. On `Ok`, the event
+    /// survives a crash; acknowledge only then.
     ///
     /// # Errors
     ///
@@ -688,10 +692,23 @@ impl SiteStore {
         }
         self.next_seq += 1;
         apply_entry(&mut self.image, &mut self.unfolded, &entry).expect("chain checked above");
-        if self.snapshot_every > 0 && self.wal.records() >= self.snapshot_every {
+        if self.snapshot_due() {
             self.snapshot_now()?;
         }
         Ok(())
+    }
+
+    /// Whether the log has earned a snapshot: it holds `snapshot_every`
+    /// records *and* at least as many bytes as the data the snapshot
+    /// would rewrite. A snapshot costs one image of disk writes whatever
+    /// the log holds, so it is paid once the log has grown by one image
+    /// — which also bounds what a restart replays to the larger of
+    /// `snapshot_every` records and one image's worth of log.
+    fn snapshot_due(&self) -> bool {
+        let image_bytes = self.image.value.as_ref().map_or(0, Vec::len) as u64;
+        self.snapshot_every > 0
+            && self.wal.records() >= self.snapshot_every
+            && self.wal.bytes() >= image_bytes
     }
 
     /// Writes the current image as a snapshot and rotates generations:
@@ -1267,6 +1284,57 @@ mod tests {
         assert_eq!(restored.image.as_ref(), Some(&final_image));
         assert_eq!(store.image().unwrap(), &final_image);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Logs 64-byte deltas on an image of `image_len` bytes until the
+    /// first automatic snapshot; returns how many records and bytes the
+    /// log held when it landed.
+    fn log_until_first_snapshot(tag: &str, image_len: usize) -> (u64, u64) {
+        let dir = scratch_dir(tag);
+        let (mut store, _) = SiteStore::open_with_fold(&dir, 64, append_fold).unwrap();
+        store
+            .seed(state(1, 1), None, Some(vec![7u8; image_len]))
+            .unwrap();
+        let seeded = store.snapshot_seq();
+        store.log(delta(2, 1, &[9u8; 64])).unwrap();
+        let record_bytes = store.wal_bytes();
+        let mut landed = None;
+        for step in 1..4096u64 {
+            let held = (store.wal_records(), store.wal_bytes());
+            store.log(delta(2 + step, 1 + step, &[9u8; 64])).unwrap();
+            if store.snapshot_seq() != seeded {
+                assert_eq!(store.wal_records(), 0, "the snapshot parks the log");
+                landed = Some((held.0 + 1, held.1 + record_bytes));
+                break;
+            }
+        }
+        // The cadence changes when the image is rewritten, never what a
+        // restart rebuilds.
+        let image = store.image().unwrap().clone();
+        drop(store);
+        let (_, restored) = SiteStore::open_with_fold(&dir, 64, append_fold).unwrap();
+        assert_eq!(restored.image, Some(image));
+        std::fs::remove_dir_all(&dir).ok();
+        landed.expect("4096 records outgrow either image")
+    }
+
+    #[test]
+    fn wal_snapshot_waits_for_a_log_as_large_as_the_image() {
+        // A small image: due at exactly `snapshot_every` records.
+        let (records, _) = log_until_first_snapshot("cadence-small", 16);
+        assert_eq!(records, 64);
+        // A 100 KB image: rewriting it every 64 small records would
+        // write fifteen times what the log holds. It lands with the
+        // record that takes the log past the image's size, not before.
+        let image_len = 100 * 1024;
+        let (records, bytes) = log_until_first_snapshot("cadence-large", image_len);
+        let record_bytes = bytes / records;
+        assert!(records > 64, "{records} records");
+        assert!(bytes >= image_len as u64, "{bytes} B of log");
+        assert!(
+            bytes - record_bytes < image_len as u64,
+            "landed late: {bytes} B of log for a {image_len} B image"
+        );
     }
 
     #[test]

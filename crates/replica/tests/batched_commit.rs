@@ -1,7 +1,7 @@
 //! Batched-commit equivalence: `Cluster::write_batch` must be
 //! observationally identical to the serial writes it amortizes.
 //!
-//! Seven angles:
+//! Eight angles:
 //!
 //! * **serial equivalence** — a fault-free K-batch leaves every site
 //!   with the same final `⟨o, v, P⟩`, the same committed-op history,
@@ -33,6 +33,11 @@
 //!   value built on a stale local copy is *caught* is a unit test
 //!   beside the fault hook, `cluster::tests::
 //!   an_update_built_on_a_stale_local_copy_is_graded_a_stale_read`.)
+//! * **who a release is sent to** — the sites the operation polled
+//!   that no acknowledged `COMMIT` released and that are not kept
+//!   wedged: nobody after a clean `update`, `write_batch` or `read`,
+//!   the stale copy that voted without becoming a participant, and
+//!   everyone polled when the plan is refused.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -115,6 +120,8 @@ enum Event {
         to: SiteId,
         polled_version: Option<u64>,
     },
+    /// `release` — the abort oracle, with the sites it is sent to.
+    Release { keep: SiteSet, recipients: SiteSet },
 }
 
 /// Wraps the nemesis bus and journals the transport-level events the
@@ -152,8 +159,12 @@ impl<T> Transport<T> for RecordingTransport {
         Transport::<T>::commit_point(&mut self.inner, ticket, state, value);
     }
 
-    fn release(&mut self, ticket: u64, keep: SiteSet) {
-        Transport::<T>::release(&mut self.inner, ticket, keep);
+    fn release(&mut self, ticket: u64, keep: SiteSet, recipients: SiteSet) {
+        self.events
+            .lock()
+            .expect("journal poisoned")
+            .push(Event::Release { keep, recipients });
+        Transport::<T>::release(&mut self.inner, ticket, keep, recipients);
     }
 }
 
@@ -532,42 +543,157 @@ fn an_update_is_a_quorum_read_and_a_write_minus_one_round() {
     }
 }
 
-/// One update is one round on the wire: exactly one `START` per peer,
-/// no copy request when the coordinator is current, and the commit
-/// point before any `COMMIT` — each of which names the version its
-/// recipient voted with, the base `build` was told.
+/// One clean operation is one round on the wire, and nothing after it:
+/// exactly one `START` per peer, no copy request when the coordinator
+/// is current, the commit point before any `COMMIT` — each of which
+/// names the version its recipient voted with, the base `build` was
+/// told — and a release that names **no** recipient, because every
+/// site that voted acknowledged the commit that released it.
 #[test]
-fn an_update_polls_each_peer_once_and_commits_after_its_commit_point() {
-    let (mut cluster, events) = recording_cluster(Protocol::Odv, KeyedMap::new());
-    keyed_write(&mut cluster, &[("warm", 0)]);
-    events.lock().expect("journal poisoned").clear();
-    let held = cluster.state_at(origin());
-    let (op, base) = (held.op + 1, held.version);
-    keyed_write(&mut cluster, &[("k", 1)]);
+fn a_clean_round_is_two_exchanges_per_peer_and_a_release_to_nobody() {
+    type Operate = fn(&mut Cluster<KeyedMap, RecordingTransport>);
+    let operations: [(&str, u64, Operate); 3] = [
+        ("update", 1, |cluster| keyed_write(cluster, &[("k", 1)])),
+        ("write_batch", 2, |cluster| {
+            let maps = vec![
+                with_puts(&KeyedMap::new(), &[("a", 1)]),
+                with_puts(&KeyedMap::new(), &[("b", 2)]),
+            ];
+            let results = cluster.write_batch(origin(), maps);
+            assert!(results.iter().all(Result::is_ok), "{results:?}");
+        }),
+        ("read", 0, |cluster| {
+            cluster.read(origin()).expect("read granted");
+        }),
+    ];
+    for (name, versions, operate) in operations {
+        let (mut cluster, events) = recording_cluster(Protocol::Odv, KeyedMap::new());
+        keyed_write(&mut cluster, &[("warm", 0)]);
+        events.lock().expect("journal poisoned").clear();
+        let held = cluster.state_at(origin());
+        // A batch of K writes is K operations and K versions; a read is
+        // one operation and no version.
+        let op = held.op + versions.max(1);
+        let base = held.version;
+        operate(&mut cluster);
 
-    let events = events.lock().expect("journal poisoned");
-    let to = |site| SiteId::new(site);
+        let events = events.lock().expect("journal poisoned");
+        let to = |site| SiteId::new(site);
+        assert_eq!(
+            *events,
+            vec![
+                Event::StartSent { to: to(1) },
+                Event::StartSent { to: to(2) },
+                Event::Point {
+                    op,
+                    version: base + versions
+                },
+                Event::CommitSent {
+                    op,
+                    to: to(1),
+                    polled_version: Some(base)
+                },
+                Event::CommitSent {
+                    op,
+                    to: to(2),
+                    polled_version: Some(base)
+                },
+                Event::Release {
+                    keep: SiteSet::EMPTY,
+                    recipients: SiteSet::EMPTY
+                },
+            ],
+            "{name}"
+        );
+    }
+}
+
+/// Who a release is sent to: every site the operation polled that can
+/// still hold its vote. A stale copy that answered the poll but is no
+/// participant of the commit is named; a participant whose `COMMIT` was
+/// lost is kept wedged and *not* named; a refused plan names everyone
+/// polled, heard or not.
+#[test]
+fn a_release_names_the_polled_sites_no_commit_released() {
+    let releases = |events: &Journal| -> Vec<Event> {
+        events
+            .lock()
+            .expect("journal poisoned")
+            .iter()
+            .filter(|event| matches!(event, Event::Release { .. }))
+            .copied()
+            .collect()
+    };
+
+    // S2 misses a write and comes back without RECOVER: it answers the
+    // next poll (and votes) but the commit's participants are S0, S1.
+    let (mut cluster, events) = recording_cluster(Protocol::Odv, 0u64);
+    cluster.fail_site(SiteId::new(2));
+    cluster.write(origin(), 1).expect("write granted");
+    cluster.repair_site(SiteId::new(2));
+    events.lock().expect("journal poisoned").clear();
+    cluster.write(origin(), 2).expect("write granted");
     assert_eq!(
-        *events,
-        vec![
-            Event::StartSent { to: to(1) },
-            Event::StartSent { to: to(2) },
-            Event::Point {
-                op,
-                version: base + 1
-            },
-            Event::CommitSent {
-                op,
-                to: to(1),
-                polled_version: Some(base)
-            },
-            Event::CommitSent {
-                op,
-                to: to(2),
-                polled_version: Some(base)
-            },
-        ]
+        cluster.history().last().expect("recorded").participants,
+        SiteSet::from_indices([0, 1])
     );
+    assert_eq!(
+        releases(&events),
+        [Event::Release {
+            keep: SiteSet::EMPTY,
+            recipients: SiteSet::from_indices([2])
+        }]
+    );
+    assert!(cluster.pending_sites().is_empty());
+
+    // S2's COMMIT is lost past the retry budget: it stays wedged (in
+    // `keep`), and a release it must not act on is not sent to it.
+    let (mut cluster, events) = recording_cluster(Protocol::Odv, 0u64);
+    cluster
+        .transport_mut()
+        .inner
+        .bus_mut()
+        .inject(FaultRule::once(MessageClass::Commit, SiteId::new(2), FaultAction::Drop).times(16));
+    let lost = cluster.write(origin(), 1);
+    assert!(
+        matches!(lost, Err(AccessError::Indeterminate { .. })),
+        "{lost:?}"
+    );
+    assert_eq!(
+        releases(&events),
+        [Event::Release {
+            keep: SiteSet::from_indices([2]),
+            recipients: SiteSet::EMPTY
+        }]
+    );
+    assert_eq!(cluster.pending_sites(), SiteSet::from_indices([2]));
+
+    // Both peers vote, both replies are lost: the plan is refused with
+    // two votes outstanding that the coordinator never heard of. The
+    // release reaches both.
+    let (mut cluster, events) = recording_cluster(Protocol::Odv, 0u64);
+    for peer in [1, 2] {
+        cluster.transport_mut().inner.bus_mut().inject(FaultRule {
+            class: Some(MessageClass::State),
+            from: Some(SiteId::new(peer)),
+            to: Some(origin()),
+            action: FaultAction::Drop,
+            remaining: 16,
+        });
+    }
+    let refused = cluster.write(origin(), 1);
+    assert!(
+        matches!(refused, Err(AccessError::Timeout { .. })),
+        "{refused:?}"
+    );
+    assert_eq!(
+        releases(&events),
+        [Event::Release {
+            keep: SiteSet::EMPTY,
+            recipients: SiteSet::from_indices([1, 2])
+        }]
+    );
+    assert!(cluster.pending_sites().is_empty());
 }
 
 /// A coordinator that missed a write (down while S1 wrote, repaired
@@ -617,11 +743,15 @@ fn a_stale_coordinator_fetches_the_copy_inside_the_vote() {
                     assert_eq!(*polled_version, Some(current), "{protocol:?}: {events:?}");
                     "commit"
                 }
+                Event::Release { keep, recipients } => {
+                    assert!(keep.is_empty() && recipients.is_empty(), "{events:?}");
+                    "release"
+                }
             })
             .collect();
         assert_eq!(
             kinds,
-            ["start", "start", "copy", "point", "commit", "commit"],
+            ["start", "start", "copy", "point", "commit", "commit", "release"],
             "{protocol:?}: {events:?}"
         );
         drop(events);

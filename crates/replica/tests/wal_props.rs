@@ -409,6 +409,81 @@ fn torn_delta_campaign(seed: u64) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A large image defers its snapshot until the log is as large as the
+/// image, so a crash can leave a restart far more than `snapshot_every`
+/// records to replay. Twin stores take the same 1,300 deltas on a
+/// 256 KB image; one is killed with more than a thousand of them in
+/// its live log. It must come back byte-identical to the twin that
+/// never crashed, and stay so through the snapshot both then reach.
+#[test]
+fn wal_restart_replays_a_log_of_over_a_thousand_deltas() {
+    const SNAPSHOT_EVERY: u64 = 64;
+    let dirs = [
+        scratch_dir("long-log-twin"),
+        scratch_dir("long-log-crashed"),
+    ];
+    let boot = dynvote_core::state::ReplicaState {
+        op: 1,
+        version: 1,
+        partition: dynvote_types::SiteSet::from_indices(SITES),
+    };
+    let mut stores: Vec<SiteStore> = dirs
+        .iter()
+        .map(|dir| {
+            let (mut store, _) = open_store(dir, SNAPSHOT_EVERY);
+            store
+                .seed(boot, None, Some(vec![b'.'; 256 * 1024]))
+                .unwrap();
+            store
+        })
+        .collect();
+    let delta = |step: u64| WalRecord::Delta {
+        state: dynvote_core::state::ReplicaState {
+            op: boot.op + step,
+            version: boot.version + step,
+            partition: boot.partition,
+        },
+        base: boot.version + step - 1,
+        delta: format!("+{step:015}").into_bytes(),
+    };
+    for step in 1..=1100 {
+        for store in &mut stores {
+            store.log(delta(step)).unwrap();
+        }
+    }
+    let crashed = stores.pop().expect("two stores");
+    assert_eq!(crashed.wal_records(), 1100, "no snapshot landed yet");
+    drop(crashed);
+    let (reopened, restored) = open_store(&dirs[1], SNAPSHOT_EVERY);
+    assert_eq!(restored.replayed, 1100);
+    assert_eq!(restored.wal_tail, WalTail::Clean);
+    assert_eq!(restored.image.as_ref(), Some(stores[0].image().unwrap()));
+    stores.push(reopened);
+    let seeded = stores[0].snapshot_seq();
+    for step in 1101..=4000 {
+        for store in &mut stores {
+            store.log(delta(step)).unwrap();
+        }
+        if stores[0].snapshot_seq() != seeded {
+            break;
+        }
+    }
+    assert_ne!(
+        stores[0].snapshot_seq(),
+        seeded,
+        "the log outgrew the image"
+    );
+    assert_eq!(stores[0].snapshot_seq(), stores[1].snapshot_seq());
+    let twin = stores[0].image().unwrap().clone();
+    assert_eq!(stores[1].image().unwrap(), &twin);
+    drop(stores);
+    for dir in &dirs {
+        let (_, restored) = open_store(dir, SNAPSHOT_EVERY);
+        assert_eq!(restored.image.as_ref(), Some(&twin));
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
 proptest! {
     /// Kill-after-fsync + restart is invisible: the restored cluster is
     /// byte-identical to the never-crashed one, immediately and after

@@ -19,7 +19,8 @@
 //!
 //! With `--data-dir` the daemon is durable: every commit and
 //! outstanding vote is fsync'd to a write-ahead log before it is
-//! acknowledged, snapshots land every `--snapshot-every` records, and
+//! acknowledged, a snapshot lands once the log holds
+//! `--snapshot-every` records and as many bytes as the image, and
 //! a restart restores snapshot + WAL, then retries the protocol-level
 //! RECOVER for up to `--boot-recover-ms` to catch up from the majority
 //! partition. `--bind-retry-ms` keeps retrying a busy listen address —
@@ -69,7 +70,8 @@ pub struct Config {
     pub timeouts: TcpTimeouts,
     /// Durable storage directory (`None` = in-memory only).
     pub data_dir: Option<String>,
-    /// Automatic snapshot threshold in WAL records (0 = never).
+    /// Automatic snapshot threshold in WAL records (0 = never); an
+    /// image larger than that much log waits for a log of its own size.
     pub snapshot_every: u64,
     /// How long a restarted-from-disk daemon retries the protocol-level
     /// RECOVER at boot before serving anyway (zero disables it).

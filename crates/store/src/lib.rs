@@ -12,7 +12,8 @@
 //!
 //! * [`wire`] — the length-prefixed binary frame protocol (total
 //!   decoding over untrusted bytes);
-//! * [`tcp`] — [`tcp::TcpTransport`]: per-peer I/O threads, capped
+//! * [`tcp`] — [`tcp::TcpTransport`]: one link per peer, driven on the
+//!   calling thread under the socket's own timeouts, capped
 //!   exponential reconnect backoff, and the runtime [`tcp::LinkRules`]
 //!   that cut *real* partitions into a live cluster;
 //! * [`value`] — [`value::ShardValue`]: the replicated value as the

@@ -371,9 +371,9 @@ impl OpLedger {
     }
 
     /// Records that `ticket` was released with `keep` still bound —
-    /// the moment the release broadcast goes out. Appended without
-    /// fsync: a lost release record leaves the prober wedged (safe),
-    /// never mis-freed. A ticket already ledgered as committed keeps
+    /// the moment the release is decided, whoever it is then sent to.
+    /// Appended without fsync: a lost release record leaves the prober
+    /// wedged (safe), never mis-freed. A ticket already ledgered as committed keeps
     /// its commit record — the post-commit release of the `missing`
     /// set must not downgrade kept participants to releasable.
     pub fn note_release(&mut self, ticket: u64, keep: SiteSet) {

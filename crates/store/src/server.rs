@@ -52,7 +52,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -123,8 +123,22 @@ struct Logger {
 }
 
 impl Logger {
+    /// Whether a line goes anywhere at all — `--quiet` without a log
+    /// file discards every one.
+    fn enabled(&self) -> bool {
+        !self.quiet || self.file.is_some()
+    }
+
+    /// [`Logger::log`] for the hot path: the line is built only when it
+    /// will be written.
+    fn log_with(&self, line: impl FnOnce() -> String) {
+        if self.enabled() {
+            self.log(&line());
+        }
+    }
+
     fn log(&self, line: &str) {
-        if self.quiet && self.file.is_none() {
+        if !self.enabled() {
             return;
         }
         let stamp = SystemTime::now()
@@ -848,10 +862,12 @@ fn install_commit(
                     .then(|| cluster.value_at(to).with_delta(Arc::clone(&delta)))
                     .flatten();
                 let Some(next) = next else {
-                    daemon.log.log(&format!(
-                        "commit delta on v={} NOT applied: this copy holds v={}",
-                        delta.base, held.version
-                    ));
+                    daemon.log.log_with(|| {
+                        format!(
+                            "commit delta on v={} NOT applied: this copy holds v={}",
+                            delta.base, held.version
+                        )
+                    });
                     return None;
                 };
                 applied = Some(delta);
@@ -1087,17 +1103,18 @@ fn accept_loop(
     }
 }
 
-/// Waits until the stream has a readable byte, EOF, or shutdown.
-/// Peeking (instead of reading with a timeout) keeps the frame decoder
-/// from ever starting a frame it cannot finish on an idle tick.
-fn wait_readable(stream: &TcpStream, shutdown: &AtomicBool) -> bool {
-    let mut probe = [0u8; 1];
+/// Waits until the reader holds at least one unread byte. `false`: the
+/// peer closed, the socket failed, or the daemon is shutting down —
+/// seen within one idle timeout, which is what each blocking fill waits
+/// at most. Filling the buffer consumes nothing, so an idle tick never
+/// leaves the frame decoder inside a frame it cannot finish.
+fn wait_readable(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> bool {
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return false;
         }
-        match stream.peek(&mut probe) {
-            Ok(0) => return false, // clean close
+        match reader.fill_buf() {
+            Ok([]) => return false, // clean close
             Ok(_) => return true,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1124,10 +1141,10 @@ fn handle_connection(
     };
     let mut reader = BufReader::with_capacity(64 * 1024, stream);
     loop {
-        // Park on the idle poll only when the buffer is drained: the
-        // peek sees the socket, not bytes already pulled into the
-        // BufReader.
-        if reader.buffer().is_empty() && !wait_readable(reader.get_ref(), shutdown) {
+        // One read brings in whatever the socket holds — a frame, part
+        // of one, or many — and the decoder runs on the buffer until it
+        // is drained.
+        if reader.buffer().is_empty() && !wait_readable(&mut reader, shutdown) {
             return;
         }
         let frame = match read_frame(&mut reader) {
@@ -1662,10 +1679,17 @@ fn sharded_status_text(service: &Arc<Service>, sharded: &ShardedService) -> Stri
     out
 }
 
-/// Writes one frame through a session's shared writer.
+/// Writes one frame through a session's shared writer. A failed write
+/// may have left part of a frame on the wire, after which nothing
+/// written to the session could be decoded: the socket is shut down,
+/// which fails every later write at once and ends the session's reader.
 fn write_shared(writer: &Arc<Mutex<TcpStream>>, frame: &Frame) -> std::io::Result<()> {
     let mut guard = writer.lock().expect("session writer poisoned");
-    write_frame(&mut *guard, frame)
+    let written = write_frame(&mut *guard, frame);
+    if written.is_err() {
+        let _ = guard.shutdown(std::net::Shutdown::Both);
+    }
+    written
 }
 
 /// Queues a data operation for the batch worker. `false` means the
@@ -1675,7 +1699,8 @@ fn enqueue_data(daemon: &Arc<Daemon>, op: DataOp, done: Box<dyn FnOnce(Frame) + 
 }
 
 /// A completion that wraps the reply in the request's correlation id
-/// and writes it through the session's shared writer.
+/// and writes it through the session's shared writer (which closes the
+/// session when the write fails).
 fn tagged_completion(writer: &Arc<Mutex<TcpStream>>, id: u64) -> Box<dyn FnOnce(Frame) + Send> {
     let writer = Arc::clone(writer);
     Box::new(move |reply| {
@@ -1756,7 +1781,14 @@ fn batch_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool, queue: &mpsc::Receive
         daemon
             .batch_max
             .fetch_max(items.len() as u64, Ordering::Relaxed);
-        run_batch(daemon, &mut cluster, items);
+        let replies = run_batch(daemon, &mut cluster, items);
+        // The replies leave with the lock dropped: a client that has
+        // stopped reading can hold this worker for a write timeout, but
+        // not the shard — peer frames and `status` wait on that lock.
+        drop(cluster);
+        for (done, frame) in replies {
+            done(frame);
+        }
     }
 }
 
@@ -1809,11 +1841,19 @@ impl AppliedDeltas {
 
 const NOT_A_KV_MAP: &str = "shard image is not a KV map (corrupt replicated value)";
 
+/// A data operation's completion and the reply to hand it.
+type StagedReply = (Box<dyn FnOnce(Frame) + Send>, Frame);
+
 /// Serves one drained batch under the cluster lock, syncs durably ONCE,
-/// and only then releases the replies — the batched generalisation of
-/// fsync-before-ack: no acknowledgement in the batch leaves before the
-/// WAL holds every state change the batch made.
-fn run_batch(daemon: &Arc<Daemon>, cluster: &mut StoreCluster, items: Vec<PendingData>) {
+/// and only then returns the replies for the caller to release — the
+/// batched generalisation of fsync-before-ack: no acknowledgement in
+/// the batch leaves before the WAL holds every state change the batch
+/// made.
+fn run_batch(
+    daemon: &Arc<Daemon>,
+    cluster: &mut StoreCluster,
+    items: Vec<PendingData>,
+) -> Vec<StagedReply> {
     // (completion, reply, Some(op name) when the reply is a grant that
     // a failed fsync must downgrade to a durability refusal).
     type Staged = (Box<dyn FnOnce(Frame) + Send>, Frame, Option<&'static str>);
@@ -1847,7 +1887,7 @@ fn run_batch(daemon: &Arc<Daemon>, cluster: &mut StoreCluster, items: Vec<Pendin
                                 op.version,
                                 fmt_sites(op.participants)
                             );
-                            daemon.log.log(&format!(
+                            daemon.log.log_with(|| format!(
                                 "GRANT write: {detail} — Algorithm 1: the group holds a strict majority of P_m"
                             ));
                             (Frame::Done { detail }, Some("write"))
@@ -1905,9 +1945,9 @@ fn run_batch(daemon: &Arc<Daemon>, cluster: &mut StoreCluster, items: Vec<Pendin
                                 || cluster.state_at(daemon.local).version,
                                 |op| op.version,
                             );
-                            daemon
-                                .log
-                                .log(&format!("GRANT keyed read ×{}: v={version}", keys.len()));
+                            daemon.log.log_with(|| {
+                                format!("GRANT keyed read ×{}: v={version}", keys.len())
+                            });
                             for (key, done) in keys.into_iter().zip(dones) {
                                 let frame = match kv.get(&key) {
                                     Some(value) => Frame::Value {
@@ -1959,7 +1999,7 @@ fn run_batch(daemon: &Arc<Daemon>, cluster: &mut StoreCluster, items: Vec<Pendin
                             || cluster.state_at(daemon.local).version,
                             |op| op.version,
                         );
-                        daemon.log.log(&format!(
+                        daemon.log.log_with(|| format!(
                             "GRANT read ×{}: v={version} — Algorithm 1: the group holds a strict majority of P_m",
                             dones.len()
                         ));
@@ -1992,13 +2032,13 @@ fn run_batch(daemon: &Arc<Daemon>, cluster: &mut StoreCluster, items: Vec<Pendin
         std::process::abort();
     }
     let fsync_failed = synced.err();
-    for (done, frame, granted) in replies {
-        let frame = match (&fsync_failed, granted) {
-            (Some(error), Some(op)) => durability_refuse(daemon, op, error),
-            _ => frame,
-        };
-        done(frame);
-    }
+    replies
+        .into_iter()
+        .map(|(done, frame, granted)| match (&fsync_failed, granted) {
+            (Some(error), Some(op)) => (done, durability_refuse(daemon, op, error)),
+            _ => (done, frame),
+        })
+        .collect()
 }
 
 /// The coordinator-funnel read-modify-write behind a run of `requests`
@@ -2038,11 +2078,13 @@ fn keyed_write(
                 op.version,
                 fmt_sites(op.participants)
             );
-            daemon.log.log(&format!(
-                "GRANT keyed write ×{requests}: {detail} — one folded {} commit of {} key(s)",
-                if delta.is_some() { "delta" } else { "image" },
-                puts.0.len(),
-            ));
+            daemon.log.log_with(|| {
+                format!(
+                    "GRANT keyed write ×{requests}: {detail} — one folded {} commit of {} key(s)",
+                    if delta.is_some() { "delta" } else { "image" },
+                    puts.0.len(),
+                )
+            });
             (Frame::Done { detail }, Some("write"))
         }
         Ok(None) => (
@@ -2086,10 +2128,13 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                     // the state reply leaves — abstain if the disk
                     // cannot hold the vote.
                     if let Err(error) = sync_durable(daemon, &cluster, None) {
-                        daemon.log.log(&format!(
-                            "abstain: START from S{} ticket={ticket} — durability failure: {error}",
-                            from.index()
-                        ));
+                        daemon.log.log_with(|| {
+                            format!(
+                                "abstain: START from S{} ticket={ticket} — \
+                                 durability failure: {error}",
+                                from.index()
+                            )
+                        });
                         return Dispatch::Reply(Frame::Abstain {
                             ticket,
                             from: to,
@@ -2108,7 +2153,7 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                     })
                 }
                 _ => {
-                    daemon.log.log(&format!(
+                    daemon.log.log_with(|| format!(
                         "abstain: START from S{} ticket={ticket} — outstanding vote wedges this site",
                         from.index()
                     ));
@@ -2400,13 +2445,15 @@ fn serve_commit(
         ));
         return Dispatch::Silent;
     }
-    daemon.log.log(&format!(
-        "commit installed from S{}: o={} v={} P={{{}}}",
-        from.index(),
-        state.op,
-        state.version,
-        fmt_sites(state.partition)
-    ));
+    daemon.log.log_with(|| {
+        format!(
+            "commit installed from S{}: o={} v={} P={{{}}}",
+            from.index(),
+            state.op,
+            state.version,
+            fmt_sites(state.partition)
+        )
+    });
     Dispatch::Reply(Frame::CommitAck {
         ticket,
         from: to,
@@ -2434,7 +2481,9 @@ pub fn unavailable_reason(err: &AccessError) -> UnavailableReason {
 /// and decides whether to retry elsewhere.
 fn refuse(daemon: &Arc<Daemon>, op: &str, err: &AccessError) -> Frame {
     let clause = refusal_clause(err);
-    daemon.log.log(&format!("REFUSE {op}: {err} — {clause}"));
+    daemon
+        .log
+        .log_with(|| format!("REFUSE {op}: {err} — {clause}"));
     Frame::Unavailable {
         reason: unavailable_reason(err),
         message: format!("{err} [{clause}]"),

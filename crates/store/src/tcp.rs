@@ -1,19 +1,22 @@
 //! `TcpTransport`: the [`Transport`] implementation that carries the
 //! protocol over real sockets.
 //!
-//! One I/O thread per peer owns that peer's connection. The
-//! coordinator hands it an encoded frame over an in-process channel
-//! and blocks (bounded) for the outcome; the thread connects on
-//! demand, writes the frame, and reads the single reply frame the
-//! remote daemon sends back on the same connection. Every failure —
-//! refused connection, reset, read timeout, malformed reply — is
+//! Each peer has one [`PeerLink`]: a connection and its retry state,
+//! owned by the transport and therefore by whoever holds the cluster
+//! lock. An exchange runs on the calling thread — connect on demand,
+//! write the frame, read the single reply frame the remote daemon
+//! sends back on the same connection — and every wait in it is bounded
+//! by the socket's own connect, write and read timeouts. Every failure
+//! — refused connection, reset, read timeout, malformed reply — is
 //! *silence* to the protocol: [`Carried::silent`] with a
 //! [`Verdict::Drop`], exactly how the in-memory bus reports a lost
 //! message, so the cluster's bounded-retry and quorum logic need no
-//! network-specific cases.
+//! network-specific cases. A failure also drops the connection with
+//! whatever its read buffer held, so a reply that arrives after its
+//! timeout can never be taken for the answer to a later exchange.
 //!
 //! Reconnection uses capped exponential backoff: after a failure the
-//! thread refuses further attempts until the backoff window elapses
+//! link refuses further attempts until the backoff window elapses
 //! (failing sends fast instead of hammering a dead peer), doubling the
 //! window on each consecutive failure up to a cap and resetting it on
 //! success. Each wait is *jittered* — drawn from `[window/2, window]`
@@ -28,9 +31,8 @@
 //! at runtime by `dynvote-ctl deny/allow/heal-links`.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -152,27 +154,17 @@ pub struct PeerStats {
     pub backoff_ms: u64,
 }
 
-/// One request for a peer's I/O thread.
-struct PeerJob {
-    bytes: Vec<u8>,
-    /// `Some` when the caller waits for the single reply frame;
-    /// `None` for fire-and-forget frames (release broadcasts).
-    reply: Option<mpsc::SyncSender<Option<Frame>>>,
-}
-
-struct Peer {
-    jobs: mpsc::Sender<PeerJob>,
-    stats: Arc<Mutex<PeerStats>>,
-}
-
-/// Per-thread connection state machine (see the module docs).
+/// One peer's connection state machine (see the module docs).
 struct PeerLink {
     addr: String,
     timeouts: TcpTimeouts,
-    conn: Option<TcpStream>,
+    /// Replies are read through a buffer that lives and dies with the
+    /// connection: one `recv` per reply frame, and nothing buffered
+    /// survives the connection it was read from.
+    conn: Option<BufReader<TcpStream>>,
     backoff: Duration,
     retry_at: Instant,
-    stats: Arc<Mutex<PeerStats>>,
+    stats: PeerStats,
     /// Decorrelates reconnect waves: each wait is drawn from
     /// `[window/2, window]` rather than sitting exactly on the window's
     /// edge, so a fleet of simultaneously-restarted sites does not
@@ -181,21 +173,26 @@ struct PeerLink {
 }
 
 impl PeerLink {
-    fn stat<F: FnOnce(&mut PeerStats)>(&self, apply: F) {
-        apply(&mut self.stats.lock().expect("peer stats poisoned"));
+    fn new(addr: String, timeouts: TcpTimeouts, jitter: Jitter) -> Self {
+        PeerLink {
+            addr,
+            timeouts,
+            conn: None,
+            backoff: timeouts.backoff_floor,
+            retry_at: Instant::now(),
+            stats: PeerStats::default(),
+            jitter,
+        }
     }
 
     fn note_failure(&mut self) {
         self.conn = None;
         let wait = self.jitter.equal_jitter(self.backoff);
         self.retry_at = Instant::now() + wait;
-        let backoff_ms = wait.as_millis() as u64;
         self.backoff = (self.backoff * 2).min(self.timeouts.backoff_cap);
-        self.stat(|s| {
-            s.connected = false;
-            s.failures += 1;
-            s.backoff_ms = backoff_ms;
-        });
+        self.stats.connected = false;
+        self.stats.failures += 1;
+        self.stats.backoff_ms = wait.as_millis() as u64;
     }
 
     fn ensure_connected(&mut self) -> bool {
@@ -204,7 +201,7 @@ impl PeerLink {
         }
         if Instant::now() < self.retry_at {
             // Inside the backoff window: fail fast, no socket work.
-            self.stat(|s| s.failures += 1);
+            self.stats.failures += 1;
             return false;
         }
         let addrs: Vec<std::net::SocketAddr> =
@@ -220,13 +217,11 @@ impl PeerLink {
                 let _ = stream.set_read_timeout(Some(self.timeouts.read));
                 let _ = stream.set_write_timeout(Some(self.timeouts.read));
                 let _ = stream.set_nodelay(true);
-                self.conn = Some(stream);
+                self.conn = Some(BufReader::new(stream));
                 self.backoff = self.timeouts.backoff_floor;
-                self.stat(|s| {
-                    s.connected = true;
-                    s.reconnects += 1;
-                    s.backoff_ms = 0;
-                });
+                self.stats.connected = true;
+                self.stats.reconnects += 1;
+                self.stats.backoff_ms = 0;
                 true
             }
             None => {
@@ -236,25 +231,30 @@ impl PeerLink {
         }
     }
 
-    /// One exchange: write the frame, read the reply (unless
-    /// fire-and-forget). `None` is silence — the protocol's lost
-    /// message.
-    fn exchange(&mut self, job: &PeerJob) -> Option<Frame> {
-        self.stat(|s| s.sends += 1);
+    /// Hands one frame to the peer, connecting on demand. `false`: it
+    /// never left (backoff, refused connection, failed write).
+    fn send(&mut self, frame: &Frame) -> bool {
+        self.stats.sends += 1;
         if !self.ensure_connected() {
-            return None;
+            return false;
         }
-        let stream = self.conn.as_mut().expect("just connected");
-        if stream
-            .write_all(&job.bytes)
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
+        let stream = self.conn.as_mut().expect("just connected").get_mut();
+        let sent = stream
+            .write_all(&frame.encode())
+            .and_then(|()| stream.flush());
+        if sent.is_err() {
             self.note_failure();
+        }
+        sent.is_ok()
+    }
+
+    /// One exchange: send the frame, read the single reply. `None` is
+    /// silence — the protocol's lost message.
+    fn exchange(&mut self, frame: &Frame) -> Option<Frame> {
+        if !self.send(frame) {
             return None;
         }
-        job.reply.as_ref()?;
-        match read_frame(stream) {
+        match read_frame(self.conn.as_mut().expect("just sent on it")) {
             Ok(frame) => Some(frame),
             Err(_) => {
                 // Timeout, reset, or garbage: the connection's framing
@@ -266,27 +266,13 @@ impl PeerLink {
     }
 }
 
-fn peer_loop(mut link: PeerLink, jobs: mpsc::Receiver<PeerJob>) {
-    while let Ok(job) = jobs.recv() {
-        let outcome = link.exchange(&job);
-        if let Some(reply) = job.reply {
-            // The coordinator may have given up waiting; that is fine.
-            let _ = reply.send(outcome);
-        }
-    }
-}
-
 /// The socket-backed [`Transport`]: peers are remote daemons, the
 /// local participant is served directly by the cluster (never through
 /// `carry` — the coordinator reads its own node without a message).
 pub struct TcpTransport {
     local: SiteId,
-    peers: BTreeMap<SiteId, Peer>,
+    peers: BTreeMap<SiteId, PeerLink>,
     links: Arc<LinkRules>,
-    /// How long `carry` waits on the I/O thread before declaring the
-    /// exchange lost. The thread's socket timeouts bound its work, so
-    /// this only needs to cover connect + write + read once.
-    reply_wait: Duration,
     /// The operation ledger for answering vote probes — shared with
     /// the daemon's `VOTE-PROBE` handler, written at every commit
     /// point. Durable (replayed across restarts) when the daemon has a
@@ -301,7 +287,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// A transport for `local`, with one I/O thread per remote peer.
+    /// A transport for `local`, with one link per remote peer.
     ///
     /// `peers` maps every *other* site to its daemon address (a
     /// `host:port` string); an entry for `local` itself is ignored.
@@ -312,33 +298,18 @@ impl TcpTransport {
         links: Arc<LinkRules>,
         timeouts: TcpTimeouts,
     ) -> Self {
-        let mut map = BTreeMap::new();
-        for (site, addr) in peers {
-            if *site == local {
-                continue;
-            }
-            let stats = Arc::new(Mutex::new(PeerStats::default()));
-            let (tx, rx) = mpsc::channel();
-            let link = PeerLink {
-                addr: addr.clone(),
-                timeouts,
-                conn: None,
-                backoff: timeouts.backoff_floor,
-                retry_at: Instant::now(),
-                stats: Arc::clone(&stats),
-                jitter: Jitter::from_entropy(&(local.index(), site.index(), addr)),
-            };
-            std::thread::Builder::new()
-                .name(format!("dynvote-peer-{}", site.index()))
-                .spawn(move || peer_loop(link, rx))
-                .expect("spawn peer I/O thread");
-            map.insert(*site, Peer { jobs: tx, stats });
-        }
+        let peers = peers
+            .iter()
+            .filter(|(site, _)| *site != local)
+            .map(|(site, addr)| {
+                let jitter = Jitter::from_entropy(&(local.index(), site.index(), addr));
+                (*site, PeerLink::new(addr.clone(), timeouts, jitter))
+            })
+            .collect();
         TcpTransport {
             local,
-            peers: map,
+            peers,
             links,
-            reply_wait: timeouts.connect + timeouts.read + Duration::from_millis(500),
             ledger: Arc::new(Mutex::new(OpLedger::default())),
             shard: None,
         }
@@ -384,31 +355,8 @@ impl TcpTransport {
     pub fn peer_stats(&self) -> Vec<(SiteId, PeerStats)> {
         self.peers
             .iter()
-            .map(|(site, peer)| (*site, *peer.stats.lock().expect("peer stats poisoned")))
+            .map(|(site, link)| (*site, link.stats))
             .collect()
-    }
-
-    /// Sends a frame and waits (bounded) for the single reply frame.
-    fn roundtrip(&self, to: SiteId, frame: &Frame) -> Option<Frame> {
-        let peer = self.peers.get(&to)?;
-        let (tx, rx) = mpsc::sync_channel(1);
-        peer.jobs
-            .send(PeerJob {
-                bytes: frame.encode(),
-                reply: Some(tx),
-            })
-            .ok()?;
-        rx.recv_timeout(self.reply_wait).ok().flatten()
-    }
-
-    /// Sends a frame without waiting for any reply.
-    fn fire_and_forget(&self, to: SiteId, frame: &Frame) {
-        if let Some(peer) = self.peers.get(&to) {
-            let _ = peer.jobs.send(PeerJob {
-                bytes: frame.encode(),
-                reply: None,
-            });
-        }
     }
 }
 
@@ -486,7 +434,11 @@ impl Transport<ShardValue> for TcpTransport {
             }
         };
         let frame = self.address(frame);
-        let Some(reply) = self.roundtrip(message.to, &frame) else {
+        let reply = self
+            .peers
+            .get_mut(&message.to)
+            .and_then(|link| link.exchange(&frame));
+        let Some(reply) = reply else {
             return Carried::silent(Verdict::Drop);
         };
         if self.links.is_blocked(message.to) {
@@ -581,10 +533,10 @@ impl Transport<ShardValue> for TcpTransport {
         }
     }
 
-    fn release(&mut self, ticket: u64, keep: SiteSet) {
-        // The abort is decided the moment the release broadcast goes
-        // out; ledger it even for peers behind a cut link — the probe
-        // path is exactly for deliveries that fail here.
+    fn release(&mut self, ticket: u64, keep: SiteSet, recipients: SiteSet) {
+        // The abort is decided here, whoever it is sent to; ledger it
+        // even for peers behind a cut link — the probe path is exactly
+        // for deliveries that fail here.
         self.ledger
             .lock()
             .expect("op ledger poisoned")
@@ -594,12 +546,10 @@ impl Transport<ShardValue> for TcpTransport {
             from: self.local,
             keep,
         });
-        let targets: Vec<SiteId> = self.peers.keys().copied().collect();
-        for site in targets {
-            if self.links.is_blocked(site) {
-                continue;
+        for (site, link) in &mut self.peers {
+            if recipients.contains(*site) && !self.links.is_blocked(*site) {
+                link.send(&frame);
             }
-            self.fire_and_forget(site, &frame);
         }
     }
 }
@@ -713,20 +663,13 @@ mod tests {
         let waves: Vec<Vec<u64>> = (0u64..2)
             .map(|seed| {
                 let timeouts = TcpTimeouts::fast();
-                let mut link = PeerLink {
-                    addr: "127.0.0.1:1".to_string(),
-                    timeouts,
-                    conn: None,
-                    backoff: timeouts.backoff_floor,
-                    retry_at: Instant::now(),
-                    stats: Arc::new(Mutex::new(PeerStats::default())),
-                    jitter: Jitter::new(7 + seed),
-                };
+                let mut link =
+                    PeerLink::new("127.0.0.1:1".to_string(), timeouts, Jitter::new(7 + seed));
                 let mut window = timeouts.backoff_floor;
                 let mut waits = Vec::new();
                 for _ in 0..8 {
                     link.note_failure();
-                    let wait = link.stats.lock().unwrap().backoff_ms;
+                    let wait = link.stats.backoff_ms;
                     let lo = (window / 2).as_millis() as u64;
                     let hi = window.as_millis() as u64;
                     assert!(
@@ -740,6 +683,97 @@ mod tests {
             })
             .collect();
         assert_ne!(waves[0], waves[1], "two links retry in lockstep");
+    }
+
+    /// Answers a `StartReq` with a state reply whose op number says
+    /// which answer it is.
+    fn answer_start(stream: &mut TcpStream, request: &Frame, op: u64) -> std::io::Result<()> {
+        let Frame::StartReq {
+            ticket, from, to, ..
+        } = request
+        else {
+            panic!("expected StartReq, got {request:?}");
+        };
+        let reply = Frame::StateRep {
+            ticket: *ticket,
+            from: *to,
+            to: *from,
+            state: ReplicaState {
+                op,
+                version: 1,
+                partition: SiteSet::from_indices([0, 1]),
+            },
+        };
+        stream.write_all(&reply.encode())
+    }
+
+    /// A peer that accepts and then says nothing costs the caller one
+    /// read timeout — the exchange runs on the caller's thread, the
+    /// socket's timeout is the bound — and nothing more while the link
+    /// backs off. Its answer, when it finally comes, died with the
+    /// connection: the next exchange gets the next connection's reply.
+    #[test]
+    fn a_silent_peer_costs_one_read_timeout_and_its_late_reply_is_never_delivered() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (gave_up, may_answer) = std::sync::mpsc::channel::<()>();
+        let (answered_late, late_answer_sent) = std::sync::mpsc::channel::<()>();
+        let served = std::thread::spawn(move || {
+            let (mut first, _) = listener.accept().unwrap();
+            let request = read_frame(&mut first).unwrap();
+            // Silent until the caller has timed out; then the late
+            // answer, which may or may not still find a socket.
+            may_answer.recv().unwrap();
+            let _ = answer_start(&mut first, &request, 111);
+            answered_late.send(()).unwrap();
+            let (mut second, _) = listener.accept().unwrap();
+            let request = read_frame(&mut second).unwrap();
+            answer_start(&mut second, &request, 222).unwrap();
+        });
+        let timeouts = TcpTimeouts {
+            connect: Duration::from_millis(250),
+            read: Duration::from_millis(150),
+            backoff_floor: Duration::from_millis(400),
+            backoff_cap: Duration::from_millis(400),
+        };
+        let mut transport = TcpTransport::new(
+            SiteId::new(0),
+            &[(SiteId::new(1), addr.to_string())],
+            Arc::new(LinkRules::new()),
+            timeouts,
+        );
+        let message = start_message(0, 1);
+
+        let began = Instant::now();
+        let carried = carry(&mut transport, &message);
+        let waited = began.elapsed();
+        assert!(carried.response.is_none());
+        assert!(
+            waited >= timeouts.read && waited < timeouts.read * 3,
+            "one read timeout, got {waited:?}"
+        );
+        gave_up.send(()).unwrap();
+
+        // Inside the backoff window (at least 200 ms of it left): no
+        // socket work, no wait.
+        let began = Instant::now();
+        let carried = carry(&mut transport, &message);
+        assert!(carried.response.is_none());
+        assert!(began.elapsed() < Duration::from_millis(50));
+        let stats = transport.peer_stats()[0].1;
+        assert_eq!((stats.sends, stats.failures, stats.reconnects), (2, 2, 1));
+        assert!(!stats.connected);
+
+        late_answer_sent.recv().unwrap();
+        std::thread::sleep(timeouts.backoff_cap);
+        let carried = carry(&mut transport, &message);
+        served.join().unwrap();
+        let response = carried.response.expect("the second connection answers");
+        assert!(
+            matches!(response.body, Reply::State { op: 222, .. }),
+            "a reply from a dropped connection reached a later exchange"
+        );
+        assert_eq!(transport.peer_stats()[0].1.reconnects, 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   Figures 1–3/5–7: `START` → state reply or abstention, `COMMIT`
 //!   (whole value, or [`Frame::CommitDelta`]: the puts of a keyed batch
 //!   against the version the recipient holds) → acknowledgement, copy
-//!   request → copy reply, plus the abort oracle's release broadcast
+//!   request → copy reply, plus the abort oracle's release
 //!   and the vote probe;
 //! * **client requests** (`0x10..=0x16`) — `dynvote-ctl` commands:
 //!   the data operations and the link-rule administration used to cut

@@ -12,7 +12,10 @@
 //!   restarted daemon still serves the write, proving the ack point
 //!   sits strictly after stable storage — for the legacy store's full
 //!   commit record and for a shard's keyed batch, whose record is a
-//!   delta that only means something on top of the records before it.
+//!   delta that only means something on top of the records before it;
+//! * a large image defers its snapshot until the log has grown as
+//!   large, so a kill can leave over a thousand delta records to
+//!   replay — and the restart serves every one of them.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -323,6 +326,84 @@ fn crash_after_wal_append_with_a_delta_record_restarts_serving_the_keys() {
     wait_for_key(&target, "c", "unacknowledged");
     wait_for_key(&target, "a", "3");
     wait_for_key(&target, "b", "2");
+
+    drop(fleet);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The shard daemon's `status` fields at `target`.
+fn shard_status(target: &str) -> std::collections::BTreeMap<String, String> {
+    let frame = Frame::Shard {
+        shard: 0,
+        inner: Box::new(Frame::Status),
+    };
+    match request(target, &frame, TIMEOUT) {
+        Ok(Outcome::Report(text)) => dynvote_store::campaign::monitor::parse_status(&text),
+        other => panic!("shard status: {other:?}"),
+    }
+}
+
+/// A 256 KB image is not rewritten every 64 records: the snapshot waits
+/// until the log is as large as the image, which 1,100 small keyed puts
+/// do not reach. `kill -9` with all of them in the live log; the
+/// restart replays the chain onto the seed snapshot and serves the
+/// first put, the last, and the version they led to.
+#[test]
+fn kill_nine_with_over_a_thousand_deltas_in_the_log_restarts_serving_them() {
+    const PUTS: usize = 1_100;
+    let ports = free_ports(1);
+    let dir = scratch_dir("long-delta-log");
+    let sharded = [
+        "--shards",
+        "1",
+        "--shard-placement",
+        "ring:1",
+        "--snapshot-every",
+        "64",
+    ];
+    let target = addr(&ports, 0);
+    let mut fleet = Fleet {
+        children: vec![Some(spawn_daemon(0, &ports, &dir, &sharded))],
+    };
+    wait_status(&target);
+    let ballast = "b".repeat(256 * 1024);
+    let outcome = keyed(&target, &put_key("ballast", &ballast));
+    assert!(matches!(outcome, Ok(Outcome::Done(_))), "{outcome:?}");
+    // The ballast arrived as a delta on an empty image, so the first
+    // snapshot — the one that makes the image 256 KB — is due at 64
+    // records. Roll past it.
+    for i in 0..64 {
+        let outcome = keyed(&target, &put_key("warm", &i.to_string()));
+        assert!(matches!(outcome, Ok(Outcome::Done(_))), "{outcome:?}");
+    }
+    let seeded = shard_status(&target)["durability.snapshot_seq"].clone();
+    assert_ne!(seeded, "0", "the first snapshot lands at --snapshot-every");
+    for i in 0..PUTS {
+        let outcome = keyed(&target, &put_key(&format!("k{}", i % 50), &i.to_string()));
+        assert!(
+            matches!(outcome, Ok(Outcome::Done(_))),
+            "put {i}: {outcome:?}"
+        );
+    }
+    let before = shard_status(&target);
+    assert_eq!(
+        before["durability.snapshot_seq"], seeded,
+        "the image was rewritten before the log reached its size"
+    );
+    let in_log: usize = before["durability.wal_records"].parse().unwrap();
+    assert!(in_log > 1_000, "{in_log} records in the live log");
+
+    let mut victim = fleet.children[0].take().expect("daemon running");
+    victim.kill().expect("kill -9");
+    victim.wait().expect("reap");
+    fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &sharded));
+    wait_status(&target);
+    wait_for_key(&target, "k0", &(PUTS - 50).to_string());
+    wait_for_key(&target, "k49", &(PUTS - 1).to_string());
+    wait_for_key(&target, "ballast", &ballast);
+    let after = shard_status(&target);
+    assert_eq!(after["version"], before["version"]);
+    assert_eq!(after["value_len"], before["value_len"]);
 
     drop(fleet);
     std::fs::remove_dir_all(dir).ok();

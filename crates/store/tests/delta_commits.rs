@@ -496,7 +496,10 @@ fn a_run_rewriting_the_same_keys_commits_each_keys_last_put() {
 
 /// A keyed batch is one quorum round. At the coordinator no read runs
 /// and one record is logged (the delta); at each voter two are — the
-/// vote it cast and the delta it applied — and nothing else.
+/// vote it cast and the delta it applied — and nothing else. On the
+/// wire the round is two frames to each peer, START and COMMIT: every
+/// voter acknowledged the commit, so no RELEASE follows. A keyed read
+/// costs the same two.
 #[test]
 fn a_keyed_batch_is_one_round_and_two_records_at_a_voter() {
     let fleet = Fleet::boot_snapshotting("one-round", 1_000);
@@ -520,22 +523,42 @@ fn a_keyed_batch_is_one_round_and_two_records_at_a_voter() {
     );
     for (voter, before) in logged.iter().enumerate().skip(1) {
         assert_eq!(fleet.records_logged(voter) - before, 2, "S{voter}'s log");
+        assert_eq!(
+            moved(&format!("peer.{voter}.sends")),
+            2,
+            "frames to S{voter}"
+        );
     }
+    assert_eq!(fleet.get("k"), b"v");
+    let read = fleet.status(0);
+    for voter in 1..SITES {
+        let sends = format!("peer.{voter}.sends");
+        assert_eq!(
+            read[&sends].parse::<u64>().unwrap() - after[&sends].parse::<u64>().unwrap(),
+            2,
+            "frames to S{voter} for one GetKey run"
+        );
+    }
+    // The batch's records, then the read's: a vote and the state-only
+    // commit that absorbs it (at the coordinator, the commit alone).
     let logs = fleet.stop_and_read_logs();
     for (site, log) in logs.iter().enumerate().skip(1) {
-        match &log[log.len() - 2..] {
+        match &log[log.len() - 4..] {
             [WalRecord::Vote { .. }, WalRecord::Delta {
                 base: on, state, ..
-            }] => {
+            }, WalRecord::Vote { .. }, WalRecord::Commit { value: None, .. }] => {
                 assert_eq!((*on, state.version), (base, base + 1), "S{site}");
             }
-            tail => panic!("S{site} logged {tail:?} for the batch"),
+            tail => panic!("S{site} logged {tail:?} for the batch and the read"),
         }
     }
+    let tail = &logs[0][logs[0].len() - 2..];
     assert!(
-        matches!(logs[0].last(), Some(WalRecord::Delta { base: on, .. }) if *on == base),
-        "S0 logged {:?}",
-        logs[0].last()
+        matches!(
+            tail,
+            [WalRecord::Delta { base: on, .. }, WalRecord::Commit { value: None, .. }] if *on == base
+        ),
+        "S0 logged {tail:?}"
     );
 }
 
