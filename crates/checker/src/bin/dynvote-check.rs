@@ -38,7 +38,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: dynvote-check [--policy NAME|all] [--sites N (<=8)] \
-[--segments K (<=3)] [--depth D] [--budget-secs S] [--max-findings M] \
+[--segments K (<=3)] [--depth D (<=255)] [--budget-secs S] [--max-findings M] \
 [--threads N] [--symmetry on|off] [--bench-out PATH] \
 [--deny-hazards] [--no-shrink] [--trace-dir DIR] [--diff dv-ldv|odv-ldv|otdv-tdv|mcv-ldv]";
 
@@ -156,6 +156,8 @@ fn parse_args() -> Result<Args, String> {
             args.segments
         ));
     }
+    dynvote_check::checked_depth(args.depth)
+        .map_err(|error| format!("--depth: {error}\n{USAGE}"))?;
     Ok(args)
 }
 

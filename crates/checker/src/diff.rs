@@ -38,10 +38,10 @@ use dynvote_replica::Protocol;
 
 use crate::engine::{self, EngineConfig, Space};
 use crate::event::CheckEvent;
-use crate::explore::enumerate_events;
+use crate::explore::{checked_depth, enumerate_events, DepthTooLarge};
 use crate::scenario::{policy_name, Scenario};
 use crate::shrink::ddmin;
-use crate::symmetry::{canonical_fingerprint, SymmetryGroup};
+use crate::symmetry::{canonical_fingerprint, SymView, SymmetryGroup};
 use crate::world::World;
 
 /// The relation a differential run asserts between primary and
@@ -64,7 +64,8 @@ pub struct DiffConfig {
     pub reference: Protocol,
     /// The asserted relation.
     pub relation: Relation,
-    /// Maximum number of events per path.
+    /// Maximum number of events per path, at most
+    /// [`crate::explore::MAX_DEPTH`].
     pub depth: usize,
     /// Wall-clock budget; `None` is exhaustive.
     pub budget: Option<Duration>,
@@ -110,6 +111,16 @@ impl DiffConfig {
     pub fn symmetry(mut self, on: bool) -> DiffConfig {
         self.symmetry = on;
         self
+    }
+
+    /// Whether [`run_differential`] accepts this configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`DepthTooLarge`] when `depth` exceeds
+    /// [`crate::explore::MAX_DEPTH`].
+    pub fn validate(&self) -> Result<(), DepthTooLarge> {
+        checked_depth(self.depth).map(|_| ())
     }
 
     fn reference_scenario(&self) -> Scenario {
@@ -175,6 +186,8 @@ struct PairSpace {
 impl Space for PairSpace {
     type Hit = String;
 
+    type Scratch = [SymView; 2];
+
     fn events(&self) -> Vec<CheckEvent> {
         // The alphabet comes from the primary world; fault events keep
         // the two up-sets identical, so enumeration agrees between the
@@ -182,17 +195,18 @@ impl Space for PairSpace {
         enumerate_events(&self.primary)
     }
 
-    fn step(&mut self, event: CheckEvent) -> Vec<String> {
+    fn step(&mut self, event: CheckEvent, _: &mut Self::Scratch) -> Vec<String> {
         check_pair(self, event).into_iter().collect()
     }
 
-    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>) -> u64 {
+    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>, views: &mut [SymView; 2]) -> u64 {
         match symmetry {
             None => self.primary.fingerprint() ^ self.reference.fingerprint().rotate_left(17),
-            Some(group) => canonical_fingerprint(
-                &[&self.primary.sym_view(), &self.reference.sym_view()],
-                group,
-            ),
+            Some(group) => {
+                self.primary.fill_view(&mut views[0]);
+                self.reference.fill_view(&mut views[1]);
+                canonical_fingerprint(&[&views[0], &views[1]], group)
+            }
         }
     }
 }
@@ -260,10 +274,14 @@ fn mismatch_reproduces(config: &DiffConfig, events: &[CheckEvent]) -> bool {
 }
 
 /// Runs the lockstep differential exploration.
+///
+/// # Panics
+///
+/// When the configuration does not [`DiffConfig::validate`].
 #[must_use]
 pub fn run_differential(config: &DiffConfig) -> DiffReport {
     let engine_config = EngineConfig {
-        depth: config.depth,
+        depth: checked_depth(config.depth).unwrap_or_else(|error| panic!("{error}")),
         threads: config.threads,
         symmetry: config.symmetry.then(|| {
             SymmetryGroup::of(&config.scenario)
@@ -310,6 +328,15 @@ pub fn run_differential(config: &DiffConfig) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_depth_the_seen_map_cannot_hold_is_refused() {
+        let scenario = Scenario::new(Protocol::Odv, 2, 1).unwrap();
+        let at_bound = DiffConfig::new(scenario, Protocol::Ldv, Relation::Equivalent, 255);
+        assert_eq!(at_bound.validate(), Ok(()));
+        let too_deep = DiffConfig::new(scenario, Protocol::Ldv, Relation::Equivalent, 256);
+        assert_eq!(too_deep.validate(), Err(DepthTooLarge { depth: 256 }));
+    }
 
     #[test]
     fn odv_is_ldv_at_message_level() {

@@ -30,11 +30,11 @@
 //! same-layer parents generate the same child — is scheduling noise.
 //! The merge step erases it:
 //!
-//! * every generated child is recorded as a [`ChildRec`] keyed by its
-//!   canonical generation coordinates `(job, event index)`;
+//! * every generated child is recorded as a 24-byte [`ChildRec`] keyed
+//!   by its canonical generation coordinates `(job, event index)`;
 //! * per fingerprint, the **canonical parent** is the minimum
 //!   `(job, event index)` over all same-layer generators (the insert
-//!   winner only contributes the state value);
+//!   winner only contributes the state, boxed once and never moved);
 //! * new states are appended to the arena and the next frontier in
 //!   canonical-coordinate order, and terminal hits are sorted the same
 //!   way.
@@ -76,23 +76,30 @@ pub(crate) trait Space: Clone + Send + Sync {
     /// What a terminal transition yields (violations, mismatches, …).
     type Hit: Clone + Send;
 
+    /// Buffers a step or a fingerprint fills and forgets. Each worker
+    /// keeps one for a whole layer, so neither allocates them per
+    /// transition.
+    type Scratch: Default;
+
     /// Applicable events, in canonical order.
     fn events(&self) -> Vec<CheckEvent>;
 
     /// Applies `event` in place. A non-empty result makes the resulting
     /// state terminal: it is recorded and never expanded or
     /// fingerprinted.
-    fn step(&mut self, event: CheckEvent) -> Vec<Self::Hit>;
+    fn step(&mut self, event: CheckEvent, scratch: &mut Self::Scratch) -> Vec<Self::Hit>;
 
     /// The state's deduplication fingerprint — canonical under
     /// `symmetry` when one is supplied.
-    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>) -> u64;
+    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>, scratch: &mut Self::Scratch) -> u64;
 }
 
 /// Engine parameters, independent of the particular [`Space`].
 pub(crate) struct EngineConfig {
-    /// Maximum number of events per path.
-    pub depth: usize,
+    /// Maximum number of events per path. A byte, because the seen map
+    /// stores depth-left in one: a deeper bound would alias states seen
+    /// at different remaining depths.
+    pub depth: u8,
     /// Worker threads (clamped to at least 1).
     pub threads: usize,
     /// Quotient fingerprints under this symmetry group.
@@ -123,11 +130,6 @@ pub(crate) struct EngineReport<H> {
     pub truncated: bool,
     /// Terminal transitions, canonically ordered.
     pub hits: Vec<HitRec<H>>,
-}
-
-/// Clamps a depth to the `u8` the seen map stores.
-pub(crate) fn depth_u8(depth: usize) -> u8 {
-    u8::try_from(depth.min(usize::from(u8::MAX))).expect("clamped")
 }
 
 /// The fingerprint memo, sharded so concurrent workers rarely contend:
@@ -239,14 +241,16 @@ struct ArenaEntry {
 const NO_PARENT: u32 = u32::MAX;
 
 /// One generated (non-terminal) child, keyed by canonical generation
-/// coordinates. `state` is `Some` iff this record's probe owned the
-/// seen-map insertion.
+/// coordinates: 24 bytes, so putting a layer into canonical order
+/// never moves a state. `state` is `Some` iff this record's probe
+/// owned the seen-map insertion; that box is the state's only home,
+/// from the step that produced it to the frontier that expands it.
 struct ChildRec<S> {
     fingerprint: u64,
+    state: Option<Box<S>>,
     job: u32,
     event_idx: u16,
-    event: CheckEvent,
-    state: Option<S>,
+    event: PackedEvent,
 }
 
 /// One terminal transition as a worker saw it.
@@ -264,63 +268,75 @@ struct WorkerOut<S: Space> {
     dedup_old: u64,
 }
 
-/// Expands frontier slots stolen from `next_job` until the layer (or
-/// the budget) is exhausted.
-#[allow(clippy::too_many_arguments)]
-fn expand_layer<S: Space>(
-    frontier: &[(u32, S)],
-    next_job: &AtomicUsize,
-    seen: &ShardedSeen,
-    depth_left: u8,
-    symmetry: Option<&SymmetryGroup>,
-    transitions: &AtomicU64,
-    truncated: &AtomicBool,
+/// What every worker of every layer shares.
+struct Shared<'a> {
+    seen: ShardedSeen,
+    symmetry: Option<&'a SymmetryGroup>,
+    transitions: AtomicU64,
+    truncated: AtomicBool,
     deadline: Option<Instant>,
+}
+
+impl Shared<'_> {
+    /// Whether the wall clock has reached the deadline.
+    fn out_of_time(&self) -> bool {
+        self.deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+    }
+}
+
+/// Expands frontier slots stolen from `next_job` until the layer (or
+/// the budget) is exhausted; `child_depth` is the depth left at the
+/// children.
+fn expand_layer<S: Space>(
+    shared: &Shared<'_>,
+    frontier: &[(u32, Box<S>)],
+    next_job: &AtomicUsize,
+    child_depth: u8,
 ) -> WorkerOut<S> {
     let mut out = WorkerOut {
         children: Vec::new(),
         raw_hits: Vec::new(),
         dedup_old: 0,
     };
+    let mut scratch = S::Scratch::default();
     loop {
-        let job = next_job.fetch_add(1, Ordering::Relaxed);
-        if job >= frontier.len() || truncated.load(Ordering::Relaxed) {
+        let slot = next_job.fetch_add(1, Ordering::Relaxed);
+        if slot >= frontier.len() || shared.truncated.load(Ordering::Relaxed) {
             break;
         }
-        let (_, state) = &frontier[job];
+        let job = u32::try_from(slot).expect("frontier fits u32");
+        let state = &*frontier[slot].1;
         for (event_idx, &event) in state.events().iter().enumerate() {
-            let total = transitions.fetch_add(1, Ordering::Relaxed);
-            if total & BUDGET_POLL_MASK == 0 {
-                if let Some(deadline) = deadline {
-                    if Instant::now() >= deadline {
-                        truncated.store(true, Ordering::Relaxed);
-                    }
-                }
+            let total = shared.transitions.fetch_add(1, Ordering::Relaxed);
+            if total & BUDGET_POLL_MASK == 0 && shared.out_of_time() {
+                shared.truncated.store(true, Ordering::Relaxed);
             }
-            if truncated.load(Ordering::Relaxed) {
+            if shared.truncated.load(Ordering::Relaxed) {
                 break;
             }
+            let event_idx = u16::try_from(event_idx).expect("alphabet fits u16");
             let mut child = state.clone();
-            let hits = child.step(event);
+            let hits = child.step(event, &mut scratch);
             if !hits.is_empty() {
                 // Terminal: record, never fingerprint or expand.
                 out.raw_hits.push(RawHit {
-                    job: u32::try_from(job).expect("frontier fits u32"),
-                    event_idx: u16::try_from(event_idx).expect("alphabet fits u16"),
+                    job,
+                    event_idx,
                     event,
                     hits,
                 });
                 continue;
             }
-            let fingerprint = child.fingerprint(symmetry);
-            match seen.probe(fingerprint, depth_left) {
+            let fingerprint = child.fingerprint(shared.symmetry, &mut scratch);
+            match shared.seen.probe(fingerprint, child_depth) {
                 Probe::Covered => out.dedup_old += 1,
                 owned => out.children.push(ChildRec {
                     fingerprint,
-                    job: u32::try_from(job).expect("frontier fits u32"),
-                    event_idx: u16::try_from(event_idx).expect("alphabet fits u16"),
-                    event,
-                    state: (owned == Probe::New).then_some(child),
+                    state: (owned == Probe::New).then(|| Box::new(child)),
+                    job,
+                    event_idx,
+                    event: PackedEvent::pack(event),
                 }),
             }
         }
@@ -328,16 +344,13 @@ fn expand_layer<S: Space>(
     out
 }
 
-/// Reconstructs the event path from the root to arena entry `id`.
+/// Reconstructs the event path from the root (which carries no event)
+/// to arena entry `id`.
 fn path_of(arena: &[ArenaEntry], mut id: u32) -> Vec<CheckEvent> {
     let mut path = Vec::new();
-    while id != NO_PARENT {
-        let entry = &arena[id as usize];
-        if entry.parent == NO_PARENT {
-            break; // the root carries no event
-        }
-        path.push(entry.event.unpack());
-        id = entry.parent;
+    while arena[id as usize].parent != NO_PARENT {
+        path.push(arena[id as usize].event.unpack());
+        id = arena[id as usize].parent;
     }
     path.reverse();
     path
@@ -345,109 +358,92 @@ fn path_of(arena: &[ArenaEntry], mut id: u32) -> Vec<CheckEvent> {
 
 /// Explores `root` to `config.depth`, layer by layer.
 pub(crate) fn explore<S: Space>(root: S, config: &EngineConfig) -> EngineReport<S::Hit> {
-    let symmetry = config.symmetry.as_ref();
-    let threads = config.threads.max(1);
-    let seen = ShardedSeen::new();
-    seen.probe(root.fingerprint(symmetry), depth_u8(config.depth));
+    let shared = Shared {
+        seen: ShardedSeen::new(),
+        symmetry: config.symmetry.as_ref(),
+        transitions: AtomicU64::new(0),
+        truncated: AtomicBool::new(false),
+        deadline: config.deadline,
+    };
+    let root_fingerprint = root.fingerprint(shared.symmetry, &mut S::Scratch::default());
+    shared.seen.probe(root_fingerprint, config.depth);
 
     let mut arena = vec![ArenaEntry {
         parent: NO_PARENT,
         event: PackedEvent(0),
     }];
-    let transitions = AtomicU64::new(0);
-    let truncated = AtomicBool::new(false);
     let mut states_explored: u64 = 1;
     let mut dedup_hits: u64 = 0;
     let mut hit_recs: Vec<HitRec<S::Hit>> = Vec::new();
-    let mut frontier: Vec<(u32, S)> = vec![(0, root)];
+    let mut frontier: Vec<(u32, Box<S>)> = vec![(0, Box::new(root))];
 
     let mut depth_left = config.depth;
-    while depth_left > 0 && !frontier.is_empty() && !truncated.load(Ordering::Relaxed) {
-        let child_depth = depth_u8(depth_left - 1);
+    while depth_left > 0 && !frontier.is_empty() && !shared.truncated.load(Ordering::Relaxed) {
+        depth_left -= 1;
         let next_job = AtomicUsize::new(0);
-        let workers = threads.min(frontier.len()).max(1);
-        let mut outs: Vec<WorkerOut<S>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        expand_layer(
-                            &frontier,
-                            &next_job,
-                            &seen,
-                            child_depth,
-                            symmetry,
-                            &transitions,
-                            &truncated,
-                            config.deadline,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("engine worker panicked"))
-                .collect()
-        });
+        let expand = || expand_layer(&shared, &frontier, &next_job, depth_left);
+        // One worker expands on this thread: most layers of a small
+        // scope are a handful of states, less work than a spawn and a
+        // join.
+        let workers = config.threads.clamp(1, frontier.len());
+        let outs: Vec<WorkerOut<S>> = if workers == 1 {
+            vec![expand()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(expand)).collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("engine worker panicked"))
+                    .collect()
+            })
+        };
 
         // Deterministic merge: canonical-coordinate order erases the
         // worker schedule.
         let mut children = Vec::new();
         let mut raw_hits = Vec::new();
-        for out in &mut outs {
+        for mut out in outs {
             dedup_hits += out.dedup_old;
             children.append(&mut out.children);
             raw_hits.append(&mut out.raw_hits);
         }
-        children.sort_by_key(|c| (c.job, c.event_idx));
+        children.sort_unstable_by_key(|c| (c.job, c.event_idx));
         raw_hits.sort_by_key(|r| (r.job, r.event_idx));
 
         // Once the budget has expired, inserting the surviving children
         // into the arena buys nothing — the next layer will never be
         // expanded — and on a large layer it can cost multiples of the
         // budget itself. Skip straight to recording this layer's hits.
-        // The merge below also re-polls the deadline periodically so a
-        // merge that *starts* inside the budget cannot overrun it
-        // unboundedly either.
-        let merge_children = !truncated.load(Ordering::Relaxed);
-
-        let mut state_of: HashMap<u64, S> = HashMap::new();
-        if merge_children {
-            for child in &mut children {
-                if let Some(state) = child.state.take() {
-                    state_of.insert(child.fingerprint, state);
+        let mut next_frontier: Vec<(u32, Box<S>)> = Vec::new();
+        if !shared.truncated.load(Ordering::Relaxed) {
+            // Each state this layer first reached, keyed by fingerprint
+            // until the walk meets its canonical parent: the first
+            // record, in canonical order, that generated it. Later
+            // records of that fingerprint are same-layer collisions.
+            let mut unplaced: HashMap<u64, Box<S>> = children
+                .iter_mut()
+                .filter_map(|child| Some((child.fingerprint, child.state.take()?)))
+                .collect();
+            next_frontier.reserve(unplaced.len());
+            for (merged, child) in children.iter().enumerate() {
+                // A merge that starts inside the budget must not
+                // overrun it unboundedly either.
+                if merged & 0x1FFF == 0 && shared.out_of_time() {
+                    shared.truncated.store(true, Ordering::Relaxed);
+                    break;
                 }
+                let Some(state) = unplaced.remove(&child.fingerprint) else {
+                    dedup_hits += 1;
+                    continue;
+                };
+                let id = u32::try_from(arena.len()).expect("arena fits u32");
+                arena.push(ArenaEntry {
+                    parent: frontier[child.job as usize].0,
+                    event: child.event,
+                });
+                states_explored += 1;
+                next_frontier.push((id, state));
             }
-        }
-        let mut next_frontier: Vec<(u32, S)> = Vec::new();
-        let mut placed: HashMap<u64, ()> = HashMap::new();
-        for (merged, child) in children.iter().enumerate() {
-            if !merge_children {
-                break;
-            }
-            if merged & 0x1FFF == 0 {
-                if let Some(deadline) = config.deadline {
-                    if Instant::now() >= deadline {
-                        truncated.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            if placed.contains_key(&child.fingerprint) {
-                dedup_hits += 1; // same-layer collision
-                continue;
-            }
-            let Some(state) = state_of.remove(&child.fingerprint) else {
-                dedup_hits += 1; // depth-clamp corner: treat as covered
-                continue;
-            };
-            placed.insert(child.fingerprint, ());
-            let id = u32::try_from(arena.len()).expect("arena fits u32");
-            arena.push(ArenaEntry {
-                parent: frontier[child.job as usize].0,
-                event: PackedEvent::pack(child.event),
-            });
-            states_explored += 1;
-            next_frontier.push((id, state));
         }
         for raw in raw_hits {
             let trace = (hit_recs.len() < config.max_traced).then(|| {
@@ -462,21 +458,226 @@ pub(crate) fn explore<S: Space>(root: S, config: &EngineConfig) -> EngineReport<
         }
 
         frontier = next_frontier;
-        depth_left -= 1;
     }
 
     EngineReport {
         states_explored,
         dedup_hits,
-        transitions: transitions.load(Ordering::Relaxed),
-        truncated: truncated.load(Ordering::Relaxed),
+        transitions: shared.transitions.into_inner(),
+        truncated: shared.truncated.into_inner(),
         hits: hit_recs,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+    use std::time::Duration;
+
     use super::*;
+
+    /// A toy space over a small integer graph: the state is a node, the
+    /// event `Partition(i)` follows the node's `i`-th edge, and landing
+    /// on a terminal node is a hit carrying that node.
+    #[derive(Clone)]
+    struct Toy {
+        at: usize,
+        graph: Arc<Graph>,
+    }
+
+    struct Graph {
+        edges: Vec<Vec<usize>>,
+        terminal: Vec<usize>,
+    }
+
+    impl Space for Toy {
+        type Hit = usize;
+        type Scratch = ();
+
+        fn events(&self) -> Vec<CheckEvent> {
+            (0..self.graph.edges[self.at].len())
+                .map(CheckEvent::Partition)
+                .collect()
+        }
+
+        fn step(&mut self, event: CheckEvent, (): &mut ()) -> Vec<usize> {
+            let CheckEvent::Partition(edge) = event else {
+                unreachable!("the toy alphabet is edge indices");
+            };
+            self.at = self.graph.edges[self.at][edge];
+            if self.graph.terminal.contains(&self.at) {
+                vec![self.at]
+            } else {
+                Vec::new()
+            }
+        }
+
+        fn fingerprint(&self, _: Option<&SymmetryGroup>, (): &mut ()) -> u64 {
+            (self.at as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        }
+    }
+
+    /// Everything a report says, in a form two reports compare by.
+    type Summary = (u64, u64, u64, bool, Vec<(Vec<usize>, Option<Vec<usize>>)>);
+
+    fn run(graph: &Arc<Graph>, depth: u8, threads: usize, max_traced: usize) -> Summary {
+        run_until(graph, depth, threads, max_traced, None)
+    }
+
+    fn run_until(
+        graph: &Arc<Graph>,
+        depth: u8,
+        threads: usize,
+        max_traced: usize,
+        deadline: Option<Instant>,
+    ) -> Summary {
+        let root = Toy {
+            at: 0,
+            graph: Arc::clone(graph),
+        };
+        let config = EngineConfig {
+            depth,
+            threads,
+            symmetry: None,
+            deadline,
+            max_traced,
+        };
+        let report = explore(root, &config);
+        let edge = |event: CheckEvent| match event {
+            CheckEvent::Partition(edge) => edge,
+            other => panic!("not a toy event: {other}"),
+        };
+        let hits = report
+            .hits
+            .into_iter()
+            .map(|rec| {
+                let trace = rec.trace.map(|t| t.into_iter().map(edge).collect());
+                (rec.hits, trace)
+            })
+            .collect();
+        (
+            report.states_explored,
+            report.dedup_hits,
+            report.transitions,
+            report.truncated,
+            hits,
+        )
+    }
+
+    /// Thirty parents in one layer all generate node 100; each also
+    /// generates a node of its own and steps back to the root.
+    fn fan_in() -> Arc<Graph> {
+        let mut edges = vec![Vec::new(); 1000];
+        edges[0] = (1..=30).collect();
+        for (parent, out) in edges.iter_mut().enumerate().skip(1).take(30) {
+            *out = vec![100, 100 + parent, 0];
+        }
+        edges[100] = vec![999];
+        Arc::new(Graph {
+            edges,
+            terminal: vec![999],
+        })
+    }
+
+    #[test]
+    fn shared_child_hangs_off_its_first_generator() {
+        for threads in [1, 2, 4] {
+            let (states, dedup, transitions, truncated, hits) = run(&fan_in(), 3, threads, 8);
+            // Root, thirty parents, node 100 and thirty private nodes.
+            assert_eq!(states, 62, "{threads} threads");
+            // Depth 1: 30. Depth 2: 30 × 3. Depth 3: node 100's one edge.
+            assert_eq!(transitions, 121);
+            // Twenty-nine later generators of node 100 and thirty steps
+            // back to the root.
+            assert_eq!(dedup, 59);
+            assert!(!truncated);
+            // Whichever worker's probe owned node 100, its parent is
+            // node 1: job 0, event 0.
+            assert_eq!(hits, vec![(vec![999], Some(vec![0, 0, 0]))]);
+        }
+    }
+
+    #[test]
+    fn hits_come_out_in_canonical_order_and_past_the_cap_untraced() {
+        // Three parents, each with a terminal edge either side of a
+        // live one.
+        let mut edges = vec![Vec::new(); 40];
+        edges[0] = vec![1, 2, 3];
+        for (parent, out) in edges.iter_mut().enumerate().skip(1).take(3) {
+            *out = vec![10 * parent, 5, 10 * parent + 1];
+        }
+        let graph = Arc::new(Graph {
+            edges,
+            terminal: vec![10, 11, 20, 21, 30, 31],
+        });
+        for threads in [1, 2, 4] {
+            let (states, _, transitions, _, hits) = run(&graph, 2, threads, 4);
+            assert_eq!((states, transitions), (5, 12));
+            assert_eq!(
+                hits,
+                vec![
+                    (vec![10], Some(vec![0, 0])),
+                    (vec![11], Some(vec![0, 2])),
+                    (vec![20], Some(vec![1, 0])),
+                    (vec![21], Some(vec![1, 2])),
+                    (vec![30], None),
+                    (vec![31], None),
+                ],
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// `nodes` nodes, five edges each, a few of them terminal.
+    fn tangle(nodes: usize) -> Arc<Graph> {
+        let edges = (0..nodes)
+            .map(|node| {
+                (0..5)
+                    .map(|k| (node * 7 + k * 13 + node * node % 31) % nodes)
+                    .collect()
+            })
+            .collect();
+        Arc::new(Graph {
+            edges,
+            terminal: (1..nodes.min(400)).filter(|node| node % 10 == 9).collect(),
+        })
+    }
+
+    #[test]
+    fn thread_count_changes_nothing_in_a_report() {
+        let graph = tangle(200);
+        let base = run(&graph, 6, 1, 16);
+        assert!(base.0 > 50 && base.4.len() > 16, "the graph is too tame");
+        for threads in [2, 4] {
+            assert_eq!(run(&graph, 6, threads, 16), base, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_truncated_run_is_still_well_formed() {
+        // Out of time at the first poll, which is the first transition.
+        let graph = tangle(20_000);
+        let spent = Instant::now() - Duration::from_millis(1);
+        let (states, dedup, transitions, truncated, hits) =
+            run_until(&graph, 8, 4, 16, Some(spent));
+        assert!(truncated);
+        assert_eq!((states, dedup, transitions), (1, 0, 1));
+        assert!(hits.is_empty());
+
+        // Out of time somewhere inside a search of ~10^5 transitions.
+        let full = run(&graph, 8, 1, usize::MAX);
+        assert!(full.2 > 50_000, "the graph is too small to outlast 200 µs");
+        let soon = Instant::now() + Duration::from_micros(200);
+        let (states, dedup, transitions, truncated, hits) =
+            run_until(&graph, 8, 2, usize::MAX, Some(soon));
+        assert!(truncated);
+        assert!(states <= full.0 && dedup <= full.1 && transitions <= full.2);
+        for (found, trace) in &hits {
+            let trace = trace.as_ref().expect("every hit under the cap is traced");
+            let end = trace.iter().fold(0, |at, &edge| graph.edges[at][edge]);
+            assert_eq!(found, &vec![end], "the trace replays to its hit");
+        }
+    }
 
     #[test]
     fn packed_event_roundtrips() {

@@ -26,9 +26,12 @@ use crate::engine::{self, EngineConfig, Space};
 use crate::event::CheckEvent;
 use crate::scenario::Scenario;
 use crate::shrink::ddmin;
-use crate::symmetry::{canonical_fingerprint, SymmetryGroup};
+use crate::symmetry::{canonical_fingerprint, SymView, SymmetryGroup};
 use crate::trace::regression_snippet;
-use crate::world::{apply_and_detect, classify_known_hazard, default_suite, World};
+use crate::world::{
+    apply_and_detect, apply_and_detect_in, classify_known_hazard, default_suite, DetectScratch,
+    World,
+};
 
 /// How often (in applied transitions) the wall-clock budget is polled.
 /// The counter is shared across workers (a single atomic), so the poll
@@ -36,12 +39,45 @@ use crate::world::{apply_and_detect, classify_known_hazard, default_suite, World
 /// than one poll interval, however the layer is partitioned.
 pub const BUDGET_POLL_MASK: u64 = 0x3FF;
 
+/// The deepest bound a run accepts: the engine's seen map stores the
+/// depth left at a state in one byte.
+pub const MAX_DEPTH: usize = u8::MAX as usize;
+
+/// A depth bound past [`MAX_DEPTH`]. Clamping it instead would alias
+/// states seen with different depths left, so the run is refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DepthTooLarge {
+    /// The depth that was asked for.
+    pub depth: usize,
+}
+
+impl core::fmt::Display for DepthTooLarge {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "depth {} is past the checker's bound of {MAX_DEPTH}",
+            self.depth
+        )
+    }
+}
+
+impl std::error::Error for DepthTooLarge {}
+
+/// `depth` as the engine stores it.
+///
+/// # Errors
+///
+/// [`DepthTooLarge`] when `depth` exceeds [`MAX_DEPTH`].
+pub fn checked_depth(depth: usize) -> Result<u8, DepthTooLarge> {
+    u8::try_from(depth).map_err(|_| DepthTooLarge { depth })
+}
+
 /// One run of the checker.
 #[derive(Clone, Debug)]
 pub struct CheckConfig {
     /// The configuration under check.
     pub scenario: Scenario,
-    /// Maximum number of events per path.
+    /// Maximum number of events per path, at most [`MAX_DEPTH`].
     pub depth: usize,
     /// Wall-clock budget; `None` explores exhaustively (and
     /// deterministically — budgeted runs may truncate at a
@@ -89,6 +125,15 @@ impl CheckConfig {
     pub fn symmetry(mut self, on: bool) -> CheckConfig {
         self.symmetry = on;
         self
+    }
+
+    /// Whether [`run`] accepts this configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`DepthTooLarge`] when `depth` exceeds [`MAX_DEPTH`].
+    pub fn validate(&self) -> Result<(), DepthTooLarge> {
+        checked_depth(self.depth).map(|_| ())
     }
 }
 
@@ -201,13 +246,15 @@ struct CheckSpace<'a> {
 impl Space for CheckSpace<'_> {
     type Hit = (Violation, bool);
 
+    type Scratch = (DetectScratch, SymView);
+
     fn events(&self) -> Vec<CheckEvent> {
         enumerate_events(&self.world)
     }
 
-    fn step(&mut self, event: CheckEvent) -> Vec<(Violation, bool)> {
+    fn step(&mut self, event: CheckEvent, scratch: &mut Self::Scratch) -> Vec<(Violation, bool)> {
         let was_forked = self.world.forked();
-        let found = apply_and_detect(&mut self.world, self.suite, event);
+        let found = apply_and_detect_in(&mut scratch.0, &mut self.world, self.suite, event);
         if found.is_empty() {
             return Vec::new();
         }
@@ -222,15 +269,22 @@ impl Space for CheckSpace<'_> {
             .collect()
     }
 
-    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>) -> u64 {
+    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>, scratch: &mut Self::Scratch) -> u64 {
         match symmetry {
             None => self.world.fingerprint(),
-            Some(group) => canonical_fingerprint(&[&self.world.sym_view()], group),
+            Some(group) => {
+                self.world.fill_view(&mut scratch.1);
+                canonical_fingerprint(&[&scratch.1], group)
+            }
         }
     }
 }
 
 /// Runs the checker on the scenario's canonical cluster.
+///
+/// # Panics
+///
+/// When the configuration does not [`CheckConfig::validate`].
 #[must_use]
 pub fn run(config: &CheckConfig) -> Report {
     run_with_factory(config, &|scenario: &Scenario| scenario.build_cluster())
@@ -241,6 +295,10 @@ pub fn run(config: &CheckConfig) -> Report {
 /// The factory builds the root cluster *and* every reproduction replay
 /// (shrinking re-validates candidate traces from scratch), so a factory
 /// that arms a fault keeps it armed through minimization.
+///
+/// # Panics
+///
+/// When the configuration does not [`CheckConfig::validate`].
 #[must_use]
 pub fn run_with_factory(
     config: &CheckConfig,
@@ -253,7 +311,7 @@ pub fn run_with_factory(
         scenario: config.scenario,
     };
     let engine_config = EngineConfig {
-        depth: config.depth,
+        depth: checked_depth(config.depth).unwrap_or_else(|error| panic!("{error}")),
         threads: config.threads,
         symmetry: config.symmetry.then(|| SymmetryGroup::of(&config.scenario)),
         deadline: config.budget.map(|budget| Instant::now() + budget),
@@ -382,6 +440,17 @@ mod tests {
         let events = enumerate_events(&world);
         assert!(events.contains(&CheckEvent::Partition(1)));
         assert!(!events.contains(&CheckEvent::Heal), "nothing to heal yet");
+    }
+
+    #[test]
+    fn a_depth_the_seen_map_cannot_hold_is_refused() {
+        let scenario = Scenario::new(Protocol::Odv, 2, 1).unwrap();
+        assert_eq!(CheckConfig::new(scenario, MAX_DEPTH).validate(), Ok(()));
+        let too_deep = CheckConfig::new(scenario, MAX_DEPTH + 1);
+        assert_eq!(too_deep.validate(), Err(DepthTooLarge { depth: 256 }));
+        assert_eq!(checked_depth(255), Ok(255));
+        let refused = std::panic::catch_unwind(|| run(&too_deep));
+        assert!(refused.is_err(), "run must not clamp the depth");
     }
 
     #[test]

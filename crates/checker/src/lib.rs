@@ -48,7 +48,10 @@ pub mod world;
 
 pub use diff::{run_differential, DiffConfig, DiffFinding, DiffReport, Relation};
 pub use event::CheckEvent;
-pub use explore::{enumerate_events, run, run_with_factory, CheckConfig, Finding, Report};
+pub use explore::{
+    checked_depth, enumerate_events, run, run_with_factory, CheckConfig, DepthTooLarge, Finding,
+    Report, MAX_DEPTH,
+};
 pub use scenario::{parse_policy, policy_name, Scenario, ALL_POLICIES};
 pub use shrink::ddmin;
 pub use symmetry::{canonical_fingerprint, SymView, SymmetryGroup};

@@ -31,7 +31,10 @@
 //! candidate sets coincide (`π′∘ρ` ranges over exactly the
 //! signature-sorted relabelings of `w` as `π′` ranges over those of
 //! `ρ(w)`), hence equal canonical fingerprints; the property test in
-//! `tests/symmetry_props.rs` exercises exactly this identity.
+//! `tests/symmetry_props.rs` exercises exactly this identity. Of the
+//! tied orderings, those that differ only by a swap of *twins* — two
+//! sites whose exchange maps the view onto itself — relabel to the same
+//! world, so one of them is hashed and the minimum is the same.
 //!
 //! # Soundness and the lexicon (why eligibility is policy-aware)
 //!
@@ -74,7 +77,7 @@
 //! random views (any pools), and symmetry-on never reports fewer
 //! distinct violations than symmetry-off on small random scenarios.
 
-use dynvote_types::{SiteId, SiteSet};
+use dynvote_types::{SiteId, SiteSet, MAX_SITES};
 
 use crate::scenario::Scenario;
 
@@ -228,7 +231,7 @@ impl SymmetryGroup {
 /// Everything a state contributes to its (plain or canonical)
 /// fingerprint, extracted into site-indexed plain data so permutations
 /// can act on it directly.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SymView {
     /// Number of addressable sites.
     pub sites: usize,
@@ -250,8 +253,9 @@ pub struct SymView {
     pub scalars: [u64; 3],
 }
 
-/// One site's contribution to the fingerprint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One site's contribution to the fingerprint. The default is a site
+/// that holds no copy.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeView {
     /// Whether the site participates at all (holds a copy).
     pub participant: bool,
@@ -269,24 +273,20 @@ pub struct NodeView {
     pub value: u64,
 }
 
+impl NodeView {
+    /// The three booleans as bits 0–2 of one hash word.
+    fn flags(&self) -> u64 {
+        u64::from(self.participant) | u64::from(self.up) << 1 | u64::from(self.pending) << 2
+    }
+}
+
 impl SymView {
     /// Applies an admissible relabeling to the view — pure data
     /// permutation, used by the invariance property tests and by the
     /// canonicalization itself (implicitly, via permuted hashing).
     #[must_use]
     pub fn permuted(&self, map: &[usize]) -> SymView {
-        let mut nodes = vec![
-            NodeView {
-                participant: false,
-                up: false,
-                pending: false,
-                op: 0,
-                version: 0,
-                partition: SiteSet::EMPTY,
-                value: 0,
-            };
-            self.nodes.len()
-        ];
+        let mut nodes = vec![NodeView::default(); self.nodes.len()];
         for (old, node) in self.nodes.iter().enumerate() {
             let mut moved = *node;
             moved.partition = permute_set(node.partition, map);
@@ -311,15 +311,15 @@ impl SymView {
     /// The view's plain (identity-relabeling) fingerprint.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_under(self, IDENTITY[..self.nodes.len()].as_ref())
+        fingerprint_with(self, |new| new, |set| set)
     }
 }
 
 /// The identity relabeling, long enough for any addressable site.
-const IDENTITY: [usize; dynvote_types::MAX_SITES] = {
-    let mut id = [0usize; dynvote_types::MAX_SITES];
+const IDENTITY: [usize; MAX_SITES] = {
+    let mut id = [0usize; MAX_SITES];
     let mut i = 0;
-    while i < dynvote_types::MAX_SITES {
+    while i < MAX_SITES {
         id[i] = i;
         i += 1;
     }
@@ -336,231 +336,266 @@ pub fn permute_set(set: SiteSet, map: &[usize]) -> SiteSet {
     out
 }
 
-/// Hashes `view` as relabeled by `map` (old index → new index) without
-/// materializing the permuted view: sites are visited in *new*-index
-/// order and every site set is remapped on the fly.
-fn fingerprint_under(view: &SymView, map: &[usize]) -> u64 {
-    use std::hash::{Hash, Hasher};
+/// The word-at-a-time hash behind every fingerprint and signature in
+/// this module. It is the checker's own on purpose:
+/// `dynvote_core::Fnv64` also checksums WAL, ledger and snapshot
+/// records, so its output is a disk format and its byte-at-a-time loop
+/// cannot change, while a state fingerprint never leaves the process.
+///
+/// Every step is a bijection of the state for a fixed word and of the
+/// word for a fixed state, so two inputs that differ in exactly one
+/// word never collide.
+#[derive(Clone, Copy)]
+struct Mixer(u64);
 
-    let n = view.nodes.len();
-    let mut inverse = [0usize; dynvote_types::MAX_SITES];
-    for (old, &new) in map.iter().enumerate().take(n) {
+impl Mixer {
+    fn new() -> Mixer {
+        Mixer(0x243F_6A88_85A3_08D3)
+    }
+
+    #[inline]
+    fn word(&mut self, word: u64) {
+        let x = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    /// The state after a last avalanche, so that every input bit
+    /// reaches the bits a seen-map shard and a minimum are chosen by.
+    fn finish(self) -> u64 {
+        let mut x = self.0;
+        x = (x ^ (x >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x = (x ^ (x >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        x ^ (x >> 33)
+    }
+}
+
+/// The hash of a few words.
+fn mix(words: &[u64]) -> u64 {
+    let mut h = Mixer::new();
+    for &word in words {
+        h.word(word);
+    }
+    h.finish()
+}
+
+/// Hashes `view` as relabeled without materializing the permuted view:
+/// the site at new index `i` is `old_of(i)` and every site set goes
+/// through `relabel` on the fly. Counts precede the two variable-length
+/// lists, so the word sequence determines the view.
+fn fingerprint_with(
+    view: &SymView,
+    old_of: impl Fn(usize) -> usize,
+    relabel: impl Fn(SiteSet) -> SiteSet,
+) -> u64 {
+    let mut h = Mixer::new();
+    h.word(relabel(view.up).bits());
+    h.word(view.forced.map_or(0, |index| index as u64 + 1));
+    h.word(view.nodes.len() as u64);
+    for new in 0..view.nodes.len() {
+        let node = &view.nodes[old_of(new)];
+        h.word(node.flags());
+        h.word(node.op);
+        h.word(node.version);
+        h.word(relabel(node.partition).bits());
+        h.word(node.value);
+    }
+    h.word(view.commits.len() as u64);
+    for &(op, parts) in &view.commits {
+        h.word(op);
+        h.word(relabel(parts).bits());
+    }
+    h.word(view.versions.len() as u64);
+    for &(version, times) in &view.versions {
+        h.word(version);
+        h.word(times);
+    }
+    let [tokens, committed, oracle] = view.scalars;
+    for word in [view.monitor.0, view.monitor.1, tokens, committed, oracle] {
+        h.word(word);
+    }
+    h.finish()
+}
+
+/// The fingerprint of `view` relabeled by `map` (old index → new
+/// index): equal to `view.permuted(map).fingerprint()`.
+fn fingerprint_under(view: &SymView, map: &[usize]) -> u64 {
+    let mut inverse = [0usize; MAX_SITES];
+    for (old, &new) in map.iter().enumerate().take(view.nodes.len()) {
         inverse[new] = old;
     }
+    fingerprint_with(view, |new| inverse[new], |set| permute_set(set, map))
+}
 
-    let mut h = dynvote_core::Fnv64::new();
-    permute_set(view.up, map).bits().hash(&mut h);
-    match view.forced {
-        None => 0u8.hash(&mut h),
-        Some(index) => {
-            1u8.hash(&mut h);
-            index.hash(&mut h);
-        }
+/// Several lockstep views' fingerprints as one, exactly like the plain
+/// pair fingerprint (`a ^ b.rotate_left(17)`).
+fn combine(views: &[&SymView], fingerprint: impl Fn(&SymView) -> u64) -> u64 {
+    let mut acc = 0u64;
+    for (i, view) in views.iter().enumerate() {
+        acc ^= fingerprint(view).rotate_left(17 * i as u32);
     }
-    for (new, &old) in inverse.iter().enumerate().take(n) {
-        let node = &view.nodes[old];
-        (
-            new,
-            node.participant,
-            node.up,
-            node.pending,
-            node.op,
-            node.version,
-            permute_set(node.partition, map).bits(),
-            node.value,
-        )
-            .hash(&mut h);
-    }
-    for &(op, parts) in &view.commits {
-        (op, permute_set(parts, map).bits()).hash(&mut h);
-    }
-    for entry in &view.versions {
-        entry.hash(&mut h);
-    }
-    view.monitor.hash(&mut h);
-    view.scalars.hash(&mut h);
-    h.finish()
+    acc
 }
 
 /// Label-free per-site signatures: two refinement rounds, equivariant
 /// under every admissible relabeling (no component mentions a movable
 /// site's index).
-fn signatures(views: &[&SymView], group: &SymmetryGroup) -> Vec<u64> {
+fn signatures(views: &[&SymView], group: &SymmetryGroup) -> [u64; MAX_SITES] {
     let n = group.sites;
     let fixed = group.fixed;
-    let mut round1 = vec![0u64; n];
-    for (slot, sig) in round1.iter_mut().enumerate() {
+    let mut round1 = [0u64; MAX_SITES];
+    for (slot, sig) in round1.iter_mut().enumerate().take(n) {
         let site = SiteId::new(slot);
-        let mut acc = 0u64;
-        for (v, view) in views.iter().enumerate() {
+        let mut h = Mixer::new();
+        for view in views {
             let node = &view.nodes[slot];
+            // The commit log is a set: an order-free sum.
             let mut commit_pattern = 0u64;
             for &(op, parts) in &view.commits {
-                commit_pattern = commit_pattern.wrapping_add(dynvote_core::fingerprint_of(&(
+                commit_pattern = commit_pattern.wrapping_add(mix(&[
                     op,
-                    parts.contains(site),
-                    parts.len(),
+                    u64::from(parts.contains(site)) | (parts.len() as u64) << 1,
                     (parts & fixed).bits(),
-                )));
+                ]));
             }
-            acc = acc
-                .wrapping_mul(0x100_0000_01b3)
-                .wrapping_add(dynvote_core::fingerprint_of(&(
-                    v,
-                    node.participant,
-                    node.up,
-                    node.pending,
-                    node.op,
-                    node.version,
-                    node.value,
-                    node.partition.len(),
-                    node.partition.contains(site),
-                    (node.partition & fixed).bits(),
-                    view.up.contains(site),
-                    commit_pattern,
-                )));
+            h.word(
+                node.flags()
+                    | u64::from(node.partition.contains(site)) << 3
+                    | u64::from(view.up.contains(site)) << 4
+                    | (node.partition.len() as u64) << 5,
+            );
+            h.word(node.op);
+            h.word(node.version);
+            h.word(node.value);
+            h.word((node.partition & fixed).bits());
+            h.word(commit_pattern);
         }
-        *sig = acc;
+        *sig = h.finish();
     }
     // Round 2: fold in the (order-free) multiset of relations to every
     // other site, tagged with that site's round-1 signature.
-    let mut round2 = vec![0u64; n];
-    for (slot, sig) in round2.iter_mut().enumerate() {
+    let mut round2 = round1;
+    for (slot, sig) in round2.iter_mut().enumerate().take(n) {
         let site = SiteId::new(slot);
-        let mut acc = round1[slot];
         for (other_slot, &other_sig) in round1.iter().enumerate().take(n) {
             let other = SiteId::new(other_slot);
-            let mut fold = 0u64;
+            let mut h = Mixer(other_sig);
             for view in views {
-                fold = fold.wrapping_add(dynvote_core::fingerprint_of(&(
-                    other_sig,
-                    view.nodes[other_slot].partition.contains(site),
-                    view.nodes[slot].partition.contains(other),
-                )));
+                h.word(
+                    u64::from(view.nodes[other_slot].partition.contains(site))
+                        | u64::from(view.nodes[slot].partition.contains(other)) << 1,
+                );
             }
-            acc = acc.wrapping_add(fold);
+            *sig = sig.wrapping_add(h.finish());
         }
-        *sig = acc;
     }
     round2
+}
+
+/// Whether swapping sites `a` and `b` maps every view onto itself: the
+/// two rows are equal and no site set tells the two apart. Being twins
+/// is an equivalence, and relabelings that differ only by a permutation
+/// of twins produce the same relabeled views.
+fn twins(views: &[&SymView], a: usize, b: usize) -> bool {
+    let (site_a, site_b) = (SiteId::new(a), SiteId::new(b));
+    let alike = |set: SiteSet| set.contains(site_a) == set.contains(site_b);
+    views.iter().all(|view| {
+        view.nodes[a] == view.nodes[b]
+            && alike(view.up)
+            && view.nodes.iter().all(|node| alike(node.partition))
+            && view.commits.iter().all(|&(_, parts)| alike(parts))
+    })
 }
 
 /// The canonical fingerprint of one or more lockstep views under
 /// `group`: the minimum combined fingerprint over every admissible
 /// signature-sorted relabeling. Multiple views (the differential
-/// checker's policy pairs) are relabeled by the *same* permutation and
-/// combined exactly like the plain pair fingerprint
-/// (`a ^ b.rotate_left(17)`).
+/// checker's policy pairs) are relabeled by the *same* permutation.
 #[must_use]
 pub fn canonical_fingerprint(views: &[&SymView], group: &SymmetryGroup) -> u64 {
     debug_assert!(!views.is_empty());
-    let combine = |map: &[usize]| -> u64 {
-        let mut acc = 0u64;
-        for (i, view) in views.iter().enumerate() {
-            acc ^= fingerprint_under(view, map).rotate_left(17 * i as u32);
-        }
-        acc
-    };
     if group.pools.is_empty() {
-        return combine(&IDENTITY[..group.sites]);
+        return combine(views, SymView::fingerprint);
     }
-
-    let sigs = signatures(views, group);
-
     // Target order per pool: the pool's own slots (ascending), filled
     // by the pool's sites sorted by signature; signature ties keep all
     // their orderings as candidates.
-    let mut map = [0usize; dynvote_types::MAX_SITES];
-    for (i, slot) in IDENTITY.iter().enumerate().take(group.sites) {
-        map[i] = *slot;
-    }
-    // tie_runs: per pool, the signature-sorted member list plus the
-    // boundaries of equal-signature runs.
-    let mut pools_sorted: Vec<Vec<SiteId>> = Vec::with_capacity(group.pools.len());
+    let mut ties = Ties {
+        views,
+        sigs: signatures(views, group),
+        members: [0; MAX_SITES],
+        slots: [0; MAX_SITES],
+        pool_end: [0; MAX_SITES],
+        len: 0,
+        map: IDENTITY,
+        best: u64::MAX,
+    };
     for pool in &group.pools {
-        let mut sorted = pool.clone();
-        sorted.sort_by_key(|s| sigs[s.index()]);
-        pools_sorted.push(sorted);
+        let start = ties.len;
+        for site in pool {
+            ties.members[ties.len] = site.index();
+            ties.slots[ties.len] = site.index();
+            ties.len += 1;
+        }
+        ties.pool_end[start..ties.len].fill(ties.len);
+        let sigs = &ties.sigs;
+        ties.members[start..ties.len].sort_unstable_by_key(|&site| sigs[site]);
     }
+    ties.assign(0, 0);
+    ties.best
+}
 
-    let mut best = u64::MAX;
-    enumerate(
-        &pools_sorted,
-        &sigs,
-        group,
-        0,
-        0,
-        &mut map,
-        &mut |map: &[usize]| {
-            let fp = combine(map);
-            if fp < best {
-                best = fp;
+/// The search for the minimum over signature-tied orderings.
+struct Ties<'a> {
+    views: &'a [&'a SymView],
+    sigs: [u64; MAX_SITES],
+    /// Every pool's sites, pool after pool, each pool sorted by
+    /// signature.
+    members: [usize; MAX_SITES],
+    /// The site index the member at each position is relabeled to: the
+    /// pool's own sites, ascending.
+    slots: [usize; MAX_SITES],
+    /// One past the last position of each position's pool.
+    pool_end: [usize; MAX_SITES],
+    /// Positions in use.
+    len: usize,
+    /// The relabeling under construction (old index → new index).
+    map: [usize; MAX_SITES],
+    best: u64,
+}
+
+impl Ties<'_> {
+    /// Fills position `at` and every later one, branching over the
+    /// members of the signature-tied run that `at` belongs to (it ends
+    /// before `run_end`, or starts at `at` when `at == run_end`), and
+    /// keeps the smallest fingerprint of the completed relabelings. Of
+    /// several twins only the first is tried at a position: the others
+    /// would complete to the same relabeled views.
+    fn assign(&mut self, at: usize, mut run_end: usize) {
+        if at == self.len {
+            let fp = combine(self.views, |view| fingerprint_under(view, &self.map));
+            self.best = self.best.min(fp);
+            return;
+        }
+        if at == run_end {
+            let sig = self.sigs[self.members[at]];
+            run_end = (at + 1..self.pool_end[at])
+                .find(|&next| self.sigs[self.members[next]] != sig)
+                .unwrap_or(self.pool_end[at]);
+        }
+        for pick in at..run_end {
+            let site = self.members[pick];
+            if self.members[at..pick]
+                .iter()
+                .any(|&tried| twins(self.views, tried, site))
+            {
+                continue;
             }
-        },
-    );
-    best
-}
-
-/// Recursively assigns each pool's signature-sorted sites to the pool's
-/// slots, branching over every ordering of signature-tied runs, and
-/// calls `visit` with each completed relabeling.
-fn enumerate(
-    pools: &[Vec<SiteId>],
-    sigs: &[u64],
-    group: &SymmetryGroup,
-    pool_idx: usize,
-    pos: usize,
-    map: &mut [usize; dynvote_types::MAX_SITES],
-    visit: &mut dyn FnMut(&[usize]),
-) {
-    if pool_idx == pools.len() {
-        visit(&map[..group.sites]);
-        return;
+            self.members.swap(at, pick);
+            self.map[site] = self.slots[at];
+            self.assign(at + 1, run_end);
+            self.members.swap(at, pick);
+        }
     }
-    let sorted = &pools[pool_idx];
-    if pos == sorted.len() {
-        enumerate(pools, sigs, group, pool_idx + 1, 0, map, visit);
-        return;
-    }
-    // The run of signature-tied sites starting at `pos`.
-    let sig = sigs[sorted[pos].index()];
-    let mut end = pos + 1;
-    while end < sorted.len() && sigs[sorted[end].index()] == sig {
-        end += 1;
-    }
-    // Slots for this run: the pool's slots at positions pos..end. Pool
-    // slots are the pool members' own indices, ascending.
-    let slots: Vec<usize> = group.pools[pool_idx][pos..end]
-        .iter()
-        .map(|s| s.index())
-        .collect();
-    let mut members: Vec<SiteId> = sorted[pos..end].to_vec();
-    permute_run(&mut members, &slots, 0, map, &mut |map| {
-        enumerate(pools, sigs, group, pool_idx, end, map, visit);
-    });
-}
-
-/// All assignments of `members` to `slots` (Heap-style in-place
-/// enumeration over prefix swaps).
-fn permute_run(
-    members: &mut [SiteId],
-    slots: &[usize],
-    at: usize,
-    map: &mut [usize; dynvote_types::MAX_SITES],
-    next: &mut dyn FnMut(&mut [usize; dynvote_types::MAX_SITES]),
-) {
-    if at == slots.len() {
-        next(map);
-        return;
-    }
-    for i in at..members.len() {
-        members.swap(at, i);
-        map[members[at].index()] = slots[at];
-        permute_run(members, slots, at + 1, map, next);
-        members.swap(at, i);
-    }
-    // Restore identity-ish entries is unnecessary: every completed
-    // assignment overwrites all run members before `next` fires.
 }
 
 #[cfg(test)]
@@ -657,6 +692,43 @@ mod tests {
             canonical_fingerprint(&[&fresh.sym_view()], &group),
             canonical_fingerprint(&[&written.sym_view()], &group),
         );
+    }
+
+    #[test]
+    fn twins_are_exactly_the_swaps_that_fix_the_view() {
+        // Every state within three events of a fresh TDV world on two
+        // segments, every pair of sites: the tie search may skip an
+        // ordering iff the swap it differs by changes nothing.
+        let scenario = Scenario::new(Protocol::Tdv, 4, 2).unwrap();
+        let mut frontier = vec![World::new(&scenario)];
+        let (mut twin_pairs, mut other_pairs) = (0, 0);
+        for _ in 0..=3 {
+            let mut next = Vec::new();
+            for world in &frontier {
+                let view = world.sym_view();
+                for a in 0..4 {
+                    for b in a + 1..4 {
+                        let mut swap = IDENTITY[..4].to_vec();
+                        swap.swap(a, b);
+                        let fixed = view.permuted(&swap) == view;
+                        assert_eq!(twins(&[&view], a, b), fixed, "sites {a}, {b} of {view:?}");
+                        assert_eq!(fingerprint_under(&view, &swap) == view.fingerprint(), fixed);
+                        if fixed {
+                            twin_pairs += 1;
+                        } else {
+                            other_pairs += 1;
+                        }
+                    }
+                }
+                for event in crate::explore::enumerate_events(world) {
+                    let mut child = world.clone();
+                    child.apply(event);
+                    next.push(child);
+                }
+            }
+            frontier = next;
+        }
+        assert!(twin_pairs > 100 && other_pairs > 100, "both kinds occur");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use dynvote_types::{AccessError, SiteSet};
 
 use crate::event::CheckEvent;
 use crate::scenario::Scenario;
+use crate::symmetry::{NodeView, SymView};
 
 /// What applying one event did, before any invariant is consulted.
 #[derive(Clone, Debug)]
@@ -183,27 +184,29 @@ impl World {
     /// recompute fingerprints without touching the live cluster (see
     /// [`crate::symmetry`]).
     #[must_use]
-    pub fn sym_view(&self) -> crate::symmetry::SymView {
+    pub fn sym_view(&self) -> SymView {
+        let mut view = SymView::default();
+        self.fill_view(&mut view);
+        view
+    }
+
+    /// [`World::sym_view`] written over `view`, whose buffers are kept:
+    /// the explorer fingerprints every transition through one view per
+    /// worker and allocates nothing doing it.
+    pub fn fill_view(&self, view: &mut SymView) {
         let participants = self.cluster.participants();
-        let sites = participants.max().map_or(0, |s| s.index() + 1);
         let up = self.cluster.up_sites();
-        let mut nodes = Vec::with_capacity(sites);
-        for index in 0..sites {
+        view.sites = participants.max().map_or(0, |s| s.index() + 1);
+        view.up = up;
+        view.forced = self.forced;
+        view.nodes.clear();
+        view.nodes.extend((0..view.sites).map(|index| {
             let site = dynvote_types::SiteId::new(index);
             if !participants.contains(site) {
-                nodes.push(crate::symmetry::NodeView {
-                    participant: false,
-                    up: false,
-                    pending: false,
-                    op: 0,
-                    version: 0,
-                    partition: SiteSet::EMPTY,
-                    value: 0,
-                });
-                continue;
+                return NodeView::default();
             }
             let state = self.cluster.state_at(site);
-            nodes.push(crate::symmetry::NodeView {
+            NodeView {
                 participant: true,
                 up: up.contains(site),
                 pending: self.cluster.pending_at(site).is_some(),
@@ -211,19 +214,17 @@ impl World {
                 version: state.version,
                 partition: state.partition,
                 value: self.cluster.value_at(site),
-            });
-        }
+            }
+        }));
         let checker = self.cluster.checker();
-        crate::symmetry::SymView {
-            sites,
-            up,
-            forced: self.forced,
-            nodes,
-            commits: checker.commit_entries(),
-            versions: checker.version_entries(),
-            monitor: (checker.latest_written(), checker.violations().len() as u64),
-            scalars: [self.next_token, self.last_committed, self.oracle_violations],
-        }
+        view.commits.clear();
+        view.commits.extend(checker.commits());
+        view.commits.sort_unstable_by_key(|&(op, _)| op);
+        view.versions.clear();
+        view.versions.extend(checker.written());
+        view.versions.sort_unstable_by_key(|&(version, _)| version);
+        view.monitor = (checker.latest_written(), checker.violations().len() as u64);
+        view.scalars = [self.next_token, self.last_committed, self.oracle_violations];
     }
 }
 
@@ -249,12 +250,17 @@ pub fn default_suite() -> Vec<Box<dyn StateInvariant>> {
 /// Snapshots every participant's control state into a dense table.
 #[must_use]
 pub fn state_table_of<T: Clone>(cluster: &Cluster<T>) -> StateTable {
-    let participants = cluster.participants();
-    let mut table = StateTable::fresh(participants);
-    for site in participants.iter() {
+    let mut table = StateTable::fresh(cluster.participants());
+    fill_state_table(cluster, &mut table);
+    table
+}
+
+/// Writes every participant's control state over its slot of `table`;
+/// the other slots keep what they held and are never read.
+fn fill_state_table<T: Clone>(cluster: &Cluster<T>, table: &mut StateTable) {
+    for site in cluster.participants().iter() {
         table.set(site, cluster.state_at(site));
     }
-    table
 }
 
 /// The maximal communication groups of up participants, in site order.
@@ -277,6 +283,22 @@ pub fn groups_of<T: Clone>(cluster: &Cluster<T>) -> Vec<SiteSet> {
     groups
 }
 
+/// The two state tables one detection step compares. A fresh pair is a
+/// 3 KB allocation, so whoever steps many worlds keeps one.
+pub(crate) struct DetectScratch {
+    prev: StateTable,
+    next: StateTable,
+}
+
+impl Default for DetectScratch {
+    fn default() -> DetectScratch {
+        DetectScratch {
+            prev: StateTable::fresh(SiteSet::EMPTY),
+            next: StateTable::fresh(SiteSet::EMPTY),
+        }
+    }
+}
+
 /// Applies one event and returns every invariant violation the step
 /// surfaced: the token oracle, fresh replica-checker findings (stale
 /// read / duplicate version / lineage fork), and the table-level
@@ -290,8 +312,18 @@ pub fn apply_and_detect(
     suite: &[Box<dyn StateInvariant>],
     event: CheckEvent,
 ) -> Vec<Violation> {
+    apply_and_detect_in(&mut DetectScratch::default(), world, suite, event)
+}
+
+/// [`apply_and_detect`] with the caller's tables.
+pub(crate) fn apply_and_detect_in(
+    scratch: &mut DetectScratch,
+    world: &mut World,
+    suite: &[Box<dyn StateInvariant>],
+    event: CheckEvent,
+) -> Vec<Violation> {
     let participants = world.cluster.participants();
-    let prev_table = state_table_of(&world.cluster);
+    fill_state_table(&world.cluster, &mut scratch.prev);
     let seen_before = world.cluster.checker().violations().len();
 
     let outcome = world.apply(event);
@@ -306,12 +338,12 @@ pub fn apply_and_detect(
             detail: violation.to_string(),
         });
     }
-    let next_table = state_table_of(&world.cluster);
+    fill_state_table(&world.cluster, &mut scratch.next);
     let groups = groups_of(&world.cluster);
     let snapshot = ProtocolSnapshot {
         copies: world.cluster.copies(),
         witnesses: world.cluster.witnesses(),
-        states: &next_table,
+        states: &scratch.next,
         groups: &groups,
         rule: world.cluster.rule(),
         network: Some(world.cluster.network()),
@@ -320,7 +352,7 @@ pub fn apply_and_detect(
         if let Err(violation) = invariant.check_state(&snapshot) {
             found.push(violation);
         }
-        if let Err(violation) = invariant.check_step(&prev_table, &next_table, participants) {
+        if let Err(violation) = invariant.check_step(&scratch.prev, &scratch.next, participants) {
             found.push(violation);
         }
     }

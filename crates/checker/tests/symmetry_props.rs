@@ -13,15 +13,25 @@
 //!    lexicographic policies, whose sound group is the identity, the
 //!    two runs are statistic-identical.
 //!
+//! A third keeps the fingerprint itself honest, now that it is the
+//! checker's own word hash over a reused view:
+//!
+//! 3. **The view is the state and the hash sees all of it**: a view
+//!    filled over a dirty buffer equals what the cluster's accessors
+//!    say; the plain fingerprint is the canonical one under the trivial
+//!    group; and changing any single field of a view changes its
+//!    fingerprint.
+//!
 //! Randomness is derived from one proptest-drawn seed through a
 //! splitmix64 stream, so every failure replays from a single integer.
 
+use dynvote_check::symmetry::NodeView;
 use dynvote_check::{
-    canonical_fingerprint, enumerate_events, run, CheckConfig, Scenario, SymmetryGroup, World,
-    ALL_POLICIES,
+    canonical_fingerprint, enumerate_events, run, CheckConfig, Scenario, SymView, SymmetryGroup,
+    World, ALL_POLICIES,
 };
 use dynvote_replica::Protocol;
-use dynvote_types::SiteSet;
+use dynvote_types::{SiteId, SiteSet};
 use proptest::prelude::*;
 
 /// Deterministic seed-expansion stream (splitmix64).
@@ -80,7 +90,151 @@ fn random_relabeling(group: &SymmetryGroup, sites: usize, stream: &mut Stream) -
     map
 }
 
+/// The view of `world`, read field by field through the cluster's
+/// public accessors.
+fn view_by_accessors(world: &World) -> SymView {
+    let cluster = &world.cluster;
+    let participants = cluster.participants();
+    let sites = participants.max().map_or(0, |s| s.index() + 1);
+    let checker = cluster.checker();
+    SymView {
+        sites,
+        up: cluster.up_sites(),
+        forced: world.forced(),
+        nodes: (0..sites)
+            .map(SiteId::new)
+            .map(|site| {
+                if !participants.contains(site) {
+                    return NodeView::default();
+                }
+                let state = cluster.state_at(site);
+                NodeView {
+                    participant: true,
+                    up: cluster.up_sites().contains(site),
+                    pending: cluster.pending_at(site).is_some(),
+                    op: state.op,
+                    version: state.version,
+                    partition: state.partition,
+                    value: cluster.value_at(site),
+                }
+            })
+            .collect(),
+        commits: checker.commit_entries(),
+        versions: checker.version_entries(),
+        monitor: (checker.latest_written(), checker.violations().len() as u64),
+        // Site-free bookkeeping the accessors do not reach; its effect
+        // on fingerprints is pinned by `forced_partition_tracks_index`
+        // and the single-field property below.
+        scalars: world.sym_view().scalars,
+    }
+}
+
+/// Every view that differs from `view` in exactly one field.
+fn single_field_perturbations(view: &SymView, stream: &mut Stream) -> Vec<(String, SymView)> {
+    let mut out = Vec::new();
+    let mut push = |what: String, edit: &dyn Fn(&mut SymView)| {
+        let mut changed = view.clone();
+        edit(&mut changed);
+        out.push((what, changed));
+    };
+    let site = SiteId::new(stream.below(view.sites.max(1)));
+    let toggle = |set: &mut SiteSet| {
+        if !set.insert(site) {
+            set.remove(site);
+        }
+    };
+    let delta = 1 + stream.next() % 7;
+    push("up".into(), &|v| toggle(&mut v.up));
+    push("forced".into(), &|v| {
+        v.forced = Some(v.forced.map_or(0, |i| i + 1));
+    });
+    for i in 0..view.nodes.len() {
+        push(format!("node {i} participant"), &|v| {
+            v.nodes[i].participant ^= true;
+        });
+        push(format!("node {i} up"), &|v| v.nodes[i].up ^= true);
+        push(format!("node {i} pending"), &|v| v.nodes[i].pending ^= true);
+        push(format!("node {i} op"), &|v| v.nodes[i].op += delta);
+        push(format!("node {i} version"), &|v| {
+            v.nodes[i].version += delta
+        });
+        push(format!("node {i} partition"), &|v| {
+            toggle(&mut v.nodes[i].partition);
+        });
+        push(format!("node {i} value"), &|v| v.nodes[i].value += delta);
+    }
+    for i in 0..view.commits.len() {
+        push(format!("commit {i} op"), &|v| v.commits[i].0 += delta);
+        push(format!("commit {i} participants"), &|v| {
+            toggle(&mut v.commits[i].1);
+        });
+    }
+    for i in 0..view.versions.len() {
+        push(format!("version {i}"), &|v| v.versions[i].0 += delta);
+        push(format!("version {i} times"), &|v| v.versions[i].1 += delta);
+    }
+    push("latest written".into(), &|v| v.monitor.0 += delta);
+    push("violation count".into(), &|v| v.monitor.1 += delta);
+    for i in 0..3 {
+        push(format!("scalar {i}"), &|v| v.scalars[i] += delta);
+    }
+    out
+}
+
 proptest! {
+    /// A view filled over whatever an earlier, unrelated state left in
+    /// the buffer is exactly the state the cluster's accessors report.
+    #[test]
+    fn prop_reused_view_carries_exactly_the_state(seed in any::<u64>()) {
+        let mut stream = Stream(seed);
+        let mut view = SymView::default();
+        for _ in 0..3 {
+            let scenario = random_scenario(&mut stream, 6);
+            let steps = stream.below(8);
+            let world = random_walk(&scenario, steps, &mut stream);
+            world.fill_view(&mut view);
+            prop_assert_eq!(&view, &view_by_accessors(&world), "{}", scenario);
+            prop_assert_eq!(&view, &world.sym_view());
+        }
+    }
+
+    /// With nothing to relabel, the canonical fingerprint is the plain
+    /// one — for a single view and for a lockstep pair.
+    #[test]
+    fn prop_trivial_group_canonical_is_plain(seed in any::<u64>()) {
+        let mut stream = Stream(seed);
+        let scenario = random_scenario(&mut stream, 6);
+        let group = SymmetryGroup::trivial(scenario.sites);
+        let a = random_walk(&scenario, stream.below(7), &mut stream).sym_view();
+        let b = random_walk(&scenario, stream.below(7), &mut stream).sym_view();
+        prop_assert_eq!(canonical_fingerprint(&[&a], &group), a.fingerprint());
+        prop_assert_eq!(
+            canonical_fingerprint(&[&a, &b], &group),
+            a.fingerprint() ^ b.fingerprint().rotate_left(17)
+        );
+    }
+
+    /// No field of a view is invisible to its fingerprint.
+    #[test]
+    fn prop_any_single_field_moves_the_fingerprint(seed in any::<u64>()) {
+        let mut stream = Stream(seed);
+        let scenario = random_scenario(&mut stream, 6);
+        let steps = stream.below(8);
+        let view = random_walk(&scenario, steps, &mut stream).sym_view();
+        let group = SymmetryGroup::trivial(scenario.sites);
+        for (what, changed) in single_field_perturbations(&view, &mut stream) {
+            prop_assert_ne!(&changed, &view, "{} did not change the view", what);
+            prop_assert_ne!(
+                changed.fingerprint(), view.fingerprint(),
+                "{} is invisible to the fingerprint on {}", what, scenario
+            );
+            prop_assert_ne!(
+                canonical_fingerprint(&[&changed], &group),
+                canonical_fingerprint(&[&view], &group)
+            );
+        }
+    }
+
     /// Canonical fingerprints are invariant under every admissible
     /// relabeling of reachable states — on the *structural* group, so
     /// the property exercises the canonicalizer on every topology and

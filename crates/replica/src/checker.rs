@@ -164,6 +164,22 @@ impl Checker {
         &self.violations
     }
 
+    /// The commit log as `(op, participants)` pairs, in no particular
+    /// order — for callers that sort into a buffer of their own.
+    pub fn commits(&self) -> impl Iterator<Item = (u64, SiteSet)> + '_ {
+        self.committed_ops
+            .iter()
+            .map(|(&op, &participants)| (op, participants))
+    }
+
+    /// The written-version multiset as `(version, times)` pairs, in no
+    /// particular order (companion to [`Checker::commits`]).
+    pub fn written(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.written_versions
+            .iter()
+            .map(|(&version, &times)| (version, times))
+    }
+
     /// The commit log as `(op, participants)` pairs, sorted by
     /// operation number — the detection-relevant history a symmetry
     /// canonicalization must relabel site-by-site (see the checker
@@ -171,11 +187,7 @@ impl Checker {
     /// entries sequentially without re-introducing `HashMap` order.
     #[must_use]
     pub fn commit_entries(&self) -> Vec<(u64, SiteSet)> {
-        let mut entries: Vec<_> = self
-            .committed_ops
-            .iter()
-            .map(|(&op, &participants)| (op, participants))
-            .collect();
+        let mut entries: Vec<_> = self.commits().collect();
         entries.sort_unstable_by_key(|&(op, _)| op);
         entries
     }
@@ -185,11 +197,7 @@ impl Checker {
     /// history (companion to [`Checker::commit_entries`]).
     #[must_use]
     pub fn version_entries(&self) -> Vec<(u64, u64)> {
-        let mut entries: Vec<_> = self
-            .written_versions
-            .iter()
-            .map(|(&version, &times)| (version, times))
-            .collect();
+        let mut entries: Vec<_> = self.written().collect();
         entries.sort_unstable_by_key(|&(version, _)| version);
         entries
     }

@@ -271,7 +271,7 @@ impl ClusterBuilder {
             ))),
             #[cfg(any(test, feature = "stale-read-fault"))]
             stale_read_fault: false,
-            network,
+            network: std::sync::Arc::new(network),
             copies,
             witnesses,
             nodes,
@@ -358,7 +358,7 @@ impl ClusterBuilder {
             ))),
             #[cfg(any(test, feature = "stale-read-fault"))]
             stale_read_fault: false,
-            network,
+            network: std::sync::Arc::new(network),
             copies,
             witnesses,
             nodes,
@@ -436,7 +436,9 @@ impl ClusterBuilder {
 /// sockets (built via [`ClusterBuilder::build_remote`]).
 #[derive(Clone)]
 pub struct Cluster<T, X = BusTransport> {
-    network: Network,
+    /// Fixed at build time, so a clone shares it (as it shares the
+    /// memo below): the model checker clones a cluster per transition.
+    network: std::sync::Arc<Network>,
     protocol: Protocol,
     rule: Option<Rule>,
     copies: SiteSet,
