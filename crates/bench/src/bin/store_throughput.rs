@@ -27,6 +27,11 @@
 //! shard's replicated map is) — the two knobs the keys-per-shard sweep
 //! in EXPERIMENTS.md turns.
 //!
+//! Without `--shards` the fleet has one shard group on every site and
+//! the drivers pipeline *raw* puts and gets of its whole image (shard
+//! 0's, in a shard envelope) — one version step per put, the paper's
+//! single replicated file; that is `BENCH_store.json`.
+//!
 //! With `--shards N` the fleet runs N independent shard groups and the
 //! drivers speak the *keyed* protocol: each client thread owns one
 //! shard, pre-hashes a key pool onto it, and pipelines
@@ -64,8 +69,8 @@ struct Args {
     secs: f64,
     policy: String,
     sites: usize,
-    /// 0 = the classic unsharded store; N ≥ 1 = keyed workload over N
-    /// shard groups.
+    /// 0 = raw puts and gets of the one group a fleet started without
+    /// `--shards` has; N ≥ 1 = keyed workload over N shard groups.
     shards: usize,
     /// Keys per shard the keyed clients cycle (`--shards` mode).
     keys: usize,
@@ -190,18 +195,22 @@ struct ClientRun {
 }
 
 /// One closed-loop client: keep `depth` requests in flight on a single
-/// pipelined connection until `end`, then drain.
+/// pipelined connection until `end`, then drain. `request(is_write)`
+/// builds each frame: a raw put or get of shard 0's image, or — for a
+/// keyed client, which owns one shard and cycles a pre-hashed key
+/// pool — a `PutKey`/`GetKey` at the shard's coordinator (the epoch is
+/// fixed for the run: the bench never rebalances, so a stale answer
+/// would be a bug and lands in the refused count).
 fn drive_client(
     addr: &str,
     depth: usize,
     write_pct: u64,
-    payload: usize,
     seed: u64,
     end: Instant,
+    mut request: impl FnMut(bool) -> Frame,
 ) -> ClientRun {
     let conn = Connection::new(addr, ConnOptions::default());
     let mut jitter = dynvote_store::jitter::Jitter::new(seed);
-    let payload = vec![b'x'; payload];
     let mut run = ClientRun {
         samples: Vec::with_capacity(1 << 16),
         refused: 0,
@@ -224,90 +233,8 @@ fn drive_client(
     while Instant::now() < end {
         while inflight.len() < depth {
             let is_write = jitter.in_range(0, 99) < write_pct;
-            let frame = if is_write {
-                Frame::Put {
-                    value: payload.clone(),
-                }
-            } else {
-                Frame::Get
-            };
             let submit_deadline = Deadline::within(Duration::from_secs(10));
-            match conn.submit(&frame, &submit_deadline) {
-                Ok(pending) => inflight.push_back((pending, Instant::now(), is_write)),
-                Err(_) => {
-                    run.errors += 1;
-                    break;
-                }
-            }
-        }
-        let Some(oldest) = inflight.pop_front() else {
-            break;
-        };
-        reap(&mut run, oldest);
-    }
-    for leftover in inflight {
-        reap(&mut run, leftover);
-    }
-    run
-}
-
-/// One closed-loop *keyed* client: owns one shard, cycles a pre-hashed
-/// key pool, and pipelines `PutKey`/`GetKey` at the shard's
-/// coordinator. The epoch is fixed for the run — the bench never
-/// rebalances, so a stale answer would be a bug and lands in `errors`
-/// via the refused path.
-#[allow(clippy::too_many_arguments)] // one call site; the args are the run parameters
-fn drive_keyed_client(
-    addr: &str,
-    shard: u16,
-    epoch: u64,
-    keys: &[String],
-    depth: usize,
-    write_pct: u64,
-    payload: usize,
-    seed: u64,
-    end: Instant,
-) -> ClientRun {
-    let conn = Connection::new(addr, ConnOptions::default());
-    let mut jitter = dynvote_store::jitter::Jitter::new(seed);
-    let payload = vec![b'x'; payload];
-    let mut run = ClientRun {
-        samples: Vec::with_capacity(1 << 16),
-        refused: 0,
-        errors: 0,
-    };
-    let mut next_key = 0usize;
-    let mut inflight = VecDeque::with_capacity(depth);
-    let reap =
-        |run: &mut ClientRun,
-         (pending, started, is_write): (dynvote_store::conn::Pending, Instant, bool)| {
-            let wait_deadline = Deadline::within(Duration::from_secs(10));
-            match conn.wait(&pending, &wait_deadline) {
-                Ok(outcome) if outcome.granted() => {
-                    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    run.samples.push((micros, is_write));
-                }
-                Ok(_) => run.refused += 1,
-                Err(_) => run.errors += 1,
-            }
-        };
-    while Instant::now() < end {
-        while inflight.len() < depth {
-            let is_write = jitter.in_range(0, 99) < write_pct;
-            let key = keys[next_key % keys.len()].clone();
-            next_key += 1;
-            let frame = if is_write {
-                Frame::PutKey {
-                    epoch,
-                    shard,
-                    key,
-                    value: payload.clone(),
-                }
-            } else {
-                Frame::GetKey { epoch, shard, key }
-            };
-            let submit_deadline = Deadline::within(Duration::from_secs(10));
-            match conn.submit(&frame, &submit_deadline) {
+            match conn.submit(&request(is_write), &submit_deadline) {
                 Ok(pending) => inflight.push_back((pending, Instant::now(), is_write)),
                 Err(_) => {
                     run.errors += 1;
@@ -387,10 +314,7 @@ fn count_per_batch(args: &Args) -> [f64; 3] {
     // The sum of the fields of shard 0's `Status` at `addr` that
     // `wanted` picks.
     let counted = |addr: &str, wanted: &dyn Fn(&str) -> bool| -> f64 {
-        let frame = Frame::Shard {
-            shard: 0,
-            inner: Box::new(Frame::Status),
-        };
+        let frame = Frame::Status.for_shard(0);
         let Ok(Outcome::Report(text)) = request(addr, &frame, Duration::from_secs(5)) else {
             panic!("no status of shard 0 at {addr}");
         };
@@ -506,23 +430,27 @@ fn run_sharded(args: &Args) {
                 let addr = map
                     .coordinator_addr(shard as u16)
                     .expect("coordinator addr");
-                let pool = &pools[shard];
+                let mut keys = pools[shard].iter().cycle();
                 let epoch = map.epoch;
-                scope.spawn(move || {
-                    (
-                        shard,
-                        drive_keyed_client(
-                            addr,
-                            shard as u16,
+                let payload = vec![b'x'; args.payload];
+                let request = move |is_write| {
+                    let key = keys.next().expect("a non-empty pool").clone();
+                    let shard = shard as u16;
+                    if is_write {
+                        Frame::PutKey {
                             epoch,
-                            pool,
-                            args.pipeline,
-                            args.write_pct,
-                            args.payload,
-                            0x5eed_1000 + i as u64,
-                            end,
-                        ),
-                    )
+                            shard,
+                            key,
+                            value: payload.clone(),
+                        }
+                    } else {
+                        Frame::GetKey { epoch, shard, key }
+                    }
+                };
+                let seed = 0x5eed_1000 + i as u64;
+                scope.spawn(move || {
+                    let run = drive_client(addr, args.pipeline, args.write_pct, seed, end, request);
+                    (shard, run)
                 })
             })
             .collect();
@@ -655,15 +583,20 @@ fn main() {
         let threads: Vec<_> = (0..args.clients)
             .map(|i| {
                 let target = &target;
+                let payload = vec![b'x'; args.payload];
+                let request = move |is_write| {
+                    let frame = if is_write {
+                        Frame::Put {
+                            value: payload.clone(),
+                        }
+                    } else {
+                        Frame::Get
+                    };
+                    frame.for_shard(0)
+                };
+                let seed = 0x5eed_0000 + i as u64;
                 scope.spawn(move || {
-                    drive_client(
-                        target,
-                        args.pipeline,
-                        args.write_pct,
-                        args.payload,
-                        0x5eed_0000 + i as u64,
-                        end,
-                    )
+                    drive_client(target, args.pipeline, args.write_pct, seed, end, request)
                 })
             })
             .collect();

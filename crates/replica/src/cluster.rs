@@ -12,7 +12,6 @@ use crate::bus::{Bus, FaultRule, Verdict};
 use crate::checker::Checker;
 use crate::message::{Message, MessageKind, Trace};
 use crate::node::{Node, WitnessNode};
-use crate::snapshot::Snapshot;
 use crate::transport::{BusTransport, Carried, Reply, Transport, WireRequest};
 
 /// Default bound on delivery rounds per operation phase.
@@ -373,42 +372,6 @@ impl ClusterBuilder {
             op_ticket: (local as u64) << 48,
         }
     }
-
-    /// Builds a cluster that resumes from a durable [`Snapshot`] — a
-    /// whole-service restart: every site comes up holding exactly the
-    /// control state and data it had persisted.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the builder's placement (copies and witnesses) does
-    /// not match the snapshot's, or when the placement is invalid.
-    #[must_use]
-    pub fn build_from_snapshot<T: Clone>(self, snapshot: &Snapshot<T>) -> Cluster<T> {
-        // Seed data is irrelevant: every node is overwritten below. Use
-        // the first captured value.
-        let seed = snapshot
-            .copies
-            .first()
-            .map(|(_, _, value)| value.clone())
-            .expect("a snapshot captures at least one copy");
-        let mut cluster = self.build_with_value(seed);
-        assert!(
-            cluster.copies == snapshot.copy_sites()
-                && cluster.witnesses == snapshot.witness_sites(),
-            "snapshot does not match the builder's placement"
-        );
-        for (site, state, value) in &snapshot.copies {
-            let node = cluster.node_mut(*site);
-            node.apply_commit(state.op, state.version, state.partition);
-            node.store(value.clone());
-        }
-        for (site, state) in &snapshot.witnesses {
-            cluster
-                .witness_node_mut(*site)
-                .apply_commit(state.op, state.version, state.partition);
-        }
-        cluster
-    }
 }
 
 /// A replicated file: one value, `n` copies, one consistency protocol.
@@ -714,25 +677,6 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             self.history.drain(..HISTORY_CAP);
         }
         self.history.push(entry);
-    }
-
-    /// Captures every participant's durable state and data — the image
-    /// a whole-service restart resumes from (see
-    /// [`ClusterBuilder::build_from_snapshot`]).
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot<T> {
-        Snapshot {
-            copies: self
-                .nodes
-                .iter()
-                .map(|n| (n.id(), n.state(), n.fetch()))
-                .collect(),
-            witnesses: self
-                .witness_nodes
-                .iter()
-                .map(|w| (w.id(), w.state()))
-                .collect(),
-        }
     }
 
     /// Applies one [`StepEvent`](crate::StepEvent) — the deterministic

@@ -67,7 +67,7 @@ pub use message::{Message, MessageKind, Trace};
 pub use nemesis::{run_nemesis, NemesisProfile, NemesisReport};
 pub use node::{Node, WitnessNode};
 pub use scenario::{Command, ScenarioError};
-pub use snapshot::{DurableSiteState, Snapshot, SnapshotLoad};
+pub use snapshot::{DurableSiteState, SnapshotLoad};
 pub use step::StepEvent;
 pub use transport::{BusTransport, Carried, LocalServe, Reply, Response, Transport, WireRequest};
 pub use wal::{

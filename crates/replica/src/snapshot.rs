@@ -1,13 +1,14 @@
-//! Stable storage: snapshot and restart a whole cluster.
+//! Stable storage: one site's durable image.
 //!
 //! The paper's model keeps each copy's `(o, v, P)` on stable storage —
 //! a site that crashes and restarts still holds the state it last
-//! committed. [`crate::Cluster::fail_site`]/[`crate::Cluster::repair_site`] already
-//! model per-site crashes; a [`Snapshot`] models the *whole service*
-//! stopping and restarting (deploys, migrations, disaster recovery):
-//! it captures every participant's durable state and data, and
-//! [`crate::ClusterBuilder::build_from_snapshot`] brings up a new
-//! cluster that continues exactly where the old one stopped.
+//! committed. [`crate::Cluster::fail_site`]/[`crate::Cluster::repair_site`]
+//! model per-site crashes in process; a [`DurableSiteState`] is what
+//! one site writes to its own disk, and
+//! [`crate::Cluster::install_durable_state`] is how a restarted site
+//! comes up holding it. A *whole service* stopping and restarting
+//! (deploys, migrations, disaster recovery) is N of those, one per
+//! site — there is no second, whole-cluster format.
 //!
 //! The invariant monitor starts fresh after a restore (its ground truth
 //! is process state, not protocol state) — the protocol itself needs no
@@ -19,44 +20,7 @@ use std::path::Path;
 
 use dynvote_core::state::ReplicaState;
 use dynvote_core::wire::{put_state, put_u32, put_u64, put_u8, Reader};
-use dynvote_types::{SiteId, SiteSet};
-
-/// A durable image of one cluster: per-participant control state, and
-/// data for the full copies.
-#[derive(Clone, Debug)]
-pub struct Snapshot<T> {
-    pub(crate) copies: Vec<(SiteId, ReplicaState, T)>,
-    pub(crate) witnesses: Vec<(SiteId, ReplicaState)>,
-}
-
-impl<T> Snapshot<T> {
-    /// The copy sites captured.
-    #[must_use]
-    pub fn copy_sites(&self) -> SiteSet {
-        self.copies.iter().map(|(site, _, _)| *site).collect()
-    }
-
-    /// The witness sites captured.
-    #[must_use]
-    pub fn witness_sites(&self) -> SiteSet {
-        self.witnesses.iter().map(|(site, _)| *site).collect()
-    }
-
-    /// The control state captured for one participant.
-    #[must_use]
-    pub fn state_of(&self, site: SiteId) -> Option<ReplicaState> {
-        self.copies
-            .iter()
-            .find(|(s, _, _)| *s == site)
-            .map(|(_, state, _)| *state)
-            .or_else(|| {
-                self.witnesses
-                    .iter()
-                    .find(|(s, _)| *s == site)
-                    .map(|(_, state)| *state)
-            })
-    }
-}
+use dynvote_types::SiteSet;
 
 /// Magic + version tag opening every on-disk site snapshot.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"DVSNAP01";
@@ -65,12 +29,11 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"DVSNAP01";
 /// consistency-control state ⟨o, v, P⟩, any outstanding vote, and — for
 /// full copies — the data bytes.
 ///
-/// Where [`Snapshot`] captures a whole in-process cluster for tests and
-/// migrations, `DurableSiteState` is what a single persistent daemon
-/// writes to its own disk: the snapshot half of the
-/// [`crate::wal::SiteStore`] snapshot + write-ahead-log pair. Values
-/// are raw bytes because that is what crosses a disk boundary — the
-/// networked store already speaks `Vec<u8>`.
+/// What a single persistent daemon writes to its own disk: the
+/// snapshot half of the [`crate::wal::SiteStore`] snapshot +
+/// write-ahead-log pair. Values are raw bytes because that is what
+/// crosses a disk boundary — the networked store already speaks
+/// `Vec<u8>`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DurableSiteState {
     /// The WAL sequence number of the last record this image covers;
@@ -251,90 +214,82 @@ impl DurableSiteState {
 #[cfg(test)]
 mod tests {
     use super::{DurableSiteState, SnapshotLoad};
-    use crate::cluster::{ClusterBuilder, Protocol};
+    use crate::cluster::{Cluster, ClusterBuilder, Protocol};
     use dynvote_core::state::ReplicaState;
     use dynvote_types::{SiteId, SiteSet};
 
+    /// A whole-service restart: every participant of `stopped` writes
+    /// its own image — through the on-disk encoding — and a fresh
+    /// cluster of the same placement comes up with each site holding
+    /// exactly what it had persisted.
+    fn restart(stopped: &Cluster<Vec<u8>>, fresh: ClusterBuilder) -> Cluster<Vec<u8>> {
+        let mut revived = fresh.build_with_value(Vec::new());
+        for site in stopped.participants().iter() {
+            let image = DurableSiteState {
+                seq: 0,
+                state: stopped.state_at(site),
+                pending: stopped.pending_at(site),
+                value: stopped
+                    .copies()
+                    .contains(site)
+                    .then(|| stopped.value_at(site)),
+            };
+            let image = DurableSiteState::decode(&image.encode()).expect("own encoding");
+            revived.install_durable_state(site, image.state, image.value, image.pending);
+        }
+        revived
+    }
+
     #[test]
-    fn snapshot_restore_round_trip() {
-        let mut cluster = ClusterBuilder::new()
-            .copies([0, 1, 2])
-            .witnesses([3])
-            .protocol(Protocol::Odv)
-            .build_with_value("v1".to_string());
+    fn a_restarted_service_keeps_a_stale_copy_stale_until_it_recovers() {
+        let placement = || {
+            ClusterBuilder::new()
+                .copies([0, 1, 2])
+                .witnesses([3])
+                .protocol(Protocol::Odv)
+        };
+        let mut cluster = placement().build_with_value(b"v1".to_vec());
         cluster.fail_site(SiteId::new(2));
-        cluster.write(SiteId::new(0), "v2".to_string()).unwrap();
-        cluster.write(SiteId::new(1), "v3".to_string()).unwrap();
+        cluster.write(SiteId::new(0), b"v2".to_vec()).unwrap();
+        cluster.write(SiteId::new(1), b"v3".to_vec()).unwrap();
 
-        let snapshot = cluster.snapshot();
-        assert_eq!(snapshot.copy_sites(), SiteSet::from_indices([0, 1, 2]));
-        assert_eq!(snapshot.witness_sites(), SiteSet::from_indices([3]));
-
-        // Bring up a fresh cluster from the image: everyone starts up
-        // (a restart), holding their durable state.
-        let mut revived = ClusterBuilder::new()
-            .copies([0, 1, 2])
-            .witnesses([3])
-            .protocol(Protocol::Odv)
-            .build_from_snapshot(&snapshot);
-        assert_eq!(revived.read(SiteId::new(0)).unwrap(), "v3");
-        // The stale copy (S2 was down at snapshot time) is still stale
-        // and still outside the partition set — exactly as durable
-        // state requires — until it RECOVERs.
-        assert_eq!(revived.value_at(SiteId::new(2)), "v1");
+        // Everyone starts up (a restart), holding their durable state —
+        // the witness its ⟨o, v, P⟩ and no data.
+        let mut revived = restart(&cluster, placement());
+        assert_eq!(
+            revived.state_at(SiteId::new(3)),
+            cluster.state_at(SiteId::new(3))
+        );
+        assert_eq!(revived.read(SiteId::new(0)).unwrap(), b"v3");
+        // The stale copy (S2 was down when the service stopped) is
+        // still stale and still outside the partition set — exactly as
+        // durable state requires — until it RECOVERs.
+        assert_eq!(revived.value_at(SiteId::new(2)), b"v1");
         assert_eq!(
             revived.state_at(SiteId::new(2)).partition,
             SiteSet::first_n(4)
         );
         revived.recover(SiteId::new(2)).unwrap();
-        assert_eq!(revived.value_at(SiteId::new(2)), "v3");
+        assert_eq!(revived.value_at(SiteId::new(2)), b"v3");
         assert!(revived.checker().violations().is_empty());
     }
 
     #[test]
-    fn restored_cluster_continues_the_lineage() {
-        let mut cluster = ClusterBuilder::new()
-            .copies([0, 1, 2])
-            .protocol(Protocol::Ldv)
-            .build_with_value(0u64);
-        for i in 1..=5u64 {
-            cluster.write(SiteId::new(0), i).unwrap();
+    fn a_restarted_service_continues_the_lineage() {
+        let placement = || {
+            ClusterBuilder::new()
+                .copies([0, 1, 2])
+                .protocol(Protocol::Ldv)
+        };
+        let mut cluster = placement().build_with_value(vec![0]);
+        for i in 1..=5u8 {
+            cluster.write(SiteId::new(0), vec![i]).unwrap();
         }
         let op_before = cluster.state_at(SiteId::new(0)).op;
-        let snapshot = cluster.snapshot();
-        let mut revived = ClusterBuilder::new()
-            .copies([0, 1, 2])
-            .protocol(Protocol::Ldv)
-            .build_from_snapshot(&snapshot);
-        revived.write(SiteId::new(1), 6).unwrap();
+        let mut revived = restart(&cluster, placement());
+        revived.write(SiteId::new(1), vec![6]).unwrap();
         assert_eq!(revived.state_at(SiteId::new(1)).op, op_before + 1);
-        assert_eq!(revived.read(SiteId::new(2)).unwrap(), 6);
-    }
-
-    #[test]
-    fn state_of_accessor() {
-        let mut cluster = ClusterBuilder::new()
-            .copies([0, 1])
-            .protocol(Protocol::Odv)
-            .build_with_value(0u8);
-        cluster.write(SiteId::new(0), 1).unwrap();
-        let snap = cluster.snapshot();
-        assert_eq!(snap.state_of(SiteId::new(0)).unwrap().version, 2);
-        assert!(snap.state_of(SiteId::new(9)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot does not match")]
-    fn mismatched_restore_rejected() {
-        let cluster = ClusterBuilder::new()
-            .copies([0, 1])
-            .protocol(Protocol::Odv)
-            .build_with_value(0u8);
-        let snapshot = cluster.snapshot();
-        let _ = ClusterBuilder::new()
-            .copies([0, 1, 2]) // different placement
-            .protocol(Protocol::Odv)
-            .build_from_snapshot(&snapshot);
+        assert_eq!(revived.read(SiteId::new(2)).unwrap(), vec![6]);
     }
 
     fn durable_fixture() -> DurableSiteState {

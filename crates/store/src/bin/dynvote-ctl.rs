@@ -10,7 +10,11 @@
 //! dynvote-ctl --nodes 0=127.0.0.1:7100,1=127.0.0.1:7101 replay fork.trace
 //! ```
 //!
-//! Against a *sharded* store (`dynvote-stored --shards N`):
+//! Every daemon serves a shard map — one group on every site unless it
+//! was started with `--shards N`. `put`/`get`/`recover` move one
+//! group's whole image, at any site hosting it: shard 0's unless
+//! `--shard K` names another. Keyed commands treat the image as a
+//! key → bytes map and route themselves:
 //!
 //! ```text
 //! dynvote-ctl --node 127.0.0.1:7100 putk user:42 "contents"   # routed by key
@@ -24,9 +28,9 @@
 //! `putk`/`getk` fetch the shard map from `--node`, hash the key, and
 //! talk to the owning shard's coordinator directly — retrying through
 //! typed `StaleShardMap` answers, so they work across a concurrent
-//! rebalance. `--shard K` wraps a plain command (put/get/recover/
-//! status) in a shard envelope, addressing shard `K`'s group at
-//! `--node` without routing.
+//! rebalance. `--shard K` addresses shard `K`'s group at `--node`
+//! without routing (put/get/recover/status; a `status` without it is
+//! the site's own: map epoch, hosted shards, link rules).
 //!
 //! `--repeat N` (put/get only) issues the operation N times over ONE
 //! persistent, pipelined connection with up to `--pipeline D` (default
@@ -370,30 +374,18 @@ fn main() {
         "shardmap" => Frame::GetShardMap,
         other => fail(&format!("unknown command {other:?}")),
     };
-    // `--shard K` addresses one shard group directly: wrap the plain
-    // frame in a shard envelope (the daemon refuses nested envelopes,
-    // so only plain commands qualify).
-    let frame = match shard {
-        Some(shard)
-            if matches!(
-                frame,
-                Frame::Put { .. } | Frame::Get | Frame::Recover | Frame::Status
-            ) =>
-        {
-            Frame::Shard {
-                shard,
-                inner: Box::new(frame),
-            }
-        }
-        Some(_) => fail("--shard applies to put, get, recover, and status"),
-        None => frame,
+    // Data commands address one shard group (shard 0 unless `--shard`
+    // names another); `status` does when asked to, and is the site's
+    // own otherwise.
+    let frame = match (&frame, shard) {
+        (Frame::Put { .. } | Frame::Get | Frame::Recover, _) => frame.for_shard(shard.unwrap_or(0)),
+        (Frame::Status, Some(shard)) => frame.for_shard(shard),
+        (_, Some(_)) => fail("--shard applies to put, get, recover, and status"),
+        (_, None) => frame,
     };
     if repeat > 1 {
-        let repeatable = match &frame {
-            Frame::Put { .. } | Frame::Get => true,
-            Frame::Shard { inner, .. } => matches!(**inner, Frame::Put { .. } | Frame::Get),
-            _ => false,
-        };
+        let repeatable = matches!(&frame, Frame::Shard { inner, .. }
+            if matches!(**inner, Frame::Put { .. } | Frame::Get));
         if !repeatable {
             fail("--repeat applies to put and get only");
         }

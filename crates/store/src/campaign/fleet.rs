@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use dynvote_replica::wal::{SNAPSHOT_FILE, WAL_FILE};
+use dynvote_replica::wal::{shard_dir, SNAPSHOT_FILE, WAL_FILE};
 
 use super::schedule::DiskFault;
 use crate::client::request_deadline;
@@ -232,7 +232,8 @@ impl Fleet {
         if self.is_up(site) {
             return Err(format!("refusing to corrupt live site {site}"));
         }
-        let dir = self.config.data_dir(site);
+        // The fleet's one group keeps its files in shard 0's directory.
+        let dir = shard_dir(&self.config.data_dir(site), 0);
         match fault {
             DiskFault::WalGarbageTail { bytes } => {
                 let path = dir.join(WAL_FILE);

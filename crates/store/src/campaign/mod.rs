@@ -207,7 +207,7 @@ fn read_until_granted(addr: &str, within: Duration) -> Result<(u64, String), Str
     let deadline = Instant::now() + within;
     loop {
         if let Ok(Outcome::Value { version, value }) =
-            request_deadline(addr, &Frame::Get, Duration::from_secs(8))
+            request_deadline(addr, &Frame::Get.for_shard(0), Duration::from_secs(8))
         {
             return Ok((version, String::from_utf8_lossy(&value).into_owned()));
         }
@@ -229,11 +229,12 @@ fn read_until_granted(addr: &str, within: Duration) -> Result<(u64, String), Str
 fn recover_all(addrs: &[String], within: Duration) -> Result<(), String> {
     let deadline = Instant::now() + within;
     let mut pending: BTreeSet<usize> = (0..addrs.len()).collect();
+    let recover = Frame::Recover.for_shard(0);
     while !pending.is_empty() {
         let mut progressed = false;
         for site in pending.clone() {
             if let Ok(Outcome::Done(_)) =
-                request_deadline(&addrs[site], &Frame::Recover, Duration::from_secs(10))
+                request_deadline(&addrs[site], &recover, Duration::from_secs(10))
             {
                 pending.remove(&site);
                 progressed = true;

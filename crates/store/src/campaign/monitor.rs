@@ -1,7 +1,8 @@
 //! The online invariant monitor: live analogues of the model checker's
 //! invariants, held against a real cluster while the nemesis swings.
 //!
-//! * **Monotone `⟨o, v⟩` per site** — polled from `status`. The state
+//! * **Monotone `⟨o, v⟩` per site** — polled from the fleet's one
+//!   group's `status` (shard 0 of a one-group map). The state
 //!   is durable and fsync'd before every acknowledgement, so a site's
 //!   `(op, version)` pair must never move backward, *including across a
 //!   `kill -9` and restart-from-disk* (the poll thread keeps one
@@ -81,10 +82,11 @@ fn poll_loop(addrs: &[String], interval: Duration, stop: &AtomicBool) -> Monitor
     // Highest (op, version) ever observed per site — survives the
     // site's own restarts, which is the point.
     let mut high_water: Vec<Option<(u64, u64)>> = vec![None; addrs.len()];
+    let status = Frame::Status.for_shard(0);
     while !stop.load(Ordering::SeqCst) {
         for (site, addr) in addrs.iter().enumerate() {
             let Ok(Outcome::Report(text)) =
-                request_deadline(addr, &Frame::Status, Duration::from_millis(800))
+                request_deadline(addr, &status, Duration::from_millis(800))
             else {
                 continue; // dead or stalled right now — not a violation
             };

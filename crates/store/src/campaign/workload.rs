@@ -165,7 +165,8 @@ fn client_loop(
                 value: format!("w{n}").into_bytes(),
             },
             None => Frame::Get,
-        };
+        }
+        .for_shard(0);
         let at = started.elapsed();
         let issued = Instant::now();
         let answer = request_retry(
@@ -193,7 +194,7 @@ fn client_loop(
             Ok(Outcome::Report(_)) => OpResult::Protocol("report to a data op".to_string()),
             Ok(Outcome::ShardMap(_)) => OpResult::Protocol("shard map to a data op".to_string()),
             Ok(Outcome::Stale { epoch }) => {
-                OpResult::Protocol(format!("stale-map (epoch {epoch}) to an unsharded op"))
+                OpResult::Protocol(format!("stale-map (epoch {epoch}) to a raw op"))
             }
             Err(ClientError::Timeout { .. }) => OpResult::TimedOut,
             // request_retry only surfaces Timeout or Protocol; spell it

@@ -238,8 +238,8 @@ fn classify(error: &io::Error, started: Instant, connected: bool) -> ClientError
 
 /// Connects, sends one request frame, reads one response frame.
 ///
-/// The legacy `io::Result` surface, kept for existing callers; the
-/// deadline is hard (see [`request_deadline`]).
+/// [`request_deadline`] behind an `io::Result`: the deadline is just
+/// as hard, the failure is an [`io::Error`] of the matching kind.
 ///
 /// # Errors
 ///

@@ -7,9 +7,9 @@
 //! ```text
 //! dynvote-stored --site 0 --policy odv \
 //!     --peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102 \
-//!     [--witnesses 2] \
 //!     [--segments main=0,1,2,3,4;second=5;third=6,7] \
 //!     [--bridges 3=second;4=third] \
+//!     [--shards 4 --shard-placement ring:3] \
 //!     [--value hello] [--log /path/to/node.log] \
 //!     [--data-dir /var/lib/dynvote/node0] [--snapshot-every 64] \
 //!     [--boot-recover-ms 5000] [--bind-retry-ms 0] \
@@ -25,6 +25,13 @@
 //! RECOVER for up to `--boot-recover-ms` to catch up from the majority
 //! partition. `--bind-retry-ms` keeps retrying a busy listen address —
 //! the lingering-socket window a `kill -9` leaves behind.
+//!
+//! Every daemon is the sharded service. Without `--shards` its boot map
+//! is one shard group placed on every site in `--peers` — the paper's
+//! single replicated file — and `--value` is a group's initial image.
+//! Every site holds a full copy: witnesses are exercised in
+//! `dynvote-core`, `dynvote-replica` and the `witness_study` bin, not
+//! by the daemon.
 //!
 //! Without `--segments` the sites form one broadcast segment. With
 //! them, the topology mirrors [`dynvote_topology::NetworkBuilder`]:
@@ -51,13 +58,12 @@ pub struct Config {
     /// Every site's daemon address, local site included (its entry is
     /// the listen address).
     pub peers: Vec<(SiteId, String)>,
-    /// Sites hosting witnesses instead of full copies.
-    pub witnesses: Vec<usize>,
     /// Named segments (empty = one broadcast segment).
     pub segments: Vec<(String, Vec<usize>)>,
     /// Gateway bridges: `(gateway site, segment name)`.
     pub bridges: Vec<(usize, String)>,
-    /// The initial file contents.
+    /// Every shard group's initial image (`--value`; empty = an empty
+    /// KV map).
     pub initial: Vec<u8>,
     /// Optional log file (always also logs to stderr unless `quiet`).
     pub log: Option<String>,
@@ -83,10 +89,9 @@ pub struct Config {
     /// append + fsync but *before* the acknowledgement leaves — proves
     /// the fsync-before-ack ordering from the outside.
     pub crash_after_wal_append: bool,
-    /// How many independent shard groups the fleet runs (`--shards N`).
-    /// `None` keeps the legacy single-object store, byte-identical on
-    /// the wire; `Some(n)` boots the sharded service with `n` voting
-    /// groups placed by `shard_placement`.
+    /// How many independent shard groups the boot map has
+    /// (`--shards N`), placed by `shard_placement`. `None` is one group
+    /// on every site in `peers`.
     pub shards: Option<usize>,
     /// How shards map onto sites (`--shard-placement ring:R|paper`).
     pub shard_placement: Placement,
@@ -122,7 +127,6 @@ impl Config {
         let mut site = None;
         let mut policy = None;
         let mut peers: Vec<(SiteId, String)> = Vec::new();
-        let mut witnesses = Vec::new();
         let mut segments = Vec::new();
         let mut bridges = Vec::new();
         let mut initial = Vec::new();
@@ -160,9 +164,6 @@ impl Config {
                             .ok_or_else(|| format!("--peers: site {index} out of range"))?;
                         peers.push((id, addr.trim().to_string()));
                     }
-                }
-                "--witnesses" => {
-                    witnesses = parse_index_list("--witnesses", &value("--witnesses")?)?
                 }
                 "--segments" => {
                     for entry in value("--segments")?.split(';') {
@@ -247,7 +248,6 @@ impl Config {
             local,
             policy,
             peers,
-            witnesses,
             segments,
             bridges,
             initial,
@@ -272,16 +272,6 @@ impl Config {
             .find(|(id, _)| *id == self.local)
             .map(|(_, addr)| addr.as_str())
             .expect("validated at parse time")
-    }
-
-    /// Sites hosting full copies: every peer not declared a witness.
-    #[must_use]
-    pub fn copies(&self) -> Vec<usize> {
-        self.peers
-            .iter()
-            .map(|(id, _)| id.index())
-            .filter(|index| !self.witnesses.contains(index))
-            .collect()
     }
 
     /// Builds the communication topology.
@@ -330,7 +320,7 @@ mod tests {
         assert_eq!(config.local, SiteId::new(3));
         assert_eq!(config.policy, Protocol::Otdv);
         assert_eq!(config.listen_addr(), "a:4");
-        assert_eq!(config.copies().len(), 8);
+        assert_eq!(config.peers.len(), 8);
         let network = config.network().unwrap();
         assert_eq!(network.segment_count(), 3);
     }
@@ -353,6 +343,17 @@ mod tests {
                 .unwrap_err()
                 .contains("unknown policy")
         );
+    }
+
+    /// Every site of a daemon fleet holds a full copy, whatever the
+    /// boot map: a flag that only one boot path honoured is gone.
+    #[test]
+    fn witnesses_is_not_a_daemon_flag() {
+        let error = Config::parse_args(args(
+            "--site 0 --policy odv --peers 0=a:1,1=a:2,2=a:3 --witnesses 2",
+        ))
+        .unwrap_err();
+        assert!(error.contains("unknown flag") && error.contains("--witnesses"));
     }
 
     #[test]

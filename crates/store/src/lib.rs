@@ -16,11 +16,14 @@
 //!   calling thread under the socket's own timeouts, capped
 //!   exponential reconnect backoff, and the runtime [`tcp::LinkRules`]
 //!   that cut *real* partitions into a live cluster;
-//! * [`value`] — [`value::ShardValue`]: the replicated value as the
-//!   cluster holds it — cheap to clone, resident as a decoded map for
-//!   a shard group, carrying the delta a keyed batch made it by;
+//! * [`value`] — [`value::ShardValue`]: a shard group's replicated
+//!   value as the cluster holds it — cheap to clone, resident as a
+//!   decoded map when it is one, carrying the delta a keyed batch made
+//!   it by;
 //! * [`config`] / [`server`] — the `dynvote-stored` daemon: one site
-//!   per process, one listener for peer, client, and admin frames;
+//!   per process, always the sharded service (one group on every site
+//!   unless `--shards` says otherwise), one listener for peer, client,
+//!   and admin frames;
 //! * [`client`] — one-shot framed requests, as `dynvote-ctl` sends;
 //! * [`conn`] — the persistent, pipelined library client: one
 //!   connection, N outstanding correlation-id-tagged requests;
@@ -47,7 +50,7 @@
 //! let daemon = dynvote_store::server::start(config).unwrap();
 //! let outcome = request(
 //!     &daemon.addr().to_string(),
-//!     &Frame::Put { value: b"hello".to_vec() },
+//!     &Frame::Put { value: b"hello".to_vec() }.for_shard(0),
 //!     Duration::from_secs(2),
 //! ).unwrap();
 //! assert!(outcome.granted());

@@ -24,6 +24,9 @@
 //! * `read s` / `write s` — `GET`/`PUT` at `s`; writes carry a
 //!   monotone token so divergent histories are visible in the values.
 //!
+//! The checker's one replicated file is shard 0 of the fleet's
+//! one-group map (daemons started without `--shards`).
+//!
 //! After every topology event the driver *reconciles*: it derives the
 //! full desired connectivity (crashed set × active partition) and
 //! issues `heal-links` + `deny` to every daemon, so events compose
@@ -310,12 +313,16 @@ pub fn run_with(
                 driver.reconcile()?;
                 "healed".to_string()
             }
-            CheckEvent::Recover(site) => describe(&driver.send(site.index(), &Frame::Recover)?),
-            CheckEvent::Read(site) => describe(&driver.send(site.index(), &Frame::Get)?),
+            CheckEvent::Recover(site) => {
+                describe(&driver.send(site.index(), &Frame::Recover.for_shard(0))?)
+            }
+            CheckEvent::Read(site) => {
+                describe(&driver.send(site.index(), &Frame::Get.for_shard(0))?)
+            }
             CheckEvent::Write(site) => {
                 write_token += 1;
                 let value = format!("w{write_token}").into_bytes();
-                describe(&driver.send(site.index(), &Frame::Put { value })?)
+                describe(&driver.send(site.index(), &Frame::Put { value }.for_shard(0))?)
             }
         };
         steps.push(ReplayStep {

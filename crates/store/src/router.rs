@@ -308,10 +308,7 @@ fn recover_at(
     let addr = map
         .addr_of(site)
         .ok_or_else(|| format!("the map names no address for site {site}"))?;
-    let frame = Frame::Shard {
-        shard,
-        inner: Box::new(Frame::Recover),
-    };
+    let frame = Frame::Recover.for_shard(shard);
     let deadline = std::time::Instant::now() + timeout.max(RECOVER_BUDGET_FLOOR);
     loop {
         let last = match request_deadline(addr, &frame, timeout) {

@@ -1,21 +1,28 @@
 //! The `dynvote-stored` daemon: one site of a live voting cluster.
 //!
-//! A daemon owns exactly one participant — built with
-//! [`ClusterBuilder::build_remote`], so the [`Cluster`] holds only the
-//! local node and reaches every other site through a
-//! [`TcpTransport`] — and serves one TCP listener for all three frame
-//! families:
+//! A process is the sharded service: a shard map (one group on every
+//! site unless `--shards` says otherwise) and, for each shard group
+//! placed at this site, a per-shard daemon that owns exactly one
+//! participant — built with [`ClusterBuilder::build_remote`], so the
+//! [`Cluster`] holds only the local node and reaches every other site
+//! through a [`TcpTransport`]. One TCP listener serves every frame
+//! family, each routed once (`route`: correlation tag, then envelope,
+//! then dispatch):
 //!
-//! * **peer frames** run the recipient side of Figures 1–3/5–7 via
-//!   [`Cluster::serve_at`] — the *same* handler the in-memory
-//!   transport's callback invokes, which is the whole point of the
-//!   transport seam;
-//! * **client data frames** (`put`/`get`/`recover`) run the
-//!   coordinator side via [`Cluster::write`]/`read`/`recover`;
-//! * **admin frames** mutate the shared [`LinkRules`] to cut or heal
-//!   links at runtime, and report status.
+//! * **peer frames** (inside a shard envelope) run the recipient side
+//!   of Figures 1–3/5–7 via [`Cluster::serve_at`] — the *same* handler
+//!   the in-memory transport's callback invokes, which is the whole
+//!   point of the transport seam;
+//! * **client data frames** — raw `put`/`get`/`recover` inside a shard
+//!   envelope, keyed `putk`/`getk` routed by the map — run the
+//!   coordinator side via [`Cluster::write_batch`]/`update`/`read`/
+//!   `recover`;
+//! * **control and admin frames** fetch or install the shard map,
+//!   mutate the shared [`LinkRules`] to cut or heal links at runtime,
+//!   and report status.
 //!
-//! Concurrency model: one `Mutex<Cluster>` guards all protocol state.
+//! Concurrency model: one `Mutex<Cluster>` per shard group guards all
+//! of its protocol state.
 //! A coordinated operation holds the lock across its network
 //! exchanges; inbound peer frames wait on the same lock. Two daemons
 //! coordinating at each other simultaneously therefore serve each
@@ -25,8 +32,9 @@
 //!
 //! Sessions are persistent and pipelined (DESIGN.md §12): a client may
 //! keep one connection open and send any number of
-//! [`Frame::Tagged`]-wrapped data requests without waiting; replies
-//! come back tagged with the same correlation id, in completion order.
+//! [`Frame::Tagged`]-wrapped data requests without waiting; a reply
+//! carries its request's tag, or none, and replies come back in
+//! completion order.
 //! Client data operations do not run on the session thread — they
 //! queue for the daemon's single *batch worker*, which drains the
 //! queue under the cluster lock and serves runs of consecutive writes
@@ -34,9 +42,9 @@
 //! keyed puts through [`Cluster::update`], which reads the shard map
 //! under that same vote) and runs of reads through one quorum read,
 //! then fsyncs once for the whole batch strictly before any
-//! acknowledgement leaves. Untagged data frames keep the old
-//! one-at-a-time semantics on the wire but share the same batch worker
-//! underneath.
+//! acknowledgement leaves. An untagged data frame goes through the
+//! same queue and the same completion; its session reads no further
+//! frame until the reply is written, which is all "one at a time" is.
 //!
 //! Every grant and refusal is logged with the paper clause that fired,
 //! so a partition experiment reads as a protocol trace.
@@ -61,9 +69,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use dynvote_control::kv::MAX_KEY_LEN;
-use dynvote_control::{fold_image, KvPuts, ShardMap};
+use dynvote_control::{fold_image, KvPuts, ShardMap, ShardSpec};
 use dynvote_core::state::ReplicaState;
-use dynvote_replica::wal::{shard_dir, SiteStore, WalRecord};
+use dynvote_replica::wal::{shard_dir, SiteStore, WalRecord, SNAPSHOT_FILE, WAL_FILE};
 use dynvote_replica::{Cluster, ClusterBuilder, MessageKind, Reply};
 use dynvote_types::{AccessError, SiteId, SiteSet};
 
@@ -160,12 +168,13 @@ impl Logger {
 /// A client data operation, decoupled from the session that carried
 /// it: the batch worker executes these in queue order.
 ///
-/// The keyed variants exist only on sharded daemons, whose replicated
-/// value is a KV map ([`ShardValue`] keeps it decoded): the batch
-/// worker folds a run of keyed puts into one read-modify-write decided
-/// by one quorum round — sound because the shard's *coordinator funnel* (only
+/// The raw variants move the group's whole image, one version step per
+/// put, at any hosting site. The keyed variants treat the image as a KV
+/// map ([`ShardValue`] keeps it decoded): the batch worker folds a run
+/// of keyed puts into one read-modify-write decided by one quorum
+/// round — sound because the shard's *coordinator funnel* (only
 /// `placement[0]` of the current epoch accepts keyed operations)
-/// serializes every mutation of the image through this one queue.
+/// serializes every keyed mutation of the image through this one queue.
 enum DataOp {
     Put(Vec<u8>),
     Get,
@@ -173,8 +182,8 @@ enum DataOp {
     GetKey { key: String },
 }
 
-/// One queued data operation plus the completion that routes its reply
-/// back to whichever session (tagged or legacy) submitted it.
+/// One queued data operation plus the completion that writes its reply
+/// to the session that submitted it.
 struct PendingData {
     op: DataOp,
     done: Box<dyn FnOnce(Frame) + Send>,
@@ -190,11 +199,10 @@ struct Daemon {
     local: SiteId,
     policy_name: &'static str,
     log: Arc<Logger>,
-    /// Which shard group this daemon hosts (`None` = the legacy
-    /// single-object store). Outbound peer frames are wrapped in
-    /// [`Frame::Shard`] so the receiving service routes them to its
-    /// matching per-shard daemon.
-    shard: Option<u16>,
+    /// Which shard group this daemon hosts. Outbound peer frames are
+    /// wrapped in [`Frame::Shard`] so the receiving service routes them
+    /// to its matching per-shard daemon.
+    shard: u16,
     /// Non-zero once a shard-map install replaced this daemon: the map
     /// epoch that retired it. Checked under the cluster lock by every
     /// path that could still commit or touch the (now shared) durable
@@ -241,7 +249,7 @@ struct Daemon {
 /// `applied` says how the data got there: the delta the commits since
 /// the last sync applied, which is logged as such when it starts at
 /// the version the store holds — the whole image is written only when
-/// no such delta exists (a full-image COMMIT, a legacy write, a
+/// no such delta exists (a full-image COMMIT, a raw write, a
 /// recovery's copy, or a store left behind by a failed sync).
 ///
 /// Always called with the cluster lock held, so the comparison and the
@@ -348,10 +356,14 @@ pub fn start(config: Config) -> std::io::Result<ServiceHandle> {
     start_on(config, listener)
 }
 
-/// The sharded half of a service: one slot per shard in the map, each
-/// holding the per-shard [`Daemon`] when the local site is in that
-/// shard's placement.
-struct ShardedService {
+/// One `dynvote-stored` process: the shared fault fabric, the logger,
+/// the shard map, and one slot per shard in it, each holding the
+/// per-shard [`Daemon`] when the local site is in that shard's
+/// placement.
+struct Service {
+    config: Config,
+    links: Arc<LinkRules>,
+    log: Arc<Logger>,
     /// `slots[k]` is shard `k`'s daemon — `None` when this site is not
     /// in its placement. A shard-map install takes the write lock to
     /// swap a slot; every per-frame route holds the read lock, so a
@@ -362,63 +374,43 @@ struct ShardedService {
     map: Mutex<ShardMap>,
     /// Where the map persists (`<data-dir>/shardmap.bin`), if durable.
     map_path: Option<PathBuf>,
-}
-
-/// What one `dynvote-stored` process hosts: the legacy single-object
-/// daemon, or the sharded service (`--shards N`).
-enum Role {
-    Legacy(Arc<Daemon>),
-    Sharded(ShardedService),
-}
-
-/// One `dynvote-stored` process: the shared fault fabric, the logger,
-/// and the hosted role.
-struct Service {
-    config: Config,
-    links: Arc<LinkRules>,
-    log: Arc<Logger>,
-    role: Role,
     /// Shared with every daemon's background threads — successor
     /// daemons booted by a map install must observe the same stop flag.
     shutdown: Arc<AtomicBool>,
 }
 
-/// Builds and starts one [`Daemon`]: transport (shard-wrapped when
-/// `shard` is set), durable restore or seed under the (per-shard)
-/// data directory, ticket salting, and the three background threads.
-/// `override_state` installs captured in-process state on top of
-/// whatever the disk held — the shard-map install path hands the old
-/// incarnation's image to its successor this way.
-#[allow(clippy::too_many_arguments)] // one call site per role; a builder would obscure the boot order
+/// Builds and starts shard `shard`'s [`Daemon`]: transport, durable
+/// restore or seed under the shard's data directory, ticket salting,
+/// and the three background threads. `override_state` installs captured
+/// in-process state on top of whatever the disk held — the shard-map
+/// install path hands the old incarnation's image to its successor
+/// this way.
 fn boot_daemon(
     config: &Config,
     links: &Arc<LinkRules>,
     log: &Arc<Logger>,
     shutdown: &Arc<AtomicBool>,
-    shard: Option<u16>,
+    shard: u16,
     copies: Vec<usize>,
-    witnesses: Vec<usize>,
     override_state: Option<(ReplicaState, ShardValue, Option<u64>)>,
 ) -> std::io::Result<Arc<Daemon>> {
     let network = config
         .network()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let mut transport = TcpTransport::new(
+    let transport = TcpTransport::new(
         config.local,
+        shard,
         &config.peers,
         Arc::clone(links),
         config.timeouts,
     );
-    if let Some(shard) = shard {
-        transport = transport.with_shard(shard);
-    }
     let ledger = transport.ledger();
     // Each shard group gets its own durable namespace under the base
     // data directory — independent voting groups, independent WALs.
-    let data_dir: Option<PathBuf> = config.data_dir.as_ref().map(|base| match shard {
-        Some(shard) => shard_dir(Path::new(base), shard),
-        None => PathBuf::from(base),
-    });
+    let data_dir: Option<PathBuf> = config
+        .data_dir
+        .as_ref()
+        .map(|base| shard_dir(Path::new(base), shard));
     // The durable operation ledger: replay what every dead incarnation
     // recorded at its commit points (the vote-probe answers and the
     // high-water mark of the dead-epoch rule), then swap it into the
@@ -431,16 +423,12 @@ fn boot_daemon(
         boot_fence = Some(durable.high_water());
         *ledger.lock().expect("op ledger poisoned") = durable;
     }
-    // The legacy store replicates `--value`; a shard's replicated value
-    // is its KV image, which starts out as the empty map's encoding.
-    let initial = match shard {
-        Some(_) => ShardValue::from_image(Vec::new()),
-        None => ShardValue::opaque(config.initial.clone()),
-    };
+    // A group's replicated value is its image: `--value`, or the empty
+    // KV map's (empty) encoding.
+    let initial = ShardValue::from_image(config.initial.clone());
     let mut cluster = ClusterBuilder::new()
         .network(network)
         .copies(copies)
-        .witnesses(witnesses)
         .protocol(config.policy)
         .build_remote(config.local.index(), transport, initial);
 
@@ -480,9 +468,7 @@ fn boot_daemon(
                     cluster.install_durable_state(
                         config.local,
                         image.state,
-                        image
-                            .value
-                            .map(|bytes| ShardValue::received(bytes, shard.is_some())),
+                        image.value.map(ShardValue::from_image),
                         image.pending,
                     );
                     restored_from_disk = true;
@@ -552,8 +538,8 @@ fn boot_daemon(
         }
     }
     // The batch worker: the single consumer of the data-operation
-    // queue. Every client put/get — pipelined or legacy — funnels
-    // through it, which is what lets the daemon amortize one quorum
+    // queue. Every client put/get — raw or keyed, tagged or not —
+    // funnels through it, which is what lets the daemon amortize one quorum
     // exchange and one fsync over a run of concurrent operations.
     {
         let batch_daemon = Arc::clone(&daemon);
@@ -588,34 +574,52 @@ fn boot_daemon(
 }
 
 /// Builds the boot shard map: the persisted generation when the data
-/// directory holds one, else epoch 1 from the placement policy over
-/// the peer list.
-fn boot_shard_map(config: &Config, shards: usize) -> std::io::Result<(ShardMap, Option<PathBuf>)> {
-    let map_path = config.data_dir.as_ref().map(|base| {
+/// directory holds one, else epoch 1 over the peer list — `--shards`
+/// groups placed by the placement policy, or without the flag one group
+/// on every site.
+///
+/// A data directory with a log or snapshot at its root was written by a
+/// daemon that kept its one group there. Seeding a fresh group beside
+/// it would serve the boot value in place of acknowledged data, so that
+/// is refused.
+fn boot_shard_map(config: &Config) -> std::io::Result<(ShardMap, Option<PathBuf>)> {
+    let map_path = config
+        .data_dir
+        .as_ref()
+        .map(|base| Path::new(base).join("shardmap.bin"));
+    if let (Some(base), Some(path)) = (&config.data_dir, &map_path) {
         let base = Path::new(base);
-        base.join("shardmap.bin")
-    });
-    if let Some(path) = &map_path {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
+        std::fs::create_dir_all(base)?;
+        for file in [WAL_FILE, SNAPSHOT_FILE] {
+            if base.join(file).exists() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!(
+                        "{} holds {file} at its root, but a shard group's files live in its \
+                         own directory: move the directory's files into {} to serve them",
+                        base.display(),
+                        shard_dir(base, 0).display()
+                    ),
+                ));
+            }
         }
         if let Some(map) = ShardMap::load(path)? {
             return Ok((map, map_path));
         }
     }
-    let site_count = config
-        .peers
-        .iter()
-        .map(|(id, _)| id.index())
-        .max()
-        .map_or(0, |max| max + 1);
-    let specs = config
-        .shard_placement
-        .build(shards, site_count)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    let sites = config.peers.iter().map(|(id, _)| id.index());
+    let shards = match config.shards {
+        Some(shards) => config
+            .shard_placement
+            .build(shards, sites.max().map_or(0, |max| max + 1))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?,
+        None => vec![ShardSpec {
+            placement: sites.collect(),
+        }],
+    };
     let map = ShardMap {
         epoch: 1,
-        shards: specs,
+        shards,
         sites: config
             .peers
             .iter()
@@ -651,70 +655,46 @@ pub fn start_on(config: Config, listener: TcpListener) -> std::io::Result<Servic
         quiet: config.quiet,
     });
     let shutdown = Arc::new(AtomicBool::new(false));
-    let role = match config.shards {
-        None => Role::Legacy(boot_daemon(
-            &config,
-            &links,
-            &log,
-            &shutdown,
-            None,
-            config.copies(),
-            config.witnesses.clone(),
-            None,
-        )?),
-        Some(shards) => {
-            let (map, map_path) = boot_shard_map(&config, shards)?;
-            let mut slots = Vec::with_capacity(map.shards.len());
-            for (shard, spec) in map.shards.iter().enumerate() {
-                let slot = if spec.placement.contains(&config.local.index()) {
-                    Some(boot_daemon(
-                        &config,
-                        &links,
-                        &log,
-                        &shutdown,
-                        Some(shard as u16),
-                        spec.placement.clone(),
-                        Vec::new(),
-                        None,
-                    )?)
-                } else {
-                    None
-                };
-                slots.push(RwLock::new(slot));
-            }
-            log.log(&format!(
-                "shard map: epoch {} with {} shards ({} hosted here)",
-                map.epoch,
-                map.shards.len(),
-                slots
-                    .iter()
-                    .filter(|s| s.read().expect("slot poisoned").is_some())
-                    .count(),
-            ));
-            Role::Sharded(ShardedService {
-                slots,
-                map: Mutex::new(map),
-                map_path,
-            })
-        }
-    };
+    let (map, map_path) = boot_shard_map(&config)?;
+    let mut slots = Vec::with_capacity(map.shards.len());
+    for (shard, spec) in map.shards.iter().enumerate() {
+        let slot = if spec.placement.contains(&config.local.index()) {
+            Some(boot_daemon(
+                &config,
+                &links,
+                &log,
+                &shutdown,
+                shard as u16,
+                spec.placement.clone(),
+                None,
+            )?)
+        } else {
+            None
+        };
+        slots.push(RwLock::new(slot));
+    }
+    log.log(&format!(
+        "dynvote-stored up: policy={} listen={addr} peers={} durable={} map epoch {} with {} \
+         shards ({} hosted here)",
+        config.policy.name(),
+        config.peers.len(),
+        config.data_dir.is_some(),
+        map.epoch,
+        map.shards.len(),
+        slots
+            .iter()
+            .filter(|s| s.read().expect("slot poisoned").is_some())
+            .count(),
+    ));
     let service = Arc::new(Service {
         links,
         log,
-        role,
+        slots,
+        map: Mutex::new(map),
+        map_path,
         config,
         shutdown: Arc::clone(&shutdown),
     });
-    service.log.log(&format!(
-        "dynvote-stored up: policy={} listen={addr} peers={} durable={} shards={}",
-        service.config.policy.name(),
-        service.config.peers.len(),
-        service.config.data_dir.is_some(),
-        service
-            .config
-            .shards
-            .map_or_else(|| "-".to_string(), |n| n.to_string()),
-    ));
     let accept_shutdown = Arc::clone(&shutdown);
     let idle = service.config.timeouts.read;
     let accept_thread = std::thread::Builder::new()
@@ -856,7 +836,7 @@ fn install_commit(
     } else {
         match body {
             CommitBody::StateOnly => None,
-            CommitBody::Image(bytes) => Some(ShardValue::received(bytes, daemon.shard.is_some())),
+            CommitBody::Image(bytes) => Some(ShardValue::from_image(bytes)),
             CommitBody::Delta(delta) => {
                 let next = (held.version == delta.base)
                     .then(|| cluster.value_at(to).with_delta(Arc::clone(&delta)))
@@ -1021,20 +1001,14 @@ fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
             // The partition surface applies to probes too.
             continue;
         }
+        // The probe must reach the peer's *matching* shard daemon (each
+        // shard has its own operation ledger).
         let probe = Frame::VoteProbe {
             ticket,
             from: daemon.local,
             to,
-        };
-        // A sharded daemon's probe must reach the peer's *matching*
-        // shard daemon (each shard has its own operation ledger).
-        let probe = match daemon.shard {
-            Some(shard) => Frame::Shard {
-                shard,
-                inner: Box::new(probe),
-            },
-            None => probe,
-        };
+        }
+        .for_shard(daemon.shard);
         match probe_exchange(&addr, &probe, WEDGE_PROBE_DEADLINE) {
             Ok(Frame::Release {
                 ticket: answered,
@@ -1158,213 +1132,115 @@ fn handle_connection(
                 return;
             }
         };
-        let keep_open = match &service.role {
-            Role::Legacy(daemon) => route_legacy(daemon, frame, &writer),
-            Role::Sharded(sharded) => route_sharded(service, sharded, frame, &writer),
-        };
-        if !keep_open {
+        if !route(service, frame, &writer) {
             return;
         }
     }
 }
 
-/// Routes one frame in legacy (unsharded) mode — the original wire
-/// behaviour, byte for byte. Returns `false` to close the session.
-fn route_legacy(daemon: &Arc<Daemon>, frame: Frame, writer: &Arc<Mutex<TcpStream>>) -> bool {
-    match frame {
-        // Tagged data frames pipeline: queue for the batch worker
-        // and read the next frame immediately; the completion
-        // writes the tagged reply whenever the worker finishes, in
-        // whatever order that happens.
-        Frame::Tagged { id, inner } => match *inner {
-            Frame::Put { value } => {
-                enqueue_data(daemon, DataOp::Put(value), tagged_completion(writer, id))
-            }
-            Frame::Get => enqueue_data(daemon, DataOp::Get, tagged_completion(writer, id)),
-            // Every other tagged frame answers inline on this
-            // thread — admin and status stay snappy even while the
-            // batch worker sits in a slow quorum round (which is
-            // exactly what the out-of-order pipelining test pins).
-            inner => match dispatch(daemon, inner) {
-                Dispatch::Reply(reply) => {
-                    let tagged = Frame::Tagged {
-                        id,
-                        inner: Box::new(reply),
-                    };
-                    write_shared(writer, &tagged).is_ok()
-                }
-                Dispatch::Silent => true,
-                Dispatch::Close => false,
-            },
-        },
-        // Untagged data frames keep the one-at-a-time wire
-        // semantics: queue, wait for the reply, answer, read on.
-        Frame::Put { value } => serve_legacy_data(daemon, writer, DataOp::Put(value)),
-        Frame::Get => serve_legacy_data(daemon, writer, DataOp::Get),
-        frame => match dispatch(daemon, frame) {
-            Dispatch::Reply(reply) => write_shared(writer, &reply).is_ok(),
-            Dispatch::Silent => true,
-            Dispatch::Close => false,
-        },
-    }
-}
-
-/// Routes one frame in sharded mode. Three frame families:
+/// Routes one frame, in one order: peel the correlation tag, then the
+/// envelope, then dispatch. Returns `false` to close the session.
 ///
-/// * **keyed client frames** (`PutKey`/`GetKey`, tagged or not) —
-///   epoch-checked against the current map, coordinator-checked
-///   against the key's shard placement, then queued on that shard
-///   daemon's batch worker;
+/// * **keyed client frames** (`PutKey`/`GetKey`) — epoch-checked
+///   against the current map, coordinator-checked against the key's
+///   shard placement, then queued on that shard daemon's batch worker;
 /// * **`Shard{k, inner}` envelopes** — addressed to shard `k`'s
-///   daemon: peer protocol frames, per-shard RECOVER/status, and the
-///   shard-scoped data ops. The slot's read lock is held across the
-///   inline dispatch, so a concurrent map install (which takes the
-///   write lock) waits out every in-flight exchange before capturing
-///   the old daemon's state;
-/// * **control-plane frames** (`GetShardMap`/`InstallShardMap`) and
-///   fleet-wide admin (status, link rules) — served by the service.
-fn route_sharded(
-    service: &Arc<Service>,
-    sharded: &ShardedService,
-    frame: Frame,
-    writer: &Arc<Mutex<TcpStream>>,
-) -> bool {
-    match frame {
-        Frame::Tagged { id, inner } => match *inner {
-            Frame::PutKey {
-                epoch,
-                shard,
-                key,
-                value,
-            } => match keyed_put(service, sharded, epoch, shard, key, value) {
-                Ok((daemon, op)) => enqueue_data(&daemon, op, tagged_completion(writer, id)),
-                Err(reply) => write_tagged(writer, id, reply),
-            },
-            Frame::GetKey { epoch, shard, key } => {
-                match keyed_route(service, sharded, epoch, shard) {
-                    Ok(daemon) => enqueue_data(
-                        &daemon,
-                        DataOp::GetKey { key },
-                        tagged_completion(writer, id),
-                    ),
-                    Err(reply) => write_tagged(writer, id, reply),
-                }
-            }
-            Frame::Shard { shard, inner } => match shard_frame(sharded, shard, *inner, writer) {
-                ShardRouted::Reply(reply) => write_tagged(writer, id, reply),
-                ShardRouted::Done(keep) => keep,
-                ShardRouted::Silent => true,
-                ShardRouted::Close => false,
-            },
-            inner => match service_dispatch(service, sharded, inner) {
-                Dispatch::Reply(reply) => write_tagged(writer, id, reply),
-                Dispatch::Silent => true,
-                Dispatch::Close => false,
-            },
-        },
+///   daemon: raw data operations (queued like the keyed ones), peer
+///   protocol frames, per-shard RECOVER and status;
+/// * **everything else** — the control plane (`GetShardMap`/
+///   `InstallShardMap`) and fleet-wide admin (status, link rules),
+///   served by the service.
+///
+/// One reply rule for all of them: a reply carries its request's tag,
+/// or none ([`write_reply`]). Replies that do not wait on the batch
+/// worker are written here, on the session's thread, so admin and
+/// status stay snappy while the worker sits in a slow quorum round.
+fn route(service: &Arc<Service>, frame: Frame, writer: &Arc<Mutex<TcpStream>>) -> bool {
+    let (tag, frame) = match frame {
+        Frame::Tagged { id, inner } => (Some(id), *inner),
+        frame => (None, frame),
+    };
+    let routed = match frame {
+        // The KV entry layout carries a key's length in 16 bits, and
+        // keys come from clients.
+        Frame::PutKey { key, .. } if key.len() > MAX_KEY_LEN => {
+            Err(Dispatch::Reply(Frame::Refused {
+                message: format!(
+                    "key of {} bytes exceeds the {MAX_KEY_LEN}-byte limit",
+                    key.len()
+                ),
+            }))
+        }
         Frame::PutKey {
             epoch,
             shard,
             key,
             value,
-        } => match keyed_put(service, sharded, epoch, shard, key, value) {
-            Ok((daemon, op)) => serve_legacy_data(&daemon, writer, op),
-            Err(reply) => write_shared(writer, &reply).is_ok(),
-        },
-        Frame::GetKey { epoch, shard, key } => match keyed_route(service, sharded, epoch, shard) {
-            Ok(daemon) => serve_legacy_data(&daemon, writer, DataOp::GetKey { key }),
-            Err(reply) => write_shared(writer, &reply).is_ok(),
-        },
-        Frame::Shard { shard, inner } => match shard_frame(sharded, shard, *inner, writer) {
-            ShardRouted::Reply(reply) => write_shared(writer, &reply).is_ok(),
-            ShardRouted::Done(keep) => keep,
-            ShardRouted::Silent => true,
-            ShardRouted::Close => false,
-        },
-        frame => match service_dispatch(service, sharded, frame) {
-            Dispatch::Reply(reply) => write_shared(writer, &reply).is_ok(),
-            Dispatch::Silent => true,
-            Dispatch::Close => false,
-        },
+        } => {
+            keyed_route(service, epoch, shard).map(|daemon| (daemon, DataOp::PutKey { key, value }))
+        }
+        Frame::GetKey { epoch, shard, key } => {
+            keyed_route(service, epoch, shard).map(|daemon| (daemon, DataOp::GetKey { key }))
+        }
+        Frame::Shard { shard, inner } => shard_frame(service, shard, *inner),
+        frame => Err(service_dispatch(service, frame)),
+    };
+    match routed {
+        Ok((daemon, op)) => enqueue_data(&daemon, op, writer, tag),
+        Err(Dispatch::Reply(reply)) => write_reply(writer, tag, reply),
+        Err(Dispatch::Silent) => true,
+        Err(Dispatch::Close) => false,
     }
 }
 
-/// Writes a reply wrapped in the request's correlation id.
-fn write_tagged(writer: &Arc<Mutex<TcpStream>>, id: u64, reply: Frame) -> bool {
-    let tagged = Frame::Tagged {
-        id,
-        inner: Box::new(reply),
-    };
-    write_shared(writer, &tagged).is_ok()
-}
-
-/// How a `Shard{k, inner}` envelope resolved.
-enum ShardRouted {
-    /// An inline answer for the caller to write (tagged if the
-    /// envelope was).
-    Reply(Frame),
-    /// The inner data op was served through the shard's batch worker
-    /// and wrote its own reply; the bool is "keep the session open".
-    Done(bool),
-    Silent,
-    Close,
-}
+/// A frame's route: a data operation for a shard daemon's batch worker,
+/// or what to do in its place.
+type Routed = Result<(Arc<Daemon>, DataOp), Dispatch>;
 
 /// Routes the inner frame of a `Shard{k, …}` envelope to shard `k`'s
-/// daemon. The slot read lock is held across inline dispatch — see
-/// [`route_sharded`] for why that ordering makes map installs sound.
-fn shard_frame(
-    sharded: &ShardedService,
-    shard: u16,
-    inner: Frame,
-    writer: &Arc<Mutex<TcpStream>>,
-) -> ShardRouted {
-    let Some(slot) = sharded.slots.get(shard as usize) else {
-        return match inner {
+/// daemon. The slot's read lock is held across the inline dispatch, so
+/// a concurrent map install (which takes the write lock) waits out
+/// every in-flight exchange before capturing the old daemon's state.
+fn shard_frame(service: &Service, shard: u16, inner: Frame) -> Routed {
+    let client = matches!(
+        inner,
+        Frame::Recover | Frame::Status | Frame::Put { .. } | Frame::Get
+    );
+    let Some(slot) = service.slots.get(shard as usize) else {
+        return Err(if client {
+            Dispatch::Reply(Frame::Refused {
+                message: format!("shard {shard} out of range"),
+            })
+        } else {
             // A peer frame for a shard this fleet does not have:
             // protocol confusion, drop the session.
-            Frame::Recover | Frame::Status | Frame::Put { .. } | Frame::Get => {
-                ShardRouted::Reply(Frame::Refused {
-                    message: format!("shard {shard} out of range"),
-                })
-            }
-            _ => ShardRouted::Close,
-        };
+            Dispatch::Close
+        });
     };
     let guard = slot.read().expect("shard slot poisoned");
     let Some(daemon) = &*guard else {
-        return match inner {
-            Frame::Recover | Frame::Status | Frame::Put { .. } | Frame::Get => {
-                ShardRouted::Reply(Frame::Unavailable {
-                    reason: UnavailableReason::OriginDown,
-                    message: format!("shard {shard} is not hosted at this site"),
-                })
-            }
+        return Err(if client {
+            Dispatch::Reply(not_hosted(shard))
+        } else {
             // Peer frames for an unhosted shard: stay silent, exactly
             // as a partitioned link would (the coordinator's bounded
             // retry absorbs it).
-            _ => ShardRouted::Silent,
-        };
+            Dispatch::Silent
+        });
     };
+    // Raw data ops move the whole image through this shard's batch
+    // worker; the guard drops before the worker writes the reply.
     match inner {
-        // Shard-scoped raw data ops (the whole KV image): block like
-        // the legacy path, on this shard's batch worker. The reply is
-        // written by the completion, after the guard drops.
-        Frame::Put { value } => {
-            let daemon = Arc::clone(daemon);
-            drop(guard);
-            ShardRouted::Done(serve_legacy_data(&daemon, writer, DataOp::Put(value)))
-        }
-        Frame::Get => {
-            let daemon = Arc::clone(daemon);
-            drop(guard);
-            ShardRouted::Done(serve_legacy_data(&daemon, writer, DataOp::Get))
-        }
-        inner => match dispatch(daemon, inner) {
-            Dispatch::Reply(reply) => ShardRouted::Reply(reply),
-            Dispatch::Silent => ShardRouted::Silent,
-            Dispatch::Close => ShardRouted::Close,
-        },
+        Frame::Put { value } => Ok((Arc::clone(daemon), DataOp::Put(value))),
+        Frame::Get => Ok((Arc::clone(daemon), DataOp::Get)),
+        inner => Err(dispatch(daemon, inner)),
+    }
+}
+
+fn not_hosted(shard: u16) -> Frame {
+    Frame::Unavailable {
+        reason: UnavailableReason::OriginDown,
+        message: format!("shard {shard} is not hosted at this site"),
     }
 }
 
@@ -1373,87 +1249,53 @@ fn shard_frame(
 /// must be the shard's coordinator (the funnel that makes the batched
 /// read-modify-write sound). Returns the shard's daemon, or the typed
 /// answer to send instead.
-fn keyed_route(
-    service: &Arc<Service>,
-    sharded: &ShardedService,
-    epoch: u64,
-    shard: u16,
-) -> Result<Arc<Daemon>, Frame> {
+fn keyed_route(service: &Service, epoch: u64, shard: u16) -> Result<Arc<Daemon>, Dispatch> {
     let local = service.config.local.index();
     {
-        let map = sharded.map.lock().expect("shard map poisoned");
+        let map = service.map.lock().expect("shard map poisoned");
         if epoch != map.epoch {
-            return Err(Frame::StaleShardMap { epoch: map.epoch });
+            return Err(Dispatch::Reply(Frame::StaleShardMap { epoch: map.epoch }));
         }
         let Some(spec) = map.shards.get(shard as usize) else {
-            return Err(Frame::Refused {
+            return Err(Dispatch::Reply(Frame::Refused {
                 message: format!(
                     "shard {shard} out of range ({} shards at epoch {})",
                     map.shards.len(),
                     map.epoch
                 ),
-            });
+            }));
         };
         if spec.coordinator() != local {
-            return Err(Frame::Unavailable {
+            return Err(Dispatch::Reply(Frame::Unavailable {
                 reason: UnavailableReason::OriginDown,
                 message: format!(
                     "site {local} is not the coordinator for shard {shard} at epoch {} (site {} is)",
                     map.epoch,
                     spec.coordinator()
                 ),
-            });
+            }));
         }
     }
-    let guard = sharded.slots[shard as usize]
+    let guard = service.slots[shard as usize]
         .read()
         .expect("shard slot poisoned");
-    match &*guard {
-        Some(daemon) => Ok(Arc::clone(daemon)),
-        None => Err(Frame::Unavailable {
-            reason: UnavailableReason::OriginDown,
-            message: format!("shard {shard} is not hosted at this site"),
-        }),
-    }
+    guard
+        .clone()
+        .ok_or_else(|| Dispatch::Reply(not_hosted(shard)))
 }
 
-/// [`keyed_route`] for a put, which also checks the key: the KV entry
-/// layout carries a key's length in 16 bits, and keys come from
-/// clients.
-fn keyed_put(
-    service: &Arc<Service>,
-    sharded: &ShardedService,
-    epoch: u64,
-    shard: u16,
-    key: String,
-    value: Vec<u8>,
-) -> Result<(Arc<Daemon>, DataOp), Frame> {
-    if key.len() > MAX_KEY_LEN {
-        return Err(Frame::Refused {
-            message: format!(
-                "key of {} bytes exceeds the {MAX_KEY_LEN}-byte limit",
-                key.len()
-            ),
-        });
-    }
-    let daemon = keyed_route(service, sharded, epoch, shard)?;
-    Ok((daemon, DataOp::PutKey { key, value }))
-}
-
-/// Serves the frames a sharded service answers *as a service* — the
-/// control plane (shard map fetch/install), fleet-wide admin, and the
-/// typed refusals for unsharded data ops.
-fn service_dispatch(service: &Arc<Service>, sharded: &ShardedService, frame: Frame) -> Dispatch {
+/// Serves the frames the service answers *as a service* — the control
+/// plane (shard map fetch/install), fleet-wide admin, and the typed
+/// refusals for data ops that name no shard.
+fn service_dispatch(service: &Arc<Service>, frame: Frame) -> Dispatch {
     match frame {
         Frame::GetShardMap => {
-            let map = sharded.map.lock().expect("shard map poisoned");
+            let map = service.map.lock().expect("shard map poisoned");
             Dispatch::Reply(Frame::ShardMapRep { map: map.encode() })
         }
-        Frame::InstallShardMap { map } => {
-            Dispatch::Reply(install_shard_map(service, sharded, &map))
-        }
+        Frame::InstallShardMap { map } => Dispatch::Reply(install_shard_map(service, &map)),
         Frame::Status => Dispatch::Reply(Frame::Report {
-            text: sharded_status_text(service, sharded),
+            text: service_status_text(service),
         }),
         // The link rules are the *process's* fault surface, shared by
         // every shard transport — one deny cuts the site pair for all
@@ -1483,11 +1325,11 @@ fn service_dispatch(service: &Arc<Service>, sharded: &ShardedService, frame: Fra
                 detail: "all links restored".to_string(),
             })
         }
-        // Unsharded data ops against a sharded store: a typed refusal
-        // telling the client what dialect to speak.
+        // Data ops that name no shard: a typed refusal telling the
+        // client what to send.
         Frame::Put { .. } | Frame::Get | Frame::Recover => Dispatch::Reply(Frame::Refused {
-            message: "this store is sharded: use putk/getk (keyed frames) or address a shard \
-                      with a shard envelope"
+            message: "address a shard: use putk/getk (keyed frames) or wrap the frame in a \
+                      shard envelope (dynvote-ctl --shard K)"
                 .to_string(),
         }),
         // Bare peer frames (no shard envelope) cannot be routed.
@@ -1510,7 +1352,7 @@ fn service_dispatch(service: &Arc<Service>, sharded: &ShardedService, frame: Fra
 /// is the paper's own machinery for a copy that lost its state —
 /// Algorithm 1 takes P_m from the max-`o` responder, so the fresh copy
 /// neither serves nor distorts a quorum until the RECOVER completes.
-fn install_shard_map(service: &Arc<Service>, sharded: &ShardedService, bytes: &[u8]) -> Frame {
+fn install_shard_map(service: &Arc<Service>, bytes: &[u8]) -> Frame {
     let new = match ShardMap::decode(bytes) {
         Ok(map) => map,
         Err(error) => {
@@ -1519,7 +1361,7 @@ fn install_shard_map(service: &Arc<Service>, sharded: &ShardedService, bytes: &[
             }
         }
     };
-    let mut map = sharded.map.lock().expect("shard map poisoned");
+    let mut map = service.map.lock().expect("shard map poisoned");
     if new.epoch <= map.epoch {
         return if new == *map {
             Frame::Done {
@@ -1549,7 +1391,7 @@ fn install_shard_map(service: &Arc<Service>, sharded: &ShardedService, bytes: &[
             continue;
         }
         let hosted_after = new_spec.placement.contains(&local);
-        let mut slot = sharded.slots[shard].write().expect("shard slot poisoned");
+        let mut slot = service.slots[shard].write().expect("shard slot poisoned");
         let captured = slot.take().map(|old| {
             // Order matters: set the flag *before* taking the cluster
             // lock. A batch worker that wins the lock race commits
@@ -1570,9 +1412,8 @@ fn install_shard_map(service: &Arc<Service>, sharded: &ShardedService, bytes: &[
                 &service.links,
                 &service.log,
                 &service.shutdown,
-                Some(shard as u16),
+                shard as u16,
                 new_spec.placement.clone(),
-                Vec::new(),
                 captured,
             ) {
                 Ok(daemon) => *slot = Some(daemon),
@@ -1595,7 +1436,7 @@ fn install_shard_map(service: &Arc<Service>, sharded: &ShardedService, bytes: &[
         ));
     }
     *map = new.clone();
-    if let Some(path) = &sharded.map_path {
+    if let Some(path) = &service.map_path {
         if let Err(error) = new.persist(path) {
             service.log.log(&format!(
                 "shard map epoch {}: persist failed: {error}",
@@ -1611,11 +1452,11 @@ fn install_shard_map(service: &Arc<Service>, sharded: &ShardedService, bytes: &[
     }
 }
 
-/// The sharded `status` body: service-level shard fields (`shard.*`)
+/// The service's `status` body: service-level shard fields (`shard.*`)
 /// plus a per-hosted-shard state sample. Uses `try_lock` throughout —
 /// `status` is the fleet's liveness probe and must answer even while a
 /// shard sits in a slow quorum round.
-fn sharded_status_text(service: &Arc<Service>, sharded: &ShardedService) -> String {
+fn service_status_text(service: &Service) -> String {
     let mut out = String::new();
     let mut line = |k: &str, v: String| {
         out.push_str(k);
@@ -1626,7 +1467,7 @@ fn sharded_status_text(service: &Arc<Service>, sharded: &ShardedService) -> Stri
     line("site", service.config.local.index().to_string());
     line("policy", service.config.policy.name().to_string());
     let (epoch, specs) = {
-        let map = sharded.map.lock().expect("shard map poisoned");
+        let map = service.map.lock().expect("shard map poisoned");
         (map.epoch, map.shards.clone())
     };
     line("shard.map_epoch", epoch.to_string());
@@ -1659,7 +1500,7 @@ fn sharded_status_text(service: &Arc<Service>, sharded: &ShardedService) -> Stri
                 "replica".to_string()
             },
         );
-        let slot = sharded.slots[shard].read().expect("shard slot poisoned");
+        let slot = service.slots[shard].read().expect("shard slot poisoned");
         if let Some(daemon) = &*slot {
             if let Ok(cluster) = daemon.cluster.try_lock() {
                 let state = cluster.state_at(daemon.local);
@@ -1692,39 +1533,53 @@ fn write_shared(writer: &Arc<Mutex<TcpStream>>, frame: &Frame) -> std::io::Resul
     written
 }
 
-/// Queues a data operation for the batch worker. `false` means the
-/// daemon is shutting down (the queue is gone): close the session.
-fn enqueue_data(daemon: &Arc<Daemon>, op: DataOp, done: Box<dyn FnOnce(Frame) + Send>) -> bool {
-    daemon.batch.send(PendingData { op, done }).is_ok()
-}
-
-/// A completion that wraps the reply in the request's correlation id
-/// and writes it through the session's shared writer (which closes the
-/// session when the write fails).
-fn tagged_completion(writer: &Arc<Mutex<TcpStream>>, id: u64) -> Box<dyn FnOnce(Frame) + Send> {
-    let writer = Arc::clone(writer);
-    Box::new(move |reply| {
-        let tagged = Frame::Tagged {
+/// The one reply rule: a reply carries its request's tag, or none.
+/// `false` when the session is gone.
+fn write_reply(writer: &Arc<Mutex<TcpStream>>, tag: Option<u64>, reply: Frame) -> bool {
+    let frame = match tag {
+        Some(id) => Frame::Tagged {
             id,
             inner: Box::new(reply),
-        };
-        let _ = write_shared(&writer, &tagged);
-    })
+        },
+        None => reply,
+    };
+    write_shared(writer, &frame).is_ok()
 }
 
-/// The legacy (untagged) data path: queue the operation, block this
-/// session until the batch worker answers, write the bare reply.
-fn serve_legacy_data(daemon: &Arc<Daemon>, writer: &Arc<Mutex<TcpStream>>, op: DataOp) -> bool {
-    let (tx, rx) = mpsc::sync_channel(1);
-    let done: Box<dyn FnOnce(Frame) + Send> = Box::new(move |reply| {
-        let _ = tx.send(reply);
+/// Queues a data operation for `daemon`'s batch worker, with the
+/// completion that writes its reply. `false` means the daemon is
+/// shutting down (the queue is gone): close the session.
+///
+/// A tagged request returns at once — the session reads its next frame
+/// while the worker runs. An untagged one has nothing to match a reply
+/// to but its order, so its session waits here until the completion has
+/// run (or was dropped with the worker).
+fn enqueue_data(
+    daemon: &Daemon,
+    op: DataOp,
+    writer: &Arc<Mutex<TcpStream>>,
+    tag: Option<u64>,
+) -> bool {
+    let (answered, wait) = match tag {
+        Some(_) => (None, None),
+        None => {
+            let (answered, wait) = mpsc::channel::<()>();
+            (Some(answered), Some(wait))
+        }
+    };
+    let writer = Arc::clone(writer);
+    let done = Box::new(move |reply| {
+        write_reply(&writer, tag, reply);
+        drop(answered);
     });
-    if !enqueue_data(daemon, op, done) {
+    if daemon.batch.send(PendingData { op, done }).is_err() {
         return false;
     }
-    // A dropped sender (worker gone at shutdown) unblocks us with Err.
-    let Ok(reply) = rx.recv() else { return false };
-    write_shared(writer, &reply).is_ok()
+    if let Some(wait) = wait {
+        // Nothing is ever sent: the wait ends when `answered` drops.
+        let _ = wait.recv();
+    }
+    true
 }
 
 /// The largest number of queued operations one batch absorbs — bounds
@@ -1865,13 +1720,12 @@ fn run_batch(
         match item.op {
             DataOp::Put(value) => {
                 wrote = true;
-                let keyed = daemon.shard.is_some();
-                let mut values = vec![ShardValue::received(value, keyed)];
+                let mut values = vec![ShardValue::from_image(value)];
                 let mut dones = vec![item.done];
                 while matches!(iter.peek().map(|next| &next.op), Some(DataOp::Put(_))) {
                     let next = iter.next().expect("peeked");
                     if let DataOp::Put(value) = next.op {
-                        values.push(ShardValue::received(value, keyed));
+                        values.push(ShardValue::from_image(value));
                         dones.push(next.done);
                     }
                 }
@@ -2299,12 +2153,12 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
             Dispatch::Silent
         }
 
-        // ---- client data frames: the coordinator side ---------------
-        // Put/Get never reach dispatch: `handle_connection` intercepts
-        // them (tagged or not) and queues them for the batch worker.
-        // Likewise the keyed/shard-map frames and envelopes are routed
-        // at the service layer before a per-shard daemon sees them.
-        // Arriving here means a peer-loop path sent one — confusion.
+        // ---- client frames: the coordinator side --------------------
+        // Put/Get never reach dispatch: `route` queues them for the
+        // batch worker. Likewise the keyed, shard-map and link-rule
+        // frames belong to the service, and no envelope survives
+        // routing. Arriving here means one was sent *inside* a shard
+        // envelope — confusion.
         Frame::Put { .. }
         | Frame::Get
         | Frame::Tagged { .. }
@@ -2312,7 +2166,10 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
         | Frame::PutKey { .. }
         | Frame::GetKey { .. }
         | Frame::GetShardMap
-        | Frame::InstallShardMap { .. } => Dispatch::Close,
+        | Frame::InstallShardMap { .. }
+        | Frame::Deny { .. }
+        | Frame::Allow { .. }
+        | Frame::HealLinks => Dispatch::Close,
         Frame::Recover => {
             let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
             match cluster.recover(daemon.local) {
@@ -2343,32 +2200,6 @@ fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
             }
         }
 
-        // ---- admin frames -------------------------------------------
-        Frame::Deny { site } => {
-            daemon.links.block(site);
-            daemon
-                .log
-                .log(&format!("link cut: S{} denied", site.index()));
-            Dispatch::Reply(Frame::Done {
-                detail: format!("link to site {} cut", site.index()),
-            })
-        }
-        Frame::Allow { site } => {
-            daemon.links.unblock(site);
-            daemon
-                .log
-                .log(&format!("link restored: S{} allowed", site.index()));
-            Dispatch::Reply(Frame::Done {
-                detail: format!("link to site {} restored", site.index()),
-            })
-        }
-        Frame::HealLinks => {
-            daemon.links.clear();
-            daemon.log.log("links healed: all rules dropped");
-            Dispatch::Reply(Frame::Done {
-                detail: "all links restored".to_string(),
-            })
-        }
         Frame::Status => {
             // `status` doubles as the liveness probe for every harness
             // (fleet boot, nemesis cooldown, smoke scripts). Under
@@ -2518,22 +2349,16 @@ fn status_text(daemon: &Arc<Daemon>, cluster: &StoreCluster) -> String {
         out.push('\n');
     };
     line("site", daemon.local.index().to_string());
-    if let Some(shard) = daemon.shard {
-        line("shard", shard.to_string());
-    }
+    line("shard", daemon.shard.to_string());
     line("policy", daemon.policy_name.to_string());
     line("op", state.op.to_string());
     line("version", state.version.to_string());
     line("partition", fmt_sites(state.partition));
     line("pending", pending.to_string());
-    if cluster.copies().contains(daemon.local) {
-        line(
-            "value_len",
-            cluster.value_at(daemon.local).image_len().to_string(),
-        );
-    } else {
-        line("role", "witness".to_string());
-    }
+    line(
+        "value_len",
+        cluster.value_at(daemon.local).image_len().to_string(),
+    );
     line("reads_ok", stats.reads_ok.to_string());
     line("reads_refused", stats.reads_refused.to_string());
     line("writes_ok", stats.writes_ok.to_string());

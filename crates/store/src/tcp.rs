@@ -278,22 +278,24 @@ pub struct TcpTransport {
     /// point. Durable (replayed across restarts) when the daemon has a
     /// data directory.
     ledger: Arc<Mutex<OpLedger>>,
-    /// When set, every outbound peer frame travels inside a
-    /// [`Frame::Shard`] envelope naming this shard group, so one
-    /// remote listener can demultiplex traffic for the many voting
+    /// The shard group this transport serves: every outbound peer
+    /// frame travels inside a [`Frame::Shard`] envelope naming it, so
+    /// one remote listener can demultiplex traffic for the many voting
     /// groups it hosts. Replies come back unwrapped (they are
-    /// correlated by connection), so only the outbound side changes.
-    shard: Option<u16>,
+    /// correlated by connection), so only the outbound side wraps.
+    shard: u16,
 }
 
 impl TcpTransport {
-    /// A transport for `local`, with one link per remote peer.
+    /// A transport for shard group `shard` at `local`, with one link
+    /// per remote peer.
     ///
     /// `peers` maps every *other* site to its daemon address (a
     /// `host:port` string); an entry for `local` itself is ignored.
     #[must_use]
     pub fn new(
         local: SiteId,
+        shard: u16,
         peers: &[(SiteId, String)],
         links: Arc<LinkRules>,
         timeouts: TcpTimeouts,
@@ -311,28 +313,7 @@ impl TcpTransport {
             peers,
             links,
             ledger: Arc::new(Mutex::new(OpLedger::default())),
-            shard: None,
-        }
-    }
-
-    /// Addresses every outbound peer frame to `shard`: the sharded
-    /// store gives each voting group its own transport, all wrapped
-    /// onto the same per-site listeners.
-    #[must_use]
-    pub fn with_shard(mut self, shard: u16) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// Wraps an outbound frame in this transport's shard envelope,
-    /// when it has one.
-    fn address(&self, frame: Frame) -> Frame {
-        match self.shard {
-            Some(shard) => Frame::Shard {
-                shard,
-                inner: Box::new(frame),
-            },
-            None => frame,
+            shard,
         }
     }
 
@@ -433,7 +414,7 @@ impl Transport<ShardValue> for TcpTransport {
                 return Carried::silent(Verdict::Drop);
             }
         };
-        let frame = self.address(frame);
+        let frame = frame.for_shard(self.shard);
         let reply = self
             .peers
             .get_mut(&message.to)
@@ -490,7 +471,7 @@ impl Transport<ShardValue> for TcpTransport {
                     verdict: Verdict::Deliver,
                     body: Reply::Copy {
                         version,
-                        value: ShardValue::received(value, self.shard.is_some()),
+                        value: ShardValue::from_image(value),
                     },
                 }),
             },
@@ -541,11 +522,12 @@ impl Transport<ShardValue> for TcpTransport {
             .lock()
             .expect("op ledger poisoned")
             .note_release(ticket, keep);
-        let frame = self.address(Frame::Release {
+        let frame = Frame::Release {
             ticket,
             from: self.local,
             keep,
-        });
+        }
+        .for_shard(self.shard);
         for (site, link) in &mut self.peers {
             if recipients.contains(*site) && !self.links.is_blocked(*site) {
                 link.send(&frame);
@@ -593,6 +575,21 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// The shard group the transports under test serve.
+    const SHARD: u16 = 3;
+
+    /// Reads one peer request off `stream`, out of the envelope the
+    /// transport addressed it in.
+    fn read_request(stream: &mut TcpStream) -> Frame {
+        match read_frame(stream).unwrap() {
+            Frame::Shard {
+                shard: SHARD,
+                inner,
+            } => *inner,
+            other => panic!("expected a frame for shard {SHARD}, got {other:?}"),
+        }
+    }
+
     fn start_message(from: usize, to: usize) -> Message {
         Message {
             from: SiteId::new(from),
@@ -624,6 +621,7 @@ mod tests {
         };
         let mut transport = TcpTransport::new(
             SiteId::new(0),
+            SHARD,
             &[(SiteId::new(1), format!("127.0.0.1:{port}"))],
             Arc::new(LinkRules::new()),
             TcpTimeouts::fast(),
@@ -643,6 +641,7 @@ mod tests {
         links.block(SiteId::new(1));
         let mut transport = TcpTransport::new(
             SiteId::new(0),
+            SHARD,
             &[(SiteId::new(1), "127.0.0.1:1".to_string())],
             Arc::clone(&links),
             TcpTimeouts::fast(),
@@ -720,14 +719,14 @@ mod tests {
         let (answered_late, late_answer_sent) = std::sync::mpsc::channel::<()>();
         let served = std::thread::spawn(move || {
             let (mut first, _) = listener.accept().unwrap();
-            let request = read_frame(&mut first).unwrap();
+            let request = read_request(&mut first);
             // Silent until the caller has timed out; then the late
             // answer, which may or may not still find a socket.
             may_answer.recv().unwrap();
             let _ = answer_start(&mut first, &request, 111);
             answered_late.send(()).unwrap();
             let (mut second, _) = listener.accept().unwrap();
-            let request = read_frame(&mut second).unwrap();
+            let request = read_request(&mut second);
             answer_start(&mut second, &request, 222).unwrap();
         });
         let timeouts = TcpTimeouts {
@@ -738,6 +737,7 @@ mod tests {
         };
         let mut transport = TcpTransport::new(
             SiteId::new(0),
+            SHARD,
             &[(SiteId::new(1), addr.to_string())],
             Arc::new(LinkRules::new()),
             timeouts,
@@ -782,7 +782,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let served = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let frame = read_frame(&mut stream).unwrap();
+            let frame = read_request(&mut stream);
             let Frame::StartReq {
                 ticket, from, to, ..
             } = frame
@@ -803,6 +803,7 @@ mod tests {
         });
         let mut transport = TcpTransport::new(
             SiteId::new(0),
+            SHARD,
             &[(SiteId::new(1), addr.to_string())],
             Arc::new(LinkRules::new()),
             TcpTimeouts::fast(),

@@ -2,15 +2,16 @@
 //!
 //! The protocol layer (`dynvote-replica`) moves one opaque value per
 //! copy: it clones it into a node on COMMIT, clones it out for a copy
-//! reply, and hands it to the transport as a COMMIT's payload. For the
-//! legacy single-object store that value is the client's bytes. For a
-//! shard group it is a KV image that a keyed batch changes by a few
-//! puts — so [`ShardValue`] keeps the image *decoded and resident*
-//! ([`KvMap`], whose clones share structure) and remembers the
-//! [`Delta`] that produced it from its predecessor. Cloning is a few
-//! reference-count bumps either way; the encoded image is produced
-//! only where the whole file really moves (a copy reply, a COMMIT to a
-//! copy that is not at the delta's base, a snapshot, a raw `get`).
+//! reply, and hands it to the transport as a COMMIT's payload. A shard
+//! group's value is an image: usually a KV map that a keyed batch
+//! changes by a few puts — so [`ShardValue`] keeps such an image
+//! *decoded and resident* ([`KvMap`], whose clones share structure) and
+//! remembers the [`Delta`] that produced it from its predecessor — and
+//! otherwise whatever bytes a raw `put` (or `--value`) made it, kept
+//! verbatim. Cloning is a few reference-count bumps either way; the
+//! encoded image is produced only where the whole file really moves (a
+//! copy reply, a COMMIT to a copy that is not at the delta's base, a
+//! snapshot, a raw `get`).
 
 use std::sync::Arc;
 
@@ -29,9 +30,9 @@ pub struct Delta {
 
 #[derive(Clone, Debug)]
 enum Content {
-    /// Bytes kept verbatim: every legacy value, and a shard image that
-    /// is not in canonical form (the empty boot value, a raw `put` of
-    /// anything else). Keyed operations decode it on demand.
+    /// Bytes kept verbatim: an image that is not in canonical form
+    /// (the empty boot value, a raw `put` of anything else). Keyed
+    /// operations decode it on demand.
     Bytes(Arc<Vec<u8>>),
     /// A canonical KV image, decoded.
     Kv(KvMap),
@@ -48,15 +49,6 @@ pub struct ShardValue {
 }
 
 impl ShardValue {
-    /// A value the store never looks inside (the legacy store's).
-    #[must_use]
-    pub fn opaque(bytes: impl Into<Arc<Vec<u8>>>) -> ShardValue {
-        ShardValue {
-            content: Content::Bytes(bytes.into()),
-            delta: None,
-        }
-    }
-
     /// A shard group's value, from its encoded image — off the wire,
     /// off the disk, or from a raw `put`. A canonical KV image is
     /// decoded once, here; anything else is kept verbatim, so
@@ -64,23 +56,12 @@ impl ShardValue {
     #[must_use]
     pub fn from_image(bytes: impl Into<Arc<Vec<u8>>>) -> ShardValue {
         let bytes = bytes.into();
-        match KvMap::decode(&bytes) {
-            Some(map) => ShardValue {
-                content: Content::Kv(map),
-                delta: None,
+        ShardValue {
+            content: match KvMap::decode(&bytes) {
+                Some(map) => Content::Kv(map),
+                None => Content::Bytes(bytes),
             },
-            None => ShardValue::opaque(bytes),
-        }
-    }
-
-    /// A value arriving as bytes at a daemon that hosts a shard group
-    /// (`keyed`) or the legacy store.
-    #[must_use]
-    pub fn received(bytes: impl Into<Arc<Vec<u8>>>, keyed: bool) -> ShardValue {
-        if keyed {
-            ShardValue::from_image(bytes)
-        } else {
-            ShardValue::opaque(bytes)
+            delta: None,
         }
     }
 

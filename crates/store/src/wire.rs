@@ -738,6 +738,16 @@ impl Frame {
         }
     }
 
+    /// This (plain) frame addressed to shard group `shard`: how every
+    /// raw data operation, per-group command and peer frame travels.
+    #[must_use]
+    pub fn for_shard(self, shard: u16) -> Frame {
+        Frame::Shard {
+            shard,
+            inner: Box::new(self),
+        }
+    }
+
     /// Decodes one frame body (the bytes after the length prefix).
     ///
     /// # Errors

@@ -10,12 +10,14 @@
 //!   `--crash-after-wal-append` the daemon aborts between the WAL
 //!   fsync and the client ack, the client sees a failure — and the
 //!   restarted daemon still serves the write, proving the ack point
-//!   sits strictly after stable storage — for the legacy store's full
-//!   commit record and for a shard's keyed batch, whose record is a
-//!   delta that only means something on top of the records before it;
+//!   sits strictly after stable storage — for a raw put's full commit
+//!   record and for a keyed batch, whose record is a delta that only
+//!   means something on top of the records before it;
 //! * a large image defers its snapshot until the log has grown as
 //!   large, so a kill can leave over a thousand delta records to
-//!   replay — and the restart serves every one of them.
+//!   replay — and the restart serves every one of them;
+//! * a data directory with a log at its root (the layout of a daemon
+//!   that kept its one group there) is refused, not seeded over.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -23,6 +25,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use dynvote_replica::wal::{shard_dir, WAL_FILE};
 use dynvote_store::client::{request, Outcome};
 use dynvote_store::wire::Frame;
 
@@ -82,8 +85,6 @@ fn spawn_daemon(site: usize, ports: &[u16], data_dir: &Path, extra: &[&str]) -> 
             "odv",
             "--peers",
             &peers.join(","),
-            "--value",
-            "v0",
             "--data-dir",
             data_dir.to_str().unwrap(),
             "--snapshot-every",
@@ -130,7 +131,8 @@ fn put_granted(target: &str, value: &str) {
             target,
             &Frame::Put {
                 value: value.as_bytes().to_vec(),
-            },
+            }
+            .for_shard(0),
             TIMEOUT,
         ) {
             return;
@@ -148,7 +150,8 @@ fn put_granted(target: &str, value: &str) {
 fn wait_for_value(target: &str, expected: &str) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if let Ok(Outcome::Value { value, .. }) = request(target, &Frame::Get, TIMEOUT) {
+        if let Ok(Outcome::Value { value, .. }) = request(target, &Frame::Get.for_shard(0), TIMEOUT)
+        {
             if value == expected.as_bytes() {
                 return;
             }
@@ -192,16 +195,11 @@ fn kill_nine_mid_workload_restarts_from_disk_and_recovers() {
     wait_for_value(&addr(&ports, 2), "gamma");
 
     // The restarted node reports its durability counters.
-    let Ok(Outcome::Report(report)) = request(&addr(&ports, 2), &Frame::Status, TIMEOUT) else {
-        panic!("site 2 status unavailable after restart");
-    };
-    assert!(
-        report.contains("durability.enabled=true"),
-        "status must report durability on: {report}"
-    );
-    assert!(
-        report.contains("durability.last_fsync=ok"),
-        "restarted node must have fsync'd since boot: {report}"
+    let report = shard_status(&addr(&ports, 2));
+    assert_eq!(report["durability.enabled"], "true", "{report:?}");
+    assert_eq!(
+        report["durability.last_fsync"], "ok",
+        "restarted node must have fsync'd since boot: {report:?}"
     );
 
     drop(fleet);
@@ -230,7 +228,8 @@ fn crash_between_wal_append_and_ack_still_durably_commits() {
         &addr(&ports, 0),
         &Frame::Put {
             value: b"precious".to_vec(),
-        },
+        }
+        .for_shard(0),
         TIMEOUT,
     );
     assert!(
@@ -333,11 +332,7 @@ fn crash_after_wal_append_with_a_delta_record_restarts_serving_the_keys() {
 
 /// The shard daemon's `status` fields at `target`.
 fn shard_status(target: &str) -> std::collections::BTreeMap<String, String> {
-    let frame = Frame::Shard {
-        shard: 0,
-        inner: Box::new(Frame::Status),
-    };
-    match request(target, &frame, TIMEOUT) {
+    match request(target, &Frame::Status.for_shard(0), TIMEOUT) {
         Ok(Outcome::Report(text)) => dynvote_store::campaign::monitor::parse_status(&text),
         other => panic!("shard status: {other:?}"),
     }
@@ -404,6 +399,69 @@ fn kill_nine_with_over_a_thousand_deltas_in_the_log_restarts_serving_them() {
     let after = shard_status(&target);
     assert_eq!(after["version"], before["version"]);
     assert_eq!(after["value_len"], before["value_len"]);
+
+    drop(fleet);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A directory whose root holds `wal.log` was written by a daemon that
+/// kept its one group there. Booting a fresh group beside it would
+/// serve the boot value in place of acknowledged data: the daemon
+/// refuses to start, names where the files belong, and serves them once
+/// they are there.
+#[test]
+fn a_data_dir_with_a_log_at_its_root_is_refused_not_seeded_over() {
+    let ports = free_ports(1);
+    let dir = scratch_dir("old-layout");
+    let target = addr(&ports, 0);
+    let mut fleet = Fleet {
+        children: vec![Some(spawn_daemon(0, &ports, &dir, &[]))],
+    };
+    wait_status(&target);
+    put_granted(&target, "acknowledged");
+    let mut daemon = fleet.children[0].take().expect("daemon running");
+    daemon.kill().expect("kill -9");
+    daemon.wait().expect("reap");
+
+    // Rebuild the old layout: the group's files at the root, no map.
+    let group = shard_dir(&dir, 0);
+    for entry in std::fs::read_dir(&group).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::rename(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    std::fs::remove_dir(&group).unwrap();
+    std::fs::remove_file(dir.join("shardmap.bin")).unwrap();
+    assert!(dir.join(WAL_FILE).exists());
+
+    let refused = Command::new(STORED)
+        .args(["--site", "0", "--policy", "odv", "--peers"])
+        .arg(format!("0={target}"))
+        .arg("--data-dir")
+        .arg(&dir)
+        .output()
+        .expect("run dynvote-stored");
+    assert!(!refused.status.success(), "the daemon started: {refused:?}");
+    let message = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        message.contains(WAL_FILE) && message.contains(group.to_str().unwrap()),
+        "the refusal names the file and where it belongs: {message}"
+    );
+    assert!(
+        !group.exists(),
+        "a fresh group was seeded beside the old log"
+    );
+
+    // Moved where the message says, the acknowledged write is served.
+    std::fs::create_dir(&group).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_type().unwrap().is_file() && entry.file_name() != "daemon.log" {
+            std::fs::rename(entry.path(), group.join(entry.file_name())).unwrap();
+        }
+    }
+    fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &[]));
+    wait_status(&target);
+    wait_for_value(&target, "acknowledged");
 
     drop(fleet);
     std::fs::remove_dir_all(dir).ok();

@@ -18,6 +18,11 @@
 //! in-memory bus cluster and the TCP cluster and requires identical
 //! grant/refuse decisions and identical final `⟨o, v, P⟩` state —
 //! the transport-seam equivalence the refactor promises.
+//!
+//! The daemons are started without `--shards`: the paper's one
+//! replicated file is shard 0 of a one-group map placed on every site,
+//! and every data operation below is a raw shard op on it — accepted at
+//! any site, one version step per put.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -77,17 +82,22 @@ impl Live {
         request(&self.addrs[site], frame, TIMEOUT).expect("daemon reachable")
     }
 
+    /// A raw operation on the fleet's one group.
+    fn file_req(&self, site: usize, frame: Frame) -> Outcome {
+        self.req(site, &frame.for_shard(0))
+    }
+
     fn put(&self, site: usize, value: &str) -> Outcome {
-        self.req(
+        self.file_req(
             site,
-            &Frame::Put {
+            Frame::Put {
                 value: value.as_bytes().to_vec(),
             },
         )
     }
 
     fn get(&self, site: usize) -> Outcome {
-        self.req(site, &Frame::Get)
+        self.file_req(site, Frame::Get)
     }
 
     fn get_value(&self, site: usize) -> String {
@@ -98,7 +108,7 @@ impl Live {
     }
 
     fn status(&self, site: usize) -> BTreeMap<String, String> {
-        match self.req(site, &Frame::Status) {
+        match self.file_req(site, Frame::Status) {
             Outcome::Report(text) => text
                 .lines()
                 .filter_map(|line| {
@@ -218,7 +228,7 @@ fn figure_8_partition_heal(policy: &str, deep_cut: bool) {
     // off must run the recovery protocol itself.
     live.heal();
     for site in [3, 4, 5, 6, 7] {
-        let outcome = live.req(site, &Frame::Recover);
+        let outcome = live.file_req(site, Frame::Recover);
         assert!(
             outcome.granted(),
             "recover at S{site} after heal: {outcome:?}"
@@ -309,7 +319,7 @@ fn tcp_cluster_matches_in_memory_cluster() {
     actual.push(live.put(2, "x").granted());
     actual.push(live.get(2).granted());
     live.heal();
-    actual.push(live.req(2, &Frame::Recover).granted());
+    actual.push(live.file_req(2, Frame::Recover).granted());
     actual.push(live.get(2).granted());
     assert_eq!(actual, expected, "grant/refuse decisions diverged");
 
@@ -341,7 +351,7 @@ fn tcp_cluster_matches_in_memory_cluster() {
 }
 
 /// Pipelining under a stalled link: two requests go down ONE
-/// connection, the first (a write) wedges in a quorum round whose peer
+/// connection, the first (a raw put) wedges in a quorum round whose peer
 /// exchanges silently time out, and the second (a status probe) is
 /// answered while the first is still in flight. The replies come back
 /// out of order, and each is matched to *its* correlation id — the
@@ -371,12 +381,13 @@ fn pipelined_responses_overtake_a_stalled_quorum_round() {
         .submit(
             &Frame::Put {
                 value: b"stalled".to_vec(),
-            },
+            }
+            .for_shard(0),
             &deadline,
         )
         .expect("submit the write");
     let probe = conn
-        .submit(&Frame::Status, &deadline)
+        .submit(&Frame::Status.for_shard(0), &deadline)
         .expect("submit status");
     assert_ne!(stalled.id(), probe.id(), "distinct correlation ids");
 
@@ -431,6 +442,7 @@ fn status_reports_policy_state_and_link_health() {
     assert!(live.put(0, "hello").granted());
     let status = live.status(0);
     assert_eq!(status["site"], "0");
+    assert_eq!(status["shard"], "0");
     assert_eq!(status["policy"], "LDV");
     assert_eq!(status["version"], "2");
     assert_eq!(status["partition"], "0,1,2");

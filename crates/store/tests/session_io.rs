@@ -5,6 +5,8 @@
 //! * a session is a byte stream: frames that arrive a byte at a time
 //!   and frames that arrive many to a segment are all answered, each
 //!   once, in order;
+//! * a reply carries its request's tag, or none — whichever kind of
+//!   data operation the request was;
 //! * an idle session notices shutdown within one idle tick;
 //! * a client that stops reading its replies costs the daemon one
 //!   write timeout on the batch worker and its own session — not the
@@ -14,8 +16,10 @@ use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use dynvote_store::client::{request, Outcome};
+use dynvote_control::{encode_kv, KvMap};
+use dynvote_store::client::{request, Deadline, Outcome};
 use dynvote_store::config::Config;
+use dynvote_store::conn::{ConnOptions, Connection};
 use dynvote_store::server::{start_on, ServiceHandle};
 use dynvote_store::wire::{read_frame, Frame};
 use dynvote_types::SiteId;
@@ -82,13 +86,18 @@ fn get_key(key: &str) -> Frame {
     }
 }
 
+/// A raw put of the shard's whole image: a canonical KV image holding
+/// `k2`, so the keyed reads around it keep finding their key.
+fn put_image(k2: &[u8]) -> Frame {
+    let image = encode_kv(&[("k2".to_string(), k2.to_vec())].into());
+    assert!(KvMap::decode(&image).is_some(), "canonical");
+    Frame::Put { value: image }.for_shard(0)
+}
+
 /// The shard daemon's `status` at `addr`, and how long it took.
 fn shard_status(addr: &str) -> (String, Duration) {
     let began = Instant::now();
-    let frame = Frame::Shard {
-        shard: 0,
-        inner: Box::new(Frame::Status),
-    };
+    let frame = Frame::Status.for_shard(0);
     match request(addr, &frame, Duration::from_secs(10)).expect("daemon reachable") {
         Outcome::Report(text) => (text, began.elapsed()),
         other => panic!("status: {other:?}"),
@@ -111,12 +120,15 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
         std::thread::sleep(Duration::from_millis(1));
     }
     // Then sixty frames in one segment: admin frames answered inline
-    // between data frames answered by the batch worker.
+    // between data frames — keyed, and raw in a shard envelope —
+    // answered by the batch worker.
     let mut segment = Vec::new();
     for id in 2..=61u64 {
-        let inner = match id % 3 {
+        let inner = match id % 5 {
             0 => Frame::Status,
             2 => put_key(&format!("k{id}"), id.to_be_bytes().to_vec()),
+            3 => Frame::Get.for_shard(0),
+            4 => put_image(&id.to_be_bytes()),
             _ => get_key("k2"),
         };
         segment.extend_from_slice(&tagged(id, inner));
@@ -127,10 +139,11 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
     for _ in 1..=61 {
         match read_frame(&mut stream).expect("a reply per frame") {
             Frame::Tagged { id, inner } => {
-                let expected = match (id, id % 3) {
+                let expected = match (id, id % 5) {
                     (1, _) | (_, 0) => matches!(*inner, Frame::Report { .. }),
-                    (_, 2) => matches!(*inner, Frame::Done { .. }),
-                    // `k2` is the first put of the segment.
+                    (_, 2 | 4) => matches!(*inner, Frame::Done { .. }),
+                    // `k2` is the first put of the segment, and in
+                    // every image put after it.
                     _ => matches!(*inner, Frame::Value { .. }),
                 };
                 assert!(expected, "frame {id} answered with {inner:?}");
@@ -141,6 +154,59 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
     }
     answered.sort_unstable();
     assert_eq!(answered, (1..=61).collect::<Vec<u64>>());
+    for daemon in daemons {
+        daemon.stop();
+    }
+}
+
+/// A raw op in a shard envelope is a data op like any other: tagged in,
+/// tagged out, at any site hosting the shard. (A tagged envelope used
+/// to be answered with a bare frame, which a pipelined client takes for
+/// protocol confusion: it retired the stream with the request in
+/// flight.)
+#[test]
+fn tagged_raw_shard_ops_are_answered_tagged_and_the_stream_survives() {
+    let (daemons, addrs) = boot(1_000);
+    let deadline = Deadline::within(Duration::from_secs(10));
+    let conn = Connection::new(&addrs[0], ConnOptions::default());
+    let put = conn
+        .call(&put_image(b"first"), &deadline)
+        .expect("a tagged raw put is answered on its stream");
+    assert!(matches!(put, Outcome::Done(_)), "{put:?}");
+
+    // Sixteen in flight, puts and gets alternating: each reply finds
+    // its own request.
+    let pending: Vec<_> = (0..16u8)
+        .map(|i| {
+            let frame = if i % 2 == 0 {
+                put_image(&[i])
+            } else {
+                Frame::Get.for_shard(0)
+            };
+            conn.submit(&frame, &deadline).expect("submit")
+        })
+        .collect();
+    for (i, pending) in pending.iter().enumerate() {
+        let outcome = conn.wait(pending, &deadline).expect("answered, tagged");
+        match outcome {
+            Outcome::Done(_) if i % 2 == 0 => {}
+            Outcome::Value { value, .. } if i % 2 == 1 => {
+                let image = KvMap::decode(&value).expect("the image a raw put stored");
+                assert_eq!(image.get("k2"), Some(&[(i - 1) as u8][..]));
+            }
+            other => panic!("request {i} answered with {other:?}"),
+        }
+    }
+    // The same stream still serves the other families.
+    let keyed = conn.call(&get_key("k2"), &deadline).expect("keyed read");
+    assert!(matches!(keyed, Outcome::Value { .. }), "{keyed:?}");
+    let status = conn.call(&Frame::Status, &deadline).expect("status");
+    assert!(matches!(status, Outcome::Report(_)), "{status:?}");
+
+    // A raw put needs no coordinator funnel: any hosting site takes it.
+    let voter = Connection::new(&addrs[1], ConnOptions::default());
+    let put = voter.call(&put_image(b"at a voter"), &deadline);
+    assert!(matches!(put, Ok(Outcome::Done(_))), "{put:?}");
     for daemon in daemons {
         daemon.stop();
     }
@@ -216,14 +282,12 @@ fn a_client_that_never_reads_holds_neither_the_shard_nor_its_session() {
         let mut peer = TcpStream::connect(&addrs[0]).expect("connect");
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
-        let copy_request = Frame::Shard {
-            shard: 0,
-            inner: Box::new(Frame::CopyReq {
-                ticket: 0,
-                from: SiteId::new(1),
-                to: SiteId::new(0),
-            }),
-        };
+        let copy_request = Frame::CopyReq {
+            ticket: 0,
+            from: SiteId::new(1),
+            to: SiteId::new(0),
+        }
+        .for_shard(0);
         peer.write_all(&copy_request.encode()).expect("send");
         let copy = read_frame(&mut peer).expect("a peer frame is answered");
         assert!(matches!(copy, Frame::CopyRep { .. }), "{copy:?}");

@@ -73,13 +73,7 @@ impl Fleet {
     /// A plain operation addressed to one shard group at one site,
     /// bypassing the router (admin-style shard envelope).
     fn shard_req(&self, site: usize, shard: u16, inner: Frame) -> Outcome {
-        self.req(
-            site,
-            &Frame::Shard {
-                shard,
-                inner: Box::new(inner),
-            },
-        )
+        self.req(site, &inner.for_shard(shard))
     }
 
     fn status(&self, site: usize) -> BTreeMap<String, String> {

@@ -18,6 +18,11 @@
 # the real load driver, `dynvote-bench store_throughput` — this smoke
 # number only proves the batch path works end to end from the CLI.
 #
+# The daemons here are started without `--shards`: one shard group on
+# all three nodes, which dynvote-ctl's put/get/recover address as
+# shard 0 (`--shard 0 status` is that group's ⟨o, v, P⟩ and durability
+# counters; a bare `status` is the node's own).
+#
 # With `--shards`, runs the *multi-shard* phase instead: 2 shard
 # groups over the same 3 nodes (`--shards 2 --shard-placement ring:3`),
 # keyed puts routed across both groups, kill -9 of a replica that
@@ -255,7 +260,7 @@ expect_granted "recover at node 2" "$CTL" --node "$C" recover
 for addr in "$A" "$B" "$C"; do
     expect_value "healed read at $addr" "$addr" world
 done
-"$CTL" --node "$A" status | sed 's/^/    /'
+"$CTL" --node "$A" --shard 0 status | sed 's/^/    /'
 
 # Crash-restart: kill -9 node 2 while a write stream is in flight,
 # let the majority keep committing, then restart node 2 from its data
@@ -277,7 +282,11 @@ expect_granted "majority put with node 2 dead" "$CTL" --node "$A" put survivor
 echo "== restarting node 2 from disk"
 start_node 2
 wait_up 2 "$C"
-STATUS_C="$("$CTL" --node "$C" status)"
+if [[ ! -f "$LOG_DIR/data/node2/shard-0/wal.log" ]]; then
+    echo "FAIL: node 2's one group keeps no log under shard-0/" >&2
+    exit 1
+fi
+STATUS_C="$("$CTL" --node "$C" --shard 0 status)"
 for field in "durability.enabled=true" "durability.snapshot_seq=" \
     "durability.wal_records=" "durability.last_fsync="; do
     if ! grep -q "$field" <<<"$STATUS_C"; then
