@@ -1,0 +1,413 @@
+//! The batch worker: the single consumer of a shard daemon's
+//! data-operation queue. It drains what queued under the cluster lock,
+//! serves it in runs — one quorum round per run of writes, one quorum
+//! read per run of reads — and fsyncs once for the whole batch before
+//! any reply is released (DESIGN.md §12).
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use dynvote_control::KvPuts;
+
+use super::{durability_refuse, fmt_sites, refuse, sync_durable, Daemon, StoreCluster};
+use crate::value::{Delta, ShardValue};
+use crate::wire::Frame;
+
+/// A client data operation, decoupled from the session that carried
+/// it: the batch worker executes these in queue order.
+///
+/// The raw variants move the group's whole image, one version step per
+/// put, at any hosting site. The keyed variants treat the image as a KV
+/// map ([`ShardValue`] keeps it decoded): the batch worker folds a run
+/// of keyed puts into one read-modify-write decided by one quorum
+/// round — sound because the shard's *coordinator funnel* (only
+/// `placement[0]` of the current epoch accepts keyed operations)
+/// serializes every keyed mutation of the image through this one queue.
+pub(super) enum DataOp {
+    Put(Vec<u8>),
+    Get,
+    PutKey { key: String, value: Vec<u8> },
+    GetKey { key: String },
+}
+
+/// One queued data operation plus the completion that writes its reply
+/// to the session that submitted it.
+pub(super) struct PendingData {
+    pub(super) op: DataOp,
+    pub(super) done: Box<dyn FnOnce(Frame) + Send>,
+}
+
+/// The largest number of queued operations one batch absorbs — bounds
+/// the cluster-lock hold and the blast radius of a durability failure.
+const BATCH_CAP: usize = 256;
+
+/// The batch worker: single consumer of the data-operation queue.
+/// Drains what queued, serves it in runs — consecutive writes become
+/// one poll/commit quorum exchange ([`Cluster::write_batch`]),
+/// consecutive reads coalesce into one quorum read — then fsyncs once
+/// for the whole batch before releasing any reply (DESIGN.md §12).
+pub(super) fn batch_loop(
+    daemon: &Arc<Daemon>,
+    shutdown: &AtomicBool,
+    queue: &mpsc::Receiver<PendingData>,
+) {
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let first = match queue.recv_timeout(Duration::from_millis(100)) {
+            Ok(item) => item,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        };
+        // Take the lock first, then drain: every operation that queued
+        // while the previous batch held it joins this one.
+        let cluster = daemon.cluster.lock().expect("cluster poisoned");
+        // Checked *under* the cluster lock: a map install sets the flag
+        // before capturing state under this same lock, so a batch that
+        // reaches here after the capture must not commit — its writes
+        // would be invisible to the successor daemon. The typed stale
+        // answer sends the client back for the new map.
+        let retired = daemon.retired.load(Ordering::SeqCst);
+        if retired != 0 {
+            drop(cluster);
+            let mut stale = vec![first];
+            while let Ok(item) = queue.try_recv() {
+                stale.push(item);
+            }
+            for item in stale {
+                (item.done)(Frame::StaleShardMap { epoch: retired });
+            }
+            return;
+        }
+        let mut cluster = cluster;
+        let mut items = vec![first];
+        while items.len() < BATCH_CAP {
+            match queue.try_recv() {
+                Ok(item) => items.push(item),
+                Err(_) => break,
+            }
+        }
+        daemon.batch_rounds.fetch_add(1, Ordering::Relaxed);
+        daemon
+            .batch_ops
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
+        daemon
+            .batch_max
+            .fetch_max(items.len() as u64, Ordering::Relaxed);
+        let replies = run_batch(daemon, &mut cluster, items);
+        // The replies leave with the lock dropped: a client that has
+        // stopped reading can hold this worker for a write timeout, but
+        // not the shard — peer frames and `status` wait on that lock.
+        drop(cluster);
+        for (done, frame) in replies {
+            done(frame);
+        }
+    }
+}
+
+/// The keyed deltas a batch applied to the local copy's data, kept
+/// for as long as they account for *every* change to it since the
+/// batch began — what lets the batch's one durable record be a delta.
+struct AppliedDeltas {
+    /// The local version when the batch began.
+    base: u64,
+    /// The version the deltas lead to; `None` once something other
+    /// than a delta chained onto them changed the data.
+    reaches: Option<u64>,
+    /// The deltas' put lists, back to back.
+    puts: Vec<u8>,
+}
+
+impl AppliedDeltas {
+    fn starting_at(version: u64) -> Self {
+        AppliedDeltas {
+            base: version,
+            reaches: Some(version),
+            puts: Vec::new(),
+        }
+    }
+
+    /// Records that one run of operations moved the local version from
+    /// `before` to `after` — by `delta` alone, when there is one.
+    fn note(&mut self, before: u64, after: u64, delta: Option<&Delta>) {
+        if after == before {
+            return;
+        }
+        match delta {
+            Some(delta) if self.reaches == Some(before) && delta.base == before => {
+                self.puts.extend_from_slice(&delta.puts);
+                self.reaches = Some(after);
+            }
+            _ => self.reaches = None,
+        }
+    }
+
+    fn into_delta(self) -> Option<Delta> {
+        self.reaches
+            .is_some_and(|reached| reached != self.base)
+            .then_some(Delta {
+                base: self.base,
+                puts: self.puts,
+            })
+    }
+}
+
+const NOT_A_KV_MAP: &str = "shard image is not a KV map (corrupt replicated value)";
+
+/// A data operation's completion and the reply to hand it.
+type StagedReply = (Box<dyn FnOnce(Frame) + Send>, Frame);
+
+/// Serves one drained batch under the cluster lock, syncs durably ONCE,
+/// and only then returns the replies for the caller to release — the
+/// batched generalisation of fsync-before-ack: no acknowledgement in
+/// the batch leaves before the WAL holds every state change the batch
+/// made.
+fn run_batch(
+    daemon: &Arc<Daemon>,
+    cluster: &mut StoreCluster,
+    items: Vec<PendingData>,
+) -> Vec<StagedReply> {
+    // (completion, reply, Some(op name) when the reply is a grant that
+    // a failed fsync must downgrade to a durability refusal).
+    type Staged = (Box<dyn FnOnce(Frame) + Send>, Frame, Option<&'static str>);
+    let mut replies: Vec<Staged> = Vec::with_capacity(items.len());
+    let mut wrote = false;
+    let mut applied = AppliedDeltas::starting_at(cluster.state_at(daemon.local).version);
+    let mut iter = items.into_iter().peekable();
+    while let Some(item) = iter.next() {
+        match item.op {
+            DataOp::Put(value) => {
+                wrote = true;
+                let mut values = vec![ShardValue::from_image(value)];
+                let mut dones = vec![item.done];
+                while matches!(iter.peek().map(|next| &next.op), Some(DataOp::Put(_))) {
+                    let next = iter.next().expect("peeked");
+                    if let DataOp::Put(value) = next.op {
+                        values.push(ShardValue::from_image(value));
+                        dones.push(next.done);
+                    }
+                }
+                let before = cluster.state_at(daemon.local).version;
+                let results = cluster.write_batch(daemon.local, values);
+                applied.note(before, cluster.state_at(daemon.local).version, None);
+                for (done, result) in dones.into_iter().zip(results) {
+                    let staged = match result {
+                        Ok(op) => {
+                            let detail = format!(
+                                "committed o={} v={} P={{{}}}",
+                                op.op,
+                                op.version,
+                                fmt_sites(op.participants)
+                            );
+                            daemon.log.log_with(|| format!(
+                                "GRANT write: {detail} — Algorithm 1: the group holds a strict majority of P_m"
+                            ));
+                            (Frame::Done { detail }, Some("write"))
+                        }
+                        Err(err) => (refuse(daemon, "write", &err), None),
+                    };
+                    replies.push((done, staged.0, staged.1));
+                }
+            }
+            DataOp::PutKey { key, value } => {
+                wrote = true;
+                // Only the last put of a key in the run can ever be
+                // observed, so only it is committed: the delta stays
+                // no larger than the map it changes, however often a
+                // deep pipeline rewrites the same keys.
+                let mut last_puts = BTreeMap::from([(key, value)]);
+                let mut dones = vec![item.done];
+                while matches!(
+                    iter.peek().map(|next| &next.op),
+                    Some(DataOp::PutKey { .. })
+                ) {
+                    let next = iter.next().expect("peeked");
+                    if let DataOp::PutKey { key, value } = next.op {
+                        last_puts.insert(key, value);
+                        dones.push(next.done);
+                    }
+                }
+                let puts = KvPuts(last_puts.into_iter().collect());
+                let staged = keyed_write(daemon, cluster, &puts, dones.len(), &mut applied);
+                for done in dones {
+                    replies.push((done, staged.0.clone(), staged.1));
+                }
+            }
+            DataOp::GetKey { key } => {
+                let mut keys = vec![key];
+                let mut dones = vec![item.done];
+                while matches!(
+                    iter.peek().map(|next| &next.op),
+                    Some(DataOp::GetKey { .. })
+                ) {
+                    let next = iter.next().expect("peeked");
+                    if let DataOp::GetKey { key } = next.op {
+                        keys.push(key);
+                        dones.push(next.done);
+                    }
+                }
+                // One quorum read of the image serves the whole run;
+                // each key resolves against it. A missing key is a
+                // *refusal* (the read itself was granted — the quorum
+                // ruled, the key just is not there).
+                match cluster.read(daemon.local) {
+                    Ok(image) => match image.kv() {
+                        Some(kv) => {
+                            let version = cluster.history().last().map_or_else(
+                                || cluster.state_at(daemon.local).version,
+                                |op| op.version,
+                            );
+                            daemon.log.log_with(|| {
+                                format!("GRANT keyed read ×{}: v={version}", keys.len())
+                            });
+                            for (key, done) in keys.into_iter().zip(dones) {
+                                let frame = match kv.get(&key) {
+                                    Some(value) => Frame::Value {
+                                        version,
+                                        value: value.to_vec(),
+                                    },
+                                    None => Frame::Refused {
+                                        message: format!("key {key:?} not found"),
+                                    },
+                                };
+                                replies.push((done, frame, Some("read")));
+                            }
+                        }
+                        None => {
+                            for done in dones {
+                                replies.push((
+                                    done,
+                                    Frame::Refused {
+                                        message: NOT_A_KV_MAP.to_string(),
+                                    },
+                                    None,
+                                ));
+                            }
+                        }
+                    },
+                    Err(err) => {
+                        let frame = refuse(daemon, "keyed read", &err);
+                        for done in dones {
+                            replies.push((done, frame.clone(), None));
+                        }
+                    }
+                }
+            }
+            DataOp::Get => {
+                let mut dones = vec![item.done];
+                while matches!(iter.peek().map(|next| &next.op), Some(DataOp::Get)) {
+                    dones.push(iter.next().expect("peeked").done);
+                }
+                // One quorum read serves the run: every waiter queued
+                // before the round decided, so each is entitled to
+                // exactly this answer.
+                let (frame, granted) = match cluster.read(daemon.local) {
+                    Ok(value) => {
+                        // The version of the value *served*, from the
+                        // read's committed history entry — the local
+                        // copy may still be stale when a repaired site
+                        // reads before running RECOVER.
+                        let version = cluster.history().last().map_or_else(
+                            || cluster.state_at(daemon.local).version,
+                            |op| op.version,
+                        );
+                        daemon.log.log_with(|| format!(
+                            "GRANT read ×{}: v={version} — Algorithm 1: the group holds a strict majority of P_m",
+                            dones.len()
+                        ));
+                        (
+                            Frame::Value {
+                                version,
+                                value: value.to_image(),
+                            },
+                            Some("read"),
+                        )
+                    }
+                    Err(err) => (refuse(daemon, "read", &err), None),
+                };
+                for done in dones {
+                    replies.push((done, frame.clone(), granted));
+                }
+            }
+        }
+    }
+    // Persist regardless of the outcomes: even a refused operation may
+    // have changed local state (a partial commit landed).
+    let synced = sync_durable(daemon, cluster, applied.into_delta().as_ref());
+    if wrote && daemon.crash_after_wal_append && matches!(synced, Ok(true)) {
+        // Crash-test hook: the WAL holds the commit, the client never
+        // hears about it. The restart must serve it anyway —
+        // fsync-before-ack, proven from outside.
+        daemon
+            .log
+            .log("crash-after-wal-append: aborting before the ack");
+        std::process::abort();
+    }
+    let fsync_failed = synced.err();
+    replies
+        .into_iter()
+        .map(|(done, frame, granted)| match (&fsync_failed, granted) {
+            (Some(error), Some(op)) => (done, durability_refuse(daemon, op, error)),
+            _ => (done, frame),
+        })
+        .collect()
+}
+
+/// The coordinator-funnel read-modify-write behind a run of `requests`
+/// keyed puts, in ONE quorum round ([`Cluster::update`]): the write's
+/// own poll wedges a majority at the maximal version, the shard's KV
+/// map is taken at that version — the coordinator's resident copy when
+/// it is current, one copy transfer inside the vote when it is not —
+/// the run's puts are applied (the last put of each key), and the
+/// commit ships them as a *delta* on the version every participant
+/// voted with. Sound because only this worker — at the shard's
+/// coordinator of the current epoch — mutates the map. (MCV wedges
+/// nobody, pins no version and writes the whole image.)
+fn keyed_write(
+    daemon: &Arc<Daemon>,
+    cluster: &mut StoreCluster,
+    puts: &KvPuts,
+    requests: usize,
+    applied: &mut AppliedDeltas,
+) -> (Frame, Option<&'static str>) {
+    let before = cluster.state_at(daemon.local).version;
+    let mut delta = None;
+    let result = cluster.update(daemon.local, |current, base| {
+        let next = current.with_puts(puts, base)?;
+        delta = next.delta().cloned();
+        Some(next)
+    });
+    applied.note(
+        before,
+        cluster.state_at(daemon.local).version,
+        delta.as_deref(),
+    );
+    match result {
+        Ok(Some(op)) => {
+            let detail = format!(
+                "committed o={} v={} P={{{}}}",
+                op.op,
+                op.version,
+                fmt_sites(op.participants)
+            );
+            daemon.log.log_with(|| {
+                format!(
+                    "GRANT keyed write ×{requests}: {detail} — one folded {} commit of {} key(s)",
+                    if delta.is_some() { "delta" } else { "image" },
+                    puts.0.len(),
+                )
+            });
+            (Frame::Done { detail }, Some("write"))
+        }
+        Ok(None) => (
+            Frame::Refused {
+                message: NOT_A_KV_MAP.to_string(),
+            },
+            None,
+        ),
+        Err(err) => (refuse(daemon, "keyed write", &err), None),
+    }
+}

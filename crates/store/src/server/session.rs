@@ -1,0 +1,358 @@
+//! Sessions and routing: the accept loop, one thread per connection,
+//! the one function that routes a frame (correlation tag, then
+//! envelope, then dispatch) and the one that writes a reply.
+
+use std::io::{BufRead as _, BufReader};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
+
+use dynvote_control::kv::MAX_KEY_LEN;
+
+use super::batch::{DataOp, PendingData};
+use super::peer::{dispatch, Dispatch};
+use super::status::service_status_text;
+use super::{install_shard_map, Daemon, Service};
+use crate::wire::{read_frame, write_frame, Frame, UnavailableReason};
+
+pub(super) fn accept_loop(
+    listener: &TcpListener,
+    service: &Arc<Service>,
+    shutdown: &Arc<AtomicBool>,
+    idle: Duration,
+) {
+    for stream in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let service = Arc::clone(service);
+        let shutdown = Arc::clone(shutdown);
+        let _ = std::thread::Builder::new()
+            .name("dynvote-conn".to_string())
+            .spawn(move || handle_connection(&service, stream, &shutdown, idle));
+    }
+}
+
+/// Waits until the reader holds at least one unread byte. `false`: the
+/// peer closed, the socket failed, or the daemon is shutting down —
+/// seen within one idle timeout, which is what each blocking fill waits
+/// at most. Filling the buffer consumes nothing, so an idle tick never
+/// leaves the frame decoder inside a frame it cannot finish.
+fn wait_readable(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> bool {
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        match reader.fill_buf() {
+            Ok([]) => return false, // clean close
+            Ok(_) => return true,
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+fn handle_connection(
+    service: &Arc<Service>,
+    stream: TcpStream,
+    shutdown: &AtomicBool,
+    idle: Duration,
+) {
+    let _ = stream.set_read_timeout(Some(idle));
+    let _ = stream.set_write_timeout(Some(idle));
+    let _ = stream.set_nodelay(true);
+    // Replies completed by the batch worker race replies written inline
+    // by this thread, so every write goes through one locked writer.
+    let writer = match stream.try_clone() {
+        Ok(clone) => Arc::new(Mutex::new(clone)),
+        Err(_) => return,
+    };
+    let mut reader = BufReader::with_capacity(64 * 1024, stream);
+    loop {
+        // One read brings in whatever the socket holds — a frame, part
+        // of one, or many — and the decoder runs on the buffer until it
+        // is drained.
+        if reader.buffer().is_empty() && !wait_readable(&mut reader, shutdown) {
+            return;
+        }
+        let frame = match read_frame(&mut reader) {
+            Ok(frame) => frame,
+            Err(e) => {
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    service
+                        .log
+                        .log(&format!("conn: malformed frame ({e}), closing"));
+                }
+                return;
+            }
+        };
+        if !route(service, frame, &writer) {
+            return;
+        }
+    }
+}
+
+/// Routes one frame, in one order: peel the correlation tag, then the
+/// envelope, then dispatch. Returns `false` to close the session.
+///
+/// * **keyed client frames** (`PutKey`/`GetKey`) — epoch-checked
+///   against the current map, coordinator-checked against the key's
+///   shard placement, then queued on that shard daemon's batch worker;
+/// * **`Shard{k, inner}` envelopes** — addressed to shard `k`'s
+///   daemon: raw data operations (queued like the keyed ones), peer
+///   protocol frames, per-shard RECOVER and status;
+/// * **everything else** — the control plane (`GetShardMap`/
+///   `InstallShardMap`) and fleet-wide admin (status, link rules),
+///   served by the service.
+///
+/// One reply rule for all of them: a reply carries its request's tag,
+/// or none ([`write_reply`]). Replies that do not wait on the batch
+/// worker are written here, on the session's thread, so admin and
+/// status stay snappy while the worker sits in a slow quorum round.
+fn route(service: &Arc<Service>, frame: Frame, writer: &Arc<Mutex<TcpStream>>) -> bool {
+    let (tag, frame) = match frame {
+        Frame::Tagged { id, inner } => (Some(id), *inner),
+        frame => (None, frame),
+    };
+    let routed = match frame {
+        // The KV entry layout carries a key's length in 16 bits, and
+        // keys come from clients.
+        Frame::PutKey { key, .. } if key.len() > MAX_KEY_LEN => {
+            Err(Dispatch::Reply(Frame::Refused {
+                message: format!(
+                    "key of {} bytes exceeds the {MAX_KEY_LEN}-byte limit",
+                    key.len()
+                ),
+            }))
+        }
+        Frame::PutKey {
+            epoch,
+            shard,
+            key,
+            value,
+        } => {
+            keyed_route(service, epoch, shard).map(|daemon| (daemon, DataOp::PutKey { key, value }))
+        }
+        Frame::GetKey { epoch, shard, key } => {
+            keyed_route(service, epoch, shard).map(|daemon| (daemon, DataOp::GetKey { key }))
+        }
+        Frame::Shard { shard, inner } => shard_frame(service, shard, *inner),
+        frame => Err(service_dispatch(service, frame)),
+    };
+    match routed {
+        Ok((daemon, op)) => enqueue_data(&daemon, op, writer, tag),
+        Err(Dispatch::Reply(reply)) => write_reply(writer, tag, reply),
+        Err(Dispatch::Silent) => true,
+        Err(Dispatch::Close) => false,
+    }
+}
+
+/// A frame's route: a data operation for a shard daemon's batch worker,
+/// or what to do in its place.
+type Routed = Result<(Arc<Daemon>, DataOp), Dispatch>;
+
+/// Routes the inner frame of a `Shard{k, …}` envelope to shard `k`'s
+/// daemon. The slot's read lock is held across the inline dispatch, so
+/// a concurrent map install (which takes the write lock) waits out
+/// every in-flight exchange before capturing the old daemon's state.
+fn shard_frame(service: &Service, shard: u16, inner: Frame) -> Routed {
+    let client = matches!(
+        inner,
+        Frame::Recover | Frame::Status | Frame::Put { .. } | Frame::Get
+    );
+    let Some(slot) = service.slots.get(shard as usize) else {
+        return Err(if client {
+            Dispatch::Reply(Frame::Refused {
+                message: format!("shard {shard} out of range"),
+            })
+        } else {
+            // A peer frame for a shard this fleet does not have:
+            // protocol confusion, drop the session.
+            Dispatch::Close
+        });
+    };
+    let guard = slot.read().expect("shard slot poisoned");
+    let Some(daemon) = &*guard else {
+        return Err(if client {
+            Dispatch::Reply(not_hosted(shard))
+        } else {
+            // Peer frames for an unhosted shard: stay silent, exactly
+            // as a partitioned link would (the coordinator's bounded
+            // retry absorbs it).
+            Dispatch::Silent
+        });
+    };
+    // Raw data ops move the whole image through this shard's batch
+    // worker; the guard drops before the worker writes the reply.
+    match inner {
+        Frame::Put { value } => Ok((Arc::clone(daemon), DataOp::Put(value))),
+        Frame::Get => Ok((Arc::clone(daemon), DataOp::Get)),
+        inner => Err(dispatch(daemon, inner)),
+    }
+}
+
+fn not_hosted(shard: u16) -> Frame {
+    Frame::Unavailable {
+        reason: UnavailableReason::OriginDown,
+        message: format!("shard {shard} is not hosted at this site"),
+    }
+}
+
+/// Checks a keyed operation's routing facts against the current map:
+/// the client's epoch must match, the shard must exist, and this site
+/// must be the shard's coordinator (the funnel that makes the batched
+/// read-modify-write sound). Returns the shard's daemon, or the typed
+/// answer to send instead.
+fn keyed_route(service: &Service, epoch: u64, shard: u16) -> Result<Arc<Daemon>, Dispatch> {
+    let local = service.config.local.index();
+    {
+        let map = service.map.lock().expect("shard map poisoned");
+        if epoch != map.epoch {
+            return Err(Dispatch::Reply(Frame::StaleShardMap { epoch: map.epoch }));
+        }
+        let Some(spec) = map.shards.get(shard as usize) else {
+            return Err(Dispatch::Reply(Frame::Refused {
+                message: format!(
+                    "shard {shard} out of range ({} shards at epoch {})",
+                    map.shards.len(),
+                    map.epoch
+                ),
+            }));
+        };
+        if spec.coordinator() != local {
+            return Err(Dispatch::Reply(Frame::Unavailable {
+                reason: UnavailableReason::OriginDown,
+                message: format!(
+                    "site {local} is not the coordinator for shard {shard} at epoch {} (site {} is)",
+                    map.epoch,
+                    spec.coordinator()
+                ),
+            }));
+        }
+    }
+    let guard = service.slots[shard as usize]
+        .read()
+        .expect("shard slot poisoned");
+    guard
+        .clone()
+        .ok_or_else(|| Dispatch::Reply(not_hosted(shard)))
+}
+
+/// Serves the frames the service answers *as a service* — the control
+/// plane (shard map fetch/install), fleet-wide admin, and the typed
+/// refusals for data ops that name no shard.
+fn service_dispatch(service: &Arc<Service>, frame: Frame) -> Dispatch {
+    match frame {
+        Frame::GetShardMap => {
+            let map = service.map.lock().expect("shard map poisoned");
+            Dispatch::Reply(Frame::ShardMapRep { map: map.encode() })
+        }
+        Frame::InstallShardMap { map } => Dispatch::Reply(install_shard_map(service, &map)),
+        Frame::Status => Dispatch::Reply(Frame::Report {
+            text: service_status_text(service),
+        }),
+        // The link rules are the *process's* fault surface, shared by
+        // every shard transport — one deny cuts the site pair for all
+        // shards, exactly like pulling the cable.
+        Frame::Deny { site } => {
+            service.links.block(site);
+            service
+                .log
+                .log(&format!("link cut: S{} denied", site.index()));
+            Dispatch::Reply(Frame::Done {
+                detail: format!("link to site {} cut", site.index()),
+            })
+        }
+        Frame::Allow { site } => {
+            service.links.unblock(site);
+            service
+                .log
+                .log(&format!("link restored: S{} allowed", site.index()));
+            Dispatch::Reply(Frame::Done {
+                detail: format!("link to site {} restored", site.index()),
+            })
+        }
+        Frame::HealLinks => {
+            service.links.clear();
+            service.log.log("links healed: all rules dropped");
+            Dispatch::Reply(Frame::Done {
+                detail: "all links restored".to_string(),
+            })
+        }
+        // Data ops that name no shard: a typed refusal telling the
+        // client what to send.
+        Frame::Put { .. } | Frame::Get | Frame::Recover => Dispatch::Reply(Frame::Refused {
+            message: "address a shard: use putk/getk (keyed frames) or wrap the frame in a \
+                      shard envelope (dynvote-ctl --shard K)"
+                .to_string(),
+        }),
+        // Bare peer frames (no shard envelope) cannot be routed.
+        _ => Dispatch::Close,
+    }
+}
+
+/// Writes one frame through a session's shared writer. A failed write
+/// may have left part of a frame on the wire, after which nothing
+/// written to the session could be decoded: the socket is shut down,
+/// which fails every later write at once and ends the session's reader.
+fn write_shared(writer: &Arc<Mutex<TcpStream>>, frame: &Frame) -> std::io::Result<()> {
+    let mut guard = writer.lock().expect("session writer poisoned");
+    let written = write_frame(&mut *guard, frame);
+    if written.is_err() {
+        let _ = guard.shutdown(std::net::Shutdown::Both);
+    }
+    written
+}
+
+/// The one reply rule: a reply carries its request's tag, or none.
+/// `false` when the session is gone.
+fn write_reply(writer: &Arc<Mutex<TcpStream>>, tag: Option<u64>, reply: Frame) -> bool {
+    let frame = match tag {
+        Some(id) => Frame::Tagged {
+            id,
+            inner: Box::new(reply),
+        },
+        None => reply,
+    };
+    write_shared(writer, &frame).is_ok()
+}
+
+/// Queues a data operation for `daemon`'s batch worker, with the
+/// completion that writes its reply. `false` means the daemon is
+/// shutting down (the queue is gone): close the session.
+///
+/// A tagged request returns at once — the session reads its next frame
+/// while the worker runs. An untagged one has nothing to match a reply
+/// to but its order, so its session waits here until the completion has
+/// run (or was dropped with the worker).
+fn enqueue_data(
+    daemon: &Daemon,
+    op: DataOp,
+    writer: &Arc<Mutex<TcpStream>>,
+    tag: Option<u64>,
+) -> bool {
+    let (answered, wait) = match tag {
+        Some(_) => (None, None),
+        None => {
+            let (answered, wait) = mpsc::channel::<()>();
+            (Some(answered), Some(wait))
+        }
+    };
+    let writer = Arc::clone(writer);
+    let done = Box::new(move |reply| {
+        write_reply(&writer, tag, reply);
+        drop(answered);
+    });
+    if daemon.batch.send(PendingData { op, done }).is_err() {
+        return false;
+    }
+    if let Some(wait) = wait {
+        // Nothing is ever sent: the wait ends when `answered` drops.
+        let _ = wait.recv();
+    }
+    true
+}

@@ -1,0 +1,247 @@
+//! The wedge probe: while a site holds an outstanding vote, it
+//! periodically asks the ticket's coordinator what became of it (see
+//! `crate::probe` for the soundness argument). Without this pull path a
+//! single lost `RELEASE` or `COMMIT` frame wedges the site forever.
+
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dynvote_core::state::ReplicaState;
+use dynvote_types::SiteSet;
+
+use super::peer::{commit_body, install_commit};
+use super::{sync_durable, Daemon, StoreCluster};
+use crate::probe::{coordinator_of, epoch_of, CommitBody, ProbeAnswer};
+use crate::value::Delta;
+use crate::wire::{read_frame, write_frame, Frame};
+
+/// How often a wedged site probes its coordinator.
+const WEDGE_PROBE_INTERVAL: Duration = Duration::from_millis(400);
+
+/// Per-probe reply deadline (resolve + connect + exchange).
+const WEDGE_PROBE_DEADLINE: Duration = Duration::from_millis(1500);
+
+/// Whether `ticket` was issued by a dead incarnation of this daemon
+/// *and* sits above the ledger high-water mark it left — the two facts
+/// that together prove the ticket never reached a commit point, so
+/// every vote for it is non-binding.
+pub(super) fn dead_and_unfenced(daemon: &Daemon, ticket: u64) -> bool {
+    coordinator_of(ticket) == daemon.local.index()
+        && match (daemon.boot_epoch, daemon.boot_fence) {
+            (Some(epoch), Some(fence)) => epoch_of(ticket) < epoch && ticket > fence,
+            _ => false,
+        }
+}
+
+/// Persists and logs a wedge resolution (the cluster lock is held).
+/// `applied` is the delta the resolving commit applied, if it did.
+fn note_probe_resolution(
+    daemon: &Daemon,
+    cluster: &StoreCluster,
+    ticket: u64,
+    what: &str,
+    applied: Option<&Delta>,
+) {
+    if let Err(error) = sync_durable(daemon, cluster, applied) {
+        daemon.log.log(&format!(
+            "wedge probe ticket={ticket}: durability failure: {error}"
+        ));
+    }
+    daemon
+        .log
+        .log(&format!("wedge probe: ticket={ticket} {what}"));
+}
+
+/// Resolves the local wedge on `ticket` with the commit that closed
+/// it, if the site is still wedged on exactly that ticket.
+fn resolve_by_commit(
+    daemon: &Daemon,
+    ticket: u64,
+    state: ReplicaState,
+    body: CommitBody,
+    what: &str,
+) {
+    let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
+    // Re-check under the lock: only the exact wedge the probe was sent
+    // for may be resolved by its reply.
+    if cluster.pending_at(daemon.local) != Some(ticket) {
+        return;
+    }
+    if let Some(installed) = install_commit(daemon, &mut cluster, daemon.local, ticket, state, body)
+    {
+        note_probe_resolution(daemon, &cluster, ticket, what, installed.applied.as_deref());
+        daemon.probe_commits.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One raw frame exchange with a peer daemon under a hard deadline —
+/// the probe loop speaks peer frames, which the client API's typed
+/// outcomes do not carry.
+fn probe_exchange(addr: &str, frame: &Frame, deadline: Duration) -> std::io::Result<Frame> {
+    use std::net::ToSocketAddrs;
+    let ends = Instant::now() + deadline;
+    let left = || {
+        let left = ends.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "probe deadline",
+            ))
+        } else {
+            Ok(left)
+        }
+    };
+    let target = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address"))?;
+    let mut stream = TcpStream::connect_timeout(&target, left()?)?;
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(left()?))?;
+    write_frame(&mut stream, frame)?;
+    stream.set_read_timeout(Some(left()?))?;
+    read_frame(&mut stream)
+}
+
+/// The wedge-probe loop: while this site holds an outstanding vote,
+/// periodically asks the ticket's coordinator what became of it (see
+/// `crate::probe` for the soundness argument). Without this pull path
+/// a single lost `RELEASE` or `COMMIT` frame wedges the site forever.
+pub(super) fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
+    loop {
+        std::thread::sleep(WEDGE_PROBE_INTERVAL);
+        if shutdown.load(Ordering::SeqCst) || daemon.retired.load(Ordering::SeqCst) != 0 {
+            return;
+        }
+        let pending = {
+            let cluster = daemon.cluster.lock().expect("cluster poisoned");
+            cluster.pending_at(daemon.local)
+        };
+        let Some(ticket) = pending else { continue };
+        let coordinator = coordinator_of(ticket);
+        if coordinator == daemon.local.index() {
+            // Wedged on a ticket of a dead incarnation of *ourselves*
+            // (the vote is durable; a crash between the commit point
+            // and the local apply leaves it outstanding). The replayed
+            // ledger or the high-water rule resolves it locally, no
+            // network needed. The ledger guard is dropped before the
+            // cluster lock is taken — the transport locks in the
+            // opposite order.
+            let answer = {
+                daemon
+                    .ledger
+                    .lock()
+                    .expect("op ledger poisoned")
+                    .answer(ticket, daemon.local)
+            };
+            match answer {
+                ProbeAnswer::Commit(record) => resolve_by_commit(
+                    daemon,
+                    ticket,
+                    record.state,
+                    record.body,
+                    "own ledgered COMMIT applied",
+                ),
+                ProbeAnswer::Release(keep) if !keep.contains(daemon.local) => {
+                    let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
+                    if cluster.pending_at(daemon.local) == Some(ticket) {
+                        cluster.local_release(ticket, keep);
+                        note_probe_resolution(
+                            daemon,
+                            &cluster,
+                            ticket,
+                            "self-released (own ledgered release)",
+                            None,
+                        );
+                        daemon.probe_released.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                _ => {
+                    if dead_and_unfenced(daemon, ticket) {
+                        let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
+                        if cluster.pending_at(daemon.local) == Some(ticket) {
+                            cluster.local_release(ticket, SiteSet::EMPTY);
+                            note_probe_resolution(
+                                daemon,
+                                &cluster,
+                                ticket,
+                                "self-released (dead own epoch, above high water)",
+                                None,
+                            );
+                            daemon.probe_released.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+            continue;
+        }
+        let Some((to, addr)) = daemon
+            .peers
+            .iter()
+            .find(|(site, _)| site.index() == coordinator)
+            .cloned()
+        else {
+            continue;
+        };
+        if daemon.links.is_blocked(to) {
+            // The partition surface applies to probes too.
+            continue;
+        }
+        // The probe must reach the peer's *matching* shard daemon (each
+        // shard has its own operation ledger).
+        let probe = Frame::VoteProbe {
+            ticket,
+            from: daemon.local,
+            to,
+        }
+        .for_shard(daemon.shard);
+        match probe_exchange(&addr, &probe, WEDGE_PROBE_DEADLINE) {
+            Ok(Frame::Release {
+                ticket: answered,
+                keep,
+                ..
+            }) if answered == ticket && !keep.contains(daemon.local) => {
+                let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
+                if cluster.pending_at(daemon.local) == Some(ticket) {
+                    cluster.local_release(ticket, keep);
+                    note_probe_resolution(
+                        daemon,
+                        &cluster,
+                        ticket,
+                        "released by coordinator",
+                        None,
+                    );
+                    daemon.probe_released.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Ok(Frame::Commit {
+                ticket: answered,
+                state,
+                value,
+                ..
+            }) if answered == ticket => resolve_by_commit(
+                daemon,
+                ticket,
+                state,
+                commit_body(value),
+                "late COMMIT applied",
+            ),
+            Ok(Frame::CommitDelta {
+                ticket: answered,
+                state,
+                base,
+                puts,
+                ..
+            }) if answered == ticket => resolve_by_commit(
+                daemon,
+                ticket,
+                state,
+                CommitBody::Delta(Arc::new(Delta { base, puts })),
+                "late COMMIT (delta) applied",
+            ),
+            _ => {}
+        }
+    }
+}
