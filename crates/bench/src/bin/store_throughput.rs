@@ -1,60 +1,47 @@
-//! Closed-loop load driver for the networked store, written to
-//! `BENCH_store.json` at the repo root.
+//! The sharded fairness driver: a keyed closed loop over N independent
+//! shard groups, written to `BENCH_shard.json` at the repo root.
 //!
-//! The number this replaces was a lie the file admitted to: ~500 put/s
-//! of *CLI latency*, where every operation paid a process spawn, a
-//! fresh TCP connect, and a serial quorum round. This harness measures
-//! the transport instead: it boots a loopback fleet **in process**
-//! (real daemons, real sockets, the same `TcpTransport` peer links),
-//! then drives it through persistent pipelined [`Connection`]s —
-//! configurable client count, pipeline depth, and read/write mix —
-//! and reports sustained req/s plus p50/p99/p999 latency.
-//!
-//! All clients target site 0: a single coordinator is the honest
-//! configuration for a throughput ceiling (two coordinators polling
-//! *at* each other serialize on vote wedging, which is a protocol
-//! property, not a transport one — EXPERIMENTS.md discusses it).
+//! The load harness whose numbers gate a change is `benchmark/`
+//! (durable daemons, pinned, open loop, per-layer counters; its
+//! `peak_ops_per_s` is this closed loop at depth 256 on one shard).
+//! This binary keeps the one thing only it does: it boots a loopback
+//! fleet **in process** (real daemons, real sockets, the same
+//! `TcpTransport` peer links, no data dir) hosting `--shards`
+//! independent shard groups, gives every shard a closed-loop client —
+//! thread *i* owns shard *i mod N*, pre-hashes a key pool onto it and
+//! pipelines `PutKey`/`GetKey` at that shard's coordinator over one
+//! persistent [`Connection`] — and reports the aggregate req/s, a
+//! per-shard latency breakdown and a fairness summary.
 //!
 //! ```text
 //! cargo run --release -p dynvote-bench --bin store_throughput -- \
-//!     [--clients N] [--pipeline D] [--write-pct P] [--secs S] \
-//!     [--policy odv] [--sites 3] [--shards N] [--keys K] [--payload B] \
+//!     [--shards N] [--keys K] [--payload B] [--clients N] [--pipeline D] \
+//!     [--write-pct P] [--secs S] [--policy odv] [--sites 3] \
 //!     [--quick] [--out PATH]
 //! ```
 //!
+//! `--shards` defaults to the committed configuration (4).
 //! `--payload B` sets the value size of every write; `--keys K` sets
 //! how many keys each shard's clients cycle (and so how large the
 //! shard's replicated map is) — the two knobs the keys-per-shard sweep
 //! in EXPERIMENTS.md turns.
 //!
-//! Without `--shards` the fleet has one shard group on every site and
-//! the drivers pipeline *raw* puts and gets of its whole image (shard
-//! 0's, in a shard envelope) — one version step per put, the paper's
-//! single replicated file; that is `BENCH_store.json`.
+//! On a multi-core box the aggregate is expected to scale with shards
+//! (independent quorums, independent batch fsyncs); on a single core
+//! the gated property is *fairness* instead — every shard gets an even
+//! slice of the one core (`fairness.max_over_min` close to 1), and the
+//! aggregate stays within noise of one shard.
 //!
-//! With `--shards N` the fleet runs N independent shard groups and the
-//! drivers speak the *keyed* protocol: each client thread owns one
-//! shard, pre-hashes a key pool onto it, and pipelines
-//! `PutKey`/`GetKey` batches at that shard's coordinator — the
-//! multi-shard aggregate lands in `BENCH_shard.json` with a per-shard
-//! latency breakdown. On a multi-core box the aggregate is expected to
-//! scale with shards (independent quorums, independent batch fsyncs);
-//! on a single core the gated property is *fairness* instead — every
-//! shard gets an even slice of the one core (`fairness.max_over_min`
-//! close to 1), and the aggregate stays within noise of one shard.
-//!
-//! The keyed mode ends with a *count phase*: a second, durable fleet
-//! takes a few serial keyed puts (one request per batch) and the
-//! report carries, from `Status` deltas, the quorum rounds the
-//! coordinator ran and the records a voter logged per batch — 1 and 2
-//! (vote, delta), which CI asserts.
+//! What one keyed batch costs — one quorum round, four coordinator
+//! frames, two voter log records — is asserted as exact equalities by
+//! `delta_commits::a_keyed_batch_is_one_round_and_two_records_at_a_voter`
+//! and reported by `benchmark/` as `cluster.rounds_per_op`,
+//! `tcp.sends_per_op` and `wal.voter_records_per_op`.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
-use dynvote_store::campaign::monitor::parse_status;
 use dynvote_store::client::request;
 use dynvote_store::config::Config;
 use dynvote_store::conn::{ConnOptions, Connection};
@@ -69,10 +56,9 @@ struct Args {
     secs: f64,
     policy: String,
     sites: usize,
-    /// 0 = raw puts and gets of the one group a fleet started without
-    /// `--shards` has; N ≥ 1 = keyed workload over N shard groups.
+    /// Independent shard groups the fleet hosts.
     shards: usize,
-    /// Keys per shard the keyed clients cycle (`--shards` mode).
+    /// Keys per shard the keyed clients cycle.
     keys: usize,
     /// Bytes per written value.
     payload: usize,
@@ -87,7 +73,7 @@ fn parse_args() -> Args {
         secs: 5.0,
         policy: "odv".to_string(),
         sites: 3,
-        shards: 0,
+        shards: 4,
         keys: 64,
         payload: 32,
         out: None,
@@ -124,6 +110,7 @@ fn parse_args() -> Args {
         }
     }
     assert!(args.clients >= 1 && args.pipeline >= 1 && args.sites >= 1 && args.keys >= 1);
+    assert!(args.shards >= 1, "--shards counts shard groups");
     assert!(args.write_pct <= 100, "--write-pct is a percentage");
     args
 }
@@ -132,13 +119,7 @@ fn parse_args() -> Args {
 /// names real addresses), then one daemon per site, then a status poll
 /// until all accept. `--quiet` keeps the grant log off stderr — at the
 /// rates this harness drives, the terminal would be the bottleneck.
-/// With a `data_root` the daemons are durable, one directory per site.
-fn boot_fleet(
-    policy: &str,
-    sites: usize,
-    shards: usize,
-    data_root: Option<&Path>,
-) -> (Vec<ServiceHandle>, Vec<String>) {
+fn boot_fleet(policy: &str, sites: usize, shards: usize) -> (Vec<ServiceHandle>, Vec<String>) {
     let listeners: Vec<TcpListener> = (0..sites)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
         .collect();
@@ -156,16 +137,9 @@ fn boot_fleet(
         .into_iter()
         .enumerate()
         .map(|(i, listener)| {
-            let sharding = if shards > 0 {
-                format!("--shards {shards} --shard-placement ring:3 ")
-            } else {
-                "--value v0 ".to_string()
-            };
-            let durable = data_root.map_or_else(String::new, |root| {
-                format!("--data-dir {} ", root.join(format!("site{i}")).display())
-            });
             let flags = format!(
-                "--site {i} --policy {policy} --peers {peers} {sharding}{durable}--quiet \
+                "--site {i} --policy {policy} --peers {peers} \
+                 --shards {shards} --shard-placement ring:3 --quiet \
                  --connect-timeout-ms 250 --read-timeout-ms 2000 \
                  --backoff-ms 10 --backoff-cap-ms 100"
             );
@@ -196,11 +170,11 @@ struct ClientRun {
 
 /// One closed-loop client: keep `depth` requests in flight on a single
 /// pipelined connection until `end`, then drain. `request(is_write)`
-/// builds each frame: a raw put or get of shard 0's image, or — for a
-/// keyed client, which owns one shard and cycles a pre-hashed key
-/// pool — a `PutKey`/`GetKey` at the shard's coordinator (the epoch is
-/// fixed for the run: the bench never rebalances, so a stale answer
-/// would be a bug and lands in the refused count).
+/// builds each frame: the client owns one shard and cycles a
+/// pre-hashed key pool, so it is a `PutKey`/`GetKey` at the shard's
+/// coordinator (the epoch is fixed for the run: the bench never
+/// rebalances, so a stale answer would be a bug and lands in the
+/// refused count).
 fn drive_client(
     addr: &str,
     depth: usize,
@@ -278,93 +252,14 @@ fn histogram_json(label: &str, samples: Vec<u64>) -> String {
     format!(r#""{label}": {}"#, histogram_object(samples))
 }
 
-/// Serial keyed puts in the count phase: each is a batch of its own.
-const COUNTED_BATCHES: u64 = 32;
-
-/// The count phase of the keyed mode: what one keyed batch costs in
-/// quorum rounds and peer frames at the coordinator and in log records
-/// at a voter, from `Status` deltas over [`COUNTED_BATCHES`] serial puts
-/// on shard 0 of a fresh durable fleet (a voter logs only when it has a
-/// disk). Returns `[rounds_per_batch, coordinator_frames_per_batch,
-/// voter_wal_records_per_batch]`.
-fn count_per_batch(args: &Args) -> [f64; 3] {
-    let data_root = std::env::temp_dir().join(format!("dynvote-bench-{}", std::process::id()));
-    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards, Some(&data_root));
-    let map = dynvote_store::router::fetch_map(&addrs[0], Duration::from_secs(5))
-        .expect("shard map from the durable fleet");
-    let coordinator = map.coordinator_addr(0).expect("coordinator addr");
-    let voter = addrs
-        .iter()
-        .find(|addr| addr.as_str() != coordinator)
-        .expect("a second site");
-    let key = (0u64..)
-        .map(|probe| format!("count-{probe}"))
-        .find(|key| map.shard_of(key.as_bytes()) == 0)
-        .expect("some key hashes to shard 0");
-    let put = |i: u64| {
-        let frame = Frame::PutKey {
-            epoch: map.epoch,
-            shard: 0,
-            key: key.clone(),
-            value: i.to_le_bytes().to_vec(),
-        };
-        let outcome = request(coordinator, &frame, Duration::from_secs(30)).expect("counted put");
-        assert!(outcome.granted(), "counted put: {outcome:?}");
-    };
-    // The sum of the fields of shard 0's `Status` at `addr` that
-    // `wanted` picks.
-    let counted = |addr: &str, wanted: &dyn Fn(&str) -> bool| -> f64 {
-        let frame = Frame::Status.for_shard(0);
-        let Ok(Outcome::Report(text)) = request(addr, &frame, Duration::from_secs(5)) else {
-            panic!("no status of shard 0 at {addr}");
-        };
-        parse_status(&text)
-            .iter()
-            .filter(|(field, _)| wanted(field))
-            .filter_map(|(_, value)| value.parse::<f64>().ok())
-            .sum()
-    };
-    // Batches, quorum rounds and frames handed to peer links at the
-    // coordinator; records ever logged (snapshotted or still in the
-    // log) at the voter.
-    let counts = || {
-        [
-            counted(coordinator, &|f| f == "batch.rounds"),
-            counted(coordinator, &|f| f == "reads_ok" || f == "writes_ok"),
-            counted(coordinator, &|f| {
-                f.starts_with("peer.") && f.ends_with(".sends")
-            }),
-            counted(voter, &|f| {
-                f == "durability.snapshot_seq" || f == "durability.wal_records"
-            }),
-        ]
-    };
-    put(0); // warm-up: peer links up before the counted batches
-    let before = counts();
-    (1..=COUNTED_BATCHES).for_each(put);
-    let after = counts();
-    for handle in handles {
-        handle.stop();
-    }
-    std::fs::remove_dir_all(&data_root).ok();
-    let [batches, rounds, frames, records] = std::array::from_fn(|i| after[i] - before[i]);
-    assert_eq!(
-        batches, COUNTED_BATCHES as f64,
-        "serial puts batch one by one"
-    );
-    [rounds, frames, records].map(|count| count / batches)
-}
-
-/// The `--shards N` mode: keyed workload, one coordinator connection
-/// per shard, per-shard latency breakdown and a fairness summary in
-/// `BENCH_shard.json`.
-fn run_sharded(args: &Args) {
+fn main() {
+    let args = &parse_args();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     eprintln!(
         "booting {} x {} loopback fleet ({} shards) ...",
         args.sites, args.policy, args.shards
     );
-    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards, None);
+    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards);
     let map = dynvote_store::router::fetch_map(&addrs[0], Duration::from_secs(5))
         .expect("shard map from the fleet");
     assert_eq!(map.shards.len(), args.shards, "fleet built the wrong map");
@@ -489,8 +384,6 @@ fn run_sharded(args: &Args) {
     for handle in handles {
         handle.stop();
     }
-    let [rounds_per_batch, coordinator_frames_per_batch, voter_wal_records_per_batch] =
-        count_per_batch(args);
 
     // The per-shard breakdown and the single-core fairness summary.
     let shard_rps: Vec<f64> = per_shard
@@ -527,7 +420,6 @@ fn run_sharded(args: &Args) {
 {per_shard_json}
   }},
   "fairness": {{ "min_shard_rps": {min_rps:.0}, "max_shard_rps": {max_rps:.0}, "max_over_min": {ratio:.3} }},
-  "per_keyed_batch": {{ "rounds_per_batch": {rounds_per_batch:.2}, "coordinator_frames_per_batch": {coordinator_frames_per_batch:.2}, "voter_wal_records_per_batch": {voter_wal_records_per_batch:.2}, "batches": {COUNTED_BATCHES}, "from": "Status deltas over serial puts on a durable fleet" }},
   "note": "keyed closed-loop over {shards} independent shard groups, one pipelined coordinator connection per shard; on a multi-core host the aggregate scales with shards (independent quorums and batch commits) — on a single core the gated property is fairness (max_over_min near 1) with the aggregate within noise of one shard"
 }}
 "#,
@@ -557,115 +449,4 @@ fn run_sharded(args: &Args) {
     });
     eprint!("{json}");
     eprintln!("wrote {out} ({rps:.0} req/s over {} shards)", args.shards);
-}
-
-fn main() {
-    let args = parse_args();
-    if args.shards > 0 {
-        run_sharded(&args);
-        return;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    eprintln!(
-        "booting {} x {} loopback fleet ...",
-        args.sites, args.policy
-    );
-    let (handles, addrs) = boot_fleet(&args.policy, args.sites, 0, None);
-    let target = addrs[0].clone();
-
-    eprintln!(
-        "driving: {} clients x pipeline {} at {}% writes for {:.1}s ...",
-        args.clients, args.pipeline, args.write_pct, args.secs
-    );
-    let started = Instant::now();
-    let end = started + Duration::from_secs_f64(args.secs);
-    let runs: Vec<ClientRun> = std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..args.clients)
-            .map(|i| {
-                let target = &target;
-                let payload = vec![b'x'; args.payload];
-                let request = move |is_write| {
-                    let frame = if is_write {
-                        Frame::Put {
-                            value: payload.clone(),
-                        }
-                    } else {
-                        Frame::Get
-                    };
-                    frame.for_shard(0)
-                };
-                let seed = 0x5eed_0000 + i as u64;
-                scope.spawn(move || {
-                    drive_client(target, args.pipeline, args.write_pct, seed, end, request)
-                })
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|t| t.join().expect("client thread"))
-            .collect()
-    });
-    let wall = started.elapsed().as_secs_f64();
-
-    let mut all: Vec<u64> = Vec::new();
-    let mut writes: Vec<u64> = Vec::new();
-    let mut reads: Vec<u64> = Vec::new();
-    let mut refused = 0u64;
-    let mut errors = 0u64;
-    for run in runs {
-        refused += run.refused;
-        errors += run.errors;
-        for (micros, is_write) in run.samples {
-            all.push(micros);
-            if is_write {
-                writes.push(micros);
-            } else {
-                reads.push(micros);
-            }
-        }
-    }
-    let completed = all.len() as u64;
-    let rps = completed as f64 / wall;
-    assert!(
-        errors == 0 && refused == 0,
-        "fault-free loopback run saw {refused} refusals / {errors} errors"
-    );
-
-    let json = format!(
-        r#"{{
-  "generated_by": "cargo run --release -p dynvote-bench --bin store_throughput",
-  "machine": {{ "cores": {cores} }},
-  "cluster": {{ "policy": "{policy}", "sites": {sites}, "durable": false }},
-  "workload": {{ "clients": {clients}, "pipeline_depth": {pipeline}, "write_pct": {write_pct}, "payload_bytes": {payload}, "secs": {wall:.3} }},
-  "completed_requests": {completed},
-  "requests_per_sec": {rps:.0},
-  {hist_all},
-  {hist_writes},
-  {hist_reads},
-  "note": "closed-loop, in-process loopback fleet; persistent pipelined connections (correlation-id frames) and batched quorum commits; latency includes pipeline queueing"
-}}
-"#,
-        policy = args.policy,
-        sites = args.sites,
-        clients = args.clients,
-        pipeline = args.pipeline,
-        write_pct = args.write_pct,
-        payload = args.payload,
-        hist_all = histogram_json("latency", all),
-        hist_writes = histogram_json("write_latency", writes),
-        hist_reads = histogram_json("read_latency", reads),
-    );
-
-    for handle in handles {
-        handle.stop();
-    }
-    let out = args.out.clone().unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json").to_string()
-    });
-    std::fs::write(&out, &json).unwrap_or_else(|e| {
-        eprintln!("error: writing {out}: {e}");
-        std::process::exit(1);
-    });
-    eprint!("{json}");
-    eprintln!("wrote {out} ({rps:.0} req/s)");
 }

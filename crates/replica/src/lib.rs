@@ -12,8 +12,10 @@
 //!
 //! Three supporting pieces make it a test bed as well as a library:
 //!
-//! * [`fault`] — fail/repair sites and force partitions, by script or
-//!   randomly;
+//! * [`nemesis`] — seeded random campaigns of site churn and message
+//!   faults over the cluster's own fault surface
+//!   ([`Cluster::fail_site`], [`Cluster::force_partition`],
+//!   [`Cluster::inject_fault`], …);
 //! * [`checker`] — an always-on invariant monitor (no stale reads,
 //!   unique versions, no lineage forks) that records [`Violation`]s
 //!   instead of panicking, so tests can also *demonstrate* the
@@ -48,7 +50,6 @@ pub mod bus;
 pub mod checker;
 pub mod cluster;
 pub mod directory;
-pub mod fault;
 pub mod message;
 pub mod nemesis;
 pub mod node;
@@ -62,7 +63,6 @@ pub use bus::{Bus, BusStats, FaultAction, FaultRule, MessageClass, Verdict};
 pub use checker::{Checker, Violation};
 pub use cluster::{Cluster, ClusterBuilder, CommittedOp, OpStats, Protocol};
 pub use directory::{Directory, DirectoryError};
-pub use fault::{FaultInjector, FaultOp};
 pub use message::{Message, MessageKind, Trace};
 pub use nemesis::{run_nemesis, NemesisProfile, NemesisReport};
 pub use node::{Node, WitnessNode};

@@ -26,7 +26,6 @@ use dynvote_types::{AccessError, SiteId, SiteSet};
 
 use crate::bus::{FaultAction, FaultRule, MessageClass};
 use crate::cluster::Cluster;
-use crate::fault::{FaultInjector, FaultOp};
 
 /// Tunable probabilities for one nemesis campaign. All probabilities
 /// are per client operation.
@@ -133,52 +132,32 @@ pub fn random_rule(rng: &mut SimRng, sites: SiteSet, crash_p: f64) -> FaultRule 
     }
 }
 
-/// A standalone random message-fault schedule: `n` single-shot
-/// injections with an occasional `DeliverAll`, suitable for
-/// [`FaultInjector::run_script`].
-#[must_use]
-pub fn random_schedule(rng: &mut SimRng, sites: SiteSet, n: usize, crash_p: f64) -> Vec<FaultOp> {
-    let mut script = Vec::with_capacity(n);
-    for _ in 0..n {
-        if rng.bernoulli(0.1) {
-            script.push(FaultOp::DeliverAll);
-        } else {
-            script.push(FaultOp::Inject(random_rule(rng, sites, crash_p)));
-        }
-    }
-    script
-}
-
 /// Runs one full nemesis campaign against `cluster`, returning the
-/// outcome tallies. The injector's history (site churn and armed
-/// rules) plus the seed make every run replayable.
+/// outcome tallies. Every draw comes from `rng`, so the seed alone
+/// makes a run replayable.
 pub fn run_nemesis(
     cluster: &mut Cluster<u64>,
     rng: &mut SimRng,
     profile: &NemesisProfile,
 ) -> NemesisReport {
-    let mut injector = FaultInjector::new();
     let mut report = NemesisReport::default();
     let participants = cluster.participants();
     for step in 0..profile.steps {
         // Site churn first: the poll that follows sees the new world.
         if rng.bernoulli(profile.site_fail_p) {
             if let Some(site) = pick(rng, cluster.up_sites() & participants) {
-                injector.apply(cluster, FaultOp::Fail(site));
+                cluster.fail_site(site);
             }
         }
         if rng.bernoulli(profile.site_repair_p) {
             if let Some(site) = pick(rng, participants - cluster.up_sites()) {
-                injector.apply(cluster, FaultOp::Repair(site));
+                cluster.repair_site(site);
                 report.tally(cluster.recover(site));
             }
         }
         // Then the adversary arms the bus for whatever comes next.
         if rng.bernoulli(profile.fault_rule_p) {
-            injector.apply(
-                cluster,
-                FaultOp::Inject(random_rule(rng, participants, profile.crash_p)),
-            );
+            cluster.inject_fault(random_rule(rng, participants, profile.crash_p));
         }
         // One client operation from a random live origin.
         let Some(origin) = pick(rng, cluster.up_sites() & participants) else {
@@ -191,7 +170,7 @@ pub fn run_nemesis(
         }
     }
     // Lingering single-shot rules must not leak into later campaigns.
-    injector.apply(cluster, FaultOp::DeliverAll);
+    cluster.clear_message_faults();
     report
 }
 
@@ -229,14 +208,5 @@ mod tests {
             "violations: {:?}",
             c.checker().violations()
         );
-    }
-
-    #[test]
-    fn random_schedule_is_deterministic() {
-        let sites = SiteSet::first_n(3);
-        let a = random_schedule(&mut SimRng::new(9), sites, 16, 0.3);
-        let b = random_schedule(&mut SimRng::new(9), sites, 16, 0.3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 16);
     }
 }

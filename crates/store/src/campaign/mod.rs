@@ -13,8 +13,9 @@
 //! * [`schedule`] — the deterministic seeded fault schedule (same
 //!   seed, same campaign), rendered in the checker's event grammar;
 //! * [`fleet`] — subprocess management and the disk-fault injectors;
-//! * [`workload`] — client threads on the hardened retry/deadline
-//!   client, minting globally unique write tokens;
+//! * [`workload`] — client threads, each on one pipelined
+//!   `Connection` per site under a hard per-op deadline, minting
+//!   globally unique write tokens;
 //! * [`monitor`] — live analogues of the checker's invariants;
 //! * [`report`] — `BENCH_faults.json`: availability and latency
 //!   quantiles under faults.

@@ -1,7 +1,9 @@
 //! The concurrent client workload: while the nemesis swings, client
-//! threads keep issuing reads and writes through the hardened client
-//! ([`request_retry`]) — every operation resolves within its deadline,
-//! by construction, and every resolution is classified.
+//! threads keep issuing reads and writes over one pipelined
+//! [`Connection`] per site — the tagged session path real load uses —
+//! reissuing when a stream dies under a request
+//! (`call_until_answered`). Every operation resolves within its
+//! deadline, by construction, and every resolution is classified.
 //!
 //! Write values are globally unique monotone tokens (`w1`, `w2`, …)
 //! minted from one shared counter — the same trick the model checker's
@@ -15,8 +17,8 @@ use std::time::{Duration, Instant};
 
 use dynvote_sim::SimRng;
 
-use crate::client::{request_retry, ClientError, Outcome, RetryPolicy};
-use crate::jitter::Jitter;
+use crate::client::{ClientError, Deadline, Outcome};
+use crate::conn::{ConnOptions, Connection};
 use crate::wire::{Frame, UnavailableReason};
 
 /// How one operation resolved. Every issued operation gets exactly one
@@ -62,7 +64,7 @@ pub struct OpRecord {
 pub struct WorkloadConfig {
     /// How many client threads run concurrently.
     pub clients: usize,
-    /// Hard per-operation deadline (retries included).
+    /// Hard per-operation deadline (redials and reissues included).
     pub op_deadline: Duration,
     /// Probability an operation is a write.
     pub write_ratio: f64,
@@ -139,6 +141,26 @@ impl Workload {
     }
 }
 
+/// Issues `frame` until the daemon *answers* (grant, refusal, or typed
+/// unavailability) or `deadline` runs out. A stream that dies with the
+/// request in flight (`Unreachable`: a SIGKILLed daemon, a reset) is
+/// weather, so the request is reissued; the redial and its backoff are
+/// [`Connection::submit`]'s. A protocol error is a bug and is not
+/// retried. Returns an answer, [`ClientError::Timeout`] or
+/// [`ClientError::Protocol`] — never `Unreachable`.
+fn call_until_answered(
+    conn: &Connection,
+    frame: &Frame,
+    deadline: &Deadline,
+) -> Result<Outcome, ClientError> {
+    loop {
+        match conn.call(frame, deadline) {
+            Err(ClientError::Unreachable { .. }) => {}
+            answer => return answer,
+        }
+    }
+}
+
 fn client_loop(
     client: usize,
     addrs: &[String],
@@ -149,8 +171,10 @@ fn client_loop(
     tokens: &AtomicU64,
 ) -> Vec<OpRecord> {
     let mut rng = SimRng::substream(seed, 0xC11E + client as u64);
-    let mut jitter = Jitter::new(seed ^ (client as u64).wrapping_mul(0x9E37_79B9));
-    let policy = RetryPolicy::default();
+    let conns: Vec<Connection> = addrs
+        .iter()
+        .map(|addr| Connection::new(addr, ConnOptions::default()))
+        .collect();
     let mut records = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         let site = rng.below(addrs.len());
@@ -169,13 +193,8 @@ fn client_loop(
         .for_shard(0);
         let at = started.elapsed();
         let issued = Instant::now();
-        let answer = request_retry(
-            &addrs[site],
-            &frame,
-            config.op_deadline,
-            policy,
-            &mut jitter,
-        );
+        let answer =
+            call_until_answered(&conns[site], &frame, &Deadline::within(config.op_deadline));
         let latency = issued.elapsed();
         let mut commit = None;
         let mut read_value = None;
@@ -197,10 +216,10 @@ fn client_loop(
                 OpResult::Protocol(format!("stale-map (epoch {epoch}) to a raw op"))
             }
             Err(ClientError::Timeout { .. }) => OpResult::TimedOut,
-            // request_retry only surfaces Timeout or Protocol; spell it
-            // out rather than swallow a future variant.
+            // call_until_answered only surfaces Timeout or Protocol;
+            // spell it out rather than swallow a future variant.
             Err(ClientError::Unreachable { detail }) => OpResult::Protocol(format!(
-                "request_retry leaked Unreachable ({detail}) — retry loop broken"
+                "call_until_answered leaked Unreachable ({detail}) — reissue loop broken"
             )),
             Err(ClientError::Protocol { detail }) => OpResult::Protocol(detail),
         };
@@ -234,6 +253,57 @@ mod tests {
         assert_eq!(parse_commit("committed o=2 v=7 P={0,1,2}"), Some((2, 7)));
         assert_eq!(parse_commit("recovered: o=12 v=40 P={1}"), Some((12, 40)));
         assert_eq!(parse_commit("linked"), None);
+    }
+
+    #[test]
+    fn an_op_whose_stream_resets_is_reissued_and_granted() {
+        use crate::wire::{read_frame, write_frame};
+        use std::io::Read as _;
+
+        // First connection: accept, read the request, slam the door
+        // with it in flight. Second connection: serve. The client's
+        // first op rides the reset — it must come back Granted inside
+        // its deadline, never Unreachable (which would be recorded as a
+        // Protocol result).
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            if let Ok((mut doomed, _)) = listener.accept() {
+                let mut buf = [0u8; 64];
+                let _ = doomed.read(&mut buf);
+            }
+            let Ok((mut stream, _)) = listener.accept() else {
+                return;
+            };
+            while let Ok(Frame::Tagged { id, .. }) = read_frame(&mut stream) {
+                let reply = Frame::Tagged {
+                    id,
+                    inner: Box::new(Frame::Done {
+                        detail: "committed o=1 v=2 P={0}".into(),
+                    }),
+                };
+                if write_frame(&mut stream, &reply).is_err() {
+                    return;
+                }
+            }
+        });
+        let config = WorkloadConfig {
+            clients: 1,
+            op_deadline: Duration::from_secs(5),
+            write_ratio: 0.5,
+            think_mean: Duration::from_millis(10),
+        };
+        let workload = Workload::start(vec![addr], config, 7);
+        std::thread::sleep(Duration::from_millis(400));
+        let records = workload.finish();
+        assert!(!records.is_empty(), "workload issued no ops");
+        for record in &records {
+            assert_eq!(record.result, OpResult::Granted, "{record:?}");
+            assert!(
+                record.latency < config.op_deadline,
+                "op overran its deadline: {record:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,26 +1,31 @@
-//! The client side: one-shot framed requests, as `dynvote-ctl` (and
-//! the loopback integration tests) issue them — hardened so that no
+//! The one-shot client primitive: one connection per call, one frame
+//! out, one frame back, under a hard deadline — hardened so that no
 //! call ever hangs on a dead or wedged daemon.
 //!
-//! Two layers:
+//! [`exchange`] is the only function in the crate that opens a
+//! connection for a single exchange (resolve + connect + write + read,
+//! all charged to one absolute [`Deadline`]) and it fails *fast and
+//! typed*: [`ClientError::Unreachable`] the moment the daemon is
+//! plainly gone (connection refused/reset), [`ClientError::Timeout`]
+//! when the deadline expires, [`ClientError::Protocol`] on bytes that
+//! are not a frame. It never retries. [`request_deadline`] is
+//! `exchange` + [`decode_outcome`] for callers that speak client
+//! frames (`dynvote-ctl`, fleet boot polls, the campaign monitor);
+//! the daemon's wedge probe calls `exchange` directly because it
+//! speaks peer frames.
 //!
-//! * [`request_deadline`] — one attempt under a *hard* deadline that
-//!   covers the whole exchange (resolve + connect + write + read), with
-//!   typed failures: [`ClientError::Timeout`] when the deadline
-//!   expires, [`ClientError::Unreachable`] when the daemon is plainly
-//!   gone (connection refused/reset), [`ClientError::Protocol`] on a
-//!   malformed response.
-//! * [`request_retry`] — retries transient failures under the same
-//!   overall deadline with capped exponential backoff *plus jitter*, so
-//!   a thousand clients stampeding a restarted daemon decorrelate
-//!   instead of re-colliding every window.
+//! The other primitive is [`crate::conn::Connection`]: a persistent,
+//! pipelined stream that owns the crate's only reconnect-and-backoff
+//! loop. The two are not one type because they disagree on what a
+//! refused connection means — here it is an answer (`dynvote-ctl`
+//! exits 2 for it, a boot poll tries again at once), there it is
+//! weather to be ridden out until the deadline.
 
 use std::fmt;
 use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::jitter::Jitter;
 use crate::wire::{read_frame, write_frame, Frame, UnavailableReason};
 
 /// A hard deadline as an *absolute* instant, shared by every phase of
@@ -157,7 +162,7 @@ pub enum ClientError {
     },
     /// The daemon is plainly not there: connection refused, reset, or
     /// the address did not resolve. Resolves fast — retrying is the
-    /// caller's (or [`request_retry`]'s) choice.
+    /// caller's choice.
     Unreachable {
         /// The underlying failure.
         detail: String,
@@ -195,8 +200,8 @@ impl From<ClientError> for io::Error {
     }
 }
 
-/// Decodes a response frame into an [`Outcome`] — shared by the
-/// one-shot path here and the pipelined [`crate::conn::Connection`].
+/// Decodes a response frame into an [`Outcome`] — shared by
+/// [`request_deadline`] and the pipelined [`crate::conn::Connection`].
 ///
 /// # Errors
 ///
@@ -216,43 +221,59 @@ pub fn decode_outcome(frame: Frame) -> Result<Outcome, ClientError> {
     }
 }
 
-/// Classifies an I/O failure by *when* it happened and what it was.
-fn classify(error: &io::Error, started: Instant, connected: bool) -> ClientError {
+/// Classifies an I/O failure of an exchange armed under `deadline`.
+fn classify(error: &io::Error, deadline: &Deadline) -> ClientError {
     match error.kind() {
-        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => ClientError::Timeout {
-            elapsed: started.elapsed(),
-        },
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => deadline.timeout(),
         io::ErrorKind::InvalidData => ClientError::Protocol {
             detail: error.to_string(),
         },
-        _ if !connected => ClientError::Unreachable {
-            detail: error.to_string(),
-        },
-        // Post-connect resets/EOF: the daemon died mid-exchange. It is
-        // gone *now*, which is what Unreachable means to a retrier.
+        // Refused before the connection, reset or EOF after it: either
+        // way the daemon is gone *now*, which is what Unreachable means.
         _ => ClientError::Unreachable {
             detail: error.to_string(),
         },
     }
 }
 
-/// Connects, sends one request frame, reads one response frame.
-///
-/// [`request_deadline`] behind an `io::Result`: the deadline is just
-/// as hard, the failure is an [`io::Error`] of the matching kind.
+/// Connects, sends one frame, reads one frame — all under one *hard*
+/// deadline. Each socket phase gets only the time the deadline has
+/// left, so a daemon that accepts the connection and then goes silent,
+/// or dribbles its reply a byte per window, still cannot hold the
+/// caller past it. The reply is returned undecoded: client frames go
+/// through [`decode_outcome`] ([`request_deadline`]), the wedge probe
+/// matches peer frames on it.
 ///
 /// # Errors
 ///
-/// Connection or framing failures; a daemon refusal is *not* an error
-/// (it decodes to [`Outcome::Refused`] / [`Outcome::Unavailable`]).
-pub fn request(addr: &str, frame: &Frame, timeout: Duration) -> io::Result<Outcome> {
-    request_deadline(addr, frame, timeout).map_err(io::Error::from)
+/// [`ClientError`], typed; never retried here.
+pub fn exchange(addr: &str, frame: &Frame, deadline: &Deadline) -> Result<Frame, ClientError> {
+    let fail = |error: io::Error| classify(&error, deadline);
+    let target = addr
+        .to_socket_addrs()
+        .map_err(fail)?
+        .next()
+        .ok_or_else(|| ClientError::Unreachable {
+            detail: format!("{addr}: no address"),
+        })?;
+    let mut stream = TcpStream::connect_timeout(&target, deadline.remaining()?).map_err(fail)?;
+    let _ = stream.set_nodelay(true);
+    stream
+        .set_write_timeout(Some(deadline.remaining()?))
+        .map_err(fail)?;
+    write_frame(&mut stream, frame).map_err(fail)?;
+    // Read through the deadline adapter: every partial read re-arms
+    // from the *absolute* deadline, so the whole response frame —
+    // prefix and body, however many reads it takes — shares one budget.
+    read_frame(&mut DeadlineRead {
+        stream: &stream,
+        deadline,
+    })
+    .map_err(fail)
 }
 
-/// Connects, sends one request frame, reads one response frame — all
-/// under one *hard* deadline. Each socket phase gets only the time the
-/// deadline has left, so a daemon that accepts the connection and then
-/// goes silent still cannot hold the caller past `deadline`.
+/// One [`exchange`] of client frames: the reply decoded into an
+/// [`Outcome`].
 ///
 /// # Errors
 ///
@@ -263,100 +284,18 @@ pub fn request_deadline(
     frame: &Frame,
     deadline: Duration,
 ) -> Result<Outcome, ClientError> {
-    let deadline = Deadline::within(deadline);
-    let started = deadline.started;
-    let target = addr
-        .to_socket_addrs()
-        .map_err(|e| classify(&e, started, false))?
-        .next()
-        .ok_or_else(|| ClientError::Unreachable {
-            detail: format!("{addr}: no address"),
-        })?;
-    let mut stream = TcpStream::connect_timeout(&target, deadline.remaining()?)
-        .map_err(|e| classify(&e, started, false))?;
-    stream
-        .set_write_timeout(Some(deadline.remaining()?))
-        .map_err(|e| classify(&e, started, true))?;
-    write_frame(&mut stream, frame).map_err(|e| classify(&e, started, true))?;
-    // Read through the deadline adapter: every partial read re-arms
-    // from the *absolute* deadline, so the whole response frame —
-    // prefix and body, however many reads it takes — shares one budget.
-    let response = read_frame(&mut DeadlineRead {
-        stream: &stream,
-        deadline: &deadline,
-    })
-    .map_err(|e| classify(&e, started, true))?;
-    decode_outcome(response)
+    decode_outcome(exchange(addr, frame, &Deadline::within(deadline))?)
 }
 
-/// Backoff policy for [`request_retry`]: capped exponential windows,
-/// jittered per attempt.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// The first backoff window.
-    pub floor: Duration,
-    /// The ceiling the window doubles toward.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            floor: Duration::from_millis(25),
-            cap: Duration::from_millis(400),
-        }
-    }
-}
-
-/// Issues `frame` repeatedly until the daemon *answers* (grant, refusal,
-/// or typed unavailability) or the overall `deadline` runs out.
-/// Transient failures — unreachable, reset mid-exchange, a slow
-/// attempt — are retried after a jittered, capped-exponential backoff;
-/// each attempt's own deadline is whatever the overall one has left.
-///
-/// The guarantee the fault-campaign workload builds on: this function
-/// returns within `deadline` (plus one scheduler wake), and every
-/// return is either a decoded answer or [`ClientError::Timeout`].
+/// [`request_deadline`] behind an `io::Result`: the deadline is just
+/// as hard, the failure is an [`io::Error`] of the matching kind.
 ///
 /// # Errors
 ///
-/// [`ClientError::Timeout`] when the deadline ran out; or
-/// [`ClientError::Protocol`] when the daemon answered garbage (not
-/// retried — a protocol error is a bug, not weather).
-pub fn request_retry(
-    addr: &str,
-    frame: &Frame,
-    deadline: Duration,
-    policy: RetryPolicy,
-    jitter: &mut Jitter,
-) -> Result<Outcome, ClientError> {
-    let started = Instant::now();
-    let ends = started + deadline;
-    let mut window = policy.floor.max(Duration::from_millis(1));
-    loop {
-        let left = ends.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(ClientError::Timeout {
-                elapsed: started.elapsed(),
-            });
-        }
-        match request_deadline(addr, frame, left) {
-            Ok(outcome) => return Ok(outcome),
-            Err(ClientError::Protocol { detail }) => return Err(ClientError::Protocol { detail }),
-            Err(ClientError::Timeout { .. }) | Err(ClientError::Unreachable { .. }) => {}
-        }
-        let wait = jitter.equal_jitter(window);
-        let left = ends.saturating_duration_since(Instant::now());
-        if left <= wait {
-            // Not enough room for another attempt after the backoff.
-            std::thread::sleep(left);
-            return Err(ClientError::Timeout {
-                elapsed: started.elapsed(),
-            });
-        }
-        std::thread::sleep(wait);
-        window = (window * 2).min(policy.cap);
-    }
+/// Connection or framing failures; a daemon refusal is *not* an error
+/// (it decodes to [`Outcome::Refused`] / [`Outcome::Unavailable`]).
+pub fn request(addr: &str, frame: &Frame, timeout: Duration) -> io::Result<Outcome> {
+    request_deadline(addr, frame, timeout).map_err(io::Error::from)
 }
 
 #[cfg(test)]
@@ -407,46 +346,19 @@ mod tests {
         drop(hold);
     }
 
-    #[test]
-    fn retry_gives_up_within_the_overall_deadline() {
-        let addr = dead_addr();
-        let mut jitter = Jitter::new(7);
-        let started = Instant::now();
-        let result = request_retry(
-            &addr,
-            &Frame::Get,
-            Duration::from_millis(400),
-            RetryPolicy::default(),
-            &mut jitter,
-        );
-        let elapsed = started.elapsed();
-        assert!(matches!(result, Err(ClientError::Timeout { .. })));
-        assert!(
-            elapsed < Duration::from_secs(3),
-            "retry loop overran its deadline: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn dribbling_responder_cannot_extend_the_deadline() {
+    /// A responder that drains the request and then answers `reply` one
+    /// byte at a time, each gap shorter than the deadline.
+    fn dribbling_responder(reply: &Frame) -> String {
         use std::io::Write;
 
-        // A daemon that answers one byte at a time, each gap shorter
-        // than the deadline. With per-*read* timeout arming (the old
-        // behaviour) every byte restarts the clock and the exchange
-        // runs for seconds; with absolute-deadline re-arming the caller
-        // is released once the overall budget is spent.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let dribble = std::thread::spawn(move || {
+        let bytes = reply.encode();
+        std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            // Drain the request, then dribble a large valid frame.
             let mut sink = [0u8; 256];
             let _ = stream.read(&mut sink);
-            let frame = Frame::Done {
-                detail: "x".repeat(64),
-            };
-            for byte in frame.encode() {
+            for byte in bytes {
                 if stream.write_all(&[byte]).is_err() {
                     return;
                 }
@@ -454,24 +366,56 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(100));
             }
         });
-        let started = Instant::now();
-        let result = request_deadline(&addr, &Frame::Get, Duration::from_millis(400));
-        let elapsed = started.elapsed();
-        assert!(
-            matches!(result, Err(ClientError::Timeout { .. })),
-            "expected Timeout, got {result:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(1500),
-            "dribbled bytes re-armed the deadline: took {elapsed:?} for a 400ms budget"
-        );
-        if let Err(ClientError::Timeout { elapsed }) = result {
+        addr
+    }
+
+    #[test]
+    fn dribbling_responder_cannot_extend_the_deadline() {
+        use dynvote_types::{SiteId, SiteSet};
+
+        // With the read timeout armed once per frame every dribbled
+        // byte restarts the clock and the exchange runs for seconds;
+        // with absolute-deadline re-arming the caller is released once
+        // the overall budget is spent. Checked on both callers of
+        // `exchange`: a client frame through `request_deadline`, and
+        // the wedge probe's `VoteProbe` answered by a peer frame.
+        let budget = Duration::from_millis(400);
+        let assert_released = |result: Result<(), ClientError>, took: Duration| {
             assert!(
-                elapsed >= Duration::from_millis(350),
-                "timeout under-attributes time spent waiting: {elapsed:?}"
+                took < Duration::from_millis(1500),
+                "dribbled bytes re-armed the deadline: took {took:?} for a 400ms budget"
             );
+            match result {
+                Err(ClientError::Timeout { elapsed }) => assert!(
+                    elapsed >= Duration::from_millis(350),
+                    "timeout under-attributes time spent waiting: {elapsed:?}"
+                ),
+                other => panic!("expected Timeout, got {other:?}"),
+            }
+        };
+
+        let addr = dribbling_responder(&Frame::Done {
+            detail: "x".repeat(64),
+        });
+        let started = Instant::now();
+        let result = request_deadline(&addr, &Frame::Get, budget);
+        assert_released(result.map(drop), started.elapsed());
+
+        let (coordinator, wedged) = (SiteId::new(0), SiteId::new(1));
+        let addr = dribbling_responder(&Frame::Release {
+            ticket: 77,
+            from: coordinator,
+            keep: SiteSet::EMPTY,
+        });
+        let probe = Frame::VoteProbe {
+            ticket: 77,
+            from: wedged,
+            to: coordinator,
         }
-        drop(dribble);
+        .for_shard(0);
+        let started = Instant::now();
+        let result = exchange(&addr, &probe, &Deadline::within(budget));
+        assert_released(result.map(drop), started.elapsed());
     }
 
     #[test]

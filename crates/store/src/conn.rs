@@ -1,9 +1,10 @@
-//! The pipelined library client: one persistent connection per daemon,
-//! N outstanding requests matched back by correlation id.
+//! The pipelined client primitive: one persistent connection per
+//! daemon, N outstanding requests matched back by correlation id.
 //!
-//! [`crate::client`] pays resolve + connect + one round trip per
-//! request — fine for `dynvote-ctl`'s one-shot commands, hopeless for
-//! a load driver. A [`Connection`] instead:
+//! [`crate::client::exchange`] pays resolve + connect + one round trip
+//! per call and fails fast when the daemon is gone — right for
+//! `dynvote-ctl`'s one-shot commands and boot polls, hopeless for load.
+//! A [`Connection`] instead:
 //!
 //! * keeps a single TCP stream open and sends every data request
 //!   wrapped in a [`Frame::Tagged`] envelope with a fresh id;
@@ -11,12 +12,17 @@
 //!   routes each to the waiter registered under its id — replies may
 //!   arrive in any order (the daemon completes batched data operations
 //!   asynchronously from admin answers);
-//! * reconnects on error with the same jittered capped-exponential
-//!   backoff the peer links use ([`crate::jitter::Jitter`]), failing
-//!   the requests that were in flight on the dead stream (their ids
-//!   die with it — the daemon may or may not have served them, which
-//!   is the usual at-most-once/at-least-once line the one-shot client
-//!   draws too);
+//! * owns the crate's **only** client-side reconnect loop:
+//!   [`Connection::submit`] redials with the same jittered
+//!   capped-exponential backoff the peer links use
+//!   ([`crate::jitter::Jitter`]) until the deadline rules, so a refused
+//!   connection never surfaces as `Unreachable` here. What does surface
+//!   as `Unreachable` is a stream that died with requests in flight:
+//!   exactly those requests fail (their ids die with the stream — the
+//!   daemon may or may not have served them, the usual
+//!   at-most-once/at-least-once line) and reissuing is the caller's
+//!   choice — the shard router re-routes, the nemesis workload calls
+//!   again under the same deadline;
 //! * charges every wait against an *absolute* [`Deadline`], so time
 //!   spent parked behind other in-flight replies counts — the deadline
 //!   attribution rule `client.rs` documents.
@@ -26,8 +32,6 @@
 //! [`Connection::wait`]) pushes the whole burst in one syscall. That,
 //! plus pipelining itself, is where the throughput comes from — on a
 //! loopback the alternative is one connect + four syscalls per request.
-//!
-//! [`ConnectionPool`] hands out one shared [`Connection`] per address.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write as _};
@@ -376,40 +380,6 @@ fn demux_loop(inner: &Arc<Inner>, stream: TcpStream, generation: u64) {
         .lock()
         .expect("slot table poisoned")
         .retain(|_, slot| slot.generation != generation);
-}
-
-/// One shared [`Connection`] per address.
-pub struct ConnectionPool {
-    opts: ConnOptions,
-    conns: Mutex<HashMap<String, Arc<Connection>>>,
-}
-
-impl ConnectionPool {
-    /// An empty pool with the given per-connection options.
-    #[must_use]
-    pub fn new(opts: ConnOptions) -> ConnectionPool {
-        ConnectionPool {
-            opts,
-            conns: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The pooled connection for `addr`, created on first use.
-    #[must_use]
-    pub fn get(&self, addr: &str) -> Arc<Connection> {
-        let mut conns = self.conns.lock().expect("pool poisoned");
-        Arc::clone(
-            conns
-                .entry(addr.to_string())
-                .or_insert_with(|| Arc::new(Connection::new(addr, self.opts))),
-        )
-    }
-}
-
-impl Default for ConnectionPool {
-    fn default() -> Self {
-        ConnectionPool::new(ConnOptions::default())
-    }
 }
 
 #[cfg(test)]

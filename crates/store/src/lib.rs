@@ -24,10 +24,15 @@
 //!   per process, always the sharded service (one group on every site
 //!   unless `--shards` says otherwise), one listener for peer, client,
 //!   and admin frames;
-//! * [`client`] — one-shot framed requests, as `dynvote-ctl` sends;
-//! * [`conn`] — the persistent, pipelined library client: one
-//!   connection, N outstanding correlation-id-tagged requests;
-//! * [`router`] — the shard-map router: cached, epoch-tagged map;
+//! * [`client`] and [`conn`] — the two client primitives, the only
+//!   two things outside the peer link that open a socket:
+//!   [`client::exchange`] is one connection per call, one frame each
+//!   way, failing fast and typed when the daemon is gone (`dynvote-ctl`,
+//!   boot polls, the wedge probe); [`conn::Connection`] is one
+//!   persistent stream with N outstanding correlation-id-tagged
+//!   requests and the only client-side reconnect backoff (load, the
+//!   router, the nemesis workload);
+//! * [`router`] — a caller of both: cached, epoch-tagged shard map;
 //!   key-to-shard hashing; per-shard coordinator routing with typed
 //!   stale-map retry; and the scripted rebalance driver;
 //! * [`replay`] — drive a live cluster through minimized model-checker
@@ -69,11 +74,9 @@ pub mod tcp;
 pub mod value;
 pub mod wire;
 
-pub use client::{
-    request, request_deadline, request_retry, ClientError, Deadline, Outcome, RetryPolicy,
-};
+pub use client::{exchange, request, request_deadline, ClientError, Deadline, Outcome};
 pub use config::Config;
-pub use conn::{ConnOptions, Connection, ConnectionPool};
+pub use conn::{ConnOptions, Connection};
 pub use replay::{run as run_replay, ReplayStep};
 pub use router::ShardRouter;
 pub use server::{refusal_clause, start, start_on, unavailable_reason, ServiceHandle};

@@ -3,8 +3,10 @@
 //! A [`ShardRouter`] holds a cached [`ShardMap`] (fetched from any
 //! bootstrap daemon with `GetShardMap`), hashes keys to shards with
 //! the map's own [`ShardMap::shard_of`], and sends each keyed
-//! operation — pipelined, over pooled connections — to the owning
-//! shard's *coordinator* (`placement[0]`). Every keyed frame carries
+//! operation — pipelined, over one shared [`Connection`] per daemon —
+//! to the owning shard's *coordinator* (`placement[0]`), re-routing
+//! when a stream dies under it (the reconnect itself is
+//! `Connection`'s). Every keyed frame carries
 //! the epoch it routed by; a daemon whose map moved on answers with a
 //! typed `StaleShardMap{epoch}`, and the router refetches and retries
 //! — the client-visible contract a rebalance depends on: requests in
@@ -19,14 +21,15 @@
 //! joining site, the paper's own Figure 3/7 machinery doing duty as
 //! data migration.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dynvote_control::ShardMap;
 
 use crate::client::{request_deadline, ClientError, Deadline, Outcome};
-use crate::conn::{ConnOptions, ConnectionPool};
+use crate::conn::{ConnOptions, Connection};
 use crate::wire::Frame;
 
 /// How many route-and-retry rounds one keyed operation may burn before
@@ -43,7 +46,9 @@ const RECOVER_BUDGET_FLOOR: Duration = Duration::from_secs(30);
 
 /// A routing client for a sharded `dynvote-stored` fleet.
 pub struct ShardRouter {
-    pool: ConnectionPool,
+    opts: ConnOptions,
+    /// One shared connection per daemon address, dialed on first use.
+    conns: Mutex<HashMap<String, Arc<Connection>>>,
     bootstrap: Vec<String>,
     map: Mutex<Option<ShardMap>>,
     stale_retries: AtomicU64,
@@ -60,11 +65,21 @@ impl ShardRouter {
     #[must_use]
     pub fn new(bootstrap: Vec<String>, opts: ConnOptions) -> ShardRouter {
         ShardRouter {
-            pool: ConnectionPool::new(opts),
+            opts,
+            conns: Mutex::new(HashMap::new()),
             bootstrap,
             map: Mutex::new(None),
             stale_retries: AtomicU64::new(0),
         }
+    }
+
+    fn conn(&self, addr: &str) -> Arc<Connection> {
+        let mut conns = self.conns.lock().expect("router connections poisoned");
+        Arc::clone(
+            conns
+                .entry(addr.to_string())
+                .or_insert_with(|| Arc::new(Connection::new(addr, self.opts))),
+        )
     }
 
     /// How many operations were re-routed after a typed
@@ -115,7 +130,7 @@ impl ShardRouter {
         };
         for addr in &self.bootstrap {
             deadline.remaining()?;
-            let conn = self.pool.get(addr);
+            let conn = self.conn(addr);
             match conn.call(&Frame::GetShardMap, deadline) {
                 Ok(Outcome::ShardMap(bytes)) => match ShardMap::decode(&bytes) {
                     Ok(map) => {
@@ -197,7 +212,7 @@ impl ShardRouter {
                     key: key.to_string(),
                 },
             };
-            let conn = self.pool.get(addr);
+            let conn = self.conn(addr);
             let retryable = match conn.call(&frame, deadline) {
                 // The daemon's map moved on: refetch, re-route, retry.
                 // This is the rebalance contract — the op is retried,
@@ -386,9 +401,7 @@ pub fn rebalance(
                 "epoch {}: shard {shard} placement shrank to {:?}",
                 next.epoch, next.shards[shard as usize].placement
             ));
-            map = next;
         }
     }
-    let _ = map;
     Ok(steps)
 }

@@ -3,19 +3,19 @@
 //! `crate::probe` for the soundness argument). Without this pull path a
 //! single lost `RELEASE` or `COMMIT` frame wedges the site forever.
 
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dynvote_core::state::ReplicaState;
 use dynvote_types::SiteSet;
 
 use super::peer::{commit_body, install_commit};
 use super::{sync_durable, Daemon, StoreCluster};
+use crate::client::{exchange, Deadline};
 use crate::probe::{coordinator_of, epoch_of, CommitBody, ProbeAnswer};
 use crate::value::Delta;
-use crate::wire::{read_frame, write_frame, Frame};
+use crate::wire::Frame;
 
 /// How often a wedged site probes its coordinator.
 const WEDGE_PROBE_INTERVAL: Duration = Duration::from_millis(400);
@@ -74,35 +74,6 @@ fn resolve_by_commit(
         note_probe_resolution(daemon, &cluster, ticket, what, installed.applied.as_deref());
         daemon.probe_commits.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// One raw frame exchange with a peer daemon under a hard deadline —
-/// the probe loop speaks peer frames, which the client API's typed
-/// outcomes do not carry.
-fn probe_exchange(addr: &str, frame: &Frame, deadline: Duration) -> std::io::Result<Frame> {
-    use std::net::ToSocketAddrs;
-    let ends = Instant::now() + deadline;
-    let left = || {
-        let left = ends.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "probe deadline",
-            ))
-        } else {
-            Ok(left)
-        }
-    };
-    let target = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address"))?;
-    let mut stream = TcpStream::connect_timeout(&target, left()?)?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(left()?))?;
-    write_frame(&mut stream, frame)?;
-    stream.set_read_timeout(Some(left()?))?;
-    read_frame(&mut stream)
 }
 
 /// The wedge-probe loop: while this site holds an outstanding vote,
@@ -197,7 +168,7 @@ pub(super) fn wedge_probe_loop(daemon: &Arc<Daemon>, shutdown: &AtomicBool) {
             to,
         }
         .for_shard(daemon.shard);
-        match probe_exchange(&addr, &probe, WEDGE_PROBE_DEADLINE) {
+        match exchange(&addr, &probe, &Deadline::within(WEDGE_PROBE_DEADLINE)) {
             Ok(Frame::Release {
                 ticket: answered,
                 keep,

@@ -14,9 +14,9 @@
 # Finishes with a small loopback throughput sanity check over ONE
 # persistent pipelined connection (dynvote-ctl --repeat) and writes the
 # numbers to store-smoke-logs/BENCH_smoke.json (override with
-# BENCH_OUT=...). The committed repo-root BENCH_store.json is owned by
-# the real load driver, `dynvote-bench store_throughput` — this smoke
-# number only proves the batch path works end to end from the CLI.
+# BENCH_OUT=...). The store's load harness is `benchmark/run.sh`
+# (BENCHMARK.json) — this smoke number only proves the batch path
+# works end to end from the CLI.
 #
 # The daemons here are started without `--shards`: one shard group on
 # all three nodes, which dynvote-ctl's put/get/recover address as
@@ -303,8 +303,8 @@ done
 
 # Loopback throughput sanity check: one dynvote-ctl process, ONE
 # persistent pipelined connection, $BENCH_OPS operations — the batch
-# path the pipelined transport exists for. (The committed saturation
-# numbers come from `dynvote-bench store_throughput`.)
+# path the pipelined transport exists for. (Measured numbers come
+# from `benchmark/run.sh`: `peak_ops_per_s` on `put_small`.)
 echo "== measuring $BENCH_OPS puts + $BENCH_OPS gets (pipeline $BENCH_PIPELINE, one connection each)"
 start_ns=$(date +%s%N)
 "$CTL" --node "$A" put bench --repeat "$BENCH_OPS" --pipeline "$BENCH_PIPELINE" >/dev/null
@@ -321,7 +321,7 @@ awk -v ops="$BENCH_OPS" -v depth="$BENCH_PIPELINE" -v put_ns="$put_ns" -v get_ns
     printf "  \"pipeline_depth\": %d,\n", depth
     printf "  \"put\": { \"ops\": %d, \"secs\": %.3f, \"requests_per_sec\": %.0f },\n", ops, put_secs, ops / put_secs
     printf "  \"get\": { \"ops\": %d, \"secs\": %.3f, \"requests_per_sec\": %.0f },\n", ops, get_secs, ops / get_secs
-    printf "  \"note\": \"one persistent connection per command, durable (fsync) daemons; see BENCH_store.json for the non-durable saturation numbers\"\n"
+    printf "  \"note\": \"one persistent connection per command, durable (fsync) daemons; a smoke number; benchmark/run.sh (put_small, peak_ops_per_s) is the measured one\"\n"
     printf "}\n"
 }' > "$BENCH_OUT"
 
