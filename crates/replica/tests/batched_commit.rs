@@ -1,7 +1,7 @@
 //! Batched-commit equivalence: `Cluster::write_batch` must be
 //! observationally identical to the serial writes it amortizes.
 //!
-//! Eight angles:
+//! Nine angles:
 //!
 //! * **serial equivalence** — a fault-free K-batch leaves every site
 //!   with the same final `⟨o, v, P⟩`, the same committed-op history,
@@ -37,7 +37,10 @@
 //!   that no acknowledged `COMMIT` released and that are not kept
 //!   wedged: nobody after a clean `update`, `write_batch` or `read`,
 //!   the stale copy that voted without becoming a participant, and
-//!   everyone polled when the plan is refused.
+//!   everyone polled when the plan is refused;
+//! * **the wire order of every round shape** — an update, a batch, a
+//!   read, a recovery at a stale site, a write beside a witness and an
+//!   MCV write, each journaled message by message.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -175,16 +178,23 @@ fn recording_cluster<T: Clone>(
     protocol: Protocol,
     initial: T,
 ) -> (Cluster<T, RecordingTransport>, Journal) {
+    recording(
+        ClusterBuilder::new().copies([0, 1, 2]).protocol(protocol),
+        initial,
+    )
+}
+
+/// `builder`'s cluster on a recording transport, and its journal.
+fn recording<T: Clone>(
+    builder: ClusterBuilder,
+    initial: T,
+) -> (Cluster<T, RecordingTransport>, Journal) {
     let events = Journal::default();
     let transport = RecordingTransport {
         inner: BusTransport::new(),
         events: Arc::clone(&events),
     };
-    let cluster = ClusterBuilder::new()
-        .copies([0, 1, 2])
-        .protocol(protocol)
-        .build_with_transport(transport, initial);
-    (cluster, events)
+    (builder.build_with_transport(transport, initial), events)
 }
 
 /// The ledger hook fires exactly once per batch, carries the batch's
@@ -606,6 +616,112 @@ fn a_clean_round_is_two_exchanges_per_peer_and_a_release_to_nobody() {
             "{name}"
         );
     }
+}
+
+/// The rounds the clean-round journal above does not cover, pinned
+/// message by message: a RECOVER at a stale site fetches its copy
+/// between the `START`s and the commit point; a witness gets a `START`
+/// and a `COMMIT` and never a copy request; an MCV write sends its
+/// `START`s and then `COMMIT`s that name no polled version, with no
+/// commit point and no release.
+#[test]
+fn recover_witness_and_mcv_rounds_send_the_pinned_messages_in_order() {
+    let to = |site| SiteId::new(site);
+
+    // S2 misses a write (P shrinks to {S0, S1} at ⟨2, 2⟩), comes back
+    // and recovers: the copy comes from S0, the lowest current copy,
+    // and the commit re-admits S2 at ⟨3, 2⟩.
+    let (mut cluster, events) = recording_cluster(Protocol::Odv, 0u64);
+    cluster.fail_site(to(2));
+    cluster.write(origin(), 1).expect("write granted");
+    cluster.repair_site(to(2));
+    events.lock().expect("journal poisoned").clear();
+    cluster.recover(to(2)).expect("recover granted");
+    assert_eq!(
+        *events.lock().expect("journal poisoned"),
+        [
+            Event::StartSent { to: to(0) },
+            Event::StartSent { to: to(1) },
+            Event::CopySent { to: to(0) },
+            Event::Point { op: 3, version: 2 },
+            Event::CommitSent {
+                op: 3,
+                to: to(0),
+                polled_version: Some(2)
+            },
+            Event::CommitSent {
+                op: 3,
+                to: to(1),
+                polled_version: Some(2)
+            },
+            Event::Release {
+                keep: SiteSet::EMPTY,
+                recipients: SiteSet::EMPTY
+            },
+        ],
+        "recover at a stale site"
+    );
+    assert_eq!(cluster.value_at(to(2)), 1);
+
+    // Two copies and a witness (S2): the witness votes and commits like
+    // a copy, and no data moves to or from it.
+    let (mut cluster, events) = recording(
+        ClusterBuilder::new()
+            .copies([0, 1])
+            .witnesses([2])
+            .protocol(Protocol::Odv),
+        0u64,
+    );
+    cluster.write(origin(), 7).expect("write granted");
+    assert_eq!(
+        *events.lock().expect("journal poisoned"),
+        [
+            Event::StartSent { to: to(1) },
+            Event::StartSent { to: to(2) },
+            Event::Point { op: 2, version: 2 },
+            Event::CommitSent {
+                op: 2,
+                to: to(1),
+                polled_version: Some(1)
+            },
+            Event::CommitSent {
+                op: 2,
+                to: to(2),
+                polled_version: Some(1)
+            },
+            Event::Release {
+                keep: SiteSet::EMPTY,
+                recipients: SiteSet::EMPTY
+            },
+        ],
+        "a write beside a witness"
+    );
+    assert_eq!(cluster.value_at(to(1)), 7);
+    assert_eq!(cluster.state_at(to(2)).version, 2);
+
+    // MCV: Gifford's write keeps each copy's own operation number (1
+    // here) and wedges nobody, so there is nothing to record before the
+    // fanout and nothing to release after it.
+    let (mut cluster, events) = recording_cluster(Protocol::Mcv, 0u64);
+    cluster.write(origin(), 7).expect("write granted");
+    assert_eq!(
+        *events.lock().expect("journal poisoned"),
+        [
+            Event::StartSent { to: to(1) },
+            Event::StartSent { to: to(2) },
+            Event::CommitSent {
+                op: 1,
+                to: to(1),
+                polled_version: None
+            },
+            Event::CommitSent {
+                op: 1,
+                to: to(2),
+                polled_version: None
+            },
+        ],
+        "an MCV write"
+    );
 }
 
 /// Who a release is sent to: every site the operation polled that can
