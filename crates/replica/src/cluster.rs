@@ -1,5 +1,14 @@
 //! The cluster: nodes, the transport carrying protocol messages, and
 //! the READ / WRITE / RECOVER operations.
+//!
+//! Every dynamic-voting operation is one round: `open_round` (a ticket,
+//! `poll_phase` — the only code that hands a `START` to the transport —
+//! and Algorithm 1's plan), the operation's own step inside the vote (a
+//! read's `fetch_current`, a write's value, a recovery's blank-slate
+//! rule and copy), and `close_round` (`commit_phase`, lineage notes,
+//! release, then `Indeterminate` or history). MCV shares the poll and,
+//! through `deliver_commit`, the one per-recipient `COMMIT` delivery.
+//! Copies and witnesses are one [`Node`] type; a witness holds no data.
 
 use dynvote_core::decision::Rule;
 use dynvote_core::lexicon::Lexicon;
@@ -11,7 +20,7 @@ use dynvote_types::{AccessError, AccessKind, SiteId, SiteSet};
 use crate::bus::{Bus, FaultRule, Verdict};
 use crate::checker::Checker;
 use crate::message::{Message, MessageKind, Trace};
-use crate::node::{Node, WitnessNode};
+use crate::node::Node;
 use crate::transport::{BusTransport, Carried, Reply, Transport, WireRequest};
 
 /// Default bound on delivery rounds per operation phase.
@@ -233,57 +242,7 @@ impl ClusterBuilder {
         transport: X,
         initial: T,
     ) -> Cluster<T, X> {
-        assert!(!self.copies.is_empty(), "a replicated file needs copies");
-        let copies: SiteSet = SiteSet::from_indices(self.copies.iter().copied());
-        let witnesses: SiteSet = SiteSet::from_indices(self.witnesses.iter().copied());
-        assert!(
-            copies.is_disjoint(witnesses),
-            "a site cannot be both a copy and a witness"
-        );
-        assert!(
-            witnesses.is_empty() || self.protocol != Protocol::Mcv,
-            "witnesses require a dynamic-voting protocol"
-        );
-        let participants = copies | witnesses;
-        let network = self.network.unwrap_or_else(|| {
-            let max = participants.max().expect("non-empty").index();
-            Network::single_segment(max + 1)
-        });
-        assert!(
-            participants.is_subset_of(network.sites()),
-            "every copy and witness must live on a network site"
-        );
-        let nodes = copies
-            .iter()
-            .map(|site| Node::new(site, participants, initial.clone()))
-            .collect();
-        let witness_nodes = witnesses
-            .iter()
-            .map(|site| WitnessNode::new(site, participants))
-            .collect();
-        Cluster {
-            rule: self.protocol.rule(self.lexicon),
-            protocol: self.protocol,
-            up: network.sites(),
-            reach_cache: std::sync::Arc::new(std::sync::Mutex::new(ReachabilityCache::new(
-                &network,
-            ))),
-            #[cfg(any(test, feature = "stale-read-fault"))]
-            stale_read_fault: false,
-            network: std::sync::Arc::new(network),
-            copies,
-            witnesses,
-            nodes,
-            witness_nodes,
-            forced_groups: None,
-            trace: Trace::default(),
-            checker: Checker::new(),
-            stats: OpStats::default(),
-            history: Vec::new(),
-            transport,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
-            op_ticket: 0,
-        }
+        self.build_hosting(None, transport, initial)
     }
 
     /// Builds one *node's share* of a networked deployment: a cluster
@@ -313,6 +272,18 @@ impl ClusterBuilder {
         transport: X,
         initial: T,
     ) -> Cluster<T, X> {
+        self.build_hosting(Some(SiteId::new(local)), transport, initial)
+    }
+
+    /// The one constructor: hosts every participant in this process
+    /// (`local` = `None`), or only `local`, whose index then namespaces
+    /// the operation tickets.
+    fn build_hosting<T: Clone, X: Transport<T>>(
+        self,
+        local: Option<SiteId>,
+        transport: X,
+        initial: T,
+    ) -> Cluster<T, X> {
         assert!(!self.copies.is_empty(), "a replicated file needs copies");
         let copies: SiteSet = SiteSet::from_indices(self.copies.iter().copied());
         let witnesses: SiteSet = SiteSet::from_indices(self.witnesses.iter().copied());
@@ -325,9 +296,9 @@ impl ClusterBuilder {
             "witnesses require a dynamic-voting protocol"
         );
         let participants = copies | witnesses;
-        let local_id = SiteId::new(local);
+        let hosted = local.map_or(participants, SiteSet::singleton);
         assert!(
-            participants.contains(local_id),
+            hosted.is_subset_of(participants),
             "the local site must be a declared participant"
         );
         let network = self.network.unwrap_or_else(|| {
@@ -338,16 +309,16 @@ impl ClusterBuilder {
             participants.is_subset_of(network.sites()),
             "every copy and witness must live on a network site"
         );
-        let nodes = if copies.contains(local_id) {
-            vec![Node::new(local_id, participants, initial)]
-        } else {
-            Vec::new()
-        };
-        let witness_nodes = if witnesses.contains(local_id) {
-            vec![WitnessNode::new(local_id, participants)]
-        } else {
-            Vec::new()
-        };
+        let nodes = hosted
+            .iter()
+            .map(|site| {
+                Node::new(
+                    site,
+                    participants,
+                    copies.contains(site).then(|| initial.clone()),
+                )
+            })
+            .collect();
         Cluster {
             rule: self.protocol.rule(self.lexicon),
             protocol: self.protocol,
@@ -361,7 +332,6 @@ impl ClusterBuilder {
             copies,
             witnesses,
             nodes,
-            witness_nodes,
             forced_groups: None,
             trace: Trace::default(),
             checker: Checker::new(),
@@ -369,7 +339,7 @@ impl ClusterBuilder {
             history: Vec::new(),
             transport,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
-            op_ticket: (local as u64) << 48,
+            op_ticket: local.map_or(0, |site| (site.index() as u64) << 48),
         }
     }
 }
@@ -408,8 +378,9 @@ pub struct Cluster<T, X = BusTransport> {
     witnesses: SiteSet,
     /// All network sites currently up (gateways included).
     up: SiteSet,
+    /// The participants hosted in this process, copies and witnesses
+    /// alike, in site order.
     nodes: Vec<Node<T>>,
-    witness_nodes: Vec<WitnessNode>,
     forced_groups: Option<Vec<SiteSet>>,
     /// Memoized topology-derived reachability, keyed by the up-set.
     /// Interior mutability keeps [`Cluster::group_of`] a `&self` query;
@@ -444,6 +415,8 @@ pub struct Cluster<T, X = BusTransport> {
 
 /// The result of the START/STATE polling rounds.
 struct Poll {
+    /// The operation ticket the poll ran under.
+    ticket: u64,
     table: StateTable,
     /// Participants whose state reply arrived (origin included when it
     /// answers itself).
@@ -467,6 +440,29 @@ struct CommitOutcome {
     missing: SiteSet,
 }
 
+/// A granted dynamic-voting round between its open and its close: who
+/// coordinates it, the poll that wedged every replier on its ticket,
+/// and the plan Algorithm 1 granted.
+struct Round {
+    kind: AccessKind,
+    origin: SiteId,
+    poll: Poll,
+    plan: Plan,
+}
+
+/// How one `COMMIT` delivery ended.
+enum Delivery {
+    /// Acknowledged: the recipient installed it.
+    Installed,
+    /// Held back by the fault surface; it lands when the caller's delay
+    /// rule says. Delay is an in-memory bus verdict, so the recipient is
+    /// hosted in this process.
+    Delayed,
+    /// Never installed: the coordinator or the recipient died, or the
+    /// retries ran out.
+    Lost,
+}
+
 /// Serves one protocol request at a locally-hosted participant — the
 /// node side of every exchange, shared verbatim by the in-memory
 /// transport (invoked through the `serve` callback) and a network
@@ -477,84 +473,52 @@ struct CommitOutcome {
 /// witness), or is not hosted here at all.
 fn serve_participant<T: Clone>(
     nodes: &mut [Node<T>],
-    witness_nodes: &mut [WitnessNode],
     to: SiteId,
     kind: &MessageKind,
     payload: Option<&T>,
     ticket: u64,
     mark_pending: bool,
 ) -> Option<Reply<T>> {
-    if let Some(node) = nodes.iter_mut().find(|n| n.id() == to) {
-        match kind {
-            MessageKind::StartRequest => {
-                match node.pending() {
-                    // Outstanding vote for a different operation: the
-                    // site abstains. Re-polls of the *same* ticket are
-                    // answered (the coordinator lost the first reply).
-                    Some(t) if t != ticket => return None,
-                    _ => {}
-                }
-                if mark_pending {
-                    node.set_pending(ticket);
-                }
-                let state = node.state();
-                Some(Reply::State {
-                    op: state.op,
-                    version: state.version,
-                    partition: state.partition,
-                })
+    let node = nodes.iter_mut().find(|n| n.id() == to)?;
+    match kind {
+        MessageKind::StartRequest => {
+            match node.pending() {
+                // Outstanding vote for a different operation: the site
+                // abstains. Re-polls of the *same* ticket are answered
+                // (the coordinator lost the first reply).
+                Some(t) if t != ticket => return None,
+                _ => {}
             }
-            MessageKind::Commit {
-                op,
-                version,
-                partition,
-            } => {
-                node.apply_commit(*op, *version, *partition);
-                if let Some(value) = payload {
-                    node.store(value.clone());
-                }
-                node.clear_pending();
-                Some(Reply::Ack)
+            if mark_pending {
+                node.set_pending(ticket);
             }
-            MessageKind::CopyRequest => Some(Reply::Copy {
-                version: node.state().version,
-                value: node.fetch(),
-            }),
-            MessageKind::StateReply { .. } | MessageKind::CopyReply => None,
+            let state = node.state();
+            Some(Reply::State {
+                op: state.op,
+                version: state.version,
+                partition: state.partition,
+            })
         }
-    } else if let Some(witness) = witness_nodes.iter_mut().find(|w| w.id() == to) {
-        match kind {
-            MessageKind::StartRequest => {
-                match witness.pending() {
-                    Some(t) if t != ticket => return None,
-                    _ => {}
-                }
-                if mark_pending {
-                    witness.set_pending(ticket);
-                }
-                let state = witness.state();
-                Some(Reply::State {
-                    op: state.op,
-                    version: state.version,
-                    partition: state.partition,
-                })
-            }
-            MessageKind::Commit {
-                op,
-                version,
-                partition,
-            } => {
-                witness.apply_commit(*op, *version, *partition);
-                witness.clear_pending();
-                Some(Reply::Ack)
-            }
-            // A witness holds no data to copy.
-            MessageKind::CopyRequest | MessageKind::StateReply { .. } | MessageKind::CopyReply => {
-                None
-            }
+        MessageKind::Commit {
+            op,
+            version,
+            partition,
+        } => {
+            node.apply_commit(
+                ReplicaState {
+                    op: *op,
+                    version: *version,
+                    partition: *partition,
+                },
+                payload,
+            );
+            Some(Reply::Ack)
         }
-    } else {
-        None
+        MessageKind::CopyRequest => node.fetch().map(|value| Reply::Copy {
+            version: node.state().version,
+            value,
+        }),
+        MessageKind::StateReply { .. } | MessageKind::CopyReply => None,
     }
 }
 
@@ -563,14 +527,14 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.nodes
             .iter()
             .find(|n| n.id() == site)
-            .expect("site holds a copy")
+            .expect("site is a participant hosted here")
     }
 
     fn node_mut(&mut self, site: SiteId) -> &mut Node<T> {
         self.nodes
             .iter_mut()
             .find(|n| n.id() == site)
-            .expect("site holds a copy")
+            .expect("site is a participant hosted here")
     }
 
     /// The copy sites (full data replicas).
@@ -589,29 +553,6 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     #[must_use]
     pub fn participants(&self) -> SiteSet {
         self.copies | self.witnesses
-    }
-
-    fn witness_node(&self, site: SiteId) -> &WitnessNode {
-        self.witness_nodes
-            .iter()
-            .find(|n| n.id() == site)
-            .expect("site is a witness")
-    }
-
-    fn witness_node_mut(&mut self, site: SiteId) -> &mut WitnessNode {
-        self.witness_nodes
-            .iter_mut()
-            .find(|n| n.id() == site)
-            .expect("site is a witness")
-    }
-
-    /// The control state stored at any participant (copy or witness).
-    fn participant_state(&self, site: SiteId) -> dynvote_core::state::ReplicaState {
-        if self.copies.contains(site) {
-            self.node(site).state()
-        } else {
-            self.witness_node(site).state()
-        }
     }
 
     /// The protocol in use.
@@ -664,8 +605,10 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.stats
     }
 
-    /// The committed-operation history (most recent last). Old entries
-    /// are dropped past an internal retention limit; the latest one is
+    /// The committed-operation history (most recent last): one entry
+    /// per granted read, write (a batch of K leaves K) and recovery —
+    /// MCV's recovery runs no round and leaves none. Old entries are
+    /// dropped past an internal retention limit; the latest one is
     /// always there.
     #[must_use]
     pub fn history(&self) -> &[CommittedOp] {
@@ -720,13 +663,13 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// protocol read).
     #[must_use]
     pub fn value_at(&self, site: SiteId) -> T {
-        self.node(site).fetch()
+        self.node(site).fetch().expect("site holds a copy")
     }
 
     /// The control state at one participant (copy or witness).
     #[must_use]
-    pub fn state_at(&self, site: SiteId) -> dynvote_core::state::ReplicaState {
-        self.participant_state(site)
+    pub fn state_at(&self, site: SiteId) -> ReplicaState {
+        self.node(site).state()
     }
 
     // ---- fault surface -----------------------------------------------------
@@ -738,8 +681,6 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.up.remove(site);
         if let Some(node) = self.nodes.iter_mut().find(|n| n.id() == site) {
             node.fail();
-        } else if let Some(witness) = self.witness_nodes.iter_mut().find(|w| w.id() == site) {
-            witness.fail();
         }
     }
 
@@ -749,8 +690,6 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.up.insert(site);
         if let Some(node) = self.nodes.iter_mut().find(|n| n.id() == site) {
             node.repair();
-        } else if let Some(witness) = self.witness_nodes.iter_mut().find(|w| w.id() == site) {
-            witness.repair();
         }
     }
 
@@ -841,26 +780,11 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// seen, and abstain from every other operation until it resolves.
     #[must_use]
     pub fn pending_sites(&self) -> SiteSet {
-        let mut set = SiteSet::EMPTY;
-        for node in &self.nodes {
-            if node.pending().is_some() {
-                set.insert(node.id());
-            }
-        }
-        for witness in &self.witness_nodes {
-            if witness.pending().is_some() {
-                set.insert(witness.id());
-            }
-        }
-        set
-    }
-
-    fn participant_pending(&self, site: SiteId) -> Option<u64> {
-        if self.copies.contains(site) {
-            self.node(site).pending()
-        } else {
-            self.witness_node(site).pending()
-        }
+        self.nodes
+            .iter()
+            .filter(|node| node.pending().is_some())
+            .map(Node::id)
+            .collect()
     }
 
     /// The outstanding-vote ticket held at one participant, if any —
@@ -869,7 +793,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// conflicting operation.
     #[must_use]
     pub fn pending_at(&self, site: SiteId) -> Option<u64> {
-        self.participant_pending(site)
+        self.node(site).pending()
     }
 
     /// Installs a restored durable image at a participant hosted in
@@ -885,27 +809,17 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     pub fn install_durable_state(
         &mut self,
         site: SiteId,
-        state: dynvote_core::state::ReplicaState,
+        state: ReplicaState,
         value: Option<T>,
         pending: Option<u64>,
     ) {
-        if self.copies.contains(site) {
-            let node = self.node_mut(site);
-            node.apply_commit(state.op, state.version, state.partition);
-            if let Some(value) = value {
-                node.store(value);
-            }
-            match pending {
-                Some(ticket) => node.set_pending(ticket),
-                None => node.clear_pending(),
-            }
-        } else {
-            let witness = self.witness_node_mut(site);
-            witness.apply_commit(state.op, state.version, state.partition);
-            match pending {
-                Some(ticket) => witness.set_pending(ticket),
-                None => witness.clear_pending(),
-            }
+        let node = self.node_mut(site);
+        node.apply_commit(state, None);
+        if let Some(value) = value {
+            node.store(value);
+        }
+        if let Some(ticket) = pending {
+            node.set_pending(ticket);
         }
     }
 
@@ -939,11 +853,6 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 node.clear_pending();
             }
         }
-        for witness in &mut self.witness_nodes {
-            if witness.pending() == Some(ticket) && !keep.contains(witness.id()) {
-                witness.clear_pending();
-            }
-        }
     }
 
     /// Releases every outstanding vote for `ticket` except at the
@@ -960,6 +869,12 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     fn release_pending(&mut self, ticket: u64, keep: SiteSet, unresolved: SiteSet) {
         self.local_release(ticket, keep);
         self.transport.release(ticket, keep, unresolved - keep);
+    }
+
+    /// Ends a round before its commit point: every vote `poll`
+    /// collected is released.
+    fn abandon(&mut self, poll: &Poll) {
+        self.release_pending(poll.ticket, SiteSet::EMPTY, poll.polled);
     }
 
     fn next_ticket(&mut self) -> u64 {
@@ -983,15 +898,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         ticket: u64,
         mark_pending: bool,
     ) -> Option<Reply<T>> {
-        serve_participant(
-            &mut self.nodes,
-            &mut self.witness_nodes,
-            to,
-            kind,
-            payload,
-            ticket,
-            mark_pending,
-        )
+        serve_participant(&mut self.nodes, to, kind, payload, ticket, mark_pending)
     }
 
     /// Runs one request/reply exchange through the transport: records
@@ -1011,21 +918,10 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     ) -> Carried<T> {
         self.trace.record(message.clone());
         let Cluster {
-            transport,
-            nodes,
-            witness_nodes,
-            ..
+            transport, nodes, ..
         } = self;
         let mut serve = |msg: &Message, payload: Option<&T>| {
-            serve_participant(
-                nodes,
-                witness_nodes,
-                msg.to,
-                &msg.kind,
-                payload,
-                ticket,
-                mark_pending,
-            )
+            serve_participant(nodes, msg.to, &msg.kind, payload, ticket, mark_pending)
         };
         let carried = transport.carry(
             WireRequest {
@@ -1082,13 +978,14 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let mut heard = SiteSet::EMPTY;
         let mut polled = SiteSet::EMPTY;
         if participants.contains(origin) {
-            match self.participant_pending(origin) {
+            let node = self.node(origin);
+            match node.pending() {
                 // The origin holds an outstanding vote for another
                 // operation: it abstains even from itself, exactly as
                 // it would ignore a remote START.
                 Some(t) if t != ticket => {}
                 _ => {
-                    table.set(origin, self.participant_state(origin));
+                    table.set(origin, node.state());
                     heard.insert(origin);
                 }
             }
@@ -1162,6 +1059,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         }
         let silent = ((group & participants & self.up) - heard).without(origin);
         Poll {
+            ticket,
             table,
             heard,
             attempts,
@@ -1171,52 +1069,64 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         }
     }
 
-    /// Installs one commit at a participant: control state, the write
-    /// value when one rides the commit, and release of the site's
-    /// outstanding vote — receiving the `COMMIT` is how a voter learns
-    /// its operation resolved.
-    fn apply_commit_at(
-        &mut self,
-        site: SiteId,
-        op: u64,
-        version: u64,
-        partition: SiteSet,
-        value: Option<&T>,
-    ) {
-        if self.copies.contains(site) {
-            let node = self.node_mut(site);
-            node.apply_commit(op, version, partition);
-            if let Some(value) = value {
-                node.store(value.clone());
-            }
-            node.clear_pending();
-        } else {
-            let witness = self.witness_node_mut(site);
-            witness.apply_commit(op, version, partition);
-            witness.clear_pending();
-        }
-    }
-
-    /// COMMIT fanout with bounded per-participant retry. The
-    /// coordinator installs its own commit first, then sends one
-    /// `COMMIT` per other participant, retrying losses up to
-    /// [`Cluster::max_attempts`] times. Delayed commits arrive after
-    /// every on-time one (reordering); a participant that dies, or
-    /// whose retries run out, ends up in `missing` — and, having
-    /// voted, stays wedged on its outstanding vote.
-    ///
-    /// `polled` is the operation's poll: each `COMMIT` carries the
-    /// version its recipient voted with (see
-    /// [`WireRequest::polled_version`]).
-    #[allow(clippy::too_many_arguments)] // one commit, named by its parts
-    fn commit_phase(
+    /// Delivers one `COMMIT` of `state` (with `value` riding it) from
+    /// `origin` to `site`, retrying losses up to
+    /// [`Cluster::max_attempts`] times — the only place a `COMMIT` is
+    /// handed to the transport. `polled_version` is what the recipient
+    /// voted with (see [`WireRequest::polled_version`]). What a delayed
+    /// commit does is the caller's rule.
+    fn deliver_commit(
         &mut self,
         origin: SiteId,
-        ticket: u64,
-        polled: &StateTable,
-        participants: SiteSet,
-        op: u64,
-        version: u64,
+        site: SiteId,
+        state: ReplicaState,
+        value: Option<&T>,
+        polled_version: Option<u64>,
+    ) -> Delivery {
+        if !self.up.contains(origin) {
+            // The coordinator died mid-fanout: the rest of it was never
+            // sent.
+            return Delivery::Lost;
+        }
+        for _ in 0..self.max_attempts {
+            let commit = Message {
+                from: origin,
+                to: site,
+                kind: MessageKind::Commit {
+                    op: state.op,
+                    version: state.version,
+                    partition: state.partition,
+                },
+            };
+            if !self.up.contains(site) {
+                // The participant died after voting: the commit goes
+                // into the void (traced, not transport-faulted).
+                self.trace.record(commit);
+                return Delivery::Lost;
+            }
+            let carried = self.exchange(commit, value, 0, false, polled_version);
+            if carried.response.is_some() {
+                return Delivery::Installed;
+            }
+            if matches!(carried.request, Verdict::Delay) {
+                return Delivery::Delayed;
+            }
+            // Lost: retry.
+        }
+        Delivery::Lost
+    }
+
+    /// The commit point, then the `COMMIT` fanout of `state`. The
+    /// coordinator installs its own commit first, then delivers one
+    /// `COMMIT` per other participant, each naming the version its
+    /// recipient voted with in `round`'s poll. Delayed commits arrive
+    /// after every on-time one (reordering); a participant that dies, or
+    /// whose retries run out, ends up in `missing` — and, having voted,
+    /// stays wedged on its outstanding vote.
+    fn commit_phase(
+        &mut self,
+        round: &Round,
+        state: ReplicaState,
         value: Option<&T>,
     ) -> CommitOutcome {
         // The commit point: a durable transport records ⟨ticket, o, v,
@@ -1226,76 +1136,31 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         // ticket whose commit landed only locally would look
         // releasable, and releasing a committed participant's vote can
         // fork the partition lineage.
-        self.transport.commit_point(
-            ticket,
-            ReplicaState {
-                op,
-                version,
-                partition: participants,
-            },
-            value,
-        );
+        self.transport.commit_point(round.poll.ticket, state, value);
+        let origin = round.origin;
         let mut applied = SiteSet::EMPTY;
         let mut missing = SiteSet::EMPTY;
         let mut late = Vec::new();
-        if participants.contains(origin) {
-            self.apply_commit_at(origin, op, version, participants, value);
+        if state.partition.contains(origin) {
+            self.node_mut(origin).apply_commit(state, value);
             applied.insert(origin);
         }
-        for site in participants.without(origin).iter() {
-            if !self.up.contains(origin) {
-                // The coordinator died mid-fanout: the remaining
-                // commits were never sent.
-                missing.insert(site);
-                continue;
-            }
-            // `installed`: the commit was acknowledged (the transport
-            // served it at the recipient). `delayed`: the fault
-            // surface will deliver it after every on-time commit.
-            let mut installed = false;
-            let mut delayed = false;
-            for _ in 0..self.max_attempts {
-                let commit = Message {
-                    from: origin,
-                    to: site,
-                    kind: MessageKind::Commit {
-                        op,
-                        version,
-                        partition: participants,
-                    },
-                };
-                if !self.up.contains(site) {
-                    // The participant died after voting: the commit
-                    // goes into the void (traced, not transport-
-                    // faulted).
-                    self.trace.record(commit);
-                    break;
+        for site in state.partition.without(origin).iter() {
+            let polled_version = Some(round.poll.table.get(site).version);
+            match self.deliver_commit(origin, site, state, value, polled_version) {
+                Delivery::Installed => {
+                    applied.insert(site);
                 }
-                let polled_version = Some(polled.get(site).version);
-                let carried = self.exchange(commit, value, 0, false, polled_version);
-                if carried.response.is_some() {
-                    installed = true;
-                    break;
+                Delivery::Delayed => late.push(site),
+                Delivery::Lost => {
+                    missing.insert(site);
                 }
-                if matches!(carried.request, Verdict::Delay) {
-                    delayed = true;
-                    break;
-                }
-                // Lost: retry.
-            }
-            if installed {
-                applied.insert(site);
-            } else if delayed {
-                late.push(site);
-            } else {
-                missing.insert(site);
             }
         }
         // Delayed commits land after the on-time ones — reordered but
-        // still within the operation's horizon. Delay is an in-memory
-        // bus verdict, so the recipient is always hosted locally.
+        // still within the operation's horizon.
         for site in late {
-            self.apply_commit_at(site, op, version, participants, value);
+            self.node_mut(site).apply_commit(state, value);
             applied.insert(site);
         }
         CommitOutcome { applied, missing }
@@ -1318,7 +1183,8 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     ) -> Result<(T, u64), AccessError> {
         if requester == source {
             let node = self.node(source);
-            return Ok((node.fetch(), node.state().version));
+            let value = node.fetch().expect("the source holds a copy");
+            return Ok((value, node.state().version));
         }
         let requester_down = AccessError::OriginUnavailable { origin: requester };
         for _ in 0..self.max_attempts {
@@ -1376,30 +1242,104 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.transfer_copy(kind, origin, if local { origin } else { p.data_source })
     }
 
-    /// Plans `kind` from a finished poll; on a refusal releases every
-    /// vote the poll collected and names the refusal (see
-    /// [`Cluster::timeout_or`]).
-    fn plan_or_release(
+    /// The open of every dynamic-voting round from `origin`, whose
+    /// group is `group`: a fresh ticket, the `START` poll that wedges
+    /// every replier on it, the origin still alive, `vet` (RECOVER's
+    /// blank-slate rule; reads and writes vet nothing), and Algorithm
+    /// 1's plan for `kind`. A refusal at any step releases every vote
+    /// the poll collected; a refused plan is named by
+    /// [`Cluster::timeout_or`].
+    fn open_round(
         &mut self,
         kind: OpKind,
         origin: SiteId,
-        ticket: u64,
-        poll: &Poll,
+        group: SiteSet,
         rule: &Rule,
-    ) -> Result<Plan, AccessError> {
-        plan_with_witnesses(
+        vet: impl FnOnce(&Self, &mut Poll) -> Result<(), AccessError>,
+    ) -> Result<Round, AccessError> {
+        let ticket = self.next_ticket();
+        let mut poll = self.poll_phase(origin, group, ticket, true);
+        let planned = if poll.origin_alive {
+            vet(self, &mut poll).and_then(|()| {
+                plan_with_witnesses(
+                    kind,
+                    poll.heard,
+                    self.copies,
+                    self.witnesses,
+                    &poll.table,
+                    rule,
+                    Some(&self.network),
+                )
+                .map_err(|refusal| self.timeout_or(refusal, kind.access_kind(), origin, &poll))
+            })
+        } else {
+            Err(AccessError::OriginUnavailable { origin })
+        };
+        match planned {
+            Ok(plan) => Ok(Round {
+                kind: kind.access_kind(),
+                origin,
+                poll,
+                plan,
+            }),
+            Err(refusal) => {
+                self.abandon(&poll);
+                Err(refusal)
+            }
+        }
+    }
+
+    /// The close of every dynamic-voting round, for `count` consecutive
+    /// operations granted by its one plan: the commit of ⟨o + count − 1,
+    /// v + count − 1, P⟩ (with `value` riding it), a lineage note per
+    /// operation, the release of every vote the outcome does not bind,
+    /// and then either `Indeterminate` — the commit did not close
+    /// everywhere, so the caller must not claim success — or one history
+    /// entry per operation. Returns the first operation's entry.
+    fn close_round(
+        &mut self,
+        round: &Round,
+        count: u64,
+        value: Option<&T>,
+    ) -> Result<CommittedOp, AccessError> {
+        let Round {
             kind,
-            poll.heard,
-            self.copies,
-            self.witnesses,
-            &poll.table,
-            rule,
-            Some(&self.network),
-        )
-        .map_err(|refusal| {
-            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-            self.timeout_or(refusal, kind.access_kind(), origin, poll)
-        })
+            origin,
+            poll,
+            plan: p,
+        } = round;
+        let steps = count - 1;
+        let state = ReplicaState {
+            op: p.new_op + steps,
+            version: p.new_version + steps,
+            partition: p.participants,
+        };
+        let outcome = self.commit_phase(round, state, value);
+        if !outcome.applied.is_empty() {
+            for i in 0..count {
+                self.checker.note_commit(p.new_op + i, p.participants);
+            }
+        }
+        self.release_pending(poll.ticket, outcome.missing, poll.polled - outcome.applied);
+        if !outcome.missing.is_empty() {
+            return Err(AccessError::Indeterminate {
+                kind: *kind,
+                origin: *origin,
+                applied: outcome.applied,
+                missing: outcome.missing,
+            });
+        }
+        let first = CommittedOp {
+            kind: *kind,
+            origin: *origin,
+            op: p.new_op,
+            version: p.new_version,
+            participants: p.participants,
+        };
+        for i in 0..count {
+            self.record_op(first.later(i));
+        }
+        Ok(first)
     }
 
     /// Maps a quorum refusal to [`AccessError::Timeout`] when
@@ -1429,6 +1369,19 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             .ok_or(AccessError::OriginUnavailable { origin })
     }
 
+    /// The replies a real poll in `group` would collect right now —
+    /// sites wedged on an outstanding vote abstain — as the answering
+    /// set and its state table.
+    fn answering(&self, group: SiteSet) -> (SiteSet, StateTable) {
+        let answering = group - self.pending_sites();
+        let participants = self.participants();
+        let mut table = StateTable::fresh(participants);
+        for site in (answering & participants).iter() {
+            table.set(site, self.node(site).state());
+        }
+        (answering, table)
+    }
+
     /// Non-mutating probe: would a read at `origin` be granted right
     /// now? Exchanges no messages and commits nothing — the same
     /// question the availability simulator's
@@ -1443,15 +1396,8 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         match &self.rule {
             None => self.mcv_grants(group & self.copies),
             Some(rule) => {
-                // Sites wedged on an outstanding vote would not answer
-                // a real poll, so the probe must not count them.
-                let answering = group - self.pending_sites();
-                let participants = self.participants();
-                let mut table = StateTable::fresh(participants);
-                for site in (answering & participants).iter() {
-                    table.set(site, self.participant_state(site));
-                }
-                dynvote_core::ops::plan_with_witnesses(
+                let (answering, table) = self.answering(group);
+                plan_with_witnesses(
                     OpKind::Read,
                     answering,
                     self.copies,
@@ -1496,17 +1442,10 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 ))
             }
             Some(rule) => {
-                // Wedged sites abstain: the explanation reflects the
-                // replies a real poll would collect.
-                let answering = group - self.pending_sites();
-                let participants = self.participants();
-                let mut table = StateTable::fresh(participants);
-                for site in (answering & participants).iter() {
-                    table.set(site, self.participant_state(site));
-                }
+                let (answering, table) = self.answering(group);
                 let decision = dynvote_core::decision::decide(
                     answering,
-                    participants,
+                    self.participants(),
                     &table,
                     rule,
                     Some(&self.network),
@@ -1523,78 +1462,38 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// Returns the ABORT reason when the origin's group is not the
     /// majority partition (or, for MCV, holds no quorum).
     pub fn read(&mut self, origin: SiteId) -> Result<T, AccessError> {
+        // An origin with no group (down, or outside every forced group)
+        // is refused before the read counts as attempted.
         let group = self.origin_group(origin)?;
         let result = match self.rule.clone() {
             None => self.mcv_read(origin, group),
-            Some(rule) => self.dynamic_read(origin, group, &rule),
+            Some(rule) => self
+                .open_round(OpKind::Read, origin, group, &rule, |_, _| Ok(()))
+                .and_then(|round| {
+                    // The version actually being served — for a correct
+                    // cluster this equals the planned `new_version` (the
+                    // source is a current copy), but the checker must
+                    // grade what was *served*, not what was planned, or
+                    // a bug in source selection would grade itself. It
+                    // rides the copy reply: on a real network the
+                    // coordinator has no other way to know what the
+                    // source shipped.
+                    let (value, served) = self
+                        .fetch_current(AccessKind::Read, origin, &round.plan)
+                        .inspect_err(|_| self.abandon(&round.poll))?;
+                    // An absorption commit that did not close everywhere
+                    // discards the value: serving it would claim a
+                    // success the cluster cannot stand behind.
+                    self.close_round(&round, 1, None)?;
+                    self.checker.note_read(served);
+                    Ok(value)
+                }),
         };
         match &result {
             Ok(_) => self.stats.reads_ok += 1,
             Err(_) => self.stats.reads_refused += 1,
         }
         result
-    }
-
-    fn dynamic_read(
-        &mut self,
-        origin: SiteId,
-        group: SiteSet,
-        rule: &Rule,
-    ) -> Result<T, AccessError> {
-        let ticket = self.next_ticket();
-        let poll = self.poll_phase(origin, group, ticket, true);
-        if !poll.origin_alive {
-            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-            return Err(AccessError::OriginUnavailable { origin });
-        }
-        let p = self.plan_or_release(OpKind::Read, origin, ticket, &poll, rule)?;
-        // The version actually being served — for a correct cluster this
-        // equals the planned `p.new_version` (the source is a current
-        // copy), but the checker must grade what was *served*, not what
-        // was planned, or a bug in source selection would grade itself.
-        // It rides the copy reply: on a real network the coordinator
-        // has no other way to know what the source shipped.
-        let (value, served_version) = match self.fetch_current(AccessKind::Read, origin, &p) {
-            Ok(pair) => pair,
-            Err(failure) => {
-                self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-                return Err(failure);
-            }
-        };
-        let outcome = self.commit_phase(
-            origin,
-            ticket,
-            &poll.table,
-            p.participants,
-            p.new_op,
-            p.new_version,
-            None,
-        );
-        if !outcome.applied.is_empty() {
-            self.checker.note_commit(p.new_op, p.participants);
-        }
-        self.release_pending(ticket, outcome.missing, poll.polled - outcome.applied);
-        if outcome.missing.is_empty() {
-            self.checker.note_read(served_version);
-            self.record_op(CommittedOp {
-                kind: AccessKind::Read,
-                origin,
-                op: p.new_op,
-                version: p.new_version,
-                participants: p.participants,
-            });
-            Ok(value)
-        } else {
-            // The absorption commit did not close everywhere: serving
-            // the value would claim a success the cluster cannot stand
-            // behind. The value is discarded.
-            Err(AccessError::Indeterminate {
-                kind: AccessKind::Read,
-                origin,
-                applied: outcome.applied,
-                missing: outcome.missing,
-            })
-        }
     }
 
     /// WRITE (Figure 2 / Figure 6): replaces the value.
@@ -1707,10 +1606,10 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     }
 
     /// One dynamic-voting write round for `count` consecutive writes:
-    /// poll, plan, `value` (handed the granted plan, with every replier
-    /// wedged), commit ⟨o + count, v + count, P⟩. Returns the first
-    /// write's entry — the i-th is `i` operations and versions later —
-    /// or `Ok(None)`, all votes released, when `value` declines.
+    /// the open, `value` (handed the granted plan, with every replier
+    /// wedged), the close at ⟨o + count, v + count, P⟩. Returns the
+    /// first write's entry — the i-th is `i` operations and versions
+    /// later — or `Ok(None)`, all votes released, when `value` declines.
     fn write_round(
         &mut self,
         origin: SiteId,
@@ -1718,77 +1617,33 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         rule: &Rule,
         value: impl FnOnce(&mut Self, &Plan) -> Result<Option<T>, AccessError>,
     ) -> Result<Option<CommittedOp>, AccessError> {
-        let result = self.write_round_inner(origin, count, rule, value);
+        let result = self
+            .origin_group(origin)
+            .and_then(|group| self.open_round(OpKind::Write, origin, group, rule, |_, _| Ok(())))
+            .and_then(|round| {
+                let value = match value(self, &round.plan) {
+                    Ok(Some(value)) => value,
+                    declined_or_failed => {
+                        self.abandon(&round.poll);
+                        return declined_or_failed.map(|_| None);
+                    }
+                };
+                // The value rides the COMMIT: a copy that never receives
+                // the commit keeps its old data — that is the
+                // partial-commit divergence this layer exists to
+                // exercise.
+                let first = self.close_round(&round, count, Some(&value))?;
+                for i in 0..count {
+                    self.checker.note_write(first.version + i);
+                }
+                Ok(Some(first))
+            });
         match &result {
             Ok(Some(_)) => self.stats.writes_ok += count,
             Ok(None) => {}
             Err(_) => self.stats.writes_refused += count,
         }
         result
-    }
-
-    fn write_round_inner(
-        &mut self,
-        origin: SiteId,
-        count: u64,
-        rule: &Rule,
-        value: impl FnOnce(&mut Self, &Plan) -> Result<Option<T>, AccessError>,
-    ) -> Result<Option<CommittedOp>, AccessError> {
-        let group = self.origin_group(origin)?;
-        let ticket = self.next_ticket();
-        let poll = self.poll_phase(origin, group, ticket, true);
-        if !poll.origin_alive {
-            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-            return Err(AccessError::OriginUnavailable { origin });
-        }
-        let p = self.plan_or_release(OpKind::Write, origin, ticket, &poll, rule)?;
-        let value = match value(self, &p) {
-            Ok(Some(value)) => value,
-            declined_or_failed => {
-                self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-                return declined_or_failed.map(|_| None);
-            }
-        };
-        // The plan grants the first write ⟨o+1, v+1⟩; the K-th lands at
-        // ⟨o+K, v+K⟩. The value rides the COMMIT: a copy that never
-        // receives the commit keeps its old data — that is the
-        // partial-commit divergence this layer exists to exercise.
-        let steps = count - 1;
-        let outcome = self.commit_phase(
-            origin,
-            ticket,
-            &poll.table,
-            p.participants,
-            p.new_op + steps,
-            p.new_version + steps,
-            Some(&value),
-        );
-        if !outcome.applied.is_empty() {
-            for i in 0..count {
-                self.checker.note_commit(p.new_op + i, p.participants);
-            }
-        }
-        self.release_pending(ticket, outcome.missing, poll.polled - outcome.applied);
-        if !outcome.missing.is_empty() {
-            return Err(AccessError::Indeterminate {
-                kind: AccessKind::Write,
-                origin,
-                applied: outcome.applied,
-                missing: outcome.missing,
-            });
-        }
-        let first = CommittedOp {
-            kind: AccessKind::Write,
-            origin,
-            op: p.new_op,
-            version: p.new_version,
-            participants: p.participants,
-        };
-        for i in 0..count {
-            self.checker.note_write(first.version + i);
-            self.record_op(first.later(i));
-        }
-        Ok(Some(first))
     }
 
     /// RECOVER (Figure 3 / Figure 7): reintegrates the (repaired)
@@ -1800,10 +1655,34 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     ///
     /// Returns the ABORT reason when the site's group is not the
     /// majority partition, and [`AccessError::OriginUnavailable`] when
-    /// the site is down (or MCV is in use — MCV has no recovery step;
-    /// a repaired copy is simply consulted again).
+    /// the site is down. Under MCV it always succeeds and sends nothing:
+    /// MCV has no recovery step — a repaired copy is simply consulted
+    /// again.
     pub fn recover(&mut self, site: SiteId) -> Result<(), AccessError> {
-        let result = self.recover_inner(site);
+        let result = match self.rule.clone() {
+            None => Ok(()),
+            Some(rule) => self
+                .origin_group(site)
+                .and_then(|group| {
+                    self.open_round(OpKind::Recover(site), site, group, &rule, |this, poll| {
+                        this.blank_slate(site, poll)
+                    })
+                })
+                .and_then(|round| {
+                    if round.plan.copy_needed {
+                        let (value, _version) = self
+                            .transfer_copy(AccessKind::Recover, site, round.plan.data_source)
+                            .inspect_err(|_| self.abandon(&round.poll))?;
+                        self.node_mut(site).store(value);
+                    }
+                    // A granted RECOVER absorbs the site into the
+                    // current lineage: installing the commit locally
+                    // (the origin is always a participant of its own
+                    // recovery) also releases any older outstanding vote
+                    // it was wedged on.
+                    self.close_round(&round, 1, None).map(|_| ())
+                }),
+        };
         match &result {
             Ok(()) => self.stats.recovers_ok += 1,
             Err(_) => self.stats.recovers_refused += 1,
@@ -1811,95 +1690,39 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         result
     }
 
-    fn recover_inner(&mut self, site: SiteId) -> Result<(), AccessError> {
-        let Some(rule) = self.rule.clone() else {
-            // MCV: version numbers already tell readers what is stale;
-            // there is no partition set to rejoin.
+    /// RECOVER's blank-slate rule, applied to its poll before the plan.
+    /// A recovering site with an outstanding vote (it abstained from its
+    /// own poll) cannot trust its own stored state: its vote may have
+    /// elected a partition it never saw committed. It needs at least
+    /// one real reply, and joins the plan as a blank slate — op 0 never
+    /// enters the quorum computation, version 0 forces a data copy.
+    fn blank_slate(&self, site: SiteId, poll: &mut Poll) -> Result<(), AccessError> {
+        if self.node(site).pending().is_none_or(|t| t == poll.ticket) {
             return Ok(());
-        };
-        let group = self.origin_group(site)?;
-        let ticket = self.next_ticket();
-        let was_wedged = self.participant_pending(site).is_some_and(|t| t != ticket);
-        let mut poll = self.poll_phase(site, group, ticket, true);
-        if !poll.origin_alive {
-            self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-            return Err(AccessError::OriginUnavailable { origin: site });
         }
-        if was_wedged {
-            // A recovering site with an outstanding vote cannot trust
-            // its own stored state: its vote may have elected a
-            // partition it never saw committed. It needs at least one
-            // real reply, and joins the plan as a blank slate — op 0
-            // never enters the quorum computation, version 0 forces a
-            // data copy.
-            if poll.heard.is_empty() {
-                self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-                return Err(self.timeout_or(
-                    AccessError::NoQuorum {
-                        kind: AccessKind::Recover,
-                        reachable: poll.heard,
-                        counted: 0,
-                        against: self.participant_state(site).partition,
-                    },
-                    AccessKind::Recover,
-                    site,
-                    &poll,
-                ));
-            }
-            poll.table.set(
-                site,
-                ReplicaState {
-                    op: 0,
-                    version: 0,
-                    partition: SiteSet::EMPTY,
+        if poll.heard.is_empty() {
+            return Err(self.timeout_or(
+                AccessError::NoQuorum {
+                    kind: AccessKind::Recover,
+                    reachable: poll.heard,
+                    counted: 0,
+                    against: self.node(site).state().partition,
                 },
-            );
-            poll.heard.insert(site);
+                AccessKind::Recover,
+                site,
+                poll,
+            ));
         }
-        let p = self.plan_or_release(OpKind::Recover(site), site, ticket, &poll, &rule)?;
-        if p.copy_needed {
-            match self.transfer_copy(AccessKind::Recover, site, p.data_source) {
-                Ok((value, _version)) => self.node_mut(site).store(value),
-                Err(failure) => {
-                    self.release_pending(ticket, SiteSet::EMPTY, poll.polled);
-                    return Err(failure);
-                }
-            }
-        }
-        // A granted RECOVER absorbs the site into the current lineage:
-        // installing the commit locally (the origin is always a
-        // participant of its own recovery) also releases any older
-        // outstanding vote it was wedged on.
-        let outcome = self.commit_phase(
+        poll.table.set(
             site,
-            ticket,
-            &poll.table,
-            p.participants,
-            p.new_op,
-            p.new_version,
-            None,
+            ReplicaState {
+                op: 0,
+                version: 0,
+                partition: SiteSet::EMPTY,
+            },
         );
-        if !outcome.applied.is_empty() {
-            self.checker.note_commit(p.new_op, p.participants);
-        }
-        self.release_pending(ticket, outcome.missing, poll.polled - outcome.applied);
-        if outcome.missing.is_empty() {
-            self.record_op(CommittedOp {
-                kind: AccessKind::Recover,
-                origin: site,
-                op: p.new_op,
-                version: p.new_version,
-                participants: p.participants,
-            });
-            Ok(())
-        } else {
-            Err(AccessError::Indeterminate {
-                kind: AccessKind::Recover,
-                origin: site,
-                applied: outcome.applied,
-                missing: outcome.missing,
-            })
-        }
+        poll.heard.insert(site);
+        Ok(())
     }
 
     // ---- the MCV paths -----------------------------------------------------
@@ -1918,46 +1741,63 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 .is_some_and(|max| reachable.contains(max))
     }
 
-    /// MCV polling: static quorums need no outstanding-vote wedging —
-    /// a partial write can never shrink anyone's quorum, so repliers
-    /// are free the moment they answer.
-    fn mcv_view(&mut self, origin: SiteId, group: SiteSet) -> (Poll, SiteSet, u64) {
+    /// MCV's quorum prologue, shared by reads and writes: a poll that
+    /// wedges nobody — a partial write can never shrink anyone's static
+    /// quorum, so repliers are free the moment they answer — the origin
+    /// still alive, and a static quorum among the copies that answered.
+    /// Returns the poll, those copies, and the highest version they hold.
+    fn mcv_quorum(
+        &mut self,
+        kind: AccessKind,
+        origin: SiteId,
+        group: SiteSet,
+    ) -> Result<(Poll, SiteSet, u64), AccessError> {
         let ticket = self.next_ticket();
         let poll = self.poll_phase(origin, group, ticket, false);
-        let reachable = poll.heard & self.copies;
-        let (version, _) = poll
-            .table
-            .max_version(reachable)
-            .unwrap_or((0, SiteSet::EMPTY));
-        (poll, reachable, version)
-    }
-
-    fn mcv_read(&mut self, origin: SiteId, group: SiteSet) -> Result<T, AccessError> {
-        let (poll, reachable, version) = self.mcv_view(origin, group);
         if !poll.origin_alive {
             return Err(AccessError::OriginUnavailable { origin });
         }
+        let reachable = poll.heard & self.copies;
         if !self.mcv_grants(reachable) {
             return Err(self.timeout_or(
                 AccessError::NoQuorum {
-                    kind: AccessKind::Read,
+                    kind,
                     reachable,
                     counted: reachable.len(),
                     against: self.copies,
                 },
-                AccessKind::Read,
+                kind,
                 origin,
                 &poll,
             ));
         }
+        let (version, _) = poll
+            .table
+            .max_version(reachable)
+            .unwrap_or((0, SiteSet::EMPTY));
+        Ok((poll, reachable, version))
+    }
+
+    /// One MCV read, recorded like a write — op 0 (MCV keeps no
+    /// operation numbers), the version served, the copies that answered
+    /// — so the history names what every granted read served.
+    fn mcv_read(&mut self, origin: SiteId, group: SiteSet) -> Result<T, AccessError> {
+        let (poll, reachable, version) = self.mcv_quorum(AccessKind::Read, origin, group)?;
         // Source selection from the *poll's* view, not local node
         // state: on a real network the replies are all there is.
         let source = reachable
             .iter()
             .find(|&s| poll.table.get(s).version == version)
             .expect("a max-version copy exists");
-        let (value, _served) = self.transfer_copy(AccessKind::Read, origin, source)?;
+        let (value, served) = self.transfer_copy(AccessKind::Read, origin, source)?;
         self.checker.note_read(version);
+        self.record_op(CommittedOp {
+            kind: AccessKind::Read,
+            origin,
+            op: 0,
+            version: served,
+            participants: reachable,
+        });
         Ok(value)
     }
 
@@ -1966,118 +1806,72 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     fn mcv_write(&mut self, origin: SiteId, value: T) -> Result<CommittedOp, AccessError> {
         let result = self
             .origin_group(origin)
-            .and_then(|group| self.mcv_write_inner(origin, group, value));
+            .and_then(|group| self.mcv_quorum(AccessKind::Write, origin, group))
+            .and_then(|(poll, reachable, version)| {
+                // Gifford: the write goes to every reachable
+                // representative, each keeping its own operation number
+                // — read from the poll's view, as a real coordinator
+                // must. The value and the version stamp ride each
+                // site's commit.
+                let copies = self.copies;
+                let commit_at = |site| ReplicaState {
+                    op: poll.table.get(site).op,
+                    version: version + 1,
+                    partition: copies,
+                };
+                let mut applied = SiteSet::EMPTY;
+                let mut missing = SiteSet::EMPTY;
+                if reachable.contains(origin) {
+                    self.node_mut(origin)
+                        .apply_commit(commit_at(origin), Some(&value));
+                    applied.insert(origin);
+                }
+                for site in reachable.without(origin).iter() {
+                    // No polled version: an MCV replier is not wedged, so
+                    // nothing holds it at the version it reported.
+                    match self.deliver_commit(origin, site, commit_at(site), Some(&value), None) {
+                        Delivery::Installed => {
+                            applied.insert(site);
+                        }
+                        // A delayed commit still lands within the
+                        // operation — identical final state.
+                        Delivery::Delayed => {
+                            self.node_mut(site)
+                                .apply_commit(commit_at(site), Some(&value));
+                            applied.insert(site);
+                        }
+                        Delivery::Lost => {
+                            missing.insert(site);
+                        }
+                    }
+                }
+                if !missing.is_empty() {
+                    // The write quorum never fully acknowledged: the
+                    // client must not treat the write as done (nor as
+                    // undone).
+                    return Err(AccessError::Indeterminate {
+                        kind: AccessKind::Write,
+                        origin,
+                        applied,
+                        missing,
+                    });
+                }
+                self.checker.note_write(version + 1);
+                let entry = CommittedOp {
+                    kind: AccessKind::Write,
+                    origin,
+                    op: 0, // MCV keeps no operation numbers
+                    version: version + 1,
+                    participants: reachable,
+                };
+                self.record_op(entry);
+                Ok(entry)
+            });
         match &result {
             Ok(_) => self.stats.writes_ok += 1,
             Err(_) => self.stats.writes_refused += 1,
         }
         result
-    }
-
-    fn mcv_write_inner(
-        &mut self,
-        origin: SiteId,
-        group: SiteSet,
-        value: T,
-    ) -> Result<CommittedOp, AccessError> {
-        let (poll, reachable, version) = self.mcv_view(origin, group);
-        if !poll.origin_alive {
-            return Err(AccessError::OriginUnavailable { origin });
-        }
-        if !self.mcv_grants(reachable) {
-            return Err(self.timeout_or(
-                AccessError::NoQuorum {
-                    kind: AccessKind::Write,
-                    reachable,
-                    counted: reachable.len(),
-                    against: self.copies,
-                },
-                AccessKind::Write,
-                origin,
-                &poll,
-            ));
-        }
-        let new_version = version + 1;
-        let copies = self.copies;
-        let mut applied = SiteSet::EMPTY;
-        let mut missing = SiteSet::EMPTY;
-        // Gifford: the write goes to every reachable representative,
-        // each keeping its own operation number. The value and the
-        // version stamp ride each site's commit.
-        if reachable.contains(origin) {
-            let op = self.node(origin).state().op;
-            let node = self.node_mut(origin);
-            node.store(value.clone());
-            node.apply_commit(op, new_version, copies);
-            applied.insert(origin);
-        }
-        for site in reachable.without(origin).iter() {
-            if !self.up.contains(origin) {
-                missing.insert(site);
-                continue;
-            }
-            // Each site keeps its own operation number under Gifford's
-            // scheme — read from the poll's view, as a real
-            // coordinator must.
-            let op = poll.table.get(site).op;
-            let mut delivered = false;
-            for _ in 0..self.max_attempts {
-                let commit = Message {
-                    from: origin,
-                    to: site,
-                    kind: MessageKind::Commit {
-                        op,
-                        version: new_version,
-                        partition: copies,
-                    },
-                };
-                if !self.up.contains(site) {
-                    self.trace.record(commit);
-                    break;
-                }
-                // No polled version: an MCV replier is not wedged, so
-                // nothing holds it at the version it reported.
-                let carried = self.exchange(commit, Some(&value), 0, false, None);
-                if carried.response.is_some() {
-                    delivered = true;
-                    break;
-                }
-                if matches!(carried.request, Verdict::Delay) {
-                    // A delayed commit still lands within the
-                    // operation — identical final state. Delay is an
-                    // in-memory bus verdict; the recipient is local.
-                    self.apply_commit_at(site, op, new_version, copies, Some(&value));
-                    delivered = true;
-                    break;
-                }
-            }
-            if delivered {
-                applied.insert(site);
-            } else {
-                missing.insert(site);
-            }
-        }
-        if missing.is_empty() {
-            self.checker.note_write(new_version);
-            let entry = CommittedOp {
-                kind: AccessKind::Write,
-                origin,
-                op: 0, // MCV keeps no operation numbers
-                version: new_version,
-                participants: reachable,
-            };
-            self.record_op(entry);
-            Ok(entry)
-        } else {
-            // The write quorum never fully acknowledged: the client
-            // must not treat the write as done (nor as undone).
-            Err(AccessError::Indeterminate {
-                kind: AccessKind::Write,
-                origin,
-                applied,
-                missing,
-            })
-        }
     }
 }
 
@@ -2150,14 +1944,12 @@ impl<T: Clone + std::hash::Hash, X: Transport<T>> Cluster<T, X> {
             node.id().hash(&mut h);
             node.is_up().hash(&mut h);
             node.state().hash(&mut h);
-            node.peek().hash(&mut h);
+            // A witness hashes no data: which sites are witnesses is
+            // fixed at build time.
+            if let Some(data) = node.peek() {
+                data.hash(&mut h);
+            }
             node.pending().is_some().hash(&mut h);
-        }
-        for witness in &self.witness_nodes {
-            witness.id().hash(&mut h);
-            witness.is_up().hash(&mut h);
-            witness.state().hash(&mut h);
-            witness.pending().is_some().hash(&mut h);
         }
         h.finish() ^ self.checker.digest()
     }
@@ -2298,6 +2090,33 @@ mod tests {
             assert_eq!(c.read(SiteId::new(origin)).unwrap(), "v2");
         }
         assert!(c.checker().violations().is_empty());
+    }
+
+    #[test]
+    fn an_mcv_read_is_recorded_with_the_version_it_served() {
+        // S1 misses a write and comes back: its read is served v2 from
+        // a current copy, and the history says so — not S1's own v1,
+        // and not the write before it.
+        let mut c = cluster(Protocol::Mcv);
+        c.fail_site(SiteId::new(1));
+        c.write(SiteId::new(0), "v2".to_string()).unwrap();
+        c.repair_site(SiteId::new(1));
+        assert_eq!(c.read(SiteId::new(1)).unwrap(), "v2");
+        assert_eq!(
+            c.history().last(),
+            Some(&CommittedOp {
+                kind: AccessKind::Read,
+                origin: SiteId::new(1),
+                op: 0,
+                version: 2,
+                participants: SiteSet::first_n(3),
+            })
+        );
+        assert_eq!(
+            c.state_at(SiteId::new(1)).version,
+            1,
+            "a read commits nothing"
+        );
     }
 
     #[test]

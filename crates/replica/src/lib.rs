@@ -4,11 +4,14 @@
 //!
 //! Where `dynvote-availability` measures *whether* the protocols would
 //! grant accesses, this crate actually *runs* them: a [`Cluster`] hosts
-//! one replica [`Node`] per site, routes explicit `START` / state-reply
+//! one participant [`Node`] per site — a copy, or a §5 witness that
+//! keeps ⟨o, v, P⟩ but no data — routes explicit `START` / state-reply
 //! / `COMMIT` / data-copy [`Message`]s between nodes that can currently
-//! communicate, stores real values at each replica, and exposes the
-//! READ / WRITE / RECOVER operations of Figures 1–3 (and their
-//! topological variants, Figures 5–7) as a public API.
+//! communicate, stores real values at each copy, and exposes the READ /
+//! WRITE / RECOVER operations of Figures 1–3 (and their topological
+//! variants, Figures 5–7) as a public API. The three are one round —
+//! poll, Algorithm 1's plan, an operation-specific step inside the
+//! vote, commit to the new partition — written once.
 //!
 //! Three supporting pieces make it a test bed as well as a library:
 //!
@@ -65,7 +68,7 @@ pub use cluster::{Cluster, ClusterBuilder, CommittedOp, OpStats, Protocol};
 pub use directory::{Directory, DirectoryError};
 pub use message::{Message, MessageKind, Trace};
 pub use nemesis::{run_nemesis, NemesisProfile, NemesisReport};
-pub use node::{Node, WitnessNode};
+pub use node::Node;
 pub use scenario::{Command, ScenarioError};
 pub use snapshot::{DurableSiteState, SnapshotLoad};
 pub use step::StepEvent;

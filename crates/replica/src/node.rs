@@ -1,11 +1,14 @@
-//! One replica node: state + data + liveness.
+//! One participant: state + data (none at a witness) + liveness.
 
 use dynvote_core::state::ReplicaState;
 use dynvote_types::{SiteId, SiteSet};
 
-/// One site's replica of the file: the consistency-control state that
-/// the protocol reads and writes, the current data value, and the
-/// site's up/down status.
+/// One site's participant in the file: the consistency-control state
+/// that the protocol reads and writes, the current data value — `None`
+/// at a **witness** (Pâris 1986, the paper's §5 "witness copies"
+/// extension: it votes and receives commits like a copy, can break
+/// ties and regenerate quorums, but never serves a read or seeds a
+/// recovery) — and the site's up/down status.
 ///
 /// A node is deliberately passive — all protocol logic lives in
 /// [`crate::Cluster`], which plays the coordinator role of whichever
@@ -17,20 +20,21 @@ pub struct Node<T> {
     id: SiteId,
     up: bool,
     state: ReplicaState,
-    data: T,
+    data: Option<T>,
     pending: Option<u64>,
 }
 
 impl<T: Clone> Node<T> {
-    /// A fresh node holding the initial value, with the paper's initial
-    /// state (`o = v = 1`, partition set = all copies).
+    /// A fresh participant holding `data` (`None`: a witness), with the
+    /// paper's initial state (`o = v = 1`, partition set = all
+    /// participants).
     #[must_use]
-    pub fn new(id: SiteId, all_copies: SiteSet, initial: T) -> Self {
+    pub fn new(id: SiteId, all_participants: SiteSet, data: Option<T>) -> Self {
         Node {
             id,
             up: true,
-            state: ReplicaState::initial(all_copies),
-            data: initial,
+            state: ReplicaState::initial(all_participants),
+            data,
             pending: None,
         }
     }
@@ -66,31 +70,38 @@ impl<T: Clone> Node<T> {
         self.state
     }
 
-    /// Applies a commit: adopts the new control state.
-    pub fn apply_commit(&mut self, op: u64, version: u64, partition: SiteSet) {
-        self.state = ReplicaState {
-            op,
-            version,
-            partition,
-        };
+    /// Applies a commit: adopts the new control state, stores the value
+    /// riding it (a witness ignores it), and releases the outstanding
+    /// vote — receiving the `COMMIT` is how a voter learns its operation
+    /// resolved.
+    pub fn apply_commit(&mut self, state: ReplicaState, value: Option<&T>) {
+        self.state = state;
+        if let (Some(data), Some(value)) = (&mut self.data, value) {
+            data.clone_from(value);
+        }
+        self.pending = None;
     }
 
-    /// Overwrites the data (a write commit or an incoming copy).
+    /// Overwrites the data (an incoming copy, a restored image). A
+    /// witness holds no data and drops the value.
     pub fn store(&mut self, value: T) {
-        self.data = value;
+        if let Some(data) = &mut self.data {
+            *data = value;
+        }
     }
 
-    /// Serves the current data (a read, or an outgoing copy).
+    /// Serves the current data (a read, or an outgoing copy); `None` at
+    /// a witness.
     #[must_use]
-    pub fn fetch(&self) -> T {
+    pub fn fetch(&self) -> Option<T> {
         self.data.clone()
     }
 
     /// Borrows the current data without cloning — for observers
     /// (fingerprinting, assertions) rather than protocol traffic.
     #[must_use]
-    pub fn peek(&self) -> &T {
-        &self.data
+    pub fn peek(&self) -> Option<&T> {
+        self.data.as_ref()
     }
 
     /// The operation ticket this node has voted for but not yet seen
@@ -114,99 +125,28 @@ impl<T: Clone> Node<T> {
     }
 }
 
-/// A witness replica: consistency-control state and liveness, **no
-/// data** (Pâris 1986 — the paper's §5 "witness copies" extension).
-///
-/// Witnesses vote and receive commits like full copies; they can break
-/// ties and regenerate quorums, but can never serve a read or seed a
-/// recovery.
-#[derive(Clone, Debug)]
-pub struct WitnessNode {
-    id: SiteId,
-    up: bool,
-    state: ReplicaState,
-    pending: Option<u64>,
-}
-
-impl WitnessNode {
-    /// A fresh witness with the paper's initial state.
-    #[must_use]
-    pub fn new(id: SiteId, all_participants: SiteSet) -> Self {
-        WitnessNode {
-            id,
-            up: true,
-            state: ReplicaState::initial(all_participants),
-            pending: None,
-        }
-    }
-
-    /// This witness's site identifier.
-    #[must_use]
-    pub fn id(&self) -> SiteId {
-        self.id
-    }
-
-    /// Whether the site is currently up.
-    #[must_use]
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
-    /// Fails the site (state persists on stable storage).
-    pub fn fail(&mut self) {
-        self.up = false;
-    }
-
-    /// Repairs the site.
-    pub fn repair(&mut self) {
-        self.up = true;
-    }
-
-    /// The witness's consistency-control state.
-    #[must_use]
-    pub fn state(&self) -> ReplicaState {
-        self.state
-    }
-
-    /// Applies a commit: adopts the new control state.
-    pub fn apply_commit(&mut self, op: u64, version: u64, partition: SiteSet) {
-        self.state = ReplicaState {
-            op,
-            version,
-            partition,
-        };
-    }
-
-    /// The operation ticket this witness has voted for but not yet
-    /// seen resolved, if any (see [`Node::pending`]).
-    #[must_use]
-    pub fn pending(&self) -> Option<u64> {
-        self.pending
-    }
-
-    /// Marks the witness as holding an outstanding vote for `ticket`.
-    pub fn set_pending(&mut self, ticket: u64) {
-        self.pending = Some(ticket);
-    }
-
-    /// Releases the outstanding vote.
-    pub fn clear_pending(&mut self) {
-        self.pending = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn stamp(op: u64, version: u64, partition: SiteSet) -> ReplicaState {
+        ReplicaState {
+            op,
+            version,
+            partition,
+        }
+    }
+
     #[test]
     fn witness_tracks_state_without_data() {
         let all = SiteSet::first_n(3);
-        let mut w = WitnessNode::new(SiteId::new(2), all);
+        let mut w = Node::<u8>::new(SiteId::new(2), all, None);
         assert_eq!(w.id(), SiteId::new(2));
         assert!(w.is_up());
         assert_eq!(w.state().partition, all);
-        w.apply_commit(4, 3, SiteSet::from_indices([0, 2]));
+        w.apply_commit(stamp(4, 3, SiteSet::from_indices([0, 2])), Some(&9));
+        w.store(9);
+        assert_eq!(w.fetch(), None, "a witness keeps no value");
         w.fail();
         w.repair();
         assert_eq!(w.state().version, 3, "state survives the crash");
@@ -215,31 +155,31 @@ mod tests {
     #[test]
     fn fresh_node_matches_paper_initial_state() {
         let all = SiteSet::first_n(3);
-        let n = Node::new(SiteId::new(1), all, 42u32);
+        let n = Node::new(SiteId::new(1), all, Some(42u32));
         assert_eq!(n.id(), SiteId::new(1));
         assert!(n.is_up());
         assert_eq!(n.state().op, 1);
         assert_eq!(n.state().version, 1);
         assert_eq!(n.state().partition, all);
-        assert_eq!(n.fetch(), 42);
+        assert_eq!(n.fetch(), Some(42));
     }
 
     #[test]
     fn fail_preserves_state_and_data() {
-        let mut n = Node::new(SiteId::new(0), SiteSet::first_n(2), "x".to_string());
-        n.apply_commit(5, 3, SiteSet::from_indices([0]));
+        let mut n = Node::new(SiteId::new(0), SiteSet::first_n(2), Some("x".to_string()));
+        n.apply_commit(stamp(5, 3, SiteSet::from_indices([0])), None);
         n.store("y".to_string());
         n.fail();
         assert!(!n.is_up());
         n.repair();
         assert!(n.is_up());
         assert_eq!(n.state().op, 5, "stable storage survives the crash");
-        assert_eq!(n.fetch(), "y");
+        assert_eq!(n.fetch().as_deref(), Some("y"));
     }
 
     #[test]
     fn pending_survives_fail_repair() {
-        let mut n = Node::new(SiteId::new(0), SiteSet::first_n(3), 0u8);
+        let mut n = Node::new(SiteId::new(0), SiteSet::first_n(3), Some(0u8));
         assert_eq!(n.pending(), None);
         n.set_pending(7);
         n.fail();
@@ -252,7 +192,7 @@ mod tests {
         n.clear_pending();
         assert_eq!(n.pending(), None);
 
-        let mut w = WitnessNode::new(SiteId::new(1), SiteSet::first_n(3));
+        let mut w = Node::<u8>::new(SiteId::new(1), SiteSet::first_n(3), None);
         w.set_pending(9);
         w.fail();
         w.repair();
@@ -261,10 +201,13 @@ mod tests {
 
     #[test]
     fn commit_overwrites_control_state() {
-        let mut n = Node::new(SiteId::new(0), SiteSet::first_n(2), 0u8);
-        n.apply_commit(7, 4, SiteSet::from_indices([0, 1]));
+        let mut n = Node::new(SiteId::new(0), SiteSet::first_n(2), Some(0u8));
+        n.set_pending(3);
+        n.apply_commit(stamp(7, 4, SiteSet::from_indices([0, 1])), Some(&5));
         assert_eq!(n.state().op, 7);
         assert_eq!(n.state().version, 4);
         assert_eq!(n.state().partition, SiteSet::from_indices([0, 1]));
+        assert_eq!(n.fetch(), Some(5), "the value rides the commit");
+        assert_eq!(n.pending(), None, "the commit resolves the vote");
     }
 }

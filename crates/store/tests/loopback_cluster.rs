@@ -456,6 +456,24 @@ fn status_reports_policy_state_and_link_health() {
     live.stop();
 }
 
+/// Under `--policy mcv` a read names the version it served: a site
+/// that missed a put and reads after the heal is handed the put's value
+/// together with the put's version, not its own stale one.
+#[test]
+fn an_mcv_read_reports_the_version_it_served() {
+    let live = Live::boot("mcv", 3, "");
+    live.partition(&[&[0, 2], &[1]]);
+    assert!(live.put(0, "x").granted(), "2 of 3 copies are a quorum");
+    live.heal();
+    match live.get(1) {
+        Outcome::Value { version, value } => {
+            assert_eq!((version, value.as_slice()), (2, b"x".as_slice()));
+        }
+        other => panic!("expected a value at S1, got {other:?}"),
+    }
+    live.stop();
+}
+
 /// The replay driver runs a real minimized checker trace from the
 /// corpus against live daemons: the stale-read kernel stays clean.
 #[test]

@@ -268,9 +268,9 @@ mod tests {
                 // Deal 12 sites round-robin into n_seg segments.
                 let mut builder = NetworkBuilder::new();
                 let names = ["a", "b", "c", "d"];
-                for seg in 0..n_seg {
+                for (seg, name) in names.iter().enumerate().take(n_seg) {
                     let members: Vec<usize> = (0..12).filter(|s| s % n_seg == seg).collect();
-                    builder = builder.segment(names[seg], members);
+                    builder = builder.segment(name, members);
                 }
                 // Each pick bridges its home-segment gateway to the next
                 // segment over (skipping self-bridges by construction).
