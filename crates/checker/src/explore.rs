@@ -246,7 +246,7 @@ struct CheckSpace<'a> {
 impl Space for CheckSpace<'_> {
     type Hit = (Violation, bool);
 
-    type Scratch = (DetectScratch, SymView);
+    type Scratch = CheckScratch;
 
     fn events(&self) -> Vec<CheckEvent> {
         enumerate_events(&self.world)
@@ -254,7 +254,7 @@ impl Space for CheckSpace<'_> {
 
     fn step(&mut self, event: CheckEvent, scratch: &mut Self::Scratch) -> Vec<(Violation, bool)> {
         let was_forked = self.world.forked();
-        let found = apply_and_detect_in(&mut scratch.0, &mut self.world, self.suite, event);
+        let found = apply_and_detect_in(&mut scratch.detect, &mut self.world, self.suite, event);
         if found.is_empty() {
             return Vec::new();
         }
@@ -273,11 +273,34 @@ impl Space for CheckSpace<'_> {
         match symmetry {
             None => self.world.fingerprint(),
             Some(group) => {
-                self.world.fill_view(&mut scratch.1);
-                canonical_fingerprint(&[&scratch.1], group)
+                self.world.fill_view(&mut scratch.view);
+                if let Some(fingerprint) = scratch.last_fingerprint {
+                    if scratch.last_view == scratch.view {
+                        return fingerprint;
+                    }
+                }
+                let fingerprint = canonical_fingerprint(&[&scratch.view], group);
+                std::mem::swap(&mut scratch.view, &mut scratch.last_view);
+                scratch.last_fingerprint = Some(fingerprint);
+                fingerprint
             }
         }
     }
+}
+
+/// A [`CheckSpace`] worker's buffers: the detection tables, the view
+/// each fingerprint fills, and a one-entry memo — the last view
+/// canonicalized and its fingerprint. `canonical_fingerprint` is a
+/// pure function of the view (the group is fixed for a run), so an
+/// equal view reuses the memo's fingerprint exactly; sibling reads
+/// granted at different origins often reach the very state the
+/// previous transition reached.
+#[derive(Default)]
+struct CheckScratch {
+    detect: DetectScratch,
+    view: SymView,
+    last_view: SymView,
+    last_fingerprint: Option<u64>,
 }
 
 /// Runs the checker on the scenario's canonical cluster.
@@ -440,6 +463,59 @@ mod tests {
         let events = enumerate_events(&world);
         assert!(events.contains(&CheckEvent::Partition(1)));
         assert!(!events.contains(&CheckEvent::Heal), "nothing to heal yet");
+    }
+
+    #[test]
+    fn the_view_memo_never_changes_a_fingerprint() {
+        // Every state within three events of a 4-site / 2-segment
+        // scenario, under a non-trivial symmetry group (DV) and the
+        // identity (ODV): a scratch that last saw a different view and
+        // one that last saw this very view both answer what a fresh
+        // canonicalization does.
+        for policy in [Protocol::Dv, Protocol::Odv] {
+            let scenario = Scenario::new(policy, 4, 2).unwrap();
+            let group = SymmetryGroup::of(&scenario);
+            let suite = default_suite();
+            let root = CheckSpace {
+                world: World::new(&scenario),
+                suite: &suite,
+                scenario,
+            };
+            let mut layer = vec![root.clone()];
+            let mut states = vec![root.clone()];
+            for _ in 0..3 {
+                let mut next = Vec::new();
+                for state in &layer {
+                    for event in state.events() {
+                        let mut child = state.clone();
+                        if child.step(event, &mut CheckScratch::default()).is_empty() {
+                            next.push(child);
+                        }
+                    }
+                }
+                states.extend(next.iter().cloned());
+                layer = next;
+            }
+            assert!(states.len() > 1000, "{} states", states.len());
+            for state in &states {
+                let view = state.world.sym_view();
+                let fresh = canonical_fingerprint(&[&view], &group);
+                let other = if root.world.sym_view() == view {
+                    &states[states.len() - 1]
+                } else {
+                    &root
+                };
+                assert_ne!(other.world.sym_view(), view);
+                let mut scratch = CheckScratch::default();
+                other.fingerprint(Some(&group), &mut scratch);
+                assert_eq!(state.fingerprint(Some(&group), &mut scratch), fresh);
+                assert_eq!(scratch.last_view, view);
+                assert_eq!(state.fingerprint(Some(&group), &mut scratch), fresh);
+                // That second answer came from the memo, not a rerun.
+                scratch.last_fingerprint = Some(!fresh);
+                assert_eq!(state.fingerprint(Some(&group), &mut scratch), !fresh);
+            }
+        }
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl World {
                 result
             }
         };
-        // The checker never reads the message trace, but every explored
-        // state would otherwise retain its whole message history —
-        // thousands of World clones in a BFS frontier turn that into
-        // gigabytes. The trace is not part of the fingerprint, so
-        // dropping it cannot merge distinct states.
-        self.cluster.clear_trace();
         match result {
             Ok(Some(value)) => {
                 if value != self.last_committed {
@@ -217,12 +211,11 @@ impl World {
             }
         }));
         let checker = self.cluster.checker();
+        // Both ledgers iterate in number order: no sort.
         view.commits.clear();
         view.commits.extend(checker.commits());
-        view.commits.sort_unstable_by_key(|&(op, _)| op);
         view.versions.clear();
         view.versions.extend(checker.written());
-        view.versions.sort_unstable_by_key(|&(version, _)| version);
         view.monitor = (checker.latest_written(), checker.violations().len() as u64);
         view.scalars = [self.next_token, self.last_committed, self.oracle_violations];
     }

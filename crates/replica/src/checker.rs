@@ -1,8 +1,8 @@
 //! The always-on invariant monitor.
 
-use std::collections::HashMap;
-
 use dynvote_types::SiteSet;
+
+use crate::cluster::HISTORY_CAP;
 
 /// A detected violation of the replicated file's correctness guarantees.
 ///
@@ -60,12 +60,30 @@ impl core::fmt::Display for Violation {
 }
 
 /// Tracks ground truth across operations and records [`Violation`]s.
+///
+/// The two ledgers — committed operation numbers and written versions
+/// — are `Vec`s sorted by number (a clone is one copy, iteration is in
+/// order) and bounded: each keeps at least its latest `HISTORY_CAP`
+/// (4096) entries and never more than twice that, so a long-running
+/// coordinator's monitor stays under 256 KiB.
+/// A lineage fork or duplicate version whose number has fallen out of
+/// that window is no longer detected; exhaustive checker runs stay
+/// orders of magnitude inside it.
 #[derive(Clone, Debug)]
 pub struct Checker {
     latest_written: u64,
-    written_versions: HashMap<u64, u64>, // version → times committed
-    committed_ops: HashMap<u64, SiteSet>,
+    written_versions: Vec<(u64, u64)>, // (version, times committed)
+    committed_ops: Vec<(u64, SiteSet)>,
     violations: Vec<Violation>,
+}
+
+/// Inserts `entry` at `slot` of a ledger sorted by number, then drops
+/// the older half if the ledger has outgrown twice the floor.
+fn insert_bounded<V>(ledger: &mut Vec<(u64, V)>, slot: usize, entry: (u64, V)) {
+    ledger.insert(slot, entry);
+    if ledger.len() > 2 * HISTORY_CAP {
+        ledger.drain(..ledger.len() - HISTORY_CAP);
+    }
 }
 
 impl Default for Checker {
@@ -80,37 +98,42 @@ impl Checker {
     pub fn new() -> Self {
         Checker {
             latest_written: 1,
-            written_versions: HashMap::from([(1, 1)]),
-            committed_ops: HashMap::from([(1, SiteSet::EMPTY)]),
+            written_versions: vec![(1, 1)],
+            committed_ops: vec![(1, SiteSet::EMPTY)],
             violations: Vec::new(),
         }
     }
 
     /// Notes a successful commit of `op` by `participants`.
     pub fn note_commit(&mut self, op: u64, participants: SiteSet) {
-        match self.committed_ops.get(&op) {
+        match self.committed_ops.binary_search_by_key(&op, |&(op, _)| op) {
             // The initial pseudo-op 1 is held by every fresh copy.
-            Some(&prev) if prev != participants && op != 1 => {
-                self.violations.push(Violation::LineageFork {
-                    op,
-                    first: prev,
-                    second: participants,
-                });
+            Ok(slot) => {
+                let first = self.committed_ops[slot].1;
+                if first != participants && op != 1 {
+                    self.violations.push(Violation::LineageFork {
+                        op,
+                        first,
+                        second: participants,
+                    });
+                }
             }
-            Some(_) => {}
-            None => {
-                self.committed_ops.insert(op, participants);
-            }
+            Err(slot) => insert_bounded(&mut self.committed_ops, slot, (op, participants)),
         }
     }
 
     /// Notes a successful write committing `version`.
     pub fn note_write(&mut self, version: u64) {
-        let times = self.written_versions.entry(version).or_insert(0);
-        *times += 1;
-        if *times > 1 {
-            self.violations
-                .push(Violation::DuplicateVersion { version });
+        match self
+            .written_versions
+            .binary_search_by_key(&version, |&(version, _)| version)
+        {
+            Ok(slot) => {
+                self.written_versions[slot].1 += 1;
+                self.violations
+                    .push(Violation::DuplicateVersion { version });
+            }
+            Err(slot) => insert_bounded(&mut self.written_versions, slot, (version, 1)),
         }
         if version > self.latest_written {
             self.latest_written = version;
@@ -140,19 +163,19 @@ impl Checker {
     /// lineage-fork and duplicate-version detection depend on the
     /// *history* of commits, not just the current replica states, so
     /// two states may only be deduplicated against each other when
-    /// their detection-relevant histories also match. XOR-folding makes
-    /// the digest independent of `HashMap` iteration order.
+    /// their detection-relevant histories also match. The XOR fold
+    /// makes the digest independent of the order entries were noted in.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut acc =
             dynvote_core::fingerprint_of(&(self.latest_written, self.violations.len() as u64));
         let mut fold = 0u64;
-        for (&op, &participants) in &self.committed_ops {
+        for &(op, participants) in &self.committed_ops {
             fold ^= dynvote_core::fingerprint_of(&(op, participants));
         }
         acc ^= fold.rotate_left(1);
         fold = 0;
-        for (&version, &times) in &self.written_versions {
+        for &(version, times) in &self.written_versions {
             fold ^= dynvote_core::fingerprint_of(&(version, times));
         }
         acc ^ fold.rotate_left(2)
@@ -164,32 +187,26 @@ impl Checker {
         &self.violations
     }
 
-    /// The commit log as `(op, participants)` pairs, in no particular
-    /// order — for callers that sort into a buffer of their own.
+    /// The commit log as `(op, participants)` pairs, in operation order
+    /// — for callers that collect into a buffer of their own.
     pub fn commits(&self) -> impl Iterator<Item = (u64, SiteSet)> + '_ {
-        self.committed_ops
-            .iter()
-            .map(|(&op, &participants)| (op, participants))
+        self.committed_ops.iter().copied()
     }
 
-    /// The written-version multiset as `(version, times)` pairs, in no
-    /// particular order (companion to [`Checker::commits`]).
+    /// The written-version multiset as `(version, times)` pairs, in
+    /// version order (companion to [`Checker::commits`]).
     pub fn written(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.written_versions
-            .iter()
-            .map(|(&version, &times)| (version, times))
+        self.written_versions.iter().copied()
     }
 
     /// The commit log as `(op, participants)` pairs, sorted by
     /// operation number — the detection-relevant history a symmetry
     /// canonicalization must relabel site-by-site (see the checker
     /// crate's `symmetry` module). Sorted so callers can hash the
-    /// entries sequentially without re-introducing `HashMap` order.
+    /// entries sequentially.
     #[must_use]
     pub fn commit_entries(&self) -> Vec<(u64, SiteSet)> {
-        let mut entries: Vec<_> = self.commits().collect();
-        entries.sort_unstable_by_key(|&(op, _)| op);
-        entries
+        self.commits().collect()
     }
 
     /// The written-version multiset as `(version, times)` pairs, sorted
@@ -197,9 +214,7 @@ impl Checker {
     /// history (companion to [`Checker::commit_entries`]).
     #[must_use]
     pub fn version_entries(&self) -> Vec<(u64, u64)> {
-        let mut entries: Vec<_> = self.written().collect();
-        entries.sort_unstable_by_key(|&(version, _)| version);
-        entries
+        self.written().collect()
     }
 }
 

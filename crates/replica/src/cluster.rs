@@ -10,11 +10,13 @@
 //! through `deliver_commit`, the one per-recipient `COMMIT` delivery.
 //! Copies and witnesses are one [`Node`] type; a witness holds no data.
 
+use std::sync::{Arc, Mutex};
+
 use dynvote_core::decision::Rule;
 use dynvote_core::lexicon::Lexicon;
 use dynvote_core::ops::{plan_with_witnesses, OpKind, Plan};
 use dynvote_core::state::{ReplicaState, StateTable};
-use dynvote_topology::{Network, ReachabilityCache};
+use dynvote_topology::{Network, Reachability, ReachabilityCache};
 use dynvote_types::{AccessError, AccessKind, SiteId, SiteSet};
 
 use crate::bus::{Bus, FaultRule, Verdict};
@@ -142,10 +144,11 @@ impl CommittedOp {
     }
 }
 
-/// Retention floor for the history log: it always holds at least the
-/// latest `HISTORY_CAP` committed operations and never more than twice
-/// that (operation *counting* lives in [`OpStats`] and never stops).
-const HISTORY_CAP: usize = 4096;
+/// Retention floor for the history log and the invariant monitor's
+/// ledgers: each always holds at least the latest `HISTORY_CAP`
+/// entries and never more than twice that (operation *counting* lives
+/// in [`OpStats`] and never stops).
+pub(crate) const HISTORY_CAP: usize = 4096;
 
 /// Builder for [`Cluster`].
 #[derive(Clone, Debug)]
@@ -309,7 +312,7 @@ impl ClusterBuilder {
             participants.is_subset_of(network.sites()),
             "every copy and witness must live on a network site"
         );
-        let nodes = hosted
+        let nodes: Vec<Node<T>> = hosted
             .iter()
             .map(|site| {
                 Node::new(
@@ -319,16 +322,21 @@ impl ClusterBuilder {
                 )
             })
             .collect();
+        debug_assert!(
+            nodes.windows(2).all(|pair| pair[0].id() < pair[1].id()),
+            "nodes are in site order"
+        );
+        let mut reach_cache = ReachabilityCache::new(&network);
+        let reach = reach_cache.get(&network, network.sites());
         Cluster {
             rule: self.protocol.rule(self.lexicon),
             protocol: self.protocol,
             up: network.sites(),
-            reach_cache: std::sync::Arc::new(std::sync::Mutex::new(ReachabilityCache::new(
-                &network,
-            ))),
+            reach,
+            reach_cache: Arc::new(Mutex::new(reach_cache)),
             #[cfg(any(test, feature = "stale-read-fault"))]
             stale_read_fault: false,
-            network: std::sync::Arc::new(network),
+            network: Arc::new(network),
             copies,
             witnesses,
             nodes,
@@ -357,10 +365,10 @@ impl ClusterBuilder {
 /// `Cluster` is `Clone` (when its transport is): a clone is an
 /// independent replicated file that evolves separately from the
 /// original — the branch operation an exhaustive explorer
-/// (`dynvote-check`) performs at every state. Only the reachability
-/// memo is shared between clones (it is a pure cache keyed by up-set,
-/// so sharing changes no observable behavior and keeps branching
-/// cheap).
+/// (`dynvote-check`) performs at every state. Only the network and the
+/// reachability memo are shared between clones (both are immutable or
+/// a pure cache keyed by up-set, so sharing changes no observable
+/// behavior and keeps branching cheap).
 ///
 /// The transport parameter `X` selects the network under the protocol:
 /// the default [`BusTransport`] hosts every participant in-process
@@ -371,26 +379,28 @@ impl ClusterBuilder {
 pub struct Cluster<T, X = BusTransport> {
     /// Fixed at build time, so a clone shares it (as it shares the
     /// memo below): the model checker clones a cluster per transition.
-    network: std::sync::Arc<Network>,
+    network: Arc<Network>,
     protocol: Protocol,
     rule: Option<Rule>,
     copies: SiteSet,
     witnesses: SiteSet,
-    /// All network sites currently up (gateways included).
+    /// All network sites currently up (gateways included). Written
+    /// only through [`Cluster::set_up`], which keeps `reach` in step.
     up: SiteSet,
+    /// The topology-derived reachability of `up`, resolved when `up`
+    /// changes so that [`Cluster::group_of`] reads it without a lock.
+    reach: Arc<Reachability>,
     /// The participants hosted in this process, copies and witnesses
     /// alike, in site order.
     nodes: Vec<Node<T>>,
     forced_groups: Option<Vec<SiteSet>>,
-    /// Memoized topology-derived reachability, keyed by the up-set.
-    /// Interior mutability keeps [`Cluster::group_of`] a `&self` query;
-    /// each operation phase asks for the origin's group, and without
-    /// the memo every ask re-ran the union-find and allocated fresh
-    /// group vectors. Shared (`Arc`) so that cloning a cluster — the
-    /// hot branch operation of exhaustive exploration — does not copy
-    /// the dense memo table, and so every branch keeps hitting memo
-    /// entries interned by its siblings.
-    reach_cache: std::sync::Arc<std::sync::Mutex<ReachabilityCache>>,
+    /// Memoized topology-derived reachability, keyed by the up-set:
+    /// every up-set's union-find runs once. Shared (`Arc`) so that
+    /// cloning a cluster — the hot branch operation of exhaustive
+    /// exploration — does not copy the dense memo table, and so every
+    /// branch keeps hitting memo entries interned by its siblings.
+    /// Locked only when `up` changes.
+    reach_cache: Arc<Mutex<ReachabilityCache>>,
     /// Deliberate fault for checker self-tests: a granted read — or the
     /// read inside an [`Cluster::update`] — serves the origin's *local*
     /// copy (skipping the planned data source) whenever the origin
@@ -479,7 +489,8 @@ fn serve_participant<T: Clone>(
     ticket: u64,
     mark_pending: bool,
 ) -> Option<Reply<T>> {
-    let node = nodes.iter_mut().find(|n| n.id() == to)?;
+    let slot = nodes.binary_search_by_key(&to, Node::id).ok()?;
+    let node = &mut nodes[slot];
     match kind {
         MessageKind::StartRequest => {
             match node.pending() {
@@ -523,18 +534,19 @@ fn serve_participant<T: Clone>(
 }
 
 impl<T: Clone, X: Transport<T>> Cluster<T, X> {
+    /// Where `site`'s node sits in `nodes`, which is in site order.
+    fn slot(&self, site: SiteId) -> Option<usize> {
+        self.nodes.binary_search_by_key(&site, Node::id).ok()
+    }
+
     fn node(&self, site: SiteId) -> &Node<T> {
-        self.nodes
-            .iter()
-            .find(|n| n.id() == site)
-            .expect("site is a participant hosted here")
+        let slot = self.slot(site).expect("site is a participant hosted here");
+        &self.nodes[slot]
     }
 
     fn node_mut(&mut self, site: SiteId) -> &mut Node<T> {
-        self.nodes
-            .iter_mut()
-            .find(|n| n.id() == site)
-            .expect("site is a participant hosted here")
+        let slot = self.slot(site).expect("site is a participant hosted here");
+        &mut self.nodes[slot]
     }
 
     /// The copy sites (full data replicas).
@@ -594,7 +606,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         &self.trace
     }
 
-    /// Clears the message trace (counters and retained messages).
+    /// Resets the message trace's counters.
     pub fn clear_trace(&mut self) {
         self.trace.clear();
     }
@@ -678,19 +690,33 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// hosted elsewhere (a [`ClusterBuilder::build_remote`] deployment)
     /// only leave the up-set — their node state is their own daemon's.
     pub fn fail_site(&mut self, site: SiteId) {
-        self.up.remove(site);
-        if let Some(node) = self.nodes.iter_mut().find(|n| n.id() == site) {
-            node.fail();
+        self.set_up(self.up.without(site));
+        if let Some(slot) = self.slot(site) {
+            self.nodes[slot].fail();
         }
     }
 
     /// Repairs a site. For copies this restores *liveness only*; rejoin
     /// the majority partition with [`Cluster::recover`].
     pub fn repair_site(&mut self, site: SiteId) {
-        self.up.insert(site);
-        if let Some(node) = self.nodes.iter_mut().find(|n| n.id() == site) {
-            node.repair();
+        self.set_up(self.up.with(site));
+        if let Some(slot) = self.slot(site) {
+            self.nodes[slot].repair();
         }
+    }
+
+    /// Makes `up` the up-set and resolves its reachability from the
+    /// shared memo.
+    fn set_up(&mut self, up: SiteSet) {
+        if up == self.up {
+            return;
+        }
+        self.up = up;
+        self.reach = self
+            .reach_cache
+            .lock()
+            .expect("reachability memo poisoned")
+            .get(&self.network, up);
     }
 
     /// Forces an explicit partition (groups of mutually-communicating
@@ -726,12 +752,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 .iter()
                 .map(|g| *g & self.up)
                 .find(|g| g.contains(origin)),
-            None => self
-                .reach_cache
-                .lock()
-                .expect("reachability memo poisoned")
-                .get(&self.network, self.up)
-                .group_of(origin),
+            None => self.reach.group_of(origin),
         }
     }
 
@@ -916,7 +937,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         mark_pending: bool,
         polled_version: Option<u64>,
     ) -> Carried<T> {
-        self.trace.record(message.clone());
+        self.trace.record(&message);
         let Cluster {
             transport, nodes, ..
         } = self;
@@ -936,7 +957,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         match carried.request {
             // Two wire copies, processed once: handlers are keyed by
             // the operation ticket, so the second is ignored.
-            Verdict::Duplicate => self.trace.record(message.clone()),
+            Verdict::Duplicate => self.trace.record(&message),
             // The recipient dies *before* processing: the message was
             // sent (it is on the trace) but never took effect.
             Verdict::CrashRecipient => self.fail_site(message.to),
@@ -947,9 +968,9 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         }
         if let Some(response) = &carried.response {
             if let Some(wire) = &response.wire {
-                self.trace.record(wire.clone());
+                self.trace.record(wire);
                 match response.verdict {
-                    Verdict::Duplicate => self.trace.record(wire.clone()),
+                    Verdict::Duplicate => self.trace.record(wire),
                     Verdict::CrashRecipient => self.fail_site(wire.to),
                     Verdict::CrashSender => self.fail_site(wire.from),
                     Verdict::Deliver | Verdict::Drop | Verdict::Delay => {}
@@ -1019,7 +1040,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                     // Down or unreachable: lost by the failure model,
                     // not the transport — but it was sent, so it is
                     // traced.
-                    self.trace.record(start);
+                    self.trace.record(&start);
                     continue;
                 }
                 polled.insert(site);
@@ -1101,7 +1122,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             if !self.up.contains(site) {
                 // The participant died after voting: the commit goes
                 // into the void (traced, not transport-faulted).
-                self.trace.record(commit);
+                self.trace.record(&commit);
                 return Delivery::Lost;
             }
             let carried = self.exchange(commit, value, 0, false, polled_version);
@@ -2146,6 +2167,81 @@ mod tests {
         }
         assert!(c.history().len() >= HISTORY_CAP);
         assert!(c.history().len() <= 2 * HISTORY_CAP);
+    }
+
+    #[test]
+    fn monitor_ledgers_keep_a_bounded_window() {
+        // Past twice the retention floor, both ledgers have dropped
+        // their oldest half, and a duplicate inside the window they
+        // keep is still caught.
+        let mut c = cluster(Protocol::Odv);
+        for i in 0..2 * HISTORY_CAP as u64 + 100 {
+            c.write(SiteId::new(0), format!("v{i}")).unwrap();
+        }
+        let checker = c.checker();
+        for kept in [checker.commits().count(), checker.written().count()] {
+            assert!((HISTORY_CAP..=2 * HISTORY_CAP).contains(&kept), "{kept}");
+        }
+        assert!(checker.violations().is_empty());
+        let latest = checker.latest_written();
+        c.checker.note_write(latest);
+        assert_eq!(
+            c.checker().violations(),
+            [crate::Violation::DuplicateVersion { version: latest }]
+        );
+    }
+
+    #[test]
+    fn cached_reachability_equals_fresh_reachability() {
+        // The Figure 8 network: gateways S3 and S4 lead to the
+        // subordinate segments {S5} and {S6, S7}.
+        let network = dynvote_topology::NetworkBuilder::new()
+            .segment("main", [0, 1, 2, 3, 4])
+            .segment("second", [5])
+            .segment("third", [6, 7])
+            .bridge(3, "second")
+            .bridge(4, "third")
+            .build()
+            .unwrap();
+        let mut c: Cluster<u64> = ClusterBuilder::new()
+            .network(network.clone())
+            .copies([0, 1, 5, 7])
+            .protocol(Protocol::Ldv)
+            .build_with_value(0);
+        let mut rng = dynvote_sim::SimRng::new(29);
+        let mut forced: Option<Vec<SiteSet>> = None;
+        for step in 0..2_000 {
+            let site = SiteId::new(rng.below(8));
+            match rng.below(4) {
+                0 => c.fail_site(site),
+                1 => c.repair_site(site),
+                2 => {
+                    let mut groups = vec![SiteSet::EMPTY; 3];
+                    for member in network.sites().iter() {
+                        groups[rng.below(3)].insert(member);
+                    }
+                    groups.retain(|g| !g.is_empty());
+                    c.force_partition(groups.clone());
+                    forced = Some(groups);
+                }
+                _ => {
+                    c.heal_partition();
+                    forced = None;
+                }
+            }
+            let up = c.up_sites();
+            let fresh = ReachabilityCache::new(&network).get(&network, up);
+            for s in network.sites().iter() {
+                let expected = match &forced {
+                    None => fresh.group_of(s),
+                    Some(groups) => groups
+                        .iter()
+                        .map(|g| *g & up)
+                        .find(|g| up.contains(s) && g.contains(s)),
+                };
+                assert_eq!(c.group_of(s), expected, "step {step}, site {s}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   unique versions, no lineage forks) that records [`Violation`]s
 //!   instead of panicking, so tests can also *demonstrate* the
 //!   published protocols' edge cases;
-//! * [`message::Trace`] — per-operation message counting, used to
+//! * [`message::Trace`] — per-operation message counters (a total and
+//!   one count per kind; no message bodies are kept), used to
 //!   verify the paper's claim that the optimistic protocols cost "much
 //!   the same message traffic overhead as majority consensus voting".
 //!

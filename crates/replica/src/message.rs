@@ -65,36 +65,17 @@ impl MessageKind {
     }
 }
 
-/// A bounded log of protocol messages with total counters.
+/// Protocol-message counters: a total and one count per kind.
 ///
-/// Counting is always on; the message *bodies* are retained only up to a
-/// configurable capacity so long property-test runs stay cheap.
-#[derive(Clone, Debug)]
+/// Only the counts are kept — no message bodies — so recording is a
+/// pair of increments and cloning a cluster copies six counters.
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
-    kept: Vec<Message>,
-    capacity: usize,
     total: u64,
     by_kind: [u64; 5],
 }
 
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::with_capacity(1024)
-    }
-}
-
 impl Trace {
-    /// A trace retaining at most `capacity` message bodies.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Trace {
-            kept: Vec::new(),
-            capacity,
-            total: 0,
-            by_kind: [0; 5],
-        }
-    }
-
     fn kind_index(kind: &MessageKind) -> usize {
         match kind {
             MessageKind::StartRequest => 0,
@@ -105,13 +86,10 @@ impl Trace {
         }
     }
 
-    /// Records one message.
-    pub fn record(&mut self, message: Message) {
+    /// Counts one message.
+    pub fn record(&mut self, message: &Message) {
         self.total += 1;
         self.by_kind[Self::kind_index(&message.kind)] += 1;
-        if self.kept.len() < self.capacity {
-            self.kept.push(message);
-        }
     }
 
     /// Total messages recorded since the last [`Trace::clear`].
@@ -126,15 +104,8 @@ impl Trace {
         self.by_kind[Self::kind_index(kind)]
     }
 
-    /// The retained message bodies (up to capacity).
-    #[must_use]
-    pub fn messages(&self) -> &[Message] {
-        &self.kept
-    }
-
-    /// Clears counters and retained messages.
+    /// Resets every counter.
     pub fn clear(&mut self) {
-        self.kept.clear();
         self.total = 0;
         self.by_kind = [0; 5];
     }
@@ -155,9 +126,9 @@ mod tests {
     #[test]
     fn counts_by_kind() {
         let mut t = Trace::default();
-        t.record(msg(MessageKind::StartRequest));
-        t.record(msg(MessageKind::StartRequest));
-        t.record(msg(MessageKind::CopyReply));
+        t.record(&msg(MessageKind::StartRequest));
+        t.record(&msg(MessageKind::StartRequest));
+        t.record(&msg(MessageKind::CopyReply));
         assert_eq!(t.total(), 3);
         assert_eq!(t.count_of(&MessageKind::StartRequest), 2);
         assert_eq!(t.count_of(&MessageKind::CopyReply), 1);
@@ -165,22 +136,24 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_retention_not_counting() {
-        let mut t = Trace::with_capacity(2);
-        for _ in 0..10 {
-            t.record(msg(MessageKind::StartRequest));
+    fn counting_by_kind_has_no_cap() {
+        let mut t = Trace::default();
+        for _ in 0..5000 {
+            t.record(&msg(MessageKind::StartRequest));
+            t.record(&msg(MessageKind::CopyRequest));
         }
-        assert_eq!(t.total(), 10);
-        assert_eq!(t.messages().len(), 2);
+        assert_eq!(t.total(), 10_000);
+        assert_eq!(t.count_of(&MessageKind::StartRequest), 5000);
+        assert_eq!(t.count_of(&MessageKind::CopyRequest), 5000);
     }
 
     #[test]
     fn clear_resets() {
         let mut t = Trace::default();
-        t.record(msg(MessageKind::StartRequest));
+        t.record(&msg(MessageKind::StartRequest));
         t.clear();
         assert_eq!(t.total(), 0);
-        assert!(t.messages().is_empty());
+        assert_eq!(t.count_of(&MessageKind::StartRequest), 0);
     }
 
     #[test]
