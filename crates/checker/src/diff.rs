@@ -8,7 +8,7 @@
 //!   shared history). The sound instance is **DV ⊆ LDV**: LDV is DV
 //!   plus a tie-break, so it can only grant *more*.
 //! * [`Relation::Equivalent`] — the policies take identical decisions
-//!   and their clusters stay bit-identical (fingerprint equality).
+//!   and their worlds stay identical (equal [`World::sym_view`]s).
 //!   The sound instances are **ODV ≡ LDV** and **OTDV ≡ TDV**: at
 //!   message level the optimistic/instantaneous distinction is about
 //!   *when clients invoke operations*, which the event schedule already
@@ -24,7 +24,8 @@
 //! Differential runs share the layered-BFS engine ([`crate::engine`])
 //! with the invariant checker, so they inherit `--threads` parallelism
 //! and the `--symmetry` quotient. A pair state is deduplicated by the
-//! combined fingerprint of both worlds; under symmetry the *same*
+//! combined canonical fingerprint of both worlds' views (under the
+//! trivial group when symmetry is off); under symmetry the *same*
 //! relabeling is applied to both sides (a permutation that maps pair
 //! `(p, r)` onto pair `(πp, πr)` is a symmetry of the lockstep system
 //! only if it is one of each side), and the admissible group is the
@@ -50,7 +51,7 @@ use crate::world::World;
 pub enum Relation {
     /// Primary grants ⟹ reference grants (grant-set inclusion).
     GrantImplies,
-    /// Identical decisions and bit-identical cluster states.
+    /// Identical decisions and identical world states.
     Equivalent,
 }
 
@@ -195,25 +196,20 @@ impl Space for PairSpace {
         enumerate_events(&self.primary)
     }
 
-    fn step(&mut self, event: CheckEvent, _: &mut Self::Scratch) -> Vec<String> {
-        check_pair(self, event).into_iter().collect()
+    fn step(&mut self, event: CheckEvent, views: &mut [SymView; 2]) -> Vec<String> {
+        check_pair(self, event, views).into_iter().collect()
     }
 
-    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>, views: &mut [SymView; 2]) -> u64 {
-        match symmetry {
-            None => self.primary.fingerprint() ^ self.reference.fingerprint().rotate_left(17),
-            Some(group) => {
-                self.primary.fill_view(&mut views[0]);
-                self.reference.fill_view(&mut views[1]);
-                canonical_fingerprint(&[&views[0], &views[1]], group)
-            }
-        }
+    fn fingerprint(&self, group: &SymmetryGroup, views: &mut [SymView; 2]) -> u64 {
+        self.primary.fill_view(&mut views[0]);
+        self.reference.fill_view(&mut views[1]);
+        canonical_fingerprint(&[&views[0], &views[1]], group)
     }
 }
 
 /// Applies one event to both worlds and checks the relation;
-/// `Some(detail)` on mismatch.
-fn check_pair(pair: &mut PairSpace, event: CheckEvent) -> Option<String> {
+/// `Some(detail)` on mismatch. `views` is scratch.
+fn check_pair(pair: &mut PairSpace, event: CheckEvent, views: &mut [SymView; 2]) -> Option<String> {
     let out_primary = pair.primary.apply(event);
     let out_reference = pair.reference.apply(event);
     let primary_name = policy_name(pair.primary_policy);
@@ -236,7 +232,9 @@ fn check_pair(pair: &mut PairSpace, event: CheckEvent) -> Option<String> {
                     verdict(out_reference.granted)
                 ));
             }
-            if pair.primary.fingerprint() != pair.reference.fingerprint() {
+            pair.primary.fill_view(&mut views[0]);
+            pair.reference.fill_view(&mut views[1]);
+            if views[0] != views[1] {
                 return Some(format!(
                     "states diverged after `{event}` despite identical decisions"
                 ));
@@ -268,9 +266,10 @@ fn root_pair(config: &DiffConfig) -> PairSpace {
 /// the relation.
 fn mismatch_reproduces(config: &DiffConfig, events: &[CheckEvent]) -> bool {
     let mut pair = root_pair(config);
+    let mut views = Default::default();
     events
         .iter()
-        .any(|&event| check_pair(&mut pair, event).is_some())
+        .any(|&event| check_pair(&mut pair, event, &mut views).is_some())
 }
 
 /// Runs the lockstep differential exploration.
@@ -283,10 +282,12 @@ pub fn run_differential(config: &DiffConfig) -> DiffReport {
     let engine_config = EngineConfig {
         depth: checked_depth(config.depth).unwrap_or_else(|error| panic!("{error}")),
         threads: config.threads,
-        symmetry: config.symmetry.then(|| {
+        symmetry: if config.symmetry {
             SymmetryGroup::of(&config.scenario)
                 .meet(&SymmetryGroup::of(&config.reference_scenario()))
-        }),
+        } else {
+            SymmetryGroup::trivial(config.scenario.sites)
+        },
         deadline: config.budget.map(|budget| Instant::now() + budget),
         max_traced: config.max_findings,
     };

@@ -70,8 +70,8 @@ use crate::symmetry::SymmetryGroup;
 
 /// A state space the engine can explore: cloneable states, a canonical
 /// event enumeration, a step function whose non-empty result marks the
-/// transition terminal, and a (possibly symmetry-quotiented)
-/// fingerprint.
+/// transition terminal, and a fingerprint canonical under a symmetry
+/// group.
 pub(crate) trait Space: Clone + Send + Sync {
     /// What a terminal transition yields (violations, mismatches, …).
     type Hit: Clone + Send;
@@ -89,9 +89,9 @@ pub(crate) trait Space: Clone + Send + Sync {
     /// fingerprinted.
     fn step(&mut self, event: CheckEvent, scratch: &mut Self::Scratch) -> Vec<Self::Hit>;
 
-    /// The state's deduplication fingerprint — canonical under
-    /// `symmetry` when one is supplied.
-    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>, scratch: &mut Self::Scratch) -> u64;
+    /// The state's deduplication fingerprint, canonical under `group`
+    /// (with the trivial group: the plain fingerprint).
+    fn fingerprint(&self, group: &SymmetryGroup, scratch: &mut Self::Scratch) -> u64;
 }
 
 /// Engine parameters, independent of the particular [`Space`].
@@ -102,8 +102,9 @@ pub(crate) struct EngineConfig {
     pub depth: u8,
     /// Worker threads (clamped to at least 1).
     pub threads: usize,
-    /// Quotient fingerprints under this symmetry group.
-    pub symmetry: Option<SymmetryGroup>,
+    /// Quotient fingerprints under this symmetry group
+    /// ([`SymmetryGroup::trivial`] merges only equal states).
+    pub symmetry: SymmetryGroup,
     /// Wall-clock deadline; `None` explores exhaustively.
     pub deadline: Option<Instant>,
     /// At most this many hits keep their traces (all are counted).
@@ -271,7 +272,7 @@ struct WorkerOut<S: Space> {
 /// What every worker of every layer shares.
 struct Shared<'a> {
     seen: ShardedSeen,
-    symmetry: Option<&'a SymmetryGroup>,
+    symmetry: &'a SymmetryGroup,
     transitions: AtomicU64,
     truncated: AtomicBool,
     deadline: Option<Instant>,
@@ -360,7 +361,7 @@ fn path_of(arena: &[ArenaEntry], mut id: u32) -> Vec<CheckEvent> {
 pub(crate) fn explore<S: Space>(root: S, config: &EngineConfig) -> EngineReport<S::Hit> {
     let shared = Shared {
         seen: ShardedSeen::new(),
-        symmetry: config.symmetry.as_ref(),
+        symmetry: &config.symmetry,
         transitions: AtomicU64::new(0),
         truncated: AtomicBool::new(false),
         deadline: config.deadline,
@@ -512,7 +513,7 @@ mod tests {
             }
         }
 
-        fn fingerprint(&self, _: Option<&SymmetryGroup>, (): &mut ()) -> u64 {
+        fn fingerprint(&self, _: &SymmetryGroup, (): &mut ()) -> u64 {
             (self.at as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         }
     }
@@ -538,7 +539,7 @@ mod tests {
         let config = EngineConfig {
             depth,
             threads,
-            symmetry: None,
+            symmetry: SymmetryGroup::trivial(0),
             deadline,
             max_traced,
         };

@@ -1,8 +1,9 @@
 //! The checker's event alphabet.
 //!
 //! A [`CheckEvent`] is the enumerable, serializable form of one cluster
-//! transition. It differs from [`dynvote_replica::StepEvent`] in two
-//! deliberate ways:
+//! transition; [`crate::World::apply`] maps it onto the cluster's named
+//! methods (`fail_site`, `repair_site`, `recover`, `force_partition`,
+//! `heal_partition`, `read`, `write`). Two of its shapes are deliberate:
 //!
 //! * `Write` carries no value — the [`crate::World`] mints a monotone
 //!   token per granted write, so the alphabet stays finite and a trace
@@ -72,10 +73,10 @@ impl CheckEvent {
         }
         let site = |arg: Option<&str>| -> Result<SiteId, String> {
             let raw = arg.ok_or_else(|| format!("event {word:?} needs a site number"))?;
-            let index: usize = raw
-                .parse()
-                .map_err(|_| format!("bad site number {raw:?}"))?;
-            Ok(SiteId::new(index))
+            raw.parse()
+                .ok()
+                .and_then(SiteId::try_new)
+                .ok_or_else(|| format!("bad site number {raw:?}"))
         };
         match word {
             "crash" => Ok(CheckEvent::Crash(site(arg)?)),
@@ -128,6 +129,7 @@ mod tests {
         assert!(CheckEvent::parse("explode 3").is_err());
         assert!(CheckEvent::parse("crash").is_err());
         assert!(CheckEvent::parse("crash x").is_err());
+        assert!(CheckEvent::parse("read 70").is_err(), "past the site limit");
         assert!(CheckEvent::parse("heal 2").is_err());
         assert!(CheckEvent::parse("read 1 2").is_err());
     }

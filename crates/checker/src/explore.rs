@@ -6,13 +6,14 @@
 //! optionally quotiented by site symmetry (`symmetry`, see
 //! [`crate::symmetry`]). Branching clones the [`World`] (clusters share
 //! their reachability memo, so clones are cheap); deduplication hashes
-//! every reached state with [`World::fingerprint`] — or its canonical
-//! form under symmetry — and skips a state already explored with at
-//! least as much remaining depth (*depth-left dominance*: a weaker
-//! revisit can only reach a subset of what the stronger visit already
-//! covered; the engine's layer order makes the first visit always the
-//! strongest, which is what keeps parallel counts identical to
-//! sequential ones).
+//! every reached state's [`World::sym_view`] canonically under the
+//! run's symmetry group (the trivial group when symmetry is off, under
+//! which the canonical hash is the view's plain one) and skips a state
+//! already explored with at least as much remaining depth
+//! (*depth-left dominance*: a weaker revisit can only reach a subset of
+//! what the stronger visit already covered; the engine's layer order
+//! makes the first visit always the strongest, which is what keeps
+//! parallel counts identical to sequential ones).
 //!
 //! Violating states are terminal: the violation is recorded with its
 //! full event path and never expanded further, so every finding's trace
@@ -28,10 +29,7 @@ use crate::scenario::Scenario;
 use crate::shrink::ddmin;
 use crate::symmetry::{canonical_fingerprint, SymView, SymmetryGroup};
 use crate::trace::regression_snippet;
-use crate::world::{
-    apply_and_detect, apply_and_detect_in, classify_known_hazard, default_suite, DetectScratch,
-    World,
-};
+use crate::world::{default_suite, replay_classified, DetectScratch, World};
 
 /// How often (in applied transitions) the wall-clock budget is polled.
 /// The counter is shared across workers (a single atomic), so the poll
@@ -234,7 +232,7 @@ pub fn enumerate_events(world: &World) -> Vec<CheckEvent> {
 }
 
 /// The invariant checker's [`Space`]: a [`World`] stepped through
-/// [`apply_and_detect`], with violations classified against the
+/// [`crate::apply_and_detect`], with violations classified against the
 /// policy's documented hazards at the transition that surfaced them.
 #[derive(Clone)]
 struct CheckSpace<'a> {
@@ -253,38 +251,26 @@ impl Space for CheckSpace<'_> {
     }
 
     fn step(&mut self, event: CheckEvent, scratch: &mut Self::Scratch) -> Vec<(Violation, bool)> {
-        let was_forked = self.world.forked();
-        let found = apply_and_detect_in(&mut scratch.detect, &mut self.world, self.suite, event);
-        if found.is_empty() {
-            return Vec::new();
-        }
-        let now_forked = self.world.forked();
-        found
-            .into_iter()
-            .map(|violation| {
-                let hazard =
-                    classify_known_hazard(self.scenario.policy, was_forked, now_forked, &violation);
-                (violation, hazard)
-            })
-            .collect()
+        replay_classified(
+            &mut scratch.detect,
+            &mut self.world,
+            self.suite,
+            self.scenario.policy,
+            &[event],
+        )
     }
 
-    fn fingerprint(&self, symmetry: Option<&SymmetryGroup>, scratch: &mut Self::Scratch) -> u64 {
-        match symmetry {
-            None => self.world.fingerprint(),
-            Some(group) => {
-                self.world.fill_view(&mut scratch.view);
-                if let Some(fingerprint) = scratch.last_fingerprint {
-                    if scratch.last_view == scratch.view {
-                        return fingerprint;
-                    }
-                }
-                let fingerprint = canonical_fingerprint(&[&scratch.view], group);
-                std::mem::swap(&mut scratch.view, &mut scratch.last_view);
-                scratch.last_fingerprint = Some(fingerprint);
-                fingerprint
+    fn fingerprint(&self, group: &SymmetryGroup, scratch: &mut Self::Scratch) -> u64 {
+        self.world.fill_view(&mut scratch.view);
+        if let Some(fingerprint) = scratch.last_fingerprint {
+            if scratch.last_view == scratch.view {
+                return fingerprint;
             }
         }
+        let fingerprint = canonical_fingerprint(&[&scratch.view], group);
+        std::mem::swap(&mut scratch.view, &mut scratch.last_view);
+        scratch.last_fingerprint = Some(fingerprint);
+        fingerprint
     }
 }
 
@@ -336,7 +322,11 @@ pub fn run_with_factory(
     let engine_config = EngineConfig {
         depth: checked_depth(config.depth).unwrap_or_else(|error| panic!("{error}")),
         threads: config.threads,
-        symmetry: config.symmetry.then(|| SymmetryGroup::of(&config.scenario)),
+        symmetry: if config.symmetry {
+            SymmetryGroup::of(&config.scenario)
+        } else {
+            SymmetryGroup::trivial(config.scenario.sites)
+        },
         deadline: config.budget.map(|budget| Instant::now() + budget),
         max_traced: config.max_findings,
     };
@@ -399,19 +389,15 @@ pub fn reproduces(
     known_hazard: bool,
     events: &[CheckEvent],
 ) -> bool {
-    let mut world = World::with_cluster(factory(scenario));
-    for &event in events {
-        let was_forked = world.forked();
-        let found = apply_and_detect(&mut world, suite, event);
-        let now_forked = world.forked();
-        for violation in &found {
-            let hazard = classify_known_hazard(scenario.policy, was_forked, now_forked, violation);
-            if violation.invariant == invariant && hazard == known_hazard {
-                return true;
-            }
-        }
-    }
-    false
+    replay_classified(
+        &mut DetectScratch::default(),
+        &mut World::with_cluster(factory(scenario)),
+        suite,
+        scenario.policy,
+        events,
+    )
+    .iter()
+    .any(|(violation, hazard)| violation.invariant == invariant && *hazard == known_hazard)
 }
 
 fn shrink_finding(
@@ -507,13 +493,13 @@ mod tests {
                 };
                 assert_ne!(other.world.sym_view(), view);
                 let mut scratch = CheckScratch::default();
-                other.fingerprint(Some(&group), &mut scratch);
-                assert_eq!(state.fingerprint(Some(&group), &mut scratch), fresh);
+                other.fingerprint(&group, &mut scratch);
+                assert_eq!(state.fingerprint(&group, &mut scratch), fresh);
                 assert_eq!(scratch.last_view, view);
-                assert_eq!(state.fingerprint(Some(&group), &mut scratch), fresh);
+                assert_eq!(state.fingerprint(&group, &mut scratch), fresh);
                 // That second answer came from the memo, not a rerun.
                 scratch.last_fingerprint = Some(!fresh);
-                assert_eq!(state.fingerprint(Some(&group), &mut scratch), !fresh);
+                assert_eq!(state.fingerprint(&group, &mut scratch), !fresh);
             }
         }
     }

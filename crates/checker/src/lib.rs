@@ -8,8 +8,9 @@
 //! code paths — through every interleaving of a small event alphabet
 //! (site crash, site repair, explicit RECOVER, segment-respecting
 //! partition, heal, READ, WRITE) up to a configurable depth, on
-//! small-scope configurations (≤5 sites, ≤3 segments). It is not a
-//! re-model: a bug in the cluster is a bug the checker can reach.
+//! small-scope configurations (the CLI allows ≤ 8 sites and ≤ 3
+//! segments: Figure 8's topology). It is not a re-model: a bug in the
+//! cluster is a bug the checker can reach.
 //!
 //! The pieces:
 //!
@@ -17,10 +18,10 @@
 //!   topology;
 //! * [`CheckEvent`] / [`World`] — the enumerable alphabet and the
 //!   explored state (real cluster + write-token ground truth);
-//! * [`run`] / [`run_with_factory`] — memoized depth-first exploration
-//!   ([`explore`]), deduplicating states by
-//!   [`dynvote_replica::Cluster::fingerprint`] with depth-left
-//!   dominance;
+//! * [`run`] / [`run_with_factory`] — layered breadth-first exploration
+//!   ([`explore`]), deduplicating states by the fingerprint of their
+//!   [`SymView`] under a [`SymmetryGroup`] (the trivial group unless
+//!   symmetry is on) with depth-left dominance;
 //! * invariants — the pluggable [`dynvote_core::check::StateInvariant`]
 //!   suite (rival majorities, monotone counters) plus history oracles
 //!   (stale reads, duplicate versions, lineage forks, the write-token

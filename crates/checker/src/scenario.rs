@@ -57,8 +57,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns a description of the bound that was violated. The bounds
-    /// are the *library's* sanity limits; the small-scope bounds the
-    /// tool advertises (≤5 sites, ≤3 segments) are enforced by the CLI.
+    /// are the *library's* sanity limits; the CLI enforces tighter ones
+    /// (≤ 8 sites, ≤ 3 segments).
     pub fn new(policy: Protocol, sites: usize, segments: usize) -> Result<Scenario, String> {
         if sites == 0 || sites > 16 {
             return Err(format!("sites must be in 1..=16, got {sites}"));

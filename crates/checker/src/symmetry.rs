@@ -181,7 +181,9 @@ impl SymmetryGroup {
         }
     }
 
-    /// A group with no admissible relabeling but the identity.
+    /// A group with no admissible relabeling but the identity: the
+    /// checker's group with symmetry off, under which a canonical
+    /// fingerprint is the plain [`SymView::fingerprint`].
     #[must_use]
     pub fn trivial(sites: usize) -> SymmetryGroup {
         SymmetryGroup {
@@ -426,8 +428,8 @@ fn fingerprint_under(view: &SymView, map: &[usize]) -> u64 {
     fingerprint_with(view, |new| inverse[new], |set| permute_set(set, map))
 }
 
-/// Several lockstep views' fingerprints as one, exactly like the plain
-/// pair fingerprint (`a ^ b.rotate_left(17)`).
+/// Several lockstep views' fingerprints as one: `a ^ b.rotate_left(17)`
+/// for a differential pair.
 fn combine(views: &[&SymView], fingerprint: impl Fn(&SymView) -> u64) -> u64 {
     let mut acc = 0u64;
     for (i, view) in views.iter().enumerate() {
@@ -671,9 +673,9 @@ mod tests {
         let mut b = World::new(&scenario);
         a.apply(CheckEvent::Crash(dynvote_types::SiteId::new(0)));
         b.apply(CheckEvent::Crash(dynvote_types::SiteId::new(1)));
-        assert_ne!(a.fingerprint(), b.fingerprint());
         let va = a.sym_view();
         let vb = b.sym_view();
+        assert_ne!(va.fingerprint(), vb.fingerprint());
         assert_eq!(
             canonical_fingerprint(&[&va], &group),
             canonical_fingerprint(&[&vb], &group),

@@ -31,7 +31,7 @@ use dynvote_core::check::Violation;
 
 use crate::event::CheckEvent;
 use crate::scenario::{parse_policy, policy_name, Scenario};
-use crate::world::{apply_and_detect, classify_known_hazard, default_suite, World};
+use crate::world::{default_suite, replay_classified, DetectScratch, World};
 
 /// What a trace expects its replay to surface.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,7 +65,9 @@ impl TraceFile {
     /// # Errors
     ///
     /// Returns a description of the first malformed line or missing
-    /// header field.
+    /// header field. An event naming a site outside the scenario, or a
+    /// partition index outside `1..` the scenario's canonical partition
+    /// count, is malformed: replaying it would panic or test nothing.
     pub fn parse(text: &str) -> Result<TraceFile, String> {
         let mut policy = None;
         let mut sites = None;
@@ -84,9 +86,9 @@ impl TraceFile {
                 continue;
             }
             if in_body {
-                events.push(
-                    CheckEvent::parse(line).map_err(|e| format!("line {}: {e}", number + 1))?,
-                );
+                let event =
+                    CheckEvent::parse(line).map_err(|e| format!("line {}: {e}", number + 1))?;
+                events.push((number + 1, event));
                 continue;
             }
             let (key, value) = line
@@ -125,6 +127,31 @@ impl TraceFile {
             sites.ok_or("missing `sites:` header")?,
             segments.ok_or("missing `segments:` header")?,
         )?;
+        let partitions = scenario.network().segment_partitions().len();
+        for &(line, event) in &events {
+            match event {
+                CheckEvent::Crash(site)
+                | CheckEvent::Repair(site)
+                | CheckEvent::Recover(site)
+                | CheckEvent::Read(site)
+                | CheckEvent::Write(site)
+                    if site.index() >= scenario.sites =>
+                {
+                    return Err(format!(
+                        "line {line}: site {} is not one of the scenario's {} sites",
+                        site.index(),
+                        scenario.sites
+                    ));
+                }
+                CheckEvent::Partition(index) if !(1..partitions).contains(&index) => {
+                    return Err(format!(
+                        "line {line}: partition {index} is outside 1..{partitions} \
+                         (index 0 is written `heal`)"
+                    ));
+                }
+                _ => {}
+            }
+        }
         let expect = match expect_raw.as_deref() {
             None => return Err("missing `expect:` header".to_string()),
             Some("none") => Expectation::None,
@@ -136,7 +163,7 @@ impl TraceFile {
         Ok(TraceFile {
             scenario,
             expect,
-            events,
+            events: events.into_iter().map(|(_, event)| event).collect(),
         })
     }
 
@@ -172,20 +199,13 @@ impl TraceFile {
 /// with its hazard classification.
 #[must_use]
 pub fn replay(file: &TraceFile) -> Vec<(Violation, bool)> {
-    let suite = default_suite();
-    let mut world = World::new(&file.scenario);
-    let mut all = Vec::new();
-    for &event in &file.events {
-        let was_forked = world.forked();
-        let found = apply_and_detect(&mut world, &suite, event);
-        let now_forked = world.forked();
-        for violation in found {
-            let hazard =
-                classify_known_hazard(file.scenario.policy, was_forked, now_forked, &violation);
-            all.push((violation, hazard));
-        }
-    }
-    all
+    replay_classified(
+        &mut DetectScratch::default(),
+        &mut World::new(&file.scenario),
+        &default_suite(),
+        file.scenario.policy,
+        &file.events,
+    )
 }
 
 /// Replays the trace and checks its expectation.
@@ -345,6 +365,22 @@ mod tests {
             "policy: dv\nsites: 2\nsegments: 1\nexpect: none\n--\nexplode 1\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn parse_rejects_events_the_scenario_cannot_run() {
+        // Each would panic in the parser or the replay, or replay as a
+        // refusal that tests nothing.
+        for (sites, event) in [(2, "read 70"), (2, "read 7"), (3, "partition 3")] {
+            let text = format!(
+                "policy: ldv\nsites: {sites}\nsegments: 1\nexpect: none\n--\nwrite 0\n{event}\n"
+            );
+            let error = TraceFile::parse(&text).expect_err(event);
+            assert!(error.starts_with("line 7: "), "{event}: {error}");
+        }
+        let two_segments = "policy: ldv\nsites: 4\nsegments: 2\nexpect: none\n--\n";
+        assert!(TraceFile::parse(&format!("{two_segments}partition 1\nread 3\n")).is_ok());
+        assert!(TraceFile::parse(&format!("{two_segments}partition 0\n")).is_err());
     }
 
     #[test]

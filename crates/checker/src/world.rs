@@ -13,7 +13,7 @@ use std::sync::Arc;
 use dynvote_core::check::{ProtocolSnapshot, StateInvariant, Violation};
 use dynvote_core::state::StateTable;
 use dynvote_replica::checker::Violation as ReplicaViolation;
-use dynvote_replica::{Cluster, Protocol, StepEvent};
+use dynvote_replica::{Cluster, Protocol};
 use dynvote_types::{AccessError, SiteSet};
 
 use crate::event::CheckEvent;
@@ -111,23 +111,32 @@ impl World {
             refusal: None,
             oracle: None,
         };
+        // `Ok(Some(value))` for a granted read, `Ok(None)` for every
+        // other event that took effect.
         let result = match event {
-            CheckEvent::Crash(site) => self.cluster.step(StepEvent::FailSite(site)),
-            CheckEvent::Repair(site) => self.cluster.step(StepEvent::RepairSite(site)),
-            CheckEvent::Recover(site) => self.cluster.step(StepEvent::Recover(site)),
+            CheckEvent::Crash(site) => {
+                self.cluster.fail_site(site);
+                Ok(None)
+            }
+            CheckEvent::Repair(site) => {
+                self.cluster.repair_site(site);
+                Ok(None)
+            }
+            CheckEvent::Recover(site) => self.cluster.recover(site).map(|()| None),
             CheckEvent::Partition(index) => {
-                let groups = self.partitions[index].clone();
                 self.forced = Some(index);
-                self.cluster.step(StepEvent::ForcePartition(groups))
+                self.cluster.force_partition(self.partitions[index].clone());
+                Ok(None)
             }
             CheckEvent::Heal => {
                 self.forced = None;
-                self.cluster.step(StepEvent::HealPartition)
+                self.cluster.heal_partition();
+                Ok(None)
             }
-            CheckEvent::Read(origin) => self.cluster.step(StepEvent::Read(origin)),
+            CheckEvent::Read(origin) => self.cluster.read(origin).map(Some),
             CheckEvent::Write(origin) => {
                 let token = self.next_token;
-                let result = self.cluster.step(StepEvent::Write(origin, token));
+                let result = self.cluster.write(origin, token).map(|()| None);
                 if result.is_ok() {
                     self.next_token += 1;
                     self.last_committed = token;
@@ -158,25 +167,13 @@ impl World {
         outcome
     }
 
-    /// Deterministic fingerprint of everything that can influence the
-    /// world's future behaviour or verdicts: the cluster fingerprint
-    /// (replica states, data, liveness, forced groups, checker digest)
-    /// plus the token bookkeeping.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        self.cluster.fingerprint()
-            ^ dynvote_core::fingerprint_of(&(
-                self.next_token,
-                self.last_committed,
-                self.oracle_violations,
-            ))
-            .rotate_left(7)
-    }
-
-    /// Extracts everything [`World::fingerprint`] depends on into plain
-    /// site-indexed data, so the symmetry layer can relabel sites and
-    /// recompute fingerprints without touching the live cluster (see
-    /// [`crate::symmetry`]).
+    /// Everything that can influence the world's future behaviour or
+    /// verdicts, as plain site-indexed data: liveness, the forced
+    /// partition, each participant's ⟨o, v, P⟩, data and vote
+    /// presence, the monitor's ledgers and the token bookkeeping. Two
+    /// worlds with equal views are the same state; the explorer hashes
+    /// the view under a [`crate::SymmetryGroup`] (the trivial one when
+    /// symmetry is off), and the differential checker compares two.
     #[must_use]
     pub fn sym_view(&self) -> SymView {
         let mut view = SymView::default();
@@ -372,6 +369,34 @@ pub fn classify_known_hazard(
         && (was_forked || now_forked || violation.invariant == "at-most-one-majority")
 }
 
+/// Applies `events` in order through [`apply_and_detect_in`] and
+/// returns every violation they surfaced, each classified by
+/// [`classify_known_hazard`] against the path's fork state just before
+/// and just after its step. The explorer steps one event through it,
+/// trace replay and the shrinker's reproduction check a whole trace.
+pub(crate) fn replay_classified(
+    scratch: &mut DetectScratch,
+    world: &mut World,
+    suite: &[Box<dyn StateInvariant>],
+    policy: Protocol,
+    events: &[CheckEvent],
+) -> Vec<(Violation, bool)> {
+    let mut all = Vec::new();
+    for &event in events {
+        let was_forked = world.forked();
+        let found = apply_and_detect_in(scratch, world, suite, event);
+        if found.is_empty() {
+            continue;
+        }
+        let now_forked = world.forked();
+        all.extend(found.into_iter().map(|violation| {
+            let hazard = classify_known_hazard(policy, was_forked, now_forked, &violation);
+            (violation, hazard)
+        }));
+    }
+    all
+}
+
 #[cfg(test)]
 mod tests {
     use dynvote_replica::Protocol;
@@ -404,11 +429,29 @@ mod tests {
         let out = world.apply(CheckEvent::Write(SiteId::new(2)));
         assert!(!out.granted, "1 of 3 is no quorum");
         assert_eq!(world.last_committed(), 0);
-        let fp = world.fingerprint();
-        // Refusals leave the world byte-identical: same fingerprint.
+        let before = world.sym_view();
+        // Refusals leave the world's state exactly as it was.
         let again = world.apply(CheckEvent::Write(SiteId::new(2)));
         assert!(!again.granted);
-        assert_eq!(world.fingerprint(), fp);
+        assert_eq!(world.sym_view(), before);
+    }
+
+    #[test]
+    fn a_clone_branches_without_touching_the_original() {
+        let mut world = World::new(&scenario(Protocol::Ldv));
+        world.apply(CheckEvent::Write(SiteId::new(0)));
+        let before = world.sym_view();
+        let mut branch = world.clone();
+        for event in [
+            CheckEvent::Crash(SiteId::new(2)),
+            CheckEvent::Write(SiteId::new(1)),
+            CheckEvent::Repair(SiteId::new(2)),
+            CheckEvent::Recover(SiteId::new(2)),
+        ] {
+            assert!(branch.apply(event).granted, "{event}");
+        }
+        assert_ne!(branch.sym_view(), before);
+        assert_eq!(world.sym_view(), before);
     }
 
     #[test]
@@ -509,12 +552,12 @@ mod tests {
         let scenario = Scenario::new(Protocol::Dv, 4, 2).unwrap();
         let mut world = World::new(&scenario);
         assert!(world.partitions().len() > 1, "two segments: 2 partitions");
-        let fp_healed = world.fingerprint();
+        let healed = world.sym_view();
         world.apply(CheckEvent::Partition(1));
         assert_eq!(world.forced(), Some(1));
-        assert_ne!(world.fingerprint(), fp_healed);
+        assert_ne!(world.sym_view(), healed);
         world.apply(CheckEvent::Heal);
         assert_eq!(world.forced(), None);
-        assert_eq!(world.fingerprint(), fp_healed);
+        assert_eq!(world.sym_view(), healed);
     }
 }

@@ -119,8 +119,8 @@ fn view_by_accessors(world: &World) -> SymView {
                 }
             })
             .collect(),
-        commits: checker.commit_entries(),
-        versions: checker.version_entries(),
+        commits: checker.commits().collect(),
+        versions: checker.written().collect(),
         monitor: (checker.latest_written(), checker.violations().len() as u64),
         // Site-free bookkeeping the accessors do not reach; its effect
         // on fingerprints is pinned by `forced_partition_tracks_index`

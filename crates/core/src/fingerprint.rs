@@ -1,23 +1,15 @@
-//! Deterministic state fingerprinting for exhaustive exploration.
+//! The record checksum.
 //!
-//! A model checker deduplicates its frontier by hashing each explored
-//! state. `std`'s default hasher is randomly keyed per process, which
-//! would make explored-state counts (and trace files keyed by
-//! fingerprint) differ run to run — useless for a tool whose whole
-//! output must be reproducible. [`Fnv64`] is a fixed-key FNV-1a
-//! implementation of [`std::hash::Hasher`]: the same state hashes to
-//! the same 64-bit fingerprint on every run, every platform.
-//!
-//! The collision risk of 64-bit fingerprinting is the standard
-//! small-scope trade: at 10⁶ states the birthday bound puts a collision
-//! below 3 · 10⁻⁸, and a collision can only *hide* a state, never
-//! invent a violation.
+//! [`Fnv64`] is a fixed-key FNV-1a implementation of
+//! [`std::hash::Hasher`]: the same bytes hash to the same 64 bits on
+//! every run and every platform, which `std`'s randomly keyed default
+//! hasher does not promise. It checksums WAL and snapshot records (and
+//! the control plane's shard map runs the same loop), so its output is
+//! part of an on-disk format and its byte-at-a-time loop must not
+//! change. The model checker's state fingerprint is not this: it is a
+//! word hash of its own in `dynvote-check`.
 
-use std::hash::{Hash, Hasher};
-
-use dynvote_types::SiteSet;
-
-use crate::state::StateTable;
+use std::hash::Hasher;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -54,80 +46,9 @@ impl Hasher for Fnv64 {
     }
 }
 
-/// The deterministic fingerprint of any hashable value.
-#[must_use]
-pub fn fingerprint_of<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut hasher = Fnv64::new();
-    value.hash(&mut hasher);
-    hasher.finish()
-}
-
-impl StateTable {
-    /// Fingerprints the `(op, version, partition)` triples of `sites`.
-    ///
-    /// Only the listed sites participate — a [`StateTable`] physically
-    /// holds `MAX_SITES` slots, and hashing the unused tail would make
-    /// fingerprints depend on dead memory the protocol never reads.
-    #[must_use]
-    pub fn fingerprint(&self, sites: SiteSet) -> u64 {
-        let mut hasher = Fnv64::new();
-        sites.bits().hash(&mut hasher);
-        for site in sites.iter() {
-            self.get(site).hash(&mut hasher);
-        }
-        hasher.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use dynvote_types::{SiteId, SiteSet};
-
     use super::*;
-    use crate::state::ReplicaState;
-
-    #[test]
-    fn deterministic_and_value_sensitive() {
-        let copies = SiteSet::first_n(3);
-        let table = StateTable::fresh(copies);
-        assert_eq!(table.fingerprint(copies), table.fingerprint(copies));
-
-        let mut changed = table.clone();
-        changed.set(
-            SiteId::new(1),
-            ReplicaState {
-                op: 2,
-                version: 1,
-                partition: copies,
-            },
-        );
-        assert_ne!(table.fingerprint(copies), changed.fingerprint(copies));
-    }
-
-    #[test]
-    fn ignores_sites_outside_the_mask() {
-        let copies = SiteSet::first_n(3);
-        let mut a = StateTable::fresh(copies);
-        let mut b = StateTable::fresh(copies);
-        // Scribble different junk on a site outside the mask.
-        a.set(
-            SiteId::new(7),
-            ReplicaState {
-                op: 9,
-                version: 9,
-                partition: copies,
-            },
-        );
-        b.set(
-            SiteId::new(7),
-            ReplicaState {
-                op: 3,
-                version: 3,
-                partition: SiteSet::EMPTY,
-            },
-        );
-        assert_eq!(a.fingerprint(copies), b.fingerprint(copies));
-    }
 
     #[test]
     fn known_vector() {

@@ -66,7 +66,7 @@ pub mod wire;
 pub use check::{ProtocolSnapshot, StateInvariant};
 pub use decision::{decide, explain, Decision, Rule};
 pub use dynvote_types::{AccessError, AccessKind, SiteId, SiteSet, VoteMap};
-pub use fingerprint::{fingerprint_of, Fnv64};
+pub use fingerprint::Fnv64;
 pub use lexicon::Lexicon;
 pub use ops::{plan, plan_with_witnesses, OpKind, Plan};
 pub use policy::{AvailabilityPolicy, PolicyKind};

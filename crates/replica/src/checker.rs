@@ -156,31 +156,6 @@ impl Checker {
         self.latest_written
     }
 
-    /// A deterministic, order-independent digest of the checker's
-    /// ground truth (commit log, written versions, violation count).
-    ///
-    /// Exhaustive explorers fold this into the cluster fingerprint:
-    /// lineage-fork and duplicate-version detection depend on the
-    /// *history* of commits, not just the current replica states, so
-    /// two states may only be deduplicated against each other when
-    /// their detection-relevant histories also match. The XOR fold
-    /// makes the digest independent of the order entries were noted in.
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        let mut acc =
-            dynvote_core::fingerprint_of(&(self.latest_written, self.violations.len() as u64));
-        let mut fold = 0u64;
-        for &(op, participants) in &self.committed_ops {
-            fold ^= dynvote_core::fingerprint_of(&(op, participants));
-        }
-        acc ^= fold.rotate_left(1);
-        fold = 0;
-        for &(version, times) in &self.written_versions {
-            fold ^= dynvote_core::fingerprint_of(&(version, times));
-        }
-        acc ^ fold.rotate_left(2)
-    }
-
     /// All recorded violations, in detection order.
     #[must_use]
     pub fn violations(&self) -> &[Violation] {
@@ -188,7 +163,9 @@ impl Checker {
     }
 
     /// The commit log as `(op, participants)` pairs, in operation order
-    /// — for callers that collect into a buffer of their own.
+    /// whatever order they were noted in — the lineage history the
+    /// fork detector reads, so an explorer may merge two states only
+    /// when these agree.
     pub fn commits(&self) -> impl Iterator<Item = (u64, SiteSet)> + '_ {
         self.committed_ops.iter().copied()
     }
@@ -197,24 +174,6 @@ impl Checker {
     /// version order (companion to [`Checker::commits`]).
     pub fn written(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.written_versions.iter().copied()
-    }
-
-    /// The commit log as `(op, participants)` pairs, sorted by
-    /// operation number — the detection-relevant history a symmetry
-    /// canonicalization must relabel site-by-site (see the checker
-    /// crate's `symmetry` module). Sorted so callers can hash the
-    /// entries sequentially.
-    #[must_use]
-    pub fn commit_entries(&self) -> Vec<(u64, SiteSet)> {
-        self.commits().collect()
-    }
-
-    /// The written-version multiset as `(version, times)` pairs, sorted
-    /// by version — the site-free half of the detection-relevant
-    /// history (companion to [`Checker::commit_entries`]).
-    #[must_use]
-    pub fn version_entries(&self) -> Vec<(u64, u64)> {
-        self.written().collect()
     }
 }
 
@@ -272,6 +231,32 @@ mod tests {
     }
 
     #[test]
+    fn ledgers_follow_the_history_not_the_note_order() {
+        let notes = [
+            (2, SiteSet::from_indices([0, 1])),
+            (3, SiteSet::from_indices([0])),
+        ];
+        let mut a = Checker::new();
+        let mut b = Checker::new();
+        for &(op, participants) in &notes {
+            a.note_commit(op, participants);
+            a.note_write(op);
+        }
+        for &(op, participants) in notes.iter().rev() {
+            b.note_commit(op, participants);
+            b.note_write(op);
+        }
+        assert_eq!(
+            a.commits().collect::<Vec<_>>(),
+            b.commits().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            a.written().collect::<Vec<_>>(),
+            b.written().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn same_commit_twice_is_fine() {
         // Re-committing the same op by the same participants (e.g. the
         // initial state) is not a fork.
@@ -279,31 +264,6 @@ mod tests {
         c.note_commit(4, SiteSet::from_indices([0, 1]));
         c.note_commit(4, SiteSet::from_indices([0, 1]));
         assert!(c.violations().is_empty());
-    }
-
-    #[test]
-    fn digest_tracks_history_not_insertion_order() {
-        let mut a = Checker::new();
-        let mut b = Checker::new();
-        assert_eq!(a.digest(), b.digest());
-
-        // Same history, different note order → same digest.
-        a.note_commit(2, SiteSet::from_indices([0, 1]));
-        a.note_commit(3, SiteSet::from_indices([0]));
-        b.note_commit(3, SiteSet::from_indices([0]));
-        b.note_commit(2, SiteSet::from_indices([0, 1]));
-        assert_eq!(a.digest(), b.digest());
-
-        // Different participants for the same op → different digest.
-        let mut c = Checker::new();
-        c.note_commit(2, SiteSet::from_indices([0]));
-        c.note_commit(3, SiteSet::from_indices([0]));
-        assert_ne!(a.digest(), c.digest());
-
-        // A recorded write changes the digest too.
-        let before = a.digest();
-        a.note_write(2);
-        assert_ne!(before, a.digest());
     }
 
     #[test]

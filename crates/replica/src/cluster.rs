@@ -634,43 +634,6 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.history.push(entry);
     }
 
-    /// Applies one [`StepEvent`](crate::StepEvent) — the deterministic
-    /// step API exhaustive explorers and trace replayers drive (see
-    /// [`crate::step`] for the determinism contract).
-    ///
-    /// Returns `Ok(Some(value))` for a granted read, `Ok(None)` for
-    /// every other successful (or purely topological) event.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the protocol's refusal for `Recover`, `Read`, and
-    /// `Write` events; the cluster state is exactly as the refused
-    /// operation left it (for fault-free buses: unchanged).
-    pub fn step(&mut self, event: crate::StepEvent<T>) -> Result<Option<T>, AccessError> {
-        use crate::StepEvent;
-        match event {
-            StepEvent::FailSite(site) => {
-                self.fail_site(site);
-                Ok(None)
-            }
-            StepEvent::RepairSite(site) => {
-                self.repair_site(site);
-                Ok(None)
-            }
-            StepEvent::Recover(site) => self.recover(site).map(|()| None),
-            StepEvent::ForcePartition(groups) => {
-                self.force_partition(groups);
-                Ok(None)
-            }
-            StepEvent::HealPartition => {
-                self.heal_partition();
-                Ok(None)
-            }
-            StepEvent::Read(origin) => self.read(origin).map(Some),
-            StepEvent::Write(origin, value) => self.write(origin, value).map(|()| None),
-        }
-    }
-
     /// The value stored at one copy (test/observability access — not a
     /// protocol read).
     #[must_use]
@@ -1922,57 +1885,6 @@ impl<T: Clone> Cluster<T> {
     /// operation, or [`Cluster::recover`] at the site).
     pub fn clear_message_faults(&mut self) {
         self.transport.bus_mut().clear();
-    }
-}
-
-impl<T: Clone + std::hash::Hash, X: Transport<T>> Cluster<T, X> {
-    /// A deterministic 64-bit fingerprint of the cluster's
-    /// protocol-visible state, for frontier deduplication in exhaustive
-    /// exploration.
-    ///
-    /// Covered: the up-set, any forced partition, every participant's
-    /// control state, the data at every copy, whether each participant
-    /// holds an outstanding vote, and the invariant monitor's
-    /// [`Checker::digest`] (lineage-fork and duplicate-version
-    /// detection depend on commit *history*, so states may only be
-    /// merged when their detection-relevant histories also match).
-    ///
-    /// Excluded: message-count statistics, the history log, and the
-    /// operation ticket counter — none of them influence future
-    /// grant/refuse decisions. Outstanding votes are hashed by
-    /// *presence* only, not ticket number: tickets come from a global
-    /// counter, so two states reached by different-length paths could
-    /// never merge if the raw numbers were hashed, yet the protocol
-    /// only ever asks whether a vote is outstanding. In fault-free
-    /// exploration no vote stays outstanding between operations.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-
-        let mut h = dynvote_core::Fnv64::new();
-        self.up.bits().hash(&mut h);
-        match &self.forced_groups {
-            None => 0u8.hash(&mut h),
-            Some(groups) => {
-                1u8.hash(&mut h);
-                groups.len().hash(&mut h);
-                for g in groups {
-                    g.bits().hash(&mut h);
-                }
-            }
-        }
-        for node in &self.nodes {
-            node.id().hash(&mut h);
-            node.is_up().hash(&mut h);
-            node.state().hash(&mut h);
-            // A witness hashes no data: which sites are witnesses is
-            // fixed at build time.
-            if let Some(data) = node.peek() {
-                data.hash(&mut h);
-            }
-            node.pending().is_some().hash(&mut h);
-        }
-        h.finish() ^ self.checker.digest()
     }
 }
 

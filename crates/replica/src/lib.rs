@@ -28,10 +28,11 @@
 //!   verify the paper's claim that the optimistic protocols cost "much
 //!   the same message traffic overhead as majority consensus voting".
 //!
-//! For exhaustive exploration, [`step::StepEvent`] reifies the whole
-//! mutating surface as one event type ([`Cluster::step`]), and
-//! [`Cluster::fingerprint`] gives each protocol-visible state a
-//! deterministic 64-bit hash for frontier deduplication.
+//! With no message faults injected a `Cluster` draws no randomness and
+//! reads no clock, so a clone branches independently and an event
+//! sequence replays identically — what the exhaustive checker
+//! (`dynvote-check`) relies on when it drives the named methods above
+//! and fingerprints the state it reads back through the accessors.
 //!
 //! # Quick example
 //!
@@ -59,7 +60,6 @@ pub mod nemesis;
 pub mod node;
 pub mod scenario;
 pub mod snapshot;
-pub mod step;
 pub mod transport;
 pub mod wal;
 
@@ -72,7 +72,6 @@ pub use nemesis::{run_nemesis, NemesisProfile, NemesisReport};
 pub use node::Node;
 pub use scenario::{Command, ScenarioError};
 pub use snapshot::{DurableSiteState, SnapshotLoad};
-pub use step::StepEvent;
 pub use transport::{BusTransport, Carried, LocalServe, Reply, Response, Transport, WireRequest};
 pub use wal::{
     DeltaFold, FsyncOutcome, Restored, SiteStore, Wal, WalEntry, WalRecord, WalReplay, WalTail,

@@ -97,13 +97,6 @@ impl<T: Clone> Node<T> {
         self.data.clone()
     }
 
-    /// Borrows the current data without cloning — for observers
-    /// (fingerprinting, assertions) rather than protocol traffic.
-    #[must_use]
-    pub fn peek(&self) -> Option<&T> {
-        self.data.as_ref()
-    }
-
     /// The operation ticket this node has voted for but not yet seen
     /// resolved, if any. A pending node abstains from other operations
     /// — its earlier vote may still be binding. Pending survives
