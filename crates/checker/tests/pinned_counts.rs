@@ -1,7 +1,7 @@
 //! Pinned counts at four sites: the two-segment sweep of every policy
 //! with symmetry off and on, and the four differential relations on one
 //! segment (EXPERIMENTS.md, "State counts, symmetry off → on" and the
-//! `--diff` runs).
+//! `--diff` runs); plus MCV's row of the Figure 8 depth-5 sweep.
 //!
 //! The engine is deterministic for any thread count, so a moved count
 //! is a behavioural change: two states merged that used to be told
@@ -38,6 +38,21 @@ fn two_segment_sweep_symmetry_off_and_on() {
             assert!(!report.truncated, "{label}");
         }
     }
+}
+
+/// MCV's row of the Figure 8 depth-5 sweep (8 sites, 3 segments,
+/// symmetry on), the count `BENCH_check.json` and `check_fig8` read.
+#[test]
+fn figure8_depth_five_mcv_row() {
+    let mut config =
+        CheckConfig::new(Scenario::new(Protocol::Mcv, 8, 3).unwrap(), 5).symmetry(true);
+    config.shrink = false;
+    let report = run(&config);
+    assert_eq!(report.states_explored, 5_908);
+    assert_eq!(report.transitions, 45_747);
+    assert_eq!(report.real_violations, 0);
+    assert_eq!(report.known_hazards, 0);
+    assert!(!report.truncated);
 }
 
 #[test]

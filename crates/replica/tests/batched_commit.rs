@@ -39,18 +39,19 @@
 //!   the stale copy that voted without becoming a participant, and
 //!   everyone polled when the plan is refused;
 //! * **the wire order of every round shape** — an update, a batch, a
-//!   read, a recovery at a stale site, a write beside a witness and an
-//!   MCV write, each journaled message by message.
+//!   read, a recovery at a stale site, a write beside a witness, and
+//!   MCV's write, read, refusal, lost commit, update, batch and
+//!   recovery, each journaled message by message.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dynvote_core::state::ReplicaState;
 use dynvote_replica::{
-    BusTransport, Carried, Cluster, ClusterBuilder, FaultAction, FaultRule, LocalServe,
-    MessageClass, MessageKind, Protocol, Transport, WireRequest,
+    BusTransport, Carried, Cluster, ClusterBuilder, CommittedOp, FaultAction, FaultRule,
+    LocalServe, MessageClass, MessageKind, OpStats, Protocol, Transport, WireRequest,
 };
-use dynvote_types::{AccessError, SiteId, SiteSet};
+use dynvote_types::{AccessError, AccessKind, SiteId, SiteSet};
 
 fn cluster(protocol: Protocol) -> Cluster<u64> {
     ClusterBuilder::new()
@@ -725,6 +726,219 @@ fn recover_witness_and_mcv_rounds_send_the_pinned_messages_in_order() {
         ],
         "an MCV write"
     );
+}
+
+/// Runs `operate` on `cluster` and returns what it returned with the
+/// journal of that operation alone.
+fn journaled<R>(
+    cluster: &mut Cluster<u64, RecordingTransport>,
+    events: &Journal,
+    operate: impl FnOnce(&mut Cluster<u64, RecordingTransport>) -> R,
+) -> (R, Vec<Event>) {
+    events.lock().expect("journal poisoned").clear();
+    let result = operate(cluster);
+    let journal = events.lock().expect("journal poisoned").clone();
+    (result, journal)
+}
+
+/// The MCV rounds the journal above does not cover, each pinned by its
+/// messages, its counters and the last history entry. MCV wedges
+/// nobody, so none of them has a commit point or a release; an entry
+/// names op 0, the version served or written, and the copies that
+/// answered.
+#[test]
+fn mcv_reads_refusals_lost_commits_updates_batches_and_recoveries_are_pinned() {
+    let to = |site| SiteId::new(site);
+    let start = |site| Event::StartSent { to: to(site) };
+    let commit = |site| Event::CommitSent {
+        op: 1,
+        to: to(site),
+        polled_version: None,
+    };
+    let entry = |kind, version| CommittedOp {
+        kind,
+        origin: origin(),
+        op: 0,
+        version,
+        participants: SiteSet::first_n(3),
+    };
+    let stats = |reads_ok, writes_ok, writes_refused, recovers_ok| OpStats {
+        reads_ok,
+        writes_ok,
+        writes_refused,
+        recovers_ok,
+        ..OpStats::default()
+    };
+
+    // A read at S1, current but not the lowest current copy: the copy
+    // comes from S0, and nothing is committed.
+    let (mut cluster, events) = recording_cluster(Protocol::Mcv, 5u64);
+    let (read, journal) = journaled(&mut cluster, &events, |c| c.read(to(1)));
+    assert_eq!(read, Ok(5));
+    assert_eq!(
+        journal,
+        [start(0), start(2), Event::CopySent { to: to(0) }],
+        "a read"
+    );
+    assert_eq!(cluster.stats(), stats(1, 0, 0, 0));
+    assert_eq!(
+        cluster.history().last(),
+        Some(&CommittedOp {
+            origin: to(1),
+            ..entry(AccessKind::Read, 1)
+        })
+    );
+    assert_eq!(cluster.state_at(to(1)).op, 1, "a read commits nothing");
+
+    // Every STATE reply lost: the poll retries twice, then the write is
+    // refused — STARTs only, and no release.
+    let (mut cluster, events) = recording_cluster(Protocol::Mcv, 5u64);
+    cluster.write(origin(), 6).expect("write granted");
+    for peer in [1, 2] {
+        cluster.transport_mut().inner.bus_mut().inject(FaultRule {
+            class: Some(MessageClass::State),
+            from: Some(to(peer)),
+            to: Some(origin()),
+            action: FaultAction::Drop,
+            remaining: 16,
+        });
+    }
+    let (refused, journal) = journaled(&mut cluster, &events, |c| c.write(origin(), 7));
+    assert!(
+        matches!(refused, Err(AccessError::Timeout { .. })),
+        "{refused:?}"
+    );
+    assert_eq!(
+        journal,
+        [start(1), start(2), start(1), start(2), start(1), start(2)],
+        "a refused write"
+    );
+    assert_eq!(cluster.stats(), stats(0, 1, 1, 0));
+    assert_eq!(cluster.history().last(), Some(&entry(AccessKind::Write, 2)));
+
+    // S2's COMMIT dropped on all three attempts: indeterminate, and
+    // still no release.
+    let (mut cluster, events) = recording_cluster(Protocol::Mcv, 5u64);
+    cluster
+        .transport_mut()
+        .inner
+        .bus_mut()
+        .inject(FaultRule::once(MessageClass::Commit, to(2), FaultAction::Drop).times(3));
+    let (lost, journal) = journaled(&mut cluster, &events, |c| c.write(origin(), 7));
+    assert_eq!(
+        lost,
+        Err(AccessError::Indeterminate {
+            kind: AccessKind::Write,
+            origin: origin(),
+            applied: SiteSet::from_indices([0, 1]),
+            missing: SiteSet::from_indices([2]),
+        })
+    );
+    assert_eq!(
+        journal,
+        [
+            start(1),
+            start(2),
+            commit(1),
+            commit(2),
+            commit(2),
+            commit(2)
+        ],
+        "a write whose COMMIT to S2 is lost"
+    );
+    assert_eq!(cluster.stats(), stats(0, 0, 1, 0));
+    assert_eq!(cluster.history().last(), None);
+
+    // An update is a quorum read, then a write: two polls.
+    let (mut cluster, events) = recording_cluster(Protocol::Mcv, 5u64);
+    let (updated, journal) = journaled(&mut cluster, &events, |c| {
+        c.update(origin(), |current, base| {
+            assert_eq!(base, None, "no version is pinned");
+            Some(current + 1)
+        })
+    });
+    assert_eq!(updated, Ok(Some(entry(AccessKind::Write, 2))));
+    assert_eq!(
+        journal,
+        [start(1), start(2), start(1), start(2), commit(1), commit(2)],
+        "an update"
+    );
+    assert_eq!(cluster.stats(), stats(1, 1, 0, 0));
+    assert_eq!(cluster.history().last(), Some(&entry(AccessKind::Write, 2)));
+    assert_eq!(cluster.value_at(to(2)), 6);
+
+    // A batch of three is three serial rounds, at versions 2, 3 and 4.
+    let (mut cluster, events) = recording_cluster(Protocol::Mcv, 5u64);
+    let (batch, journal) = journaled(&mut cluster, &events, |c| {
+        c.write_batch(origin(), vec![6, 7, 8])
+    });
+    assert_eq!(
+        batch,
+        [2, 3, 4].map(|version| Ok::<_, AccessError>(entry(AccessKind::Write, version)))
+    );
+    assert_eq!(
+        journal,
+        [
+            [start(1), start(2), commit(1), commit(2)],
+            [start(1), start(2), commit(1), commit(2)],
+            [start(1), start(2), commit(1), commit(2)],
+        ]
+        .concat(),
+        "a batch of three"
+    );
+    assert_eq!(cluster.stats(), stats(0, 3, 0, 0));
+    assert_eq!(cluster.history().last(), Some(&entry(AccessKind::Write, 4)));
+
+    // RECOVER of a down site: granted, and nothing is sent.
+    let (mut cluster, events) = recording_cluster(Protocol::Mcv, 5u64);
+    cluster.write(origin(), 6).expect("write granted");
+    cluster.fail_site(to(2));
+    let (recovered, journal) = journaled(&mut cluster, &events, |c| c.recover(to(2)));
+    assert_eq!(recovered, Ok(()));
+    assert!(journal.is_empty(), "a recovery: {journal:?}");
+    assert_eq!(cluster.stats(), stats(0, 1, 0, 1));
+    assert_eq!(cluster.history().last(), Some(&entry(AccessKind::Write, 2)));
+}
+
+/// Under MCV no operation number ever moves and every partition set
+/// stays all copies: whatever runs — reads, writes, updates, batches,
+/// recoveries, at up or down sites, granted or refused — every copy
+/// still holds o = 1 and P = every copy.
+#[test]
+fn mcv_never_moves_an_operation_number_or_a_partition_set() {
+    let copies = SiteSet::first_n(4);
+    let mut cluster: Cluster<u64> = ClusterBuilder::new()
+        .copies(0..4)
+        .protocol(Protocol::Mcv)
+        .build_with_value(0);
+    for step in 0..64usize {
+        let at = SiteId::new(step % 4);
+        match step % 7 {
+            0 => cluster.fail_site(SiteId::new(step * 5 % 4)),
+            1 => cluster.repair_site(SiteId::new(step * 3 % 4)),
+            2 => {
+                let _ = cluster.write(at, step as u64);
+            }
+            3 => {
+                let _ = cluster.read(at);
+            }
+            4 => {
+                let _ = cluster.update(at, |value, _| Some(value + 1));
+            }
+            5 => {
+                let _ = cluster.write_batch(at, vec![step as u64; 2]);
+            }
+            _ => {
+                let _ = cluster.recover(at);
+            }
+        }
+        for site in copies.iter() {
+            let state = cluster.state_at(site);
+            assert_eq!((state.op, state.partition), (1, copies), "step {step}");
+        }
+    }
+    assert!(cluster.stats().writes_ok > 0);
+    assert!(cluster.checker().violations().is_empty());
 }
 
 /// Who a release is sent to: every site the operation polled that can
