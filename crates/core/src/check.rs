@@ -21,7 +21,6 @@ use dynvote_topology::Network;
 use dynvote_types::SiteSet;
 
 use crate::decision::Rule;
-use crate::lexicon::Lexicon;
 use crate::ops::{plan_with_witnesses, OpKind};
 use crate::state::StateTable;
 
@@ -54,8 +53,9 @@ pub struct ProtocolSnapshot<'a> {
     /// The maximal communication groups of *up* sites, pairwise
     /// disjoint. Down sites appear in no group.
     pub groups: &'a [SiteSet],
-    /// The decision rule, or `None` for static-quorum MCV.
-    pub rule: Option<&'a Rule>,
+    /// The decision rule of every protocol, MCV's static majority
+    /// included.
+    pub rule: &'a Rule,
     /// The topology (required by topological rules).
     pub network: Option<&'a Network>,
 }
@@ -63,32 +63,20 @@ pub struct ProtocolSnapshot<'a> {
 impl ProtocolSnapshot<'_> {
     /// Would Algorithm 1 grant a READ coordinated from inside `group`?
     ///
-    /// Runs the real planner (or the static MCV quorum test with the
-    /// paper-calibrated half-plus-top-copy tie) — the same decision the
-    /// message-level cluster takes, minus the messages.
+    /// Runs the real planner — the same decision the message-level
+    /// cluster takes, minus the messages.
     #[must_use]
     pub fn granted(&self, group: SiteSet) -> bool {
-        match self.rule {
-            Some(rule) => plan_with_witnesses(
-                OpKind::Read,
-                group,
-                self.copies,
-                self.witnesses,
-                self.states,
-                rule,
-                self.network,
-            )
-            .is_ok(),
-            None => {
-                let reachable = group & self.copies;
-                let n = self.copies.len();
-                2 * reachable.len() > n
-                    || (2 * reachable.len() == n
-                        && Lexicon::default()
-                            .max_of(self.copies)
-                            .is_some_and(|top| reachable.contains(top)))
-            }
-        }
+        plan_with_witnesses(
+            OpKind::Read,
+            group,
+            self.copies,
+            self.witnesses,
+            self.states,
+            self.rule,
+            self.network,
+        )
+        .is_ok()
     }
 }
 
@@ -201,12 +189,13 @@ mod tests {
     use dynvote_types::SiteId;
 
     use super::*;
+    use crate::lexicon::Lexicon;
     use crate::state::ReplicaState;
 
     fn snapshot_with<'a>(
         states: &'a StateTable,
         groups: &'a [SiteSet],
-        rule: Option<&'a Rule>,
+        rule: &'a Rule,
     ) -> ProtocolSnapshot<'a> {
         ProtocolSnapshot {
             copies: SiteSet::first_n(4),
@@ -223,7 +212,7 @@ mod tests {
         let states = StateTable::fresh(SiteSet::first_n(4));
         let rule = Rule::lexicographic();
         let groups = [SiteSet::from_indices([0, 1, 2]), SiteSet::from_indices([3])];
-        let snap = snapshot_with(&states, &groups, Some(&rule));
+        let snap = snapshot_with(&states, &groups, &rule);
         assert!(AtMostOneMajority.check_state(&snap).is_ok());
     }
 
@@ -258,7 +247,7 @@ mod tests {
         }
         let rule = Rule::lexicographic();
         let groups = [left, right];
-        let snap = snapshot_with(&states, &groups, Some(&rule));
+        let snap = snapshot_with(&states, &groups, &rule);
         let err = AtMostOneMajority.check_state(&snap).unwrap_err();
         assert_eq!(err.invariant, "at-most-one-majority");
     }
@@ -267,7 +256,8 @@ mod tests {
     fn mcv_half_with_top_copy_is_single_winner() {
         let states = StateTable::fresh(SiteSet::first_n(4));
         let groups = [SiteSet::from_indices([0, 1]), SiteSet::from_indices([2, 3])];
-        let snap = snapshot_with(&states, &groups, None);
+        let rule = Rule::static_majority(Lexicon::default());
+        let snap = snapshot_with(&states, &groups, &rule);
         // {S0,S1} wins the calibrated tie, {S2,S3} loses it: one winner.
         assert!(snap.granted(SiteSet::from_indices([0, 1])));
         assert!(!snap.granted(SiteSet::from_indices([2, 3])));

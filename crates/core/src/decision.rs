@@ -14,6 +14,9 @@
 //!    Voting replaces `|Q|` with `|T|` — `Q` plus the *claimed votes* of
 //!    unreachable members of `P_m` that share a segment with a reachable
 //!    member of `P_m`.
+//!
+//! Majority Consensus Voting is the same step 5 with `P_m` fixed at all
+//! copies and every reachable copy counted ([`Rule::static_majority`]).
 
 use dynvote_topology::Network;
 use dynvote_types::{SiteId, SiteSet};
@@ -21,8 +24,8 @@ use dynvote_types::{SiteId, SiteSet};
 use crate::lexicon::Lexicon;
 use crate::state::StateTable;
 
-/// How the majority test is evaluated — the axis along which DV, LDV and
-/// TDV differ.
+/// How the majority test is evaluated — the axis along which MCV, DV,
+/// LDV and TDV differ.
 ///
 /// The *optimistic* axis (ODV, OTDV) is orthogonal: it is about **when**
 /// state is exchanged, not how the decision is computed, so it lives in
@@ -37,6 +40,11 @@ pub struct Rule {
     /// *claimed* toward the majority (Topological Dynamic Voting).
     /// Requires a [`Network`] to be passed to [`decide`].
     pub topological: bool,
+    /// When `true`, the previous majority partition is every copy and
+    /// every reachable copy votes: Majority Consensus Voting, whose
+    /// quorums never adapt (see [`crate::ops::Plan`] for what it
+    /// commits).
+    pub static_majority: bool,
 }
 
 impl Rule {
@@ -45,17 +53,14 @@ impl Rule {
     pub fn dv() -> Self {
         Rule {
             tie_break: None,
-            topological: false,
+            ..Rule::lexicographic()
         }
     }
 
     /// Lexicographic Dynamic Voting with the default site ordering.
     #[must_use]
     pub fn lexicographic() -> Self {
-        Rule {
-            tie_break: Some(Lexicon::default()),
-            topological: false,
-        }
+        Rule::with_lexicon(Lexicon::default())
     }
 
     /// Lexicographic Dynamic Voting with a custom site ordering.
@@ -64,6 +69,7 @@ impl Rule {
         Rule {
             tie_break: Some(lexicon),
             topological: false,
+            static_majority: false,
         }
     }
 
@@ -72,8 +78,19 @@ impl Rule {
     #[must_use]
     pub fn topological() -> Self {
         Rule {
-            tie_break: Some(Lexicon::default()),
             topological: true,
+            ..Rule::lexicographic()
+        }
+    }
+
+    /// Majority Consensus Voting with the paper-calibrated tie vote: an
+    /// exact half of the copies wins iff it holds the top copy under
+    /// `lexicon` (see [`crate::policy::McvPolicy`]).
+    #[must_use]
+    pub fn static_majority(lexicon: Lexicon) -> Self {
+        Rule {
+            static_majority: true,
+            ..Rule::with_lexicon(lexicon)
         }
     }
 }
@@ -103,11 +120,13 @@ pub enum Refusal {
 pub struct Decision {
     /// `R` — reachable sites holding copies.
     pub reachable: SiteSet,
-    /// `Q` — reachable copies with the maximal operation number.
+    /// `Q` — reachable copies with the maximal operation number (every
+    /// reachable copy under a static majority).
     pub quorum_set: SiteSet,
     /// `S` — reachable copies with the maximal version number.
     pub current_set: SiteSet,
-    /// `P_m` — partition set of the most-recent operation known in `R`.
+    /// `P_m` — partition set of the most-recent operation known in `R`
+    /// (all copies under a static majority).
     pub prev_partition: SiteSet,
     /// The votes counted toward the majority: `Q`, or `T ⊇ Q ∩ P_m` for
     /// topological rules.
@@ -185,7 +204,7 @@ pub fn decide(
     network: Option<&Network>,
 ) -> Decision {
     let reachable = group & copies;
-    let Some((max_op, quorum_set)) = states.max_op(reachable) else {
+    let Some((max_op, max_op_set)) = states.max_op(reachable) else {
         return Decision::refused(reachable, Refusal::NoCopyReachable);
     };
     let (max_version, current_set) = states
@@ -193,9 +212,14 @@ pub fn decide(
         .expect("non-empty reachable set has a max version");
     // "choose any m ∈ Q" — every member of Q participated in the same
     // most-recent operation and therefore stores the same partition set;
-    // pick the lowest index for determinism.
-    let representative = quorum_set.min().expect("Q is non-empty");
-    let prev_partition = states.get(representative).partition;
+    // pick the lowest index for determinism. A static majority skips
+    // steps 3–4: every reachable copy votes, against all copies.
+    let representative = max_op_set.min().expect("Q is non-empty");
+    let (quorum_set, prev_partition) = if rule.static_majority {
+        (reachable, copies)
+    } else {
+        (max_op_set, states.get(representative).partition)
+    };
     // Under DV/LDV/ODV every operation number is committed exactly once,
     // so all members of Q store the same partition set. Topological vote
     // claiming can violate this: after a total failure of a segment, the
@@ -214,6 +238,7 @@ pub fn decide(
     // partial-commit hazard").
     debug_assert!(
         rule.topological
+            || rule.static_majority
             || quorum_set
                 .iter()
                 .all(|s| states.get(s).partition == prev_partition),
@@ -235,27 +260,6 @@ pub fn decide(
         quorum_set
     };
 
-    let verdict = if 2 * counted.len() > prev_partition.len() {
-        Ok(())
-    } else if 2 * counted.len() == prev_partition.len() {
-        // Tie: grant iff the rule breaks ties and Q holds max(P_m).
-        // Note the tie-break consults Q — real, current, reachable
-        // copies — even under topological counting (Figures 5–7).
-        match &rule.tie_break {
-            Some(lexicon) => {
-                let needed = lexicon.max_of(prev_partition);
-                if needed.is_some_and(|site| quorum_set.contains(site)) {
-                    Ok(())
-                } else {
-                    Err(Refusal::TieLost { needed })
-                }
-            }
-            None => Err(Refusal::TieLost { needed: None }),
-        }
-    } else {
-        Err(Refusal::NoMajority)
-    };
-
     Decision {
         reachable,
         quorum_set,
@@ -265,7 +269,33 @@ pub fn decide(
         max_op,
         max_version,
         representative,
-        verdict,
+        verdict: majority(counted, quorum_set, prev_partition, rule.tie_break.as_ref()),
+    }
+}
+
+/// Step 5, the one majority test: `counted` wins iff it is more than
+/// half of `prev_partition`, or exactly half with `quorum_set` holding
+/// the `tie_break` maximum of `prev_partition`. [`decide`] and
+/// [`crate::policy::McvPolicy`] both ask it.
+pub(crate) fn majority(
+    counted: SiteSet,
+    quorum_set: SiteSet,
+    prev_partition: SiteSet,
+    tie_break: Option<&Lexicon>,
+) -> Result<(), Refusal> {
+    if 2 * counted.len() > prev_partition.len() {
+        Ok(())
+    } else if 2 * counted.len() == prev_partition.len() {
+        // Tie: grant iff the rule breaks ties and Q holds max(P_m).
+        // Note the tie-break consults Q — real, current, reachable
+        // copies — even under topological counting (Figures 5–7).
+        let needed = tie_break.and_then(|lexicon| lexicon.max_of(prev_partition));
+        match needed {
+            Some(site) if quorum_set.contains(site) => Ok(()),
+            _ => Err(Refusal::TieLost { needed }),
+        }
+    } else {
+        Err(Refusal::NoMajority)
     }
 }
 

@@ -26,11 +26,12 @@
 //! [`state::ReplicaState`]. The heart of every protocol is Algorithm 1,
 //! the **majority-partition decision**, implemented once as a pure
 //! function in [`decision`] and parameterized by a [`decision::Rule`]
-//! (plain strict majority, lexicographic tie-break, or topological vote
-//! claiming). The READ / WRITE / RECOVER procedures of Figures 1–3 and
-//! 5–7 are implemented in [`ops`] as *planners*: they take a view of the
-//! reachable states and return either a [`ops::Plan`] describing exactly
-//! what to commit where, or the [`AccessError`] explaining the abort.
+//! (plain strict majority, lexicographic tie-break, topological vote
+//! claiming, or MCV's static majority). The READ / WRITE / RECOVER
+//! procedures of Figures 1–3 and 5–7 are implemented in [`ops`] as
+//! *planners*: they take a view of the reachable states and return
+//! either a [`ops::Plan`] describing exactly what to commit where, or
+//! the [`AccessError`] explaining the abort.
 //!
 //! On top of the planners, [`policy`] packages each protocol as an
 //! [`policy::AvailabilityPolicy`] — the state machine the discrete-event

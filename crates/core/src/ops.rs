@@ -50,16 +50,20 @@ pub struct Plan {
     /// The operation this plan executes.
     pub kind: OpKind,
     /// Sites receiving the commit — the paper's `S` (plus the recovering
-    /// site for RECOVER). These sites adopt the new `(o, v, P)`.
+    /// site for RECOVER). These sites adopt the new `(o, v, P)`. Under
+    /// [`Rule::static_majority`], a write's every reachable copy and
+    /// otherwise nobody.
     pub participants: SiteSet,
-    /// New operation number (`o_m + 1`).
+    /// New operation number (`o_m + 1`; `o_m` under a static majority).
     pub new_op: u64,
     /// New version number (`v_m`, or `v_m + 1` for a write).
     pub new_version: u64,
-    /// New partition set (equal to [`Plan::participants`]).
+    /// New partition set (equal to [`Plan::participants`]; all copies
+    /// under a static majority).
     pub new_partition: SiteSet,
-    /// A site holding the current data — where a read is served from,
-    /// and the source of the copy during a stale recovery.
+    /// The lowest reachable copy holding the current data — where a
+    /// read is served from, and the source of the copy during a stale
+    /// recovery.
     pub data_source: SiteId,
     /// `true` when the recovering site must copy the file before the
     /// commit (RECOVER with `v_l < v_m`).
@@ -196,43 +200,31 @@ pub fn plan_with_witnesses(
         });
     };
 
-    let plan = match kind {
-        OpKind::Read => Plan {
-            kind,
-            participants: decision.current_set,
-            new_op: decision.max_op + 1,
-            new_version: decision.max_version,
-            new_partition: decision.current_set,
-            data_source,
-            copy_needed: false,
-            decision,
-        },
-        OpKind::Write => Plan {
-            kind,
-            participants: decision.current_set,
-            new_op: decision.max_op + 1,
-            new_version: decision.max_version + 1,
-            new_partition: decision.current_set,
-            data_source,
-            copy_needed: false,
-            decision,
-        },
-        OpKind::Recover(l) => {
-            let participants = decision.current_set.with(l);
-            let copy_needed = full.contains(l) && states.get(l).version < decision.max_version;
-            Plan {
-                kind,
-                participants,
-                new_op: decision.max_op + 1,
-                new_version: decision.max_version,
-                new_partition: participants,
-                data_source,
-                copy_needed,
-                decision,
-            }
-        }
+    // A static majority moves no operation number and no partition set:
+    // a read or a recovery commits nothing, and a write commits
+    // ⟨o_m, v_m + 1, all copies⟩ to every copy that answered.
+    let participants = match kind {
+        OpKind::Write if rule.static_majority => decision.reachable,
+        _ if rule.static_majority => SiteSet::EMPTY,
+        OpKind::Read | OpKind::Write => decision.current_set,
+        OpKind::Recover(l) => decision.current_set.with(l),
     };
-    Ok(plan)
+    let copy_needed = matches!(kind, OpKind::Recover(l)
+        if participants.contains(l) && full.contains(l) && states.get(l).version < decision.max_version);
+    Ok(Plan {
+        kind,
+        participants,
+        new_op: decision.max_op + u64::from(!rule.static_majority),
+        new_version: decision.max_version + u64::from(kind == OpKind::Write),
+        new_partition: if rule.static_majority {
+            decision.prev_partition
+        } else {
+            participants
+        },
+        data_source,
+        copy_needed,
+        decision,
+    })
 }
 
 #[cfg(test)]
@@ -458,6 +450,29 @@ mod tests {
         let states = StateTable::fresh(copies);
         let err = plan(OpKind::Read, s(&[0]), copies, &states, &Rule::dv(), None).unwrap_err();
         assert!(matches!(err, AccessError::NoQuorum { .. }));
+    }
+
+    #[test]
+    fn a_static_majority_plans_commits_that_move_no_operation_number() {
+        // S2 missed a write: o = 1 everywhere, v = 2 at S0 and S1 only.
+        let copies = s(&[0, 1, 2]);
+        let mut states = StateTable::fresh(copies);
+        states.commit(s(&[0, 1]), 1, 2, copies);
+        let rule = Rule::static_majority(crate::lexicon::Lexicon::default());
+        let read = plan(OpKind::Read, s(&[1, 2]), copies, &states, &rule, None).unwrap();
+        assert_eq!(read.participants, SiteSet::EMPTY, "a read commits nothing");
+        assert_eq!(read.data_source, SiteId::new(1), "the lowest current copy");
+        let write = plan(OpKind::Write, s(&[1, 2]), copies, &states, &rule, None).unwrap();
+        assert_eq!(write.participants, s(&[1, 2]), "every copy that answered");
+        assert_eq!(
+            (write.new_op, write.new_version, write.new_partition),
+            (1, 3, copies)
+        );
+        let err = plan(OpKind::Read, s(&[2]), copies, &states, &rule, None).unwrap_err();
+        assert!(
+            matches!(err, AccessError::NoQuorum { counted: 1, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -232,6 +232,7 @@ impl DynamicPolicy {
         let rule = Rule {
             tie_break: lexicon,
             topological: network.is_some(),
+            ..Rule::dv()
         };
         DynamicPolicy::new(name, copies, rule, network, mode)
     }

@@ -1,8 +1,9 @@
 //! Majority Consensus Voting — the static baseline.
 
 use dynvote_topology::Reachability;
-use dynvote_types::{SiteId, SiteSet};
+use dynvote_types::SiteSet;
 
+use crate::decision::majority;
 use crate::lexicon::Lexicon;
 
 use super::AvailabilityPolicy;
@@ -32,11 +33,15 @@ use super::AvailabilityPolicy;
 ///
 /// MCV keeps no adjustable state, so
 /// [`AvailabilityPolicy::on_topology_change`] and
-/// [`AvailabilityPolicy::on_access`] never mutate anything.
+/// [`AvailabilityPolicy::on_access`] never mutate anything. Its test is
+/// Algorithm 1's step 5 with `P_m` fixed at all copies — the verdict
+/// [`crate::decision::decide`] reaches under [`Rule::static_majority`].
+///
+/// [`Rule::static_majority`]: crate::decision::Rule::static_majority
 #[derive(Clone, Debug)]
 pub struct McvPolicy {
     copies: SiteSet,
-    tie_break: Option<SiteId>,
+    tie_break: Option<Lexicon>,
 }
 
 impl McvPolicy {
@@ -59,10 +64,9 @@ impl McvPolicy {
     /// Panics when `copies` is empty.
     #[must_use]
     pub fn with_lexicon(copies: SiteSet, lexicon: &Lexicon) -> Self {
-        assert!(!copies.is_empty(), "a replicated file needs copies");
         McvPolicy {
-            copies,
-            tie_break: lexicon.max_of(copies),
+            tie_break: Some(lexicon.clone()),
+            ..McvPolicy::strict(copies)
         }
     }
 
@@ -80,24 +84,11 @@ impl McvPolicy {
         }
     }
 
-    /// The smallest group size that can win: `⌊n/2⌋ + 1`, or `n/2` for
-    /// the half containing the tie vote.
-    #[must_use]
-    pub fn quorum(&self) -> usize {
-        self.copies.len() / 2 + 1
-    }
-
     /// Does `group` hold a static quorum?
     #[must_use]
     pub fn group_grants(&self, group: SiteSet) -> bool {
-        let held = (group & self.copies).len();
-        if 2 * held > self.copies.len() {
-            return true;
-        }
-        match self.tie_break {
-            Some(max) => 2 * held == self.copies.len() && group.contains(max),
-            None => false,
-        }
+        let held = group & self.copies;
+        majority(held, held, self.copies, self.tie_break.as_ref()).is_ok()
     }
 }
 
@@ -137,7 +128,6 @@ mod tests {
     #[test]
     fn three_copies_need_two() {
         let p = McvPolicy::new(SiteSet::first_n(3));
-        assert_eq!(p.quorum(), 2);
         assert!(p.is_available(&reach(&[&[0, 1, 2]])));
         assert!(p.is_available(&reach(&[&[0, 2]])));
         assert!(!p.is_available(&reach(&[&[0], &[2]])));
@@ -177,7 +167,6 @@ mod tests {
     #[test]
     fn strict_mcv_strands_even_splits() {
         let p = McvPolicy::strict(SiteSet::first_n(4));
-        assert_eq!(p.quorum(), 3);
         assert!(!p.is_available(&reach(&[&[0, 1], &[2, 3]])));
         assert!(p.is_available(&reach(&[&[0, 1, 3]])));
     }

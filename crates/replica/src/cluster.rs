@@ -1,13 +1,25 @@
 //! The cluster: nodes, the transport carrying protocol messages, and
 //! the READ / WRITE / RECOVER operations.
 //!
-//! Every dynamic-voting operation is one round: `open_round` (a ticket,
-//! `poll_phase` — the only code that hands a `START` to the transport —
-//! and Algorithm 1's plan), the operation's own step inside the vote (a
-//! read's `fetch_current`, a write's value, a recovery's blank-slate
-//! rule and copy), and `close_round` (`commit_phase`, lineage notes,
-//! release, then `Indeterminate` or history). MCV shares the poll and,
-//! through `deliver_commit`, the one per-recipient `COMMIT` delivery.
+//! Every operation of every protocol is one round: `open_round` (a
+//! ticket, `poll_phase` — the only code that hands a `START` to the
+//! transport — and Algorithm 1's plan), the operation's own step inside
+//! the vote (a read's `fetch_current`, a write's value, a recovery's
+//! blank-slate rule and copy), and `close_round` (`commit_phase`, whose
+//! `deliver_commit` is the only `COMMIT` delivery, then lineage notes,
+//! release, and `Indeterminate` or history).
+//!
+//! MCV is a [`Rule`] too, the static majority, and its plan is data:
+//! a read commits nothing, a write commits ⟨o, v + 1, all copies⟩ to
+//! every copy that answered. What sets it apart is that a static rule
+//! wedges nobody, which only the round reads: its poll records no
+//! outstanding votes, so there is no commit point, no release, no
+//! polled version on a `COMMIT`, no lineage note, and its history
+//! entries say op 0. Three MCV operations stay different on purpose:
+//! `recover` is a granted no-op, `update` is a quorum read and then a
+//! write, and `write_batch` runs its writes serially — without a wedge
+//! no one poll can pin a version for a later commit.
+//!
 //! Copies and witnesses are one [`Node`] type; a witness holds no data.
 
 use std::sync::{Arc, Mutex};
@@ -74,15 +86,15 @@ impl Protocol {
         }
     }
 
-    fn rule(self, lexicon: Lexicon) -> Option<Rule> {
+    fn rule(self, lexicon: Lexicon) -> Rule {
         match self {
-            Protocol::Mcv => None,
-            Protocol::Dv => Some(Rule::dv()),
-            Protocol::Ldv | Protocol::Odv => Some(Rule::with_lexicon(lexicon)),
-            Protocol::Tdv | Protocol::Otdv => Some(Rule {
-                tie_break: Some(lexicon),
+            Protocol::Mcv => Rule::static_majority(lexicon),
+            Protocol::Dv => Rule::dv(),
+            Protocol::Ldv | Protocol::Odv => Rule::with_lexicon(lexicon),
+            Protocol::Tdv | Protocol::Otdv => Rule {
                 topological: true,
-            }),
+                ..Rule::with_lexicon(lexicon)
+            },
         }
     }
 }
@@ -195,8 +207,9 @@ impl ClusterBuilder {
 
     /// Adds witness sites: voting participants that store the
     /// consistency-control state but no data (the paper's §5 "witness
-    /// copies" extension). Not supported with [`Protocol::Mcv`], which
-    /// has no partition sets for a witness to carry.
+    /// copies" extension). Not supported with [`Protocol::Mcv`], whose
+    /// static majority counts copies and whose partition set never
+    /// changes, so a witness would carry nothing.
     #[must_use]
     pub fn witnesses<I: IntoIterator<Item = usize>>(mut self, witnesses: I) -> Self {
         self.witnesses = witnesses.into_iter().collect();
@@ -211,7 +224,9 @@ impl ClusterBuilder {
     }
 
     /// Sets a custom tie-break ordering (default: lower index ranks
-    /// higher).
+    /// higher). Every protocol that breaks ties honours it — MCV's
+    /// half-with-the-top-copy vote included — and DV, which breaks
+    /// none, ignores it.
     #[must_use]
     pub fn lexicon(mut self, lexicon: Lexicon) -> Self {
         self.lexicon = lexicon;
@@ -381,7 +396,7 @@ pub struct Cluster<T, X = BusTransport> {
     /// memo below): the model checker clones a cluster per transition.
     network: Arc<Network>,
     protocol: Protocol,
-    rule: Option<Rule>,
+    rule: Rule,
     copies: SiteSet,
     witnesses: SiteSet,
     /// All network sites currently up (gateways included). Written
@@ -442,6 +457,10 @@ struct Poll {
     silent: SiteSet,
     /// `false` when a fault killed the coordinator mid-poll.
     origin_alive: bool,
+    /// Whether every replier recorded an outstanding vote for `ticket`
+    /// — under every rule but the static majority, which wedges nobody
+    /// and so has no vote to record, probe or release.
+    wedged: bool,
 }
 
 /// Where a granted operation's `COMMIT` fanout actually landed.
@@ -450,9 +469,9 @@ struct CommitOutcome {
     missing: SiteSet,
 }
 
-/// A granted dynamic-voting round between its open and its close: who
-/// coordinates it, the poll that wedged every replier on its ticket,
-/// and the plan Algorithm 1 granted.
+/// A granted round between its open and its close: who coordinates it,
+/// its poll (which wedged every replier on its ticket, unless the rule
+/// is static), and the plan Algorithm 1 granted.
 struct Round {
     kind: AccessKind,
     origin: SiteId,
@@ -573,13 +592,13 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.protocol
     }
 
-    /// The voting rule the protocol evaluates accesses with — `None`
-    /// for MCV, which uses the static-majority path. External invariant
+    /// The voting rule every operation is decided by — for MCV the
+    /// static majority ([`Rule::static_majority`]). External invariant
     /// checkers use this to re-evaluate grant decisions from pure state
     /// (see [`dynvote_core::ProtocolSnapshot`]).
     #[must_use]
-    pub fn rule(&self) -> Option<&Rule> {
-        self.rule.as_ref()
+    pub fn rule(&self) -> &Rule {
+        &self.rule
     }
 
     /// The network topology.
@@ -856,9 +875,11 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     }
 
     /// Ends a round before its commit point: every vote `poll`
-    /// collected is released.
+    /// collected is released (a poll that wedged nobody has none).
     fn abandon(&mut self, poll: &Poll) {
-        self.release_pending(poll.ticket, SiteSet::EMPTY, poll.polled);
+        if poll.wedged {
+            self.release_pending(poll.ticket, SiteSet::EMPTY, poll.polled);
+        }
     }
 
     fn next_ticket(&mut self) -> u64 {
@@ -1050,6 +1071,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             polled,
             silent,
             origin_alive: self.up.contains(origin),
+            wedged: mark_pending,
         }
     }
 
@@ -1100,19 +1122,27 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         Delivery::Lost
     }
 
-    /// The commit point, then the `COMMIT` fanout of `state`. The
-    /// coordinator installs its own commit first, then delivers one
-    /// `COMMIT` per other participant, each naming the version its
-    /// recipient voted with in `round`'s poll. Delayed commits arrive
-    /// after every on-time one (reordering); a participant that dies, or
-    /// whose retries run out, ends up in `missing` — and, having voted,
-    /// stays wedged on its outstanding vote.
+    /// The commit point, then the `COMMIT` fanout of `state` to the
+    /// plan's participants. The coordinator installs its own commit
+    /// first, then delivers one `COMMIT` per other participant, each
+    /// naming the version its recipient voted with in `round`'s poll.
+    /// Delayed commits arrive after every on-time one (reordering); a
+    /// participant that dies, or whose retries run out, ends up in
+    /// `missing` — and, having voted, stays wedged on its outstanding
+    /// vote. A poll that wedged nobody has no commit point and names no
+    /// version: nothing holds its repliers at the one they reported.
     fn commit_phase(
         &mut self,
         round: &Round,
         state: ReplicaState,
         value: Option<&T>,
     ) -> CommitOutcome {
+        let Round {
+            origin,
+            ref poll,
+            ref plan,
+            ..
+        } = *round;
         // The commit point: a durable transport records ⟨ticket, o, v,
         // P, value⟩ (fsync'd) before the commit has *any* effect —
         // the coordinator's own apply included. A crashed coordinator's
@@ -1120,17 +1150,18 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         // ticket whose commit landed only locally would look
         // releasable, and releasing a committed participant's vote can
         // fork the partition lineage.
-        self.transport.commit_point(round.poll.ticket, state, value);
-        let origin = round.origin;
+        if poll.wedged {
+            self.transport.commit_point(poll.ticket, state, value);
+        }
         let mut applied = SiteSet::EMPTY;
         let mut missing = SiteSet::EMPTY;
         let mut late = Vec::new();
-        if state.partition.contains(origin) {
+        if plan.participants.contains(origin) {
             self.node_mut(origin).apply_commit(state, value);
             applied.insert(origin);
         }
-        for site in state.partition.without(origin).iter() {
-            let polled_version = Some(round.poll.table.get(site).version);
+        for site in plan.participants.without(origin).iter() {
+            let polled_version = poll.wedged.then(|| poll.table.get(site).version);
             match self.deliver_commit(origin, site, state, value, polled_version) {
                 Delivery::Installed => {
                     applied.insert(site);
@@ -1226,23 +1257,22 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         self.transfer_copy(kind, origin, if local { origin } else { p.data_source })
     }
 
-    /// The open of every dynamic-voting round from `origin`, whose
-    /// group is `group`: a fresh ticket, the `START` poll that wedges
-    /// every replier on it, the origin still alive, `vet` (RECOVER's
-    /// blank-slate rule; reads and writes vet nothing), and Algorithm
-    /// 1's plan for `kind`. A refusal at any step releases every vote
-    /// the poll collected; a refused plan is named by
-    /// [`Cluster::timeout_or`].
+    /// The open of every round from `origin`, whose group is `group`: a
+    /// fresh ticket, the `START` poll — which wedges every replier on
+    /// it unless the rule is a static majority — the origin still
+    /// alive, `vet` (RECOVER's blank-slate rule; reads and writes vet
+    /// nothing), and Algorithm 1's plan for `kind`. A refusal at any
+    /// step releases every vote the poll collected; a refused plan is
+    /// named by [`Cluster::timeout_or`].
     fn open_round(
         &mut self,
         kind: OpKind,
         origin: SiteId,
         group: SiteSet,
-        rule: &Rule,
         vet: impl FnOnce(&Self, &mut Poll) -> Result<(), AccessError>,
     ) -> Result<Round, AccessError> {
         let ticket = self.next_ticket();
-        let mut poll = self.poll_phase(origin, group, ticket, true);
+        let mut poll = self.poll_phase(origin, group, ticket, !self.rule.static_majority);
         let planned = if poll.origin_alive {
             vet(self, &mut poll).and_then(|()| {
                 plan_with_witnesses(
@@ -1251,7 +1281,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                     self.copies,
                     self.witnesses,
                     &poll.table,
-                    rule,
+                    &self.rule,
                     Some(&self.network),
                 )
                 .map_err(|refusal| self.timeout_or(refusal, kind.access_kind(), origin, &poll))
@@ -1273,18 +1303,22 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         }
     }
 
-    /// The close of every dynamic-voting round, for `count` consecutive
-    /// operations granted by its one plan: the commit of ⟨o + count − 1,
+    /// The close of every round, for `count` consecutive operations
+    /// granted by its one plan: the commit of ⟨o + count − 1,
     /// v + count − 1, P⟩ (with `value` riding it), a lineage note per
     /// operation, the release of every vote the outcome does not bind,
     /// and then either `Indeterminate` — the commit did not close
     /// everywhere, so the caller must not claim success — or one history
-    /// entry per operation. Returns the first operation's entry.
+    /// entry per operation, naming the version a read `served`. Returns
+    /// the first operation's entry. A round that wedged nobody moved no
+    /// lineage and holds no vote: it notes and releases nothing, and its
+    /// entries say op 0 and the copies that answered.
     fn close_round(
         &mut self,
         round: &Round,
         count: u64,
         value: Option<&T>,
+        served: Option<u64>,
     ) -> Result<CommittedOp, AccessError> {
         let Round {
             kind,
@@ -1296,15 +1330,17 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let state = ReplicaState {
             op: p.new_op + steps,
             version: p.new_version + steps,
-            partition: p.participants,
+            partition: p.new_partition,
         };
         let outcome = self.commit_phase(round, state, value);
-        if !outcome.applied.is_empty() {
-            for i in 0..count {
-                self.checker.note_commit(p.new_op + i, p.participants);
+        if poll.wedged {
+            if !outcome.applied.is_empty() {
+                for i in 0..count {
+                    self.checker.note_commit(p.new_op + i, p.participants);
+                }
             }
+            self.release_pending(poll.ticket, outcome.missing, poll.polled - outcome.applied);
         }
-        self.release_pending(poll.ticket, outcome.missing, poll.polled - outcome.applied);
         if !outcome.missing.is_empty() {
             return Err(AccessError::Indeterminate {
                 kind: *kind,
@@ -1313,12 +1349,17 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 missing: outcome.missing,
             });
         }
+        let (op, participants) = if poll.wedged {
+            (p.new_op, p.participants)
+        } else {
+            (0, p.decision.reachable)
+        };
         let first = CommittedOp {
             kind: *kind,
             origin: *origin,
-            op: p.new_op,
-            version: p.new_version,
-            participants: p.participants,
+            op,
+            version: served.unwrap_or(p.new_version),
+            participants,
         };
         for i in 0..count {
             self.record_op(first.later(i));
@@ -1377,22 +1418,17 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         let Some(group) = self.group_of(origin) else {
             return false;
         };
-        match &self.rule {
-            None => self.mcv_grants(group & self.copies),
-            Some(rule) => {
-                let (answering, table) = self.answering(group);
-                plan_with_witnesses(
-                    OpKind::Read,
-                    answering,
-                    self.copies,
-                    self.witnesses,
-                    &table,
-                    rule,
-                    Some(&self.network),
-                )
-                .is_ok()
-            }
-        }
+        let (answering, table) = self.answering(group);
+        plan_with_witnesses(
+            OpKind::Read,
+            answering,
+            self.copies,
+            self.witnesses,
+            &table,
+            &self.rule,
+            Some(&self.network),
+        )
+        .is_ok()
     }
 
     /// Whether *any* up site could currently get a read granted — the
@@ -1404,39 +1440,20 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     }
 
     /// Algorithm 1's full decision trace for a (non-mutating) read
-    /// probe at `origin`, rendered for humans. Returns `None` when the
-    /// origin is down; for MCV (which has no partition sets) a short
-    /// quorum summary is produced instead.
+    /// probe at `origin`, rendered for humans — under MCV with `P_m` =
+    /// all copies. Returns `None` when the origin is down.
     #[must_use]
     pub fn explain(&self, origin: SiteId) -> Option<String> {
         let group = self.group_of(origin)?;
-        match &self.rule {
-            None => {
-                let reachable = group & self.copies;
-                Some(format!(
-                    "R = {} ({} of {} copies reachable)\n=> {}\n",
-                    reachable,
-                    reachable.len(),
-                    self.copies.len(),
-                    if self.mcv_grants(reachable) {
-                        "GRANTED: static quorum met"
-                    } else {
-                        "REFUSED: static quorum not met"
-                    }
-                ))
-            }
-            Some(rule) => {
-                let (answering, table) = self.answering(group);
-                let decision = dynvote_core::decision::decide(
-                    answering,
-                    self.participants(),
-                    &table,
-                    rule,
-                    Some(&self.network),
-                );
-                Some(dynvote_core::decision::explain(&decision))
-            }
-        }
+        let (answering, table) = self.answering(group);
+        let decision = dynvote_core::decision::decide(
+            answering,
+            self.participants(),
+            &table,
+            &self.rule,
+            Some(&self.network),
+        );
+        Some(dynvote_core::decision::explain(&decision))
     }
 
     /// READ (Figure 1 / Figure 5): returns the current value.
@@ -1444,35 +1461,32 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// # Errors
     ///
     /// Returns the ABORT reason when the origin's group is not the
-    /// majority partition (or, for MCV, holds no quorum).
+    /// majority partition (for MCV, holds no static majority).
     pub fn read(&mut self, origin: SiteId) -> Result<T, AccessError> {
         // An origin with no group (down, or outside every forced group)
         // is refused before the read counts as attempted.
         let group = self.origin_group(origin)?;
-        let result = match self.rule.clone() {
-            None => self.mcv_read(origin, group),
-            Some(rule) => self
-                .open_round(OpKind::Read, origin, group, &rule, |_, _| Ok(()))
-                .and_then(|round| {
-                    // The version actually being served — for a correct
-                    // cluster this equals the planned `new_version` (the
-                    // source is a current copy), but the checker must
-                    // grade what was *served*, not what was planned, or
-                    // a bug in source selection would grade itself. It
-                    // rides the copy reply: on a real network the
-                    // coordinator has no other way to know what the
-                    // source shipped.
-                    let (value, served) = self
-                        .fetch_current(AccessKind::Read, origin, &round.plan)
-                        .inspect_err(|_| self.abandon(&round.poll))?;
-                    // An absorption commit that did not close everywhere
-                    // discards the value: serving it would claim a
-                    // success the cluster cannot stand behind.
-                    self.close_round(&round, 1, None)?;
-                    self.checker.note_read(served);
-                    Ok(value)
-                }),
-        };
+        let result = self
+            .open_round(OpKind::Read, origin, group, |_, _| Ok(()))
+            .and_then(|round| {
+                // The version actually being served — for a correct
+                // cluster this equals the planned `new_version` (the
+                // source is a current copy), but the checker must grade
+                // what was *served*, not what was planned, or a bug in
+                // source selection would grade itself. It rides the copy
+                // reply: on a real network the coordinator has no other
+                // way to know what the source shipped, and under MCV no
+                // wedge keeps the source at the version it reported.
+                let (value, served) = self
+                    .fetch_current(AccessKind::Read, origin, &round.plan)
+                    .inspect_err(|_| self.abandon(&round.poll))?;
+                // An absorption commit that did not close everywhere
+                // discards the value: serving it would claim a success
+                // the cluster cannot stand behind.
+                self.close_round(&round, 1, None, Some(served))?;
+                self.checker.note_read(served);
+                Ok(value)
+            });
         match &result {
             Ok(_) => self.stats.reads_ok += 1,
             Err(_) => self.stats.reads_refused += 1,
@@ -1485,14 +1499,9 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// # Errors
     ///
     /// Returns the ABORT reason when the origin's group is not the
-    /// majority partition (or, for MCV, holds no quorum).
+    /// majority partition (for MCV, holds no static majority).
     pub fn write(&mut self, origin: SiteId, value: T) -> Result<(), AccessError> {
-        match self.rule.clone() {
-            None => self.mcv_write(origin, value).map(|_| ()),
-            Some(rule) => self
-                .write_round(origin, 1, &rule, |_, _| Ok(Some(value)))
-                .map(|_| ()),
-        }
+        self.write_value(origin, 1, value).map(|_| ())
     }
 
     /// WRITE, batched: commits `values` as `values.len()` consecutive
@@ -1511,6 +1520,10 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// [`AccessError::Indeterminate`] for every write — the honest
     /// answer, since the one fanout carried them all.
     ///
+    /// Under MCV the batch is K serial writes: its repliers are not
+    /// wedged, so nothing holds the version one poll saw until the K-th
+    /// commit.
+    ///
     /// Returns one result per value, in order; `Ok` carries the
     /// committed ⟨o, v, P⟩ entry for that write.
     pub fn write_batch(
@@ -1518,14 +1531,12 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         origin: SiteId,
         mut values: Vec<T>,
     ) -> Vec<Result<CommittedOp, AccessError>> {
-        let Some(rule) = self.rule.clone() else {
-            // MCV quorums count static votes, not a partition lineage:
-            // there is no per-batch poll to amortize. Serve serially.
+        if self.rule.static_majority {
             return values
                 .into_iter()
-                .map(|value| self.mcv_write(origin, value))
+                .map(|value| self.write_value(origin, 1, value))
                 .collect();
-        };
+        }
         let count = values.len() as u64;
         let Some(last) = values.pop() else {
             return Vec::new();
@@ -1533,9 +1544,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         // Only the final value rides the COMMIT — the intermediate
         // ones are overwritten before any reader could be served,
         // exactly as under K serial writes back to back.
-        let first = self
-            .write_round(origin, count, &rule, |_, _| Ok(Some(last)))
-            .map(|entry| entry.expect("a write that names its value always commits one"));
+        let first = self.write_value(origin, count, last);
         (0..count)
             .map(|i| first.clone().map(|first| first.later(i)))
             .collect()
@@ -1570,13 +1579,13 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         origin: SiteId,
         build: impl FnOnce(&T, Option<u64>) -> Option<T>,
     ) -> Result<Option<CommittedOp>, AccessError> {
-        let Some(rule) = self.rule.clone() else {
+        if self.rule.static_majority {
             let current = self.read(origin)?;
             return build(&current, None)
-                .map(|next| self.mcv_write(origin, next))
+                .map(|next| self.write_value(origin, 1, next))
                 .transpose();
-        };
-        self.write_round(origin, 1, &rule, |this, p| {
+        }
+        self.write_round(origin, 1, |this, p| {
             let (current, served_version) = this.fetch_current(AccessKind::Write, origin, p)?;
             let next = build(&current, Some(served_version));
             if next.is_some() {
@@ -1589,21 +1598,33 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         })
     }
 
-    /// One dynamic-voting write round for `count` consecutive writes:
-    /// the open, `value` (handed the granted plan, with every replier
-    /// wedged), the close at ⟨o + count, v + count, P⟩. Returns the
-    /// first write's entry — the i-th is `i` operations and versions
-    /// later — or `Ok(None)`, all votes released, when `value` declines.
+    /// One write round committing `value` as `count` consecutive writes;
+    /// returns the first write's entry.
+    fn write_value(
+        &mut self,
+        origin: SiteId,
+        count: u64,
+        value: T,
+    ) -> Result<CommittedOp, AccessError> {
+        self.write_round(origin, count, |_, _| Ok(Some(value)))
+            .map(|entry| entry.expect("a write that names its value always commits one"))
+    }
+
+    /// One write round for `count` consecutive writes: the open,
+    /// `value` (handed the granted plan, with every replier wedged
+    /// unless the rule is static), the close at ⟨o + count, v + count,
+    /// P⟩. Returns the first write's entry — the i-th is `i` operations
+    /// and versions later — or `Ok(None)`, all votes released, when
+    /// `value` declines.
     fn write_round(
         &mut self,
         origin: SiteId,
         count: u64,
-        rule: &Rule,
         value: impl FnOnce(&mut Self, &Plan) -> Result<Option<T>, AccessError>,
     ) -> Result<Option<CommittedOp>, AccessError> {
         let result = self
             .origin_group(origin)
-            .and_then(|group| self.open_round(OpKind::Write, origin, group, rule, |_, _| Ok(())))
+            .and_then(|group| self.open_round(OpKind::Write, origin, group, |_, _| Ok(())))
             .and_then(|round| {
                 let value = match value(self, &round.plan) {
                     Ok(Some(value)) => value,
@@ -1616,7 +1637,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                 // the commit keeps its old data — that is the
                 // partial-commit divergence this layer exists to
                 // exercise.
-                let first = self.close_round(&round, count, Some(&value))?;
+                let first = self.close_round(&round, count, Some(&value), None)?;
                 for i in 0..count {
                     self.checker.note_write(first.version + i);
                 }
@@ -1639,16 +1660,16 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     ///
     /// Returns the ABORT reason when the site's group is not the
     /// majority partition, and [`AccessError::OriginUnavailable`] when
-    /// the site is down. Under MCV it always succeeds and sends nothing:
-    /// MCV has no recovery step — a repaired copy is simply consulted
-    /// again.
+    /// the site is down. Under MCV it always succeeds and sends nothing,
+    /// even at a down site: MCV has no recovery step — a repaired copy
+    /// is simply consulted again, and its partition set never changed.
     pub fn recover(&mut self, site: SiteId) -> Result<(), AccessError> {
-        let result = match self.rule.clone() {
-            None => Ok(()),
-            Some(rule) => self
-                .origin_group(site)
+        let result = if self.rule.static_majority {
+            Ok(())
+        } else {
+            self.origin_group(site)
                 .and_then(|group| {
-                    self.open_round(OpKind::Recover(site), site, group, &rule, |this, poll| {
+                    self.open_round(OpKind::Recover(site), site, group, |this, poll| {
                         this.blank_slate(site, poll)
                     })
                 })
@@ -1664,8 +1685,8 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
                     // (the origin is always a participant of its own
                     // recovery) also releases any older outstanding vote
                     // it was wedged on.
-                    self.close_round(&round, 1, None).map(|_| ())
-                }),
+                    self.close_round(&round, 1, None, None).map(|_| ())
+                })
         };
         match &result {
             Ok(()) => self.stats.recovers_ok += 1,
@@ -1707,155 +1728,6 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         );
         poll.heard.insert(site);
         Ok(())
-    }
-
-    // ---- the MCV paths -----------------------------------------------------
-
-    /// The static-quorum test, with the paper-calibrated tie vote for
-    /// even copy counts (see `dynvote_core::policy::McvPolicy`): an
-    /// exact half wins iff it holds the top-ranked copy.
-    fn mcv_grants(&self, reachable: SiteSet) -> bool {
-        let n = self.copies.len();
-        if 2 * reachable.len() > n {
-            return true;
-        }
-        2 * reachable.len() == n
-            && Lexicon::default()
-                .max_of(self.copies)
-                .is_some_and(|max| reachable.contains(max))
-    }
-
-    /// MCV's quorum prologue, shared by reads and writes: a poll that
-    /// wedges nobody — a partial write can never shrink anyone's static
-    /// quorum, so repliers are free the moment they answer — the origin
-    /// still alive, and a static quorum among the copies that answered.
-    /// Returns the poll, those copies, and the highest version they hold.
-    fn mcv_quorum(
-        &mut self,
-        kind: AccessKind,
-        origin: SiteId,
-        group: SiteSet,
-    ) -> Result<(Poll, SiteSet, u64), AccessError> {
-        let ticket = self.next_ticket();
-        let poll = self.poll_phase(origin, group, ticket, false);
-        if !poll.origin_alive {
-            return Err(AccessError::OriginUnavailable { origin });
-        }
-        let reachable = poll.heard & self.copies;
-        if !self.mcv_grants(reachable) {
-            return Err(self.timeout_or(
-                AccessError::NoQuorum {
-                    kind,
-                    reachable,
-                    counted: reachable.len(),
-                    against: self.copies,
-                },
-                kind,
-                origin,
-                &poll,
-            ));
-        }
-        let (version, _) = poll
-            .table
-            .max_version(reachable)
-            .unwrap_or((0, SiteSet::EMPTY));
-        Ok((poll, reachable, version))
-    }
-
-    /// One MCV read, recorded like a write — op 0 (MCV keeps no
-    /// operation numbers), the version served, the copies that answered
-    /// — so the history names what every granted read served.
-    fn mcv_read(&mut self, origin: SiteId, group: SiteSet) -> Result<T, AccessError> {
-        let (poll, reachable, version) = self.mcv_quorum(AccessKind::Read, origin, group)?;
-        // Source selection from the *poll's* view, not local node
-        // state: on a real network the replies are all there is.
-        let source = reachable
-            .iter()
-            .find(|&s| poll.table.get(s).version == version)
-            .expect("a max-version copy exists");
-        let (value, served) = self.transfer_copy(AccessKind::Read, origin, source)?;
-        self.checker.note_read(version);
-        self.record_op(CommittedOp {
-            kind: AccessKind::Read,
-            origin,
-            op: 0,
-            version: served,
-            participants: reachable,
-        });
-        Ok(value)
-    }
-
-    /// One MCV write, counted: the committed entry, so callers never
-    /// look it up in the (bounded) history.
-    fn mcv_write(&mut self, origin: SiteId, value: T) -> Result<CommittedOp, AccessError> {
-        let result = self
-            .origin_group(origin)
-            .and_then(|group| self.mcv_quorum(AccessKind::Write, origin, group))
-            .and_then(|(poll, reachable, version)| {
-                // Gifford: the write goes to every reachable
-                // representative, each keeping its own operation number
-                // — read from the poll's view, as a real coordinator
-                // must. The value and the version stamp ride each
-                // site's commit.
-                let copies = self.copies;
-                let commit_at = |site| ReplicaState {
-                    op: poll.table.get(site).op,
-                    version: version + 1,
-                    partition: copies,
-                };
-                let mut applied = SiteSet::EMPTY;
-                let mut missing = SiteSet::EMPTY;
-                if reachable.contains(origin) {
-                    self.node_mut(origin)
-                        .apply_commit(commit_at(origin), Some(&value));
-                    applied.insert(origin);
-                }
-                for site in reachable.without(origin).iter() {
-                    // No polled version: an MCV replier is not wedged, so
-                    // nothing holds it at the version it reported.
-                    match self.deliver_commit(origin, site, commit_at(site), Some(&value), None) {
-                        Delivery::Installed => {
-                            applied.insert(site);
-                        }
-                        // A delayed commit still lands within the
-                        // operation — identical final state.
-                        Delivery::Delayed => {
-                            self.node_mut(site)
-                                .apply_commit(commit_at(site), Some(&value));
-                            applied.insert(site);
-                        }
-                        Delivery::Lost => {
-                            missing.insert(site);
-                        }
-                    }
-                }
-                if !missing.is_empty() {
-                    // The write quorum never fully acknowledged: the
-                    // client must not treat the write as done (nor as
-                    // undone).
-                    return Err(AccessError::Indeterminate {
-                        kind: AccessKind::Write,
-                        origin,
-                        applied,
-                        missing,
-                    });
-                }
-                self.checker.note_write(version + 1);
-                let entry = CommittedOp {
-                    kind: AccessKind::Write,
-                    origin,
-                    op: 0, // MCV keeps no operation numbers
-                    version: version + 1,
-                    participants: reachable,
-                };
-                self.record_op(entry);
-                Ok(entry)
-            });
-        match &result {
-            Ok(_) => self.stats.writes_ok += 1,
-            Err(_) => self.stats.writes_refused += 1,
-        }
-        result
     }
 }
 
@@ -2050,6 +1922,45 @@ mod tests {
             1,
             "a read commits nothing"
         );
+    }
+
+    #[test]
+    fn mcv_refusals_are_algorithm_1_refusals() {
+        // Four copies: an exact half without the top copy S0 loses the
+        // tie, exactly as under LDV; the half holding S0 wins it; a
+        // lone copy is a minority.
+        let copies = SiteSet::first_n(4);
+        let mut c: Cluster<String> = ClusterBuilder::new()
+            .copies(0..4)
+            .protocol(Protocol::Mcv)
+            .build_with_value("v1".to_string());
+        c.force_partition(vec![
+            SiteSet::from_indices([0, 1]),
+            SiteSet::from_indices([2, 3]),
+        ]);
+        assert_eq!(
+            c.write(SiteId::new(2), "v2".to_string()),
+            Err(AccessError::TieLost {
+                kind: AccessKind::Write,
+                against: copies,
+                needed: SiteId::new(0),
+            })
+        );
+        c.write(SiteId::new(1), "v2".to_string()).unwrap();
+        c.force_partition(vec![
+            SiteSet::from_indices([1]),
+            SiteSet::from_indices([0, 2, 3]),
+        ]);
+        assert_eq!(
+            c.read(SiteId::new(1)),
+            Err(AccessError::NoQuorum {
+                kind: AccessKind::Read,
+                reachable: SiteSet::from_indices([1]),
+                counted: 1,
+                against: copies,
+            })
+        );
+        assert!(c.checker().violations().is_empty());
     }
 
     #[test]

@@ -507,6 +507,20 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("site is down"), "{text}");
+
+        // MCV explains through the same Algorithm 1, with P_m fixed at
+        // all copies: one copy of three is a minority.
+        let cmds = parse("fail 1\nfail 2\nexplain 0").unwrap();
+        let mut c = ClusterBuilder::new()
+            .copies([0, 1, 2])
+            .protocol(Protocol::Mcv)
+            .build_with_value("v1".to_string());
+        let text = run(&mut c, &cmds).unwrap().join("\n");
+        assert!(text.contains("P_m = {S0, S1, S2}"), "{text}");
+        assert!(
+            text.contains("REFUSED: fewer than half of the previous majority partition"),
+            "{text}"
+        );
     }
 
     #[test]

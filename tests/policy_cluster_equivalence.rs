@@ -9,6 +9,7 @@
 //! other than what the store actually does.
 
 use dynamic_voting::core::policy::{AvailabilityPolicy, DynamicPolicy, McvPolicy};
+use dynamic_voting::core::Lexicon;
 use dynamic_voting::replica::{Cluster, ClusterBuilder, Protocol};
 use dynamic_voting::sim::SimRng;
 use dynamic_voting::topology::Network;
@@ -19,7 +20,7 @@ use dynamic_voting::types::{SiteId, SiteSet};
 /// the paper's single user may reach any of them). After every event
 /// both sides must agree on availability.
 fn equivalence_walk(
-    protocol: Protocol,
+    builder: ClusterBuilder,
     mut policy: Box<dyn AvailabilityPolicy>,
     network: Network,
     n: usize,
@@ -27,11 +28,11 @@ fn equivalence_walk(
     seed: u64,
     steps: usize,
 ) {
-    let mut cluster: Cluster<u64> = ClusterBuilder::new()
+    let mut cluster: Cluster<u64> = builder
         .network(network.clone())
         .copies(0..n)
-        .protocol(protocol)
         .build_with_value(0);
+    let protocol = cluster.protocol();
     let mut rng = SimRng::new(seed);
     let mut up = SiteSet::first_n(n);
     policy.reset();
@@ -94,25 +95,32 @@ fn equivalence_walk(
     );
 }
 
+/// Four copies make even splits, so the tie vote decides: once under
+/// the default ordering and once with S3 ranked highest, the same
+/// lexicon handed to both sides.
 #[test]
 fn mcv_policy_equals_mcv_cluster() {
     let n = 4;
-    equivalence_walk(
-        Protocol::Mcv,
-        Box::new(McvPolicy::new(SiteSet::first_n(n))),
-        Network::single_segment(n),
-        n,
-        false,
-        11,
-        4_000,
-    );
+    for lexicon in [Lexicon::default(), Lexicon::ascending()] {
+        equivalence_walk(
+            ClusterBuilder::new()
+                .protocol(Protocol::Mcv)
+                .lexicon(lexicon.clone()),
+            Box::new(McvPolicy::with_lexicon(SiteSet::first_n(n), &lexicon)),
+            Network::single_segment(n),
+            n,
+            false,
+            11,
+            4_000,
+        );
+    }
 }
 
 #[test]
 fn ldv_policy_equals_ldv_cluster() {
     let n = 4;
     equivalence_walk(
-        Protocol::Ldv,
+        ClusterBuilder::new().protocol(Protocol::Ldv),
         Box::new(DynamicPolicy::ldv(SiteSet::first_n(n))),
         Network::single_segment(n),
         n,
@@ -126,7 +134,7 @@ fn ldv_policy_equals_ldv_cluster() {
 fn odv_policy_equals_odv_cluster() {
     let n = 4;
     equivalence_walk(
-        Protocol::Odv,
+        ClusterBuilder::new().protocol(Protocol::Odv),
         Box::new(DynamicPolicy::odv(SiteSet::first_n(n))),
         Network::single_segment(n),
         n,
