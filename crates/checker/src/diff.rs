@@ -175,13 +175,40 @@ impl DiffReport {
 }
 
 /// The lockstep pair, as a [`Space`]: a mismatch is a terminal hit.
-#[derive(Clone)]
 struct PairSpace {
     primary: World,
     reference: World,
     primary_policy: Protocol,
     reference_policy: Protocol,
     relation: Relation,
+}
+
+impl Clone for PairSpace {
+    fn clone(&self) -> Self {
+        PairSpace {
+            primary: self.primary.clone(),
+            reference: self.reference.clone(),
+            primary_policy: self.primary_policy,
+            reference_policy: self.reference_policy,
+            relation: self.relation,
+        }
+    }
+
+    /// Into the engine's spare: both worlds' buffers are reused.
+    fn clone_from(&mut self, source: &Self) {
+        let PairSpace {
+            primary,
+            reference,
+            primary_policy,
+            reference_policy,
+            relation,
+        } = source;
+        self.primary.clone_from(primary);
+        self.reference.clone_from(reference);
+        self.primary_policy = *primary_policy;
+        self.reference_policy = *reference_policy;
+        self.relation = *relation;
+    }
 }
 
 impl Space for PairSpace {

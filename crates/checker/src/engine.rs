@@ -60,6 +60,7 @@
 //! the memory the run allocated, not to the budget.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -72,6 +73,10 @@ use crate::symmetry::SymmetryGroup;
 /// event enumeration, a step function whose non-empty result marks the
 /// transition terminal, and a fingerprint canonical under a symmetry
 /// group.
+///
+/// Each child is stepped in a spare state its parent is `clone_from`'d
+/// into, so a `clone_from` that reuses the spare's buffers is what lets
+/// a child the engine does not keep cost no allocation.
 pub(crate) trait Space: Clone + Send + Sync {
     /// What a terminal transition yields (violations, mismatches, …).
     type Hit: Clone + Send;
@@ -133,11 +138,37 @@ pub(crate) struct EngineReport<H> {
     pub hits: Vec<HitRec<H>>,
 }
 
+/// Hashes a fingerprint with one multiply. A [`Space`] fingerprint is
+/// already a finished hash — `symmetry`'s `Mixer` ends on an avalanche,
+/// so every input bit reaches every output bit — and it is computed in
+/// this process, never read from outside it, so SipHash's keyed rounds
+/// would hash it a second time for nothing. The multiply only spreads
+/// it over the bits a table takes its bucket and tag from.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a fingerprint hashes as one u64");
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by fingerprint.
+type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
+
 /// The fingerprint memo, sharded so concurrent workers rarely contend:
 /// fingerprint → largest depth-left the state was seen with, with
 /// insert-or-max semantics applied atomically under the shard lock.
 pub(crate) struct ShardedSeen {
-    shards: Vec<Mutex<HashMap<u64, u8>>>,
+    shards: Vec<Mutex<FingerprintMap<u8>>>,
 }
 
 /// What a [`ShardedSeen::probe`] found.
@@ -158,7 +189,7 @@ impl ShardedSeen {
     pub(crate) fn new() -> ShardedSeen {
         ShardedSeen {
             shards: (0..ShardedSeen::SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(FingerprintMap::default()))
                 .collect(),
         }
     }
@@ -301,6 +332,11 @@ fn expand_layer<S: Space>(
         dedup_old: 0,
     };
     let mut scratch = S::Scratch::default();
+    // The box the next child is stepped in. A transition copies its
+    // parent into it (`clone_from`, into buffers the box already has);
+    // only a child that becomes a frontier state keeps it, and every
+    // other child hands it on to the next transition.
+    let mut spare: Option<Box<S>> = None;
     loop {
         let slot = next_job.fetch_add(1, Ordering::Relaxed);
         if slot >= frontier.len() || shared.truncated.load(Ordering::Relaxed) {
@@ -317,7 +353,13 @@ fn expand_layer<S: Space>(
                 break;
             }
             let event_idx = u16::try_from(event_idx).expect("alphabet fits u16");
-            let mut child = state.clone();
+            let mut child = match spare.take() {
+                Some(mut child) => {
+                    S::clone_from(&mut child, state);
+                    child
+                }
+                None => Box::new(state.clone()),
+            };
             let hits = child.step(event, &mut scratch);
             if !hits.is_empty() {
                 // Terminal: record, never fingerprint or expand.
@@ -327,14 +369,22 @@ fn expand_layer<S: Space>(
                     event,
                     hits,
                 });
+                spare = Some(child);
                 continue;
             }
             let fingerprint = child.fingerprint(shared.symmetry, &mut scratch);
-            match shared.seen.probe(fingerprint, child_depth) {
+            let probe = shared.seen.probe(fingerprint, child_depth);
+            let kept = if probe == Probe::New {
+                Some(child)
+            } else {
+                spare = Some(child);
+                None
+            };
+            match probe {
                 Probe::Covered => out.dedup_old += 1,
-                owned => out.children.push(ChildRec {
+                Probe::New | Probe::Tied => out.children.push(ChildRec {
                     fingerprint,
-                    state: (owned == Probe::New).then(|| Box::new(child)),
+                    state: kept,
                     job,
                     event_idx,
                     event: PackedEvent::pack(event),
@@ -421,7 +471,7 @@ pub(crate) fn explore<S: Space>(root: S, config: &EngineConfig) -> EngineReport<
             // until the walk meets its canonical parent: the first
             // record, in canonical order, that generated it. Later
             // records of that fingerprint are same-layer collisions.
-            let mut unplaced: HashMap<u64, Box<S>> = children
+            let mut unplaced: FingerprintMap<Box<S>> = children
                 .iter_mut()
                 .filter_map(|child| Some((child.fingerprint, child.state.take()?)))
                 .collect();

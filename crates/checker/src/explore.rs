@@ -4,8 +4,10 @@
 //! alphabet, to a configurable depth, on the shared engine
 //! ([`crate::engine`]): optionally multi-threaded (`threads`) and
 //! optionally quotiented by site symmetry (`symmetry`, see
-//! [`crate::symmetry`]). Branching clones the [`World`] (clusters share
-//! their reachability memo, so clones are cheap); deduplication hashes
+//! [`crate::symmetry`]). Branching copies the parent [`World`] into a
+//! spare one with `clone_from`, reusing the spare's buffers (clusters
+//! share their network and reachability memo), and only a child that
+//! enters the frontier keeps its copy; deduplication hashes
 //! every reached state's [`World::sym_view`] canonically under the
 //! run's symmetry group (the trivial group when symmetry is off, under
 //! which the canonical hash is the view's plain one) and skips a state
@@ -234,11 +236,32 @@ pub fn enumerate_events(world: &World) -> Vec<CheckEvent> {
 /// The invariant checker's [`Space`]: a [`World`] stepped through
 /// [`crate::apply_and_detect`], with violations classified against the
 /// policy's documented hazards at the transition that surfaced them.
-#[derive(Clone)]
 struct CheckSpace<'a> {
     world: World,
     suite: &'a [Box<dyn StateInvariant>],
     scenario: Scenario,
+}
+
+impl Clone for CheckSpace<'_> {
+    fn clone(&self) -> Self {
+        CheckSpace {
+            world: self.world.clone(),
+            suite: self.suite,
+            scenario: self.scenario,
+        }
+    }
+
+    /// Into the engine's spare: the world's buffers are reused.
+    fn clone_from(&mut self, source: &Self) {
+        let CheckSpace {
+            world,
+            suite,
+            scenario,
+        } = source;
+        self.world.clone_from(world);
+        self.suite = suite;
+        self.scenario = *scenario;
+    }
 }
 
 impl Space for CheckSpace<'_> {

@@ -21,7 +21,7 @@ use crate::scenario::Scenario;
 use crate::symmetry::{NodeView, SymView};
 
 /// What applying one event did, before any invariant is consulted.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepOutcome {
     /// Whether the event took effect: always `true` for fault events,
     /// and the grant/refuse outcome for operations.
@@ -34,7 +34,10 @@ pub struct StepOutcome {
 }
 
 /// One explored state: the live cluster plus per-path ground truth.
-#[derive(Clone)]
+///
+/// `clone_from` copies a world into another's buffers (see
+/// [`Cluster`]'s), which is how the explorer steps every child in one
+/// spare world per worker.
 pub struct World {
     /// The cluster under check (value type = write token).
     pub cluster: Cluster<u64>,
@@ -49,6 +52,40 @@ pub struct World {
     last_committed: u64,
     /// How many token-oracle violations this path has seen.
     oracle_violations: u64,
+}
+
+impl Clone for World {
+    fn clone(&self) -> World {
+        World {
+            cluster: self.cluster.clone(),
+            partitions: Arc::clone(&self.partitions),
+            forced: self.forced,
+            next_token: self.next_token,
+            last_committed: self.last_committed,
+            oracle_violations: self.oracle_violations,
+        }
+    }
+
+    /// Field by field, so a new field does not compile until it is
+    /// copied here too.
+    fn clone_from(&mut self, source: &World) {
+        let World {
+            cluster,
+            partitions,
+            forced,
+            next_token,
+            last_committed,
+            oracle_violations,
+        } = source;
+        self.cluster.clone_from(cluster);
+        if !Arc::ptr_eq(&self.partitions, partitions) {
+            self.partitions = Arc::clone(partitions);
+        }
+        self.forced = *forced;
+        self.next_token = *next_token;
+        self.last_committed = *last_committed;
+        self.oracle_violations = *oracle_violations;
+    }
 }
 
 impl World {
@@ -256,8 +293,15 @@ fn fill_state_table<T: Clone>(cluster: &Cluster<T>, table: &mut StateTable) {
 /// The maximal communication groups of up participants, in site order.
 #[must_use]
 pub fn groups_of<T: Clone>(cluster: &Cluster<T>) -> Vec<SiteSet> {
-    let participants = cluster.participants();
     let mut groups = Vec::new();
+    fill_groups(cluster, &mut groups);
+    groups
+}
+
+/// [`groups_of`] written over `groups`, whose buffer is kept.
+fn fill_groups<T: Clone>(cluster: &Cluster<T>, groups: &mut Vec<SiteSet>) {
+    let participants = cluster.participants();
+    groups.clear();
     let mut grouped = SiteSet::EMPTY;
     for site in participants.iter() {
         if grouped.contains(site) {
@@ -270,21 +314,37 @@ pub fn groups_of<T: Clone>(cluster: &Cluster<T>) -> Vec<SiteSet> {
         grouped |= group;
         groups.push(group);
     }
-    groups
 }
 
-/// The two state tables one detection step compares. A fresh pair is a
-/// 3 KB allocation, so whoever steps many worlds keeps one.
+/// What one detection step fills and compares: the state tables before
+/// and after the event and the communication groups after it. Whoever
+/// steps many worlds keeps one, so a step allocates none of them.
 pub(crate) struct DetectScratch {
+    /// The participants the two tables have slots for.
+    sized_for: SiteSet,
     prev: StateTable,
     next: StateTable,
+    groups: Vec<SiteSet>,
 }
 
 impl Default for DetectScratch {
     fn default() -> DetectScratch {
         DetectScratch {
+            sized_for: SiteSet::EMPTY,
             prev: StateTable::fresh(SiteSet::EMPTY),
             next: StateTable::fresh(SiteSet::EMPTY),
+            groups: Vec::new(),
+        }
+    }
+}
+
+impl DetectScratch {
+    /// Sizes the two tables for `participants`, once per scenario.
+    fn fit(&mut self, participants: SiteSet) {
+        if self.sized_for != participants {
+            self.sized_for = participants;
+            self.prev = StateTable::fresh(participants);
+            self.next = StateTable::fresh(participants);
         }
     }
 }
@@ -313,6 +373,7 @@ pub(crate) fn apply_and_detect_in(
     event: CheckEvent,
 ) -> Vec<Violation> {
     let participants = world.cluster.participants();
+    scratch.fit(participants);
     fill_state_table(&world.cluster, &mut scratch.prev);
     let seen_before = world.cluster.checker().violations().len();
 
@@ -329,12 +390,12 @@ pub(crate) fn apply_and_detect_in(
         });
     }
     fill_state_table(&world.cluster, &mut scratch.next);
-    let groups = groups_of(&world.cluster);
+    fill_groups(&world.cluster, &mut scratch.groups);
     let snapshot = ProtocolSnapshot {
         copies: world.cluster.copies(),
         witnesses: world.cluster.witnesses(),
         states: &scratch.next,
-        groups: &groups,
+        groups: &scratch.groups,
         rule: world.cluster.rule(),
         network: Some(world.cluster.network()),
     };
@@ -452,6 +513,123 @@ mod tests {
         }
         assert_ne!(branch.sym_view(), before);
         assert_eq!(world.sym_view(), before);
+    }
+
+    /// Everything a world shows of itself, cluster and bus included.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        view: SymView,
+        stats: dynvote_replica::OpStats,
+        trace: dynvote_replica::Trace,
+        history: Vec<dynvote_replica::CommittedOp>,
+        pending: SiteSet,
+        last_ticket: u64,
+        violations: Vec<ReplicaViolation>,
+        groups: Vec<SiteSet>,
+        bus: dynvote_replica::BusStats,
+        max_attempts: u32,
+        protocol: Protocol,
+        copies: SiteSet,
+        witnesses: SiteSet,
+    }
+
+    fn observe(world: &World) -> Observed {
+        let cluster = &world.cluster;
+        Observed {
+            copies: cluster.copies(),
+            witnesses: cluster.witnesses(),
+            view: world.sym_view(),
+            stats: cluster.stats(),
+            trace: cluster.trace().clone(),
+            history: cluster.history().to_vec(),
+            pending: cluster.pending_sites(),
+            last_ticket: cluster.last_ticket(),
+            violations: cluster.checker().violations().to_vec(),
+            groups: groups_of(cluster),
+            bus: *cluster.bus().stats(),
+            max_attempts: cluster.max_attempts(),
+            protocol: cluster.protocol(),
+        }
+    }
+
+    /// The root of `scenario` and every world within `depth` events of
+    /// it, refused operations included.
+    fn worlds_within(scenario: &Scenario, depth: usize) -> Vec<World> {
+        let mut layer = vec![World::new(scenario)];
+        let mut all = layer.clone();
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for world in &layer {
+                for event in crate::explore::enumerate_events(world) {
+                    let mut child = world.clone();
+                    child.apply(event);
+                    next.push(child);
+                }
+            }
+            all.extend(next.iter().cloned());
+            layer = next;
+        }
+        all
+    }
+
+    #[test]
+    fn clone_from_is_clone() {
+        // Three dirty worlds, each different from every state below:
+        // one further along the same scenario (a forced partition,
+        // grown ledgers and history), one a forked two-site TDV world on
+        // another network, with a violation, another retry bound and
+        // the stale-read fault armed, and one with a witness.
+        let mut witnessed = World::with_cluster(
+            dynvote_replica::ClusterBuilder::new()
+                .copies([0, 1])
+                .witnesses([2])
+                .protocol(Protocol::Dv)
+                .build_with_value(0),
+        );
+        witnessed.apply(CheckEvent::Write(SiteId::new(1)));
+        let mut forked = World::new(&Scenario::new(Protocol::Tdv, 2, 1).unwrap());
+        forked.cluster.set_max_attempts(1);
+        forked.cluster.set_stale_read_fault(true);
+        for event in [
+            CheckEvent::Crash(SiteId::new(0)),
+            CheckEvent::Read(SiteId::new(1)),
+            CheckEvent::Crash(SiteId::new(1)),
+            CheckEvent::Repair(SiteId::new(0)),
+            CheckEvent::Recover(SiteId::new(0)),
+        ] {
+            forked.apply(event);
+        }
+        assert!(forked.forked());
+        for policy in [Protocol::Dv, Protocol::Tdv] {
+            let scenario = Scenario::new(policy, 4, 2).unwrap();
+            let states = worlds_within(&scenario, 3);
+            assert!(states.len() > 1000, "{} states", states.len());
+            let mut along = World::new(&scenario);
+            for event in [
+                CheckEvent::Write(SiteId::new(0)),
+                CheckEvent::Partition(1),
+                CheckEvent::Write(SiteId::new(0)),
+                CheckEvent::Crash(SiteId::new(3)),
+                CheckEvent::Write(SiteId::new(1)),
+                CheckEvent::Read(SiteId::new(0)),
+                CheckEvent::Write(SiteId::new(0)),
+            ] {
+                along.apply(event);
+            }
+            let dirty = [along, forked.clone(), witnessed.clone()];
+            for (index, state) in states.iter().enumerate() {
+                let mut reused = dirty[index % dirty.len()].clone();
+                reused.clone_from(state);
+                assert_eq!(observe(&reused), observe(&state.clone()));
+                for event in crate::explore::enumerate_events(state) {
+                    // `reused` is dirty again from the previous event.
+                    reused.clone_from(state);
+                    let mut fresh = state.clone();
+                    assert_eq!(reused.apply(event), fresh.apply(event), "{event}");
+                    assert_eq!(observe(&reused), observe(&fresh), "{event}");
+                }
+            }
+        }
     }
 
     #[test]

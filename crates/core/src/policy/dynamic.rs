@@ -308,7 +308,9 @@ impl DynamicPolicy {
             }
             return self.memo.granted;
         }
-        let mut commits = Vec::new();
+        // The memo's own buffer, refilled: a miss allocates nothing.
+        let mut commits = std::mem::take(&mut self.memo.commits);
+        commits.clear();
         let mut granted = false;
         let mut rival_delta = 0u64;
         for i in 0..reach.groups().len() {

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use dynvote_types::{SiteId, SiteSet, MAX_SITES};
+use dynvote_types::{SiteId, SiteSet};
 
 /// The consistency-control state attached to one physical copy.
 ///
@@ -53,19 +53,24 @@ impl fmt::Debug for ReplicaState {
 ///
 /// In a deployment each site stores its own entry on stable storage; the
 /// simulator and the in-process replicated store keep them side by side.
-/// A `StateTable` holds a slot for *all* addressable sites — slots of
-/// sites that hold no copy are simply never read.
+/// A `StateTable` holds one slot per site from `S0` up to the highest
+/// site it was made [`fresh`](StateTable::fresh) for — eight on the
+/// Figure 8 network, not one per addressable site. Slots of sites in
+/// that range that hold no copy are simply never read; a site past the
+/// last slot has none, and touching it panics (index out of bounds).
 #[derive(Clone, PartialEq, Eq)]
 pub struct StateTable {
-    states: Box<[ReplicaState; MAX_SITES]>,
+    states: Box<[ReplicaState]>,
 }
 
 impl StateTable {
-    /// A table where every copy in `copies` carries the initial state.
+    /// A table where every copy in `copies` carries the initial state,
+    /// with a slot for every site up to the highest copy.
     #[must_use]
     pub fn fresh(copies: SiteSet) -> Self {
+        let slots = copies.max().map_or(0, |site| site.index() + 1);
         StateTable {
-            states: Box::new([ReplicaState::initial(copies); MAX_SITES]),
+            states: vec![ReplicaState::initial(copies); slots].into_boxed_slice(),
         }
     }
 
@@ -147,17 +152,14 @@ impl StateTable {
 
 impl fmt::Debug for StateTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut map = f.debug_map();
-        for i in 0..MAX_SITES {
-            let s = &self.states[i];
-            // Only print slots that differ from the zero pattern of a
-            // never-touched default — fresh() initializes all slots, so
-            // print the first 16 to keep output bounded.
-            if i < 16 {
-                map.entry(&SiteId::new(i), s);
-            }
-        }
-        map.finish()
+        f.debug_map()
+            .entries(
+                self.states
+                    .iter()
+                    .enumerate()
+                    .map(|(index, state)| (SiteId::new(index), state)),
+            )
+            .finish()
     }
 }
 
@@ -180,6 +182,45 @@ mod tests {
             assert_eq!(t.get(site).version, 1);
             assert_eq!(t.get(site).partition, copies);
         }
+    }
+
+    #[test]
+    fn a_table_holds_a_slot_per_site_up_to_its_highest_copy() {
+        let copies = s(&[1, 3, 5]);
+        let mut t = StateTable::fresh(copies);
+        assert_eq!(t.states.len(), 6);
+        assert_eq!(StateTable::fresh(s(&[0])).states.len(), 1);
+        assert_eq!(StateTable::fresh(SiteSet::EMPTY).states.len(), 0);
+
+        let top = SiteId::new(5);
+        assert_eq!(*t.get(top), ReplicaState::initial(copies));
+        let state = ReplicaState {
+            op: 9,
+            version: 4,
+            partition: s(&[3, 5]),
+        };
+        t.set(top, state);
+        assert_eq!(*t.get(top), state);
+        t.get_mut(top).op = 10;
+        assert_eq!(t.get(top).op, 10);
+        assert_eq!(t.max_op(copies), Some((10, s(&[5]))));
+    }
+
+    #[test]
+    #[should_panic(expected = "the len is 6 but the index is 6")]
+    fn a_site_past_the_last_slot_panics() {
+        let t = StateTable::fresh(s(&[1, 3, 5]));
+        let _ = t.get(SiteId::new(6));
+    }
+
+    #[test]
+    fn debug_prints_the_tables_own_slots() {
+        let t = StateTable::fresh(s(&[0, 2]));
+        let text = format!("{t:?}");
+        assert_eq!(
+            text,
+            "{S0: o=1, v=1, P={S0, S2}, S1: o=1, v=1, P={S0, S2}, S2: o=1, v=1, P={S0, S2}}"
+        );
     }
 
     #[test]

@@ -69,12 +69,38 @@ impl core::fmt::Display for Violation {
 /// A lineage fork or duplicate version whose number has fallen out of
 /// that window is no longer detected; exhaustive checker runs stay
 /// orders of magnitude inside it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Checker {
     latest_written: u64,
     written_versions: Vec<(u64, u64)>, // (version, times committed)
     committed_ops: Vec<(u64, SiteSet)>,
     violations: Vec<Violation>,
+}
+
+impl Clone for Checker {
+    fn clone(&self) -> Self {
+        Checker {
+            latest_written: self.latest_written,
+            written_versions: self.written_versions.clone(),
+            committed_ops: self.committed_ops.clone(),
+            violations: self.violations.clone(),
+        }
+    }
+
+    /// Copies `source` into this monitor's buffers: an explorer
+    /// branching a cluster into a spare one allocates nothing here.
+    fn clone_from(&mut self, source: &Self) {
+        let Checker {
+            latest_written,
+            written_versions,
+            committed_ops,
+            violations,
+        } = source;
+        self.latest_written = *latest_written;
+        self.written_versions.clone_from(written_versions);
+        self.committed_ops.clone_from(committed_ops);
+        self.violations.clone_from(violations);
+    }
 }
 
 /// Inserts `entry` at `slot` of a ledger sorted by number, then drops

@@ -383,14 +383,15 @@ impl ClusterBuilder {
 /// (`dynvote-check`) performs at every state. Only the network and the
 /// reachability memo are shared between clones (both are immutable or
 /// a pure cache keyed by up-set, so sharing changes no observable
-/// behavior and keeps branching cheap).
+/// behavior and keeps branching cheap). `clone_from` branches into an
+/// existing cluster's buffers, so an explorer that keeps one spare
+/// cluster allocates nothing to step a child it then throws away.
 ///
 /// The transport parameter `X` selects the network under the protocol:
 /// the default [`BusTransport`] hosts every participant in-process
 /// behind the nemesis fault bus, while `dynvote-store`'s `TcpTransport`
 /// runs the *same* operation code against remote peers over real
 /// sockets (built via [`ClusterBuilder::build_remote`]).
-#[derive(Clone)]
 pub struct Cluster<T, X = BusTransport> {
     /// Fixed at build time, so a clone shares it (as it shares the
     /// memo below): the model checker clones a cluster per transition.
@@ -436,6 +437,89 @@ pub struct Cluster<T, X = BusTransport> {
     /// Cluster-wide monotonic operation ticket; outstanding votes are
     /// keyed by it.
     op_ticket: u64,
+}
+
+impl<T: Clone, X: Clone> Clone for Cluster<T, X> {
+    fn clone(&self) -> Self {
+        Cluster {
+            network: Arc::clone(&self.network),
+            protocol: self.protocol,
+            rule: self.rule.clone(),
+            copies: self.copies,
+            witnesses: self.witnesses,
+            up: self.up,
+            reach: Arc::clone(&self.reach),
+            nodes: self.nodes.clone(),
+            forced_groups: self.forced_groups.clone(),
+            reach_cache: Arc::clone(&self.reach_cache),
+            #[cfg(any(test, feature = "stale-read-fault"))]
+            stale_read_fault: self.stale_read_fault,
+            trace: self.trace.clone(),
+            checker: self.checker.clone(),
+            stats: self.stats,
+            history: self.history.clone(),
+            transport: self.transport.clone(),
+            max_attempts: self.max_attempts,
+            op_ticket: self.op_ticket,
+        }
+    }
+
+    /// `source`, copied into this cluster's buffers (nodes, ledgers,
+    /// violations, history, forced groups). The source is destructured
+    /// field by field, so a new field does not compile until it is
+    /// copied here too.
+    fn clone_from(&mut self, source: &Self) {
+        let Cluster {
+            network,
+            protocol,
+            rule,
+            copies,
+            witnesses,
+            up,
+            reach,
+            nodes,
+            forced_groups,
+            reach_cache,
+            #[cfg(any(test, feature = "stale-read-fault"))]
+            stale_read_fault,
+            trace,
+            checker,
+            stats,
+            history,
+            transport,
+            max_attempts,
+            op_ticket,
+        } = source;
+        share(&mut self.network, network);
+        self.protocol = *protocol;
+        self.rule.clone_from(rule);
+        self.copies = *copies;
+        self.witnesses = *witnesses;
+        self.up = *up;
+        share(&mut self.reach, reach);
+        self.nodes.clone_from(nodes);
+        self.forced_groups.clone_from(forced_groups);
+        share(&mut self.reach_cache, reach_cache);
+        #[cfg(any(test, feature = "stale-read-fault"))]
+        {
+            self.stale_read_fault = *stale_read_fault;
+        }
+        self.trace.clone_from(trace);
+        self.checker.clone_from(checker);
+        self.stats = *stats;
+        self.history.clone_from(history);
+        self.transport.clone_from(transport);
+        self.max_attempts = *max_attempts;
+        self.op_ticket = *op_ticket;
+    }
+}
+
+/// Points `to` where `from` points, with no refcount traffic when it
+/// already does (a checker branch almost always shares its parent's).
+fn share<A: ?Sized>(to: &mut Arc<A>, from: &Arc<A>) {
+    if !Arc::ptr_eq(to, from) {
+        *to = Arc::clone(from);
+    }
 }
 
 /// The result of the START/STATE polling rounds.

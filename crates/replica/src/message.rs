@@ -69,7 +69,7 @@ impl MessageKind {
 ///
 /// Only the counts are kept — no message bodies — so recording is a
 /// pair of increments and cloning a cluster copies six counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     total: u64,
     by_kind: [u64; 5],
