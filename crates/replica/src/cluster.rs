@@ -2060,6 +2060,29 @@ mod tests {
             assert_eq!(c.trace().count_of(&MessageKind::CopyRequest), 0);
             assert_eq!(c.trace().total(), 6, "origin S{origin}");
         }
+        // The paper's traffic claim, per protocol: with n copies all up
+        // and S0 coordinating, an MCV read costs 2(n-1) messages and
+        // every dynamic protocol's read 3(n-1); a write costs 3(n-1)
+        // under all six.
+        for protocol in Protocol::ALL {
+            for n in [3u64, 5] {
+                let mut c: Cluster<u64> = ClusterBuilder::new()
+                    .copies(0..n as usize)
+                    .protocol(protocol)
+                    .build_with_value(0);
+                let read = if protocol == Protocol::Mcv { 2 } else { 3 } * (n - 1);
+                c.clear_trace();
+                c.read(SiteId::new(0)).unwrap();
+                assert_eq!(c.trace().total(), read, "{protocol:?} read, {n} copies");
+                c.clear_trace();
+                c.write(SiteId::new(0), 1).unwrap();
+                assert_eq!(
+                    c.trace().total(),
+                    3 * (n - 1),
+                    "{protocol:?} write, {n} copies"
+                );
+            }
+        }
     }
 
     #[test]
