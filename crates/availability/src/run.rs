@@ -282,9 +282,9 @@ where
     let mut stats = BatchMeans::new();
     let mut censored = 0usize;
     let mut name = String::new();
-    // One memo table for the whole study: each replication forks the
-    // warm cache, so the union-find runs at most once per distinct
-    // up-set across *all* replications.
+    // One memo table for the whole study: each replication's driver
+    // takes the warm cache and hands it back, so the union-find runs at
+    // most once per distinct up-set across *all* replications.
     let mut shared_cache = dynvote_topology::ReachabilityCache::new(network);
     for rep in 0..replications {
         let mut policy = make_policy();
@@ -295,7 +295,7 @@ where
             models,
             seed.wrapping_add(rep as u64).wrapping_mul(0x9E37_79B9),
             access_rate,
-            shared_cache.clone(),
+            shared_cache,
         );
         policy.on_topology_change(driver.reachability());
         let end = SimTime::ZERO + horizon;

@@ -8,6 +8,8 @@
 //! them millions of times. The cache computes each partition once,
 //! interns it behind an [`Arc`], and turns every subsequent lookup into
 //! a table index plus a reference-count bump — no BFS, no allocation.
+//! The table is sized to its network: one slot per up-set bitmask of
+//! the network's own sites.
 //!
 //! Memoization cannot change results: the cached value is exactly the
 //! value `Network::reachability` returns for that up-set, and the
@@ -22,10 +24,11 @@ use dynvote_types::SiteSet;
 use crate::network::Network;
 use crate::reachability::Reachability;
 
-/// Site universes up to this many low bits use the dense direct-indexed
-/// table (`2^n` slots); larger universes fall back to a hash map. At 12
-/// sites the dense table is 4096 pointers — 32 KiB — while the paper's
-/// networks (8 sites) use 2 KiB.
+/// Site universes within this many low bits use the dense
+/// direct-indexed table; larger universes fall back to a hash map. The
+/// table has one slot per key up to the universe's own bitmask, so the
+/// paper's networks (8 sites) use 256 pointers — 2 KiB — and 12 sites,
+/// the most the table takes, use 4096 — 32 KiB.
 const DENSE_BITS: u32 = 12;
 
 enum Slots {
@@ -38,10 +41,10 @@ enum Slots {
 /// An interning memo table for [`Network::reachability`].
 ///
 /// Create one per [`Network`] and route reachability queries through
-/// [`ReachabilityCache::get`]. Cloning the cache clones the *table*,
-/// not the values: the interned [`Arc`]s are shared, so a driver fleet
-/// (e.g. independent replications of a reliability study) can fork a
-/// warm cache for free.
+/// [`ReachabilityCache::get`]. The cache is not `Clone`: a sequence of
+/// drivers (e.g. independent replications of a reliability study)
+/// passes one warm table from each to the next by value, so every
+/// entry is computed once and `misses` counts exactly the entries.
 ///
 /// # Examples
 ///
@@ -73,8 +76,9 @@ impl ReachabilityCache {
     #[must_use]
     pub fn new(network: &Network) -> Self {
         let sites = network.sites();
+        // A key is `(up & sites).bits() <= sites.bits()`.
         let slots = if sites.bits() < (1u64 << DENSE_BITS) {
-            Slots::Dense(vec![None; 1usize << DENSE_BITS.min(usize::BITS - 1)])
+            Slots::Dense(vec![None; sites.bits() as usize + 1])
         } else {
             Slots::Sparse(HashMap::new())
         };
@@ -152,20 +156,6 @@ impl ReachabilityCache {
     }
 }
 
-impl Clone for ReachabilityCache {
-    fn clone(&self) -> Self {
-        ReachabilityCache {
-            slots: match &self.slots {
-                Slots::Dense(table) => Slots::Dense(table.clone()),
-                Slots::Sparse(map) => Slots::Sparse(map.clone()),
-            },
-            sites: self.sites,
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
 impl core::fmt::Debug for ReachabilityCache {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ReachabilityCache")
@@ -226,16 +216,14 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_interned_values() {
-        let net = two_segment();
-        let mut cache = ReachabilityCache::new(&net);
-        let up = net.sites();
-        let a = cache.get(&net, up);
-        let mut forked = cache.clone();
-        let b = forked.get(&net, up);
-        assert!(Arc::ptr_eq(&a, &b), "fork must share the warm entries");
-        assert_eq!(forked.hits(), 1);
-        assert_eq!(forked.misses(), 0);
+    fn the_dense_table_is_sized_to_its_network() {
+        let slots = |n| match ReachabilityCache::new(&Network::single_segment(n)).slots {
+            Slots::Dense(table) => Some(table.len()),
+            Slots::Sparse(_) => None,
+        };
+        assert_eq!(slots(8), Some(256));
+        assert_eq!(slots(12), Some(4096));
+        assert_eq!(slots(13), None);
     }
 
     #[test]
