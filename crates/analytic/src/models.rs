@@ -352,10 +352,13 @@ fn tdv_proto(segments: Vec<u32>) -> ChainProtocol {
 /// this model, the intermediate cases isolate the pure effect of vote
 /// claiming.
 ///
-/// Note: the chain reproduces Figures 5–7 *as published*, including
-/// the sequential-claim forks after co-segment total failures — the
-/// unavailability it reports counts rival blocks as available, exactly
-/// like the simulator.
+/// Note: the chain's state is one partition set for the whole file, so
+/// it cannot hold the stale set of a copy that failed before the last
+/// commit. Figures 5–7 keep one per copy, and a copy that returns alone
+/// after a co-segment total failure claims its peers' votes from its
+/// own stale set (the sequential-claim hazard); the chain refuses that
+/// access, as Available Copy does. The simulator follows the figures,
+/// so on one segment it measures TDV more available than this chain.
 #[must_use]
 pub fn tdv_unavailability(sys: &ParSystem, segments: &[u32]) -> f64 {
     validate_segments(sys, segments);

@@ -192,12 +192,6 @@ impl Driver {
         &self.reach
     }
 
-    /// The current reachability as its interned, shareable handle.
-    #[must_use]
-    pub fn reachability_shared(&self) -> Arc<Reachability> {
-        Arc::clone(&self.reach)
-    }
-
     /// The driver's memo table (to read hit/miss telemetry).
     #[must_use]
     pub fn reachability_cache(&self) -> &ReachabilityCache {

@@ -6,7 +6,7 @@ use dynvote_types::SiteSet;
 use crate::decision::majority;
 use crate::lexicon::Lexicon;
 
-use super::AvailabilityPolicy;
+use super::{AvailabilityPolicy, CopiesView};
 
 /// Majority Consensus Voting (Ellis/Gifford/Thomas): an access proceeds
 /// iff a majority of all *n* copies is reachable.
@@ -31,17 +31,22 @@ use super::AvailabilityPolicy;
 /// LDV uses; [`McvPolicy::strict`] provides the textbook no-tie-break
 /// rule for comparison (the `mcv_tiebreak` ablation measures the gap).
 ///
-/// MCV keeps no adjustable state, so
-/// [`AvailabilityPolicy::on_topology_change`] and
-/// [`AvailabilityPolicy::on_access`] never mutate anything. Its test is
-/// Algorithm 1's step 5 with `P_m` fixed at all copies — the verdict
-/// [`crate::decision::decide`] reaches under [`Rule::static_majority`].
+/// MCV keeps no protocol state. Its test is Algorithm 1's step 5 with
+/// `P_m` fixed at all copies — the verdict [`crate::decision::decide`]
+/// reaches under [`Rule::static_majority`] — and it reads only
+/// `group ∩ copies`. So [`AvailabilityPolicy::on_topology_change`] and
+/// [`AvailabilityPolicy::on_access`] answer from the copies' view of
+/// the last partition they decided, and decide again only when the view
+/// changes; [`AvailabilityPolicy::is_available`] always decides.
 ///
 /// [`Rule::static_majority`]: crate::decision::Rule::static_majority
 #[derive(Clone, Debug)]
 pub struct McvPolicy {
     copies: SiteSet,
     tie_break: Option<Lexicon>,
+    /// The verdict for `seen`, once a partition has been decided.
+    verdict: Option<bool>,
+    seen: CopiesView,
 }
 
 impl McvPolicy {
@@ -81,6 +86,8 @@ impl McvPolicy {
         McvPolicy {
             copies,
             tie_break: None,
+            verdict: None,
+            seen: CopiesView::default(),
         }
     }
 
@@ -89,6 +96,20 @@ impl McvPolicy {
     pub fn group_grants(&self, group: SiteSet) -> bool {
         let held = group & self.copies;
         majority(held, held, self.copies, self.tie_break.as_ref()).is_ok()
+    }
+
+    /// The verdict for `reach`: the last one when the copies see the
+    /// partition they saw then, a fresh one otherwise.
+    fn answer(&mut self, reach: &Reachability) -> bool {
+        if let Some(verdict) = self.verdict {
+            if self.seen.matches(reach, self.copies) {
+                return verdict;
+            }
+        }
+        let verdict = self.is_available(reach);
+        self.verdict = Some(verdict);
+        self.seen.set(reach, self.copies);
+        verdict
     }
 }
 
@@ -100,11 +121,11 @@ impl AvailabilityPolicy for McvPolicy {
     fn reset(&mut self) {}
 
     fn on_topology_change(&mut self, reach: &Reachability) -> bool {
-        self.is_available(reach)
+        self.answer(reach)
     }
 
     fn on_access(&mut self, reach: &Reachability) -> bool {
-        self.is_available(reach)
+        self.answer(reach)
     }
 
     fn is_available(&self, reach: &Reachability) -> bool {
@@ -197,6 +218,43 @@ mod tests {
             "S3 now holds the tie vote"
         );
         assert!(!p.is_available(&reach(&[&[0, 1]])));
+    }
+
+    /// The handlers answer from the last view; `is_available` decides.
+    /// Both must agree on every step of a walk through partitions that
+    /// repeat, that the copies see alike, and that differ.
+    #[test]
+    fn the_remembered_verdict_is_the_decided_one() {
+        let walk: [&[&[usize]]; 9] = [
+            &[&[0, 1, 2, 3]],
+            &[&[0, 1, 2, 3]],
+            &[&[0, 1], &[2, 3]],
+            &[&[0, 1, 6], &[2, 3]],
+            &[&[2, 3], &[0, 1]],
+            &[&[2, 3]],
+            &[&[2, 3, 5], &[7]],
+            &[],
+            &[&[0, 1], &[2, 3]],
+        ];
+        for mut p in [
+            McvPolicy::new(SiteSet::first_n(4)),
+            McvPolicy::strict(SiteSet::first_n(4)),
+            McvPolicy::with_lexicon(SiteSet::first_n(4), &Lexicon::ascending()),
+        ] {
+            for (i, groups) in walk.iter().enumerate() {
+                let r = reach(groups);
+                let again = Reachability::from_groups(r.groups().to_vec());
+                let want = p.is_available(&r);
+                let got = if i % 2 == 0 {
+                    p.on_topology_change(&r)
+                } else {
+                    p.on_access(&r)
+                };
+                assert_eq!(got, want, "step {i}: {groups:?}");
+                assert_eq!(p.on_access(&again), want, "step {i} rebuilt");
+                assert_eq!(p.on_access(&r), want, "step {i} repeated");
+            }
+        }
     }
 
     #[test]

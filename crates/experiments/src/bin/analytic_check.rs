@@ -86,8 +86,17 @@ fn main() {
             Box::new(DynamicPolicy::dv(copies)),
             Box::new(DynamicPolicy::ldv(copies)),
             Box::new(AvailableCopyPolicy::new(copies)),
-            // TDV on the single shared segment — analytically identical
-            // to Available Copy, and the simulator must agree.
+            // TDV on the single shared segment. The CTMC's TDV chain
+            // keeps one partition set for the whole file, which makes
+            // it Available Copy's chain. The simulator keeps one per
+            // copy, as Figures 5-7 do: a copy that returns alone after
+            // a total failure claims its peer's vote from its own stale
+            // set (the sequential-claim hazard), where Available Copy
+            // refuses. So the simulated TDV reads below the chain here,
+            // outside its interval at n = 2-4 ("no" in the last column).
+            // dynamic::tests::tdv_on_one_segment_grants_where_available_
+            // copy_refuses pins the walk; EXPERIMENTS "Analytic
+            // cross-check" has the explanation.
             Box::new(DynamicPolicy::tdv(copies, network.clone())),
         ];
         let params = Params {
