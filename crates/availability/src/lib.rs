@@ -22,10 +22,10 @@
 //!
 //! ```
 //! use dynvote_availability::{config, network, run, sites};
-//! use dynvote_core::policy::PolicyKind;
+//! use dynvote_core::policy::Protocol;
 //!
 //! let params = run::Params::quick_test();
-//! let result = run::simulate(PolicyKind::Ldv, &config::CONFIG_A, &params);
+//! let result = run::simulate(Protocol::Ldv, &config::CONFIG_A, &params);
 //! assert!(result.unavailability < 0.05);
 //! ```
 

@@ -11,7 +11,7 @@
 //! trace (common random numbers), so differences between columns of the
 //! reproduced Table 2 reflect the protocols, not sampling noise.
 
-use dynvote_core::policy::{AvailabilityPolicy, PolicyKind};
+use dynvote_core::policy::{AvailabilityPolicy, Protocol};
 use dynvote_sim::{BatchMeans, Duration, OutageLog, SimTime};
 use dynvote_topology::Network;
 
@@ -474,7 +474,7 @@ pub fn attribute_outages(
 /// Simulates one paper policy on one Table 2 configuration over the
 /// Figure 8 network.
 #[must_use]
-pub fn simulate(kind: PolicyKind, config: &Configuration, params: &Params) -> RunResult {
+pub fn simulate(kind: Protocol, config: &Configuration, params: &Params) -> RunResult {
     let network = ucsd_network();
     let policy = kind.build(config.copies, &network);
     run_trace(&network, &UCSD_SITES, vec![policy], params, config.name)
@@ -487,7 +487,7 @@ pub fn simulate(kind: PolicyKind, config: &Configuration, params: &Params) -> Ru
 #[must_use]
 pub fn simulate_row(config: &Configuration, params: &Params) -> Vec<RunResult> {
     let network = ucsd_network();
-    let policies: Vec<Box<dyn AvailabilityPolicy>> = PolicyKind::TABLE
+    let policies: Vec<Box<dyn AvailabilityPolicy>> = Protocol::ALL
         .iter()
         .map(|k| k.build(config.copies, &network))
         .collect();
@@ -503,8 +503,8 @@ mod tests {
     #[test]
     fn results_are_deterministic() {
         let params = Params::quick_test();
-        let a = simulate(PolicyKind::Ldv, &CONFIG_A, &params);
-        let b = simulate(PolicyKind::Ldv, &CONFIG_A, &params);
+        let a = simulate(Protocol::Ldv, &CONFIG_A, &params);
+        let b = simulate(Protocol::Ldv, &CONFIG_A, &params);
         assert_eq!(a.unavailability, b.unavailability);
         assert_eq!(a.outage_count, b.outage_count);
     }
@@ -512,7 +512,7 @@ mod tests {
     #[test]
     fn unavailability_is_a_probability() {
         let params = Params::quick_test();
-        for kind in PolicyKind::TABLE {
+        for kind in Protocol::ALL {
             let r = simulate(kind, &CONFIG_D, &params);
             assert!(
                 (0.0..=1.0).contains(&r.unavailability),
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn config_a_is_highly_available_under_ldv() {
-        let r = simulate(PolicyKind::Ldv, &CONFIG_A, &Params::quick_test());
+        let r = simulate(Protocol::Ldv, &CONFIG_A, &Params::quick_test());
         assert!(r.unavailability < 0.01, "got {}", r.unavailability);
     }
 
@@ -532,8 +532,8 @@ mod tests {
     fn config_d_is_much_worse_than_config_a_for_mcv() {
         // Table 2: MCV on D (0.069) is ~30× worse than on A (0.002).
         let params = Params::quick_test();
-        let a = simulate(PolicyKind::Mcv, &CONFIG_A, &params);
-        let d = simulate(PolicyKind::Mcv, &CONFIG_D, &params);
+        let a = simulate(Protocol::Mcv, &CONFIG_A, &params);
+        let d = simulate(Protocol::Mcv, &CONFIG_D, &params);
         assert!(
             d.unavailability > 5.0 * a.unavailability,
             "A: {}, D: {}",
@@ -546,7 +546,7 @@ mod tests {
     fn tdv_on_config_e_is_near_perfect() {
         // Table 2 row E: TDV/OTDV measured 0.000000 — all four copies on
         // one Ethernet, so one surviving copy suffices.
-        let r = simulate(PolicyKind::Tdv, &CONFIG_E, &Params::quick_test());
+        let r = simulate(Protocol::Tdv, &CONFIG_E, &Params::quick_test());
         assert!(r.unavailability < 1e-4, "got {}", r.unavailability);
     }
 
@@ -570,7 +570,7 @@ mod tests {
     #[test]
     fn mean_outage_days_only_when_outages_happen() {
         let params = Params::quick_test();
-        let r = simulate(PolicyKind::Dv, &CONFIG_D, &params);
+        let r = simulate(Protocol::Dv, &CONFIG_D, &params);
         if r.outage_count > 0 {
             assert!(r.mean_outage_days > 0.0);
         }
@@ -647,10 +647,7 @@ mod tests {
                 ..Params::quick_test()
             };
             for config in crate::ALL_CONFIGS {
-                for (kind, cell) in PolicyKind::TABLE
-                    .into_iter()
-                    .zip(simulate_row(config, &params))
-                {
+                for (kind, cell) in Protocol::ALL.into_iter().zip(simulate_row(config, &params)) {
                     let causes = attribute_outages(
                         &network,
                         &UCSD_SITES,

@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn parsed_spec_actually_simulates() {
         use crate::run::{run_trace, Params};
-        use dynvote_core::policy::PolicyKind;
+        use dynvote_core::policy::Protocol;
         let spec = parse_study(
             "segment a 0 1 2\n\
              site 0 x mttf_days=20 hw=1 restart_min=15 hw_floor_h=0 hw_exp_h=12\n\
@@ -455,7 +455,7 @@ mod tests {
             ..Params::quick_test()
         };
         let (name, copies) = &spec.configs[0];
-        let policy = PolicyKind::Ldv.build(*copies, &spec.network);
+        let policy = Protocol::Ldv.build(*copies, &spec.network);
         let results = run_trace(&spec.network, &spec.models, vec![policy], &params, name);
         assert!(results[0].unavailability < 0.05);
     }

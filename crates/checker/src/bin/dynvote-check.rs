@@ -16,8 +16,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use dynvote_check::{
-    policy_name, run, run_differential, CheckConfig, DiffConfig, Expectation, Relation, Report,
-    Scenario, TraceFile, ALL_POLICIES,
+    run, run_differential, CheckConfig, DiffConfig, Expectation, Relation, Report, Scenario,
+    TraceFile,
 };
 use dynvote_replica::Protocol;
 
@@ -44,7 +44,7 @@ const USAGE: &str = "usage: dynvote-check [--policy NAME|all] [--sites N (<=8)] 
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        policies: ALL_POLICIES.to_vec(),
+        policies: Protocol::ALL.to_vec(),
         sites: 4,
         segments: 1,
         depth: 6,
@@ -68,9 +68,9 @@ fn parse_args() -> Result<Args, String> {
             "--policy" => {
                 let name = value("--policy")?;
                 if name == "all" {
-                    args.policies = ALL_POLICIES.to_vec();
+                    args.policies = Protocol::ALL.to_vec();
                 } else {
-                    let policy = dynvote_check::parse_policy(&name)
+                    let policy = Protocol::parse(&name)
                         .ok_or_else(|| format!("unknown policy {name:?}\n{USAGE}"))?;
                     args.policies = vec![policy];
                 }
@@ -177,7 +177,7 @@ fn write_trace_artifacts(dir: &str, report: &Report) {
         };
         let path = format!(
             "{dir}/{}-{}-{index}.trace",
-            policy_name(report.scenario.policy),
+            report.scenario.policy.token(),
             finding.violation.invariant
         );
         if let Err(error) = std::fs::write(&path, file.render()) {
@@ -204,8 +204,8 @@ fn run_diff(args: &Args, primary: Protocol, reference: Protocol, relation: Relat
     let report = run_differential(&config);
     println!(
         "diff {} vs {} ({}): {} states, {} dedup, {} transitions{}",
-        policy_name(primary),
-        policy_name(reference),
+        primary.token(),
+        reference.token(),
         match relation {
             Relation::GrantImplies => "grant-implies",
             Relation::Equivalent => "equivalent",
@@ -349,7 +349,7 @@ fn main() -> ExitCode {
         let report = run(&config);
         let secs = started.elapsed().as_secs_f64();
         rows.push(BenchRow {
-            policy: policy_name(policy).to_string(),
+            policy: policy.token().to_string(),
             states: report.states_explored,
             dedup: report.dedup_hits,
             transitions: report.transitions,
@@ -360,7 +360,7 @@ fn main() -> ExitCode {
         });
         println!(
             "{:<6} {:>10} {:>10} {:>12} {:>6} {:>7}{}",
-            policy_name(policy),
+            policy.token(),
             report.states_explored,
             report.dedup_hits,
             report.transitions,

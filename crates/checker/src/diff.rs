@@ -40,7 +40,7 @@ use dynvote_replica::Protocol;
 use crate::engine::{self, EngineConfig, Space};
 use crate::event::CheckEvent;
 use crate::explore::{checked_depth, enumerate_events, DepthTooLarge};
-use crate::scenario::{policy_name, Scenario};
+use crate::scenario::Scenario;
 use crate::shrink::ddmin;
 use crate::symmetry::{canonical_fingerprint, SymView, SymmetryGroup};
 use crate::world::World;
@@ -239,8 +239,8 @@ impl Space for PairSpace {
 fn check_pair(pair: &mut PairSpace, event: CheckEvent, views: &mut [SymView; 2]) -> Option<String> {
     let out_primary = pair.primary.apply(event);
     let out_reference = pair.reference.apply(event);
-    let primary_name = policy_name(pair.primary_policy);
-    let reference_name = policy_name(pair.reference_policy);
+    let primary_name = pair.primary_policy.token();
+    let reference_name = pair.reference_policy.token();
     match pair.relation {
         Relation::GrantImplies => {
             if out_primary.granted && !out_reference.granted {

@@ -53,7 +53,7 @@ pub use explore::{
     checked_depth, enumerate_events, run, run_with_factory, CheckConfig, DepthTooLarge, Finding,
     Report, MAX_DEPTH,
 };
-pub use scenario::{parse_policy, policy_name, Scenario, ALL_POLICIES};
+pub use scenario::{Scenario, ALL_POLICIES};
 pub use shrink::ddmin;
 pub use symmetry::{canonical_fingerprint, SymView, SymmetryGroup};
 pub use trace::{replay, verify, Expectation, TraceFile};

@@ -4,33 +4,7 @@ use dynvote_replica::{Cluster, ClusterBuilder, Protocol};
 use dynvote_topology::{Network, NetworkBuilder};
 
 /// Every policy the checker knows, in canonical report order.
-pub const ALL_POLICIES: [Protocol; 6] = [
-    Protocol::Mcv,
-    Protocol::Dv,
-    Protocol::Ldv,
-    Protocol::Odv,
-    Protocol::Tdv,
-    Protocol::Otdv,
-];
-
-/// The canonical lowercase name of a policy (CLI values, trace files).
-#[must_use]
-pub fn policy_name(policy: Protocol) -> &'static str {
-    match policy {
-        Protocol::Mcv => "mcv",
-        Protocol::Dv => "dv",
-        Protocol::Ldv => "ldv",
-        Protocol::Odv => "odv",
-        Protocol::Tdv => "tdv",
-        Protocol::Otdv => "otdv",
-    }
-}
-
-/// Parses a canonical policy name.
-#[must_use]
-pub fn parse_policy(name: &str) -> Option<Protocol> {
-    ALL_POLICIES.into_iter().find(|&p| policy_name(p) == name)
-}
+pub const ALL_POLICIES: [Protocol; 6] = Protocol::ALL;
 
 /// One small-scope configuration the checker explores: a policy running
 /// on `sites` full copies spread over `segments` segments.
@@ -121,7 +95,7 @@ impl core::fmt::Display for Scenario {
         write!(
             f,
             "{} on {} sites / {} segment{}",
-            policy_name(self.policy),
+            self.policy.token(),
             self.sites,
             self.segments,
             if self.segments == 1 { "" } else { "s" }
@@ -181,13 +155,5 @@ mod tests {
         let cluster = s.build_cluster();
         assert_eq!(cluster.protocol(), Protocol::Dv);
         assert_eq!(cluster.copies(), SiteSet::first_n(3));
-    }
-
-    #[test]
-    fn policy_names_roundtrip() {
-        for policy in ALL_POLICIES {
-            assert_eq!(parse_policy(policy_name(policy)), Some(policy));
-        }
-        assert_eq!(parse_policy("avc"), None);
     }
 }

@@ -28,9 +28,10 @@
 //! repository's `tests/traces/` is replayed this way on every test run.
 
 use dynvote_core::check::Violation;
+use dynvote_core::policy::Protocol;
 
 use crate::event::CheckEvent;
-use crate::scenario::{parse_policy, policy_name, Scenario};
+use crate::scenario::Scenario;
 use crate::world::{default_suite, replay_classified, DetectScratch, World};
 
 /// What a trace expects its replay to surface.
@@ -98,7 +99,7 @@ impl TraceFile {
             match key.trim() {
                 "policy" => {
                     policy =
-                        Some(parse_policy(value).ok_or_else(|| {
+                        Some(Protocol::parse(value).ok_or_else(|| {
                             format!("line {}: unknown policy {value:?}", number + 1)
                         })?);
                 }
@@ -172,7 +173,7 @@ impl TraceFile {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("# dynvote-check minimized trace\n");
-        out.push_str(&format!("policy: {}\n", policy_name(self.scenario.policy)));
+        out.push_str(&format!("policy: {}\n", self.scenario.policy.token()));
         out.push_str(&format!("sites: {}\n", self.scenario.sites));
         out.push_str(&format!("segments: {}\n", self.scenario.segments));
         match &self.expect {
@@ -266,7 +267,7 @@ pub fn regression_snippet(
     }
     let test_name = format!(
         "regression_{}_{}",
-        policy_name(scenario.policy),
+        scenario.policy.token(),
         invariant.replace('-', "_")
     );
     format!(

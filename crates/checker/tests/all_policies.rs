@@ -1,14 +1,14 @@
 //! Exhaustive small-scope runs over every policy: clean, deterministic,
 //! and hazard-aware.
 
-use dynvote_check::{run, CheckConfig, Scenario, ALL_POLICIES};
+use dynvote_check::{run, CheckConfig, Scenario};
 use dynvote_replica::Protocol;
 
 /// Every policy is violation-free at depth 5 on 3 sites — and the
 /// whole run is deterministic, state counts included.
 #[test]
 fn depth_five_three_sites_all_policies_clean() {
-    for policy in ALL_POLICIES {
+    for policy in Protocol::ALL {
         let scenario = Scenario::new(policy, 3, 1).unwrap();
         let config = CheckConfig::new(scenario, 5);
         let report = run(&config);
@@ -57,7 +57,7 @@ fn optimistic_variants_explore_identical_state_spaces() {
 /// classified as known — and the non-topological policies stay clean.
 #[test]
 fn two_segments_surface_topological_hazards_only() {
-    for policy in ALL_POLICIES {
+    for policy in Protocol::ALL {
         let scenario = Scenario::new(policy, 4, 2).unwrap();
         let report = run(&CheckConfig::new(scenario, 5));
         assert_eq!(report.real_violations, 0, "{scenario}");

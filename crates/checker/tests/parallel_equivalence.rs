@@ -12,7 +12,8 @@
 
 use std::time::Duration;
 
-use dynvote_check::{run, CheckConfig, Report, Scenario, ALL_POLICIES};
+use dynvote_check::{run, CheckConfig, Report, Scenario};
+use dynvote_replica::Protocol;
 
 /// Renders every shrunk trace as sorted text so two reports can be
 /// compared without caring about finding order.
@@ -70,7 +71,7 @@ fn assert_identical(base: &Report, par: &Report, label: &str) {
 #[test]
 fn four_threads_match_sequential_across_the_sweep() {
     let shapes = [(3usize, 1usize, 5usize), (4, 1, 5), (4, 2, 5)];
-    for policy in ALL_POLICIES {
+    for policy in Protocol::ALL {
         for (sites, segments, depth) in shapes {
             let scenario = Scenario::new(policy, sites, segments).unwrap();
             let base = run(&CheckConfig::new(scenario, depth));
@@ -84,7 +85,7 @@ fn four_threads_match_sequential_across_the_sweep() {
 /// also agree on a hazard-bearing scenario.
 #[test]
 fn any_thread_count_agrees_on_hazard_scenarios() {
-    let scenario = Scenario::new(dynvote_replica::Protocol::Tdv, 4, 2).unwrap();
+    let scenario = Scenario::new(Protocol::Tdv, 4, 2).unwrap();
     let base = run(&CheckConfig::new(scenario, 5));
     assert!(base.known_hazards > 0, "scenario must surface the hazard");
     for threads in [2, 3, 8] {
@@ -99,7 +100,7 @@ fn any_thread_count_agrees_on_hazard_scenarios() {
 /// `threads × budget` transitions slip through.
 #[test]
 fn truncated_parallel_runs_are_well_formed() {
-    let scenario = Scenario::new(dynvote_replica::Protocol::Ldv, 4, 1).unwrap();
+    let scenario = Scenario::new(Protocol::Ldv, 4, 1).unwrap();
     for threads in [1usize, 4] {
         let mut config = CheckConfig::new(scenario, 8).threads(threads);
         config.budget = Some(Duration::ZERO);
@@ -127,7 +128,7 @@ fn truncated_parallel_runs_are_well_formed() {
 /// state count without changing the verdict, at any thread count.
 #[test]
 fn symmetry_shrinks_dv_identically_at_any_thread_count() {
-    let scenario = Scenario::new(dynvote_replica::Protocol::Dv, 4, 1).unwrap();
+    let scenario = Scenario::new(Protocol::Dv, 4, 1).unwrap();
     let plain = run(&CheckConfig::new(scenario, 5));
     let sym_seq = run(&CheckConfig::new(scenario, 5).symmetry(true));
     let sym_par = run(&CheckConfig::new(scenario, 5).symmetry(true).threads(4));

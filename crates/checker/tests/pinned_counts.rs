@@ -10,17 +10,15 @@
 //! Both together take a few seconds in a debug build, so they run with
 //! the rest of `cargo test`.
 
-use dynvote_check::{
-    run, run_differential, CheckConfig, DiffConfig, Relation, Scenario, ALL_POLICIES,
-};
+use dynvote_check::{run, run_differential, CheckConfig, DiffConfig, Relation, Scenario};
 use dynvote_replica::Protocol;
 
 #[test]
 fn two_segment_sweep_symmetry_off_and_on() {
-    // In ALL_POLICIES order: MCV, DV, LDV, ODV, TDV, OTDV.
+    // In Protocol::ALL order: MCV, DV, LDV, ODV, TDV, OTDV.
     let off = [932, 5_419, 6_978, 6_978, 10_198, 10_198];
     let on = [596, 3_204, 6_978, 6_978, 10_198, 10_198];
-    for (index, policy) in ALL_POLICIES.into_iter().enumerate() {
+    for (index, policy) in Protocol::ALL.into_iter().enumerate() {
         let hazards = if matches!(policy, Protocol::Tdv | Protocol::Otdv) {
             340
         } else {

@@ -28,7 +28,7 @@
 use dynvote_check::symmetry::NodeView;
 use dynvote_check::{
     canonical_fingerprint, enumerate_events, run, CheckConfig, Scenario, SymView, SymmetryGroup,
-    World, ALL_POLICIES,
+    World,
 };
 use dynvote_replica::Protocol;
 use dynvote_types::{SiteId, SiteSet};
@@ -53,7 +53,7 @@ impl Stream {
 
 /// A random scenario shape: up to 6 sites for the invariance walk.
 fn random_scenario(stream: &mut Stream, max_sites: usize) -> Scenario {
-    let policy = ALL_POLICIES[stream.below(ALL_POLICIES.len())];
+    let policy = Protocol::ALL[stream.below(Protocol::ALL.len())];
     let sites = 2 + stream.below(max_sites - 1);
     let segments = 1 + stream.below(sites.min(3));
     Scenario::new(policy, sites, segments).unwrap()

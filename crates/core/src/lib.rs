@@ -70,5 +70,5 @@ pub use dynvote_types::{AccessError, AccessKind, SiteId, SiteSet, VoteMap};
 pub use fingerprint::Fnv64;
 pub use lexicon::Lexicon;
 pub use ops::{plan, plan_with_witnesses, OpKind, Plan};
-pub use policy::{AvailabilityPolicy, PolicyKind};
+pub use policy::{AvailabilityPolicy, Protocol};
 pub use state::{ReplicaState, StateTable};

@@ -7,7 +7,7 @@ use crate::decision::{decide, Rule};
 use crate::lexicon::Lexicon;
 use crate::state::StateTable;
 
-use super::{AvailabilityPolicy, CopiesView};
+use super::{AvailabilityPolicy, CopiesView, Protocol};
 
 /// When recovered sites are reintegrated into the partition set.
 ///
@@ -46,8 +46,8 @@ pub enum RejoinMode {
 /// All five protocols share one implementation whose behaviour is fully
 /// determined by the [`Rule`] and the [`RejoinMode`]; the constructors
 /// ([`DynamicPolicy::dv`], [`DynamicPolicy::ldv`], [`DynamicPolicy::odv`],
-/// [`DynamicPolicy::tdv`], [`DynamicPolicy::otdv`]) pick the paper's
-/// combinations.
+/// [`DynamicPolicy::tdv`], [`DynamicPolicy::otdv`]) take the paper's
+/// combinations from [`Protocol`].
 #[derive(Clone, Debug)]
 pub struct DynamicPolicy {
     name: String,
@@ -203,62 +203,53 @@ impl DynamicPolicy {
         }
     }
 
+    /// The paper's combination for `protocol`: its name, its rule under
+    /// the default lexicon, and the rejoin mode of its optimistic axis.
+    /// Only a topological rule keeps `network`. Not for
+    /// [`Protocol::Mcv`], whose policy is [`McvPolicy`](super::McvPolicy).
+    pub(crate) fn of(protocol: Protocol, copies: SiteSet, network: Option<Network>) -> Self {
+        let rule = protocol.rule(Lexicon::default());
+        let mode = if protocol.optimistic() {
+            RejoinMode::OnAccess
+        } else {
+            RejoinMode::OnRepair
+        };
+        let network = network.filter(|_| rule.topological);
+        DynamicPolicy::new(protocol.name(), copies, rule, network, mode)
+    }
+
     /// Original Dynamic Voting (Davčev–Burkhard): instantaneous, strict
     /// majority only.
     #[must_use]
     pub fn dv(copies: SiteSet) -> Self {
-        DynamicPolicy::new("DV", copies, Rule::dv(), None, RejoinMode::OnRepair)
+        DynamicPolicy::of(Protocol::Dv, copies, None)
     }
 
     /// Lexicographic Dynamic Voting (Jajodia): instantaneous with the
     /// tie-break.
     #[must_use]
     pub fn ldv(copies: SiteSet) -> Self {
-        DynamicPolicy::new(
-            "LDV",
-            copies,
-            Rule::lexicographic(),
-            None,
-            RejoinMode::OnRepair,
-        )
+        DynamicPolicy::of(Protocol::Ldv, copies, None)
     }
 
     /// Optimistic Dynamic Voting (this paper, §2): the LDV decision rule
     /// driven only by access-time state exchange.
     #[must_use]
     pub fn odv(copies: SiteSet) -> Self {
-        DynamicPolicy::new(
-            "ODV",
-            copies,
-            Rule::lexicographic(),
-            None,
-            RejoinMode::OnAccess,
-        )
+        DynamicPolicy::of(Protocol::Odv, copies, None)
     }
 
     /// Topological Dynamic Voting (this paper, §3): instantaneous,
     /// claiming co-segment votes.
     #[must_use]
     pub fn tdv(copies: SiteSet, network: Network) -> Self {
-        DynamicPolicy::new(
-            "TDV",
-            copies,
-            Rule::topological(),
-            Some(network),
-            RejoinMode::OnRepair,
-        )
+        DynamicPolicy::of(Protocol::Tdv, copies, Some(network))
     }
 
     /// Optimistic Topological Dynamic Voting (this paper, §3, Figs 5–7).
     #[must_use]
     pub fn otdv(copies: SiteSet, network: Network) -> Self {
-        DynamicPolicy::new(
-            "OTDV",
-            copies,
-            Rule::topological(),
-            Some(network),
-            RejoinMode::OnAccess,
-        )
+        DynamicPolicy::of(Protocol::Otdv, copies, Some(network))
     }
 
     /// LDV whose quorums shrink instantly but whose recoveries run only

@@ -29,6 +29,9 @@ pub mod witness;
 use dynvote_topology::{Network, Reachability};
 use dynvote_types::SiteSet;
 
+use crate::decision::Rule;
+use crate::lexicon::Lexicon;
+
 pub use available_copy::AvailableCopyPolicy;
 pub use dynamic::DynamicPolicy;
 pub use mcv::McvPolicy;
@@ -160,52 +163,97 @@ pub trait AvailabilityPolicy {
     }
 }
 
-/// The six policies of the paper's evaluation (Table 2 / Table 3 columns).
+/// The six policies of the paper's evaluation (Table 2 / Table 3
+/// columns): the one table that lists, names, tokenises and rules them.
+///
+/// The family has two axes. [`Protocol::rule`] is the decision rule — a
+/// static majority (MCV), a majority without the tie-break (DV), with
+/// the lexicographic tie-break (LDV, ODV), or with the tie-break and
+/// topological vote claiming (TDV, OTDV). [`Protocol::optimistic`] is
+/// when state is exchanged: at every change, or only at access time
+/// (ODV, OTDV). The simulator ([`Protocol::build`]), the replica
+/// cluster, the model checker and the daemon all read this one enum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PolicyKind {
+pub enum Protocol {
     /// Majority Consensus Voting — static quorums.
     Mcv,
     /// Dynamic Voting (Davčev–Burkhard) — instantaneous, no tie-break.
     Dv,
     /// Lexicographic Dynamic Voting (Jajodia) — instantaneous, tie-break.
     Ldv,
-    /// Optimistic Dynamic Voting (this paper) — state at access time.
+    /// Optimistic Dynamic Voting (this paper, Figures 1–3) — state at
+    /// access time.
     Odv,
     /// Topological Dynamic Voting (this paper) — instantaneous, claims
     /// co-segment votes.
     Tdv,
-    /// Optimistic Topological Dynamic Voting (this paper).
+    /// Optimistic Topological Dynamic Voting (this paper, Figures 5–7).
     Otdv,
 }
 
-impl PolicyKind {
-    /// The Table 2 column order.
-    pub const TABLE: [PolicyKind; 6] = [
-        PolicyKind::Mcv,
-        PolicyKind::Dv,
-        PolicyKind::Ldv,
-        PolicyKind::Odv,
-        PolicyKind::Tdv,
-        PolicyKind::Otdv,
+impl Protocol {
+    /// Every policy, in the Table 2 column order.
+    pub const ALL: [Protocol; 6] = [
+        Protocol::Mcv,
+        Protocol::Dv,
+        Protocol::Ldv,
+        Protocol::Odv,
+        Protocol::Tdv,
+        Protocol::Otdv,
     ];
 
-    /// Display name matching the paper's column headers.
+    /// Display name matching the paper's column headers ("MCV", …).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            PolicyKind::Mcv => "MCV",
-            PolicyKind::Dv => "DV",
-            PolicyKind::Ldv => "LDV",
-            PolicyKind::Odv => "ODV",
-            PolicyKind::Tdv => "TDV",
-            PolicyKind::Otdv => "OTDV",
+            Protocol::Mcv => "MCV",
+            Protocol::Dv => "DV",
+            Protocol::Ldv => "LDV",
+            Protocol::Odv => "ODV",
+            Protocol::Tdv => "TDV",
+            Protocol::Otdv => "OTDV",
         }
+    }
+
+    /// The lower-case token of CLI values and trace files ("mcv", …).
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            Protocol::Mcv => "mcv",
+            Protocol::Dv => "dv",
+            Protocol::Ldv => "ldv",
+            Protocol::Odv => "odv",
+            Protocol::Tdv => "tdv",
+            Protocol::Otdv => "otdv",
+        }
+    }
+
+    /// The policy whose [`Protocol::token`] is `token`.
+    #[must_use]
+    pub fn parse(token: &str) -> Option<Protocol> {
+        Protocol::ALL.into_iter().find(|p| p.token() == token)
     }
 
     /// `true` for the optimistic variants.
     #[must_use]
     pub fn optimistic(self) -> bool {
-        matches!(self, PolicyKind::Odv | PolicyKind::Otdv)
+        matches!(self, Protocol::Odv | Protocol::Otdv)
+    }
+
+    /// The decision rule, breaking ties under `lexicon`. DV breaks none
+    /// and ignores it; each optimistic variant shares the rule of its
+    /// instantaneous twin.
+    #[must_use]
+    pub fn rule(self, lexicon: Lexicon) -> Rule {
+        match self {
+            Protocol::Mcv => Rule::static_majority(lexicon),
+            Protocol::Dv => Rule::dv(),
+            Protocol::Ldv | Protocol::Odv => Rule::with_lexicon(lexicon),
+            Protocol::Tdv | Protocol::Otdv => Rule {
+                topological: true,
+                ..Rule::with_lexicon(lexicon)
+            },
+        }
     }
 
     /// Builds the policy for a file replicated on `copies` over
@@ -213,17 +261,13 @@ impl PolicyKind {
     #[must_use]
     pub fn build(self, copies: SiteSet, network: &Network) -> Box<dyn AvailabilityPolicy> {
         match self {
-            PolicyKind::Mcv => Box::new(McvPolicy::new(copies)),
-            PolicyKind::Dv => Box::new(DynamicPolicy::dv(copies)),
-            PolicyKind::Ldv => Box::new(DynamicPolicy::ldv(copies)),
-            PolicyKind::Odv => Box::new(DynamicPolicy::odv(copies)),
-            PolicyKind::Tdv => Box::new(DynamicPolicy::tdv(copies, network.clone())),
-            PolicyKind::Otdv => Box::new(DynamicPolicy::otdv(copies, network.clone())),
+            Protocol::Mcv => Box::new(McvPolicy::new(copies)),
+            _ => Box::new(DynamicPolicy::of(self, copies, Some(network.clone()))),
         }
     }
 }
 
-impl core::fmt::Display for PolicyKind {
+impl core::fmt::Display for Protocol {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.name())
     }
@@ -235,23 +279,31 @@ mod tests {
 
     #[test]
     fn table_order_matches_paper_columns() {
-        let names: Vec<&str> = PolicyKind::TABLE.iter().map(|k| k.name()).collect();
+        let names: Vec<&str> = Protocol::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, vec!["MCV", "DV", "LDV", "ODV", "TDV", "OTDV"]);
     }
 
     #[test]
     fn optimism_flags() {
-        assert!(!PolicyKind::Mcv.optimistic());
-        assert!(!PolicyKind::Ldv.optimistic());
-        assert!(PolicyKind::Odv.optimistic());
-        assert!(PolicyKind::Otdv.optimistic());
+        assert!(!Protocol::Mcv.optimistic());
+        assert!(!Protocol::Ldv.optimistic());
+        assert!(Protocol::Odv.optimistic());
+        assert!(Protocol::Otdv.optimistic());
+    }
+
+    #[test]
+    fn tokens_roundtrip() {
+        for protocol in Protocol::ALL {
+            assert_eq!(Protocol::parse(protocol.token()), Some(protocol));
+        }
+        assert_eq!(Protocol::parse("avc"), None);
     }
 
     #[test]
     fn build_produces_matching_names() {
         let net = Network::single_segment(3);
         let copies = SiteSet::first_n(3);
-        for kind in PolicyKind::TABLE {
+        for kind in Protocol::ALL {
             let policy = kind.build(copies, &net);
             assert_eq!(policy.name(), kind.name());
             assert_eq!(policy.optimistic(), kind.optimistic());

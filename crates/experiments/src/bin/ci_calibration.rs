@@ -14,7 +14,7 @@
 
 use dynvote_availability::config::CONFIG_B;
 use dynvote_availability::run::{simulate, Params};
-use dynvote_core::policy::PolicyKind;
+use dynvote_core::policy::Protocol;
 use dynvote_experiments::output::Table;
 use dynvote_experiments::CliParams;
 use dynvote_sim::Duration;
@@ -44,7 +44,7 @@ fn main() {
                 seed: 0xCA11_B000 + i as u64,
                 ..base.clone()
             };
-            simulate(PolicyKind::Ldv, &CONFIG_B, &params)
+            simulate(Protocol::Ldv, &CONFIG_B, &params)
         })
         .collect();
 

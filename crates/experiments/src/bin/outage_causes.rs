@@ -14,7 +14,7 @@ use dynvote_availability::config::{CONFIG_A, CONFIG_D, CONFIG_F, CONFIG_H};
 use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::attribute_outages;
 use dynvote_availability::sites::UCSD_SITES;
-use dynvote_core::policy::PolicyKind;
+use dynvote_core::policy::Protocol;
 use dynvote_experiments::output::Table;
 use dynvote_experiments::CliParams;
 use dynvote_types::SiteSet;
@@ -36,13 +36,10 @@ fn main() {
     let cli = CliParams::from_env();
     let network = ucsd_network();
     for (config, policies) in [
-        (&CONFIG_A, vec![PolicyKind::Mcv, PolicyKind::Ldv]),
-        (
-            &CONFIG_F,
-            vec![PolicyKind::Dv, PolicyKind::Ldv, PolicyKind::Odv],
-        ),
-        (&CONFIG_H, vec![PolicyKind::Mcv, PolicyKind::Dv]),
-        (&CONFIG_D, vec![PolicyKind::Ldv, PolicyKind::Tdv]),
+        (&CONFIG_A, vec![Protocol::Mcv, Protocol::Ldv]),
+        (&CONFIG_F, vec![Protocol::Dv, Protocol::Ldv, Protocol::Odv]),
+        (&CONFIG_H, vec![Protocol::Mcv, Protocol::Dv]),
+        (&CONFIG_D, vec![Protocol::Ldv, Protocol::Tdv]),
     ] {
         for kind in policies {
             let raw = attribute_outages(

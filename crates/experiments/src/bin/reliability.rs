@@ -21,7 +21,7 @@ use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::measure_ttf;
 use dynvote_availability::sites::{identical_sites, UCSD_SITES};
 use dynvote_core::policy::{
-    AvailabilityPolicy, AvailableCopyPolicy, DynamicPolicy, McvPolicy, PolicyKind,
+    AvailabilityPolicy, AvailableCopyPolicy, DynamicPolicy, McvPolicy, Protocol,
 };
 use dynvote_experiments::output::Table;
 use dynvote_experiments::paper::CONFIG_LABELS;
@@ -101,12 +101,12 @@ fn main() {
     let network = ucsd_network();
     let mut table = Table::new(
         std::iter::once("Sites".to_string())
-            .chain(PolicyKind::TABLE.iter().map(|k| k.name().to_string()))
+            .chain(Protocol::ALL.iter().map(|k| k.name().to_string()))
             .collect(),
     );
     for (i, config) in ALL_CONFIGS.iter().enumerate() {
         let mut row = vec![CONFIG_LABELS[i].to_string()];
-        for kind in PolicyKind::TABLE {
+        for kind in Protocol::ALL {
             let r = measure_ttf(
                 &network,
                 &UCSD_SITES,

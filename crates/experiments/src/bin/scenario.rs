@@ -47,15 +47,10 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--protocol" => {
-                protocol = match args.next().as_deref() {
-                    Some("mcv") => Protocol::Mcv,
-                    Some("dv") => Protocol::Dv,
-                    Some("ldv") => Protocol::Ldv,
-                    Some("odv") => Protocol::Odv,
-                    Some("tdv") => Protocol::Tdv,
-                    Some("otdv") => Protocol::Otdv,
-                    _ => usage(),
-                }
+                protocol = args
+                    .next()
+                    .and_then(|token| Protocol::parse(&token))
+                    .unwrap_or_else(|| usage());
             }
             "--copies" => copies = parse_sites(&args.next().unwrap_or_else(|| usage())),
             "--witnesses" => witnesses = parse_sites(&args.next().unwrap_or_else(|| usage())),

@@ -13,7 +13,7 @@
 
 use dynvote_availability::run::run_trace;
 use dynvote_availability::spec::{parse_study, ucsd_spec_text};
-use dynvote_core::policy::{AvailabilityPolicy, PolicyKind};
+use dynvote_core::policy::{AvailabilityPolicy, Protocol};
 use dynvote_experiments::output::{fmt_unavail, Table};
 use dynvote_experiments::CliParams;
 
@@ -73,10 +73,10 @@ fn main() {
     println!();
 
     let mut headers = vec!["Config".to_string()];
-    headers.extend(PolicyKind::TABLE.iter().map(|k| k.name().to_string()));
+    headers.extend(Protocol::ALL.iter().map(|k| k.name().to_string()));
     let mut table = Table::new(headers);
     for (name, copies) in &spec.configs {
-        let policies: Vec<Box<dyn AvailabilityPolicy>> = PolicyKind::TABLE
+        let policies: Vec<Box<dyn AvailabilityPolicy>> = Protocol::ALL
             .iter()
             .map(|k| k.build(*copies, &spec.network))
             .collect();

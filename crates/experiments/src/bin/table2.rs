@@ -6,8 +6,9 @@
 //! ```
 
 use dynvote_availability::run::RunResult;
+use dynvote_core::policy::Protocol;
 use dynvote_experiments::output::{fmt_unavail, Table};
-use dynvote_experiments::paper::{CONFIG_LABELS, PAPER_TABLE2, POLICY_NAMES};
+use dynvote_experiments::paper::{CONFIG_LABELS, PAPER_TABLE2};
 use dynvote_experiments::{simulate_all_rows, CliParams, RowMode};
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     let rows: Vec<Vec<RunResult>> = simulate_all_rows(&cli.params, RowMode::from_env());
 
     let mut headers = vec!["Sites".to_string()];
-    headers.extend(POLICY_NAMES.iter().map(|p| p.to_string()));
+    headers.extend(Protocol::ALL.iter().map(|p| p.name().to_string()));
     let mut measured = Table::new(headers.clone());
     let mut side_by_side = Table::new(headers);
     for (i, row) in rows.iter().enumerate() {

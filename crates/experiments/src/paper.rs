@@ -84,9 +84,6 @@ pub const PAPER_TABLE3: [[Option<f64>; 6]; 8] = [
     ], // H
 ];
 
-/// Column headers shared by both tables.
-pub const POLICY_NAMES: [&str; 6] = ["MCV", "DV", "LDV", "ODV", "TDV", "OTDV"];
-
 /// Row labels shared by both tables (configuration: paper site list).
 pub const CONFIG_LABELS: [&str; 8] = [
     "A: 1, 2, 4",
@@ -101,13 +98,15 @@ pub const CONFIG_LABELS: [&str; 8] = [
 
 #[cfg(test)]
 mod tests {
+    use dynvote_core::policy::Protocol;
+
     use super::*;
 
     #[test]
     fn dimensions() {
         assert_eq!(PAPER_TABLE2.len(), 8);
         assert_eq!(PAPER_TABLE3.len(), 8);
-        assert_eq!(POLICY_NAMES.len(), 6);
+        assert_eq!(PAPER_TABLE2[0].len(), Protocol::ALL.len());
         assert_eq!(CONFIG_LABELS.len(), 8);
     }
 

@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex};
 use dynvote_core::decision::Rule;
 use dynvote_core::lexicon::Lexicon;
 use dynvote_core::ops::{plan_with_witnesses, OpKind, Plan};
+use dynvote_core::policy::Protocol;
 use dynvote_core::state::{ReplicaState, StateTable};
 use dynvote_topology::{Network, Reachability, ReachabilityCache};
 use dynvote_types::{AccessError, AccessKind, SiteId, SiteSet};
@@ -39,65 +40,6 @@ use crate::transport::{BusTransport, Carried, Reply, Transport, WireRequest};
 
 /// Default bound on delivery rounds per operation phase.
 const DEFAULT_MAX_ATTEMPTS: u32 = 3;
-
-/// Which consistency protocol the cluster runs.
-///
-/// `Ldv` and `Odv` share a decision rule — at message level the
-/// optimistic/instantaneous distinction is about *when clients invoke
-/// operations*, which is the caller's business — but both names are kept
-/// so call sites document their intent. The same holds for `Tdv`/`Otdv`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Protocol {
-    /// Majority Consensus Voting (static quorums, version numbers only).
-    Mcv,
-    /// Dynamic Voting without the tie-break.
-    Dv,
-    /// Lexicographic Dynamic Voting.
-    Ldv,
-    /// Optimistic Dynamic Voting (Figures 1–3).
-    Odv,
-    /// Topological Dynamic Voting.
-    Tdv,
-    /// Optimistic Topological Dynamic Voting (Figures 5–7).
-    Otdv,
-}
-
-impl Protocol {
-    /// All protocols, in the paper's column order.
-    pub const ALL: [Protocol; 6] = [
-        Protocol::Mcv,
-        Protocol::Dv,
-        Protocol::Ldv,
-        Protocol::Odv,
-        Protocol::Tdv,
-        Protocol::Otdv,
-    ];
-
-    /// Display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Mcv => "MCV",
-            Protocol::Dv => "DV",
-            Protocol::Ldv => "LDV",
-            Protocol::Odv => "ODV",
-            Protocol::Tdv => "TDV",
-            Protocol::Otdv => "OTDV",
-        }
-    }
-
-    fn rule(self, lexicon: Lexicon) -> Rule {
-        match self {
-            Protocol::Mcv => Rule::static_majority(lexicon),
-            Protocol::Dv => Rule::dv(),
-            Protocol::Ldv | Protocol::Odv => Rule::with_lexicon(lexicon),
-            Protocol::Tdv | Protocol::Otdv => Rule {
-                topological: true,
-                ..Rule::with_lexicon(lexicon)
-            },
-        }
-    }
-}
 
 /// Operation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -216,7 +158,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the consistency protocol (default ODV).
+    /// Sets the consistency protocol (default ODV). The cluster reads
+    /// only its [`Protocol::rule`]: at message level the optimistic axis
+    /// is about *when* clients invoke operations, which is the caller's
+    /// business, so ODV runs LDV's rounds and OTDV runs TDV's.
     #[must_use]
     pub fn protocol(mut self, protocol: Protocol) -> Self {
         self.protocol = protocol;

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use dynvote_topology::Network;
 use dynvote_types::{AccessError, SiteId, SiteSet};
 
-use crate::cluster::{Cluster, ClusterBuilder, Protocol};
+use crate::{Cluster, ClusterBuilder, Protocol};
 
 /// Errors from directory-level operations.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -67,8 +67,9 @@ pub mod wal;
 
 pub use bus::{Bus, BusStats, FaultAction, FaultRule, MessageClass, Verdict};
 pub use checker::{Checker, Violation};
-pub use cluster::{Cluster, ClusterBuilder, CommittedOp, OpStats, Protocol};
+pub use cluster::{Cluster, ClusterBuilder, CommittedOp, OpStats};
 pub use directory::{Directory, DirectoryError};
+pub use dynvote_core::policy::Protocol;
 pub use message::{Message, MessageKind, Trace};
 pub use nemesis::{run_nemesis, NemesisProfile, NemesisReport};
 pub use node::Node;

@@ -177,7 +177,7 @@ pub fn run_nemesis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterBuilder, Protocol};
+    use crate::{ClusterBuilder, Protocol};
 
     fn cluster(protocol: Protocol) -> Cluster<u64> {
         ClusterBuilder::new()

@@ -357,7 +357,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterBuilder, Protocol};
+    use crate::{ClusterBuilder, Protocol};
 
     fn cluster() -> Cluster<String> {
         ClusterBuilder::new()

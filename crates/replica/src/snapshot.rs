@@ -214,7 +214,7 @@ impl DurableSiteState {
 #[cfg(test)]
 mod tests {
     use super::{DurableSiteState, SnapshotLoad};
-    use crate::cluster::{Cluster, ClusterBuilder, Protocol};
+    use crate::{Cluster, ClusterBuilder, Protocol};
     use dynvote_core::state::ReplicaState;
     use dynvote_types::{SiteId, SiteSet};
 

@@ -40,7 +40,6 @@
 
 use std::time::Duration;
 
-use dynvote_check::parse_policy;
 use dynvote_control::Placement;
 use dynvote_replica::Protocol;
 use dynvote_topology::{Network, NetworkBuilder};
@@ -150,7 +149,7 @@ impl Config {
                 "--site" => site = Some(parse_usize("--site", &value("--site")?)?),
                 "--policy" => {
                     let name = value("--policy")?;
-                    policy = Some(parse_policy(&name).ok_or_else(|| {
+                    policy = Some(Protocol::parse(&name).ok_or_else(|| {
                         format!("--policy: unknown policy {name:?} (mcv|dv|ldv|odv|tdv|otdv)")
                     })?);
                 }

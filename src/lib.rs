@@ -47,9 +47,9 @@
 //! ```
 //! use dynamic_voting::availability::config::CONFIG_B;
 //! use dynamic_voting::availability::run::{simulate, Params};
-//! use dynamic_voting::core::policy::PolicyKind;
+//! use dynamic_voting::core::policy::Protocol;
 //!
-//! let result = simulate(PolicyKind::Ldv, &CONFIG_B, &Params::quick_test());
+//! let result = simulate(Protocol::Ldv, &CONFIG_B, &Params::quick_test());
 //! assert!(result.unavailability < 0.01);
 //! ```
 

@@ -8,7 +8,7 @@ use dynamic_voting::availability::config::{CONFIG_C, CONFIG_E, CONFIG_G};
 use dynamic_voting::availability::run::{run_trace, simulate, simulate_row, Params};
 use dynamic_voting::availability::sites::identical_sites;
 use dynamic_voting::core::policy::{
-    AvailabilityPolicy, AvailableCopyPolicy, DynamicPolicy, McvPolicy, PolicyKind,
+    AvailabilityPolicy, AvailableCopyPolicy, DynamicPolicy, McvPolicy, Protocol,
 };
 use dynamic_voting::sim::{Duration, SimRng};
 use dynamic_voting::topology::{Network, Reachability};
@@ -120,7 +120,7 @@ fn row_simulation_equals_individual_simulation() {
         batches: 3,
     };
     let row = simulate_row(&CONFIG_G, &params);
-    for kind in PolicyKind::TABLE {
+    for kind in Protocol::ALL {
         let single = simulate(kind, &CONFIG_G, &params);
         let in_row = row
             .iter()
@@ -196,13 +196,13 @@ fn simulation_is_deterministic_in_the_seed() {
         batch_len: Duration::days(1_000.0),
         batches: 3,
     };
-    let a = simulate(PolicyKind::Odv, &CONFIG_G, &params);
-    let b = simulate(PolicyKind::Odv, &CONFIG_G, &params);
+    let a = simulate(Protocol::Odv, &CONFIG_G, &params);
+    let b = simulate(Protocol::Odv, &CONFIG_G, &params);
     assert_eq!(a.unavailability, b.unavailability);
     assert_eq!(a.mean_outage_days, b.mean_outage_days);
     let mut other = params.clone();
     other.seed = 100;
-    let c = simulate(PolicyKind::Odv, &CONFIG_G, &other);
+    let c = simulate(Protocol::Odv, &CONFIG_G, &other);
     assert_ne!(
         (a.unavailability, a.outage_count),
         (c.unavailability, c.outage_count),

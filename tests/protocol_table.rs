@@ -4,19 +4,19 @@
 
 use dynamic_voting::core::decision::Rule;
 use dynamic_voting::core::lexicon::Lexicon;
-use dynamic_voting::core::policy::PolicyKind as SimPolicy;
+use dynamic_voting::core::policy::Protocol as SimPolicy;
 use dynamic_voting::replica::{ClusterBuilder, Protocol};
 use dynamic_voting::topology::Network;
 use dynamic_voting::types::SiteSet;
 
-const SIM_POLICIES: [SimPolicy; 6] = SimPolicy::TABLE;
+const SIM_POLICIES: [SimPolicy; 6] = SimPolicy::ALL;
 
 fn token(protocol: Protocol) -> &'static str {
-    dynvote_check::policy_name(protocol)
+    protocol.token()
 }
 
 fn parse(token: &str) -> Option<Protocol> {
-    dynvote_check::parse_policy(token)
+    Protocol::parse(token)
 }
 
 /// A policy's name, token, optimism and rule constructor.

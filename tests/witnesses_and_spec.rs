@@ -4,7 +4,6 @@
 
 use dynamic_voting::availability::run::{run_trace, simulate_row, Params};
 use dynamic_voting::availability::spec::{parse_study, ucsd_spec_text};
-use dynamic_voting::core::policy::PolicyKind;
 use dynamic_voting::replica::{Cluster, ClusterBuilder, Protocol};
 use dynamic_voting::sim::Duration;
 use dynamic_voting::types::{SiteId, SiteSet};
@@ -126,11 +125,10 @@ fn spec_study_equals_code_study() {
         .iter()
         .find(|(name, _)| name == "G")
         .expect("spec has config G");
-    let policies: Vec<Box<dyn dynamic_voting::core::policy::AvailabilityPolicy>> =
-        PolicyKind::TABLE
-            .iter()
-            .map(|k| k.build(*copies, &spec.network))
-            .collect();
+    let policies: Vec<Box<dyn dynamic_voting::core::policy::AvailabilityPolicy>> = Protocol::ALL
+        .iter()
+        .map(|k| k.build(*copies, &spec.network))
+        .collect();
     let from_spec = run_trace(&spec.network, &spec.models, policies, &params, name);
     for (a, b) in code.iter().zip(&from_spec) {
         assert_eq!(a.policy, b.policy);
