@@ -12,8 +12,6 @@
 //!
 //! * [`SimTime`]/[`Duration`] — the virtual clock, measured in days (the
 //!   natural unit of Table 1),
-//! * [`EventQueue`] — a monotone priority queue of timestamped events
-//!   with deterministic FIFO tie-breaking,
 //! * [`SimRng`] + [`Dist`] — seeded random streams and the paper's
 //!   failure/repair distributions (exponential, constant, and
 //!   constant-plus-exponential),
@@ -21,13 +19,11 @@
 //!   Student-t confidence intervals.
 
 pub mod dist;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use dist::Dist;
-pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{BatchMeans, OutageLog};
 pub use time::{Duration, SimTime};

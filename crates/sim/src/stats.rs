@@ -118,8 +118,7 @@ impl OutageLog {
 ///
 /// Exact table entries for small `df`, the asymptotic normal value
 /// beyond 120.
-#[must_use]
-pub fn t95(df: usize) -> f64 {
+fn t95(df: usize) -> f64 {
     const TABLE: [f64; 30] = [
         12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
         2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
@@ -174,8 +173,7 @@ impl BatchMeans {
     }
 
     /// Unbiased sample variance of the batch values.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         let n = self.values.len();
         if n < 2 {
             return 0.0;
@@ -192,14 +190,6 @@ impl BatchMeans {
             return f64::INFINITY;
         }
         t95(n - 1) * (self.variance() / n as f64).sqrt()
-    }
-
-    /// The 95% confidence interval `(lo, hi)` for the mean.
-    #[must_use]
-    pub fn ci95(&self) -> (f64, f64) {
-        let m = self.mean();
-        let h = self.half_width_95();
-        (m - h, m + h)
     }
 }
 
@@ -288,8 +278,6 @@ mod tests {
         assert!((b.mean() - 5.0).abs() < 1e-12);
         // Sample variance (n-1 denominator) of this classic set is 32/7.
         assert!((b.variance() - 32.0 / 7.0).abs() < 1e-12);
-        let (lo, hi) = b.ci95();
-        assert!(lo < 5.0 && 5.0 < hi);
         // Half width = t(7) * sqrt(var/8).
         let expect = 2.365 * (32.0 / 7.0 / 8.0_f64).sqrt();
         assert!((b.half_width_95() - expect).abs() < 1e-9);

@@ -1,8 +1,8 @@
-//! Property tests on the substrates: topology reachability, the event
-//! queue, and vote arithmetic. These are the foundations every
+//! Property tests on the substrates: topology reachability, the exponential
+//! sampler, and vote arithmetic. These are the foundations every
 //! availability number rests on.
 
-use dynamic_voting::sim::{EventQueue, SimRng, SimTime};
+use dynamic_voting::sim::SimRng;
 use dynamic_voting::topology::{Network, NetworkBuilder};
 use dynamic_voting::types::{SiteId, SiteSet, VoteMap};
 use proptest::prelude::*;
@@ -81,31 +81,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The event queue pops every scheduled event exactly once, in
-    /// non-decreasing time order, FIFO among equal times.
-    #[test]
-    fn queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u32..50, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::at_days(f64::from(t)), i);
-        }
-        let mut popped: Vec<(f64, usize)> = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t.as_days(), i));
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time went backwards");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO violated among equal times");
-            }
-        }
-        // Every index exactly once.
-        let mut seen: Vec<usize> = popped.iter().map(|p| p.1).collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..times.len()).collect::<Vec<_>>());
     }
 
     /// Vote arithmetic: group votes are additive over disjoint groups
