@@ -9,7 +9,7 @@ use dynvote_availability::run::RunResult;
 use dynvote_core::policy::Protocol;
 use dynvote_experiments::output::{fmt_unavail, Table};
 use dynvote_experiments::paper::{CONFIG_LABELS, PAPER_TABLE2};
-use dynvote_experiments::{simulate_all_rows, CliParams, RowMode};
+use dynvote_experiments::{simulate_all_rows, CliParams};
 
 fn main() {
     let cli = CliParams::from_env();
@@ -26,10 +26,9 @@ fn main() {
     );
     println!();
 
-    // One common-random-numbers trace per configuration; rows fan out
-    // across workers (DYNVOTE_SEQUENTIAL=1 forces one thread) with
-    // byte-identical output either way.
-    let rows: Vec<Vec<RunResult>> = simulate_all_rows(&cli.params, RowMode::from_env());
+    // One common-random-numbers trace per configuration, one worker per
+    // row.
+    let rows: Vec<Vec<RunResult>> = simulate_all_rows(&cli.params);
 
     let mut headers = vec!["Sites".to_string()];
     headers.extend(Protocol::ALL.iter().map(|p| p.name().to_string()));

@@ -9,14 +9,14 @@ use dynvote_availability::run::RunResult;
 use dynvote_core::policy::Protocol;
 use dynvote_experiments::output::Table;
 use dynvote_experiments::paper::{CONFIG_LABELS, PAPER_TABLE3};
-use dynvote_experiments::{simulate_all_rows, CliParams, RowMode};
+use dynvote_experiments::{simulate_all_rows, CliParams};
 
 fn main() {
     let cli = CliParams::from_env();
     println!("# Table 3: Mean Duration of Unavailable Periods (days)");
     println!();
 
-    let rows: Vec<Vec<RunResult>> = simulate_all_rows(&cli.params, RowMode::from_env());
+    let rows: Vec<Vec<RunResult>> = simulate_all_rows(&cli.params);
 
     let mut headers = vec!["Sites".to_string()];
     headers.extend(Protocol::ALL.iter().map(|p| p.name().to_string()));

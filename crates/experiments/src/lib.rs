@@ -15,4 +15,4 @@ pub mod runner;
 
 pub use cli::CliParams;
 pub use output::Table;
-pub use runner::{simulate_all_rows, RowMode};
+pub use runner::simulate_all_rows;

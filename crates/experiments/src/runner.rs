@@ -12,64 +12,22 @@
 use dynvote_availability::config::ALL_CONFIGS;
 use dynvote_availability::run::{simulate_row, Params, RunResult};
 
-/// How to schedule the per-configuration rows of a table run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RowMode {
-    /// One scoped worker thread per configuration row.
-    Parallel,
-    /// Rows run one after another on the calling thread. Useful for
-    /// baseline timing and for debugging under a deterministic
-    /// scheduler; the numbers are identical to [`RowMode::Parallel`].
-    Sequential,
-}
-
-impl RowMode {
-    /// [`RowMode::Parallel`] unless the `DYNVOTE_SEQUENTIAL` environment
-    /// variable is set to a non-empty value other than `0`.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("DYNVOTE_SEQUENTIAL") {
-            Ok(v) if !v.is_empty() && v != "0" => RowMode::Sequential,
-            _ => RowMode::Parallel,
-        }
-    }
-}
-
 /// Simulates every Table 2/3 configuration (A–H) under all six paper
-/// policies, one common-random-numbers trace per configuration, and
-/// returns the rows in configuration order.
-///
-/// The mode only affects scheduling, never values: both variants return
-/// bit-for-bit identical results for the same `params`.
+/// policies, one common-random-numbers trace per configuration on its
+/// own scoped worker thread, and returns the rows in configuration
+/// order.
 #[must_use]
-pub fn simulate_all_rows(params: &Params, mode: RowMode) -> Vec<Vec<RunResult>> {
-    match mode {
-        RowMode::Sequential => ALL_CONFIGS
+pub fn simulate_all_rows(params: &Params) -> Vec<Vec<RunResult>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ALL_CONFIGS
             .iter()
-            .map(|config| simulate_row(config, params))
-            .collect(),
-        RowMode::Parallel => std::thread::scope(|scope| {
-            let handles: Vec<_> = ALL_CONFIGS
-                .iter()
-                .map(|config| scope.spawn(move || simulate_row(config, params)))
-                .collect();
-            // Joining in spawn order restores configuration order no
-            // matter which worker finishes first.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("row worker panicked"))
-                .collect()
-        }),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn row_mode_from_env_contract() {
-        // Not set in the test environment by default.
-        assert_eq!(RowMode::from_env(), RowMode::Parallel);
-    }
+            .map(|config| scope.spawn(move || simulate_row(config, params)))
+            .collect();
+        // Joining in spawn order restores configuration order no matter
+        // which worker finishes first.
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("row worker panicked"))
+            .collect()
+    })
 }

@@ -6,8 +6,9 @@
 //! confidence interval. This test pins that claim at the paper seed by
 //! comparing every field of every `RunResult`, floats via `to_bits()`.
 
-use dynvote_availability::run::{Params, RunResult};
-use dynvote_experiments::{simulate_all_rows, RowMode};
+use dynvote_availability::config::ALL_CONFIGS;
+use dynvote_availability::run::{simulate_row, Params, RunResult};
+use dynvote_experiments::simulate_all_rows;
 use dynvote_sim::Duration;
 
 /// Small but non-trivial workload at the pinned paper seed: long enough
@@ -48,8 +49,11 @@ fn assert_bitwise_eq(a: &RunResult, b: &RunResult) {
 #[test]
 fn parallel_rows_match_sequential_rows_bitwise() {
     let params = pinned_params();
-    let parallel = simulate_all_rows(&params, RowMode::Parallel);
-    let sequential = simulate_all_rows(&params, RowMode::Sequential);
+    let parallel = simulate_all_rows(&params);
+    let sequential: Vec<Vec<RunResult>> = ALL_CONFIGS
+        .iter()
+        .map(|config| simulate_row(config, &params))
+        .collect();
 
     assert_eq!(parallel.len(), sequential.len(), "row count");
     let mut outages = 0u64;
@@ -68,8 +72,8 @@ fn parallel_rows_match_sequential_rows_bitwise() {
 #[test]
 fn parallel_rows_are_reproducible_across_runs() {
     let params = pinned_params();
-    let first = simulate_all_rows(&params, RowMode::Parallel);
-    let second = simulate_all_rows(&params, RowMode::Parallel);
+    let first = simulate_all_rows(&params);
+    let second = simulate_all_rows(&params);
     for (f_row, s_row) in first.iter().zip(&second) {
         for (f, s) in f_row.iter().zip(s_row) {
             assert_bitwise_eq(f, s);
