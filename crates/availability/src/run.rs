@@ -12,7 +12,7 @@
 //! reproduced Table 2 reflect the protocols, not sampling noise.
 
 use dynvote_core::policy::{AvailabilityPolicy, Protocol};
-use dynvote_sim::{BatchMeans, Duration, OutageLog, SimTime};
+use dynvote_sim::{BatchMeans, Duration, OutageLog, SimRng, SimTime};
 use dynvote_topology::Network;
 
 use crate::config::Configuration;
@@ -300,7 +300,9 @@ pub struct TtfResult {
 
 /// Measures the file's **reliability**: the mean time from a fresh
 /// all-up start until the file *first* becomes unavailable, over
-/// `replications` independent runs (each capped at `horizon`).
+/// `replications` independent runs (each capped at `horizon`). Run `r`
+/// drives its own stream of `seed` ([`SimRng::stream_seed`]), so two
+/// seeds share no run.
 ///
 /// This is the first-passage counterpart of the Table 2 metric — the
 /// quantity behind the paper's "continuously available for more than
@@ -337,7 +339,7 @@ where
         let mut driver = Driver::with_cache(
             network.clone(),
             models,
-            seed.wrapping_add(rep as u64).wrapping_mul(0x9E37_79B9),
+            SimRng::stream_seed(seed, rep as u64),
             access_rate,
             shared_cache,
         );

@@ -25,18 +25,24 @@ impl SimRng {
     }
 
     /// Derives an independent sub-stream identified by `stream_id`.
-    ///
-    /// Uses SplitMix64 over the pair (seed mixing), which is more than
-    /// adequate for decorrelating simulation streams.
     #[must_use]
     pub fn substream(seed: u64, stream_id: u64) -> Self {
+        SimRng {
+            rng: StdRng::seed_from_u64(SimRng::stream_seed(seed, stream_id)),
+        }
+    }
+
+    /// The seed of sub-stream `stream_id` of `seed`: SplitMix64 over the
+    /// pair (seed mixing), which is more than adequate for decorrelating
+    /// simulation streams. Use it to hand one independent seed to each
+    /// of many runs that derive their own sub-streams, so that seeds
+    /// `s` and `s + 1` share no run.
+    #[must_use]
+    pub fn stream_seed(seed: u64, stream_id: u64) -> u64 {
         let mut z = seed ^ stream_id.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng {
-            rng: StdRng::seed_from_u64(z),
-        }
+        z ^ (z >> 31)
     }
 
     /// A uniform draw in the half-open interval `[0, 1)`.
@@ -108,6 +114,18 @@ mod tests {
         let mut again = SimRng::substream(7, 0);
         let c: Vec<u64> = (0..10).map(|_| (again.uniform() * 1e9) as u64).collect();
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn neighbouring_seeds_share_no_stream() {
+        let streams = |seed| -> std::collections::HashSet<u64> {
+            (0..10_000)
+                .map(|id| SimRng::stream_seed(seed, id))
+                .collect()
+        };
+        assert_eq!(streams(1).len(), 10_000);
+        assert!(streams(1).is_disjoint(&streams(2)));
+        assert!(streams(1).is_disjoint(&streams(7)));
     }
 
     #[test]
