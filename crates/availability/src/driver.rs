@@ -64,7 +64,7 @@ pub enum Change {
 /// reachability allocation at all — topology changes are a table
 /// lookup. See DESIGN.md, "Reachability memoization".
 ///
-/// Site events live in two slots per site ([`SiteSlots`]), not in a
+/// Site events live in two slots per site (`SiteSlots`), not in a
 /// priority queue: the earliest slot is found by a scan after each site
 /// event and cached, and no pending event is ever stale.
 pub struct Driver {

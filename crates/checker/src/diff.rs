@@ -21,7 +21,7 @@
 //! it is pinned as a corpus trace and documented in EXPERIMENTS.md
 //! rather than asserted as an invariant.
 //!
-//! Differential runs share the layered-BFS engine ([`crate::engine`])
+//! Differential runs share the layered-BFS engine (`crate::engine`)
 //! with the invariant checker, so they inherit `--threads` parallelism
 //! and the `--symmetry` quotient. A pair state is deduplicated by the
 //! combined canonical fingerprint of both worlds' views (under the

@@ -2,7 +2,7 @@
 //!
 //! Layered breadth-first search over every interleaving of the event
 //! alphabet, to a configurable depth, on the shared engine
-//! ([`crate::engine`]): optionally multi-threaded (`threads`) and
+//! (`crate::engine`): optionally multi-threaded (`threads`) and
 //! optionally quotiented by site symmetry (`symmetry`, see
 //! [`crate::symmetry`]). Branching copies the parent [`World`] into a
 //! spare one with `clone_from`, reusing the spare's buffers (clusters

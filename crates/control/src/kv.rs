@@ -171,7 +171,7 @@ const CHUNK: usize = 64;
 /// The resident decoded image: an ordered map whose clones share
 /// structure.
 ///
-/// Keys are kept in ascending order in chunks of at most [`CHUNK`]
+/// Keys are kept in ascending order in chunks of at most `CHUNK`
 /// entries. `clone` copies two counters and bumps one reference count;
 /// an insert into a shared map copies the chunk index (one pointer per
 /// chunk) and the one chunk it touches. [`KvMap::encode`] produces

@@ -8,12 +8,12 @@
 //! everything the control plane needs to describe and route that
 //! fleet, with no networking of its own:
 //!
-//! * [`map`] — the [`ShardMap`](map::ShardMap): a versioned,
+//! * [`map`] — the [`ShardMap`]: a versioned,
 //!   checksummed, persisted assignment of key-hash ranges onto shard
 //!   groups. Every daemon and every client carries one; the map
 //!   *epoch* is the single version number that makes "stale client"
 //!   a typed, retryable condition instead of a misrouted write.
-//! * [`placement`] — [`Placement`](placement::Placement) policies
+//! * [`placement`] — [`Placement`] policies
 //!   mapping shards onto sites: a rotating ring, plus the paper's
 //!   configurations A–H reused as per-shard placements on an
 //!   eight-site fleet.
@@ -21,8 +21,8 @@
 //!   actually votes on: an ordered `key → bytes` map, so one quorum
 //!   round can carry a whole batch of keyed writes — as a full image,
 //!   as a put list applied to the image a copy already holds
-//!   ([`KvPuts`](kv::KvPuts)), and as the resident decoded form a
-//!   daemon keeps between batches ([`KvMap`](kv::KvMap)).
+//!   ([`KvPuts`]), and as the resident decoded form a
+//!   daemon keeps between batches ([`KvMap`]).
 //!
 //! Rebalancing is deliberately *not* a new protocol: moving a copy of
 //! shard `k` to site `t` is (1) an epoch bump adding `t` to `k`'s

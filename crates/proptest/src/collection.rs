@@ -7,7 +7,7 @@ use rand::Rng;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// A length specification for [`vec`]: an exact `usize` or a half-open
+/// A length specification for [`vec()`]: an exact `usize` or a half-open
 /// `Range<usize>`.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
@@ -34,7 +34,7 @@ impl From<Range<usize>> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -1,7 +1,7 @@
 //! The message bus every protocol message crosses — and the place
 //! faults are injected into it.
 //!
-//! The cluster never hands a [`Message`](crate::message::Message)
+//! The cluster never hands a [`Message`]
 //! directly to a node: each one is first submitted to the [`Bus`],
 //! which consults its injected [`FaultRule`]s and returns a
 //! [`Verdict`] telling the cluster what the network actually did.

@@ -877,7 +877,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// process: releases every outstanding vote for `ticket` except at
     /// the sites in `keep`. A network daemon calls this when a release
     /// frame arrives for its local site; coordinators use
-    /// [`Cluster::release_pending`], which also forwards the release
+    /// `Cluster::release_pending`, which also forwards the release
     /// through the transport.
     pub fn local_release(&mut self, ticket: u64, keep: SiteSet) {
         for node in &mut self.nodes {

@@ -6,7 +6,7 @@
 //! supplies that storage for one site: a [`Wal`] of checksummed,
 //! length-prefixed records fsync'd before any acknowledgement leaves
 //! the site, folded into a running
-//! [`DurableSiteState`](crate::snapshot::DurableSiteState) image that
+//! [`DurableSiteState`] image that
 //! periodically lands as an atomic snapshot (write-then-rename), after
 //! which the log is truncated.
 //!

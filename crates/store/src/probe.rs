@@ -185,7 +185,7 @@ struct Disk {
 /// The operation ledger: bounded in memory (old entries are evicted
 /// in ticket order, which is issue order), append-only on disk when
 /// opened against a data directory — until the file holds
-/// [`COMPACT_AT`] records, when it is rewritten down to the retained
+/// `COMPACT_AT` records, when it is rewritten down to the retained
 /// entries. Commit records are fsync'd at the commit point; release
 /// records are appended best-effort (losing one only costs liveness —
 /// the prober stays wedged — never safety).

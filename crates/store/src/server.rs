@@ -59,7 +59,7 @@
 //! protocol event that changes the local ⟨o, v, P⟩, data, or
 //! outstanding vote is appended to a fsync'd write-ahead log **before**
 //! the matching acknowledgement (state reply, commit ack, or client
-//! `Done`) leaves the site — [`sync_durable`] is the single seam every
+//! `Done`) leaves the site — `sync_durable` is the single seam every
 //! dispatch arm passes through. A restart restores snapshot + WAL and
 //! then retries the protocol-level RECOVER (Figures 3/7) in the
 //! background to catch up from the majority partition.

@@ -1,7 +1,7 @@
 //! `TcpTransport`: the [`Transport`] implementation that carries the
 //! protocol over real sockets.
 //!
-//! Each peer has one [`PeerLink`]: a connection and its retry state,
+//! Each peer has one `PeerLink`: a connection and its retry state,
 //! owned by the transport and therefore by whoever holds the cluster
 //! lock. An exchange runs on the calling thread — connect on demand,
 //! write the frame, read the single reply frame the remote daemon
