@@ -37,6 +37,10 @@
 //! [`policy::AvailabilityPolicy`] — the state machine the discrete-event
 //! availability simulator (crate `dynvote-availability`) drives, and the
 //! message-level replicated store (crate `dynvote-replica`) executes.
+//! [`Protocol`] is the one table of the six evaluated policies — their
+//! names, tokens, decision rules and optimistic axis — that the
+//! simulator, the replica cluster, the model checker and the daemon all
+//! read.
 //!
 //! # Quick example
 //!

@@ -292,14 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn tokens_roundtrip() {
-        for protocol in Protocol::ALL {
-            assert_eq!(Protocol::parse(protocol.token()), Some(protocol));
-        }
-        assert_eq!(Protocol::parse("avc"), None);
-    }
-
-    #[test]
     fn build_produces_matching_names() {
         let net = Network::single_segment(3);
         let copies = SiteSet::first_n(3);

@@ -11,7 +11,9 @@
 //! WRITE / RECOVER operations of Figures 1–3 (and their topological
 //! variants, Figures 5–7) as a public API. The three are one round —
 //! poll, Algorithm 1's plan, an operation-specific step inside the
-//! vote, commit to the new partition — written once.
+//! vote, commit to the new partition — written once. Which rule a
+//! round decides by is the [`Protocol`]'s, the simulator's own policy
+//! table (`dynvote_core::policy::Protocol`, re-exported here).
 //!
 //! Three supporting pieces make it a test bed as well as a library:
 //!

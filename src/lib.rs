@@ -44,6 +44,9 @@
 //!
 //! # Example: measuring availability the paper's way
 //!
+//! The simulator takes the same `Protocol` the cluster runs:
+//! `replica::Protocol` re-exports `core::policy::Protocol`.
+//!
 //! ```
 //! use dynamic_voting::availability::config::CONFIG_B;
 //! use dynamic_voting::availability::run::{simulate, Params};
