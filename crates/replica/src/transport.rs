@@ -143,6 +143,19 @@ pub trait Transport<T> {
     /// crash faults) — the transport only reports them.
     fn carry(&mut self, request: WireRequest<'_, T>, serve: LocalServe<'_, T>) -> Carried<T>;
 
+    /// Sends `request` ahead of its [`Transport::carry`]: the cluster
+    /// posts every request of a broadcast before it carries the first,
+    /// so a networked transport can have them all in flight at once and
+    /// a round waits for its slowest reply instead of the sum of them.
+    /// A `carry` of the request last posted to its recipient then only
+    /// collects the reply. Posting changes nothing else: every posted
+    /// request is still carried, traced and counted exactly as an
+    /// unposted one. The in-memory bus delivers inside `carry`, so the
+    /// default is a no-op.
+    fn post(&mut self, request: WireRequest<'_, T>) {
+        let _ = request;
+    }
+
     /// The commit point of operation `ticket`: the decision is made and
     /// `state` = `⟨o, v, P⟩` (with `value` riding a write) is about to
     /// take effect. Called strictly *before* the coordinator applies

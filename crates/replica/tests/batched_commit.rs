@@ -136,23 +136,40 @@ enum Event {
 struct RecordingTransport {
     inner: BusTransport,
     events: Arc<Mutex<Vec<Event>>>,
+    /// Every request posted ahead of its carry, with the length the
+    /// event journal had when it was posted — a journal of its own, so
+    /// the wire-order journals above read exactly what they always did.
+    posts: Vec<(usize, Event)>,
+}
+
+/// The event of handing `request` to the wire.
+fn sent<T>(request: &WireRequest<'_, T>) -> Option<Event> {
+    let to = request.message.to;
+    match request.message.kind {
+        MessageKind::StartRequest => Some(Event::StartSent { to }),
+        MessageKind::CopyRequest => Some(Event::CopySent { to }),
+        MessageKind::Commit { op, .. } => Some(Event::CommitSent {
+            op,
+            to,
+            polled_version: request.polled_version,
+        }),
+        MessageKind::StateReply { .. } | MessageKind::CopyReply => None,
+    }
 }
 
 impl<T> Transport<T> for RecordingTransport {
     fn carry(&mut self, request: WireRequest<'_, T>, serve: LocalServe<'_, T>) -> Carried<T> {
-        let to = request.message.to;
-        let event = match request.message.kind {
-            MessageKind::StartRequest => Some(Event::StartSent { to }),
-            MessageKind::CopyRequest => Some(Event::CopySent { to }),
-            MessageKind::Commit { op, .. } => Some(Event::CommitSent {
-                op,
-                to,
-                polled_version: request.polled_version,
-            }),
-            MessageKind::StateReply { .. } | MessageKind::CopyReply => None,
-        };
-        self.events.lock().expect("journal poisoned").extend(event);
+        self.events
+            .lock()
+            .expect("journal poisoned")
+            .extend(sent(&request));
         self.inner.carry(request, serve)
+    }
+
+    fn post(&mut self, request: WireRequest<'_, T>) {
+        let at = self.events.lock().expect("journal poisoned").len();
+        self.posts.extend(sent(&request).map(|event| (at, event)));
+        Transport::<T>::post(&mut self.inner, request);
     }
 
     fn commit_point(&mut self, ticket: u64, state: ReplicaState, value: Option<&T>) {
@@ -197,14 +214,15 @@ fn recording<T: Clone>(
     let transport = RecordingTransport {
         inner: BusTransport::new(),
         events: Arc::clone(&events),
+        posts: Vec::new(),
     };
     (builder.build_with_transport(transport, initial), events)
 }
 
 /// The ledger hook fires exactly once per batch, carries the batch's
-/// *final* state, and strictly precedes every `COMMIT` frame — the
-/// ordering that lets a crashed coordinator's successor answer vote
-/// probes instead of forking the lineage (DESIGN §10–11).
+/// *final* state, and strictly precedes every `COMMIT` frame, posted or
+/// carried — the ordering that lets a crashed coordinator's successor
+/// answer vote probes instead of forking the lineage (DESIGN §10–11).
 #[test]
 fn the_commit_point_precedes_the_commit_fanout_and_covers_the_batch() {
     let (mut cluster, events) = recording_cluster(Protocol::Odv, 0u64);
@@ -257,6 +275,26 @@ fn the_commit_point_precedes_the_commit_fanout_and_covers_the_batch() {
             assert_eq!(*op, last.op, "every COMMIT carries the final op");
         }
     }
+    let posted: Vec<(usize, Event)> = cluster
+        .transport()
+        .posts
+        .iter()
+        .copied()
+        .filter(|(_, e)| matches!(e, Event::CommitSent { .. }))
+        .collect();
+    assert_eq!(posted.len(), 2, "one posted COMMIT per non-coordinator");
+    for (at, event) in &posted {
+        assert!(
+            point_at < *at,
+            "{event:?} was posted before the commit point was durable: {events:?}"
+        );
+    }
+    let carried: Vec<Event> = fanout.iter().map(|&i| events[i]).collect();
+    assert_eq!(
+        posted.iter().map(|(_, e)| *e).collect::<Vec<_>>(),
+        carried,
+        "each COMMIT is posted, then carried unchanged"
+    );
 }
 
 /// One fanout carries the whole batch, so a partial commit (both
