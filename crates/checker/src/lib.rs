@@ -39,7 +39,11 @@
 
 pub mod diff;
 pub(crate) mod engine;
-pub mod event;
+/// The event alphabet, which lives in `dynvote_replica` beside the
+/// cluster it drives; re-exported here at its historical path.
+pub mod event {
+    pub use dynvote_replica::event::CheckEvent;
+}
 pub mod explore;
 pub mod scenario;
 pub mod shrink;

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! write 0 v2
-//! fail 1
+//! crash 1
 //! expect read 2 v2
 //! repair 1
 //! recover 1

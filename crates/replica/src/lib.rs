@@ -15,8 +15,11 @@
 //! round decides by is the [`Protocol`]'s, the simulator's own policy
 //! table (`dynvote_core::policy::Protocol`, re-exported here).
 //!
-//! Three supporting pieces make it a test bed as well as a library:
+//! Four supporting pieces make it a test bed as well as a library:
 //!
+//! * [`event`] — the one event alphabet ([`CheckEvent`]: crash, repair,
+//!   partition, heal, READ, WRITE, RECOVER) that the model checker's
+//!   traces, the [`scenario`] scripts and the live drivers all speak;
 //! * [`nemesis`] — seeded random campaigns of site churn and message
 //!   faults over the cluster's own fault surface
 //!   ([`Cluster::fail_site`], [`Cluster::force_partition`],
@@ -59,6 +62,7 @@ pub mod bus;
 pub mod checker;
 pub mod cluster;
 pub mod directory;
+pub mod event;
 pub mod message;
 pub mod nemesis;
 pub mod node;
@@ -72,6 +76,7 @@ pub use checker::{Checker, Violation};
 pub use cluster::{Cluster, ClusterBuilder, CommittedOp, OpStats};
 pub use directory::{Directory, DirectoryError};
 pub use dynvote_core::policy::Protocol;
+pub use event::CheckEvent;
 pub use message::{Message, MessageKind, Trace};
 pub use nemesis::{run_nemesis, NemesisProfile, NemesisReport};
 pub use node::Node;

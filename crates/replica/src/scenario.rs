@@ -3,21 +3,30 @@
 //!
 //! Scenarios make protocol walkthroughs — the paper's worked examples,
 //! bug reports, classroom exercises — *executable*. A script is a list
-//! of commands, one per line:
+//! of commands, one per line. Every line of a checker `.trace` file is
+//! a line of a script and means the same event ([`CheckEvent`]); a
+//! script adds directives on top:
 //!
 //! ```text
 //! # comments and blank lines are ignored
-//! write 0 v2          # WRITE at site 0
-//! fail 1              # site S1 crashes
+//! write 0 v2          # WRITE of "v2" at site 0 (a bare `write 0`
+//!                     # writes a minted token w1, w2, …)
+//! crash 1             # site S1 crashes
 //! read 2              # READ at site 2 (outcome logged)
-//! partition 0 | 2     # force a partition: {S0} vs {S2}
+//! partition 0 | 2     # force raw groups: {S0} vs {S2}
+//! partition 1         # force canonical segment partition 1
 //! expect read 0 v2    # assert the read is granted and returns v2
 //! expect refused read 2   # assert the read aborts
 //! heal                # remove the forced partition
 //! repair 1
 //! recover 1
 //! state 1             # log S1's (o, v, P)
+//! explain 0           # log Algorithm 1's trace for a read at S0
 //! ```
+//!
+//! A `partition` line containing `|` is a raw-group cut; without one
+//! it is the event `partition i`, an index into the network's
+//! canonical segment partitions.
 //!
 //! Message faults arm rules on the cluster's [`Bus`](crate::Bus), so
 //! a script can stage the partial-commit hazard line by line:
@@ -32,40 +41,34 @@
 //!
 //! [`parse`] turns a script into commands; [`run`] executes them
 //! against a cluster, returning a transcript and failing fast on a
-//! violated `expect`.
+//! violated `expect` or a line the cluster cannot carry out.
 
 use dynvote_types::{SiteId, SiteSet};
 
 use crate::bus::{FaultAction, FaultRule, MessageClass};
 use crate::cluster::Cluster;
+use crate::event::{canonical_partition, parse_site, CheckEvent};
 
 /// One scripted action.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
-    /// `fail N` — crash site N.
-    Fail(usize),
-    /// `repair N` — bring site N back up (liveness only).
-    Repair(usize),
-    /// `recover N` — run the RECOVER protocol at site N.
-    Recover(usize),
-    /// `write N VALUE` — WRITE at origin N.
-    Write(usize, String),
-    /// `read N` — READ at origin N.
-    Read(usize),
-    /// `partition A,B | C …` — force groups.
-    Partition(Vec<Vec<usize>>),
-    /// `heal` — drop the forced partition.
-    Heal,
+    /// A line of the shared alphabet, spelled as in a `.trace` file.
+    /// A bare `write N` writes a minted token (`w1`, `w2`, …).
+    Event(CheckEvent),
+    /// `write N VALUE` — WRITE of the script's value at origin N.
+    Write(SiteId, String),
+    /// `partition A,B | C …` — force raw groups.
+    Cut(Vec<SiteSet>),
     /// `state N` — log site N's control state.
-    State(usize),
+    State(SiteId),
     /// `explain N` — log Algorithm 1's full decision trace for a read
     /// probe at site N.
-    Explain(usize),
+    Explain(SiteId),
     /// `expect read N VALUE` — READ must succeed with VALUE.
-    ExpectRead(usize, String),
-    /// `expect refused read N` / `expect refused write N` /
-    /// `expect refused recover N` — the operation must abort.
-    ExpectRefused(OpName, usize),
+    ExpectRead(SiteId, String),
+    /// `expect refused read N` / `… write N` / `… recover N` — the
+    /// operation event must abort.
+    ExpectRefused(CheckEvent),
     /// `drop KIND@N [COUNT]` / `dup KIND@N [COUNT]` /
     /// `delay KIND@N [COUNT]` / `crash-on-commit N` — arm a
     /// message-fault rule on the bus.
@@ -74,21 +77,10 @@ pub enum Command {
     DeliverAll,
 }
 
-/// The operation named in an `expect refused` command.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpName {
-    /// A READ operation.
-    Read,
-    /// A WRITE operation.
-    Write,
-    /// A RECOVER operation.
-    Recover,
-}
-
 /// A script error with its 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioError {
-    /// 1-based line in the script (0 for runtime errors without one).
+    /// 1-based line in the script.
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -102,45 +94,117 @@ impl core::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-fn err(line: usize, message: impl Into<String>) -> ScenarioError {
-    ScenarioError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn parse_site(line: usize, token: Option<&str>) -> Result<usize, ScenarioError> {
-    token
-        .ok_or_else(|| err(line, "missing site number"))?
-        .parse::<usize>()
-        .map_err(|e| err(line, format!("bad site number: {e}")))
+fn site(token: Option<&str>) -> Result<SiteId, String> {
+    parse_site(token.ok_or("missing site number")?)
 }
 
 /// Parses the `KIND@N [COUNT]` tail of a `drop`/`dup`/`delay` command
 /// into a fault rule with the given action.
 fn parse_fault(
-    line: usize,
     action: FaultAction,
     target: Option<&str>,
     count: Option<&str>,
-) -> Result<FaultRule, ScenarioError> {
-    let target = target.ok_or_else(|| err(line, format!("{action} needs a KIND@SITE target")))?;
-    let (kind, site) = target.split_once('@').ok_or_else(|| {
-        err(
-            line,
-            format!("{action} target must be KIND@SITE, got {target:?}"),
-        )
-    })?;
-    let class = MessageClass::parse(kind)
-        .ok_or_else(|| err(line, format!("unknown message kind {kind:?}")))?;
-    let site = parse_site(line, Some(site))?;
+) -> Result<FaultRule, String> {
+    let target = target.ok_or_else(|| format!("{action} needs a KIND@SITE target"))?;
+    let (kind, at) = target
+        .split_once('@')
+        .ok_or_else(|| format!("{action} target must be KIND@SITE, got {target:?}"))?;
+    let class =
+        MessageClass::parse(kind).ok_or_else(|| format!("unknown message kind {kind:?}"))?;
     let times = match count {
         None => 1,
-        Some(tok) => tok
-            .parse::<u32>()
-            .map_err(|e| err(line, format!("bad count: {e}")))?,
+        Some(tok) => tok.parse::<u32>().map_err(|e| format!("bad count: {e}"))?,
     };
-    Ok(FaultRule::once(class, SiteId::new(site), action).times(times))
+    Ok(FaultRule::once(class, site(Some(at))?, action).times(times))
+}
+
+/// Parses the groups of a raw `partition A,B | C` cut, which must be
+/// pairwise disjoint.
+fn parse_groups(text: &str) -> Result<Vec<SiteSet>, String> {
+    let mut groups = Vec::new();
+    let mut seen = SiteSet::EMPTY;
+    for group_text in text.split('|') {
+        let mut group = SiteSet::EMPTY;
+        for tok in group_text.split(',').map(str::trim) {
+            if !tok.is_empty() {
+                group = group.with(parse_site(tok)?);
+            }
+        }
+        if !seen.is_disjoint(group) {
+            return Err(format!("partition groups overlap at {}", seen & group));
+        }
+        seen |= group;
+        if !group.is_empty() {
+            groups.push(group);
+        }
+    }
+    if groups.is_empty() {
+        return Err("partition needs at least one group".to_string());
+    }
+    Ok(groups)
+}
+
+/// Parses one non-empty, comment-free line.
+fn parse_line(text: &str) -> Result<Command, String> {
+    let mut words = text.split_whitespace();
+    Ok(match words.next().expect("non-empty line") {
+        "partition" if text.contains('|') => {
+            Command::Cut(parse_groups(&text["partition".len()..])?)
+        }
+        "write" => {
+            let origin = site(words.next())?;
+            let value: Vec<&str> = words.collect();
+            if value.is_empty() {
+                Command::Event(CheckEvent::Write(origin))
+            } else {
+                Command::Write(origin, value.join(" "))
+            }
+        }
+        "state" => Command::State(site(words.next())?),
+        "explain" => Command::Explain(site(words.next())?),
+        "deliver-all" => Command::DeliverAll,
+        verb @ ("drop" | "dup" | "delay") => {
+            let action = match verb {
+                "drop" => FaultAction::Drop,
+                "dup" => FaultAction::Duplicate,
+                _ => FaultAction::Delay,
+            };
+            Command::Inject(parse_fault(action, words.next(), words.next())?)
+        }
+        "crash-on-commit" => Command::Inject(FaultRule::once(
+            MessageClass::Commit,
+            site(words.next())?,
+            FaultAction::CrashRecipient,
+        )),
+        "expect" => match words.next() {
+            Some("read") => {
+                let origin = site(words.next())?;
+                let value: Vec<&str> = words.collect();
+                if value.is_empty() {
+                    return Err("expect read needs a value".to_string());
+                }
+                Command::ExpectRead(origin, value.join(" "))
+            }
+            Some("refused") => {
+                let rest: Vec<&str> = words.collect();
+                match CheckEvent::parse(&rest.join(" ")) {
+                    Ok(
+                        event @ (CheckEvent::Read(_)
+                        | CheckEvent::Write(_)
+                        | CheckEvent::Recover(_)),
+                    ) => Command::ExpectRefused(event),
+                    _ => {
+                        return Err(format!(
+                            "expect refused needs read/write/recover N, got {:?}",
+                            rest.join(" ")
+                        ))
+                    }
+                }
+            }
+            other => return Err(format!("unknown expectation {other:?}")),
+        },
+        _ => Command::Event(CheckEvent::parse(text)?),
+    })
 }
 
 /// Parses a scenario script.
@@ -153,100 +217,116 @@ pub fn parse(script: &str) -> Result<Vec<(usize, Command)>, ScenarioError> {
     for (idx, raw) in script.lines().enumerate() {
         let line = idx + 1;
         let text = raw.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
+        if !text.is_empty() {
+            let command = parse_line(text).map_err(|message| ScenarioError { line, message })?;
+            commands.push((line, command));
         }
-        let mut words = text.split_whitespace();
-        let command = match words.next().expect("non-empty line") {
-            "fail" => Command::Fail(parse_site(line, words.next())?),
-            "repair" => Command::Repair(parse_site(line, words.next())?),
-            "recover" => Command::Recover(parse_site(line, words.next())?),
-            "read" => Command::Read(parse_site(line, words.next())?),
-            "state" => Command::State(parse_site(line, words.next())?),
-            "explain" => Command::Explain(parse_site(line, words.next())?),
-            "heal" => Command::Heal,
-            "deliver-all" => Command::DeliverAll,
-            verb @ ("drop" | "dup" | "delay") => {
-                let action = match verb {
-                    "drop" => FaultAction::Drop,
-                    "dup" => FaultAction::Duplicate,
-                    _ => FaultAction::Delay,
-                };
-                Command::Inject(parse_fault(line, action, words.next(), words.next())?)
-            }
-            "crash-on-commit" => {
-                let site = parse_site(line, words.next())?;
-                Command::Inject(FaultRule::once(
-                    MessageClass::Commit,
-                    SiteId::new(site),
-                    FaultAction::CrashRecipient,
-                ))
-            }
-            "write" => {
-                let site = parse_site(line, words.next())?;
-                let value: Vec<&str> = words.collect();
-                if value.is_empty() {
-                    return Err(err(line, "write needs a value"));
-                }
-                Command::Write(site, value.join(" "))
-            }
-            "partition" => {
-                let rest = text["partition".len()..].trim();
-                if rest.is_empty() {
-                    return Err(err(line, "partition needs groups"));
-                }
-                let mut groups = Vec::new();
-                for group_text in rest.split('|') {
-                    let mut group = Vec::new();
-                    for tok in group_text.split(',') {
-                        let tok = tok.trim();
-                        if tok.is_empty() {
-                            continue;
-                        }
-                        group.push(
-                            tok.parse::<usize>()
-                                .map_err(|e| err(line, format!("bad site in group: {e}")))?,
-                        );
-                    }
-                    if !group.is_empty() {
-                        groups.push(group);
-                    }
-                }
-                if groups.is_empty() {
-                    return Err(err(line, "partition needs at least one group"));
-                }
-                Command::Partition(groups)
-            }
-            "expect" => match words.next() {
-                Some("read") => {
-                    let site = parse_site(line, words.next())?;
-                    let value: Vec<&str> = words.collect();
-                    if value.is_empty() {
-                        return Err(err(line, "expect read needs a value"));
-                    }
-                    Command::ExpectRead(site, value.join(" "))
-                }
-                Some("refused") => {
-                    let op = match words.next() {
-                        Some("read") => OpName::Read,
-                        Some("write") => OpName::Write,
-                        Some("recover") => OpName::Recover,
-                        other => {
-                            return Err(err(
-                                line,
-                                format!("expect refused needs read/write/recover, got {other:?}"),
-                            ))
-                        }
-                    };
-                    Command::ExpectRefused(op, parse_site(line, words.next())?)
-                }
-                other => return Err(err(line, format!("unknown expectation {other:?}"))),
-            },
-            other => return Err(err(line, format!("unknown command {other:?}"))),
-        };
-        commands.push((line, command));
     }
     Ok(commands)
+}
+
+/// WRITE of `value` at `origin`, as a transcript line.
+fn write(cluster: &mut Cluster<String>, origin: SiteId, value: String) -> String {
+    let shown = format!("{value:?}");
+    match cluster.write(origin, value) {
+        Ok(()) => format!("write {origin} {shown}: ok"),
+        Err(e) => format!("write {origin}: refused ({e})"),
+    }
+}
+
+/// Forces `groups`, as a transcript line.
+fn cut(cluster: &mut Cluster<String>, groups: Vec<SiteSet>) -> String {
+    let shown: Vec<String> = groups.iter().map(ToString::to_string).collect();
+    cluster.force_partition(groups);
+    format!("partition {}", shown.join(" | "))
+}
+
+/// Executes one command, appending its transcript lines to `log`.
+fn step(
+    cluster: &mut Cluster<String>,
+    partitions: &[Vec<SiteSet>],
+    tokens: &mut u64,
+    command: &Command,
+    log: &mut Vec<String>,
+) -> Result<(), String> {
+    let entry = match command {
+        Command::Event(event) => match *event {
+            CheckEvent::Crash(site) => {
+                cluster.fail_site(site);
+                format!("crash {site}")
+            }
+            CheckEvent::Repair(site) => {
+                cluster.repair_site(site);
+                format!("repair {site}")
+            }
+            CheckEvent::Recover(site) => match cluster.recover(site) {
+                Ok(()) => format!("recover {site}: ok"),
+                Err(e) => format!("recover {site}: refused ({e})"),
+            },
+            CheckEvent::Partition(index) => {
+                cut(cluster, canonical_partition(partitions, index)?.to_vec())
+            }
+            CheckEvent::Heal => {
+                cluster.heal_partition();
+                "heal".to_string()
+            }
+            CheckEvent::Read(site) => match cluster.read(site) {
+                Ok(v) => format!("read {site}: {v:?}"),
+                Err(e) => format!("read {site}: refused ({e})"),
+            },
+            CheckEvent::Write(site) => {
+                *tokens += 1;
+                write(cluster, site, format!("w{tokens}"))
+            }
+        },
+        Command::Write(site, value) => write(cluster, *site, value.clone()),
+        Command::Cut(groups) => cut(cluster, groups.clone()),
+        Command::Inject(rule) => {
+            cluster.inject_fault(rule.clone());
+            format!("inject {rule}")
+        }
+        Command::DeliverAll => {
+            cluster.clear_message_faults();
+            "deliver-all".to_string()
+        }
+        Command::State(site) => {
+            if !cluster.participants().contains(*site) {
+                return Err(format!("{site} is not a participant"));
+            }
+            format!("state {site}: {:?}", cluster.state_at(*site))
+        }
+        Command::Explain(site) => match cluster.explain(*site) {
+            Some(text) => {
+                log.push(format!("explain {site}:"));
+                log.extend(text.lines().map(|line| format!("    {line}")));
+                return Ok(());
+            }
+            None => format!("explain {site}: site is down"),
+        },
+        Command::ExpectRead(site, want) => match cluster.read(*site) {
+            Ok(got) if got == *want => format!("expect read {site} {want:?}: ok"),
+            Ok(got) => return Err(format!("expected read of {want:?} at {site}, got {got:?}")),
+            Err(e) => {
+                return Err(format!(
+                    "expected read of {want:?} at {site}, but it was refused: {e}"
+                ))
+            }
+        },
+        Command::ExpectRefused(event) => {
+            let outcome = match *event {
+                CheckEvent::Read(site) => cluster.read(site).map(|_| ()),
+                CheckEvent::Write(site) => cluster.write(site, "<probe>".to_string()),
+                CheckEvent::Recover(site) => cluster.recover(site),
+                _ => unreachable!("parse admits only operations"),
+            };
+            match outcome {
+                Err(e) => format!("expect refused {event}: ok ({e})"),
+                Ok(()) => return Err(format!("expected {event} to be refused, but it succeeded")),
+            }
+        }
+    };
+    log.push(entry);
+    Ok(())
 }
 
 /// Executes parsed commands against a cluster, returning the
@@ -254,102 +334,23 @@ pub fn parse(script: &str) -> Result<Vec<(usize, Command)>, ScenarioError> {
 ///
 /// # Errors
 ///
-/// Returns a [`ScenarioError`] when an `expect` fails (with the line it
-/// came from).
+/// Returns a [`ScenarioError`] with the line it came from when an
+/// `expect` fails or the cluster cannot carry a line out (a canonical
+/// partition index out of range, the state of a non-participant).
 pub fn run(
     cluster: &mut Cluster<String>,
     commands: &[(usize, Command)],
 ) -> Result<Vec<String>, ScenarioError> {
+    let partitions = cluster.network().segment_partitions();
+    let mut tokens = 0;
     let mut log = Vec::new();
     for (line, command) in commands {
-        let line = *line;
-        match command {
-            Command::Fail(site) => {
-                cluster.fail_site(SiteId::new(*site));
-                log.push(format!("fail S{site}"));
+        step(cluster, &partitions, &mut tokens, command, &mut log).map_err(|message| {
+            ScenarioError {
+                line: *line,
+                message,
             }
-            Command::Repair(site) => {
-                cluster.repair_site(SiteId::new(*site));
-                log.push(format!("repair S{site}"));
-            }
-            Command::Recover(site) => match cluster.recover(SiteId::new(*site)) {
-                Ok(()) => log.push(format!("recover S{site}: ok")),
-                Err(e) => log.push(format!("recover S{site}: refused ({e})")),
-            },
-            Command::Write(site, value) => match cluster.write(SiteId::new(*site), value.clone()) {
-                Ok(()) => log.push(format!("write S{site} {value:?}: ok")),
-                Err(e) => log.push(format!("write S{site}: refused ({e})")),
-            },
-            Command::Read(site) => match cluster.read(SiteId::new(*site)) {
-                Ok(v) => log.push(format!("read S{site}: {v:?}")),
-                Err(e) => log.push(format!("read S{site}: refused ({e})")),
-            },
-            Command::Partition(groups) => {
-                let sets: Vec<SiteSet> = groups
-                    .iter()
-                    .map(|g| SiteSet::from_indices(g.iter().copied()))
-                    .collect();
-                cluster.heal_partition();
-                cluster.force_partition(sets);
-                log.push(format!("partition {groups:?}"));
-            }
-            Command::Heal => {
-                cluster.heal_partition();
-                log.push("heal".to_string());
-            }
-            Command::Inject(rule) => {
-                cluster.inject_fault(rule.clone());
-                log.push(format!("inject {rule}"));
-            }
-            Command::DeliverAll => {
-                cluster.clear_message_faults();
-                log.push("deliver-all".to_string());
-            }
-            Command::State(site) => {
-                let s = cluster.state_at(SiteId::new(*site));
-                log.push(format!("state S{site}: {s:?}"));
-            }
-            Command::Explain(site) => match cluster.explain(SiteId::new(*site)) {
-                Some(text) => {
-                    log.push(format!("explain S{site}:"));
-                    for line in text.lines() {
-                        log.push(format!("    {line}"));
-                    }
-                }
-                None => log.push(format!("explain S{site}: site is down")),
-            },
-            Command::ExpectRead(site, want) => match cluster.read(SiteId::new(*site)) {
-                Ok(got) if got == *want => log.push(format!("expect read S{site} {want:?}: ok")),
-                Ok(got) => {
-                    return Err(err(
-                        line,
-                        format!("expected read of {want:?} at S{site}, got {got:?}"),
-                    ))
-                }
-                Err(e) => {
-                    return Err(err(
-                        line,
-                        format!("expected read of {want:?} at S{site}, but it was refused: {e}"),
-                    ))
-                }
-            },
-            Command::ExpectRefused(op, site) => {
-                let outcome = match op {
-                    OpName::Read => cluster.read(SiteId::new(*site)).map(|_| ()),
-                    OpName::Write => cluster.write(SiteId::new(*site), "<probe>".to_string()),
-                    OpName::Recover => cluster.recover(SiteId::new(*site)),
-                };
-                match outcome {
-                    Err(e) => log.push(format!("expect refused {op:?} S{site}: ok ({e})")),
-                    Ok(()) => {
-                        return Err(err(
-                            line,
-                            format!("expected {op:?} at S{site} to be refused, but it succeeded"),
-                        ))
-                    }
-                }
-            }
-        }
+        })?;
     }
     Ok(log)
 }
@@ -366,11 +367,15 @@ mod tests {
             .build_with_value("v1".to_string())
     }
 
+    fn s(index: usize) -> SiteId {
+        SiteId::new(index)
+    }
+
     #[test]
     fn parses_all_commands() {
         let script = "
             # a comment
-            fail 1
+            crash 1
             repair 1
             recover 1
             write 0 hello world
@@ -381,15 +386,25 @@ mod tests {
             expect read 0 hello world
             expect refused write 2
             explain 0
+            write 1
+            partition 1
         ";
         let cmds = parse(script).unwrap();
-        assert_eq!(cmds.len(), 11);
-        assert_eq!(cmds[10].1, Command::Explain(0));
-        assert_eq!(cmds[0].1, Command::Fail(1));
-        assert_eq!(cmds[3].1, Command::Write(0, "hello world".into()));
-        assert_eq!(cmds[5].1, Command::Partition(vec![vec![0, 1], vec![2]]));
-        assert_eq!(cmds[8].1, Command::ExpectRead(0, "hello world".into()));
-        assert_eq!(cmds[9].1, Command::ExpectRefused(OpName::Write, 2));
+        assert_eq!(cmds.len(), 13);
+        assert_eq!(cmds[0].1, Command::Event(CheckEvent::Crash(s(1))));
+        assert_eq!(cmds[3].1, Command::Write(s(0), "hello world".into()));
+        assert_eq!(
+            cmds[5].1,
+            Command::Cut(vec![
+                SiteSet::from_indices([0, 1]),
+                SiteSet::from_indices([2])
+            ])
+        );
+        assert_eq!(cmds[8].1, Command::ExpectRead(s(0), "hello world".into()));
+        assert_eq!(cmds[9].1, Command::ExpectRefused(CheckEvent::Write(s(2))));
+        assert_eq!(cmds[10].1, Command::Explain(s(0)));
+        assert_eq!(cmds[11].1, Command::Event(CheckEvent::Write(s(1))));
+        assert_eq!(cmds[12].1, Command::Event(CheckEvent::Partition(1)));
     }
 
     #[test]
@@ -407,22 +422,21 @@ mod tests {
             cmds[0].1,
             Command::Inject(FaultRule::once(
                 MessageClass::Commit,
-                SiteId::new(2),
+                s(2),
                 FaultAction::Drop
             ))
         );
         assert_eq!(
             cmds[1].1,
             Command::Inject(
-                FaultRule::once(MessageClass::State, SiteId::new(1), FaultAction::Duplicate)
-                    .times(3)
+                FaultRule::once(MessageClass::State, s(1), FaultAction::Duplicate).times(3)
             )
         );
         assert_eq!(
             cmds[3].1,
             Command::Inject(FaultRule::once(
                 MessageClass::Commit,
-                SiteId::new(2),
+                s(2),
                 FaultAction::CrashRecipient
             ))
         );
@@ -440,6 +454,29 @@ mod tests {
         assert!(e.message.contains("bad site number"), "{e}");
         let e = parse("drop commit@2 zz").unwrap_err();
         assert!(e.message.contains("bad count"), "{e}");
+    }
+
+    /// Input from outside never panics: every bad line is a
+    /// [`ScenarioError`] naming its line, from the parser or from the
+    /// run.
+    #[test]
+    fn bad_lines_are_errors_with_their_line_number() {
+        for (script, message) in [
+            ("heal\ncrash 99", "bad site number"),
+            ("heal\ndrop commit@80", "bad site number"),
+            ("heal\ncrash-on-commit 70", "bad site number"),
+            ("heal\npartition 0,1 | 70", "bad site number"),
+            ("heal\npartition 0,1 | 1", "overlap"),
+            ("heal\npartition 3", "out of range"),
+            ("heal\nstate 7", "not a participant"),
+            ("heal\nfail 1", "unknown event"),
+        ] {
+            let e = parse(script)
+                .and_then(|cmds| run(&mut cluster(), &cmds))
+                .unwrap_err();
+            assert_eq!(e.line, 2, "{script:?}: {e}");
+            assert!(e.message.contains(message), "{script:?}: {e}");
+        }
     }
 
     #[test]
@@ -463,14 +500,14 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let e = parse("fail 0\nbogus 1").unwrap_err();
+        let e = parse("crash 0\nbogus 1").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bogus"));
-        let e = parse("write 0").unwrap_err();
+        let e = parse("expect read 0").unwrap_err();
         assert!(e.message.contains("needs a value"));
         let e = parse("expect refused flush 0").unwrap_err();
         assert!(e.message.contains("read/write/recover"));
-        let e = parse("fail x").unwrap_err();
+        let e = parse("crash x").unwrap_err();
         assert!(e.message.contains("bad site number"));
     }
 
@@ -478,7 +515,7 @@ mod tests {
     fn runs_the_paper_walkthrough() {
         let script = "
             write 0 v2
-            fail 1
+            crash 1
             write 0 v3            # 2 of 3 still a majority
             partition 0 | 2
             expect read 0 v3      # S0 wins the 1-1 tie
@@ -496,8 +533,15 @@ mod tests {
     }
 
     #[test]
+    fn a_bare_write_mints_tokens() {
+        let cmds = parse("write 0\nwrite 1\nexpect read 2 w2").unwrap();
+        let log = run(&mut cluster(), &cmds).unwrap();
+        assert_eq!(log[0], "write S0 \"w1\": ok");
+    }
+
+    #[test]
     fn explain_command_logs_the_decision_trace() {
-        let cmds = parse("fail 2\nfail 1\nexplain 0\nfail 0\nexplain 0").unwrap();
+        let cmds = parse("crash 2\ncrash 1\nexplain 0\ncrash 0\nexplain 0").unwrap();
         let mut c = cluster();
         let log = run(&mut c, &cmds).unwrap();
         let text = log.join("\n");
@@ -510,7 +554,7 @@ mod tests {
 
         // MCV explains through the same Algorithm 1, with P_m fixed at
         // all copies: one copy of three is a minority.
-        let cmds = parse("fail 1\nfail 2\nexplain 0").unwrap();
+        let cmds = parse("crash 1\ncrash 2\nexplain 0").unwrap();
         let mut c = ClusterBuilder::new()
             .copies([0, 1, 2])
             .protocol(Protocol::Mcv)
@@ -525,7 +569,7 @@ mod tests {
 
     #[test]
     fn failed_expectation_reports_line() {
-        let cmds = parse("fail 1\nfail 2\nexpect read 0 nope").unwrap();
+        let cmds = parse("crash 1\ncrash 2\nexpect read 0 nope").unwrap();
         let mut c = cluster();
         let e = run(&mut c, &cmds).unwrap_err();
         assert_eq!(e.line, 3);
@@ -543,7 +587,7 @@ mod tests {
     #[test]
     fn transcript_logs_refusals_without_failing() {
         // Plain `read`/`write` log refusals; only `expect` fails runs.
-        let cmds = parse("fail 1\nfail 2\nread 0\nwrite 0 x").unwrap();
+        let cmds = parse("crash 1\ncrash 2\nread 0\nwrite 0 x").unwrap();
         let mut c = cluster();
         let log = run(&mut c, &cmds).unwrap();
         assert!(log[2].contains("refused"));
