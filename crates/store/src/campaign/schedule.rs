@@ -1,14 +1,14 @@
 //! The seeded fault schedule: a deterministic function of
 //! `(seed, sites, partitions, duration)` — same seed, same campaign.
 //!
-//! The schedule speaks the model checker's event grammar where the two
-//! overlap (`crash s`, `repair s`, `partition i`, `heal` — rendered via
-//! [`dynvote_check::CheckEvent`] so the words can never drift apart)
-//! and extends it with the faults only a *live* cluster can express:
-//! disk injection between kill and restart (`disk=wal-garbage:N`,
-//! `disk=snapshot-flip`), and stalled peers (`stall s` / `unstall s` —
-//! the process stays up and keeps answering clients, but its links go
-//! dark, the live shadow of a long GC pause).
+//! The schedule speaks the one event alphabet ([`CheckEvent`]: `crash
+//! s` is a SIGKILL, `repair s` a clean restart from disk, `partition i`
+//! and `heal` canonical link cuts) and adds only what a *live* fleet
+//! alone can do: disk injection between kill and restart (`repair s
+//! disk=wal-garbage:N`, `repair s disk=snapshot-flip`), and stalled
+//! peers (`stall s` / `unstall s` — the process keeps running and
+//! answering clients, but its links go dark, the live shadow of a long
+//! GC pause).
 //!
 //! Generation respects the same soundness budget the checker explores
 //! under: at most `⌊(n-1)/2⌋` sites are silent (dead or stalled) at
@@ -58,24 +58,21 @@ impl core::fmt::Display for DiskFault {
 /// One fault the nemesis will inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
-    /// SIGKILL the site's daemon — no shutdown path runs.
-    Kill(usize),
-    /// Restart the daemon from its data directory, optionally after
-    /// corrupting the directory first.
-    Restart {
+    /// `crash s` (SIGKILL, no shutdown path runs), `repair s` (a clean
+    /// restart from the data directory), `partition i` or `heal`.
+    Event(CheckEvent),
+    /// Restart the daemon from its data directory after corrupting the
+    /// directory.
+    Repair {
         /// Which site comes back.
-        site: usize,
+        site: SiteId,
         /// Damage applied to the data dir before the process starts.
-        disk: Option<DiskFault>,
+        disk: DiskFault,
     },
-    /// Install the canonical segment partition with this index (≥ 1).
-    Partition(usize),
-    /// Remove any forced partition.
-    Heal,
     /// The site's links go dark (process and client port stay up).
-    Stall(usize),
+    Stall(SiteId),
     /// The stalled site's links come back.
-    Unstall(usize),
+    Unstall(SiteId),
 }
 
 /// A fault and when (offset from campaign start) it fires.
@@ -92,18 +89,12 @@ impl ScheduledFault {
     #[must_use]
     pub fn render(&self) -> String {
         let word = match self.action {
-            FaultAction::Kill(s) => CheckEvent::Crash(SiteId::new(s)).to_string(),
-            FaultAction::Restart { site, disk: None } => {
-                CheckEvent::Repair(SiteId::new(site)).to_string()
+            FaultAction::Event(event) => event.to_string(),
+            FaultAction::Repair { site, disk } => {
+                format!("{} disk={disk}", CheckEvent::Repair(site))
             }
-            FaultAction::Restart {
-                site,
-                disk: Some(fault),
-            } => format!("{} disk={fault}", CheckEvent::Repair(SiteId::new(site))),
-            FaultAction::Partition(i) => CheckEvent::Partition(i).to_string(),
-            FaultAction::Heal => CheckEvent::Heal.to_string(),
-            FaultAction::Stall(s) => format!("stall {s}"),
-            FaultAction::Unstall(s) => format!("unstall {s}"),
+            FaultAction::Stall(s) => format!("stall {}", s.index()),
+            FaultAction::Unstall(s) => format!("unstall {}", s.index()),
         };
         format!("@{:>8.3}s {word}", self.at.as_secs_f64())
     }
@@ -150,17 +141,16 @@ impl Schedule {
         let mut tally = ScheduleTally::default();
         for fault in &self.faults {
             match fault.action {
-                FaultAction::Kill(_) => tally.kills += 1,
-                FaultAction::Restart { disk, .. } => {
+                FaultAction::Event(CheckEvent::Crash(_)) => tally.kills += 1,
+                FaultAction::Event(CheckEvent::Repair(_)) => tally.restarts += 1,
+                FaultAction::Repair { .. } => {
                     tally.restarts += 1;
-                    if disk.is_some() {
-                        tally.disk_faults += 1;
-                    }
+                    tally.disk_faults += 1;
                 }
-                FaultAction::Partition(_) => tally.partitions += 1,
-                FaultAction::Heal => tally.heals += 1,
+                FaultAction::Event(CheckEvent::Partition(_)) => tally.partitions += 1,
+                FaultAction::Event(CheckEvent::Heal) => tally.heals += 1,
                 FaultAction::Stall(_) => tally.stalls += 1,
-                FaultAction::Unstall(_) => {}
+                FaultAction::Event(_) | FaultAction::Unstall(_) => {}
             }
         }
         tally
@@ -249,12 +239,12 @@ pub fn generate(seed: u64, sites: usize, partitions: usize, duration: Duration) 
                 let alive: Vec<usize> = (0..sites).filter(|s| !is_silent(*s)).collect();
                 let victim = alive[rng.below(alive.len())];
                 dead.push(victim);
-                FaultAction::Kill(victim)
+                FaultAction::Event(CheckEvent::Crash(SiteId::new(victim)))
             }
             1 => {
-                let site = dead.remove(rng.below(dead.len()));
-                let disk = if rng.bernoulli(0.5) {
-                    Some(if rng.bernoulli(0.5) {
+                let site = SiteId::new(dead.remove(rng.below(dead.len())));
+                if rng.bernoulli(0.5) {
+                    let disk = if rng.bernoulli(0.5) {
                         DiskFault::WalGarbageTail {
                             bytes: 1 + rng.below(48),
                         }
@@ -262,19 +252,19 @@ pub fn generate(seed: u64, sites: usize, partitions: usize, duration: Duration) 
                         DiskFault::SnapshotFlip {
                             offset_hint: rng.below(1 << 20) as u64,
                         }
-                    })
+                    };
+                    FaultAction::Repair { site, disk }
                 } else {
-                    None
-                };
-                FaultAction::Restart { site, disk }
+                    FaultAction::Event(CheckEvent::Repair(site))
+                }
             }
             2 => {
                 partitioned = true;
-                FaultAction::Partition(1 + rng.below(partitions - 1))
+                FaultAction::Event(CheckEvent::Partition(1 + rng.below(partitions - 1)))
             }
             3 => {
                 partitioned = false;
-                FaultAction::Heal
+                FaultAction::Event(CheckEvent::Heal)
             }
             _ => {
                 let alive: Vec<usize> = (0..sites).filter(|s| !is_silent(*s)).collect();
@@ -284,9 +274,9 @@ pub fn generate(seed: u64, sites: usize, partitions: usize, duration: Duration) 
                 stalled.push((victim, until));
                 faults.push(ScheduledFault {
                     at: Duration::from_secs_f64(until),
-                    action: FaultAction::Unstall(victim),
+                    action: FaultAction::Unstall(SiteId::new(victim)),
                 });
-                FaultAction::Stall(victim)
+                FaultAction::Stall(SiteId::new(victim))
             }
         };
         faults.push(ScheduledFault {
@@ -310,15 +300,17 @@ mod tests {
     use super::*;
 
     fn silent_high_water(schedule: &Schedule) -> usize {
-        let mut silent: Vec<usize> = Vec::new();
+        let mut silent: Vec<SiteId> = Vec::new();
         let mut peak = 0;
         for fault in &schedule.faults {
             match fault.action {
-                FaultAction::Kill(s) | FaultAction::Stall(s) => {
+                FaultAction::Event(CheckEvent::Crash(s)) | FaultAction::Stall(s) => {
                     silent.push(s);
                     peak = peak.max(silent.len());
                 }
-                FaultAction::Restart { site, .. } | FaultAction::Unstall(site) => {
+                FaultAction::Event(CheckEvent::Repair(site))
+                | FaultAction::Repair { site, .. }
+                | FaultAction::Unstall(site) => {
                     if let Some(at) = silent.iter().position(|s| *s == site) {
                         silent.remove(at);
                     }
@@ -377,7 +369,7 @@ mod tests {
     fn partition_indices_skip_the_trivial_cut() {
         let schedule = generate(11, 8, 5, Duration::from_secs(60));
         for fault in &schedule.faults {
-            if let FaultAction::Partition(index) = fault.action {
+            if let FaultAction::Event(CheckEvent::Partition(index)) = fault.action {
                 assert!((1..5).contains(&index), "partition {index} out of range");
             }
         }
