@@ -77,8 +77,7 @@ impl Ctmc {
     }
 
     /// Total outflow rate of a state.
-    #[must_use]
-    pub fn exit_rate(&self, state: usize) -> f64 {
+    fn exit_rate(&self, state: usize) -> f64 {
         (0..self.n).map(|j| self.rates[state * self.n + j]).sum()
     }
 

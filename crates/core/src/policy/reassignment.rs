@@ -51,6 +51,8 @@ pub struct VoteReassignmentPolicy {
     base: VoteMap,
     current: VoteMap,
     lexicon: Lexicon,
+    /// Reassignments committed since the last reset: a test oracle.
+    #[cfg(test)]
     reassignments: u64,
 }
 
@@ -78,19 +80,22 @@ impl VoteReassignmentPolicy {
             current: base.clone(),
             base,
             lexicon: Lexicon::default(),
+            #[cfg(test)]
             reassignments: 0,
         }
     }
 
-    /// The current (possibly reassigned) votes.
-    #[must_use]
-    pub fn current_votes(&self) -> &VoteMap {
+    /// The current (possibly reassigned) votes: a test oracle, read
+    /// only by this module's tests.
+    #[cfg(test)]
+    fn current_votes(&self) -> &VoteMap {
         &self.current
     }
 
-    /// How many reassignments have been committed since the last reset.
-    #[must_use]
-    pub fn reassignments(&self) -> u64 {
+    /// How many reassignments have been committed since the last reset:
+    /// a test oracle, read only by this module's tests.
+    #[cfg(test)]
+    fn reassignments(&self) -> u64 {
         self.reassignments
     }
 
@@ -124,6 +129,7 @@ impl VoteReassignmentPolicy {
                 self.base.get(proxy) + u32::try_from(carried).expect("vote totals are small"),
             );
             debug_assert_eq!(next.total(), self.base.total(), "votes are conserved");
+            #[cfg(test)]
             if next.of(voters) != self.current.of(voters)
                 || present.iter().any(|s| next.get(s) != self.current.get(s))
             {
@@ -143,7 +149,10 @@ impl AvailabilityPolicy for VoteReassignmentPolicy {
 
     fn reset(&mut self) {
         self.current = self.base.clone();
-        self.reassignments = 0;
+        #[cfg(test)]
+        {
+            self.reassignments = 0;
+        }
     }
 
     fn on_topology_change(&mut self, reach: &Reachability) -> bool {

@@ -71,12 +71,6 @@ impl WitnessPolicy {
         self.full | self.witnesses
     }
 
-    /// The full copies.
-    #[must_use]
-    pub fn full_copies(&self) -> SiteSet {
-        self.full
-    }
-
     /// Read-only protocol state (for tests).
     #[must_use]
     pub fn states(&self) -> &StateTable {

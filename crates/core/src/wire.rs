@@ -163,7 +163,7 @@ pub fn put_u64(out: &mut Vec<u8>, value: u64) {
 }
 
 /// Appends a [`SiteSet`] as its raw membership mask.
-pub fn put_site_set(out: &mut Vec<u8>, set: SiteSet) {
+fn put_site_set(out: &mut Vec<u8>, set: SiteSet) {
     put_u64(out, set.bits());
 }
 

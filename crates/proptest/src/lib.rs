@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access, so the workspace cannot
 //! fetch `proptest` from a registry. This crate implements the surface
-//! the workspace's property tests use: the [`proptest!`] and
+//! the workspace's property tests use: the [`proptest!`] and weighted
 //! [`prop_oneof!`] macros, `prop_assert!`/`prop_assert_eq!`, the
 //! [`strategy::Strategy`] trait with `prop_map`, range / tuple /
 //! [`strategy::Just`] / [`strategy::any`] strategies,
@@ -90,14 +90,11 @@ macro_rules! __proptest_items {
 }
 
 /// Chooses between several strategies producing the same value type,
-/// optionally weighted (`weight => strategy`).
+/// weighted (`weight => strategy`).
 #[macro_export]
 macro_rules! prop_oneof {
     ($($weight:expr => $strategy:expr),+ $(,)?) => {
         $crate::strategy::Union::new()$(.or($weight, $strategy))+
-    };
-    ($($strategy:expr),+ $(,)?) => {
-        $crate::strategy::Union::new()$(.or(1, $strategy))+
     };
 }
 

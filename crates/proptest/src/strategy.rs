@@ -80,7 +80,7 @@ macro_rules! impl_arbitrary_int {
         }
     )+};
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_arbitrary_int!(u8, u16, u64);
 
 impl Arbitrary for bool {
     #[inline]
@@ -125,7 +125,7 @@ macro_rules! impl_strategy_for_range {
         }
     )+};
 }
-impl_strategy_for_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_strategy_for_range!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_strategy_for_tuple {
     ($($name:ident : $idx:tt),+) => {
@@ -138,7 +138,6 @@ macro_rules! impl_strategy_for_tuple {
         }
     };
 }
-impl_strategy_for_tuple!(A: 0);
 impl_strategy_for_tuple!(A: 0, B: 1);
 impl_strategy_for_tuple!(A: 0, B: 1, C: 2);
 impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3);

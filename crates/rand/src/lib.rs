@@ -3,9 +3,10 @@
 //! The build environment has no network access, so the workspace cannot
 //! fetch `rand` from a registry. This crate implements exactly the
 //! surface the workspace uses — `rngs::StdRng`, [`SeedableRng::seed_from_u64`],
-//! [`Rng::gen`] for `f64`/integers/`bool`, [`Rng::gen_range`] and
-//! [`Rng::gen_bool`] — on top of SplitMix64, which passes BigCrush and is
-//! more than adequate for the simulator's statistical needs.
+//! [`Rng::gen`] for `f64`, `bool` and the integer types the proptest
+//! stand-in draws whole, and [`Rng::gen_range`] over the integer types
+//! some caller ranges over — on top of SplitMix64, which passes BigCrush
+//! and is more than adequate for the simulator's statistical needs.
 //!
 //! It is **not** a cryptographic RNG and makes no attempt to be
 //! stream-compatible with the real `rand::rngs::StdRng`; determinism is
@@ -21,11 +22,6 @@ use core::ops::Range;
 pub trait RngCore {
     /// The next 64 uniformly distributed bits.
     fn next_u64(&mut self) -> u64;
-
-    /// The next 32 uniformly distributed bits (upper half of a word).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// RNGs that can be constructed from a small seed.
@@ -68,7 +64,7 @@ macro_rules! impl_standard_int {
         }
     )+};
 }
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_standard_int!(u8, u16, u64);
 
 /// Types usable as `gen_range` bounds.
 pub trait SampleUniform: Copy {
@@ -106,7 +102,7 @@ macro_rules! impl_sample_uniform {
         }
     )+};
 }
-impl_sample_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_uniform!(u8, u16, u32, u64, usize, i32);
 
 /// Convenience sampling methods, blanket-implemented for every source.
 pub trait Rng: RngCore {
@@ -121,12 +117,6 @@ pub trait Rng: RngCore {
     #[inline]
     fn gen_range<T: SampleUniform>(&mut self, range: Range<T>) -> T {
         T::sample_range(self, range)
-    }
-
-    /// `true` with probability `p`.
-    #[inline]
-    fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen::<f64>() < p
     }
 }
 

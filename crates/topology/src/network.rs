@@ -179,43 +179,6 @@ impl Network {
         .expect("single segment is always valid")
     }
 
-    /// A network where every site sits alone on its own segment, pairwise
-    /// joined only through external switching we model as never failing.
-    ///
-    /// This is the conventional *point-to-point* world in which
-    /// topological vote claiming never applies (every site is its own
-    /// segment), useful as a baseline in experiments. All sites remain
-    /// mutually reachable while up.
-    #[must_use]
-    pub fn fully_connected(n: usize) -> Self {
-        // One segment per site, every site bridging to a hub segment would
-        // need a non-failing carrier; instead we model full connectivity
-        // as a single segment but report each site as alone on its own
-        // segment for vote-claiming purposes. The cleanest encoding is a
-        // dedicated flag-free representation: per-site segments plus
-        // virtual always-up links. We achieve it with per-site segments
-        // and a complete bridge mesh carried by every site: while any two
-        // sites are up they can talk directly.
-        let segment_members: Vec<SiteSet> =
-            (0..n).map(|i| SiteSet::singleton(SiteId::new(i))).collect();
-        let segment_names = (0..n).map(|i| format!("p2p{i}")).collect();
-        // Every site bridges its own segment to every other segment: the
-        // link (i -> seg j) is up while site i is up, which makes any two
-        // up sites adjacent.
-        let mut bridges = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    bridges.push(Bridge {
-                        gateway: SiteId::new(i),
-                        to: SegmentId(j as u16),
-                    });
-                }
-            }
-        }
-        Network::from_parts(segment_members, segment_names, bridges).expect("mesh is always valid")
-    }
-
     /// All sites known to the network.
     #[inline]
     #[must_use]
@@ -265,7 +228,9 @@ impl Network {
         }
     }
 
-    /// `true` when the two sites share a segment.
+    /// `true` when the two sites share a segment. Its callers are the
+    /// cross-crate tests `tests/substrate_props.rs` and
+    /// `tests/topological_claims.rs`.
     #[must_use]
     pub fn same_segment(&self, a: SiteId, b: SiteId) -> bool {
         match (self.segment_of(a), self.segment_of(b)) {
@@ -486,20 +451,6 @@ mod tests {
     #[test]
     fn single_segment_never_partitions() {
         let net = Network::single_segment(5);
-        for mask in 0u64..32 {
-            let up = SiteSet::from_bits(mask);
-            let r = net.reachability(up);
-            assert!(
-                r.groups().len() <= 1,
-                "mask {mask:#b} split: {:?}",
-                r.groups()
-            );
-        }
-    }
-
-    #[test]
-    fn fully_connected_never_partitions() {
-        let net = Network::fully_connected(5);
         for mask in 0u64..32 {
             let up = SiteSet::from_bits(mask);
             let r = net.reachability(up);

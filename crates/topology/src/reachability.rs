@@ -140,6 +140,8 @@ impl Reachability {
     }
 
     /// `true` when the two sites can currently communicate. O(1).
+    /// Its caller is `tests/substrate_props.rs`, which checks it against
+    /// [`Network::same_segment`](crate::Network::same_segment).
     #[inline]
     #[must_use]
     pub fn can_communicate(&self, a: SiteId, b: SiteId) -> bool {
@@ -148,9 +150,10 @@ impl Reachability {
     }
 
     /// The linear-scan definition of [`Reachability::group_of`], kept as
-    /// the executable specification the O(1) index is tested against.
-    #[must_use]
-    pub fn group_of_linear(&self, site: SiteId) -> Option<SiteSet> {
+    /// the executable specification the O(1) index is tested against:
+    /// a test oracle, read only by this module's proptests.
+    #[cfg(test)]
+    fn group_of_linear(&self, site: SiteId) -> Option<SiteSet> {
         self.groups.iter().copied().find(|g| g.contains(site))
     }
 }
