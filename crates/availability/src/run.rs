@@ -598,13 +598,13 @@ mod tests {
 
     #[test]
     fn ttf_single_site_matches_its_mttf() {
-        use dynvote_core::policy::McvPolicy;
+        use dynvote_core::policy::DynamicPolicy;
         let network = Network::single_segment(1);
         let models = crate::sites::identical_sites(1, Duration::days(10.0), Duration::hours(2.0));
         let r = measure_ttf(
             &network,
             &models,
-            || Box::new(McvPolicy::new(SiteSet::first_n(1))),
+            || Box::new(DynamicPolicy::mcv(SiteSet::first_n(1))),
             0.0,
             7,
             400,
@@ -621,14 +621,14 @@ mod tests {
 
     #[test]
     fn ttf_censoring_reported() {
-        use dynvote_core::policy::McvPolicy;
+        use dynvote_core::policy::DynamicPolicy;
         // A near-immortal site with a tiny horizon: everything censors.
         let network = Network::single_segment(1);
         let models = crate::sites::identical_sites(1, Duration::days(1e9), Duration::hours(2.0));
         let r = measure_ttf(
             &network,
             &models,
-            || Box::new(McvPolicy::new(SiteSet::first_n(1))),
+            || Box::new(DynamicPolicy::mcv(SiteSet::first_n(1))),
             0.0,
             7,
             10,

@@ -198,10 +198,9 @@ mod tests {
 
     #[test]
     fn static_mcv_dies_where_reassignment_survives() {
-        use crate::policy::McvPolicy;
         let copies = SiteSet::first_n(3);
         let mut vr = VoteReassignmentPolicy::uniform(copies);
-        let mcv = McvPolicy::strict(copies);
+        let mcv = crate::policy::DynamicPolicy::mcv(copies);
         let steps: &[&[usize]] = &[&[0, 1], &[0]];
         let mut r = reach(&[steps[0]]);
         vr.on_topology_change(&r);

@@ -23,7 +23,7 @@ use dynvote_availability::run::run_trace;
 use dynvote_availability::sites::UCSD_SITES;
 use dynvote_core::policy::dynamic::{DynamicPolicy, RejoinMode};
 use dynvote_core::policy::AvailabilityPolicy;
-use dynvote_core::Lexicon;
+use dynvote_core::{Lexicon, Rule};
 use dynvote_experiments::output::{fmt_unavail, Table};
 use dynvote_experiments::paper::CONFIG_LABELS;
 use dynvote_experiments::CliParams;
@@ -64,7 +64,7 @@ fn main() {
                 Box::new(DynamicPolicy::custom(
                     format!("LDV[{name}]"),
                     config.copies,
-                    Some(lexicon.clone()),
+                    Rule::with_lexicon(lexicon.clone()),
                     None,
                     RejoinMode::OnRepair,
                 )) as Box<dyn AvailabilityPolicy>

@@ -63,7 +63,7 @@ fn main() {
             Box::new(DynamicPolicy::custom(
                 "ODV-eager",
                 config.copies,
-                Some(dynvote_core::Lexicon::default()),
+                dynvote_core::Rule::lexicographic(),
                 None,
                 RejoinMode::OnRepair,
             )),

@@ -16,7 +16,7 @@ use std::borrow::Cow;
 
 use dynvote_availability::run::run_trace;
 use dynvote_availability::sites::{identical_sites, SiteModel};
-use dynvote_core::policy::{AvailabilityPolicy, DynamicPolicy, McvPolicy};
+use dynvote_core::policy::{AvailabilityPolicy, DynamicPolicy};
 use dynvote_experiments::output::{fmt_unavail, Table};
 use dynvote_experiments::CliParams;
 use dynvote_sim::Duration;
@@ -74,7 +74,7 @@ fn main() {
         }
         let copies = SiteSet::first_n(N);
         let policies: Vec<Box<dyn AvailabilityPolicy>> = vec![
-            Box::new(McvPolicy::new(copies)),
+            Box::new(DynamicPolicy::mcv(copies)),
             Box::new(DynamicPolicy::dv(copies)),
             Box::new(DynamicPolicy::ldv(copies)),
             Box::new(DynamicPolicy::odv(copies)),

@@ -18,7 +18,7 @@
 use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::run_trace;
 use dynvote_availability::sites::UCSD_SITES;
-use dynvote_core::policy::{AvailabilityPolicy, DynamicPolicy, WitnessPolicy};
+use dynvote_core::policy::{AvailabilityPolicy, DynamicPolicy};
 use dynvote_experiments::output::{fmt_unavail, Table};
 use dynvote_experiments::CliParams;
 use dynvote_types::SiteSet;
@@ -56,7 +56,7 @@ fn main() {
     for witness_site in [2usize, 3, 4, 5, 6, 7] {
         let witness = SiteSet::from_indices([witness_site]);
         let policy: Vec<Box<dyn AvailabilityPolicy>> =
-            vec![Box::new(WitnessPolicy::with_mode(full, witness, false))];
+            vec![Box::new(DynamicPolicy::ldv(full).with_witnesses(witness))];
         let r = run_trace(&network, &UCSD_SITES, policy, &cli.params, "witness");
         table.row(vec![
             format!("2 copies + witness on site {}", witness_site + 1),

@@ -8,7 +8,8 @@
 //! numbers in the reproduced Tables 2 and 3 are measuring something
 //! other than what the store actually does.
 
-use dynamic_voting::core::policy::{AvailabilityPolicy, DynamicPolicy, McvPolicy};
+use dynamic_voting::core::policy::dynamic::RejoinMode;
+use dynamic_voting::core::policy::{AvailabilityPolicy, DynamicPolicy};
 use dynamic_voting::core::Lexicon;
 use dynamic_voting::replica::{Cluster, ClusterBuilder, Protocol};
 use dynamic_voting::sim::SimRng;
@@ -106,7 +107,13 @@ fn mcv_policy_equals_mcv_cluster() {
             ClusterBuilder::new()
                 .protocol(Protocol::Mcv)
                 .lexicon(lexicon.clone()),
-            Box::new(McvPolicy::with_lexicon(SiteSet::first_n(n), &lexicon)),
+            Box::new(DynamicPolicy::custom(
+                "MCV",
+                SiteSet::first_n(n),
+                Protocol::Mcv.rule(lexicon),
+                None,
+                RejoinMode::OnRepair,
+            )),
             Network::single_segment(n),
             n,
             false,

@@ -39,7 +39,7 @@ fn two_copies_one_witness_survives_any_single_failure() {
 /// 2-copies+witness the same measured availability as 3 full copies.
 #[test]
 fn witness_placement_matches_third_copy_availability() {
-    use dynamic_voting::core::policy::{AvailabilityPolicy, DynamicPolicy, WitnessPolicy};
+    use dynamic_voting::core::policy::{AvailabilityPolicy, DynamicPolicy};
     let network = dynamic_voting::availability::network::ucsd_network();
     let params = Params {
         batch_len: Duration::days(5_000.0),
@@ -47,11 +47,10 @@ fn witness_placement_matches_third_copy_availability() {
         ..Params::quick_test()
     };
     let policies: Vec<Box<dyn AvailabilityPolicy>> = vec![
-        Box::new(WitnessPolicy::with_mode(
-            SiteSet::from_indices([0, 1]),
-            SiteSet::from_indices([2]),
-            false,
-        )),
+        Box::new(
+            DynamicPolicy::ldv(SiteSet::from_indices([0, 1]))
+                .with_witnesses(SiteSet::from_indices([2])),
+        ),
         Box::new(DynamicPolicy::ldv(SiteSet::from_indices([0, 1, 2]))),
     ];
     let results = run_trace(
