@@ -31,7 +31,7 @@ fn main() {
 
     let mut table = Table::new(vec![
         "Config".into(),
-        "uniform MCV".into(),
+        "uniform MCV (no tie vote)".into(),
         "best weighted".into(),
         "best extra vote on".into(),
         "vote reassign (BGS86)".into(),
