@@ -23,7 +23,7 @@
 
 use std::time::{Duration, Instant};
 
-use dynvote_core::check::{StateInvariant, Violation};
+use dynvote_core::check::Violation;
 
 use crate::engine::{self, EngineConfig, Space};
 use crate::event::CheckEvent;
@@ -31,7 +31,7 @@ use crate::scenario::Scenario;
 use crate::shrink::ddmin;
 use crate::symmetry::{canonical_fingerprint, SymView, SymmetryGroup};
 use crate::trace::regression_snippet;
-use crate::world::{default_suite, replay_classified, DetectScratch, World};
+use crate::world::{replay_classified, DetectScratch, World};
 
 /// How often (in applied transitions) the wall-clock budget is polled.
 /// The counter is shared across workers (a single atomic), so the poll
@@ -236,35 +236,27 @@ pub fn enumerate_events(world: &World) -> Vec<CheckEvent> {
 /// The invariant checker's [`Space`]: a [`World`] stepped through
 /// [`crate::apply_and_detect`], with violations classified against the
 /// policy's documented hazards at the transition that surfaced them.
-struct CheckSpace<'a> {
+struct CheckSpace {
     world: World,
-    suite: &'a [Box<dyn StateInvariant>],
     scenario: Scenario,
 }
 
-impl Clone for CheckSpace<'_> {
+impl Clone for CheckSpace {
     fn clone(&self) -> Self {
         CheckSpace {
             world: self.world.clone(),
-            suite: self.suite,
             scenario: self.scenario,
         }
     }
 
     /// Into the engine's spare: the world's buffers are reused.
     fn clone_from(&mut self, source: &Self) {
-        let CheckSpace {
-            world,
-            suite,
-            scenario,
-        } = source;
-        self.world.clone_from(world);
-        self.suite = suite;
-        self.scenario = *scenario;
+        self.world.clone_from(&source.world);
+        self.scenario = source.scenario;
     }
 }
 
-impl Space for CheckSpace<'_> {
+impl Space for CheckSpace {
     type Hit = (Violation, bool);
 
     type Scratch = CheckScratch;
@@ -277,7 +269,6 @@ impl Space for CheckSpace<'_> {
         replay_classified(
             &mut scratch.detect,
             &mut self.world,
-            self.suite,
             self.scenario.policy,
             &[event],
         )
@@ -336,10 +327,8 @@ pub fn run_with_factory(
     config: &CheckConfig,
     factory: &dyn Fn(&Scenario) -> dynvote_replica::Cluster<u64>,
 ) -> Report {
-    let suite = default_suite();
     let root = CheckSpace {
         world: World::with_cluster(factory(&config.scenario)),
-        suite: &suite,
         scenario: config.scenario,
     };
     let engine_config = EngineConfig {
@@ -389,7 +378,7 @@ pub fn run_with_factory(
 
     if config.shrink {
         for finding in &mut report.findings {
-            finding.shrunk = shrink_finding(config, factory, &suite, finding);
+            finding.shrunk = shrink_finding(config, factory, finding);
             finding.regression = regression_snippet(
                 &config.scenario,
                 &finding.shrunk,
@@ -407,7 +396,6 @@ pub fn run_with_factory(
 pub fn reproduces(
     scenario: &Scenario,
     factory: &dyn Fn(&Scenario) -> dynvote_replica::Cluster<u64>,
-    suite: &[Box<dyn StateInvariant>],
     invariant: &str,
     known_hazard: bool,
     events: &[CheckEvent],
@@ -415,7 +403,6 @@ pub fn reproduces(
     replay_classified(
         &mut DetectScratch::default(),
         &mut World::with_cluster(factory(scenario)),
-        suite,
         scenario.policy,
         events,
     )
@@ -426,14 +413,12 @@ pub fn reproduces(
 fn shrink_finding(
     config: &CheckConfig,
     factory: &dyn Fn(&Scenario) -> dynvote_replica::Cluster<u64>,
-    suite: &[Box<dyn StateInvariant>],
     finding: &Finding,
 ) -> Vec<CheckEvent> {
     ddmin(&finding.trace, |candidate| {
         reproduces(
             &config.scenario,
             factory,
-            suite,
             finding.violation.invariant,
             finding.known_hazard,
             candidate,
@@ -484,10 +469,8 @@ mod tests {
         for policy in [Protocol::Dv, Protocol::Odv] {
             let scenario = Scenario::new(policy, 4, 2).unwrap();
             let group = SymmetryGroup::of(&scenario);
-            let suite = default_suite();
             let root = CheckSpace {
                 world: World::new(&scenario),
-                suite: &suite,
                 scenario,
             };
             let mut layer = vec![root.clone()];

@@ -22,8 +22,8 @@
 //!   ([`explore`]), deduplicating states by the fingerprint of their
 //!   [`SymView`] under a [`SymmetryGroup`] (the trivial group unless
 //!   symmetry is on) with depth-left dominance;
-//! * invariants — the pluggable [`dynvote_core::check::StateInvariant`]
-//!   suite (rival majorities, monotone counters) plus history oracles
+//! * invariants — the table-level checks of [`dynvote_core::check`]
+//!   (rival majorities, monotone counters) plus history oracles
 //!   (stale reads, duplicate versions, lineage forks, the write-token
 //!   oracle);
 //! * [`ddmin`] / [`trace`] — delta-debugged 1-minimal traces,
@@ -61,6 +61,4 @@ pub use scenario::{Scenario, ALL_POLICIES};
 pub use shrink::ddmin;
 pub use symmetry::{canonical_fingerprint, SymView, SymmetryGroup};
 pub use trace::{replay, verify, Expectation, TraceFile};
-pub use world::{
-    apply_and_detect, classify_known_hazard, default_suite, groups_of, state_table_of, World,
-};
+pub use world::{apply_and_detect, classify_known_hazard, groups_of, state_table_of, World};

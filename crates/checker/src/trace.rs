@@ -32,7 +32,7 @@ use dynvote_core::policy::Protocol;
 
 use crate::event::CheckEvent;
 use crate::scenario::Scenario;
-use crate::world::{default_suite, replay_classified, DetectScratch, World};
+use crate::world::{replay_classified, DetectScratch, World};
 
 /// What a trace expects its replay to surface.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -203,7 +203,6 @@ pub fn replay(file: &TraceFile) -> Vec<(Violation, bool)> {
     replay_classified(
         &mut DetectScratch::default(),
         &mut World::new(&file.scenario),
-        &default_suite(),
         file.scenario.policy,
         &file.events,
     )
@@ -273,19 +272,18 @@ pub fn regression_snippet(
     format!(
         r#"#[test]
 fn {test_name}() {{
-    use dynvote_check::{{apply_and_detect, default_suite, CheckEvent, Scenario, World}};
+    use dynvote_check::{{apply_and_detect, CheckEvent, Scenario, World}};
     use dynvote_replica::Protocol;
     use dynvote_types::SiteId;
 
     // {hazard_note}
     let scenario = Scenario::new(Protocol::{protocol:?}, {sites}, {segments}).unwrap();
-    let suite = default_suite();
     let mut world = World::new(&scenario);
     let events = [
 {body}    ];
     let mut surfaced = Vec::new();
     for event in events {{
-        surfaced.extend(apply_and_detect(&mut world, &suite, event));
+        surfaced.extend(apply_and_detect(&mut world, event));
     }}
     assert!(
         surfaced.iter().any(|v| v.invariant == "{invariant}"),

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use dynvote_core::check::{ProtocolSnapshot, StateInvariant, Violation};
+use dynvote_core::check::{at_most_one_majority, monotone_counters, ProtocolSnapshot, Violation};
 use dynvote_core::state::StateTable;
 use dynvote_replica::checker::Violation as ReplicaViolation;
 use dynvote_replica::{Cluster, Protocol};
@@ -265,15 +265,6 @@ pub fn replica_invariant_name(violation: &ReplicaViolation) -> &'static str {
     }
 }
 
-/// The default table-level invariant suite.
-#[must_use]
-pub fn default_suite() -> Vec<Box<dyn StateInvariant>> {
-    vec![
-        Box::new(dynvote_core::check::AtMostOneMajority),
-        Box::new(dynvote_core::check::MonotoneCounters),
-    ]
-}
-
 /// Snapshots every participant's control state into a dense table.
 #[must_use]
 pub fn state_table_of<T: Clone>(cluster: &Cluster<T>) -> StateTable {
@@ -351,25 +342,21 @@ impl DetectScratch {
 
 /// Applies one event and returns every invariant violation the step
 /// surfaced: the token oracle, fresh replica-checker findings (stale
-/// read / duplicate version / lineage fork), and the table-level
-/// [`StateInvariant`] suite on the resulting state and transition.
+/// read / duplicate version / lineage fork), and the two table-level
+/// invariants ([`at_most_one_majority`] on the resulting state,
+/// [`monotone_counters`] on the transition).
 ///
 /// This is *the* detection path — the explorer, the shrinker's
 /// reproduction check, and trace replay all go through it, so a shrunk
 /// trace is judged by exactly the rules that convicted the original.
-pub fn apply_and_detect(
-    world: &mut World,
-    suite: &[Box<dyn StateInvariant>],
-    event: CheckEvent,
-) -> Vec<Violation> {
-    apply_and_detect_in(&mut DetectScratch::default(), world, suite, event)
+pub fn apply_and_detect(world: &mut World, event: CheckEvent) -> Vec<Violation> {
+    apply_and_detect_in(&mut DetectScratch::default(), world, event)
 }
 
 /// [`apply_and_detect`] with the caller's tables.
 pub(crate) fn apply_and_detect_in(
     scratch: &mut DetectScratch,
     world: &mut World,
-    suite: &[Box<dyn StateInvariant>],
     event: CheckEvent,
 ) -> Vec<Violation> {
     let participants = world.cluster.participants();
@@ -399,13 +386,11 @@ pub(crate) fn apply_and_detect_in(
         rule: world.cluster.rule(),
         network: Some(world.cluster.network()),
     };
-    for invariant in suite {
-        if let Err(violation) = invariant.check_state(&snapshot) {
-            found.push(violation);
-        }
-        if let Err(violation) = invariant.check_step(&scratch.prev, &scratch.next, participants) {
-            found.push(violation);
-        }
+    if let Err(violation) = at_most_one_majority(&snapshot) {
+        found.push(violation);
+    }
+    if let Err(violation) = monotone_counters(&scratch.prev, &scratch.next, participants) {
+        found.push(violation);
     }
     found
 }
@@ -438,14 +423,13 @@ pub fn classify_known_hazard(
 pub(crate) fn replay_classified(
     scratch: &mut DetectScratch,
     world: &mut World,
-    suite: &[Box<dyn StateInvariant>],
     policy: Protocol,
     events: &[CheckEvent],
 ) -> Vec<(Violation, bool)> {
     let mut all = Vec::new();
     for &event in events {
         let was_forked = world.forked();
-        let found = apply_and_detect_in(scratch, world, suite, event);
+        let found = apply_and_detect_in(scratch, world, event);
         if found.is_empty() {
             continue;
         }
@@ -635,7 +619,6 @@ mod tests {
     #[test]
     fn clean_steps_surface_no_violations() {
         let mut world = World::new(&scenario(Protocol::Ldv));
-        let suite = default_suite();
         let events = [
             CheckEvent::Write(SiteId::new(0)),
             CheckEvent::Crash(SiteId::new(2)),
@@ -645,7 +628,7 @@ mod tests {
             CheckEvent::Read(SiteId::new(2)),
         ];
         for event in events {
-            let found = apply_and_detect(&mut world, &suite, event);
+            let found = apply_and_detect(&mut world, event);
             assert!(found.is_empty(), "unexpected violations: {found:?}");
         }
     }
@@ -657,7 +640,6 @@ mod tests {
         // repairs alone, claims S1's vote back, and RECOVER forks the
         // lineage: operation 2 committed by {1} and again by {0}.
         let mut world = World::new(&Scenario::new(Protocol::Tdv, 2, 1).unwrap());
-        let suite = default_suite();
         let path = [
             CheckEvent::Crash(SiteId::new(0)),
             CheckEvent::Read(SiteId::new(1)),
@@ -665,11 +647,11 @@ mod tests {
             CheckEvent::Repair(SiteId::new(0)),
         ];
         for event in path {
-            let found = apply_and_detect(&mut world, &suite, event);
+            let found = apply_and_detect(&mut world, event);
             assert!(found.is_empty(), "no violation before the fork: {found:?}");
         }
         let was_forked = world.forked();
-        let found = apply_and_detect(&mut world, &suite, CheckEvent::Recover(SiteId::new(0)));
+        let found = apply_and_detect(&mut world, CheckEvent::Recover(SiteId::new(0)));
         assert!(
             found.iter().any(|v| v.invariant == "lineage-fork"),
             "expected a lineage fork, got {found:?}"
@@ -698,8 +680,7 @@ mod tests {
         // highest), the partition never shrinks to {1}, and S0's later
         // RECOVER is a legitimate, fork-free tie win.
         let mut world = World::new(&Scenario::new(Protocol::Ldv, 2, 1).unwrap());
-        let suite = default_suite();
-        assert!(apply_and_detect(&mut world, &suite, CheckEvent::Crash(SiteId::new(0))).is_empty());
+        assert!(apply_and_detect(&mut world, CheckEvent::Crash(SiteId::new(0))).is_empty());
         let out = world.apply(CheckEvent::Read(SiteId::new(1)));
         assert!(!out.granted, "S1 alone loses the {{S0,S1}} tie to S0");
         for event in [
@@ -707,7 +688,7 @@ mod tests {
             CheckEvent::Repair(SiteId::new(0)),
             CheckEvent::Recover(SiteId::new(0)),
         ] {
-            assert!(apply_and_detect(&mut world, &suite, event).is_empty());
+            assert!(apply_and_detect(&mut world, event).is_empty());
         }
         assert!(!world.forked(), "only one lineage ever committed");
     }
