@@ -458,7 +458,7 @@ mod tests {
         let copies = s(&[0, 1, 2]);
         let mut states = StateTable::fresh(copies);
         states.commit(s(&[0, 1]), 1, 2, copies);
-        let rule = Rule::static_majority(crate::lexicon::Lexicon::default());
+        let rule = Rule::static_majority(Some(crate::lexicon::Lexicon::default()));
         let read = plan(OpKind::Read, s(&[1, 2]), copies, &states, &rule, None).unwrap();
         assert_eq!(read.participants, SiteSet::EMPTY, "a read commits nothing");
         assert_eq!(read.data_source, SiteId::new(1), "the lowest current copy");

@@ -31,7 +31,9 @@ fn expected() -> [Expected; 6] {
         }
     }
     [
-        ("MCV", "mcv", false, Rule::static_majority),
+        ("MCV", "mcv", false, |lexicon| {
+            Rule::static_majority(Some(lexicon))
+        }),
         ("DV", "dv", false, |_| Rule::dv()),
         ("LDV", "ldv", false, Rule::with_lexicon),
         ("ODV", "odv", true, Rule::with_lexicon),
