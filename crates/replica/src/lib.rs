@@ -62,6 +62,7 @@ pub mod bus;
 pub mod checker;
 pub mod cluster;
 pub mod directory;
+pub mod disk;
 pub mod event;
 pub mod message;
 pub mod nemesis;
@@ -75,6 +76,7 @@ pub use bus::{Bus, BusStats, FaultAction, FaultRule, MessageClass, Verdict};
 pub use checker::{Checker, Violation};
 pub use cluster::{Cluster, ClusterBuilder, CommittedOp, OpStats};
 pub use directory::{Directory, DirectoryError};
+pub use disk::WalTail;
 pub use dynvote_core::policy::Protocol;
 pub use event::CheckEvent;
 pub use message::{Message, MessageKind, Trace};
@@ -83,6 +85,4 @@ pub use node::Node;
 pub use scenario::{Command, ScenarioError};
 pub use snapshot::{DurableSiteState, SnapshotLoad};
 pub use transport::{BusTransport, Carried, LocalServe, Reply, Response, Transport, WireRequest};
-pub use wal::{
-    DeltaFold, FsyncOutcome, Restored, SiteStore, Wal, WalEntry, WalRecord, WalReplay, WalTail,
-};
+pub use wal::{DeltaFold, FsyncOutcome, Restored, SiteStore, Wal, WalEntry, WalRecord, WalReplay};

@@ -15,7 +15,7 @@
 //! such memory, which is rather the point of keeping `(o, v, P)`
 //! durable.
 
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 
 use dynvote_core::state::ReplicaState;
@@ -105,7 +105,7 @@ impl DurableSiteState {
             }
             None => put_u8(&mut out, 0),
         }
-        let sum = crate::wal::checksum(&out);
+        let sum = crate::disk::checksum(&out);
         put_u64(&mut out, sum);
         out
     }
@@ -122,7 +122,7 @@ impl DurableSiteState {
         }
         let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
         let sum = u64::from_be_bytes(sum_bytes.try_into().expect("8 bytes"));
-        if crate::wal::checksum(body) != sum {
+        if crate::disk::checksum(body) != sum {
             return Err("snapshot checksum mismatch".to_string());
         }
         if &body[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
@@ -159,35 +159,15 @@ impl DurableSiteState {
         Ok(decoded)
     }
 
-    /// Writes the image atomically: encode to `<path>.tmp`, fsync the
-    /// file, rename over `path`, fsync the directory. A crash at any
-    /// point leaves either the old snapshot or the new one — never a
-    /// torn mixture.
+    /// Writes the image atomically ([`crate::disk::replace_file`]): a
+    /// crash at any point leaves either the old snapshot or the new one
+    /// — never a torn mixture.
     ///
     /// # Errors
     ///
     /// Any I/O error along the write/fsync/rename path.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        let file_name = path.file_name().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "snapshot path has no file name",
-            )
-        })?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&self.encode())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::File::open(dir)?.sync_all()?;
-            }
-        }
-        Ok(())
+        crate::disk::replace_file(path, &self.encode())
     }
 
     /// Loads and validates the snapshot at `path`.

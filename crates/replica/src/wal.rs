@@ -3,19 +3,18 @@
 //! The paper's correctness argument assumes each copy's ⟨o_i, v_i, P_i⟩
 //! lives on *stable storage* — a site that crashes and restarts still
 //! holds everything it acknowledged before the crash. This module
-//! supplies that storage for one site: a [`Wal`] of checksummed,
-//! length-prefixed records fsync'd before any acknowledgement leaves
-//! the site, folded into a running
-//! [`DurableSiteState`] image that
-//! periodically lands as an atomic snapshot (write-then-rename), after
-//! which the log is truncated.
+//! supplies that storage for one site: a [`Wal`] of records in a
+//! preallocated, checksummed [`LogFile`], each fsync'd before any
+//! acknowledgement leaves the site, folded into a running
+//! [`DurableSiteState`] image that periodically lands as an atomic
+//! snapshot, after which the log is parked and a fresh one started.
 //!
 //! Four record kinds cover the whole durable surface:
 //!
 //! * [`WalRecord::Commit`] — an absolute install of ⟨o, v, P⟩ (plus the
 //!   data bytes when they changed). Replaying a commit twice is
-//!   harmless, which is what makes the snapshot/truncate race safe: a
-//!   crash between the snapshot rename and the log truncation leaves
+//!   harmless, which is what makes the snapshot/rotation race safe: a
+//!   crash between the snapshot rename and the log rotation leaves
 //!   stale records behind, and replay skips any record whose sequence
 //!   number the snapshot already covers.
 //! * [`WalRecord::Delta`] — a commit whose write is recorded as a
@@ -34,21 +33,20 @@
 //! * [`WalRecord::Release`] — the outstanding vote resolved without a
 //!   commit (the abort oracle spoke).
 //!
-//! Replay is torn-tail tolerant: a crash mid-append leaves a short or
-//! checksum-broken tail, which [`Wal::open`] truncates back to the last
-//! intact record and reports via [`WalTail`]. Corruption *before* the
-//! tail also stops replay at the last good record — the log never
-//! yields a record whose checksum does not match.
+//! Replay is torn-tail tolerant (see [`crate::disk`] for the tail
+//! shapes): a crash mid-append leaves a short or zero-filled record,
+//! which [`Wal::open`] cuts back to the last intact record and reports
+//! via [`WalTail`]. Corruption *before* the tail also stops replay at
+//! the last good record — the log never yields a record whose checksum
+//! does not match.
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::hash::Hasher;
-use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use dynvote_core::wire::{put_state, put_u32, put_u64, put_u8, Reader};
-use dynvote_core::Fnv64;
 
+use crate::disk::{replace_file, LogFile, WalTail};
 use crate::snapshot::{DurableSiteState, SnapshotLoad};
 
 /// The write-ahead log's file name inside a site's data directory.
@@ -72,32 +70,17 @@ pub const EPOCH_FILE: &str = "epoch.bin";
 /// directory: `<base>/shard-<k>/`. Every shard hosted at a site gets
 /// its own WAL, snapshot generation, boot-epoch counter, and operation
 /// ledger — the groups vote independently, so their stable storage
-/// must be independent too (one shard's snapshot/truncate cycle can
+/// must be independent too (one shard's snapshot/rotation cycle can
 /// never tear another's log).
 #[must_use]
 pub fn shard_dir(base: &Path, shard: u16) -> PathBuf {
     base.join(format!("shard-{shard}"))
 }
 
-/// Upper bound on one record's body — matches the store's frame cap, so
-/// any value that fit on the wire fits in the log, and a corrupted
-/// length prefix cannot trigger a huge allocation.
-const MAX_RECORD: usize = 16 * 1024 * 1024;
-
 const KIND_COMMIT: u8 = 1;
 const KIND_VOTE: u8 = 2;
 const KIND_RELEASE: u8 = 3;
 const KIND_DELTA: u8 = 4;
-
-/// The checksum every durable artifact carries: the crate's fixed-key
-/// FNV-1a over the record body (no per-process randomness — artifacts
-/// written by one process must validate in the next).
-#[must_use]
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
 
 /// One durable event at a site, in protocol terms.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,88 +130,33 @@ pub struct WalEntry {
     pub record: WalRecord,
 }
 
-/// How the log's tail looked on open.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalTail {
-    /// Every byte parsed as an intact record.
-    Clean,
-    /// The final record was incomplete — the classic crash-mid-append
-    /// shape. The dropped bytes never covered an acknowledged
-    /// operation (acks follow fsync), so truncating them loses nothing.
-    Torn {
-        /// Bytes discarded from the tail.
-        dropped_bytes: usize,
-    },
-    /// A record failed its checksum or decoded to garbage; replay
-    /// stopped at the last good record and the rest was discarded.
-    Corrupt {
-        /// Bytes discarded from the first bad record onward.
-        dropped_bytes: usize,
-    },
-}
-
-impl fmt::Display for WalTail {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalTail::Clean => f.write_str("clean"),
-            WalTail::Torn { dropped_bytes } => {
-                write!(f, "torn tail ({dropped_bytes} bytes dropped)")
-            }
-            WalTail::Corrupt { dropped_bytes } => {
-                write!(f, "corrupt tail ({dropped_bytes} bytes dropped)")
-            }
-        }
-    }
-}
-
 /// What [`Wal::open`] recovered from disk.
 #[derive(Clone, Debug)]
 pub struct WalReplay {
     /// Every intact record, in log order.
     pub entries: Vec<WalEntry>,
-    /// How the tail looked (the file has already been truncated back to
+    /// How the tail looked (the file has already been cut back to
     /// the last intact record when this is not [`WalTail::Clean`]).
     pub tail: WalTail,
 }
 
-/// An append-only, checksummed, fsync'd record log.
+/// The site's write-ahead log: [`WalEntry`] records in a [`LogFile`].
 #[derive(Debug)]
 pub struct Wal {
-    file: File,
-    records: u64,
-    bytes: u64,
+    log: LogFile,
 }
 
 impl Wal {
     /// Opens (creating if absent) the log at `path`, replays every
-    /// intact record, and repairs a torn or corrupt tail by truncating
-    /// the file back to the last good record.
+    /// intact record, and repairs a torn or corrupt tail by cutting the
+    /// file back to the last good record.
     ///
     /// # Errors
     ///
     /// Any I/O error opening, reading, or repairing the file.
     pub fn open(path: &Path) -> io::Result<(Wal, WalReplay)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        let (entries, good_bytes, tail) = parse_log(&buf);
-        if good_bytes < buf.len() as u64 {
-            file.set_len(good_bytes)?;
-            file.sync_data()?;
-        }
-        let records = entries.len() as u64;
-        Ok((
-            Wal {
-                file,
-                records,
-                bytes: good_bytes,
-            },
-            WalReplay { entries, tail },
-        ))
+        let (log, entries, tail) = LogFile::open(path, decode_body)?;
+        Ok((Wal { log }, WalReplay { entries, tail }))
     }
 
     /// Appends one record and fsyncs it — on `Ok`, the record survives
@@ -239,42 +167,24 @@ impl Wal {
     /// The write or the fsync failed; the on-disk tail may be torn, and
     /// the next [`Wal::open`] will repair it.
     pub fn append(&mut self, entry: &WalEntry) -> io::Result<()> {
-        let encoded = encode_entry(entry);
-        self.file.write_all(&encoded)?;
-        self.file.sync_data()?;
-        self.records += 1;
-        self.bytes += encoded.len() as u64;
-        Ok(())
-    }
-
-    /// Empties the log — called after a snapshot covering every logged
-    /// record has durably landed.
-    ///
-    /// # Errors
-    ///
-    /// The truncation or its fsync failed.
-    pub fn truncate(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.sync_data()?;
-        self.records = 0;
-        self.bytes = 0;
-        Ok(())
+        self.log.append(&encode_body(entry), true)
     }
 
     /// Records currently in the log.
     #[must_use]
     pub fn records(&self) -> u64 {
-        self.records
+        self.log.records()
     }
 
-    /// The log's current length in bytes.
+    /// The log's logical length in bytes (the file also holds the
+    /// zeroed space reserved past it).
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.log.bytes()
     }
 }
 
-fn encode_entry(entry: &WalEntry) -> Vec<u8> {
+fn encode_body(entry: &WalEntry) -> Vec<u8> {
     let mut body = Vec::with_capacity(64);
     put_u64(&mut body, entry.seq);
     match &entry.record {
@@ -312,15 +222,7 @@ fn encode_entry(entry: &WalEntry) -> Vec<u8> {
             put_u64(&mut body, *ticket);
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 12);
-    put_u32(
-        &mut out,
-        u32::try_from(body.len()).expect("record exceeds u32"),
-    );
-    let sum = checksum(&body);
-    out.extend_from_slice(&body);
-    put_u64(&mut out, sum);
-    out
+    body
 }
 
 fn decode_body(body: &[u8]) -> Option<WalEntry> {
@@ -361,69 +263,6 @@ fn decode_body(body: &[u8]) -> Option<WalEntry> {
         return None;
     }
     Some(WalEntry { seq, record })
-}
-
-/// Parses as many intact records as the buffer holds; returns the
-/// entries, the byte offset of the first non-intact byte (the repair
-/// point), and how the tail looked.
-fn parse_log(buf: &[u8]) -> (Vec<WalEntry>, u64, WalTail) {
-    let mut entries = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let rest = &buf[pos..];
-        if rest.is_empty() {
-            return (entries, pos as u64, WalTail::Clean);
-        }
-        if rest.len() < 4 {
-            return (
-                entries,
-                pos as u64,
-                WalTail::Torn {
-                    dropped_bytes: rest.len(),
-                },
-            );
-        }
-        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_RECORD {
-            return (
-                entries,
-                pos as u64,
-                WalTail::Corrupt {
-                    dropped_bytes: rest.len(),
-                },
-            );
-        }
-        let total = 4 + len + 8;
-        if rest.len() < total {
-            return (
-                entries,
-                pos as u64,
-                WalTail::Torn {
-                    dropped_bytes: rest.len(),
-                },
-            );
-        }
-        let body = &rest[4..4 + len];
-        let sum = u64::from_be_bytes(rest[4 + len..total].try_into().expect("8 bytes"));
-        let entry = if checksum(body) == sum {
-            decode_body(body)
-        } else {
-            None
-        };
-        match entry {
-            Some(entry) => entries.push(entry),
-            None => {
-                return (
-                    entries,
-                    pos as u64,
-                    WalTail::Corrupt {
-                        dropped_bytes: rest.len(),
-                    },
-                )
-            }
-        }
-        pos += total;
-    }
 }
 
 /// The last fsync's outcome, for operator status surfaces.
@@ -493,7 +332,7 @@ pub struct Restored {
 /// protocol event *before* acknowledging it to anyone; on `Ok` the
 /// event is on stable storage. Snapshots land automatically once the
 /// log holds `snapshot_every` records and as many bytes as the image
-/// (atomic write-then-rename, then log truncation) and can be forced
+/// (atomic write-then-rename, then log rotation) and can be forced
 /// with [`SiteStore::snapshot_now`].
 #[derive(Debug)]
 pub struct SiteStore {
@@ -605,7 +444,7 @@ impl SiteStore {
         let mut replayed = 0u64;
         for entry in prev_entries.iter().chain(&replay.entries) {
             // Skip records the snapshot already covers — the shape a
-            // crash between snapshot rename and log truncation leaves.
+            // crash between snapshot rename and log rotation leaves.
             if entry.seq <= snapshot_seq {
                 continue;
             }
@@ -665,7 +504,7 @@ impl SiteStore {
     /// Logs one durable event: appends it to the WAL, fsyncs, folds it
     /// into the running image, and — when the log has grown past
     /// `snapshot_every` records and past the size of the image —
-    /// lands a snapshot and truncates the log. On `Ok`, the event
+    /// lands a snapshot and parks the log. On `Ok`, the event
     /// survives a crash; acknowledge only then.
     ///
     /// # Errors
@@ -813,8 +652,9 @@ impl SiteStore {
 }
 
 /// Reads, increments, and durably rewrites the boot-epoch counter
-/// (write-then-rename, like the snapshot, so a crash mid-update leaves
-/// the old epoch — which the next boot still increments past).
+/// ([`replace_file`], like the snapshot, so a crash mid-update leaves
+/// the old epoch — which the next boot still increments past — and a
+/// crash after it cannot bring the old epoch back).
 fn bump_epoch(path: &Path) -> io::Result<u64> {
     let epoch = match std::fs::read(path) {
         Ok(bytes) if bytes.len() == 8 => {
@@ -824,13 +664,7 @@ fn bump_epoch(path: &Path) -> io::Result<u64> {
         Err(error) if error.kind() == io::ErrorKind::NotFound => 1,
         Err(error) => return Err(error),
     };
-    let tmp = path.with_file_name(format!("{EPOCH_FILE}.tmp"));
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&epoch.to_le_bytes())?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
+    replace_file(path, &epoch.to_le_bytes())?;
     Ok(epoch)
 }
 
@@ -907,40 +741,10 @@ fn materialise(
     Ok(())
 }
 
-/// Truncates `drop_bytes` off the end of the file at `path` — the
-/// deterministic torn-write injector crash tests use to fabricate a
-/// mid-append power cut.
-///
-/// # Errors
-///
-/// Opening or truncating the file failed.
-pub fn inject_torn_tail(path: &Path, drop_bytes: u64) -> io::Result<()> {
-    let file = OpenOptions::new().write(true).open(path)?;
-    let len = file.metadata()?.len();
-    file.set_len(len.saturating_sub(drop_bytes))
-}
-
-/// Flips every bit of the byte at `offset` in the file at `path` — the
-/// deterministic corruption injector for checksum-detection tests.
-///
-/// # Errors
-///
-/// Opening, reading, or rewriting the byte failed (including an
-/// `offset` past the end of the file).
-pub fn inject_flip_byte(path: &Path, offset: u64) -> io::Result<()> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
-    let mut byte = [0u8; 1];
-    file.read_exact(&mut byte)?;
-    byte[0] ^= 0xFF;
-    file.seek(SeekFrom::Start(offset))?;
-    file.write_all(&byte)?;
-    file.sync_data()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{inject_flip_byte, inject_garbage_tail, inject_torn_tail, logical_len};
     use dynvote_core::state::ReplicaState;
     use dynvote_types::SiteSet;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1045,15 +849,15 @@ mod tests {
             }
         }
         // A crash mid-append: the final record loses its last 5 bytes.
+        let intact_len = logical_len(&path).unwrap();
         inject_torn_tail(&path, 5).unwrap();
-        let torn_len = std::fs::metadata(&path).unwrap().len();
         let (wal, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.entries.len(), 2);
         assert_eq!(replay.entries.last().unwrap().seq, 2);
         assert!(matches!(replay.tail, WalTail::Torn { dropped_bytes } if dropped_bytes > 0));
-        // The repair physically removed the torn bytes.
-        assert!(std::fs::metadata(&path).unwrap().len() < torn_len);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), wal.bytes());
+        // The repair removed the torn record's remaining bytes.
+        assert!(wal.bytes() < intact_len - 5);
+        assert_eq!(logical_len(&path).unwrap(), wal.bytes());
         // Appending after the repair continues cleanly.
         drop(wal);
         let (mut wal, _) = Wal::open(&path).unwrap();
@@ -1065,6 +869,98 @@ mod tests {
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.entries.len(), 3);
         assert_eq!(replay.tail, WalTail::Clean);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash mid-append into preallocated space leaves the record's
+    /// first `k` bytes and zeros after them, file length unchanged. For
+    /// every `k`, replay must lose that record and nothing else: a torn
+    /// tail, or — when the bytes that reached the disk were all zeros
+    /// anyway (`k` = 0, or the high bytes of the length word) — a file
+    /// identical to the clean end before the record.
+    #[test]
+    fn wal_last_record_zeroed_in_place_costs_exactly_itself() {
+        let dir = scratch_dir("zeroed");
+        let path = dir.join(WAL_FILE);
+        for last in [WalRecord::Vote { ticket: 9 }, commit(4, 4, &[b'x'; 300])] {
+            std::fs::remove_file(&path).ok();
+            let (before, after) = {
+                let (mut wal, _) = Wal::open(&path).unwrap();
+                for (seq, record) in [(1, commit(2, 2, b"v1")), (2, WalRecord::Vote { ticket: 7 })]
+                {
+                    wal.append(&WalEntry { seq, record }).unwrap();
+                }
+                let before = wal.bytes() as usize;
+                wal.append(&WalEntry {
+                    seq: 3,
+                    record: last.clone(),
+                })
+                .unwrap();
+                (before, wal.bytes() as usize)
+            };
+            let pristine = std::fs::read(&path).unwrap();
+            assert!(pristine.len() > after, "the record sits in reserved space");
+            let record = &pristine[before..after];
+            for k in 0..record.len() {
+                let mut torn = pristine.clone();
+                torn[before + k..after].fill(0);
+                std::fs::write(&path, &torn).unwrap();
+                let (wal, replay) = Wal::open(&path).unwrap();
+                if record[k..].iter().all(|&b| b == 0) {
+                    // Nothing changed: the bytes zeroed were zeros.
+                    assert_eq!(replay.entries.len(), 3, "k = {k}");
+                    assert_eq!(replay.tail, WalTail::Clean, "k = {k}");
+                    continue;
+                }
+                assert_eq!(replay.entries.len(), 2, "k = {k}");
+                assert_eq!(wal.bytes(), before as u64, "k = {k}");
+                let kept = std::fs::metadata(&path).unwrap().len();
+                if record[..k].iter().all(|&b| b == 0) {
+                    assert_eq!(replay.tail, WalTail::Clean, "k = {k}");
+                    assert_eq!(kept, torn.len() as u64, "a clean zero tail is kept");
+                } else {
+                    assert_eq!(
+                        replay.tail,
+                        WalTail::Torn {
+                            dropped_bytes: torn.len() - before
+                        },
+                        "k = {k}"
+                    );
+                    assert_eq!(kept, before as u64, "a torn tail is cut");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wal_garbage_after_the_zero_run_is_corrupt() {
+        let dir = scratch_dir("past-zeros");
+        let path = dir.join(WAL_FILE);
+        let end = {
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            for seq in 1..=2 {
+                wal.append(&WalEntry {
+                    seq,
+                    record: commit(seq + 1, seq + 1, b"value"),
+                })
+                .unwrap();
+            }
+            wal.bytes()
+        };
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert!(len > end + 100, "the log reserves space past its end");
+        inject_flip_byte(&path, end + 100).unwrap();
+        let (wal, replay) = Wal::open(&path).unwrap();
+        assert_eq!(replay.entries.len(), 2);
+        assert_eq!(
+            replay.tail,
+            WalTail::Corrupt {
+                dropped_bytes: (len - end) as usize
+            }
+        );
+        assert_eq!(wal.bytes(), end);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), end);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1136,7 +1032,7 @@ mod tests {
         store.log(commit(2, 2, b"v1")).unwrap();
         store.log(commit(3, 3, b"v2")).unwrap();
         // Fabricate a crash *between* snapshot rename and log
-        // truncation: snapshot the image, then restore the pre-snapshot
+        // rotation: snapshot the image, then restore the pre-snapshot
         // log bytes.
         let wal_bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
         store.snapshot_now().unwrap();
@@ -1149,7 +1045,7 @@ mod tests {
         assert_eq!(image.state, state(3, 3));
         assert_eq!(image.value.as_deref(), Some(b"v2".as_slice()));
         // The stale records stay in the file (harmless — every reopen
-        // skips them) until the next snapshot truncates the log.
+        // skips them) until the next snapshot parks the log.
         assert_eq!(store.wal_records(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1191,20 +1087,15 @@ mod tests {
         }
         assert!(dir.join(SNAPSHOT_PREV_FILE).exists());
         assert!(dir.join(WAL_PREV_FILE).exists());
-        // Corrupt the *current* snapshot AND tear the live log's tail
-        // with appended garbage (the crash-mid-append shape): recovery
-        // must chain previous snapshot -> previous log -> current log.
+        // Corrupt the *current* snapshot AND write garbage at the live
+        // log's logical end: recovery must chain previous snapshot ->
+        // previous log -> current log.
         inject_flip_byte(&dir.join(SNAPSHOT_FILE), 12).unwrap();
-        let mut garbage = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join(WAL_FILE))
-            .unwrap();
-        garbage.write_all(&[0xA5; 3]).unwrap();
-        drop(garbage);
+        inject_garbage_tail(&dir.join(WAL_FILE), &[0xA5; 3]).unwrap();
         let (mut store, restored) = SiteStore::open(&dir, 0).unwrap();
         assert!(restored.snapshot_was_corrupt);
         assert!(restored.used_previous_snapshot);
-        assert!(matches!(restored.wal_tail, WalTail::Torn { .. }));
+        assert!(matches!(restored.wal_tail, WalTail::Corrupt { .. }));
         assert_eq!(restored.image.as_ref(), Some(&final_image));
         assert_eq!(store.image().unwrap(), &final_image);
         std::fs::remove_dir_all(&dir).ok();

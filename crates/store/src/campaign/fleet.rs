@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use dynvote_replica::disk::inject_garbage_tail;
 use dynvote_replica::wal::{shard_dir, SNAPSHOT_FILE, WAL_FILE};
 
 use super::schedule::DiskFault;
@@ -237,14 +238,12 @@ impl Fleet {
         match fault {
             DiskFault::WalGarbageTail { bytes } => {
                 let path = dir.join(WAL_FILE);
-                let mut file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| format!("open {}: {e}", path.display()))?;
                 let garbage: Vec<u8> = (0..*bytes).map(|i| (i as u8) ^ 0xA5).collect();
-                file.write_all(&garbage)
-                    .map_err(|e| format!("append garbage to {}: {e}", path.display()))?;
-                Ok(format!("appended {bytes}B of garbage to wal.log"))
+                inject_garbage_tail(&path, &garbage)
+                    .map_err(|e| format!("write garbage into {}: {e}", path.display()))?;
+                Ok(format!(
+                    "wrote {bytes}B of garbage at wal.log's logical end"
+                ))
             }
             DiskFault::SnapshotFlip { offset_hint } => {
                 let path = dir.join(SNAPSHOT_FILE);

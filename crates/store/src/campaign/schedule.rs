@@ -29,7 +29,8 @@ use dynvote_types::SiteId;
 /// restart — shapes real crashes leave behind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskFault {
-    /// Append `bytes` of garbage to `wal.log`: the torn tail a crash
+    /// Write `bytes` of garbage at `wal.log`'s logical end, over the
+    /// zeros reserved past the last record: the damaged tail a crash
     /// mid-append leaves. The WAL opener must repair it without losing
     /// any *acknowledged* record (those precede the tear by fsync).
     WalGarbageTail {

@@ -53,12 +53,12 @@
 //!   direction.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dynvote_core::state::ReplicaState;
+use dynvote_core::wire::{put_state, put_u32, put_u64, put_u8, Reader};
+use dynvote_replica::disk::LogFile;
 use dynvote_types::{SiteId, SiteSet};
 
 use crate::value::Delta;
@@ -132,54 +132,98 @@ const TAG_HIGH_WATER: u8 = 4;
 /// Records the file may hold before it is rewritten down to the
 /// retained entries. Four times the default retention, so a record is
 /// rewritten at most once for every three appended.
-const COMPACT_AT: usize = 4096;
+const COMPACT_AT: u64 = 4096;
 
 impl LedgerEntry {
     fn encode(&self, ticket: u64) -> Vec<u8> {
         let mut record = Vec::with_capacity(48);
         match self {
             LedgerEntry::Committed(commit) => {
-                record.push(match commit.body {
-                    CommitBody::Delta(_) => TAG_COMMIT_DELTA,
-                    _ => TAG_COMMIT,
-                });
-                record.extend_from_slice(&ticket.to_le_bytes());
-                record.extend_from_slice(&commit.state.op.to_le_bytes());
-                record.extend_from_slice(&commit.state.version.to_le_bytes());
-                record.extend_from_slice(&commit.state.partition.bits().to_le_bytes());
+                put_u8(
+                    &mut record,
+                    match commit.body {
+                        CommitBody::Delta(_) => TAG_COMMIT_DELTA,
+                        _ => TAG_COMMIT,
+                    },
+                );
+                put_u64(&mut record, ticket);
+                put_state(&mut record, &commit.state);
                 let blob = match &commit.body {
                     CommitBody::StateOnly => {
-                        record.push(0);
+                        put_u8(&mut record, 0);
                         return record;
                     }
                     CommitBody::Image(bytes) => {
-                        record.push(1);
+                        put_u8(&mut record, 1);
                         bytes.as_slice()
                     }
                     CommitBody::Delta(delta) => {
-                        record.extend_from_slice(&delta.base.to_le_bytes());
+                        put_u64(&mut record, delta.base);
                         delta.puts.as_slice()
                     }
                 };
                 let len = u32::try_from(blob.len()).expect("ledgered payload fits a frame");
-                record.extend_from_slice(&len.to_le_bytes());
+                put_u32(&mut record, len);
                 record.extend_from_slice(blob);
             }
             LedgerEntry::Released(keep) => {
-                record.push(TAG_RELEASE);
-                record.extend_from_slice(&ticket.to_le_bytes());
-                record.extend_from_slice(&keep.bits().to_le_bytes());
+                put_u8(&mut record, TAG_RELEASE);
+                put_u64(&mut record, ticket);
+                put_u64(&mut record, keep.bits());
             }
         }
         record
     }
 }
 
-/// The ledger's file and how many records it holds.
+/// One record of the ledger file.
+enum LedgerRecord {
+    Entry(u64, LedgerEntry),
+    HighWater(u64),
+}
+
+impl LedgerRecord {
+    /// Reads one record's body; `None` for a body that is not exactly
+    /// one record.
+    fn decode(body: &[u8]) -> Option<LedgerRecord> {
+        let mut r = Reader::new(body);
+        let record = match r.u8().ok()? {
+            tag @ (TAG_COMMIT | TAG_COMMIT_DELTA) => {
+                let ticket = r.u64().ok()?;
+                let state = r.state().ok()?;
+                let body = if tag == TAG_COMMIT_DELTA {
+                    let base = r.u64().ok()?;
+                    let len = r.u32().ok()? as usize;
+                    let puts = r.bytes(len).ok()?.to_vec();
+                    CommitBody::Delta(Arc::new(Delta { base, puts }))
+                } else {
+                    match r.u8().ok()? {
+                        0 => CommitBody::StateOnly,
+                        1 => {
+                            let len = r.u32().ok()? as usize;
+                            CommitBody::Image(Arc::new(r.bytes(len).ok()?.to_vec()))
+                        }
+                        _ => return None,
+                    }
+                };
+                LedgerRecord::Entry(ticket, LedgerEntry::Committed(CommitRecord { state, body }))
+            }
+            TAG_RELEASE => {
+                let ticket = r.u64().ok()?;
+                let keep = SiteSet::from_bits(r.u64().ok()?);
+                LedgerRecord::Entry(ticket, LedgerEntry::Released(keep))
+            }
+            TAG_HIGH_WATER => LedgerRecord::HighWater(r.u64().ok()?),
+            _ => return None,
+        };
+        r.is_exhausted().then_some(record)
+    }
+}
+
+/// The ledger's file.
 struct Disk {
-    file: File,
+    log: LogFile,
     path: PathBuf,
-    records: usize,
 }
 
 /// The operation ledger: bounded in memory (old entries are evicted
@@ -223,37 +267,26 @@ impl OpLedger {
     }
 
     /// Opens (or creates) the durable ledger in `dir`, replaying every
-    /// intact record a previous incarnation appended. Replay stops at
-    /// the first truncated or unrecognised record — the torn tail a
-    /// crash mid-append leaves behind — and cuts the file back to
-    /// there, so this incarnation's records follow the last intact one.
-    /// A file holding more records than the ledger retains is rewritten
-    /// down to those; a file that does not is left as it is.
+    /// intact record a previous incarnation appended. The file is a
+    /// [`LogFile`], so a torn or corrupt tail — a crash mid-append — is
+    /// cut back to the last intact record, and this incarnation's
+    /// records follow it. A file holding more records than the ledger
+    /// retains is rewritten down to those; a file that does not is left
+    /// as it is.
     ///
     /// # Errors
     ///
     /// File creation, the initial read, or a needed repair failed.
     pub fn open(dir: &Path) -> std::io::Result<OpLedger> {
         let path = dir.join(LEDGER_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let (log, records, _) = LogFile::open(&path, LedgerRecord::decode)?;
         let mut ledger = OpLedger::default();
-        let (records, intact) = ledger.replay(&bytes);
-        if intact < bytes.len() {
-            file.set_len(intact as u64)?;
-            file.sync_data()?;
+        for record in records {
+            ledger.replay(record);
         }
-        ledger.disk = Some(Disk {
-            file,
-            path,
-            records,
-        });
-        if records > ledger.order.len() + 1 {
+        let held = log.records();
+        ledger.disk = Some(Disk { log, path });
+        if held > ledger.order.len() as u64 + 1 {
             ledger.compact()?;
         }
         Ok(ledger)
@@ -280,44 +313,27 @@ impl OpLedger {
     }
 
     /// Rewrites the file as: the high-water mark, then the retained
-    /// entries in issue order. Write-temp-rename, so a crash leaves the
-    /// old file or the new one.
+    /// entries in issue order ([`LogFile::rewrite`]: a crash leaves the
+    /// old file or the new one).
     fn compact(&mut self) -> std::io::Result<()> {
         let Some(disk) = &mut self.disk else {
             return Ok(());
         };
-        let mut image = vec![TAG_HIGH_WATER];
-        image.extend_from_slice(&self.high_water.to_le_bytes());
-        for ticket in &self.order {
-            image.extend_from_slice(&self.entries[ticket].encode(*ticket));
-        }
-        let tmp = disk.path.with_extension("log.tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&image)?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &disk.path)?;
-        if let Some(dir) = disk.path.parent() {
-            File::open(dir)?.sync_all()?;
-        }
-        disk.file = OpenOptions::new().append(true).open(&disk.path)?;
-        disk.records = self.order.len() + 1;
+        let mut mark = vec![TAG_HIGH_WATER];
+        put_u64(&mut mark, self.high_water);
+        let mut bodies = vec![mark];
+        bodies.extend(self.order.iter().map(|t| self.entries[t].encode(*t)));
+        disk.log = LogFile::rewrite(&disk.path, &bodies)?;
         Ok(())
     }
 
     /// Appends one entry's record to the file, if there is one; `sync`
     /// makes it durable before returning.
     fn append(&mut self, ticket: u64, entry: &LedgerEntry, sync: bool) -> std::io::Result<()> {
-        let Some(disk) = &mut self.disk else {
-            return Ok(());
-        };
-        disk.file.write_all(&entry.encode(ticket))?;
-        if sync {
-            disk.file.sync_data()?;
+        match &mut self.disk {
+            Some(disk) => disk.log.append(&entry.encode(ticket), sync),
+            None => Ok(()),
         }
-        disk.records += 1;
-        Ok(())
     }
 
     /// Records the commit content of `ticket` at its commit point and
@@ -340,7 +356,11 @@ impl OpLedger {
         self.append(ticket, &entry, true)?;
         self.insert(ticket, entry);
         self.high_water = self.high_water.max(ticket);
-        if self.disk.as_ref().is_some_and(|d| d.records >= COMPACT_AT) {
+        if self
+            .disk
+            .as_ref()
+            .is_some_and(|d| d.log.records() >= COMPACT_AT)
+        {
             // The record above is already durable; a failed rewrite
             // only leaves the longer file in place.
             if let Err(error) = self.compact() {
@@ -407,75 +427,19 @@ impl OpLedger {
         }
     }
 
-    /// Folds every intact record of `bytes` into the ledger. Returns
-    /// how many there were and where they end.
-    fn replay(&mut self, bytes: &[u8]) -> (usize, usize) {
-        let mut records = 0usize;
-        let mut at = 0usize;
-        while let Some(next) = self.replay_one(bytes, at) {
-            records += 1;
-            at = next;
-        }
-        (records, at)
-    }
-
-    /// Replays the record starting at `at`; `None` at the end of the
-    /// bytes and at a truncated or unrecognised record.
-    fn replay_one(&mut self, bytes: &[u8], at: usize) -> Option<usize> {
-        let u64_at = |at: usize| {
-            bytes
-                .get(at..at + 8)
-                .map(|s| u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-        };
-        let blob_at = |at: usize| {
-            let len = bytes
-                .get(at..at + 4)
-                .map(|s| u32::from_le_bytes(s.try_into().expect("4-byte slice")))?
-                as usize;
-            let body = bytes.get(at + 4..at + 4 + len)?;
-            Some((body.to_vec(), at + 4 + len))
-        };
-        match *bytes.get(at)? {
-            tag @ (TAG_COMMIT | TAG_COMMIT_DELTA) => {
-                let ticket = u64_at(at + 1)?;
-                let state = ReplicaState {
-                    op: u64_at(at + 9)?,
-                    version: u64_at(at + 17)?,
-                    partition: SiteSet::from_bits(u64_at(at + 25)?),
-                };
-                let (body, next) = if tag == TAG_COMMIT_DELTA {
-                    let base = u64_at(at + 33)?;
-                    let (puts, next) = blob_at(at + 41)?;
-                    (CommitBody::Delta(Arc::new(Delta { base, puts })), next)
-                } else {
-                    match *bytes.get(at + 33)? {
-                        0 => (CommitBody::StateOnly, at + 34),
-                        1 => {
-                            let (image, next) = blob_at(at + 34)?;
-                            (CommitBody::Image(Arc::new(image)), next)
-                        }
-                        _ => return None,
-                    }
-                };
-                self.insert(ticket, LedgerEntry::Committed(CommitRecord { state, body }));
+    /// Folds one replayed record into the ledger.
+    fn replay(&mut self, record: LedgerRecord) {
+        match record {
+            LedgerRecord::Entry(ticket, entry @ LedgerEntry::Committed(_)) => {
+                self.insert(ticket, entry);
                 self.high_water = self.high_water.max(ticket);
-                Some(next)
             }
-            TAG_RELEASE => {
-                let ticket = u64_at(at + 1)?;
-                let keep = u64_at(at + 9)?;
+            LedgerRecord::Entry(ticket, entry @ LedgerEntry::Released(_)) => {
                 if !matches!(self.entries.get(&ticket), Some(LedgerEntry::Committed(_))) {
-                    self.insert(ticket, LedgerEntry::Released(SiteSet::from_bits(keep)));
+                    self.insert(ticket, entry);
                 }
-                Some(at + 17)
             }
-            TAG_HIGH_WATER => {
-                self.high_water = self.high_water.max(u64_at(at + 1)?);
-                Some(at + 9)
-            }
-            // Unrecognised tag: a torn or corrupt tail. Everything
-            // before it was intact; stop here.
-            _ => None,
+            LedgerRecord::HighWater(mark) => self.high_water = self.high_water.max(mark),
         }
     }
 }
@@ -483,6 +447,7 @@ impl OpLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynvote_replica::disk::{inject_garbage_tail, logical_len};
 
     fn state(op: u64, version: u64) -> ReplicaState {
         ReplicaState {
@@ -636,13 +601,9 @@ mod tests {
                 .note_commit(10, state(1, 1), None)
                 .expect("durable note_commit");
         }
-        // A crash mid-append: half a record of garbage at the tail.
-        let mut file = OpenOptions::new()
-            .append(true)
-            .open(dir.join(LEDGER_FILE))
-            .expect("append");
-        file.write_all(&[TAG_COMMIT, 0xAA, 0xBB]).expect("tear");
-        drop(file);
+        // A crash mid-append: half a record of garbage at the logical
+        // end, over the space the file reserved there.
+        inject_garbage_tail(&dir.join(LEDGER_FILE), &[TAG_COMMIT, 0xAA, 0xBB]).expect("tear");
         let mut reopened = OpLedger::open(&dir).expect("reopen ledger");
         assert_eq!(reopened.high_water(), 10);
         assert!(matches!(
@@ -661,9 +622,64 @@ mod tests {
     }
 
     fn ledger_len(dir: &Path) -> u64 {
-        std::fs::metadata(dir.join(LEDGER_FILE))
-            .expect("ledger file")
-            .len()
+        logical_len(&dir.join(LEDGER_FILE)).expect("ledger file")
+    }
+
+    /// The logical length of an open ledger's file.
+    fn held(ledger: &OpLedger) -> u64 {
+        ledger.disk.as_ref().map_or(0, |disk| disk.log.bytes())
+    }
+
+    /// A crash mid-append into the ledger's reserved space leaves the
+    /// last record's first `k` bytes and zeros after them. For every
+    /// `k`, the reopened ledger has lost that ticket at most, and every
+    /// earlier ticket answers as before.
+    #[test]
+    fn a_record_zeroed_in_place_drops_only_its_ticket() {
+        let dir =
+            std::env::temp_dir().join(format!("dynvote-ledger-zeroed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join(LEDGER_FILE);
+        let value = vec![5u8; 300];
+        let (before, after) = {
+            let mut ledger = OpLedger::open(&dir).expect("open ledger");
+            ledger
+                .note_commit(20, state(2, 2), Some(&value))
+                .expect("durable note_commit");
+            ledger.note_release(21, SiteSet::EMPTY);
+            let before = held(&ledger) as usize;
+            ledger
+                .note_commit(22, state(3, 3), Some(&value))
+                .expect("durable note_commit");
+            (before, held(&ledger) as usize)
+        };
+        let pristine = std::fs::read(&path).expect("read ledger");
+        for k in 0..after - before {
+            let mut torn = pristine.clone();
+            torn[before + k..after].fill(0);
+            std::fs::write(&path, &torn).expect("tear ledger");
+            let reopened = OpLedger::open(&dir).expect("reopen ledger");
+            let unchanged = pristine[before + k..after].iter().all(|&b| b == 0);
+            assert_eq!(
+                matches!(reopened.answer(22, SiteId::new(0)), ProbeAnswer::Commit(_)),
+                unchanged,
+                "k = {k}"
+            );
+            assert!(
+                matches!(
+                    reopened.answer(20, SiteId::new(1)),
+                    ProbeAnswer::Commit(CommitRecord { state, body: CommitBody::Image(v) })
+                        if state.version == 2 && *v == value
+                ),
+                "k = {k}"
+            );
+            assert!(
+                matches!(reopened.answer(21, SiteId::new(0)), ProbeAnswer::Release(keep) if keep.is_empty()),
+                "k = {k}"
+            );
+            assert_eq!(reopened.high_water(), if unchanged { 22 } else { 20 });
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -676,17 +692,17 @@ mod tests {
         {
             let mut ledger = OpLedger::open(&dir).expect("open ledger");
             let mut longest = 0;
-            for ticket in 1..=(COMPACT_AT as u64 + 10) {
+            for ticket in 1..=(COMPACT_AT + 10) {
                 ledger
                     .note_commit(ticket, state(ticket, ticket), Some(&image))
                     .expect("durable note_commit");
-                longest = longest.max(ledger_len(&dir));
+                longest = longest.max(held(&ledger));
             }
             // Past the record count the file shrank to the retained
             // entries (plus what was appended since), keeping the mark.
-            assert!(longest >= (COMPACT_AT as u64 - 1) * 1000);
-            assert!(ledger_len(&dir) < (retained as u64 + 12) * 1100);
-            assert_eq!(ledger.high_water(), COMPACT_AT as u64 + 10);
+            assert!(longest >= (COMPACT_AT - 1) * 1000);
+            assert!(held(&ledger) < (retained as u64 + 12) * 1100);
+            assert_eq!(ledger.high_water(), COMPACT_AT + 10);
         }
         // Evict every commit from memory with releases, then reopen
         // twice: the first open compacts (more records than retained),
@@ -699,17 +715,17 @@ mod tests {
         }
         let before = ledger_len(&dir);
         let compacted = OpLedger::open(&dir).expect("reopen ledger");
-        assert_eq!(compacted.high_water(), COMPACT_AT as u64 + 10);
-        assert!(ledger_len(&dir) < before / 10, "releases only: 17 B each");
+        assert_eq!(compacted.high_water(), COMPACT_AT + 10);
+        assert!(ledger_len(&dir) < before / 10, "releases only: 29 B each");
         assert!(matches!(
-            compacted.answer(COMPACT_AT as u64 + 10, SiteId::new(0)),
+            compacted.answer(COMPACT_AT + 10, SiteId::new(0)),
             ProbeAnswer::Unknown
         ));
         drop(compacted);
         // A file that holds only what is retained is left alone.
         let settled = ledger_len(&dir);
         let reopened = OpLedger::open(&dir).expect("reopen ledger");
-        assert_eq!(reopened.high_water(), COMPACT_AT as u64 + 10);
+        assert_eq!(reopened.high_water(), COMPACT_AT + 10);
         assert_eq!(ledger_len(&dir), settled);
         std::fs::remove_dir_all(&dir).ok();
     }
