@@ -261,8 +261,9 @@ impl ShardMap {
         Ok(())
     }
 
-    /// Persists the map atomically: temp file in the same directory,
-    /// fsync, rename over the target.
+    /// Persists the map atomically and durably: temp file in the same
+    /// directory, fsync, rename over the target, then fsync the
+    /// directory so the rename itself survives a crash.
     ///
     /// # Errors
     ///
@@ -275,6 +276,9 @@ impl ShardMap {
             file.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
+        if let Some(dir) = path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+            std::fs::File::open(dir)?.sync_all()?;
+        }
         Ok(())
     }
 

@@ -1185,17 +1185,20 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// `missing` — and, having voted, stays wedged on its outstanding
     /// vote. A poll that wedged nobody has no commit point and names no
     /// version: nothing holds its repliers at the one they reported.
+    /// A commit point the transport cannot record ends the round there,
+    /// as [`AccessError::Unrecorded`]: every vote is released, nothing
+    /// is applied and no `COMMIT` is sent.
     fn commit_phase(
         &mut self,
         round: &Round,
         state: ReplicaState,
         value: Option<&T>,
-    ) -> CommitOutcome {
+    ) -> Result<CommitOutcome, AccessError> {
         let Round {
+            kind,
             origin,
             ref poll,
             ref plan,
-            ..
         } = *round;
         // The commit point: a durable transport records ⟨ticket, o, v,
         // P, value⟩ (fsync'd) before the commit has *any* effect —
@@ -1205,7 +1208,19 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
         // releasable, and releasing a committed participant's vote can
         // fork the partition lineage.
         if poll.wedged {
-            self.transport.commit_point(poll.ticket, state, value);
+            let local = match self.slot(origin) {
+                Some(slot) if plan.participants.contains(origin) => {
+                    self.nodes[slot].data().map(|held| value.unwrap_or(held))
+                }
+                _ => None,
+            };
+            let recorded = self
+                .transport
+                .commit_point(poll.ticket, state, value, local);
+            if recorded.is_err() {
+                self.abandon(poll);
+                return Err(AccessError::Unrecorded { kind, origin });
+            }
         }
         let mut applied = SiteSet::EMPTY;
         let mut missing = SiteSet::EMPTY;
@@ -1246,7 +1261,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             self.node_mut(site).apply_commit(state, value);
             applied.insert(site);
         }
-        CommitOutcome { applied, missing }
+        Ok(CommitOutcome { applied, missing })
     }
 
     /// Moves the file from `source` to `requester` through the
@@ -1403,7 +1418,7 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             version: p.new_version + steps,
             partition: p.new_partition,
         };
-        let outcome = self.commit_phase(round, state, value);
+        let outcome = self.commit_phase(round, state, value)?;
         if poll.wedged {
             if !outcome.applied.is_empty() {
                 for i in 0..count {

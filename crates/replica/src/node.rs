@@ -97,6 +97,12 @@ impl<T: Clone> Node<T> {
         self.data.clone()
     }
 
+    /// The current data, borrowed; `None` at a witness.
+    #[must_use]
+    pub fn data(&self) -> Option<&T> {
+        self.data.as_ref()
+    }
+
     /// The operation ticket this node has voted for but not yet seen
     /// resolved, if any. A pending node abstains from other operations
     /// — its earlier vote may still be binding. Pending survives

@@ -158,13 +158,31 @@ pub trait Transport<T> {
 
     /// The commit point of operation `ticket`: the decision is made and
     /// `state` = `⟨o, v, P⟩` (with `value` riding a write) is about to
-    /// take effect. Called strictly *before* the coordinator applies
-    /// the commit locally and before any `COMMIT` frame is sent, so a
-    /// durable transport can record the outcome where a crashed
-    /// coordinator's successor will find it (the vote-probe ledger).
-    /// In-memory clusters need no such record; the default is a no-op.
-    fn commit_point(&mut self, ticket: u64, state: ReplicaState, value: Option<&T>) {
-        let _ = (ticket, state, value);
+    /// take effect. `local` is the coordinator's own data as the commit
+    /// leaves it, when the coordinator is a participant holding data:
+    /// `value`, or what it already held (a recovery copies the file in
+    /// before its commit). Called strictly *before* the coordinator
+    /// applies the commit locally and before any `COMMIT` frame is
+    /// sent, so a durable transport can record the outcome — and the
+    /// coordinator's own install — where a crashed coordinator's
+    /// successor will find it (the site's WAL, which vote probes are
+    /// answered from). In-memory clusters need no such record; the
+    /// default records nothing and succeeds.
+    ///
+    /// # Errors
+    ///
+    /// The outcome could not be recorded. The cluster then abandons the
+    /// round before it has any effect: an unrecorded commit would look
+    /// releasable to the coordinator's next incarnation.
+    fn commit_point(
+        &mut self,
+        ticket: u64,
+        state: ReplicaState,
+        value: Option<&T>,
+        local: Option<&T>,
+    ) -> std::io::Result<()> {
+        let _ = (ticket, state, value, local);
+        Ok(())
     }
 
     /// Best-effort delivery of the abort oracle: sites holding an

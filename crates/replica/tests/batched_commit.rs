@@ -9,9 +9,10 @@
 //!   back-to-back `write` calls;
 //! * **commit-point ordering** — a recording transport wrapped around
 //!   the nemesis bus proves the batch's single commit point (where a
-//!   durable transport fsyncs its ledger record) fires strictly
+//!   durable transport fsyncs its WAL record) fires strictly
 //!   *before* any `COMMIT` frame leaves the coordinator, and carries
-//!   the batch's final state;
+//!   the batch's final state; a commit point that cannot be recorded
+//!   commits nothing;
 //! * **all-or-nothing** — one poll and one commit fanout carry the
 //!   whole batch, so a partial commit refuses every write in it as
 //!   `Indeterminate`, never some prefix;
@@ -140,6 +141,8 @@ struct RecordingTransport {
     /// event journal had when it was posted — a journal of its own, so
     /// the wire-order journals above read exactly what they always did.
     posts: Vec<(usize, Event)>,
+    /// Whether `commit_point` reports that it could not record.
+    unrecordable: bool,
 }
 
 /// The event of handing `request` to the wire.
@@ -172,7 +175,13 @@ impl<T> Transport<T> for RecordingTransport {
         Transport::<T>::post(&mut self.inner, request);
     }
 
-    fn commit_point(&mut self, ticket: u64, state: ReplicaState, value: Option<&T>) {
+    fn commit_point(
+        &mut self,
+        ticket: u64,
+        state: ReplicaState,
+        value: Option<&T>,
+        local: Option<&T>,
+    ) -> std::io::Result<()> {
         self.events
             .lock()
             .expect("journal poisoned")
@@ -180,7 +189,10 @@ impl<T> Transport<T> for RecordingTransport {
                 op: state.op,
                 version: state.version,
             });
-        Transport::<T>::commit_point(&mut self.inner, ticket, state, value);
+        if self.unrecordable {
+            return Err(std::io::Error::other("the log refused the record"));
+        }
+        Transport::<T>::commit_point(&mut self.inner, ticket, state, value, local)
     }
 
     fn release(&mut self, ticket: u64, keep: SiteSet, recipients: SiteSet) {
@@ -215,6 +227,7 @@ fn recording<T: Clone>(
         inner: BusTransport::new(),
         events: Arc::clone(&events),
         posts: Vec::new(),
+        unrecordable: false,
     };
     (builder.build_with_transport(transport, initial), events)
 }
@@ -295,6 +308,59 @@ fn the_commit_point_precedes_the_commit_fanout_and_covers_the_batch() {
         carried,
         "each COMMIT is posted, then carried unchanged"
     );
+}
+
+/// A commit point the transport cannot record commits nothing: no
+/// `COMMIT` leaves, no copy (the coordinator's included) changes state,
+/// every site the round polled is sent the release, and each write of
+/// the batch is refused as `Unrecorded`.
+#[test]
+fn a_commit_point_that_cannot_be_recorded_commits_nothing() {
+    let (mut cluster, events) = recording_cluster(Protocol::Odv, 0u64);
+    cluster.transport_mut().unrecordable = true;
+    let before: Vec<ReplicaState> = (0..3).map(|i| cluster.state_at(SiteId::new(i))).collect();
+
+    let results = cluster.write_batch(origin(), vec![7, 8, 9]);
+    assert_eq!(results.len(), 3);
+    for result in &results {
+        assert!(
+            matches!(
+                result,
+                Err(AccessError::Unrecorded {
+                    kind: AccessKind::Write,
+                    origin: o,
+                }) if *o == origin()
+            ),
+            "{result:?}"
+        );
+    }
+    let events = events.lock().expect("journal poisoned").clone();
+    assert!(
+        !events.iter().any(|e| matches!(e, Event::CommitSent { .. })),
+        "a COMMIT left: {events:?}"
+    );
+    assert_eq!(
+        events.last(),
+        Some(&Event::Release {
+            keep: SiteSet::EMPTY,
+            recipients: SiteSet::from_indices([1, 2]),
+        }),
+        "{events:?}"
+    );
+    for (i, state) in before.iter().enumerate() {
+        let site = SiteId::new(i);
+        assert_eq!(cluster.state_at(site), *state, "S{i} moved");
+        assert_eq!(cluster.pending_at(site), None, "S{i} is still wedged");
+    }
+    assert!(cluster.history().is_empty());
+    assert_eq!(cluster.value_at(SiteId::new(1)), 0);
+
+    // Once the log records again, the next round commits.
+    cluster.transport_mut().unrecordable = false;
+    cluster
+        .write(origin(), 4)
+        .expect("a recordable round commits");
+    assert_eq!(cluster.read(SiteId::new(2)).expect("read granted"), 4);
 }
 
 /// One fanout carries the whole batch, so a partial commit (both

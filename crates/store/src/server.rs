@@ -47,8 +47,8 @@
 //! through one poll/commit quorum exchange ([`Cluster::write_batch`];
 //! keyed puts through [`Cluster::update`], which reads the shard map
 //! under that same vote) and runs of reads through one quorum read,
-//! then fsyncs once for the whole batch strictly before any
-//! acknowledgement leaves. An untagged data frame goes through the
+//! and acknowledges nothing before the WAL holds every state change the
+//! batch made. An untagged data frame goes through the
 //! same queue and the same completion; its session reads no further
 //! frame until the reply is written, which is all "one at a time" is.
 //!
@@ -59,9 +59,11 @@
 //! protocol event that changes the local ⟨o, v, P⟩, data, or
 //! outstanding vote is appended to a fsync'd write-ahead log **before**
 //! the matching acknowledgement (state reply, commit ack, or client
-//! `Done`) leaves the site — `sync_durable` is the single seam every
-//! dispatch arm passes through. A restart restores snapshot + WAL and
-//! then retries the protocol-level RECOVER (Figures 3/7) in the
+//! `Done`) leaves the site. A coordinator's own commit is logged by its
+//! transport at the commit point, one record that the vote-probe ledger
+//! is rebuilt from too; everything else passes through `sync_durable`,
+//! the seam every dispatch arm shares. A restart restores snapshot +
+//! WAL and then retries the protocol-level RECOVER (Figures 3/7) in the
 //! background to catch up from the majority partition.
 
 use std::fs::File;
@@ -80,9 +82,9 @@ use dynvote_replica::{Cluster, ClusterBuilder};
 use dynvote_types::{AccessError, SiteId, SiteSet};
 
 use crate::config::Config;
-use crate::probe::OpLedger;
+use crate::probe::{epoch_floor, OpLedger, LEDGER_FILE};
 use crate::tcp::{LinkRules, TcpTransport};
-use crate::value::{Delta, ShardValue};
+use crate::value::ShardValue;
 use crate::wire::{Frame, UnavailableReason};
 
 mod batch;
@@ -117,6 +119,9 @@ pub fn refusal_clause(err: &AccessError) -> &'static str {
         }
         AccessError::Indeterminate { .. } => {
             "Figure 2, commit fan-out: the COMMIT did not close at every participant (partial commit)"
+        }
+        AccessError::Unrecorded { .. } => {
+            "commit point: the coordinator's WAL could not record the decision, so nothing committed"
         }
     }
 }
@@ -197,19 +202,21 @@ struct Daemon {
     /// epoch that retired it. Checked under the cluster lock by every
     /// path that could still commit or touch the (now shared) durable
     /// directory — queued data operations answer `StaleShardMap` with
-    /// this epoch, and the background loops exit.
-    retired: AtomicU64,
+    /// this epoch, and the background loops exit. Shared with the
+    /// transport, which stops logging commit points.
+    retired: Arc<AtomicU64>,
     /// Durable storage — `None` runs the pre-durability in-memory mode.
-    store: Option<Mutex<SiteStore>>,
-    /// Crash-test hook: abort after a client write's WAL fsync, before
-    /// the ack (see `Config::crash_after_wal_append`).
+    /// Shared with the transport, which logs commit points and aborts.
+    store: Option<Arc<Mutex<SiteStore>>>,
+    /// Crash-test hook: abort after a client write's commit point is
+    /// durable, before the ack (see `Config::crash_after_wal_append`).
     crash_after_wal_append: bool,
     /// Finished-operation ledger shared with the transport — answers
     /// `VOTE-PROBE` frames without touching the cluster lock.
     ledger: Arc<Mutex<OpLedger>>,
-    /// The commit fence a *dead* incarnation left behind: tickets of
-    /// older epochs above it provably never started a commit fanout.
-    /// `None` without durable storage (epochs are meaningless there).
+    /// The commit fence dead incarnations left behind: tickets of older
+    /// epochs above it provably never reached a commit point. `None`
+    /// without durable storage (epochs are meaningless there).
     boot_fence: Option<u64>,
     /// This incarnation's boot epoch (16-bit, as salted into tickets).
     boot_epoch: Option<u64>,
@@ -230,27 +237,16 @@ struct Daemon {
 /// Folds the local participant's current protocol state into the
 /// durable store: appends the WAL records that bring the store's
 /// ⟨o, v, P⟩ + data + outstanding vote up to the node's, fsync'ing
-/// each. Call this *before* letting any acknowledgement leave the
-/// site; on `Ok` the acknowledged state survives a crash.
-///
-/// The data is never compared. A copy's data changes only by a commit
-/// (or a copy transfer) that changes its version number, so equal
-/// versions mean the store already holds the data. When they differ,
-/// `applied` says how the data got there: the delta the commits since
-/// the last sync applied, which is logged as such when it starts at
-/// the version the store holds — the whole image is written only when
-/// no such delta exists (a full-image COMMIT, a raw write, a
-/// recovery's copy, or a store left behind by a failed sync).
+/// each ([`ShardValue::install_record`] for the data). Call this
+/// *before* letting any acknowledgement leave the site; on `Ok` the
+/// acknowledged state survives a crash. A coordinator's own commits
+/// need none of this: its transport logged each at its commit point.
 ///
 /// Always called with the cluster lock held, so the comparison and the
 /// append are atomic with respect to other operations.
-fn sync_durable(
-    daemon: &Daemon,
-    cluster: &StoreCluster,
-    applied: Option<&Delta>,
-) -> std::io::Result<bool> {
+fn sync_durable(daemon: &Daemon, cluster: &StoreCluster) -> std::io::Result<()> {
     let Some(store) = &daemon.store else {
-        return Ok(false);
+        return Ok(());
     };
     if daemon.retired.load(Ordering::SeqCst) != 0 {
         // A shard-map install replaced this daemon and its successor
@@ -258,29 +254,21 @@ fn sync_durable(
         // interleave two WAL writers. The install captured this
         // cluster's state under its lock *after* setting the flag, so
         // nothing acknowledged through the successor is lost.
-        return Ok(false);
+        return Ok(());
     }
     let mut store = store.lock().expect("site store poisoned");
     let state = cluster.state_at(daemon.local);
     let pending = cluster.pending_at(daemon.local);
     let durable = store.state();
-    let mut wrote = false;
     if durable != state {
-        let same_data =
-            durable.version == state.version || !cluster.copies().contains(daemon.local);
-        let record = match applied {
-            Some(delta) if !same_data && delta.base == durable.version => WalRecord::Delta {
-                state,
-                base: delta.base,
-                delta: delta.puts.clone(),
-            },
-            _ => WalRecord::Commit {
-                state,
-                value: (!same_data).then(|| cluster.value_at(daemon.local).to_image()),
-            },
+        let record = if cluster.copies().contains(daemon.local) {
+            cluster
+                .value_at(daemon.local)
+                .install_record(state, durable.version)
+        } else {
+            WalRecord::Commit { state, value: None }
         };
         store.log(record)?;
-        wrote = true;
     }
     if store.pending() != pending {
         let record = match pending {
@@ -290,9 +278,8 @@ fn sync_durable(
             },
         };
         store.log(record)?;
-        wrote = true;
     }
-    Ok(wrote)
+    Ok(())
 }
 
 /// A running daemon: its bound address and a stop handle.
@@ -387,7 +374,7 @@ fn boot_daemon(
     let network = config
         .network()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let transport = TcpTransport::new(
+    let mut transport = TcpTransport::new(
         config.local,
         shard,
         &config.peers,
@@ -395,24 +382,24 @@ fn boot_daemon(
         config.timeouts,
     );
     let ledger = transport.ledger();
+    let retired = Arc::new(AtomicU64::new(0));
     // Each shard group gets its own durable namespace under the base
     // data directory — independent voting groups, independent WALs.
-    let data_dir: Option<PathBuf> = config
-        .data_dir
-        .as_ref()
-        .map(|base| shard_dir(Path::new(base), shard));
-    // The durable operation ledger: replay what every dead incarnation
-    // recorded at its commit points (the vote-probe answers and the
-    // high-water mark of the dead-epoch rule), then swap it into the
-    // transport's shared handle so this incarnation's commit points
-    // keep appending to it.
-    let mut boot_fence = None;
-    if let Some(dir) = &data_dir {
-        std::fs::create_dir_all(dir)?;
-        let durable = OpLedger::open(dir)?;
-        boot_fence = Some(durable.high_water());
-        *ledger.lock().expect("op ledger poisoned") = durable;
-    }
+    // The transport logs this incarnation's commit points and aborts
+    // in it, and the vote-probe ledger is rebuilt from what dead
+    // incarnations logged there.
+    let opened = match &config.data_dir {
+        Some(base) => {
+            let dir = shard_dir(Path::new(base), shard);
+            let (store, restored) =
+                SiteStore::open_with_fold(&dir, config.snapshot_every, fold_image)?;
+            let store = Arc::new(Mutex::new(store));
+            transport.log_decisions(Arc::clone(&store), Arc::clone(&retired));
+            *ledger.lock().expect("op ledger poisoned") = OpLedger::open(&dir)?;
+            Some((dir, store, restored))
+        }
+        None => None,
+    };
     // A group's replicated value is its image: `--value`, or the empty
     // KV map's (empty) encoding.
     let initial = ShardValue::from_image(config.initial.clone());
@@ -426,10 +413,10 @@ fn boot_daemon(
     // or seed a fresh data directory with the boot state.
     let mut restored_from_disk = false;
     let mut boot_epoch = None;
-    let store = match &data_dir {
-        Some(dir) => {
-            let (mut store, restored) =
-                SiteStore::open_with_fold(dir, config.snapshot_every, fold_image)?;
+    let mut boot_fence = None;
+    let store = match opened {
+        Some((dir, shared, restored)) => {
+            let mut store = shared.lock().expect("site store poisoned");
             if restored.snapshot_was_corrupt {
                 log.log("durable restore: snapshot failed validation, moved aside; falling back");
             }
@@ -476,6 +463,18 @@ fn boot_daemon(
                     ));
                 }
             }
+            // A directory last served by a daemon that kept its commit
+            // points in a ledger file of their own: fence this epoch
+            // durably, then drop the file.
+            let legacy_ledger = dir.join(LEDGER_FILE);
+            if legacy_ledger.exists() {
+                store.fence()?;
+                std::fs::remove_file(&legacy_ledger)?;
+                File::open(&dir)?.sync_all()?;
+            }
+            if store.fence_epoch() == store.epoch() {
+                log.log("durable restore: commit points may have been lost; dead epochs fenced");
+            }
             // Salt the vote-ticket namespace with the boot epoch: a
             // restarted coordinator must never reissue a pre-crash
             // ticket number, or a site the old incarnation left wedged
@@ -483,11 +482,15 @@ fn boot_daemon(
             // and vote again. 16 bits of epoch inside the site's
             // 48-bit-shifted namespace bounds this to 65 535 restarts
             // before wraparound.
-            cluster.advance_ticket_past(
-                ((config.local.index() as u64) << 48) | ((store.epoch() & 0xFFFF) << 32),
-            );
+            cluster.advance_ticket_past(epoch_floor(config.local, store.epoch()));
             boot_epoch = Some(store.epoch() & 0xFFFF);
-            Some(Mutex::new(store))
+            boot_fence = Some(
+                store
+                    .high_water()
+                    .max(epoch_floor(config.local, store.fence_epoch())),
+            );
+            drop(store);
+            Some(shared)
         }
         None => None,
     };
@@ -501,7 +504,7 @@ fn boot_daemon(
         policy_name,
         log: Arc::clone(log),
         shard,
-        retired: AtomicU64::new(0),
+        retired,
         store,
         crash_after_wal_append: config.crash_after_wal_append,
         ledger,
@@ -521,7 +524,7 @@ fn boot_daemon(
     if let Some((state, value, pending)) = override_state {
         let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
         cluster.install_durable_state(daemon.local, state, Some(value), pending);
-        if let Err(error) = sync_durable(&daemon, &cluster, None) {
+        if let Err(error) = sync_durable(&daemon, &cluster) {
             log.log(&format!(
                 "shard handoff: captured state not persisted: {error}"
             ));
@@ -713,7 +716,7 @@ fn boot_recover(daemon: &Arc<Daemon>, shutdown: &AtomicBool, window: Duration) {
             match cluster.recover(daemon.local) {
                 Ok(()) => {
                     let state = cluster.state_at(daemon.local);
-                    if let Err(error) = sync_durable(daemon, &cluster, None) {
+                    if let Err(error) = sync_durable(daemon, &cluster) {
                         daemon
                             .log
                             .log(&format!("boot RECOVER: durability failure: {error}"));
@@ -843,15 +846,20 @@ fn install_shard_map(service: &Arc<Service>, bytes: &[u8]) -> Frame {
             if hosted_after { "hosting" } else { "released" },
         ));
     }
-    *map = new.clone();
+    // The map is installed once it is durable: a failed persist leaves
+    // the old epoch in force, so the driver's retry redoes the install.
     if let Some(path) = &service.map_path {
         if let Err(error) = new.persist(path) {
             service.log.log(&format!(
                 "shard map epoch {}: persist failed: {error}",
                 new.epoch
             ));
+            return Frame::Refused {
+                message: format!("shard map epoch {} not persisted: {error}", new.epoch),
+            };
         }
     }
+    *map = new.clone();
     service
         .log
         .log(&format!("shard map installed: epoch {}", new.epoch));
@@ -871,6 +879,7 @@ pub fn unavailable_reason(err: &AccessError) -> UnavailableReason {
         AccessError::OriginUnavailable { .. } => UnavailableReason::OriginDown,
         AccessError::Timeout { .. } => UnavailableReason::PeerSilence,
         AccessError::Indeterminate { .. } => UnavailableReason::Indeterminate,
+        AccessError::Unrecorded { .. } => UnavailableReason::OriginDown,
     }
 }
 

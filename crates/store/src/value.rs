@@ -16,6 +16,8 @@
 use std::sync::Arc;
 
 use dynvote_control::{decode_kv, KvMap, KvPuts};
+use dynvote_core::state::ReplicaState;
+use dynvote_replica::wal::WalRecord;
 
 /// A keyed write batch in the form it is shipped and logged: an
 /// encoded [`KvPuts`] list and the version of the image it was built
@@ -128,6 +130,30 @@ impl ShardValue {
                 })
             }),
         })
+    }
+
+    /// The WAL record that brings a durable copy at `durable` version
+    /// to `state` holding this value. The data is never compared: a
+    /// copy's data changes only with its version, so the same version
+    /// means the same data and the record is state-only. Otherwise the
+    /// delta that made this value is logged when it applies to the
+    /// durable version, and the whole image when it does not.
+    #[must_use]
+    pub fn install_record(&self, state: ReplicaState, durable: u64) -> WalRecord {
+        if state.version == durable {
+            return WalRecord::Commit { state, value: None };
+        }
+        match self.delta() {
+            Some(delta) if delta.base == durable => WalRecord::Delta {
+                state,
+                base: delta.base,
+                delta: delta.puts.clone(),
+            },
+            _ => WalRecord::Commit {
+                state,
+                value: Some(self.to_image()),
+            },
+        }
     }
 
     /// The receiving side of [`ShardValue::with_puts`]: applies a

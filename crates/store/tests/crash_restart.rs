@@ -17,7 +17,11 @@
 //!   large, so a kill can leave over a thousand delta records to
 //!   replay — and the restart serves every one of them;
 //! * a data directory with a log at its root (the layout of a daemon
-//!   that kept its one group there) is refused, not seeded over.
+//!   that kept its one group there) is refused, not seeded over;
+//! * garbage after the last commit-point record may have been commit
+//!   points: the restart fences the dead epochs, and a vote probe for
+//!   one of their tickets above the surviving records is no longer
+//!   answered with a release.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -25,9 +29,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use dynvote_replica::disk::inject_garbage_tail;
 use dynvote_replica::wal::{shard_dir, WAL_FILE};
 use dynvote_store::client::{request, Outcome};
-use dynvote_store::wire::Frame;
+use dynvote_store::wire::{read_frame, write_frame, Frame};
+use dynvote_types::SiteId;
 
 const STORED: &str = env!("CARGO_BIN_EXE_dynvote-stored");
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -462,6 +468,73 @@ fn a_data_dir_with_a_log_at_its_root_is_refused_not_seeded_over() {
     fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &[]));
     wait_status(&target);
     wait_for_value(&target, "acknowledged");
+
+    drop(fleet);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The answer of site 0's shard daemon to a vote probe from S1.
+fn probe(target: &str, ticket: u64) -> Frame {
+    let mut stream = std::net::TcpStream::connect(target).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).expect("set timeout");
+    let probe = Frame::VoteProbe {
+        ticket,
+        from: SiteId::new(1),
+        to: SiteId::new(0),
+    };
+    write_frame(&mut stream, &probe.for_shard(0)).expect("send");
+    read_frame(&mut stream).expect("an answer")
+}
+
+/// A clean restart releases a dead epoch's unissued ticket above the
+/// last commit point; after garbage at the log's end, which may have
+/// been commit points, the restart fences every earlier epoch and the
+/// same kind of probe is answered with an abstention. The commit point
+/// before the garbage is still known.
+#[test]
+fn a_corrupt_wal_tail_fences_the_dead_epochs_it_may_have_hidden() {
+    let ports = free_ports(1);
+    let dir = scratch_dir("fence");
+    let sharded = ["--shards", "1", "--shard-placement", "ring:1"];
+    let target = addr(&ports, 0);
+    let mut fleet = Fleet {
+        children: vec![Some(spawn_daemon(0, &ports, &dir, &sharded))],
+    };
+    wait_status(&target);
+    let outcome = keyed(&target, &put_key("a", "1"));
+    assert!(matches!(outcome, Ok(Outcome::Done(_))), "{outcome:?}");
+    // Tickets are ⟨site 0, boot epoch, n⟩.
+    let ticket = |epoch: u64, n: u64| (epoch << 32) | n;
+    let log = shard_dir(&dir, 0).join(WAL_FILE);
+    for garbage in [None, Some([0xA5; 8])] {
+        let mut daemon = fleet.children[0].take().expect("daemon running");
+        daemon.kill().expect("kill -9");
+        daemon.wait().expect("reap");
+        if let Some(garbage) = garbage {
+            inject_garbage_tail(&log, &garbage).expect("garbage");
+        }
+        fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &sharded));
+        wait_status(&target);
+        if garbage.is_none() {
+            assert!(
+                matches!(probe(&target, ticket(1, 1000)), Frame::Release { .. }),
+                "a clean restart releases a dead epoch's ticket above the mark"
+            );
+        }
+    }
+    for dead in [ticket(1, 1000), ticket(2, 1000)] {
+        let answer = probe(&target, dead);
+        assert!(
+            matches!(answer, Frame::Abstain { ticket, .. } if ticket == dead),
+            "ticket {dead:#x}: {answer:?}"
+        );
+    }
+    // The put committed with P = {S0}: its ticket releases S1.
+    let answer = probe(&target, ticket(1, 1));
+    assert!(
+        matches!(&answer, Frame::Release { keep, .. } if keep.contains(SiteId::new(0))),
+        "{answer:?}"
+    );
 
     drop(fleet);
     std::fs::remove_dir_all(dir).ok();

@@ -11,11 +11,13 @@
 //!   (each site's own snapshot + WAL folds back to the same image);
 //! * a delta against a version the copy does not hold is never
 //!   applied and never acknowledged;
-//! * the coordinator's ledger re-sends a committed delta to a prober;
+//! * the coordinator's commit point re-sends a committed delta to a
+//!   prober;
 //! * a pipelined run that rewrites the same keys commits each key's
 //!   last put, and that is what every reader then sees;
-//! * a keyed batch is ONE quorum round: no read is run, and a voter
-//!   logs two records for it — its vote and the delta;
+//! * a keyed batch is ONE quorum round: no read is run, a voter logs
+//!   two records for it — its vote and the delta — and the coordinator
+//!   one, its commit point;
 //! * a coordinator that is itself a version behind still commits a
 //!   delta: it fetches the current map inside its write's vote and
 //!   builds on the version its participants voted with.
@@ -540,7 +542,8 @@ fn a_keyed_batch_is_one_round_and_two_records_at_a_voter() {
         );
     }
     // The batch's records, then the read's: a vote and the state-only
-    // commit that absorbs it (at the coordinator, the commit alone).
+    // commit that absorbs it (at the coordinator, each commit point
+    // alone: the record probes are answered from is its own install).
     let logs = fleet.stop_and_read_logs();
     for (site, log) in logs.iter().enumerate().skip(1) {
         match &log[log.len() - 4..] {
@@ -556,7 +559,10 @@ fn a_keyed_batch_is_one_round_and_two_records_at_a_voter() {
     assert!(
         matches!(
             tail,
-            [WalRecord::Delta { base: on, .. }, WalRecord::Commit { value: None, .. }] if *on == base
+            [WalRecord::CommitPoint { adopted: true, commit: batch, .. },
+             WalRecord::CommitPoint { adopted: true, commit: read, .. }]
+                if matches!(**batch, WalRecord::Delta { base: on, .. } if on == base)
+                    && matches!(**read, WalRecord::Commit { value: None, .. })
         ),
         "S0 logged {tail:?}"
     );

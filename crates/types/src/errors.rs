@@ -101,6 +101,16 @@ pub enum AccessError {
         /// Participants that never received it.
         missing: SiteSet,
     },
+    /// The operation was granted, but the coordinator could not record
+    /// its commit point (a durable coordinator's log write failed), so
+    /// it was abandoned before it had any effect: every vote released,
+    /// nothing applied, no `COMMIT` sent.
+    Unrecorded {
+        /// Kind of access attempted.
+        kind: AccessKind,
+        /// The coordinating site.
+        origin: SiteId,
+    },
 }
 
 impl AccessError {
@@ -112,7 +122,8 @@ impl AccessError {
             | AccessError::TieLost { kind, .. }
             | AccessError::NoCurrentCopy { kind, .. }
             | AccessError::Timeout { kind, .. }
-            | AccessError::Indeterminate { kind, .. } => Some(*kind),
+            | AccessError::Indeterminate { kind, .. }
+            | AccessError::Unrecorded { kind, .. } => Some(*kind),
             AccessError::OriginUnavailable { .. } => None,
         }
     }
@@ -161,6 +172,10 @@ impl fmt::Display for AccessError {
             } => write!(
                 f,
                 "{kind} at {origin} is indeterminate: commit reached {applied} but not {missing}"
+            ),
+            AccessError::Unrecorded { kind, origin } => write!(
+                f,
+                "{kind} at {origin} abandoned: its commit point could not be recorded"
             ),
         }
     }
