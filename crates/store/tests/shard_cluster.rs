@@ -11,7 +11,9 @@
 //!   straight through an `e → e+1` placement change with zero *failed*
 //!   requests (stale-map retries allowed) and no lost committed write;
 //! * **Typed unavailability** — a dead control plane produces a typed
-//!   error within the deadline, never a hang.
+//!   error within the deadline, never a hang;
+//! * **A durable install** — a map the daemon cannot persist is
+//!   refused and not installed.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -370,4 +372,37 @@ fn dead_control_plane_fails_typed_within_the_deadline() {
         elapsed < Duration::from_secs(8),
         "the router hung for {elapsed:?} on a dead control plane"
     );
+}
+
+/// A shard map the daemon cannot persist is refused and left
+/// uninstalled — a restart would boot the old map, so `Done` would be
+/// a promise the disk did not keep. Once the disk takes it, the same
+/// install goes through.
+#[test]
+fn a_shard_map_that_cannot_be_persisted_is_refused() {
+    let data = std::env::temp_dir().join(format!("dynvote-map-persist-{}", std::process::id()));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let line = format!(
+        "--site 0 --policy odv --peers 0={addr} --quiet --data-dir {}",
+        data.display()
+    );
+    let config = Config::parse_args(line.split_whitespace().map(str::to_string))
+        .expect("test config parses");
+    let daemon = start_on(config, listener).expect("daemon starts");
+    let mut map = fetch_map(&addr, TIMEOUT).expect("boot map");
+    map.epoch += 1;
+    let install = Frame::InstallShardMap { map: map.encode() };
+    // A directory where the map's temporary file goes: the write fails.
+    let blocker = data.join("shardmap.tmp");
+    std::fs::create_dir(&blocker).expect("block the temporary file");
+    let refused = request(&addr, &install, TIMEOUT);
+    assert!(matches!(refused, Ok(Outcome::Refused(_))), "{refused:?}");
+    assert_eq!(fetch_map(&addr, TIMEOUT).expect("map").epoch, map.epoch - 1);
+    std::fs::remove_dir(&blocker).expect("unblock");
+    let installed = request(&addr, &install, TIMEOUT);
+    assert!(matches!(installed, Ok(Outcome::Done(_))), "{installed:?}");
+    assert_eq!(fetch_map(&addr, TIMEOUT).expect("map").epoch, map.epoch);
+    daemon.stop();
+    std::fs::remove_dir_all(&data).ok();
 }
