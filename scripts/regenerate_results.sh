@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 RESULTS_DIR="${DYNVOTE_RESULTS_DIR:-results}"
 mkdir -p "$RESULTS_DIR"
 BINS=(table1 table2 table3 analytic_check reliability access_rate_sweep \
-      witness_study weight_study ablation_rejoin ablation_lexicon \
+      witness_study weight_study ablation_lexicon \
       ci_calibration outage_causes p2p_study study)
 for bin in "${BINS[@]}"; do
     echo ">>> $bin $*"
