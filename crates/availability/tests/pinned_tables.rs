@@ -17,7 +17,6 @@ use std::fmt::Write as _;
 use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::{run_trace, simulate_row, Params, RunResult};
 use dynvote_availability::{ALL_CONFIGS, UCSD_SITES};
-use dynvote_core::policy::dynamic::RejoinMode;
 use dynvote_core::policy::{AvailabilityPolicy, DynamicPolicy};
 use dynvote_core::Rule;
 use dynvote_types::SiteSet;
@@ -61,13 +60,8 @@ fn render_variants(params: &Params) -> String {
     let mut text = String::new();
     for config in ALL_CONFIGS {
         let rule = Rule::static_majority(None);
-        let strict: Box<dyn AvailabilityPolicy> = Box::new(DynamicPolicy::custom(
-            "MCV",
-            config.copies,
-            rule,
-            None,
-            RejoinMode::OnRepair,
-        ));
+        let strict: Box<dyn AvailabilityPolicy> =
+            Box::new(DynamicPolicy::custom("MCV", config.copies, rule, None));
         let cells = run_trace(&network, &UCSD_SITES, vec![strict], params, config.name);
         pin_line(&mut text, &format!("{} strict-MCV", config.name), &cells[0]);
     }

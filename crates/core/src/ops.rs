@@ -7,8 +7,10 @@
 //! be copied from — or the [`AccessError`] describing the `ABORT`.
 //! Executing the plan (actually moving bytes, actually sending `COMMIT`
 //! messages) is the caller's job; the `dynvote-replica` crate does it at
-//! message level, and the availability simulator applies plans directly
-//! to a [`StateTable`].
+//! message level, and the availability simulator's
+//! [`DynamicPolicy`](crate::policy::DynamicPolicy) plans a READ in every
+//! group at each state exchange and applies it to its [`StateTable`]
+//! with [`Plan::apply`].
 //!
 //! Keeping the planners pure makes the protocol logic trivially testable
 //! and lets both executors share one implementation, so the simulation

@@ -76,7 +76,7 @@ impl AvailabilityPolicy for WeightedMcvPolicy {
 mod tests {
     use super::*;
     use crate::decision::Rule;
-    use crate::policy::dynamic::{DynamicPolicy, RejoinMode};
+    use crate::policy::dynamic::DynamicPolicy;
     use dynvote_types::SiteId;
 
     fn reach(groups: &[&[usize]]) -> Reachability {
@@ -96,7 +96,7 @@ mod tests {
             let copies = SiteSet::first_n(n);
             let w = WeightedMcvPolicy::uniform(copies);
             let strict = Rule::static_majority(None);
-            let mcv = DynamicPolicy::custom("MCV", copies, strict, None, RejoinMode::OnRepair);
+            let mcv = DynamicPolicy::custom("MCV", copies, strict, None);
             for mask in 0u64..1 << n {
                 let rest = copies - SiteSet::from_bits(mask);
                 let groups = Reachability::from_groups(

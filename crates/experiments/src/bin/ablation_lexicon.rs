@@ -21,7 +21,7 @@ use dynvote_availability::config::ALL_CONFIGS;
 use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::run_trace;
 use dynvote_availability::sites::UCSD_SITES;
-use dynvote_core::policy::dynamic::{DynamicPolicy, RejoinMode};
+use dynvote_core::policy::dynamic::DynamicPolicy;
 use dynvote_core::policy::AvailabilityPolicy;
 use dynvote_core::{Lexicon, Rule};
 use dynvote_experiments::output::{fmt_unavail, Table};
@@ -66,7 +66,6 @@ fn main() {
                     config.copies,
                     Rule::with_lexicon(lexicon.clone()),
                     None,
-                    RejoinMode::OnRepair,
                 )) as Box<dyn AvailabilityPolicy>
             })
             .collect();

@@ -16,7 +16,6 @@ use dynvote_analytic::{
 };
 use dynvote_availability::run::{run_trace, Params, RunResult};
 use dynvote_availability::sites::identical_sites;
-use dynvote_core::policy::dynamic::RejoinMode;
 use dynvote_core::policy::{AvailabilityPolicy, AvailableCopyPolicy, DynamicPolicy};
 use dynvote_core::Rule;
 use dynvote_experiments::output::Table;
@@ -89,7 +88,6 @@ fn main() {
                 copies,
                 Rule::static_majority(None),
                 None,
-                RejoinMode::OnRepair,
             )),
             Box::new(DynamicPolicy::dv(copies)),
             Box::new(DynamicPolicy::ldv(copies)),

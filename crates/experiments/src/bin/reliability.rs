@@ -20,7 +20,6 @@ use dynvote_availability::config::ALL_CONFIGS;
 use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::measure_ttf;
 use dynvote_availability::sites::{identical_sites, UCSD_SITES};
-use dynvote_core::policy::dynamic::RejoinMode;
 use dynvote_core::policy::{AvailabilityPolicy, AvailableCopyPolicy, DynamicPolicy, Protocol};
 use dynvote_core::Rule;
 use dynvote_experiments::output::Table;
@@ -60,13 +59,7 @@ fn main() {
                 mcv_mttf(&sys),
                 Box::new(move || {
                     let strict = Rule::static_majority(None);
-                    Box::new(DynamicPolicy::custom(
-                        "MCV",
-                        copies,
-                        strict,
-                        None,
-                        RejoinMode::OnRepair,
-                    )) as _
+                    Box::new(DynamicPolicy::custom("MCV", copies, strict, None)) as _
                 }),
             ),
             (

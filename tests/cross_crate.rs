@@ -7,7 +7,6 @@ use dynamic_voting::analytic::{
 use dynamic_voting::availability::config::{CONFIG_C, CONFIG_E, CONFIG_G};
 use dynamic_voting::availability::run::{run_trace, simulate, simulate_row, Params};
 use dynamic_voting::availability::sites::identical_sites;
-use dynamic_voting::core::policy::dynamic::RejoinMode;
 use dynamic_voting::core::policy::{
     AvailabilityPolicy, AvailableCopyPolicy, DynamicPolicy, Protocol,
 };
@@ -89,7 +88,6 @@ fn simulator_matches_ctmc_models() {
                 copies,
                 Rule::static_majority(None),
                 None,
-                RejoinMode::OnRepair,
             )),
             Box::new(DynamicPolicy::dv(copies)),
             Box::new(DynamicPolicy::ldv(copies)),
