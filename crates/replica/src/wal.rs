@@ -470,9 +470,12 @@ impl SiteStore {
     ///
     /// # Errors
     ///
-    /// Any I/O error other than a missing snapshot file. A corrupt
-    /// snapshot or a torn/corrupt log tail is *not* an error — both are
-    /// repaired and reported in [`Restored`].
+    /// Any I/O error other than a missing snapshot file, and
+    /// `InvalidData` when the boot-epoch file is torn or foreign: a
+    /// restarted count could salt a ticket that an earlier incarnation
+    /// left voters wedged on. A corrupt snapshot or a torn/corrupt log
+    /// tail is *not* an error — both are repaired and reported in
+    /// [`Restored`].
     pub fn open(dir: &Path, snapshot_every: u64) -> io::Result<(SiteStore, Restored)> {
         SiteStore::open_with_fold(dir, snapshot_every, no_fold)
     }
@@ -833,13 +836,21 @@ impl SiteStore {
 /// with `fence` raises the fence epoch to the new epoch. Returns both.
 /// ([`replace_file`], like the snapshot, so a crash mid-update leaves
 /// the old epoch — which the next boot still increments past — and a
-/// crash after it cannot bring the old epoch back.)
+/// crash after it cannot bring the old epoch back.) A file of any length
+/// but 8 or 16 bytes is refused with `InvalidData`: no count is known
+/// to be past every earlier boot's.
 fn bump_epoch(path: &Path, fence: bool) -> io::Result<(u64, u64)> {
     let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
     let (last, fenced) = match std::fs::read(path) {
         Ok(bytes) if bytes.len() == 16 => (word(&bytes[..8]), word(&bytes[8..])),
         Ok(bytes) if bytes.len() == 8 => (word(&bytes), 0),
-        Ok(_) => (0, 0), // torn or foreign contents: restart the count
+        Ok(bytes) => {
+            return Err(invalid_data(format!(
+                "{}: {} bytes is no boot-epoch counter (8 or 16 expected)",
+                path.display(),
+                bytes.len()
+            )))
+        }
         Err(error) if error.kind() == io::ErrorKind::NotFound => (0, 0),
         Err(error) => return Err(error),
     };
@@ -983,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn wal_epoch_increments_every_open_and_survives_tampering() {
+    fn wal_epoch_increments_every_open_and_refuses_tampering() {
         let dir = scratch_dir("epoch");
         let (first, _) = SiteStore::open(&dir, 0).unwrap();
         assert_eq!(first.epoch(), 1);
@@ -991,11 +1002,24 @@ mod tests {
         let (second, _) = SiteStore::open(&dir, 0).unwrap();
         assert_eq!(second.epoch(), 2);
         drop(second);
-        // A torn or foreign epoch file restarts the count rather than
-        // failing the boot — the salt only needs to move, not be exact.
+        // A torn or foreign epoch file refuses the boot: a restarted
+        // count could repeat a ticket an earlier incarnation left voters
+        // wedged on. The file is left as it was found.
         std::fs::write(dir.join(EPOCH_FILE), b"junk").unwrap();
+        let Err(error) = SiteStore::open(&dir, 0) else {
+            panic!("a foreign epoch file opened");
+        };
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains(EPOCH_FILE), "{error}");
+        assert_eq!(std::fs::read(dir.join(EPOCH_FILE)).unwrap(), b"junk");
+        // Both well-formed lengths still read: the one-word form of an
+        // older boot, and the two-word form with the fence epoch.
+        std::fs::write(dir.join(EPOCH_FILE), 7u64.to_le_bytes()).unwrap();
         let (third, _) = SiteStore::open(&dir, 0).unwrap();
-        assert_eq!(third.epoch(), 1);
+        assert_eq!((third.epoch(), third.fence_epoch()), (8, 0));
+        drop(third);
+        let (fourth, _) = SiteStore::open(&dir, 0).unwrap();
+        assert_eq!((fourth.epoch(), fourth.fence_epoch()), (9, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
