@@ -49,19 +49,20 @@ proptest! {
 /// co-segment claims count votes of sites whose state was never
 /// observed. The seed is pinned so the failure is a regression anchor,
 /// not a flake: the same campaign that the sound protocols survive
-/// (seed 2 is in `prop_sound_protocols_survive_nemesis`'s universe)
-/// breaks both topological rules. (Refreshed from seed 0 when reads
-/// at a current origin stopped sending copy requests: the campaign's
-/// message-fault rules now meet a different message sequence.)
+/// (seed 1 is in `prop_sound_protocols_survive_nemesis`'s universe)
+/// breaks both topological rules. Seed 1 is the first seed
+/// `scan_topological_violation_seeds` reports for both rules; re-pin it
+/// from that scan whenever the campaign's draws or message sequence
+/// move.
 #[test]
 fn topological_protocols_fork_lineage_under_nemesis() {
     for protocol in [Protocol::Tdv, Protocol::Otdv] {
-        let violations = campaign(protocol, 2);
+        let violations = campaign(protocol, 1);
         assert!(
             violations
                 .iter()
                 .any(|v| matches!(v, Violation::LineageFork { .. })),
-            "{protocol:?} at seed 2 should fork lineage, got: {violations:?}"
+            "{protocol:?} at seed 1 should fork lineage, got: {violations:?}"
         );
     }
 }
@@ -70,7 +71,7 @@ fn topological_protocols_fork_lineage_under_nemesis() {
 /// tests' failure reports are actionable.
 #[test]
 fn topological_violations_replay_from_seed() {
-    assert_eq!(campaign(Protocol::Tdv, 2), campaign(Protocol::Tdv, 2));
+    assert_eq!(campaign(Protocol::Tdv, 1), campaign(Protocol::Tdv, 1));
 }
 
 /// Scans for topological-violation seeds. Not part of the suite; run
