@@ -92,7 +92,8 @@ pub struct CommittedOp {
 
 impl CommittedOp {
     /// The entry `steps` writes later in the same batch.
-    fn later(self, steps: u64) -> Self {
+    #[must_use]
+    pub fn later(self, steps: u64) -> Self {
         CommittedOp {
             op: self.op + steps,
             version: self.version + steps,
@@ -1413,8 +1414,10 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
             plan: p,
         } = round;
         let steps = count - 1;
+        // A static rule's round takes no operation number
+        // (`ops::plan`), however many writes it commits.
         let state = ReplicaState {
-            op: p.new_op + steps,
+            op: p.new_op + if poll.wedged { steps } else { 0 },
             version: p.new_version + steps,
             partition: p.new_partition,
         };
@@ -1639,7 +1642,10 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     /// READ-MODIFY-WRITE decided by ONE poll: `build` is handed the
     /// current value and returns the value to write in its place, or
     /// `None` to write nothing (every vote is released and the result
-    /// is `Ok(None)`).
+    /// is `Ok(None)`). The new value commits as `count` consecutive
+    /// writes, as [`Cluster::write_batch`] commits a batch: `Ok` carries
+    /// the first write's entry, and the i-th is
+    /// [`CommittedOp::later`]`(i)`.
     ///
     /// The read needs no round of its own. Every replier to the write's
     /// poll is wedged on its ticket until the COMMIT or a release
@@ -1663,15 +1669,16 @@ impl<T: Clone, X: Transport<T>> Cluster<T, X> {
     pub fn update(
         &mut self,
         origin: SiteId,
+        count: u64,
         build: impl FnOnce(&T, Option<u64>) -> Option<T>,
     ) -> Result<Option<CommittedOp>, AccessError> {
         if self.rule.static_majority {
             let current = self.read(origin)?;
             return build(&current, None)
-                .map(|next| self.write_value(origin, 1, next))
+                .map(|next| self.write_value(origin, count, next))
                 .transpose();
         }
-        self.write_round(origin, 1, |this, round| {
+        self.write_round(origin, count, |this, round| {
             let (current, served_version) = this.fetch_current(AccessKind::Write, round)?;
             let next = build(&current, Some(served_version));
             if next.is_some() {
@@ -2194,7 +2201,7 @@ mod tests {
             c.repair_site(SiteId::new(0));
             c.set_stale_read_fault(armed);
             let committed = c
-                .update(SiteId::new(0), |current, _| Some(format!("{current}+")))
+                .update(SiteId::new(0), 1, |current, _| Some(format!("{current}+")))
                 .unwrap()
                 .expect("the build wrote");
             assert_eq!(committed.version, 3);

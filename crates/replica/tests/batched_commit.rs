@@ -468,7 +468,7 @@ fn with_puts(map: &KeyedMap, puts: &[(&str, u64)]) -> KeyedMap {
 /// committed — one round.
 fn keyed_write<X: Transport<KeyedMap>>(cluster: &mut Cluster<KeyedMap, X>, puts: &[(&str, u64)]) {
     let committed = cluster
-        .update(origin(), |map, _| Some(with_puts(map, puts)))
+        .update(origin(), 1, |map, _| Some(with_puts(map, puts)))
         .expect("keyed write granted");
     assert!(committed.is_some(), "the build never declines");
 }
@@ -613,8 +613,10 @@ fn an_update_is_a_quorum_read_and_a_write_minus_one_round() {
             let at = SiteId::new(round % 3);
             let held = updated.state_at(at).version;
             let mut told = None;
+            // One version per put, as a batch of serial puts makes.
+            let count = puts.len() as u64;
             let committed = updated
-                .update(at, |map, base| {
+                .update(at, count, |map, base| {
                     told = Some(base);
                     Some(with_puts(map, puts))
                 })
@@ -626,11 +628,14 @@ fn an_update_is_a_quorum_read_and_a_write_minus_one_round() {
                 Some(pinned),
                 "{protocol:?}: the version build is told"
             );
-            assert_eq!(Some(&committed), updated.history().last());
+            assert_eq!(Some(&committed.later(count - 1)), updated.history().last());
             assert_eq!(committed.version, held + 1);
 
             let map = serial.read(at).expect("read granted");
-            let results = serial.write_batch(at, vec![with_puts(&map, puts)]);
+            let values = (1..=puts.len())
+                .map(|n| with_puts(&map, &puts[..n]))
+                .collect();
+            let results = serial.write_batch(at, values);
             assert!(results.iter().all(Result::is_ok), "{results:?}");
 
             let read_commits = if protocol == Protocol::Mcv {
@@ -956,7 +961,7 @@ fn mcv_reads_refusals_lost_commits_updates_batches_and_recoveries_are_pinned() {
     // An update is a quorum read, then a write: two polls.
     let (mut cluster, events) = recording_cluster(Protocol::Mcv, 5u64);
     let (updated, journal) = journaled(&mut cluster, &events, |c| {
-        c.update(origin(), |current, base| {
+        c.update(origin(), 1, |current, base| {
             assert_eq!(base, None, "no version is pinned");
             Some(current + 1)
         })
@@ -1027,7 +1032,7 @@ fn mcv_never_moves_an_operation_number_or_a_partition_set() {
                 let _ = cluster.read(at);
             }
             4 => {
-                let _ = cluster.update(at, |value, _| Some(value + 1));
+                let _ = cluster.update(at, 1, |value, _| Some(value + 1));
             }
             5 => {
                 let _ = cluster.write_batch(at, vec![step as u64; 2]);
@@ -1158,7 +1163,7 @@ fn a_stale_coordinator_fetches_the_copy_inside_the_vote() {
 
         let mut told = None;
         let committed = cluster
-            .update(origin(), |map, base| {
+            .update(origin(), 1, |map, base| {
                 told = base;
                 assert_eq!(map.get("missed"), Some(&1), "built on the stale copy");
                 Some(with_puts(map, &[("k", 2)]))
@@ -1221,7 +1226,7 @@ fn updates_under_drop_and_dup_faults_are_all_or_nothing_and_release_their_votes(
             FaultRule::once(MessageClass::Commit, SiteId::new(peer), FaultAction::Drop).times(16),
         );
     }
-    let lost = cluster.update(origin(), |map, _| Some(with_puts(map, &[("k", 1)])));
+    let lost = cluster.update(origin(), 1, |map, _| Some(with_puts(map, &[("k", 1)])));
     match lost {
         Err(AccessError::Indeterminate {
             applied, missing, ..
@@ -1251,7 +1256,9 @@ fn updates_under_drop_and_dup_faults_are_all_or_nothing_and_release_their_votes(
     cluster.inject_fault(
         FaultRule::once(MessageClass::CopyRequest, SiteId::new(1), FaultAction::Drop).times(16),
     );
-    let starved = cluster.update(origin(), |_, _| panic!("no value was fetched to build on"));
+    let starved = cluster.update(origin(), 1, |_, _| {
+        panic!("no value was fetched to build on")
+    });
     assert!(
         matches!(
             starved,
@@ -1264,7 +1271,7 @@ fn updates_under_drop_and_dup_faults_are_all_or_nothing_and_release_their_votes(
     );
     // A build that declines: granted, nothing written.
     cluster.clear_message_faults();
-    let declined = cluster.update(origin(), |_, _| None);
+    let declined = cluster.update(origin(), 1, |_, _| None);
     assert_eq!(declined, Ok(None));
     let after: Vec<_> = (0..3)
         .map(|site| cluster.state_at(SiteId::new(site)))
