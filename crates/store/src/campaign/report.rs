@@ -119,7 +119,8 @@ pub fn render(
          \"answered_ratio\": {answered_ratio:.4},\n    \"latency_ms\": {{\n      \
          \"p50\": {p50},\n      \"p90\": {p90},\n      \"p99\": {p99},\n      \
          \"max\": {max}\n    }}\n  }},\n  \"unavailable_reasons\": {{\n{reasons}\n  }},\n  \
-         \"monitor\": {{\n    \"polls\": {polls},\n    \"violations\": {nviol}\n  }},\n  \
+         \"monitor\": {{\n    \"polls\": {polls},\n    \"delta_installs\": {deltas},\n    \
+         \"violations\": {nviol}\n  }},\n  \
          \"violations\": [\n{viol}\n  ],\n  \"result\": {result}\n}}\n",
         seed = schedule.seed,
         sites = schedule.sites,
@@ -141,6 +142,7 @@ pub fn render(
         max = ms(max),
         reasons = reason_fields.join(",\n"),
         polls = monitor.polls,
+        deltas = monitor.delta_installs,
         nviol = violations.len(),
         viol = violation_items.join(",\n"),
         result = json_string(if violations.is_empty() {
@@ -192,8 +194,12 @@ mod tests {
                 latency: Duration::from_millis(200),
             },
         ];
-        let monitor = MonitorReport::default();
+        let monitor = MonitorReport {
+            delta_installs: 7,
+            ..MonitorReport::default()
+        };
         let text = render(&schedule, "flat", "odv", &records, &monitor, &[]);
+        assert!(text.contains("\"delta_installs\": 7"), "{text}");
         assert!(text.contains("\"ops\": 3"), "{text}");
         assert!(text.contains("\"granted\": 1"), "{text}");
         assert!(text.contains("\"timed_out\": 1"), "{text}");

@@ -1,7 +1,9 @@
 //! The concurrent client workload: while the nemesis swings, client
-//! threads keep issuing reads and writes over one pipelined
-//! [`Connection`] per site — the tagged session path real load uses —
-//! reissuing when a stream dies under a request
+//! threads keep issuing reads and writes of the file key
+//! ([`FILE_KEY`](crate::wire::FILE_KEY)) at random sites over one
+//! pipelined [`Connection`] per site — keyed frames in a shard
+//! envelope on the tagged session path real load uses, so every write
+//! is a delta commit — reissuing when a stream dies under a request
 //! (`call_until_answered`). Every operation resolves within its
 //! deadline, by construction, and every resolution is classified.
 //!
@@ -19,6 +21,7 @@ use dynvote_sim::SimRng;
 
 use crate::client::{ClientError, Deadline, Outcome};
 use crate::conn::{ConnOptions, Connection};
+use crate::server::BOOT_EPOCH;
 use crate::wire::{Frame, UnavailableReason};
 
 /// How one operation resolved. Every issued operation gets exactly one
@@ -184,13 +187,12 @@ fn client_loop(
         } else {
             None
         };
+        // The fleet's map is the one it booted with: nothing installs
+        // another.
         let frame = match token {
-            Some(n) => Frame::Put {
-                value: format!("w{n}").into_bytes(),
-            },
-            None => Frame::Get,
-        }
-        .for_shard(0);
+            Some(n) => Frame::put_file(BOOT_EPOCH, 0, format!("w{n}").into_bytes()),
+            None => Frame::get_file(BOOT_EPOCH, 0),
+        };
         let at = started.elapsed();
         let issued = Instant::now();
         let answer =
@@ -213,7 +215,7 @@ fn client_loop(
             Ok(Outcome::Report(_)) => OpResult::Protocol("report to a data op".to_string()),
             Ok(Outcome::ShardMap(_)) => OpResult::Protocol("shard map to a data op".to_string()),
             Ok(Outcome::Stale { epoch }) => {
-                OpResult::Protocol(format!("stale-map (epoch {epoch}) to a raw op"))
+                OpResult::Protocol(format!("stale-map (epoch {epoch}) under the boot map"))
             }
             Err(ClientError::Timeout { .. }) => OpResult::TimedOut,
             // call_until_answered only surfaces Timeout or Protocol;

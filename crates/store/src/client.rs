@@ -315,7 +315,7 @@ mod tests {
     fn unreachable_daemon_resolves_fast_and_typed() {
         let addr = dead_addr();
         let started = Instant::now();
-        let result = request_deadline(&addr, &Frame::Get, Duration::from_secs(5));
+        let result = request_deadline(&addr, &Frame::get_file(1, 0), Duration::from_secs(5));
         assert!(
             matches!(result, Err(ClientError::Unreachable { .. })),
             "expected Unreachable, got {result:?}"
@@ -333,7 +333,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let hold = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
         let started = Instant::now();
-        let result = request_deadline(&addr, &Frame::Get, Duration::from_millis(300));
+        let result = request_deadline(&addr, &Frame::get_file(1, 0), Duration::from_millis(300));
         let elapsed = started.elapsed();
         assert!(
             matches!(result, Err(ClientError::Timeout { .. })),
@@ -398,7 +398,7 @@ mod tests {
             detail: "x".repeat(64),
         });
         let started = Instant::now();
-        let result = request_deadline(&addr, &Frame::Get, budget);
+        let result = request_deadline(&addr, &Frame::get_file(1, 0), budget);
         assert_released(result.map(drop), started.elapsed());
 
         let (coordinator, wedged) = (SiteId::new(0), SiteId::new(1));

@@ -450,7 +450,7 @@ mod tests {
         let conn = Connection::new(&addr, ConnOptions::default());
         let deadline = Deadline::within(Duration::from_secs(5));
         let pendings: Vec<Pending> = (0..6)
-            .map(|_| conn.submit(&Frame::Get, &deadline).unwrap())
+            .map(|_| conn.submit(&Frame::get_file(1, 0), &deadline).unwrap())
             .collect();
         for pending in &pendings {
             let outcome = conn.wait(pending, &deadline).unwrap();
@@ -481,12 +481,17 @@ mod tests {
         });
         let conn = Connection::new(&addr, ConnOptions::default());
         let starved_deadline = Deadline::within(Duration::from_millis(400));
-        let starved = conn.submit(&Frame::Get, &starved_deadline).unwrap();
+        let starved = conn
+            .submit(&Frame::get_file(1, 0), &starved_deadline)
+            .unwrap();
         assert_eq!(starved.id(), 1);
         // Background chatter: keep replies arriving during the wait.
         let chatter_deadline = Deadline::within(Duration::from_secs(5));
         let chatter: Vec<Pending> = (0..4)
-            .map(|_| conn.submit(&Frame::Get, &chatter_deadline).unwrap())
+            .map(|_| {
+                conn.submit(&Frame::get_file(1, 0), &chatter_deadline)
+                    .unwrap()
+            })
             .collect();
         for pending in &chatter {
             conn.wait(pending, &chatter_deadline).unwrap();
@@ -534,14 +539,14 @@ mod tests {
         });
         let conn = Connection::new(&addr, ConnOptions::default());
         let deadline = Deadline::within(Duration::from_secs(5));
-        let doomed = conn.submit(&Frame::Get, &deadline).unwrap();
+        let doomed = conn.submit(&Frame::get_file(1, 0), &deadline).unwrap();
         let result = conn.wait(&doomed, &deadline);
         assert!(
             matches!(result, Err(ClientError::Unreachable { .. })),
             "a request on a dead stream must fail typed, got {result:?}"
         );
         // The connection heals itself on the next call.
-        let outcome = conn.call(&Frame::Get, &deadline).unwrap();
+        let outcome = conn.call(&Frame::get_file(1, 0), &deadline).unwrap();
         assert_eq!(outcome, Outcome::Done("recovered".into()));
     }
 }

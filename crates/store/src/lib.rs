@@ -48,14 +48,17 @@
 //! use std::time::Duration;
 //! use dynvote_store::config::Config;
 //! use dynvote_store::client::request;
+//! use dynvote_store::server::BOOT_EPOCH;
 //! use dynvote_store::wire::Frame;
 //!
 //! let args = "--site 0 --policy odv --peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102";
 //! let config = Config::parse_args(args.split_whitespace().map(str::to_string)).unwrap();
 //! let daemon = dynvote_store::server::start(config).unwrap();
+//! // The paper's one file is one key of shard 0's map, written here at
+//! // the site the frame is sent to.
 //! let outcome = request(
 //!     &daemon.addr().to_string(),
-//!     &Frame::Put { value: b"hello".to_vec() }.for_shard(0),
+//!     &Frame::put_file(BOOT_EPOCH, 0, b"hello".to_vec()),
 //!     Duration::from_secs(2),
 //! ).unwrap();
 //! assert!(outcome.granted());

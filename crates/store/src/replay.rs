@@ -21,11 +21,15 @@
 //!   uses), by denying every cross-group pair.
 //! * `repair s` / `heal` — recomputed connectivity, below.
 //! * `recover s` — `RECOVER` at `s` (Figure 3/7).
-//! * `read s` / `write s` — `GET`/`PUT` at `s`; writes carry a
-//!   monotone token so divergent histories are visible in the values.
+//! * `read s` / `write s` — a `GetKey`/`PutKey` of the file key at
+//!   `s`; writes carry a monotone token so divergent histories are
+//!   visible in the values, and a read before the first write reports
+//!   the key absent.
 //!
-//! The checker's one replicated file is shard 0 of the fleet's
-//! one-group map (daemons started without `--shards`).
+//! The checker's one replicated file is the file key
+//! ([`FILE_KEY`](crate::wire::FILE_KEY)) of shard 0 of the fleet's
+//! one-group map (daemons started without `--shards`), addressed to the
+//! site the event names.
 //!
 //! After every topology event the driver *reconciles* its link fabric
 //! (`Fabric`, which the nemesis campaign drives too): it derives the
@@ -276,6 +280,7 @@ pub fn run_with(
     );
     // Start from a known-clean fabric.
     fabric.reconcile()?;
+    let epoch = crate::router::fetch_map(fabric.addr_of(0)?, timeout)?.epoch;
     let mut steps = Vec::new();
     let mut write_token = 0u64;
     for event in &trace.events {
@@ -313,12 +318,12 @@ pub fn run_with(
                 describe(&fabric.send(site.index(), &Frame::Recover.for_shard(0))?)
             }
             CheckEvent::Read(site) => {
-                describe(&fabric.send(site.index(), &Frame::Get.for_shard(0))?)
+                describe(&fabric.send(site.index(), &Frame::get_file(epoch, 0))?)
             }
             CheckEvent::Write(site) => {
                 write_token += 1;
                 let value = format!("w{write_token}").into_bytes();
-                describe(&fabric.send(site.index(), &Frame::Put { value }.for_shard(0))?)
+                describe(&fabric.send(site.index(), &Frame::put_file(epoch, 0, value))?)
             }
         };
         steps.push(ReplayStep {

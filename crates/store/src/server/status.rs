@@ -127,6 +127,10 @@ pub(super) fn status_text(daemon: &Arc<Daemon>, cluster: &StoreCluster) -> Strin
         "batch.max",
         daemon.batch_max.load(Ordering::Relaxed).to_string(),
     );
+    line(
+        "delta.installed",
+        daemon.delta_installs.load(Ordering::Relaxed).to_string(),
+    );
     match &daemon.store {
         Some(store) => {
             let store = store.lock().expect("site store poisoned");

@@ -10,9 +10,10 @@
 //!   `--crash-after-wal-append` the daemon aborts between the WAL
 //!   fsync and the client ack, the client sees a failure — and the
 //!   restarted daemon still serves the write, proving the ack point
-//!   sits strictly after stable storage — for a raw put's full commit
-//!   record and for a keyed batch, whose record is a delta that only
-//!   means something on top of the records before it;
+//!   sits strictly after stable storage — for a put of the file under
+//!   MCV, whose record is the whole image, and for a keyed batch under
+//!   ODV, whose record is a delta that only means something on top of
+//!   the records before it;
 //! * a large image defers its snapshot until the log has grown as
 //!   large, so a kill can leave over a thousand delta records to
 //!   replay — and the restart serves every one of them;
@@ -32,6 +33,7 @@ use std::time::{Duration, Instant};
 use dynvote_replica::disk::inject_garbage_tail;
 use dynvote_replica::wal::{shard_dir, WAL_FILE};
 use dynvote_store::client::{request, Outcome};
+use dynvote_store::server::BOOT_EPOCH;
 use dynvote_store::wire::{read_frame, write_frame, Frame};
 use dynvote_types::SiteId;
 
@@ -128,19 +130,17 @@ fn wait_status(target: &str) {
     }
 }
 
+/// A write of the file, served at the site it is sent to.
+fn put_file(value: &str) -> Frame {
+    Frame::put_file(BOOT_EPOCH, 0, value.as_bytes().to_vec())
+}
+
 /// Retries a put until the cluster grants it (a freshly shrunk or
 /// freshly restarted cluster may refuse one round while views settle).
 fn put_granted(target: &str, value: &str) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if let Ok(Outcome::Done(_)) = request(
-            target,
-            &Frame::Put {
-                value: value.as_bytes().to_vec(),
-            }
-            .for_shard(0),
-            TIMEOUT,
-        ) {
+        if let Ok(Outcome::Done(_)) = request(target, &put_file(value), TIMEOUT) {
             return;
         }
         assert!(
@@ -156,7 +156,8 @@ fn put_granted(target: &str, value: &str) {
 fn wait_for_value(target: &str, expected: &str) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if let Ok(Outcome::Value { value, .. }) = request(target, &Frame::Get.for_shard(0), TIMEOUT)
+        if let Ok(Outcome::Value { value, .. }) =
+            request(target, &Frame::get_file(BOOT_EPOCH, 0), TIMEOUT)
         {
             if value == expected.as_bytes() {
                 return;
@@ -218,26 +219,21 @@ fn kill_nine_mid_workload_restarts_from_disk_and_recovers() {
 fn crash_between_wal_append_and_ack_still_durably_commits() {
     let ports = free_ports(1);
     let dir = scratch_dir("fsync-before-ack");
+    // MCV commits an update as the whole image, never as a delta.
+    let mcv = ["--policy", "mcv"];
     let mut fleet = Fleet {
         children: vec![Some(spawn_daemon(
             0,
             &ports,
             &dir,
-            &["--crash-after-wal-append"],
+            &["--policy", "mcv", "--crash-after-wal-append"],
         ))],
     };
     wait_status(&addr(&ports, 0));
 
     // The daemon fsyncs the commit, then aborts before acknowledging:
     // the client must NOT see a grant.
-    let outcome = request(
-        &addr(&ports, 0),
-        &Frame::Put {
-            value: b"precious".to_vec(),
-        }
-        .for_shard(0),
-        TIMEOUT,
-    );
+    let outcome = request(&addr(&ports, 0), &put_file("precious"), TIMEOUT);
     assert!(
         !matches!(outcome, Ok(Outcome::Done(_))),
         "crash hook fired before the ack, yet the put was acked: {outcome:?}"
@@ -247,7 +243,7 @@ fn crash_between_wal_append_and_ack_still_durably_commits() {
 
     // Restart without the hook: the unacknowledged write was already
     // on stable storage, so the restarted daemon serves it.
-    fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &[]));
+    fleet.children[0] = Some(spawn_daemon(0, &ports, &dir, &mcv));
     wait_status(&addr(&ports, 0));
     wait_for_value(&addr(&ports, 0), "precious");
 

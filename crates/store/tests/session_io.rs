@@ -16,7 +16,6 @@ use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use dynvote_control::{encode_kv, KvMap};
 use dynvote_store::client::{request, Deadline, Outcome};
 use dynvote_store::config::Config;
 use dynvote_store::conn::{ConnOptions, Connection};
@@ -86,12 +85,10 @@ fn get_key(key: &str) -> Frame {
     }
 }
 
-/// A raw put of the shard's whole image: a canonical KV image holding
-/// `k2`, so the keyed reads around it keep finding their key.
-fn put_image(k2: &[u8]) -> Frame {
-    let image = encode_kv(&[("k2".to_string(), k2.to_vec())].into());
-    assert!(KvMap::decode(&image).is_some(), "canonical");
-    Frame::Put { value: image }.for_shard(0)
+/// A put of `k2` in the shard's envelope, served at the site it is
+/// sent to: the keyed reads around it keep finding their key.
+fn enveloped_put(k2: &[u8]) -> Frame {
+    put_key("k2", k2.to_vec()).for_shard(0)
 }
 
 /// The shard daemon's `status` at `addr`, and how long it took.
@@ -120,15 +117,15 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
         std::thread::sleep(Duration::from_millis(1));
     }
     // Then sixty frames in one segment: admin frames answered inline
-    // between data frames — keyed, and raw in a shard envelope —
+    // between data frames — keyed, bare and in a shard envelope —
     // answered by the batch worker.
     let mut segment = Vec::new();
     for id in 2..=61u64 {
         let inner = match id % 5 {
             0 => Frame::Status,
             2 => put_key(&format!("k{id}"), id.to_be_bytes().to_vec()),
-            3 => Frame::Get.for_shard(0),
-            4 => put_image(&id.to_be_bytes()),
+            3 => get_key("k2").for_shard(0),
+            4 => enveloped_put(&id.to_be_bytes()),
             _ => get_key("k2"),
         };
         segment.extend_from_slice(&tagged(id, inner));
@@ -142,8 +139,8 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
                 let expected = match (id, id % 5) {
                     (1, _) | (_, 0) => matches!(*inner, Frame::Report { .. }),
                     (_, 2 | 4) => matches!(*inner, Frame::Done { .. }),
-                    // `k2` is the first put of the segment, and in
-                    // every image put after it.
+                    // `k2` is the first put of the segment, and every
+                    // enveloped put after it rewrites it.
                     _ => matches!(*inner, Frame::Value { .. }),
                 };
                 assert!(expected, "frame {id} answered with {inner:?}");
@@ -159,19 +156,19 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
     }
 }
 
-/// A raw op in a shard envelope is a data op like any other: tagged in,
-/// tagged out, at any site hosting the shard. (A tagged envelope used
+/// A keyed op in a shard envelope is a data op like any other: tagged
+/// in, tagged out, at any site hosting the shard. (A tagged envelope used
 /// to be answered with a bare frame, which a pipelined client takes for
 /// protocol confusion: it retired the stream with the request in
 /// flight.)
 #[test]
-fn tagged_raw_shard_ops_are_answered_tagged_and_the_stream_survives() {
+fn tagged_enveloped_ops_are_answered_tagged_and_the_stream_survives() {
     let (daemons, addrs) = boot(1_000);
     let deadline = Deadline::within(Duration::from_secs(10));
     let conn = Connection::new(&addrs[0], ConnOptions::default());
     let put = conn
-        .call(&put_image(b"first"), &deadline)
-        .expect("a tagged raw put is answered on its stream");
+        .call(&enveloped_put(b"first"), &deadline)
+        .expect("a tagged enveloped put is answered on its stream");
     assert!(matches!(put, Outcome::Done(_)), "{put:?}");
 
     // Sixteen in flight, puts and gets alternating: each reply finds
@@ -179,9 +176,9 @@ fn tagged_raw_shard_ops_are_answered_tagged_and_the_stream_survives() {
     let pending: Vec<_> = (0..16u8)
         .map(|i| {
             let frame = if i % 2 == 0 {
-                put_image(&[i])
+                enveloped_put(&[i])
             } else {
-                Frame::Get.for_shard(0)
+                get_key("k2").for_shard(0)
             };
             conn.submit(&frame, &deadline).expect("submit")
         })
@@ -191,8 +188,7 @@ fn tagged_raw_shard_ops_are_answered_tagged_and_the_stream_survives() {
         match outcome {
             Outcome::Done(_) if i % 2 == 0 => {}
             Outcome::Value { value, .. } if i % 2 == 1 => {
-                let image = KvMap::decode(&value).expect("the image a raw put stored");
-                assert_eq!(image.get("k2"), Some(&[(i - 1) as u8][..]));
+                assert_eq!(value, [(i - 1) as u8]);
             }
             other => panic!("request {i} answered with {other:?}"),
         }
@@ -203,9 +199,9 @@ fn tagged_raw_shard_ops_are_answered_tagged_and_the_stream_survives() {
     let status = conn.call(&Frame::Status, &deadline).expect("status");
     assert!(matches!(status, Outcome::Report(_)), "{status:?}");
 
-    // A raw put needs no coordinator funnel: any hosting site takes it.
+    // An enveloped put needs no coordinator: any hosting site takes it.
     let voter = Connection::new(&addrs[1], ConnOptions::default());
-    let put = voter.call(&put_image(b"at a voter"), &deadline);
+    let put = voter.call(&enveloped_put(b"at a voter"), &deadline);
     assert!(matches!(put, Ok(Outcome::Done(_))), "{put:?}");
     for daemon in daemons {
         daemon.stop();

@@ -199,28 +199,23 @@ fn shards_route_by_key_and_partition_independently() {
     // the left; shard 1 (placement [1,2,3]) keeps 2-of-3 on the right.
     fleet.partition(&[&[0, 1], &[2, 3]]);
 
-    // Shard 0's quorum lives on the left: a (shard-addressed, raw
-    // protocol) read is granted at S0 and refused at S2. A granted
-    // dynamic-voting read is itself an op — it shrinks shard 0's P to
-    // {0,1}. Raw `Put` is deliberately not used here: it would replace
-    // the shard's replicated KV image with a bare value.
-    assert!(
-        fleet.shard_req(0, 0, Frame::Get).granted(),
-        "shard 0 has quorum at S0"
-    );
-    assert!(
-        !fleet.shard_req(2, 0, Frame::Get).granted(),
-        "S2 is a 1-of-3 minority of shard 0"
-    );
+    // Shard 0's quorum lives on the left: a read in shard 0's
+    // envelope, served at the site it is sent to, is granted at S0 and
+    // refused at S2. A granted dynamic-voting read is itself an op — it
+    // shrinks shard 0's P to {0,1}.
+    let read_at = |site: usize, shard: u16, key: &str| {
+        let get = Frame::GetKey {
+            epoch: map.epoch,
+            shard,
+            key: key.to_string(),
+        };
+        fleet.shard_req(site, shard, get).granted()
+    };
+    assert!(read_at(0, 0, &k0), "shard 0 has quorum at S0");
+    assert!(!read_at(2, 0, &k0), "S2 is a 1-of-3 minority of shard 0");
     // Shard 1 is the mirror image: its quorum lives on the right.
-    assert!(
-        fleet.shard_req(2, 1, Frame::Get).granted(),
-        "shard 1 has quorum at S2"
-    );
-    assert!(
-        !fleet.shard_req(1, 1, Frame::Get).granted(),
-        "S1 is a 1-of-3 minority of shard 1"
-    );
+    assert!(read_at(2, 1, &k1), "shard 1 has quorum at S2");
+    assert!(!read_at(1, 1, &k1), "S1 is a 1-of-3 minority of shard 1");
 
     // The keyed (routed) paths agree: shard 0's coordinator S0 serves;
     // shard 1's coordinator S1 is quorumless, so the routed op comes

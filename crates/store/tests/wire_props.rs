@@ -81,8 +81,6 @@ fn all_frames(
             keep: SiteSet::from_bits(mask),
         },
         Frame::Abstain { ticket, from, to },
-        Frame::Put { value: blob },
-        Frame::Get,
         Frame::Recover,
         Frame::Status,
         Frame::Deny { site: from },
@@ -102,7 +100,10 @@ fn all_frames(
         // since the pipelined transport tags both directions.
         Frame::Tagged {
             id: ticket,
-            inner: Box::new(Frame::Put {
+            inner: Box::new(Frame::PutKey {
+                epoch: version,
+                shard: 0,
+                key: text.clone(),
                 value: text.clone().into_bytes(),
             }),
         },
@@ -139,6 +140,9 @@ fn all_frames(
             shard: (mask & 0xFFFF) as u16,
             inner: Box::new(Frame::Recover),
         },
+        // The paper's file: keyed frames in a shard envelope.
+        Frame::put_file(version, (mask >> 48) as u16, blob),
+        Frame::get_file(ticket, (mask >> 16 & 0xFFFF) as u16),
         Frame::Tagged {
             id: ticket.rotate_left(17),
             inner: Box::new(Frame::Shard {
@@ -273,7 +277,7 @@ proptest! {
     /// the attacker picks — the decoder recurses exactly one level.
     #[test]
     fn nested_tag_envelopes_are_rejected(outer in any::<u64>(), inner in any::<u64>()) {
-        let innermost = Frame::Get;
+        let innermost = Frame::Status;
         let tagged_once = Frame::Tagged { id: inner, inner: Box::new(innermost) };
         // Hand-build the double envelope: the encoder refuses to nest,
         // so splice the once-tagged body behind a second tag header.
@@ -290,7 +294,7 @@ proptest! {
     /// hand-built bytes the encoder would refuse to produce.
     #[test]
     fn nested_shard_envelopes_are_rejected(outer in any::<u16>(), inner in any::<u16>()) {
-        let sharded_once = Frame::Shard { shard: inner, inner: Box::new(Frame::Get) };
+        let sharded_once = Frame::Shard { shard: inner, inner: Box::new(Frame::Status) };
         let once = sharded_once.encode();
         let mut body = vec![0x31];
         body.extend_from_slice(&outer.to_be_bytes());
@@ -306,7 +310,8 @@ proptest! {
         id in any::<u64>(),
         blob in vec(any::<u8>(), 0..128),
     ) {
-        for plain in [Frame::Put { value: blob.clone() }, Frame::Get, Frame::Status] {
+        let put = Frame::PutKey { epoch: id, shard: 0, key: String::new(), value: blob.clone() };
+        for plain in [put, Frame::get_file(id, 0), Frame::Status] {
             let fast = plain.encode_tagged(id);
             let slow = Frame::Tagged { id, inner: Box::new(plain) }.encode();
             prop_assert_eq!(fast, slow);

@@ -19,8 +19,10 @@
 # works end to end from the CLI.
 #
 # The daemons here are started without `--shards`: one shard group on
-# all three nodes, which dynvote-ctl's put/get/recover address as
-# shard 0 (`--shard 0 status` is that group's ⟨o, v, P⟩ and durability
+# all three nodes. The paper's one file is the key `file` of that
+# group's map: `dynvote-ctl --shard 0 putk file V` / `getk file` write
+# and read it at the node they are sent to, and `recover` runs RECOVER
+# there (`--shard 0 status` is the group's ⟨o, v, P⟩ and durability
 # counters; a bare `status` is the node's own).
 #
 # With `--shards`, runs the *multi-shard* phase instead: 2 shard
@@ -81,7 +83,7 @@ start_node() {
     if [[ "$MODE" == "--shards" ]]; then
         role_flags="--shards 2 --shard-placement ring:3"
     else
-        role_flags="--value v0"
+        role_flags=""
     fi
     # shellcheck disable=SC2086 # role_flags is a deliberate word list
     "$STORED" --site "$site" --policy odv --peers "$PEERS" $role_flags \
@@ -148,7 +150,7 @@ expect_refused() {
 expect_value() {
     local what="$1" addr="$2" want="$3"
     local got
-    got="$("$CTL" --node "$addr" get 2>/dev/null)"
+    got="$("$CTL" --node "$addr" --shard 0 getk file 2>/dev/null)"
     if [[ "$got" != "$want" ]]; then
         echo "FAIL: $what: wanted $want, got $got" >&2
         exit 1
@@ -236,7 +238,7 @@ if [[ "$MODE" == "--shards" ]]; then
 fi
 
 # Healthy cluster: a write lands and replicates.
-expect_granted "initial put" "$CTL" --node "$A" put hello
+expect_granted "initial put" "$CTL" --node "$A" --shard 0 putk file hello
 expect_value "replicated read at node 2" "$C" hello
 
 # Cut node 2 off (both directions, like a dead link).
@@ -247,16 +249,16 @@ echo "== partitioning node 2 away"
 "$CTL" --node "$C" deny 1 >/dev/null
 
 # Majority keeps working; the minority must refuse everything.
-expect_granted "majority put during partition" "$CTL" --node "$A" put world
-expect_refused "minority put" "$CTL" --node "$C" put poison
-expect_refused "minority get" "$CTL" --node "$C" get
+expect_granted "majority put during partition" "$CTL" --node "$A" --shard 0 putk file world
+expect_refused "minority put" "$CTL" --node "$C" --shard 0 putk file poison
+expect_refused "minority get" "$CTL" --node "$C" --shard 0 getk file
 
 # Heal, reintegrate, converge.
 echo "== healing"
 for addr in "$A" "$B" "$C"; do
     "$CTL" --node "$addr" heal-links >/dev/null
 done
-expect_granted "recover at node 2" "$CTL" --node "$C" recover
+expect_granted "recover at node 2" "$CTL" --node "$C" --shard 0 recover
 for addr in "$A" "$B" "$C"; do
     expect_value "healed read at $addr" "$addr" world
 done
@@ -268,7 +270,7 @@ done
 echo "== kill -9 node 2 mid-write stream"
 (
     for i in $(seq 1 20); do
-        "$CTL" --node "$A" put "crash-$i" >/dev/null 2>&1 || true
+        "$CTL" --node "$A" --shard 0 putk file "crash-$i" >/dev/null 2>&1 || true
     done
 ) &
 WRITER=$!
@@ -277,7 +279,7 @@ sleep 0.2
 kill -9 "${PIDS[2]}"
 PIDS[2]=0
 wait "$WRITER"
-expect_granted "majority put with node 2 dead" "$CTL" --node "$A" put survivor
+expect_granted "majority put with node 2 dead" "$CTL" --node "$A" --shard 0 putk file survivor
 
 echo "== restarting node 2 from disk"
 start_node 2
@@ -296,7 +298,7 @@ for field in "durability.enabled=true" "durability.snapshot_seq=" \
     fi
 done
 echo "ok: restarted node 2 reports durability counters"
-expect_granted "recover at restarted node 2" "$CTL" --node "$C" recover
+expect_granted "recover at restarted node 2" "$CTL" --node "$C" --shard 0 recover
 for addr in "$A" "$B" "$C"; do
     expect_value "post-crash read at $addr" "$addr" survivor
 done
@@ -307,10 +309,10 @@ done
 # from `benchmark/run.sh`: `peak_ops_per_s` on `put_small`.)
 echo "== measuring $BENCH_OPS puts + $BENCH_OPS gets (pipeline $BENCH_PIPELINE, one connection each)"
 start_ns=$(date +%s%N)
-"$CTL" --node "$A" put bench --repeat "$BENCH_OPS" --pipeline "$BENCH_PIPELINE" >/dev/null
+"$CTL" --node "$A" --shard 0 putk file bench --repeat "$BENCH_OPS" --pipeline "$BENCH_PIPELINE" >/dev/null
 put_ns=$(( $(date +%s%N) - start_ns ))
 start_ns=$(date +%s%N)
-"$CTL" --node "$B" get --repeat "$BENCH_OPS" --pipeline "$BENCH_PIPELINE" >/dev/null
+"$CTL" --node "$B" --shard 0 getk file --repeat "$BENCH_OPS" --pipeline "$BENCH_PIPELINE" >/dev/null
 get_ns=$(( $(date +%s%N) - start_ns ))
 
 awk -v ops="$BENCH_OPS" -v depth="$BENCH_PIPELINE" -v put_ns="$put_ns" -v get_ns="$get_ns" 'BEGIN {
