@@ -19,7 +19,7 @@ fn main() {
             eprintln!(
                 "usage: dynvote-stored --site N --policy P --peers 0=addr,1=addr,… \
                  [--shards N] [--shard-placement ring:R|paper] [--segments name=i,j;…] [--bridges gw=name;…] \
-                 [--value bytes] [--log file] [--data-dir dir] [--snapshot-every N] \
+                 [--log file] [--data-dir dir] [--snapshot-every N] \
                  [--boot-recover-ms N] [--bind-retry-ms N] [--connect-timeout-ms N] \
                  [--read-timeout-ms N] [--backoff-ms N] [--backoff-cap-ms N]"
             );

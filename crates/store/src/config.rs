@@ -10,7 +10,7 @@
 //!     [--segments main=0,1,2,3,4;second=5;third=6,7] \
 //!     [--bridges 3=second;4=third] \
 //!     [--shards 4 --shard-placement ring:3] \
-//!     [--value hello] [--log /path/to/node.log] \
+//!     [--log /path/to/node.log] \
 //!     [--data-dir /var/lib/dynvote/node0] [--snapshot-every 64] \
 //!     [--boot-recover-ms 5000] [--bind-retry-ms 0] \
 //!     [--connect-timeout-ms 500] [--read-timeout-ms 2000] \
@@ -27,8 +27,9 @@
 //! the lingering-socket window a `kill -9` leaves behind.
 //!
 //! Every daemon is the sharded service. Without `--shards` its boot map
-//! is one shard group placed on every site in `--peers` — the paper's
-//! single replicated file — and `--value` is a group's initial image.
+//! is one shard group placed on every site in `--peers`, whose map
+//! holds the paper's single replicated file under one key. Every
+//! group's map is empty at boot.
 //! Every site holds a full copy: witnesses are exercised in
 //! `dynvote-core`, `dynvote-replica` and the `witness_study` bin, not
 //! by the daemon.
@@ -61,9 +62,6 @@ pub struct Config {
     pub segments: Vec<(String, Vec<usize>)>,
     /// Gateway bridges: `(gateway site, segment name)`.
     pub bridges: Vec<(usize, String)>,
-    /// Every shard group's initial image (`--value`; empty = an empty
-    /// KV map).
-    pub initial: Vec<u8>,
     /// Optional log file (always also logs to stderr unless `quiet`).
     pub log: Option<String>,
     /// Suppress the stderr copy of the protocol log. The load driver
@@ -128,7 +126,6 @@ impl Config {
         let mut peers: Vec<(SiteId, String)> = Vec::new();
         let mut segments = Vec::new();
         let mut bridges = Vec::new();
-        let mut initial = Vec::new();
         let mut log = None;
         let mut quiet = false;
         let mut timeouts = TcpTimeouts::default();
@@ -186,7 +183,6 @@ impl Config {
                         ));
                     }
                 }
-                "--value" => initial = value("--value")?.into_bytes(),
                 "--log" => log = Some(value("--log")?),
                 "--quiet" => quiet = true,
                 "--data-dir" => data_dir = Some(value("--data-dir")?),
@@ -249,7 +245,6 @@ impl Config {
             peers,
             segments,
             bridges,
-            initial,
             log,
             quiet,
             timeouts,
