@@ -37,7 +37,8 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
-use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
+use std::io::{self, Read as _, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::Path;
 
 use dynvote_core::wire::{put_u32, put_u64};
@@ -104,6 +105,8 @@ impl fmt::Display for WalTail {
 }
 
 /// An append-only log of checksummed records in preallocated space.
+/// Every write names its offset (`pwrite`), so no file cursor is kept
+/// or moved.
 #[derive(Debug)]
 pub struct LogFile {
     file: File,
@@ -193,8 +196,7 @@ impl LogFile {
         let mut record = Vec::with_capacity(body.len() + 12);
         frame(&mut record, body);
         self.reserve(record.len() as u64)?;
-        self.file.seek(SeekFrom::Start(self.end))?;
-        self.file.write_all(&record)?;
+        self.file.write_all_at(&record, self.end)?;
         if sync {
             self.file.sync_data()?;
         }
@@ -216,12 +218,11 @@ impl LogFile {
             allocated += step;
             step = (step * 2).min(MAX_STEP);
         }
-        self.file.seek(SeekFrom::Start(self.allocated))?;
         let zeros = [0u8; FILL_CHUNK];
         let mut at = self.allocated;
         while at < allocated {
             let chunk = (allocated - at).min(FILL_CHUNK as u64);
-            self.file.write_all(&zeros[..chunk as usize])?;
+            self.file.write_all_at(&zeros[..chunk as usize], at)?;
             at += chunk;
         }
         self.file.sync_all()?;
@@ -378,9 +379,10 @@ pub fn inject_torn_tail(path: &Path, drop_bytes: u64) -> io::Result<()> {
 /// Opening, reading or writing the file failed.
 pub fn inject_garbage_tail(path: &Path, garbage: &[u8]) -> io::Result<()> {
     let end = logical_len(path)?;
-    let mut file = OpenOptions::new().write(true).open(path)?;
-    file.seek(SeekFrom::Start(end))?;
-    file.write_all(garbage)
+    OpenOptions::new()
+        .write(true)
+        .open(path)?
+        .write_all_at(garbage, end)
 }
 
 /// Flips every bit of the byte at `offset` in the file at `path` — the
@@ -391,13 +393,11 @@ pub fn inject_garbage_tail(path: &Path, garbage: &[u8]) -> io::Result<()> {
 /// Opening, reading, or rewriting the byte failed (including an
 /// `offset` past the end of the file).
 pub fn inject_flip_byte(path: &Path, offset: u64) -> io::Result<()> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
+    let file = OpenOptions::new().read(true).write(true).open(path)?;
     let mut byte = [0u8; 1];
-    file.read_exact(&mut byte)?;
+    file.read_exact_at(&mut byte, offset)?;
     byte[0] ^= 0xFF;
-    file.seek(SeekFrom::Start(offset))?;
-    file.write_all(&byte)?;
+    file.write_all_at(&byte, offset)?;
     file.sync_data()
 }
 
