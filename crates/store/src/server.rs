@@ -535,7 +535,9 @@ fn boot_daemon(
     });
     // A successor daemon inherits the retired incarnation's in-process
     // state — at least as fresh as the disk image restored above, and
-    // the only copy in the in-memory mode.
+    // the only copy in the in-memory mode. A handoff is not a restart:
+    // the state it installs is live, so there is nothing to catch up on.
+    let handoff = override_state.is_some();
     if let Some((state, value, pending)) = override_state {
         let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
         cluster.install_durable_state(daemon.local, state, Some(value), pending);
@@ -559,7 +561,7 @@ fn boot_daemon(
     // A site restarted from disk holds pre-crash state that may be
     // stale; catch up from the majority partition in the background
     // (serving is already safe — quorum logic refuses what it must).
-    if restored_from_disk && !config.boot_recover.is_zero() {
+    if restored_from_disk && !handoff && !config.boot_recover.is_zero() {
         let recover_daemon = Arc::clone(&daemon);
         let recover_shutdown = Arc::clone(shutdown);
         let window = config.boot_recover;

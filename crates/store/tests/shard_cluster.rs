@@ -32,11 +32,18 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 struct Fleet {
     daemons: Vec<ServiceHandle>,
     addrs: Vec<String>,
+    data_root: std::path::PathBuf,
 }
 
 impl Fleet {
     /// Boots `sites` sharded daemons on ephemeral loopback ports.
     fn boot(sites: usize, shards: usize, placement: &str) -> Fleet {
+        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let data_root = std::env::temp_dir().join(format!(
+            "dynvote-shard-cluster-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
         let listeners: Vec<TcpListener> = (0..sites)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
             .collect();
@@ -56,16 +63,21 @@ impl Fleet {
             .map(|(site, listener)| {
                 let line = format!(
                     "--site {site} --policy odv --peers {peers} \
-                     --shards {shards} --shard-placement {placement} \
+                     --shards {shards} --shard-placement {placement} --data-dir {} \
                      --connect-timeout-ms 250 --read-timeout-ms 2000 \
-                     --backoff-ms 10 --backoff-cap-ms 100"
+                     --backoff-ms 10 --backoff-cap-ms 100",
+                    data_root.join(format!("site{site}")).display()
                 );
                 let config = Config::parse_args(line.split_whitespace().map(str::to_string))
                     .expect("test config parses");
                 start_on(config, listener).expect("daemon starts")
             })
             .collect();
-        Fleet { daemons, addrs }
+        Fleet {
+            daemons,
+            addrs,
+            data_root,
+        }
     }
 
     fn req(&self, site: usize, frame: &Frame) -> Outcome {
@@ -79,16 +91,12 @@ impl Fleet {
     }
 
     fn status(&self, site: usize) -> BTreeMap<String, String> {
-        match self.req(site, &Frame::Status) {
-            Outcome::Report(text) => text
-                .lines()
-                .filter_map(|line| {
-                    line.split_once('=')
-                        .map(|(k, v)| (k.to_string(), v.to_string()))
-                })
-                .collect(),
-            other => panic!("expected a status report from S{site}, got {other:?}"),
-        }
+        report(self.req(site, &Frame::Status), site)
+    }
+
+    /// One shard group's status at `site`.
+    fn shard_status(&self, site: usize, shard: u16) -> BTreeMap<String, String> {
+        report(self.shard_req(site, shard, Frame::Status), site)
     }
 
     /// Cuts the fleet into groups at the link level (peer traffic only
@@ -134,6 +142,21 @@ impl Fleet {
         for daemon in self.daemons {
             daemon.stop();
         }
+        std::fs::remove_dir_all(&self.data_root).ok();
+    }
+}
+
+/// A status body as `key → value`.
+fn report(outcome: Outcome, site: usize) -> BTreeMap<String, String> {
+    match outcome {
+        Outcome::Report(text) => text
+            .lines()
+            .filter_map(|line| {
+                line.split_once('=')
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+            })
+            .collect(),
+        other => panic!("expected a status report from S{site}, got {other:?}"),
     }
 }
 
@@ -306,6 +329,18 @@ fn clients_ride_through_a_rebalance_with_zero_failures() {
     );
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let (committed, failures, stale_retries) = writer.join().expect("writer thread");
+
+    // A handoff is not a restart: the successors at the old placement
+    // installed their predecessors' live state, so none of them ran a
+    // boot RECOVER against the writer.
+    for site in 0..3 {
+        let status = fleet.shard_status(site, 0);
+        assert_eq!(
+            (&status["recovers_ok"][..], &status["recovers_refused"][..]),
+            ("0", "0"),
+            "shard 0's successor at S{site} ran RECOVER after the handoff"
+        );
+    }
 
     assert!(
         failures.is_empty(),
