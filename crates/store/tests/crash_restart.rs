@@ -203,7 +203,10 @@ fn kill_nine_mid_workload_restarts_from_disk_and_recovers() {
 
     // The restarted node reports its durability counters.
     let report = shard_status(&addr(&ports, 2));
-    assert_eq!(report["durability.enabled"], "true", "{report:?}");
+    assert!(
+        report["durability.wal_records"].parse::<u64>().is_ok(),
+        "{report:?}"
+    );
     assert_eq!(
         report["durability.last_fsync"], "ok",
         "restarted node must have fsync'd since boot: {report:?}"

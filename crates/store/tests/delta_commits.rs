@@ -22,89 +22,46 @@
 //!   delta: it fetches the current map inside its write's vote and
 //!   builds on the version its participants voted with.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use common::{Fleet, TIMEOUT};
 
 use dynvote_control::{decode_kv, fold_image, KvPuts};
 use dynvote_core::state::ReplicaState;
 use dynvote_replica::wal::{shard_dir, SiteStore, Wal, WalRecord, WAL_FILE};
-use dynvote_store::client::{request, Deadline, Outcome};
+use dynvote_store::client::{Deadline, Outcome};
 use dynvote_store::config::Config;
 use dynvote_store::conn::{ConnOptions, Connection};
-use dynvote_store::server::{start_on, ServiceHandle};
+use dynvote_store::server::start_on;
 use dynvote_store::wire::{read_frame, write_frame, Frame};
 use dynvote_types::{SiteId, SiteSet};
 
-const TIMEOUT: Duration = Duration::from_secs(10);
 const SITES: usize = 3;
 
-struct Fleet {
-    daemons: Vec<ServiceHandle>,
-    addrs: Vec<String>,
-    data_root: PathBuf,
+/// Three durable daemons, one shard placed on all of them; site 0
+/// coordinates it.
+fn boot() -> Fleet {
+    boot_snapshotting(5)
+}
+
+/// [`boot`] with a snapshot every `snapshot_every` records — large, for
+/// a test that reads the records back from the log.
+fn boot_snapshotting(snapshot_every: u64) -> Fleet {
+    Fleet::boot(
+        SITES,
+        &format!(
+            "--policy odv --quiet --shards 1 --shard-placement ring:{SITES} \
+             --snapshot-every {snapshot_every}"
+        ),
+    )
 }
 
 impl Fleet {
-    /// Three durable daemons, one shard placed on all of them; site 0
-    /// coordinates it.
-    fn boot(tag: &str) -> Fleet {
-        Fleet::boot_snapshotting(tag, 5)
-    }
-
-    /// [`Fleet::boot`] with a snapshot every `snapshot_every` records —
-    /// large, for a test that reads the records back from the log.
-    fn boot_snapshotting(tag: &str, snapshot_every: u64) -> Fleet {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let data_root = std::env::temp_dir().join(format!(
-            "dynvote-delta-{tag}-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let listeners: Vec<TcpListener> = (0..SITES)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-            .collect();
-        let addrs: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("bound").to_string())
-            .collect();
-        let peers: Vec<String> = addrs
-            .iter()
-            .enumerate()
-            .map(|(site, addr)| format!("{site}={addr}"))
-            .collect();
-        let peers = peers.join(",");
-        let daemons = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(site, listener)| {
-                let line = format!(
-                    "--site {site} --policy odv --peers {peers} --quiet \
-                     --shards 1 --shard-placement ring:{SITES} \
-                     --data-dir {} --snapshot-every {snapshot_every} \
-                     --connect-timeout-ms 250 --read-timeout-ms 2000 \
-                     --backoff-ms 10 --backoff-cap-ms 100",
-                    data_root.join(format!("site{site}")).display()
-                );
-                let config = Config::parse_args(line.split_whitespace().map(str::to_string))
-                    .expect("test config parses");
-                start_on(config, listener).expect("daemon starts")
-            })
-            .collect();
-        Fleet {
-            daemons,
-            addrs,
-            data_root,
-        }
-    }
-
-    fn req(&self, site: usize, frame: &Frame) -> Outcome {
-        request(&self.addrs[site], frame, TIMEOUT).expect("daemon reachable")
-    }
-
     /// A frame for the shard's daemon at `site`.
     fn shard_req(&self, site: usize, inner: Frame) -> Outcome {
         self.req(
@@ -236,39 +193,31 @@ impl Fleet {
 
     /// Stops the daemons and reads back each site's log for the shard,
     /// record by record.
-    fn stop_and_read_logs(self) -> Vec<Vec<WalRecord>> {
-        for daemon in self.daemons {
-            daemon.stop();
-        }
-        let logs = (0..SITES)
+    fn stop_and_read_logs(mut self) -> Vec<Vec<WalRecord>> {
+        self.stop_daemons();
+        (0..SITES)
             .map(|site| {
-                let dir = shard_dir(&self.data_root.join(format!("site{site}")), 0);
+                let dir = shard_dir(&self.data_dir(site), 0);
                 let (_, replay) = Wal::open(&dir.join(WAL_FILE)).expect("log reopens");
                 replay.entries.into_iter().map(|e| e.record).collect()
             })
-            .collect();
-        std::fs::remove_dir_all(&self.data_root).ok();
-        logs
+            .collect()
     }
 
     /// Stops the daemons and reads back what each site's disk holds for
     /// the shard: its durable ⟨o, v, P⟩ and image, folded from its own
     /// snapshot and WAL.
-    fn stop_and_read_disks(self) -> Vec<(ReplicaState, Vec<u8>)> {
-        for daemon in self.daemons {
-            daemon.stop();
-        }
-        let disks = (0..SITES)
+    fn stop_and_read_disks(mut self) -> Vec<(ReplicaState, Vec<u8>)> {
+        self.stop_daemons();
+        (0..SITES)
             .map(|site| {
-                let dir = shard_dir(&self.data_root.join(format!("site{site}")), 0);
+                let dir = shard_dir(&self.data_dir(site), 0);
                 let (_, restored) =
                     SiteStore::open_with_fold(&dir, 0, fold_image).expect("site store reopens");
                 let image = restored.image.expect("a seeded store");
                 (image.state, image.value.expect("a copy holds data"))
             })
-            .collect();
-        std::fs::remove_dir_all(&self.data_root).ok();
-        disks
+            .collect()
     }
 }
 
@@ -279,7 +228,7 @@ impl Fleet {
 /// ends with the same bytes, in memory and on its own disk.
 #[test]
 fn a_voter_cut_off_for_several_batches_rejoins_through_a_full_image() {
-    let fleet = Fleet::boot("rejoin");
+    let fleet = boot();
     for i in 0..6 {
         fleet.put(&format!("before-{i}"), &[i; 40]);
     }
@@ -337,7 +286,7 @@ fn a_voter_cut_off_for_several_batches_rejoins_through_a_full_image() {
 /// state and data do not move.
 #[test]
 fn a_delta_on_a_mismatched_base_is_never_applied() {
-    let fleet = Fleet::boot("base");
+    let fleet = boot();
     fleet.put("k", b"v1");
     fleet.put("k", b"v2");
     let before = fleet.footprint(1);
@@ -397,7 +346,7 @@ fn a_delta_on_a_mismatched_base_is_never_applied() {
 /// the image.
 #[test]
 fn a_vote_probe_is_answered_with_the_committed_delta() {
-    let fleet = Fleet::boot("probe");
+    let fleet = boot();
     fleet.put("first", b"1");
     fleet.put("probed", b"the lost frame");
     let committed: u64 = fleet.status(0)["version"].parse().unwrap();
@@ -447,7 +396,7 @@ fn a_vote_probe_is_answered_with_the_committed_delta() {
 /// than it was sent.
 #[test]
 fn a_run_rewriting_the_same_keys_commits_each_keys_last_put() {
-    let fleet = Fleet::boot("rewrite");
+    let fleet = boot();
     let conn = Connection::new(&fleet.addrs[0], ConnOptions::default());
     let deadline = Deadline::within(TIMEOUT);
     let pending: Vec<_> = (0..200u32)
@@ -504,7 +453,7 @@ fn a_run_rewriting_the_same_keys_commits_each_keys_last_put() {
 /// costs the same two.
 #[test]
 fn a_keyed_batch_is_one_round_and_two_records_at_a_voter() {
-    let fleet = Fleet::boot_snapshotting("one-round", 1_000);
+    let fleet = boot_snapshotting(1_000);
     fleet.put("warm", b"0");
     let logged: Vec<u64> = (0..SITES).map(|site| fleet.records_logged(site)).collect();
     let before = fleet.status(0);
@@ -577,7 +526,7 @@ fn a_keyed_batch_is_one_round_and_two_records_at_a_voter() {
 /// one the coordinator missed, and the one it just wrote.
 #[test]
 fn a_coordinator_one_version_behind_still_commits_a_delta() {
-    let fleet = Fleet::boot_snapshotting("stale-coordinator", 1_000);
+    let fleet = boot_snapshotting(1_000);
     fleet.put("before", &[7; 300]);
 
     fleet.isolate(0);
@@ -641,7 +590,7 @@ fn a_coordinator_one_version_behind_still_commits_a_delta() {
 /// the image.
 #[test]
 fn a_run_of_puts_commits_one_version_per_put_as_one_delta() {
-    let fleet = Fleet::boot_snapshotting("versions", 1_000);
+    let fleet = boot_snapshotting(1_000);
     fleet.put("warm", b"0");
     let before = fleet.status(0);
     let conn = Connection::new(&fleet.addrs[0], ConnOptions::default());

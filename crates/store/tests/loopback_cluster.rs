@@ -25,64 +25,25 @@
 //! it in shard 0's envelope — served at the site it is sent to, one
 //! version step per put.
 
+mod common;
+
 use std::collections::BTreeMap;
-use std::net::TcpListener;
 use std::time::Duration;
 
+use common::{Fleet, TIMEOUT};
 use dynvote_replica::{ClusterBuilder, Protocol};
-use dynvote_store::client::{request, Deadline, Outcome};
-use dynvote_store::config::Config;
+use dynvote_store::client::{Deadline, Outcome};
 use dynvote_store::conn::{ConnOptions, Connection};
-use dynvote_store::server::{start_on, ServiceHandle, BOOT_EPOCH};
+use dynvote_store::server::BOOT_EPOCH;
 use dynvote_store::wire::Frame;
 use dynvote_types::{SiteId, SiteSet};
 
-const TIMEOUT: Duration = Duration::from_secs(10);
-
-struct Live {
-    daemons: Vec<ServiceHandle>,
-    addrs: Vec<String>,
+/// Boots one daemon per site on ephemeral loopback ports.
+fn boot(policy: &str, sites: usize, topology: &str) -> Fleet {
+    Fleet::boot(sites, &format!("--policy {policy} {topology}"))
 }
 
-impl Live {
-    /// Boots one daemon per site on ephemeral loopback ports: bind
-    /// everything first, learn the real addresses, then start each
-    /// daemon on its pre-bound listener.
-    fn boot(policy: &str, sites: usize, topology: &str) -> Live {
-        let listeners: Vec<TcpListener> = (0..sites)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-            .collect();
-        let addrs: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("bound").to_string())
-            .collect();
-        let peers: Vec<String> = addrs
-            .iter()
-            .enumerate()
-            .map(|(site, addr)| format!("{site}={addr}"))
-            .collect();
-        let peers = peers.join(",");
-        let daemons = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(site, listener)| {
-                let line = format!(
-                    "--site {site} --policy {policy} --peers {peers} {topology} \
-                     --connect-timeout-ms 250 --read-timeout-ms 2000 \
-                     --backoff-ms 10 --backoff-cap-ms 100"
-                );
-                let config = Config::parse_args(line.split_whitespace().map(str::to_string))
-                    .expect("test config parses");
-                start_on(config, listener).expect("daemon starts")
-            })
-            .collect();
-        Live { daemons, addrs }
-    }
-
-    fn req(&self, site: usize, frame: &Frame) -> Outcome {
-        request(&self.addrs[site], frame, TIMEOUT).expect("daemon reachable")
-    }
-
+impl Fleet {
     /// A frame for the fleet's one group.
     fn file_req(&self, site: usize, frame: Frame) -> Outcome {
         self.req(site, &frame.for_shard(0))
@@ -157,12 +118,6 @@ impl Live {
             ));
         }
     }
-
-    fn stop(self) {
-        for daemon in self.daemons {
-            daemon.stop();
-        }
-    }
 }
 
 const FIGURE_8: &str = "--segments main=0,1,2,3,4;second=5;third=6,7 --bridges 3=second;4=third";
@@ -176,7 +131,7 @@ const FIGURE_8: &str = "--segments main=0,1,2,3,4;second=5;third=6,7 --bridges 3
 /// segment-boundary cuts for them), so the intra-segment split is
 /// outside their fault model.
 fn figure_8_partition_heal(policy: &str, deep_cut: bool) {
-    let live = Live::boot(policy, 8, FIGURE_8);
+    let live = boot(policy, 8, FIGURE_8);
 
     // Whole cluster up: writes and remote reads are granted.
     assert!(live.put(0, "v1").granted(), "initial write at S0");
@@ -310,7 +265,7 @@ fn tcp_cluster_matches_in_memory_cluster() {
     );
 
     // The same script over sockets.
-    let live = Live::boot("odv", 3, "");
+    let live = boot("odv", 3, "");
     let mut actual = Vec::new();
     actual.push(live.put(0, "a").granted());
     live.partition(&[&[0, 1], &[2]]);
@@ -357,7 +312,7 @@ fn tcp_cluster_matches_in_memory_cluster() {
 /// status never receives the write's answer or vice versa.
 #[test]
 fn pipelined_responses_overtake_a_stalled_quorum_round() {
-    let live = Live::boot("odv", 3, "");
+    let live = boot("odv", 3, "");
 
     // Cut the link *at the peers only*: S1 and S2 silently ignore
     // frames from S0, so S0's poll waits out its read timeout instead
@@ -434,7 +389,7 @@ fn pipelined_responses_overtake_a_stalled_quorum_round() {
 /// paper's `⟨o_i, v_i, P_i⟩` and per-link transport health.
 #[test]
 fn status_reports_policy_state_and_link_health() {
-    let live = Live::boot("ldv", 3, "");
+    let live = boot("ldv", 3, "");
     assert!(live.put(0, "hello").granted());
     let status = live.status(0);
     assert_eq!(status["site"], "0");
@@ -457,7 +412,7 @@ fn status_reports_policy_state_and_link_health() {
 /// together with the put's version, not its own stale one.
 #[test]
 fn an_mcv_read_reports_the_version_it_served() {
-    let live = Live::boot("mcv", 3, "");
+    let live = boot("mcv", 3, "");
     live.partition(&[&[0, 2], &[1]]);
     assert!(live.put(0, "x").granted(), "2 of 3 copies are a quorum");
     live.heal();
@@ -482,7 +437,7 @@ fn replay_drives_the_stale_read_kernel_live() {
     let trace = dynvote_check::TraceFile::parse(&text).expect("corpus trace parses");
     assert_eq!(trace.scenario.sites, 3);
 
-    let live = Live::boot("odv", 3, "");
+    let live = boot("odv", 3, "");
     let nodes: Vec<(usize, String)> = live
         .addrs
         .iter()
@@ -507,7 +462,7 @@ fn replay_drives_the_stale_read_kernel_live() {
 /// may be refused (and is resent here), but every put either side had
 /// acknowledged reads back afterwards, at every site.
 fn enveloped_puts_at_two_sites_all_read_back(policy: &str) {
-    let live = Live::boot(policy, 3, "");
+    let live = boot(policy, 3, "");
     let writers: Vec<_> = [0usize, 1]
         .into_iter()
         .map(|site| {

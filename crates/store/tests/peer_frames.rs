@@ -14,6 +14,8 @@
 //! a keyed read, a write while the coordinator is cut off, a refused
 //! round at a stale coordinator, and that site's recovery.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -21,14 +23,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use common::{Fleet, TIMEOUT};
 use dynvote_control::{decode_kv, KvPuts};
-use dynvote_store::client::{request, Outcome};
-use dynvote_store::config::Config;
-use dynvote_store::server::{start_on, ServiceHandle};
+use dynvote_store::client::Outcome;
 use dynvote_store::wire::{read_frame, write_frame, Frame};
 use dynvote_types::{SiteId, SiteSet};
 
-const TIMEOUT: Duration = Duration::from_secs(10);
 const SITES: usize = 3;
 
 /// One frame a relay passed on.
@@ -198,27 +198,15 @@ fn relay(tap: &Arc<Tap>, site: usize, client: TcpStream, daemon: &str) {
     let _ = requests.join();
 }
 
-struct Fleet {
-    daemons: Vec<ServiceHandle>,
-    addrs: Vec<String>,
-    tap: Arc<Tap>,
-}
-
-impl Fleet {
-    /// Three daemons whose peer links all run through recording relays.
-    fn boot() -> Fleet {
-        let tap = Arc::new(Tap::default());
-        let listeners: Vec<TcpListener> = (0..SITES)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-            .collect();
-        let addrs: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("bound").to_string())
-            .collect();
+/// Three daemons whose peer links all run through recording relays,
+/// and the relays' tap.
+fn boot() -> (Fleet, Arc<Tap>) {
+    let tap = Arc::new(Tap::default());
+    let relayed = |addrs: &[String]| {
         let mut relays = Vec::new();
         for (site, daemon) in addrs.iter().enumerate() {
             let front = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            relays.push(format!("{site}={}", front.local_addr().expect("bound")));
+            relays.push(front.local_addr().expect("bound").to_string());
             let (tap, daemon) = (Arc::clone(&tap), daemon.clone());
             thread::spawn(move || {
                 for client in front.incoming().flatten() {
@@ -227,33 +215,13 @@ impl Fleet {
                 }
             });
         }
-        let peers = relays.join(",");
-        let daemons = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(site, listener)| {
-                let line = format!(
-                    "--site {site} --policy odv --peers {peers} --quiet \
-                     --shards 1 --shard-placement ring:{SITES} \
-                     --connect-timeout-ms 250 --read-timeout-ms 2000 \
-                     --backoff-ms 10 --backoff-cap-ms 100"
-                );
-                let config = Config::parse_args(line.split_whitespace().map(str::to_string))
-                    .expect("test config parses");
-                start_on(config, listener).expect("daemon starts")
-            })
-            .collect();
-        Fleet {
-            daemons,
-            addrs,
-            tap,
-        }
-    }
+        relays
+    };
+    let flags = format!("--policy odv --quiet --shards 1 --shard-placement ring:{SITES}");
+    (Fleet::boot_behind(SITES, &flags, relayed), tap)
+}
 
-    fn req(&self, site: usize, frame: &Frame) -> Outcome {
-        request(&self.addrs[site], frame, TIMEOUT).expect("daemon reachable")
-    }
-
+impl Fleet {
     fn shard_req(&self, site: usize, inner: Frame) -> Outcome {
         self.req(
             site,
@@ -298,12 +266,6 @@ impl Fleet {
             ));
         }
     }
-
-    fn stop(self) {
-        for daemon in self.daemons {
-            daemon.stop();
-        }
-    }
 }
 
 /// The frames each peer receives, as `(site, [rendered request])`.
@@ -315,8 +277,7 @@ fn expect(rows: &[(usize, &[&str])]) -> BTreeMap<usize, Vec<String>> {
 
 #[test]
 fn each_round_shape_sends_each_peer_its_pinned_frames() {
-    let fleet = Fleet::boot();
-    let tap = Arc::clone(&fleet.tap);
+    let (fleet, tap) = boot();
 
     // A keyed write: one round, START then the puts as a delta.
     assert!(matches!(fleet.put("a", b"1"), Outcome::Done(_)));
@@ -501,8 +462,7 @@ fn ticket(frame: &Frame) -> u64 {
 /// request and its reply inside the same vote.
 #[test]
 fn a_start_its_commit_and_their_replies_carry_one_ticket() {
-    let fleet = Fleet::boot();
-    let tap = Arc::clone(&fleet.tap);
+    let (fleet, tap) = boot();
     // A stale coordinator: S0 misses a write, so its next keyed write
     // fetches the map from a current copy inside its vote.
     fleet.cut(0, 1);

@@ -12,52 +12,31 @@
 //!   write timeout on the batch worker and its own session — not the
 //!   shard's cluster lock, behind which peer frames and `status` wait.
 
+mod common;
+
 use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use common::Fleet;
 use dynvote_store::client::{request, Deadline, Outcome};
-use dynvote_store::config::Config;
 use dynvote_store::conn::{ConnOptions, Connection};
-use dynvote_store::server::{start_on, ServiceHandle};
 use dynvote_store::wire::{read_frame, Frame};
 use dynvote_types::SiteId;
 
 const SITES: usize = 3;
 
-/// Three in-memory daemons, one shard on all of them, site 0
-/// coordinating. `idle_ms` is each session's idle tick and its write
-/// timeout (`--read-timeout-ms`).
-fn boot(idle_ms: u64) -> (Vec<ServiceHandle>, Vec<String>) {
-    let listeners: Vec<TcpListener> = (0..SITES)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let addrs: Vec<String> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("bound").to_string())
-        .collect();
-    let peers: Vec<String> = addrs
-        .iter()
-        .enumerate()
-        .map(|(site, addr)| format!("{site}={addr}"))
-        .collect();
-    let peers = peers.join(",");
-    let daemons = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(site, listener)| {
-            let line = format!(
-                "--site {site} --policy odv --peers {peers} --quiet \
-                 --shards 1 --shard-placement ring:{SITES} \
-                 --connect-timeout-ms 250 --read-timeout-ms {idle_ms} \
-                 --backoff-ms 10 --backoff-cap-ms 100"
-            );
-            let config = Config::parse_args(line.split_whitespace().map(str::to_string))
-                .expect("test config parses");
-            start_on(config, listener).expect("daemon starts")
-        })
-        .collect();
-    (daemons, addrs)
+/// Three daemons, one shard on all of them, site 0 coordinating.
+/// `idle_ms` is each session's idle tick and its write timeout
+/// (`--read-timeout-ms`).
+fn boot(idle_ms: u64) -> Fleet {
+    Fleet::boot(
+        SITES,
+        &format!(
+            "--policy odv --quiet --shards 1 --shard-placement ring:{SITES} \
+             --read-timeout-ms {idle_ms}"
+        ),
+    )
 }
 
 fn tagged(id: u64, inner: Frame) -> Vec<u8> {
@@ -103,8 +82,8 @@ fn shard_status(addr: &str) -> (String, Duration) {
 
 #[test]
 fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
-    let (daemons, addrs) = boot(1_000);
-    let mut stream = TcpStream::connect(&addrs[0]).expect("connect");
+    let fleet = boot(1_000);
+    let mut stream = TcpStream::connect(&fleet.addrs[0]).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -151,9 +130,7 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
     }
     answered.sort_unstable();
     assert_eq!(answered, (1..=61).collect::<Vec<u64>>());
-    for daemon in daemons {
-        daemon.stop();
-    }
+    fleet.stop();
 }
 
 /// A keyed op in a shard envelope is a data op like any other: tagged
@@ -163,9 +140,9 @@ fn frames_split_across_reads_and_frames_sharing_one_are_all_answered() {
 /// flight.)
 #[test]
 fn tagged_enveloped_ops_are_answered_tagged_and_the_stream_survives() {
-    let (daemons, addrs) = boot(1_000);
+    let fleet = boot(1_000);
     let deadline = Deadline::within(Duration::from_secs(10));
-    let conn = Connection::new(&addrs[0], ConnOptions::default());
+    let conn = Connection::new(&fleet.addrs[0], ConnOptions::default());
     let put = conn
         .call(&enveloped_put(b"first"), &deadline)
         .expect("a tagged enveloped put is answered on its stream");
@@ -200,19 +177,17 @@ fn tagged_enveloped_ops_are_answered_tagged_and_the_stream_survives() {
     assert!(matches!(status, Outcome::Report(_)), "{status:?}");
 
     // An enveloped put needs no coordinator: any hosting site takes it.
-    let voter = Connection::new(&addrs[1], ConnOptions::default());
+    let voter = Connection::new(&fleet.addrs[1], ConnOptions::default());
     let put = voter.call(&enveloped_put(b"at a voter"), &deadline);
     assert!(matches!(put, Ok(Outcome::Done(_))), "{put:?}");
-    for daemon in daemons {
-        daemon.stop();
-    }
+    fleet.stop();
 }
 
 #[test]
 fn an_idle_session_ends_within_an_idle_tick_of_stop() {
     const IDLE: Duration = Duration::from_millis(300);
-    let (mut daemons, addrs) = boot(IDLE.as_millis() as u64);
-    let mut stream = TcpStream::connect(&addrs[0]).expect("connect");
+    let mut fleet = boot(IDLE.as_millis() as u64);
+    let mut stream = TcpStream::connect(&fleet.addrs[0]).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
@@ -227,7 +202,7 @@ fn an_idle_session_ends_within_an_idle_tick_of_stop() {
     ));
 
     let began = Instant::now();
-    daemons.remove(0).stop();
+    fleet.stop_site(0);
     let mut byte = [0u8; 1];
     let closed = match stream.read(&mut byte) {
         Ok(0) => true,
@@ -237,24 +212,26 @@ fn an_idle_session_ends_within_an_idle_tick_of_stop() {
     assert!(closed, "the idle session stayed open past shutdown");
     let took = began.elapsed();
     assert!(took < IDLE * 3, "stop took {took:?} to reach the session");
-    for daemon in daemons {
-        daemon.stop();
-    }
+    fleet.stop();
 }
 
 #[test]
 fn a_client_that_never_reads_holds_neither_the_shard_nor_its_session() {
     const WRITE_TIMEOUT: Duration = Duration::from_millis(1_000);
     const REPLIES: u64 = 32;
-    let (daemons, addrs) = boot(WRITE_TIMEOUT.as_millis() as u64);
+    let fleet = boot(WRITE_TIMEOUT.as_millis() as u64);
     let big = vec![0x5a_u8; 1 << 20];
-    let stored = request(&addrs[0], &put_key("big", big), Duration::from_secs(10));
+    let stored = request(
+        &fleet.addrs[0],
+        &put_key("big", big),
+        Duration::from_secs(10),
+    );
     assert!(matches!(stored, Ok(Outcome::Done(_))), "{stored:?}");
 
     // 32 MB of replies to a socket nobody reads: several times what
     // the kernel buffers between the two ends while the receiver is
     // idle, so the batch worker blocks in a write until its timeout.
-    let mut deaf = TcpStream::connect(&addrs[0]).expect("connect");
+    let mut deaf = TcpStream::connect(&fleet.addrs[0]).expect("connect");
     let mut requests = Vec::new();
     for id in 1..=REPLIES {
         requests.extend_from_slice(&tagged(id, get_key("big")));
@@ -269,13 +246,13 @@ fn a_client_that_never_reads_holds_neither_the_shard_nor_its_session() {
     let began = Instant::now();
     let mut rounds = 0;
     while began.elapsed() < WRITE_TIMEOUT * 4 {
-        let (status, took) = shard_status(&addrs[0]);
+        let (status, took) = shard_status(&fleet.addrs[0]);
         assert!(
             !status.contains("busy=1") && took < WRITE_TIMEOUT / 2,
             "status waited {took:?} behind a client that does not read: {status}"
         );
         let asked = Instant::now();
-        let mut peer = TcpStream::connect(&addrs[0]).expect("connect");
+        let mut peer = TcpStream::connect(&fleet.addrs[0]).expect("connect");
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         let copy_request = Frame::CopyReq {
@@ -315,7 +292,5 @@ fn a_client_that_never_reads_holds_neither_the_shard_nor_its_session() {
         drained < REPLIES << 20,
         "every reply arrived ({drained} B): the worker never blocked"
     );
-    for daemon in daemons {
-        daemon.stop();
-    }
+    fleet.stop();
 }

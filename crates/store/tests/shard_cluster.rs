@@ -15,75 +15,28 @@
 //! * **A durable install** — a map the daemon cannot persist is
 //!   refused and not installed.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
+use common::{Fleet, TIMEOUT};
 use dynvote_store::client::{request, Deadline, Outcome};
-use dynvote_store::config::Config;
 use dynvote_store::conn::ConnOptions;
 use dynvote_store::router::{fetch_map, rebalance, ShardRouter};
-use dynvote_store::server::{start_on, ServiceHandle};
 use dynvote_store::wire::Frame;
 use dynvote_types::SiteId;
 
-const TIMEOUT: Duration = Duration::from_secs(10);
-
-struct Fleet {
-    daemons: Vec<ServiceHandle>,
-    addrs: Vec<String>,
-    data_root: std::path::PathBuf,
+/// Boots `sites` sharded daemons on ephemeral loopback ports.
+fn boot(sites: usize, shards: usize, placement: &str) -> Fleet {
+    Fleet::boot(
+        sites,
+        &format!("--policy odv --shards {shards} --shard-placement {placement}"),
+    )
 }
 
 impl Fleet {
-    /// Boots `sites` sharded daemons on ephemeral loopback ports.
-    fn boot(sites: usize, shards: usize, placement: &str) -> Fleet {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let data_root = std::env::temp_dir().join(format!(
-            "dynvote-shard-cluster-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let listeners: Vec<TcpListener> = (0..sites)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-            .collect();
-        let addrs: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("bound").to_string())
-            .collect();
-        let peers: Vec<String> = addrs
-            .iter()
-            .enumerate()
-            .map(|(site, addr)| format!("{site}={addr}"))
-            .collect();
-        let peers = peers.join(",");
-        let daemons = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(site, listener)| {
-                let line = format!(
-                    "--site {site} --policy odv --peers {peers} \
-                     --shards {shards} --shard-placement {placement} --data-dir {} \
-                     --connect-timeout-ms 250 --read-timeout-ms 2000 \
-                     --backoff-ms 10 --backoff-cap-ms 100",
-                    data_root.join(format!("site{site}")).display()
-                );
-                let config = Config::parse_args(line.split_whitespace().map(str::to_string))
-                    .expect("test config parses");
-                start_on(config, listener).expect("daemon starts")
-            })
-            .collect();
-        Fleet {
-            daemons,
-            addrs,
-            data_root,
-        }
-    }
-
-    fn req(&self, site: usize, frame: &Frame) -> Outcome {
-        request(&self.addrs[site], frame, TIMEOUT).expect("daemon reachable")
-    }
-
     /// A plain operation addressed to one shard group at one site,
     /// bypassing the router (admin-style shard envelope).
     fn shard_req(&self, site: usize, shard: u16, inner: Frame) -> Outcome {
@@ -137,13 +90,6 @@ impl Fleet {
             ));
         }
     }
-
-    fn stop(self) {
-        for daemon in self.daemons {
-            daemon.stop();
-        }
-        std::fs::remove_dir_all(&self.data_root).ok();
-    }
 }
 
 /// A status body as `key → value`.
@@ -179,7 +125,7 @@ fn key_for(map: &dynvote_control::ShardMap, shard: u16, tag: &str) -> String {
 /// outcome leaks into the other.
 #[test]
 fn shards_route_by_key_and_partition_independently() {
-    let fleet = Fleet::boot(4, 2, "ring:3");
+    let fleet = boot(4, 2, "ring:3");
     let router = ShardRouter::new(vec![fleet.addrs[0].clone()], ConnOptions::default());
     let deadline = Deadline::within(TIMEOUT);
     let map = router.map(&deadline).expect("map from the fleet");
@@ -291,7 +237,7 @@ fn shards_route_by_key_and_partition_independently() {
 /// and every committed write survives the epoch bump.
 #[test]
 fn clients_ride_through_a_rebalance_with_zero_failures() {
-    let fleet = Fleet::boot(4, 1, "ring:3");
+    let fleet = boot(4, 1, "ring:3");
     let bootstrap = fleet.addrs[0].clone();
     let map = fetch_map(&bootstrap, TIMEOUT).expect("initial map");
     assert_eq!(map.shards[0].placement, vec![0, 1, 2]);
@@ -410,21 +356,13 @@ fn dead_control_plane_fails_typed_within_the_deadline() {
 /// install goes through.
 #[test]
 fn a_shard_map_that_cannot_be_persisted_is_refused() {
-    let data = std::env::temp_dir().join(format!("dynvote-map-persist-{}", std::process::id()));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("bound").to_string();
-    let line = format!(
-        "--site 0 --policy odv --peers 0={addr} --quiet --data-dir {}",
-        data.display()
-    );
-    let config = Config::parse_args(line.split_whitespace().map(str::to_string))
-        .expect("test config parses");
-    let daemon = start_on(config, listener).expect("daemon starts");
+    let fleet = Fleet::boot(1, "--policy odv --quiet");
+    let addr = fleet.addrs[0].clone();
     let mut map = fetch_map(&addr, TIMEOUT).expect("boot map");
     map.epoch += 1;
     let install = Frame::InstallShardMap { map: map.encode() };
     // A directory where the map's temporary file goes: the write fails.
-    let blocker = data.join("shardmap.tmp");
+    let blocker = fleet.data_dir(0).join("shardmap.tmp");
     std::fs::create_dir(&blocker).expect("block the temporary file");
     let refused = request(&addr, &install, TIMEOUT);
     assert!(matches!(refused, Ok(Outcome::Refused(_))), "{refused:?}");
@@ -433,6 +371,5 @@ fn a_shard_map_that_cannot_be_persisted_is_refused() {
     let installed = request(&addr, &install, TIMEOUT);
     assert!(matches!(installed, Ok(Outcome::Done(_))), "{installed:?}");
     assert_eq!(fetch_map(&addr, TIMEOUT).expect("map").epoch, map.epoch);
-    daemon.stop();
-    std::fs::remove_dir_all(&data).ok();
+    fleet.stop();
 }
