@@ -6,7 +6,8 @@
 //! `peak_ops_per_s` is this closed loop at depth 256 on one shard).
 //! This binary keeps the one thing only it does: it boots a loopback
 //! fleet **in process** (real daemons, real sockets, the same
-//! `TcpTransport` peer links, no data dir) hosting `--shards`
+//! `TcpTransport` peer links, each site durable in a data dir under the
+//! system temp directory, removed when the run ends) hosting `--shards`
 //! independent shard groups, gives every shard a closed-loop client —
 //! thread *i* owns shard *i mod N*, pre-hashes a key pool onto it and
 //! pipelines `PutKey`/`GetKey` at that shard's coordinator over one
@@ -40,6 +41,7 @@
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use dynvote_store::client::request;
@@ -116,10 +118,16 @@ fn parse_args() -> Args {
 }
 
 /// Boots a loopback fleet: ephemeral listeners first (so every config
-/// names real addresses), then one daemon per site, then a status poll
-/// until all accept. `--quiet` keeps the grant log off stderr — at the
-/// rates this harness drives, the terminal would be the bottleneck.
-fn boot_fleet(policy: &str, sites: usize, shards: usize) -> (Vec<ServiceHandle>, Vec<String>) {
+/// names real addresses), then one daemon per site, its data dir under
+/// `data_root`, then a status poll until all accept. `--quiet` keeps
+/// the grant log off stderr — at the rates this harness drives, the
+/// terminal would be the bottleneck.
+fn boot_fleet(
+    policy: &str,
+    sites: usize,
+    shards: usize,
+    data_root: &Path,
+) -> (Vec<ServiceHandle>, Vec<String>) {
     let listeners: Vec<TcpListener> = (0..sites)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
         .collect();
@@ -138,10 +146,11 @@ fn boot_fleet(policy: &str, sites: usize, shards: usize) -> (Vec<ServiceHandle>,
         .enumerate()
         .map(|(i, listener)| {
             let flags = format!(
-                "--site {i} --policy {policy} --peers {peers} \
+                "--site {i} --policy {policy} --peers {peers} --data-dir {} \
                  --shards {shards} --shard-placement ring:3 --quiet \
                  --connect-timeout-ms 250 --read-timeout-ms 2000 \
-                 --backoff-ms 10 --backoff-cap-ms 100"
+                 --backoff-ms 10 --backoff-cap-ms 100",
+                data_root.join(format!("site{i}")).display()
             );
             let config = Config::parse_args(flags.split_whitespace().map(str::to_string))
                 .expect("bench config");
@@ -259,7 +268,9 @@ fn main() {
         "booting {} x {} loopback fleet ({} shards) ...",
         args.sites, args.policy, args.shards
     );
-    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards);
+    let data_root =
+        std::env::temp_dir().join(format!("dynvote-store-throughput-{}", std::process::id()));
+    let (handles, addrs) = boot_fleet(&args.policy, args.sites, args.shards, &data_root);
     let map = dynvote_store::router::fetch_map(&addrs[0], Duration::from_secs(5))
         .expect("shard map from the fleet");
     assert_eq!(map.shards.len(), args.shards, "fleet built the wrong map");
@@ -377,13 +388,14 @@ fn main() {
     }
     let completed = all.len() as u64;
     let rps = completed as f64 / wall;
+    for handle in handles {
+        handle.stop();
+    }
+    std::fs::remove_dir_all(&data_root).ok();
     assert!(
         errors == 0 && refused == 0,
         "fault-free sharded run saw {refused} refusals / {errors} errors"
     );
-    for handle in handles {
-        handle.stop();
-    }
 
     // The per-shard breakdown and the single-core fairness summary.
     let shard_rps: Vec<f64> = per_shard
@@ -409,7 +421,7 @@ fn main() {
         r#"{{
   "generated_by": "cargo run --release -p dynvote-bench --bin store_throughput -- --shards {shards}",
   "machine": {{ "cores": {cores} }},
-  "cluster": {{ "policy": "{policy}", "sites": {sites}, "shards": {shards}, "placement": "ring:3", "durable": false }},
+  "cluster": {{ "policy": "{policy}", "sites": {sites}, "shards": {shards}, "placement": "ring:3", "durable": true }},
   "workload": {{ "clients": {threads}, "pipeline_depth": {pipeline}, "write_pct": {write_pct}, "payload_bytes": {payload}, "keys_per_shard": {keys_per_shard}, "secs": {wall:.3} }},
   "completed_requests": {completed},
   "requests_per_sec": {rps:.0},

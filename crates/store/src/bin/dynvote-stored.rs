@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! dynvote-stored --site 0 --policy odv \
-//!     --peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102
+//!     --peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102 \
+//!     --data-dir /var/lib/dynvote/node0
 //! ```
 //!
 //! Runs until killed. See `dynvote_store::config` for every flag.
@@ -17,9 +18,9 @@ fn main() {
         Err(message) => {
             eprintln!("dynvote-stored: {message}");
             eprintln!(
-                "usage: dynvote-stored --site N --policy P --peers 0=addr,1=addr,… \
+                "usage: dynvote-stored --site N --policy P --peers 0=addr,1=addr,… --data-dir dir \
                  [--shards N] [--shard-placement ring:R|paper] [--segments name=i,j;…] [--bridges gw=name;…] \
-                 [--log file] [--data-dir dir] [--snapshot-every N] \
+                 [--log file] [--snapshot-every N] \
                  [--boot-recover-ms N] [--bind-retry-ms N] [--connect-timeout-ms N] \
                  [--read-timeout-ms N] [--backoff-ms N] [--backoff-cap-ms N]"
             );

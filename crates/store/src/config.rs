@@ -7,24 +7,25 @@
 //! ```text
 //! dynvote-stored --site 0 --policy odv \
 //!     --peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102 \
+//!     --data-dir /var/lib/dynvote/node0 \
 //!     [--segments main=0,1,2,3,4;second=5;third=6,7] \
 //!     [--bridges 3=second;4=third] \
 //!     [--shards 4 --shard-placement ring:3] \
-//!     [--log /path/to/node.log] \
-//!     [--data-dir /var/lib/dynvote/node0] [--snapshot-every 64] \
+//!     [--log /path/to/node.log] [--snapshot-every 64] \
 //!     [--boot-recover-ms 5000] [--bind-retry-ms 0] \
 //!     [--connect-timeout-ms 500] [--read-timeout-ms 2000] \
 //!     [--backoff-ms 100] [--backoff-cap-ms 2000]
 //! ```
 //!
-//! With `--data-dir` the daemon is durable: every commit and
-//! outstanding vote is fsync'd to a write-ahead log before it is
-//! acknowledged, a snapshot lands once the log holds
-//! `--snapshot-every` records and as many bytes as the image, and
-//! a restart restores snapshot + WAL, then retries the protocol-level
-//! RECOVER for up to `--boot-recover-ms` to catch up from the majority
-//! partition. `--bind-retry-ms` keeps retrying a busy listen address —
-//! the lingering-socket window a `kill -9` leaves behind.
+//! Every daemon is durable, as the paper's sites are (fail-stop with
+//! stable storage): every commit and outstanding vote is fsync'd to a
+//! write-ahead log under `--data-dir` before it is acknowledged, a
+//! snapshot lands once the log holds `--snapshot-every` records and as
+//! many bytes as the image, and a restart restores snapshot + WAL, then
+//! retries the protocol-level RECOVER for up to `--boot-recover-ms` to
+//! catch up from the majority partition. `--bind-retry-ms` keeps
+//! retrying a busy listen address — the lingering-socket window a
+//! `kill -9` leaves behind.
 //!
 //! Every daemon is the sharded service. Without `--shards` its boot map
 //! is one shard group placed on every site in `--peers`, whose map
@@ -39,6 +40,7 @@
 //! named segments plus `gateway=segment` bridges — the Figure 8
 //! eight-site, three-segment network is exactly the example above.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use dynvote_control::Placement;
@@ -71,8 +73,8 @@ pub struct Config {
     pub quiet: bool,
     /// Socket and backoff timing.
     pub timeouts: TcpTimeouts,
-    /// Durable storage directory (`None` = in-memory only).
-    pub data_dir: Option<String>,
+    /// The site's durable storage directory.
+    pub data_dir: PathBuf,
     /// Automatic snapshot threshold in WAL records (0 = never); an
     /// image larger than that much log waits for a log of its own size.
     pub snapshot_every: u64,
@@ -185,7 +187,7 @@ impl Config {
                 }
                 "--log" => log = Some(value("--log")?),
                 "--quiet" => quiet = true,
-                "--data-dir" => data_dir = Some(value("--data-dir")?),
+                "--data-dir" => data_dir = Some(PathBuf::from(value("--data-dir")?)),
                 "--snapshot-every" => {
                     snapshot_every = value("--snapshot-every")?
                         .parse::<u64>()
@@ -239,6 +241,7 @@ impl Config {
                 "--peers must include the local site {site} (its listen address)"
             ));
         }
+        let data_dir = data_dir.ok_or("--data-dir is required")?;
         Ok(Config {
             local,
             policy,
@@ -302,13 +305,16 @@ mod tests {
         line.split_whitespace().map(str::to_string)
     }
 
+    /// The flags every daemon needs, for tests about the others.
+    const BASE: &str = "--site 0 --policy odv --peers 0=a:1 --data-dir d";
+
     #[test]
     fn figure_8_line_parses() {
         let config = Config::parse_args(args(
             "--site 3 --policy otdv \
              --peers 0=a:1,1=a:2,2=a:3,3=a:4,4=a:5,5=a:6,6=a:7,7=a:8 \
              --segments main=0,1,2,3,4;second=5;third=6,7 \
-             --bridges 3=second;4=third",
+             --bridges 3=second;4=third --data-dir d",
         ))
         .unwrap();
         assert_eq!(config.local, SiteId::new(3));
@@ -339,12 +345,20 @@ mod tests {
         );
     }
 
+    /// A site's state lives on stable storage: there is no daemon
+    /// without a data directory.
+    #[test]
+    fn a_command_line_without_a_data_dir_is_refused() {
+        let error = Config::parse_args(args("--site 0 --policy odv --peers 0=a:1")).unwrap_err();
+        assert!(error.contains("--data-dir"), "{error}");
+    }
+
     /// Every site of a daemon fleet holds a full copy, whatever the
     /// boot map: a flag that only one boot path honoured is gone.
     #[test]
     fn witnesses_is_not_a_daemon_flag() {
         let error = Config::parse_args(args(
-            "--site 0 --policy odv --peers 0=a:1,1=a:2,2=a:3 --witnesses 2",
+            "--site 0 --policy odv --peers 0=a:1,1=a:2,2=a:3 --data-dir d --witnesses 2",
         ))
         .unwrap_err();
         assert!(error.contains("unknown flag") && error.contains("--witnesses"));
@@ -352,8 +366,8 @@ mod tests {
 
     #[test]
     fn durability_flags_parse_with_sane_defaults() {
-        let config = Config::parse_args(args("--site 0 --policy odv --peers 0=a:1")).unwrap();
-        assert_eq!(config.data_dir, None);
+        let config = Config::parse_args(args(BASE)).unwrap();
+        assert_eq!(config.data_dir, PathBuf::from("d"));
         assert_eq!(config.snapshot_every, 64);
         assert_eq!(config.boot_recover, Duration::from_millis(5000));
         assert_eq!(config.bind_retry, Duration::ZERO);
@@ -365,7 +379,7 @@ mod tests {
              --bind-retry-ms 1500 --crash-after-wal-append",
         ))
         .unwrap();
-        assert_eq!(config.data_dir.as_deref(), Some("/tmp/d0"));
+        assert_eq!(config.data_dir, PathBuf::from("/tmp/d0"));
         assert_eq!(config.snapshot_every, 8);
         assert_eq!(config.boot_recover, Duration::ZERO);
         assert_eq!(config.bind_retry, Duration::from_millis(1500));
@@ -374,36 +388,32 @@ mod tests {
 
     #[test]
     fn shard_flags_parse_and_validate() {
-        let config = Config::parse_args(args("--site 0 --policy odv --peers 0=a:1")).unwrap();
+        let config = Config::parse_args(args(BASE)).unwrap();
         assert_eq!(config.shards, None);
         assert_eq!(config.shard_placement, Placement::Ring { replicas: 3 });
 
-        let config = Config::parse_args(args(
-            "--site 0 --policy odv --peers 0=a:1 --shards 4 --shard-placement ring:2",
-        ))
-        .unwrap();
+        let config =
+            Config::parse_args(args(&format!("{BASE} --shards 4 --shard-placement ring:2")))
+                .unwrap();
         assert_eq!(config.shards, Some(4));
         assert_eq!(config.shard_placement, Placement::Ring { replicas: 2 });
 
+        assert!(Config::parse_args(args(&format!("{BASE} --shards 0")))
+            .unwrap_err()
+            .contains("--shards"));
         assert!(
-            Config::parse_args(args("--site 0 --policy odv --peers 0=a:1 --shards 0"))
+            Config::parse_args(args(&format!("{BASE} --shard-placement hash")))
                 .unwrap_err()
-                .contains("--shards")
+                .contains("--shard-placement")
         );
-        assert!(Config::parse_args(args(
-            "--site 0 --policy odv --peers 0=a:1 --shard-placement hash"
-        ))
-        .unwrap_err()
-        .contains("--shard-placement"));
     }
 
     #[test]
     fn timeouts_parse_as_milliseconds() {
-        let config = Config::parse_args(args(
-            "--site 0 --policy odv --peers 0=a:1 \
-             --connect-timeout-ms 100 --read-timeout-ms 300 \
-             --backoff-ms 10 --backoff-cap-ms 50",
-        ))
+        let config = Config::parse_args(args(&format!(
+            "{BASE} --connect-timeout-ms 100 --read-timeout-ms 300 \
+             --backoff-ms 10 --backoff-cap-ms 50"
+        )))
         .unwrap();
         assert_eq!(config.timeouts.connect, Duration::from_millis(100));
         assert_eq!(config.timeouts.read, Duration::from_millis(300));

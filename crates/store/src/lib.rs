@@ -51,7 +51,8 @@
 //! use dynvote_store::server::BOOT_EPOCH;
 //! use dynvote_store::wire::Frame;
 //!
-//! let args = "--site 0 --policy odv --peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102";
+//! let args = "--site 0 --policy odv --peers 0=127.0.0.1:7100,1=127.0.0.1:7101,2=127.0.0.1:7102 \
+//!             --data-dir /var/lib/dynvote/node0";
 //! let config = Config::parse_args(args.split_whitespace().map(str::to_string)).unwrap();
 //! let daemon = dynvote_store::server::start(config).unwrap();
 //! // The paper's one file is one key of shard 0's map, written here at

@@ -14,8 +14,9 @@
 //!   [`ReplayOptions::crash_cmd`] set, the event instead runs a real
 //!   process fault: `sh -c "CMD crash s"` (expected to `kill -9` the
 //!   site's daemon) and, on `repair s`, `sh -c "CMD restart s"` —
-//!   which only round-trips when the daemons persist with `--data-dir`,
-//!   making the checker's stable-storage assumption a live assertion.
+//!   which round-trips because every daemon keeps its state in its
+//!   `--data-dir`: the checker's stable-storage assumption becomes a
+//!   live assertion.
 //! * `partition i` — install the `i`-th canonical segment partition of
 //!   the scenario's network (the same enumeration order the checker
 //!   uses), by denying every cross-group pair.

@@ -55,10 +55,10 @@
 //! Every grant and refusal is logged with the paper clause that fired,
 //! so a partition experiment reads as a protocol trace.
 //!
-//! With `--data-dir` the daemon is *durable* (DESIGN.md §10): every
-//! protocol event that changes the local ⟨o, v, P⟩, data, or
-//! outstanding vote is appended to a fsync'd write-ahead log **before**
-//! the matching acknowledgement (state reply, commit ack, or client
+//! Every daemon is *durable* (DESIGN.md §10): every protocol event that
+//! changes the local ⟨o, v, P⟩, data, or outstanding vote is appended
+//! to a fsync'd write-ahead log under `--data-dir` **before** the
+//! matching acknowledgement (state reply, commit ack, or client
 //! `Done`) leaves the site. A coordinator's own commit is logged by its
 //! transport at the commit point, one record that the vote-probe ledger
 //! is rebuilt from too; everything else passes through `sync_durable`,
@@ -69,7 +69,7 @@
 use std::fs::File;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -209,9 +209,9 @@ struct Daemon {
     /// this epoch, and the background loops exit. Shared with the
     /// transport, which stops logging commit points.
     retired: Arc<AtomicU64>,
-    /// Durable storage — `None` runs the pre-durability in-memory mode.
-    /// Shared with the transport, which logs commit points and aborts.
-    store: Option<Arc<Mutex<SiteStore>>>,
+    /// Durable storage, shared with the transport, which logs commit
+    /// points and aborts.
+    store: Arc<Mutex<SiteStore>>,
     /// Crash-test hook: abort after a client write's commit point is
     /// durable, before the ack (see `Config::crash_after_wal_append`).
     crash_after_wal_append: bool,
@@ -219,11 +219,10 @@ struct Daemon {
     /// `VOTE-PROBE` frames without touching the cluster lock.
     ledger: Arc<Mutex<OpLedger>>,
     /// The commit fence dead incarnations left behind: tickets of older
-    /// epochs above it provably never reached a commit point. `None`
-    /// without durable storage (epochs are meaningless there).
-    boot_fence: Option<u64>,
+    /// epochs above it provably never reached a commit point.
+    boot_fence: u64,
     /// This incarnation's boot epoch (16-bit, as salted into tickets).
-    boot_epoch: Option<u64>,
+    boot_epoch: u64,
     /// Peer client addresses, for the wedge-probe loop.
     peers: Vec<(SiteId, String)>,
     /// Wedges resolved by probing (released / late commits applied).
@@ -251,9 +250,6 @@ struct Daemon {
 /// Always called with the cluster lock held, so the comparison and the
 /// append are atomic with respect to other operations.
 fn sync_durable(daemon: &Daemon, cluster: &StoreCluster) -> std::io::Result<()> {
-    let Some(store) = &daemon.store else {
-        return Ok(());
-    };
     if daemon.retired.load(Ordering::SeqCst) != 0 {
         // A shard-map install replaced this daemon and its successor
         // now owns the shard's data directory; writing here would
@@ -262,7 +258,7 @@ fn sync_durable(daemon: &Daemon, cluster: &StoreCluster) -> std::io::Result<()> 
         // nothing acknowledged through the successor is lost.
         return Ok(());
     }
-    let mut store = store.lock().expect("site store poisoned");
+    let mut store = daemon.store.lock().expect("site store poisoned");
     let state = cluster.state_at(daemon.local);
     let pending = cluster.pending_at(daemon.local);
     let durable = store.state();
@@ -355,8 +351,6 @@ struct Service {
     /// The current shard map. Keyed operations carry the epoch they
     /// routed by; a mismatch answers `StaleShardMap{current}`.
     map: Mutex<ShardMap>,
-    /// Where the map persists (`<data-dir>/shardmap.bin`), if durable.
-    map_path: Option<PathBuf>,
     /// Shared with every daemon's background threads — successor
     /// daemons booted by a map install must observe the same stop flag.
     shutdown: Arc<AtomicBool>,
@@ -380,32 +374,25 @@ fn boot_daemon(
     let network = config
         .network()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let mut transport = TcpTransport::new(
-        config.local,
-        shard,
-        &config.peers,
-        Arc::clone(links),
-        config.timeouts,
-    );
-    let ledger = transport.ledger();
-    let retired = Arc::new(AtomicU64::new(0));
     // Each shard group gets its own durable namespace under the base
     // data directory — independent voting groups, independent WALs.
     // The transport logs this incarnation's commit points and aborts
     // in it, and the vote-probe ledger is rebuilt from what dead
     // incarnations logged there.
-    let opened = match &config.data_dir {
-        Some(base) => {
-            let dir = shard_dir(Path::new(base), shard);
-            let (store, restored) =
-                SiteStore::open_with_fold(&dir, config.snapshot_every, fold_image)?;
-            let store = Arc::new(Mutex::new(store));
-            transport.log_decisions(Arc::clone(&store), Arc::clone(&retired));
-            *ledger.lock().expect("op ledger poisoned") = OpLedger::open(&dir)?;
-            Some((dir, store, restored))
-        }
-        None => None,
-    };
+    let dir = shard_dir(&config.data_dir, shard);
+    let (store, restored) = SiteStore::open_with_fold(&dir, config.snapshot_every, fold_image)?;
+    let store = Arc::new(Mutex::new(store));
+    let transport = TcpTransport::new(
+        config.local,
+        shard,
+        &config.peers,
+        Arc::clone(links),
+        config.timeouts,
+        Arc::clone(&store),
+        OpLedger::open(&dir)?,
+    );
+    let ledger = transport.ledger();
+    let retired = transport.retired();
     // A group's replicated value is a KV map, empty at boot.
     let mut cluster = ClusterBuilder::new()
         .network(network)
@@ -413,101 +400,88 @@ fn boot_daemon(
         .protocol(config.policy)
         .build_remote(config.local.index(), transport, ShardValue::default());
 
-    // Durable boot: restore snapshot + WAL replay into the local node,
-    // or seed a fresh data directory with the boot state.
+    // Restore snapshot + WAL replay into the local node, or seed a
+    // fresh data directory with the boot state.
     let mut restored_from_disk = false;
-    let mut boot_epoch = None;
-    let mut boot_fence = None;
-    let store = match opened {
-        Some((dir, shared, restored)) => {
-            let mut store = shared.lock().expect("site store poisoned");
-            if restored.snapshot_was_corrupt {
-                log.log("durable restore: snapshot failed validation, moved aside; falling back");
-            }
-            if restored.used_previous_snapshot {
-                log.log(
-                    "durable restore: recovered from previous-generation snapshot + parked WAL",
-                );
-            }
-            match restored.wal_tail {
-                dynvote_replica::WalTail::Clean => {}
-                tail => log.log(&format!("durable restore: WAL tail repaired ({tail})")),
-            }
-            match restored.image {
-                Some(image) => {
-                    log.log(&format!(
-                        "durable restore: o={} v={} P={{{}}} pending={} seq={} wal_replayed={}",
-                        image.state.op,
-                        image.state.version,
-                        fmt_sites(image.state.partition),
-                        image
-                            .pending
-                            .map_or_else(|| "-".to_string(), |t| t.to_string()),
-                        image.seq,
-                        restored.replayed,
-                    ));
-                    let value = image
-                        .value
-                        .map(|bytes| {
-                            ShardValue::from_image(&bytes).ok_or_else(|| {
-                                std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    format!(
-                                        "{} and {} hold an image that is not a canonical KV map",
-                                        dir.join(SNAPSHOT_FILE).display(),
-                                        dir.join(WAL_FILE).display()
-                                    ),
-                                )
-                            })
-                        })
-                        .transpose()?;
-                    cluster.install_durable_state(config.local, image.state, value, image.pending);
-                    restored_from_disk = true;
-                }
-                None => {
-                    let state = cluster.state_at(config.local);
-                    let value = cluster
-                        .copies()
-                        .contains(config.local)
-                        .then(|| cluster.value_at(config.local).to_image());
-                    store.seed(state, cluster.pending_at(config.local), value)?;
-                    log.log(&format!(
-                        "durable boot: fresh data dir seeded at {}",
-                        dir.display()
-                    ));
-                }
-            }
-            // A directory last served by a daemon that kept its commit
-            // points in a ledger file of their own: fence this epoch
-            // durably, then drop the file.
-            let legacy_ledger = dir.join(LEDGER_FILE);
-            if legacy_ledger.exists() {
-                store.fence()?;
-                std::fs::remove_file(&legacy_ledger)?;
-                File::open(&dir)?.sync_all()?;
-            }
-            if store.fence_epoch() == store.epoch() {
-                log.log("durable restore: commit points may have been lost; dead epochs fenced");
-            }
-            // Salt the vote-ticket namespace with the boot epoch: a
-            // restarted coordinator must never reissue a pre-crash
-            // ticket number, or a site the old incarnation left wedged
-            // under it would mistake the new operation for the old one
-            // and vote again. 16 bits of epoch inside the site's
-            // 48-bit-shifted namespace bounds this to 65 535 restarts
-            // before wraparound.
-            cluster.advance_ticket_past(epoch_floor(config.local, store.epoch()));
-            boot_epoch = Some(store.epoch() & 0xFFFF);
-            boot_fence = Some(
-                store
-                    .high_water()
-                    .max(epoch_floor(config.local, store.fence_epoch())),
-            );
-            drop(store);
-            Some(shared)
+    let mut disk = store.lock().expect("site store poisoned");
+    if restored.snapshot_was_corrupt {
+        log.log("durable restore: snapshot failed validation, moved aside; falling back");
+    }
+    if restored.used_previous_snapshot {
+        log.log("durable restore: recovered from previous-generation snapshot + parked WAL");
+    }
+    match restored.wal_tail {
+        dynvote_replica::WalTail::Clean => {}
+        tail => log.log(&format!("durable restore: WAL tail repaired ({tail})")),
+    }
+    match restored.image {
+        Some(image) => {
+            log.log(&format!(
+                "durable restore: o={} v={} P={{{}}} pending={} seq={} wal_replayed={}",
+                image.state.op,
+                image.state.version,
+                fmt_sites(image.state.partition),
+                image
+                    .pending
+                    .map_or_else(|| "-".to_string(), |t| t.to_string()),
+                image.seq,
+                restored.replayed,
+            ));
+            let value = image
+                .value
+                .map(|bytes| {
+                    ShardValue::from_image(&bytes).ok_or_else(|| {
+                        std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!(
+                                "{} and {} hold an image that is not a canonical KV map",
+                                dir.join(SNAPSHOT_FILE).display(),
+                                dir.join(WAL_FILE).display()
+                            ),
+                        )
+                    })
+                })
+                .transpose()?;
+            cluster.install_durable_state(config.local, image.state, value, image.pending);
+            restored_from_disk = true;
         }
-        None => None,
-    };
+        None => {
+            let state = cluster.state_at(config.local);
+            let value = cluster
+                .copies()
+                .contains(config.local)
+                .then(|| cluster.value_at(config.local).to_image());
+            disk.seed(state, cluster.pending_at(config.local), value)?;
+            log.log(&format!(
+                "durable boot: fresh data dir seeded at {}",
+                dir.display()
+            ));
+        }
+    }
+    // A directory last served by a daemon that kept its commit points
+    // in a ledger file of their own: fence this epoch durably, then
+    // drop the file.
+    let legacy_ledger = dir.join(LEDGER_FILE);
+    if legacy_ledger.exists() {
+        disk.fence()?;
+        std::fs::remove_file(&legacy_ledger)?;
+        File::open(&dir)?.sync_all()?;
+    }
+    if disk.fence_epoch() == disk.epoch() {
+        log.log("durable restore: commit points may have been lost; dead epochs fenced");
+    }
+    // Salt the vote-ticket namespace with the boot epoch: a restarted
+    // coordinator must never reissue a pre-crash ticket number, or a
+    // site the old incarnation left wedged under it would mistake the
+    // new operation for the old one and vote again. 16 bits of epoch
+    // inside the site's 48-bit-shifted namespace bounds this to 65 535
+    // restarts before wraparound.
+    cluster.advance_ticket_past(epoch_floor(config.local, disk.epoch()));
+    let boot_epoch = disk.epoch() & 0xFFFF;
+    let boot_fence = disk
+        .high_water()
+        .max(epoch_floor(config.local, disk.fence_epoch()));
+    drop(disk);
 
     let policy_name = cluster.protocol().name();
     let (batch_tx, batch_rx) = mpsc::channel();
@@ -534,9 +508,9 @@ fn boot_daemon(
         delta_installs: AtomicU64::new(0),
     });
     // A successor daemon inherits the retired incarnation's in-process
-    // state — at least as fresh as the disk image restored above, and
-    // the only copy in the in-memory mode. A handoff is not a restart:
-    // the state it installs is live, so there is nothing to catch up on.
+    // state — at least as fresh as the disk image restored above. A
+    // handoff is not a restart: the state it installs is live, so there
+    // is nothing to catch up on.
     let handoff = override_state.is_some();
     if let Some((state, value, pending)) = override_state {
         let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
@@ -592,30 +566,24 @@ fn boot_daemon(
 /// daemon that kept its one group there. Seeding a fresh group beside
 /// it would serve the boot value in place of acknowledged data, so that
 /// is refused.
-fn boot_shard_map(config: &Config) -> std::io::Result<(ShardMap, Option<PathBuf>)> {
-    let map_path = config
-        .data_dir
-        .as_ref()
-        .map(|base| Path::new(base).join("shardmap.bin"));
-    if let (Some(base), Some(path)) = (&config.data_dir, &map_path) {
-        let base = Path::new(base);
-        std::fs::create_dir_all(base)?;
-        for file in [WAL_FILE, SNAPSHOT_FILE] {
-            if base.join(file).exists() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!(
-                        "{} holds {file} at its root, but a shard group's files live in its \
-                         own directory: move the directory's files into {} to serve them",
-                        base.display(),
-                        shard_dir(base, 0).display()
-                    ),
-                ));
-            }
+fn boot_shard_map(config: &Config) -> std::io::Result<ShardMap> {
+    let base = &config.data_dir;
+    std::fs::create_dir_all(base)?;
+    for file in [WAL_FILE, SNAPSHOT_FILE] {
+        if base.join(file).exists() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "{} holds {file} at its root, but a shard group's files live in its \
+                     own directory: move the directory's files into {} to serve them",
+                    base.display(),
+                    shard_dir(base, 0).display()
+                ),
+            ));
         }
-        if let Some(map) = ShardMap::load(path)? {
-            return Ok((map, map_path));
-        }
+    }
+    if let Some(map) = ShardMap::load(&map_path(config))? {
+        return Ok(map);
     }
     let sites = config.peers.iter().map(|(id, _)| id.index());
     let shards = match config.shards {
@@ -636,10 +604,13 @@ fn boot_shard_map(config: &Config) -> std::io::Result<(ShardMap, Option<PathBuf>
             .map(|(id, addr)| (id.index(), addr.clone()))
             .collect(),
     };
-    if let Some(path) = &map_path {
-        map.persist(path)?;
-    }
-    Ok((map, map_path))
+    map.persist(&map_path(config))?;
+    Ok(map)
+}
+
+/// Where the shard map persists.
+fn map_path(config: &Config) -> PathBuf {
+    config.data_dir.join("shardmap.bin")
 }
 
 /// Starts a daemon on an already-bound listener — tests bind port 0
@@ -665,7 +636,7 @@ pub fn start_on(config: Config, listener: TcpListener) -> std::io::Result<Servic
         quiet: config.quiet,
     });
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (map, map_path) = boot_shard_map(&config)?;
+    let map = boot_shard_map(&config)?;
     let mut slots = Vec::with_capacity(map.shards.len());
     for (shard, spec) in map.shards.iter().enumerate() {
         let slot = if spec.placement.contains(&config.local.index()) {
@@ -684,11 +655,10 @@ pub fn start_on(config: Config, listener: TcpListener) -> std::io::Result<Servic
         slots.push(RwLock::new(slot));
     }
     log.log(&format!(
-        "dynvote-stored up: policy={} listen={addr} peers={} durable={} map epoch {} with {} \
-         shards ({} hosted here)",
+        "dynvote-stored up: policy={} listen={addr} peers={} map epoch {} with {} shards ({} \
+         hosted here)",
         config.policy.name(),
         config.peers.len(),
-        config.data_dir.is_some(),
         map.epoch,
         map.shards.len(),
         slots
@@ -701,7 +671,6 @@ pub fn start_on(config: Config, listener: TcpListener) -> std::io::Result<Servic
         log,
         slots,
         map: Mutex::new(map),
-        map_path,
         config,
         shutdown: Arc::clone(&shutdown),
     });
@@ -865,16 +834,14 @@ fn install_shard_map(service: &Arc<Service>, bytes: &[u8]) -> Frame {
     }
     // The map is installed once it is durable: a failed persist leaves
     // the old epoch in force, so the driver's retry redoes the install.
-    if let Some(path) = &service.map_path {
-        if let Err(error) = new.persist(path) {
-            service.log.log(&format!(
-                "shard map epoch {}: persist failed: {error}",
-                new.epoch
-            ));
-            return Frame::Refused {
-                message: format!("shard map epoch {} not persisted: {error}", new.epoch),
-            };
-        }
+    if let Err(error) = new.persist(&map_path(&service.config)) {
+        service.log.log(&format!(
+            "shard map epoch {}: persist failed: {error}",
+            new.epoch
+        ));
+        return Frame::Refused {
+            message: format!("shard map epoch {} not persisted: {error}", new.epoch),
+        };
     }
     *map = new.clone();
     service

@@ -123,10 +123,7 @@ fn run_batch(
     let mut wrote = false;
     // What the crash hook compares: a batch whose commit point was
     // logged moved the durable state.
-    let durable = || {
-        let store = daemon.store.as_ref()?;
-        Some(store.lock().expect("site store poisoned").state())
-    };
+    let durable = || daemon.store.lock().expect("site store poisoned").state();
     let before = daemon.crash_after_wal_append.then(durable);
     let mut iter = items.into_iter().peekable();
     while let Some(item) = iter.next() {

@@ -68,10 +68,6 @@ pub(super) fn service_status_text(service: &Service) -> String {
         }
     }
     line("links_blocked", fmt_sites(service.links.blocked()));
-    line(
-        "durability.enabled",
-        service.config.data_dir.is_some().to_string(),
-    );
     out
 }
 
@@ -131,16 +127,12 @@ pub(super) fn status_text(daemon: &Arc<Daemon>, cluster: &StoreCluster) -> Strin
         "delta.installed",
         daemon.delta_installs.load(Ordering::Relaxed).to_string(),
     );
-    match &daemon.store {
-        Some(store) => {
-            let store = store.lock().expect("site store poisoned");
-            line("durability.enabled", "true".to_string());
-            line("durability.snapshot_seq", store.snapshot_seq().to_string());
-            line("durability.wal_records", store.wal_records().to_string());
-            line("durability.wal_bytes", store.wal_bytes().to_string());
-            line("durability.last_fsync", store.last_fsync().to_string());
-        }
-        None => line("durability.enabled", "false".to_string()),
+    {
+        let store = daemon.store.lock().expect("site store poisoned");
+        line("durability.snapshot_seq", store.snapshot_seq().to_string());
+        line("durability.wal_records", store.wal_records().to_string());
+        line("durability.wal_bytes", store.wal_bytes().to_string());
+        line("durability.last_fsync", store.last_fsync().to_string());
     }
     for (site, peer) in cluster.transport().peer_stats() {
         let prefix = format!("peer.{}", site.index());

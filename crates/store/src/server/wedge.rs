@@ -29,10 +29,8 @@ const WEDGE_PROBE_DEADLINE: Duration = Duration::from_millis(1500);
 /// is non-binding.
 pub(super) fn dead_and_unfenced(daemon: &Daemon, ticket: u64) -> bool {
     coordinator_of(ticket) == daemon.local.index()
-        && match (daemon.boot_epoch, daemon.boot_fence) {
-            (Some(epoch), Some(fence)) => epoch_of(ticket) < epoch && ticket > fence,
-            _ => false,
-        }
+        && epoch_of(ticket) < daemon.boot_epoch
+        && ticket > daemon.boot_fence
 }
 
 /// Persists and logs a wedge resolution (the cluster lock is held).

@@ -433,8 +433,8 @@ pub struct TcpTransport {
     /// the daemon's `VOTE-PROBE` handler, written at every commit
     /// point and abort.
     ledger: Arc<Mutex<OpLedger>>,
-    /// Where a durable daemon's commit points and aborts are logged.
-    store: Option<Arc<Mutex<SiteStore>>>,
+    /// Where the site's commit points and aborts are logged.
+    store: Arc<Mutex<SiteStore>>,
     /// Set by the shard-map install that hands `store`'s directory to a
     /// successor daemon; nothing is logged here after that.
     retired: Arc<AtomicU64>,
@@ -448,7 +448,10 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// A transport for shard group `shard` at `local`, with one link
-    /// per remote peer.
+    /// per remote peer, that logs every commit point and abort its
+    /// coordinator reaches in `store` and answers vote probes from
+    /// `ledger` — the one [`OpLedger::open`] rebuilt from that store's
+    /// directory.
     ///
     /// `peers` maps every *other* site to its daemon address (a
     /// `host:port` string); an entry for `local` itself is ignored.
@@ -459,6 +462,8 @@ impl TcpTransport {
         peers: &[(SiteId, String)],
         links: Arc<LinkRules>,
         timeouts: TcpTimeouts,
+        store: Arc<Mutex<SiteStore>>,
+        ledger: OpLedger,
     ) -> Self {
         let peers = peers
             .iter()
@@ -472,27 +477,26 @@ impl TcpTransport {
             local,
             peers,
             links,
-            ledger: Arc::new(Mutex::new(OpLedger::default())),
-            store: None,
+            ledger: Arc::new(Mutex::new(ledger)),
+            store,
             retired: Arc::default(),
             shard,
         }
     }
 
     /// The operation ledger (shared handle) — the daemon's vote-probe
-    /// handler answers from it, and daemons with a data directory
-    /// swap in the one rebuilt from their log at boot.
+    /// handler answers from it.
     #[must_use]
     pub fn ledger(&self) -> Arc<Mutex<OpLedger>> {
         Arc::clone(&self.ledger)
     }
 
-    /// Logs every commit point and abort this transport's coordinator
-    /// reaches in `store`, until `retired` is set: a shard-map install
-    /// has then handed the store's directory to a successor daemon.
-    pub fn log_decisions(&mut self, store: Arc<Mutex<SiteStore>>, retired: Arc<AtomicU64>) {
-        self.store = Some(store);
-        self.retired = retired;
+    /// The retirement flag (shared handle): once a shard-map install
+    /// sets it to the retiring epoch, the store's directory belongs to a
+    /// successor daemon and nothing more is logged in it here.
+    #[must_use]
+    pub fn retired(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.retired)
     }
 
     /// The link rules this transport consults (shared with the daemon).
@@ -642,28 +646,26 @@ impl Transport<ShardValue> for TcpTransport {
             },
             None => WalRecord::Commit { state, value: None },
         };
-        if let Some(store) = &self.store {
-            if self.retired.load(Ordering::SeqCst) != 0 {
-                // The successor daemon owns the directory now. Unlike a
-                // state sync, a commit point cannot be left to it: it
-                // would not know the ticket, and would release its
-                // voters.
-                return Err(std::io::Error::other("retired by a shard-map install"));
-            }
-            let mut store = store.lock().expect("site store poisoned");
-            // A coordinator that holds `local` once the commit lands is
-            // a participant, and the record is its own install too — in
-            // the form that applies to its durable image.
-            let install = match local {
-                Some(local) => local.install_record(state, store.state().version),
-                None => commit.clone(),
-            };
-            store.log(WalRecord::CommitPoint {
-                ticket,
-                adopted: local.is_some(),
-                commit: Box::new(install),
-            })?;
+        if self.retired.load(Ordering::SeqCst) != 0 {
+            // The successor daemon owns the directory now. Unlike a
+            // state sync, a commit point cannot be left to it: it would
+            // not know the ticket, and would release its voters.
+            return Err(std::io::Error::other("retired by a shard-map install"));
         }
+        let mut store = self.store.lock().expect("site store poisoned");
+        // A coordinator that holds `local` once the commit lands is a
+        // participant, and the record is its own install too — in the
+        // form that applies to its durable image.
+        let install = match local {
+            Some(local) => local.install_record(state, store.state().version),
+            None => commit.clone(),
+        };
+        store.log(WalRecord::CommitPoint {
+            ticket,
+            adopted: local.is_some(),
+            commit: Box::new(install),
+        })?;
+        drop(store);
         self.ledger
             .lock()
             .expect("op ledger poisoned")
@@ -681,14 +683,13 @@ impl Transport<ShardValue> for TcpTransport {
             .lock()
             .expect("op ledger poisoned")
             .note_release(ticket, keep);
-        if let (true, Some(store)) = (aborted, &self.store) {
-            if self.retired.load(Ordering::SeqCst) == 0 {
-                let record = WalRecord::Abort { ticket, keep };
-                let _ = store
-                    .lock()
-                    .expect("site store poisoned")
-                    .log_unsynced(record);
-            }
+        if aborted && self.retired.load(Ordering::SeqCst) == 0 {
+            let record = WalRecord::Abort { ticket, keep };
+            let _ = self
+                .store
+                .lock()
+                .expect("site store poisoned")
+                .log_unsynced(record);
         }
         let frame = Frame::Release {
             ticket,
@@ -802,6 +803,33 @@ mod tests {
     /// The shard group the transports under test serve.
     const SHARD: u16 = 3;
 
+    /// A transport at site 0 with a link to each of `peers`, logging in
+    /// a store opened in a temp dir of its own. No test here reaches a
+    /// commit point or an abort, so the dir goes at once.
+    fn transport(
+        peers: &[(SiteId, String)],
+        links: Arc<LinkRules>,
+        timeouts: TcpTimeouts,
+    ) -> TcpTransport {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "dynvote-tcp-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let (store, _) = SiteStore::open(&dir, 0).expect("a store in a temp dir");
+        std::fs::remove_dir_all(&dir).ok();
+        TcpTransport::new(
+            SiteId::new(0),
+            SHARD,
+            peers,
+            links,
+            timeouts,
+            Arc::new(Mutex::new(store)),
+            OpLedger::default(),
+        )
+    }
+
     /// Reads one peer request off `stream`, out of the envelope the
     /// transport addressed it in.
     fn read_request(stream: &mut TcpStream) -> Frame {
@@ -852,9 +880,7 @@ mod tests {
             let probe = TcpListener::bind("127.0.0.1:0").unwrap();
             probe.local_addr().unwrap().port()
         };
-        let mut transport = TcpTransport::new(
-            SiteId::new(0),
-            SHARD,
+        let mut transport = transport(
             &[(SiteId::new(1), format!("127.0.0.1:{port}"))],
             Arc::new(LinkRules::new()),
             TcpTimeouts::fast(),
@@ -872,9 +898,7 @@ mod tests {
     fn blocked_link_drops_without_touching_the_socket() {
         let links = Arc::new(LinkRules::new());
         links.block(SiteId::new(1));
-        let mut transport = TcpTransport::new(
-            SiteId::new(0),
-            SHARD,
+        let mut transport = transport(
             &[(SiteId::new(1), "127.0.0.1:1".to_string())],
             Arc::clone(&links),
             TcpTimeouts::fast(),
@@ -968,9 +992,7 @@ mod tests {
             backoff_floor: Duration::from_millis(400),
             backoff_cap: Duration::from_millis(400),
         };
-        let mut transport = TcpTransport::new(
-            SiteId::new(0),
-            SHARD,
+        let mut transport = transport(
             &[(SiteId::new(1), addr.to_string())],
             Arc::new(LinkRules::new()),
             timeouts,
@@ -1034,9 +1056,7 @@ mod tests {
             };
             stream.write_all(&reply.encode()).unwrap();
         });
-        let mut transport = TcpTransport::new(
-            SiteId::new(0),
-            SHARD,
+        let mut transport = transport(
             &[(SiteId::new(1), addr.to_string())],
             Arc::new(LinkRules::new()),
             TcpTimeouts::fast(),
@@ -1068,13 +1088,7 @@ mod tests {
             .enumerate()
             .map(|(i, addr)| (SiteId::new(i + 1), addr.to_string()))
             .collect();
-        TcpTransport::new(
-            SiteId::new(0),
-            SHARD,
-            &peers,
-            Arc::new(LinkRules::new()),
-            timeouts,
-        )
+        transport(&peers, Arc::new(LinkRules::new()), timeouts)
     }
 
     /// Posts a START with `ticket` to every site, then carries each: the
