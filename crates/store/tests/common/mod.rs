@@ -10,6 +10,8 @@
 // Each suite compiles this module on its own and uses part of it.
 #![allow(dead_code)]
 
+pub mod relay;
+
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -18,207 +18,24 @@ mod common;
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::TcpStream;
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use common::relay::Tap;
 use common::{Fleet, TIMEOUT};
-use dynvote_control::{decode_kv, KvPuts};
 use dynvote_store::client::Outcome;
-use dynvote_store::wire::{read_frame, write_frame, Frame};
-use dynvote_types::{SiteId, SiteSet};
+use dynvote_store::wire::{read_frame, Frame};
+use dynvote_types::SiteId;
 
 const SITES: usize = 3;
-
-/// One frame a relay passed on.
-#[derive(Clone, Debug)]
-struct Seen {
-    /// The site whose relay saw it.
-    site: usize,
-    /// `true` for a request into the site, `false` for its reply.
-    request: bool,
-    frame: Frame,
-}
-
-/// What the relays saw, and the gate that can hold requests back.
-#[derive(Default)]
-struct Tap {
-    seen: Mutex<Vec<Seen>>,
-    held: Mutex<bool>,
-    released: Condvar,
-}
-
-impl Tap {
-    fn record(&self, site: usize, request: bool, frame: &Frame) {
-        self.seen.lock().unwrap().push(Seen {
-            site,
-            request,
-            frame: frame.clone(),
-        });
-    }
-
-    /// Blocks a relayed request while the gate is held.
-    fn pass(&self) {
-        let mut held = self.held.lock().unwrap();
-        while *held {
-            held = self.released.wait(held).unwrap();
-        }
-    }
-
-    fn hold(&self, hold: bool) {
-        *self.held.lock().unwrap() = hold;
-        self.released.notify_all();
-    }
-
-    /// Everything seen since the last drain, once nothing new has come
-    /// in for a while (a RELEASE is sent without waiting for a reply).
-    fn drain(&self) -> Vec<Seen> {
-        let mut count = usize::MAX;
-        let began = Instant::now();
-        loop {
-            let now = self.seen.lock().unwrap().len();
-            if now == count || began.elapsed() > TIMEOUT {
-                break;
-            }
-            count = now;
-            thread::sleep(Duration::from_millis(150));
-        }
-        std::mem::take(&mut *self.seen.lock().unwrap())
-    }
-
-    /// The requests each peer received since the last drain, rendered.
-    fn received(&self) -> BTreeMap<usize, Vec<String>> {
-        let mut by_site = BTreeMap::new();
-        for seen in self.drain().into_iter().filter(|seen| seen.request) {
-            by_site
-                .entry(seen.site)
-                .or_insert_with(Vec::new)
-                .push(render(&seen.frame));
-        }
-        by_site
-    }
-}
-
-fn sites(set: SiteSet) -> String {
-    let ids: Vec<String> = set.iter().map(|s| s.index().to_string()).collect();
-    format!("{{{}}}", ids.join(","))
-}
-
-/// A peer request without its ticket.
-fn render(frame: &Frame) -> String {
-    match frame {
-        Frame::StartReq {
-            from,
-            to,
-            mark_pending,
-            ..
-        } => format!(
-            "START S{}->S{} pending={mark_pending}",
-            from.index(),
-            to.index()
-        ),
-        Frame::Commit {
-            from,
-            to,
-            state,
-            value,
-            ..
-        } => format!(
-            "COMMIT S{}->S{} o={} v={} P={} value={}",
-            from.index(),
-            to.index(),
-            state.op,
-            state.version,
-            sites(state.partition),
-            match value {
-                Some(bytes) => format!("{:?}", decode_kv(bytes).expect("a KV image")),
-                None => "none".to_string(),
-            }
-        ),
-        Frame::CommitDelta {
-            from,
-            to,
-            state,
-            base,
-            puts,
-            ..
-        } => format!(
-            "COMMIT-DELTA S{}->S{} o={} v={} P={} base={base} puts={:?}",
-            from.index(),
-            to.index(),
-            state.op,
-            state.version,
-            sites(state.partition),
-            KvPuts::decode(puts).expect("a put list").0
-        ),
-        Frame::CopyReq { from, to, .. } => {
-            format!("COPY-REQ S{}->S{}", from.index(), to.index())
-        }
-        Frame::Release { from, keep, .. } => {
-            format!("RELEASE from S{} keep={}", from.index(), sites(*keep))
-        }
-        other => format!("{other:?}"),
-    }
-}
-
-/// Passes frames both ways between one accepted connection and the
-/// daemon behind the relay, recording each.
-fn relay(tap: &Arc<Tap>, site: usize, client: TcpStream, daemon: &str) {
-    let Ok(upstream) = TcpStream::connect(daemon) else {
-        return;
-    };
-    let (mut client_in, mut upstream_out) =
-        (client.try_clone().unwrap(), upstream.try_clone().unwrap());
-    let (mut upstream_in, mut client_out) = (upstream, client);
-    let requests = {
-        let tap = Arc::clone(tap);
-        thread::spawn(move || {
-            while let Ok(frame) = read_frame(&mut client_in) {
-                let inner = match &frame {
-                    Frame::Shard { inner, .. } => inner.as_ref().clone(),
-                    other => other.clone(),
-                };
-                tap.record(site, true, &inner);
-                tap.pass();
-                if write_frame(&mut upstream_out, &frame).is_err() {
-                    break;
-                }
-            }
-            let _ = upstream_out.shutdown(Shutdown::Both);
-        })
-    };
-    while let Ok(frame) = read_frame(&mut upstream_in) {
-        tap.record(site, false, &frame);
-        if write_frame(&mut client_out, &frame).is_err() {
-            break;
-        }
-    }
-    let _ = client_out.shutdown(Shutdown::Both);
-    let _ = requests.join();
-}
 
 /// Three daemons whose peer links all run through recording relays,
 /// and the relays' tap.
 fn boot() -> (Fleet, Arc<Tap>) {
-    let tap = Arc::new(Tap::default());
-    let relayed = |addrs: &[String]| {
-        let mut relays = Vec::new();
-        for (site, daemon) in addrs.iter().enumerate() {
-            let front = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            relays.push(front.local_addr().expect("bound").to_string());
-            let (tap, daemon) = (Arc::clone(&tap), daemon.clone());
-            thread::spawn(move || {
-                for client in front.incoming().flatten() {
-                    let (tap, daemon) = (Arc::clone(&tap), daemon.clone());
-                    thread::spawn(move || relay(&tap, site, client, &daemon));
-                }
-            });
-        }
-        relays
-    };
     let flags = format!("--policy odv --quiet --shards 1 --shard-placement ring:{SITES}");
-    (Fleet::boot_behind(SITES, &flags, relayed), tap)
+    common::relay::boot(SITES, &flags)
 }
 
 impl Fleet {
