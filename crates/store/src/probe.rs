@@ -64,6 +64,8 @@ use dynvote_core::state::ReplicaState;
 use dynvote_replica::wal::{Wal, WalRecord, WAL_FILE, WAL_PREV_FILE};
 use dynvote_types::{SiteId, SiteSet};
 
+use crate::wire::Frame;
+
 /// The file a coordinator kept its commit points in before they became
 /// WAL records. A data directory that still holds one was last served
 /// by a daemon that logged commit points there, so boot fences its
@@ -103,8 +105,51 @@ pub enum ProbeAnswer {
     /// frame carried.
     Commit(WalRecord),
     /// Not in the ledger — in flight, evicted, or from a dead
-    /// incarnation. The caller falls back to the high-water rule.
+    /// incarnation, which the daemon's one rule (`fate`) settles by the
+    /// high-water mark.
     Unknown,
+}
+
+impl ProbeAnswer {
+    /// The coordinator's reply to a probe from `prober` about `ticket`:
+    /// the `RELEASE` or `COMMIT` the prober lost, or an abstention when
+    /// the answer is unknown.
+    #[must_use]
+    pub fn reply(self, ticket: u64, coordinator: SiteId, prober: SiteId) -> Frame {
+        let abstain = Frame::Abstain {
+            ticket,
+            from: coordinator,
+            to: prober,
+        };
+        match self {
+            ProbeAnswer::Release(keep) => Frame::Release {
+                ticket,
+                from: coordinator,
+                keep,
+            },
+            ProbeAnswer::Commit(commit) => {
+                Frame::commit(ticket, coordinator, prober, commit).unwrap_or(abstain)
+            }
+            ProbeAnswer::Unknown => abstain,
+        }
+    }
+
+    /// What a probe's `reply` says became of `ticket` — the inverse of
+    /// [`ProbeAnswer::reply`]. A reply about another ticket says nothing.
+    #[must_use]
+    pub fn of_reply(ticket: u64, reply: Frame) -> ProbeAnswer {
+        match reply {
+            Frame::Release {
+                ticket: answered,
+                keep,
+                ..
+            } if answered == ticket => ProbeAnswer::Release(keep),
+            reply => match reply.into_commit() {
+                Some((answered, _, _, commit)) if answered == ticket => ProbeAnswer::Commit(commit),
+                _ => ProbeAnswer::Unknown,
+            },
+        }
+    }
 }
 
 enum LedgerEntry {
@@ -227,14 +272,10 @@ impl OpLedger {
                 Some(state) => ProbeAnswer::Release(state.partition),
                 None => ProbeAnswer::Unknown,
             },
-            Some(LedgerEntry::Released(keep)) => {
-                if keep.contains(prober) {
-                    ProbeAnswer::Unknown
-                } else {
-                    ProbeAnswer::Release(*keep)
-                }
+            Some(LedgerEntry::Released(keep)) if !keep.contains(prober) => {
+                ProbeAnswer::Release(*keep)
             }
-            None => ProbeAnswer::Unknown,
+            _ => ProbeAnswer::Unknown,
         }
     }
 }
@@ -336,6 +377,40 @@ mod tests {
         assert!(matches!(
             ledger.answer(3, SiteId::new(0)),
             ProbeAnswer::Release(_)
+        ));
+    }
+
+    /// Each answer survives its way to the prober and back; a reply
+    /// about another ticket, or an abstention, says nothing.
+    #[test]
+    fn an_answer_and_its_reply_map_both_ways() {
+        let (coordinator, prober) = (SiteId::new(0), SiteId::new(2));
+        let delta = WalRecord::Delta {
+            state: state(3, 3),
+            base: 2,
+            delta: b"puts".to_vec(),
+        };
+        let reply = ProbeAnswer::Commit(delta.clone()).reply(9, coordinator, prober);
+        assert!(matches!(reply, Frame::CommitDelta { ticket: 9, to, .. } if to == prober));
+        assert!(matches!(
+            ProbeAnswer::of_reply(9, reply.clone()),
+            ProbeAnswer::Commit(record) if record == delta
+        ));
+        assert!(matches!(
+            ProbeAnswer::of_reply(8, reply),
+            ProbeAnswer::Unknown
+        ));
+        let keep = SiteSet::from_iter([SiteId::new(1)]);
+        let reply = ProbeAnswer::Release(keep).reply(9, coordinator, prober);
+        assert!(matches!(
+            ProbeAnswer::of_reply(9, reply),
+            ProbeAnswer::Release(back) if back == keep
+        ));
+        let reply = ProbeAnswer::Unknown.reply(9, coordinator, prober);
+        assert!(matches!(reply, Frame::Abstain { ticket: 9, .. }));
+        assert!(matches!(
+            ProbeAnswer::of_reply(9, reply),
+            ProbeAnswer::Unknown
         ));
     }
 

@@ -2,16 +2,18 @@
 //! data-operation queue. It drains what queued under the cluster lock,
 //! serves it in runs — one quorum round per run of writes, one quorum
 //! read per run of reads — and releases no reply before the WAL holds
-//! every state change the batch made (DESIGN.md §12).
+//! every state change the batch made (DESIGN.md §12). At a site
+//! restarted from disk its first job is the boot RECOVER, retried
+//! between batches.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dynvote_control::KvPuts;
 
-use super::{durability_refuse, fmt_sites, refuse, sync_durable, Daemon, StoreCluster};
+use super::{durability_refuse, fmt_sites, refuse, sync_durable, Daemon, Stop, StoreCluster};
 use crate::wire::Frame;
 
 /// A client data operation, decoupled from the session that carried
@@ -36,23 +38,83 @@ pub(super) struct PendingData {
 /// the cluster-lock hold and the blast radius of a durability failure.
 const BATCH_CAP: usize = 256;
 
+/// How long a refused boot RECOVER waits before its next attempt.
+const BOOT_RECOVER_RETRY: Duration = Duration::from_millis(250);
+
+/// One attempt at the protocol-level RECOVER (Figures 3/7) that lets a
+/// site restarted from disk rejoin the majority partition without an
+/// operator in the loop. `true` once no retry is due: granted, the
+/// daemon retired, or `deadline` passed.
+fn boot_recover(daemon: &Daemon, deadline: Instant, first: bool) -> bool {
+    if daemon.retired.load(Ordering::SeqCst) != 0 {
+        return true;
+    }
+    let mut cluster = daemon.cluster.lock().expect("cluster poisoned");
+    let Err(err) = cluster.recover(daemon.local) else {
+        let state = cluster.state_at(daemon.local);
+        if let Err(error) = sync_durable(daemon, &cluster) {
+            daemon
+                .log
+                .log(&format!("boot RECOVER: durability failure: {error}"));
+        }
+        daemon.log.log(&format!(
+            "boot RECOVER: caught up — o={} v={} P={{{}}}",
+            state.op,
+            state.version,
+            fmt_sites(state.partition)
+        ));
+        return true;
+    };
+    drop(cluster);
+    if first {
+        daemon
+            .log
+            .log(&format!("boot RECOVER: not yet — {err}; retrying"));
+    }
+    if Instant::now() < deadline {
+        return false;
+    }
+    daemon.log.log(
+        "boot RECOVER: window elapsed; serving restored state (run `dynvote-ctl recover` once peers are reachable)",
+    );
+    true
+}
+
 /// The batch worker: single consumer of the data-operation queue.
 /// Drains what queued, serves it in runs — consecutive puts become one
 /// poll/commit quorum exchange ([`keyed_write`]), consecutive gets
 /// coalesce into one quorum read — and releases a reply only once the
-/// WAL holds the batch (DESIGN.md §12).
+/// WAL holds the batch (DESIGN.md §12). With a `recover` window, its
+/// first job is the boot RECOVER, retried between batches until it is
+/// granted or the window elapses. A `None` on the queue wakes it to
+/// look at the stop.
 pub(super) fn batch_loop(
     daemon: &Arc<Daemon>,
-    shutdown: &AtomicBool,
-    queue: &mpsc::Receiver<PendingData>,
+    stop: &Stop,
+    queue: &mpsc::Receiver<Option<PendingData>>,
+    recover: Option<Duration>,
 ) {
+    let deadline = Instant::now() + recover.unwrap_or_default();
+    // When the boot RECOVER's next attempt is due.
+    let mut due = recover.map(|_| Instant::now());
+    let mut first_attempt = true;
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if stop.is_set() {
             return;
         }
-        let first = match queue.recv_timeout(Duration::from_millis(100)) {
-            Ok(item) => item,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+        if due.is_some_and(|due| Instant::now() >= due) {
+            let over = boot_recover(daemon, deadline, std::mem::take(&mut first_attempt));
+            due = (!over).then(|| Instant::now() + BOOT_RECOVER_RETRY);
+        }
+        let received = match due {
+            Some(due) => queue.recv_timeout(due.saturating_duration_since(Instant::now())),
+            None => queue
+                .recv()
+                .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+        };
+        let first = match received {
+            Ok(Some(item)) => item,
+            Ok(None) | Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
         // Take the lock first, then drain: every operation that queued
@@ -68,7 +130,7 @@ pub(super) fn batch_loop(
             drop(cluster);
             let mut stale = vec![first];
             while let Ok(item) = queue.try_recv() {
-                stale.push(item);
+                stale.extend(item);
             }
             for item in stale {
                 (item.done)(Frame::StaleShardMap { epoch: retired });
@@ -79,7 +141,7 @@ pub(super) fn batch_loop(
         let mut items = vec![first];
         while items.len() < BATCH_CAP {
             match queue.try_recv() {
-                Ok(item) => items.push(item),
+                Ok(item) => items.extend(item),
                 Err(_) => break,
             }
         }

@@ -10,10 +10,10 @@ use std::time::{Duration, Instant};
 use dynvote_core::state::ReplicaState;
 use dynvote_replica::wal::WalRecord;
 use dynvote_replica::{MessageKind, Reply};
-use dynvote_types::{SiteId, SiteSet};
+use dynvote_types::SiteId;
 
 use super::status::status_text;
-use super::wedge::dead_and_unfenced;
+use super::wedge::fate;
 use super::{durability_refuse, fmt_sites, refuse, sync_durable, Daemon, StoreCluster};
 use crate::probe::ProbeAnswer;
 use crate::value::{Delta, ShardValue};
@@ -87,28 +87,11 @@ pub(super) fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                 }
             }
         }
-        Frame::Commit {
-            ticket,
-            from,
-            to,
-            state,
-            value,
-        } => serve_commit(daemon, ticket, from, to, WalRecord::Commit { state, value }),
-        Frame::CommitDelta {
-            ticket,
-            from,
-            to,
-            state,
-            base,
-            puts,
-        } => {
-            let commit = WalRecord::Delta {
-                state,
-                base,
-                delta: puts,
-            };
-            serve_commit(daemon, ticket, from, to, commit)
-        }
+        frame @ (Frame::Commit { .. } | Frame::CommitDelta { .. }) => frame
+            .into_commit()
+            .map_or(Dispatch::Close, |(ticket, from, to, commit)| {
+                serve_commit(daemon, ticket, from, to, commit)
+            }),
         Frame::CopyReq { ticket, from, to } => {
             if daemon.links.is_blocked(from) {
                 return Dispatch::Silent;
@@ -135,74 +118,21 @@ pub(super) fn dispatch(daemon: &Arc<Daemon>, frame: Frame) -> Dispatch {
                 // the prober times out as it would across a real cut.
                 return Dispatch::Close;
             }
-            let answer = daemon
-                .ledger
-                .lock()
-                .expect("op ledger poisoned")
-                .answer(ticket, from);
-            match answer {
-                ProbeAnswer::Release(keep) => {
-                    daemon.log.log(&format!(
-                        "vote probe from S{}: ticket={ticket} finished — re-sent RELEASE",
-                        from.index()
-                    ));
-                    Dispatch::Reply(Frame::Release {
-                        ticket,
-                        from: daemon.local,
-                        keep,
-                    })
-                }
-                ProbeAnswer::Commit(commit) => {
-                    daemon.log.log(&format!(
-                        "vote probe from S{}: ticket={ticket} committed — re-sent COMMIT",
-                        from.index()
-                    ));
-                    let (local, to) = (daemon.local, from);
-                    Dispatch::Reply(match commit {
-                        WalRecord::Delta { state, base, delta } => Frame::CommitDelta {
-                            ticket,
-                            from: local,
-                            to,
-                            state,
-                            base,
-                            puts: delta,
-                        },
-                        WalRecord::Commit { state, value } => Frame::Commit {
-                            ticket,
-                            from: local,
-                            to,
-                            state,
-                            value,
-                        },
-                        _ => Frame::Abstain {
-                            ticket,
-                            from: local,
-                            to,
-                        },
-                    })
-                }
-                ProbeAnswer::Unknown => {
-                    if dead_and_unfenced(daemon, ticket) {
-                        daemon.log.log(&format!(
-                            "vote probe from S{}: ticket={ticket} is a dead epoch's, above the fence — released",
-                            from.index()
-                        ));
-                        Dispatch::Reply(Frame::Release {
-                            ticket,
-                            from: daemon.local,
-                            keep: SiteSet::EMPTY,
-                        })
-                    } else {
-                        // In flight, evicted, or a dead epoch at or
-                        // below the fence: cannot soundly say.
-                        Dispatch::Reply(Frame::Abstain {
-                            ticket,
-                            from: daemon.local,
-                            to: from,
-                        })
-                    }
-                }
+            let answer = fate(daemon, ticket, from);
+            let resent = match answer {
+                ProbeAnswer::Release(_) => Some("RELEASE"),
+                ProbeAnswer::Commit(_) => Some("COMMIT"),
+                // In flight, evicted, or a dead epoch at or below the
+                // fence: cannot soundly say, so the reply abstains.
+                ProbeAnswer::Unknown => None,
+            };
+            if let Some(resent) = resent {
+                daemon.log.log(&format!(
+                    "vote probe from S{}: ticket={ticket} decided — re-sent {resent}",
+                    from.index()
+                ));
             }
+            Dispatch::Reply(answer.reply(ticket, daemon.local, from))
         }
         Frame::Release { ticket, from, keep } => {
             if !daemon.links.is_blocked(from) {

@@ -3,8 +3,7 @@
 //! envelope, then dispatch) and the one that writes a reply.
 
 use std::io::{BufRead as _, BufReader};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -16,35 +15,35 @@ use super::status::service_status_text;
 use super::{install_shard_map, Daemon, Service};
 use crate::wire::{read_frame, write_frame, Frame, UnavailableReason};
 
-pub(super) fn accept_loop(
-    listener: &TcpListener,
-    service: &Arc<Service>,
-    shutdown: &Arc<AtomicBool>,
-    idle: Duration,
-) {
+/// Accepts until the stop, one session thread per connection; the
+/// stop shuts each session's socket down and joins it.
+pub(super) fn accept_loop(listener: &TcpListener, service: &Arc<Service>, idle: Duration) {
     for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
+        if service.stop.is_set() {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let service = Arc::clone(service);
-        let shutdown = Arc::clone(shutdown);
-        let _ = std::thread::Builder::new()
-            .name("dynvote-conn".to_string())
-            .spawn(move || handle_connection(&service, stream, &shutdown, idle));
+        let socket = Arc::new(stream);
+        let wake = Arc::downgrade(&socket);
+        let session = Arc::clone(service);
+        let _ = service.stop.spawn(
+            "dynvote-conn".to_string(),
+            move || {
+                if let Some(socket) = wake.upgrade() {
+                    let _ = socket.shutdown(Shutdown::Both);
+                }
+            },
+            move || handle_connection(&session, &socket, idle),
+        );
     }
 }
 
 /// Waits until the reader holds at least one unread byte. `false`: the
-/// peer closed, the socket failed, or the daemon is shutting down —
-/// seen within one idle timeout, which is what each blocking fill waits
-/// at most. Filling the buffer consumes nothing, so an idle tick never
+/// peer closed, or the socket failed or was shut down by the daemon's
+/// stop. Filling the buffer consumes nothing, so an idle tick never
 /// leaves the frame decoder inside a frame it cannot finish.
-fn wait_readable(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> bool {
+fn wait_readable(reader: &mut BufReader<&TcpStream>) -> bool {
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
         match reader.fill_buf() {
             Ok([]) => return false, // clean close
             Ok(_) => return true,
@@ -56,12 +55,7 @@ fn wait_readable(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> bo
     }
 }
 
-fn handle_connection(
-    service: &Arc<Service>,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    idle: Duration,
-) {
+fn handle_connection(service: &Arc<Service>, stream: &TcpStream, idle: Duration) {
     let _ = stream.set_read_timeout(Some(idle));
     let _ = stream.set_write_timeout(Some(idle));
     let _ = stream.set_nodelay(true);
@@ -76,7 +70,7 @@ fn handle_connection(
         // One read brings in whatever the socket holds — a frame, part
         // of one, or many — and the decoder runs on the buffer until it
         // is drained.
-        if reader.buffer().is_empty() && !wait_readable(&mut reader, shutdown) {
+        if reader.buffer().is_empty() && !wait_readable(&mut reader) {
             return;
         }
         let frame = match read_frame(&mut reader) {
@@ -359,7 +353,7 @@ fn enqueue_data(
         write_reply(&writer, tag, reply);
         drop(answered);
     });
-    if daemon.batch.send(PendingData { op, done }).is_err() {
+    if daemon.batch.send(Some(PendingData { op, done })).is_err() {
         return false;
     }
     if let Some(wait) = wait {

@@ -54,6 +54,7 @@ use std::io::{self, Read, Write};
 
 use dynvote_core::state::ReplicaState;
 use dynvote_core::wire::{put_state, put_u16, put_u32, put_u64, put_u8, Reader};
+use dynvote_replica::wal::WalRecord;
 use dynvote_types::{SiteId, SiteSet};
 
 /// The key that holds the paper's one replicated file in a group's
@@ -733,6 +734,56 @@ impl Frame {
         }
     }
 
+    /// The `COMMIT` of operation `ticket` from `from` to `to` that
+    /// installs `record`: a [`WalRecord::Commit`] travels as a
+    /// [`Frame::Commit`], a [`WalRecord::Delta`] as a
+    /// [`Frame::CommitDelta`]. `None` for any other record.
+    #[must_use]
+    pub fn commit(ticket: u64, from: SiteId, to: SiteId, record: WalRecord) -> Option<Frame> {
+        match record {
+            WalRecord::Commit { state, value } => Some(Frame::Commit {
+                ticket,
+                from,
+                to,
+                state,
+                value,
+            }),
+            WalRecord::Delta { state, base, delta } => Some(Frame::CommitDelta {
+                ticket,
+                from,
+                to,
+                state,
+                base,
+                puts: delta,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The inverse of [`Frame::commit`]: a `COMMIT`'s ticket, sender,
+    /// recipient and the record it installs. `None` for any other frame.
+    #[must_use]
+    pub fn into_commit(self) -> Option<(u64, SiteId, SiteId, WalRecord)> {
+        match self {
+            Frame::Commit {
+                ticket,
+                from,
+                to,
+                state,
+                value,
+            } => Some((ticket, from, to, WalRecord::Commit { state, value })),
+            Frame::CommitDelta {
+                ticket,
+                from,
+                to,
+                state,
+                base,
+                puts: delta,
+            } => Some((ticket, from, to, WalRecord::Delta { state, base, delta })),
+            _ => None,
+        }
+    }
+
     /// This (plain) frame addressed to shard group `shard`: how every
     /// per-group command and peer frame travels, and a keyed data
     /// operation served at the site it is sent to.
@@ -1043,6 +1094,42 @@ mod tests {
             assert_eq!(read_frame(&mut cursor).unwrap(), frame);
             assert!(cursor.is_empty());
         }
+    }
+
+    #[test]
+    fn a_commit_record_and_its_frame_map_both_ways() {
+        let (from, to) = (SiteId::new(0), SiteId::new(3));
+        let records = [
+            WalRecord::Commit {
+                state: state(),
+                value: Some(b"image".to_vec()),
+            },
+            WalRecord::Commit {
+                state: state(),
+                value: None,
+            },
+            WalRecord::Delta {
+                state: state(),
+                base: 3,
+                delta: b"puts".to_vec(),
+            },
+        ];
+        for record in records {
+            let frame = Frame::commit(77, from, to, record.clone()).expect("a commit record");
+            assert_eq!(
+                matches!(record, WalRecord::Delta { .. }),
+                matches!(frame, Frame::CommitDelta { .. })
+            );
+            assert_eq!(frame.into_commit(), Some((77, from, to, record)));
+        }
+        let vote = WalRecord::Vote { ticket: 77 };
+        assert_eq!(Frame::commit(77, from, to, vote), None);
+        let release = Frame::Release {
+            ticket: 77,
+            from,
+            keep: SiteSet::EMPTY,
+        };
+        assert_eq!(release.into_commit(), None);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   once, in order;
 //! * a reply carries its request's tag, or none — whichever kind of
 //!   data operation the request was;
-//! * an idle session notices shutdown within one idle tick;
+//! * an idle session notices shutdown within one idle tick, and a
+//!   stopped daemon answers nothing on a session opened before the
+//!   stop;
 //! * a client that stops reading its replies costs the daemon one
 //!   write timeout on the batch worker and its own session — not the
 //!   shard's cluster lock, behind which peer frames and `status` wait.
@@ -19,9 +21,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use common::Fleet;
+use dynvote_replica::wal::{shard_dir, Wal, WalRecord, WAL_FILE};
 use dynvote_store::client::{request, Deadline, Outcome};
 use dynvote_store::conn::{ConnOptions, Connection};
-use dynvote_store::wire::{read_frame, Frame};
+use dynvote_store::wire::{read_frame, write_frame, Frame};
 use dynvote_types::SiteId;
 
 const SITES: usize = 3;
@@ -212,6 +215,45 @@ fn an_idle_session_ends_within_an_idle_tick_of_stop() {
     assert!(closed, "the idle session stayed open past shutdown");
     let took = began.elapsed();
     assert!(took < IDLE * 3, "stop took {took:?} to reach the session");
+    fleet.stop();
+}
+
+/// `stop` joins the sessions: a peer connection opened before the stop
+/// is closed by it, so a START sent on it afterwards is never served —
+/// no state reply, and no vote logged in the data directory that the
+/// next incarnation will open.
+#[test]
+fn a_stopped_daemon_serves_nothing_on_a_session_it_had_open() {
+    // An idle tick far longer than the test: only `stop` can end the
+    // session in time.
+    let mut fleet = boot(10_000);
+    let mut peer = TcpStream::connect(&fleet.addrs[0]).expect("connect");
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    write_frame(&mut peer, &Frame::Status.for_shard(0)).expect("send status");
+    assert!(matches!(
+        read_frame(&mut peer).expect("answered"),
+        Frame::Report { .. }
+    ));
+
+    fleet.stop_site(0);
+    let start = Frame::StartReq {
+        ticket: 77,
+        from: SiteId::new(1),
+        to: SiteId::new(0),
+        mark_pending: true,
+    };
+    // The write itself may fail once the daemon's end is shut down.
+    let _ = write_frame(&mut peer, &start.for_shard(0));
+    let answer = read_frame(&mut peer);
+    assert!(answer.is_err(), "a stopped daemon answered {answer:?}");
+    let wal = Wal::read(&shard_dir(&fleet.data_dir(0), 0).join(WAL_FILE)).expect("read the WAL");
+    assert!(
+        !wal.entries
+            .iter()
+            .any(|entry| matches!(entry.record, WalRecord::Vote { ticket: 77 })),
+        "a stopped daemon logged a vote"
+    );
     fleet.stop();
 }
 
