@@ -48,9 +48,10 @@
 //! keyed puts through [`Cluster::update`], which reads the shard map
 //! under that same vote) and runs of reads through one quorum read,
 //! and acknowledges nothing before the WAL holds every state change the
-//! batch made. An untagged data frame goes through the
-//! same queue and the same completion; its session reads no further
-//! frame until the reply is written, which is all "one at a time" is.
+//! batch made; then it writes each session's replies, in queue order,
+//! with one write. An untagged data frame goes through the same queue
+//! and the same write; its session reads no further frame until the
+//! reply is written, which is all "one at a time" is.
 //!
 //! Every grant and refusal is logged with the paper clause that fired,
 //! so a partition experiment reads as a protocol trace.

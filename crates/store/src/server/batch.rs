@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use dynvote_control::KvPuts;
 
+use super::session::{answer, ReplyTo};
 use super::{durability_refuse, fmt_sites, refuse, sync_durable, Daemon, Stop, StoreCluster};
 use crate::wire::Frame;
 
@@ -27,11 +28,11 @@ pub(super) enum DataOp {
     GetKey { key: String },
 }
 
-/// One queued data operation plus the completion that writes its reply
-/// to the session that submitted it.
+/// One queued data operation plus the address of the session that
+/// submitted it, where its reply goes.
 pub(super) struct PendingData {
     pub(super) op: DataOp,
-    pub(super) done: Box<dyn FnOnce(Frame) + Send>,
+    pub(super) reply: ReplyTo,
 }
 
 /// The largest number of queued operations one batch absorbs — bounds
@@ -132,9 +133,12 @@ pub(super) fn batch_loop(
             while let Ok(item) = queue.try_recv() {
                 stale.extend(item);
             }
-            for item in stale {
-                (item.done)(Frame::StaleShardMap { epoch: retired });
-            }
+            answer(
+                stale
+                    .into_iter()
+                    .map(|item| (item.reply, Frame::StaleShardMap { epoch: retired }))
+                    .collect(),
+            );
             return;
         }
         let mut cluster = cluster;
@@ -153,18 +157,14 @@ pub(super) fn batch_loop(
             .batch_max
             .fetch_max(items.len() as u64, Ordering::Relaxed);
         let replies = run_batch(daemon, &mut cluster, items);
-        // The replies leave with the lock dropped: a client that has
-        // stopped reading can hold this worker for a write timeout, but
-        // not the shard — peer frames and `status` wait on that lock.
+        // The replies leave with the lock dropped, one write per
+        // session: a client that has stopped reading can hold this
+        // worker for a write timeout, but not the shard — peer frames
+        // and `status` wait on that lock.
         drop(cluster);
-        for (done, frame) in replies {
-            done(frame);
-        }
+        answer(replies);
     }
 }
-
-/// A data operation's completion and the reply to hand it.
-type StagedReply = (Box<dyn FnOnce(Frame) + Send>, Frame);
 
 /// Serves one drained batch under the cluster lock and only then
 /// returns the replies for the caller to release — the batched
@@ -177,10 +177,10 @@ fn run_batch(
     daemon: &Arc<Daemon>,
     cluster: &mut StoreCluster,
     items: Vec<PendingData>,
-) -> Vec<StagedReply> {
-    // (completion, reply, Some(op name) when the reply is a grant that
-    // a failed fsync must downgrade to a durability refusal).
-    type Staged = (Box<dyn FnOnce(Frame) + Send>, Frame, Option<&'static str>);
+) -> Vec<(ReplyTo, Frame)> {
+    // (address, reply, Some(op name) when the reply is a grant that a
+    // failed fsync must downgrade to a durability refusal).
+    type Staged = (ReplyTo, Frame, Option<&'static str>);
     let mut replies: Vec<Staged> = Vec::with_capacity(items.len());
     let mut wrote = false;
     // What the crash hook compares: a batch whose commit point was
@@ -197,7 +197,7 @@ fn run_batch(
                 // no larger than the map it changes, however often a
                 // deep pipeline rewrites the same keys.
                 let mut last_puts = BTreeMap::from([(key, value)]);
-                let mut dones = vec![item.done];
+                let mut addresses = vec![item.reply];
                 while matches!(
                     iter.peek().map(|next| &next.op),
                     Some(DataOp::PutKey { .. })
@@ -205,18 +205,18 @@ fn run_batch(
                     let next = iter.next().expect("peeked");
                     if let DataOp::PutKey { key, value } = next.op {
                         last_puts.insert(key, value);
-                        dones.push(next.done);
+                        addresses.push(next.reply);
                     }
                 }
                 let puts = KvPuts(last_puts.into_iter().collect());
-                let staged = keyed_write(daemon, cluster, &puts, dones.len() as u64);
-                for (done, (frame, granted)) in dones.into_iter().zip(staged) {
-                    replies.push((done, frame, granted));
+                let staged = keyed_write(daemon, cluster, &puts, addresses.len() as u64);
+                for (to, (frame, granted)) in addresses.into_iter().zip(staged) {
+                    replies.push((to, frame, granted));
                 }
             }
             DataOp::GetKey { key } => {
                 let mut keys = vec![key];
-                let mut dones = vec![item.done];
+                let mut addresses = vec![item.reply];
                 while matches!(
                     iter.peek().map(|next| &next.op),
                     Some(DataOp::GetKey { .. })
@@ -224,7 +224,7 @@ fn run_batch(
                     let next = iter.next().expect("peeked");
                     if let DataOp::GetKey { key } = next.op {
                         keys.push(key);
-                        dones.push(next.done);
+                        addresses.push(next.reply);
                     }
                 }
                 // One quorum read of the image serves the whole run;
@@ -244,7 +244,7 @@ fn run_batch(
                         daemon
                             .log
                             .log_with(|| format!("GRANT keyed read ×{}: v={version}", keys.len()));
-                        for (key, done) in keys.into_iter().zip(dones) {
+                        for (key, to) in keys.into_iter().zip(addresses) {
                             let frame = match image.kv().get(&key) {
                                 Some(value) => Frame::Value {
                                     version,
@@ -254,13 +254,13 @@ fn run_batch(
                                     message: format!("key {key:?} not found"),
                                 },
                             };
-                            replies.push((done, frame, Some("read")));
+                            replies.push((to, frame, Some("read")));
                         }
                     }
                     Err(err) => {
                         let frame = refuse(daemon, "keyed read", &err);
-                        for done in dones {
-                            replies.push((done, frame.clone(), None));
+                        for to in addresses {
+                            replies.push((to, frame.clone(), None));
                         }
                     }
                 }
@@ -283,9 +283,9 @@ fn run_batch(
     let fsync_failed = synced.err();
     replies
         .into_iter()
-        .map(|(done, frame, granted)| match (&fsync_failed, granted) {
-            (Some(error), Some(op)) => (done, durability_refuse(daemon, op, error)),
-            _ => (done, frame),
+        .map(|(to, frame, granted)| match (&fsync_failed, granted) {
+            (Some(error), Some(op)) => (to, durability_refuse(daemon, op, error)),
+            _ => (to, frame),
         })
         .collect()
 }
