@@ -52,6 +52,12 @@ impl Deadline {
         }
     }
 
+    /// The absolute instant the deadline expires.
+    #[must_use]
+    pub(crate) fn ends(&self) -> Instant {
+        self.ends
+    }
+
     /// Time since the deadline was armed.
     #[must_use]
     pub fn elapsed(&self) -> Duration {
