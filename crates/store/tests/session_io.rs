@@ -7,6 +7,9 @@
 //!   once, in order;
 //! * a reply carries its request's tag, or none — whichever kind of
 //!   data operation the request was;
+//! * a session's replies from one batch leave in queue order, and an
+//!   untagged request's reply precedes anything its session answers
+//!   next;
 //! * an idle session notices shutdown within one idle tick, and a
 //!   stopped daemon answers nothing on a session opened before the
 //!   stop;
@@ -183,6 +186,83 @@ fn tagged_enveloped_ops_are_answered_tagged_and_the_stream_survives() {
     let voter = Connection::new(&fleet.addrs[1], ConnOptions::default());
     let put = voter.call(&enveloped_put(b"at a voter"), &deadline);
     assert!(matches!(put, Ok(Outcome::Done(_))), "{put:?}");
+    fleet.stop();
+}
+
+/// A burst of tagged puts on one socket is answered in queue order,
+/// each reply under its own request's id and naming its own version:
+/// the batch worker writes a session's replies as they queued, however
+/// many batches the burst spans.
+#[test]
+fn a_burst_of_tagged_puts_is_answered_in_queue_order() {
+    const PUTS: u64 = 48;
+    let fleet = boot(1_000);
+    let mut stream = TcpStream::connect(&fleet.addrs[0]).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut burst = Vec::new();
+    for id in 1..=PUTS {
+        burst.extend_from_slice(&tagged(
+            id,
+            put_key(&format!("k{id}"), id.to_be_bytes().to_vec()),
+        ));
+    }
+    stream.write_all(&burst).expect("send the burst");
+
+    let mut versions = Vec::new();
+    for expected in 1..=PUTS {
+        match read_frame(&mut stream).expect("a reply per put") {
+            Frame::Tagged { id, inner } => {
+                assert_eq!(id, expected, "a reply left out of queue order");
+                let Frame::Done { detail } = *inner else {
+                    panic!("put {id} answered with {inner:?}");
+                };
+                let version = detail
+                    .split_whitespace()
+                    .find_map(|field| field.strip_prefix("v="))
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .unwrap_or_else(|| panic!("put {id}: no version in {detail:?}"));
+                versions.push(version);
+            }
+            other => panic!("untagged reply {other:?}"),
+        }
+    }
+    assert!(
+        versions.windows(2).all(|pair| pair[0] < pair[1]),
+        "each put must name its own version, in queue order: {versions:?}"
+    );
+    fleet.stop();
+}
+
+/// An untagged data operation's reply precedes whatever its session
+/// answers next: the session reads no further frame until the batch
+/// worker has written that reply. An untagged put followed at once by
+/// an untagged `Status` — which the session thread answers itself —
+/// comes back in that order, every time.
+#[test]
+fn an_untagged_reply_precedes_the_next_reply_on_its_session() {
+    let fleet = boot(1_000);
+    let mut stream = TcpStream::connect(&fleet.addrs[0]).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    for round in 0..50u8 {
+        let mut pair = put_key("k", vec![round]).encode();
+        pair.extend_from_slice(&Frame::Status.encode());
+        stream.write_all(&pair).expect("send put + status");
+        let first = read_frame(&mut stream).expect("the put's reply");
+        assert!(
+            matches!(first, Frame::Done { .. }),
+            "round {round}: the put's reply came second, after {first:?}"
+        );
+        let second = read_frame(&mut stream).expect("the status reply");
+        assert!(
+            matches!(second, Frame::Report { .. }),
+            "round {round}: status answered with {second:?}"
+        );
+    }
     fleet.stop();
 }
 
