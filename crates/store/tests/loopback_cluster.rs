@@ -310,9 +310,20 @@ fn tcp_cluster_matches_in_memory_cluster() {
 /// answered while the first is still in flight. The replies come back
 /// out of order, and each is matched to *its* correlation id — the
 /// status never receives the write's answer or vice versa.
+///
+/// The write takes exactly one read timeout. After the first poll
+/// attempt's gathers time out, each peer link backs off for at least
+/// half a second, so attempts two and three fail fast inside that
+/// window. (With the suites' 10 ms backoff floor they did so only when
+/// the second gather, re-armed with a 1 ms read timeout that lasts a
+/// kernel timer tick of several ms, returned before the first link's
+/// 5–10 ms jittered window ran out; otherwise each attempt reconnected
+/// and waited out another 2 s read timeout, and the test took 6 s
+/// instead of 2 s.)
 #[test]
 fn pipelined_responses_overtake_a_stalled_quorum_round() {
-    let live = boot("odv", 3, "");
+    const READ_TIMEOUT: Duration = Duration::from_millis(2_000);
+    let live = boot("odv", 3, "--backoff-ms 1000 --backoff-cap-ms 1000");
 
     // Cut the link *at the peers only*: S1 and S2 silently ignore
     // frames from S0, so S0's poll waits out its read timeout instead
@@ -358,9 +369,8 @@ fn pipelined_responses_overtake_a_stalled_quorum_round() {
 
     // The write is still in flight; when it finally resolves it is a
     // (refused/unavailable) answer matched to the write's id, and it
-    // genuinely sat through at least one peer read timeout. The poll's
-    // bounded retry can take 3 attempts × 2 peers × ~2.75s, so this
-    // wait gets a far larger budget than the probe needed.
+    // genuinely sat through one peer read timeout — and only one: the
+    // retries fail fast inside the links' backoff.
     let outcome = conn
         .wait(&stalled, &Deadline::within(Duration::from_secs(30)))
         .expect("write reply");
@@ -381,6 +391,11 @@ fn pipelined_responses_overtake_a_stalled_quorum_round() {
         write_latency >= Duration::from_millis(1900),
         "write resolved in {write_latency:?} — the link never stalled, \
          so this test proved nothing about overtaking"
+    );
+    assert!(
+        write_latency < READ_TIMEOUT * 2,
+        "write resolved in {write_latency:?} — a retry waited out another \
+         {READ_TIMEOUT:?} read timeout instead of failing inside the backoff"
     );
     live.stop();
 }
