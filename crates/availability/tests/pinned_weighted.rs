@@ -13,14 +13,14 @@ use std::fmt::Write as _;
 use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::{run_trace, Params, RunResult};
 use dynvote_availability::{ALL_CONFIGS, UCSD_SITES};
-use dynvote_core::policy::{AvailabilityPolicy, WeightedMcvPolicy};
+use dynvote_core::policy::{AvailabilityPolicy, DynamicPolicy};
 use dynvote_types::VoteMap;
 
 const PINNED: &str = include_str!("pinned_weighted.digest");
 
 /// Weighted MCV under `votes`.
 fn weighted(votes: VoteMap) -> Box<dyn AvailabilityPolicy> {
-    Box::new(WeightedMcvPolicy::new(votes))
+    Box::new(DynamicPolicy::weighted_mcv(votes))
 }
 
 /// One result as a line: `label`, then every float as its bit pattern.

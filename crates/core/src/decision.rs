@@ -16,10 +16,14 @@
 //!    member of `P_m`.
 //!
 //! Majority Consensus Voting is the same step 5 with `P_m` fixed at all
-//! copies and every reachable copy counted ([`Rule::static_majority`]).
+//! copies and every reachable copy counted ([`Rule::static_majority`]);
+//! weighted MCV (Gifford) weighs both sides of it by a vote map
+//! ([`Rule::votes`]).
+
+use std::sync::Arc;
 
 use dynvote_topology::Network;
-use dynvote_types::{SiteId, SiteSet};
+use dynvote_types::{SiteId, SiteSet, VoteMap};
 
 use crate::lexicon::Lexicon;
 use crate::state::StateTable;
@@ -45,6 +49,12 @@ pub struct Rule {
     /// quorums never adapt (see [`crate::ops::Plan`] for what it
     /// commits).
     pub static_majority: bool,
+    /// Weighted MCV's vote map: step 5 weighs `counted` and `P_m` by it
+    /// instead of counting sites. Set only under a static majority with
+    /// no tie-break, by
+    /// [`DynamicPolicy::weighted_mcv`](crate::policy::DynamicPolicy::weighted_mcv);
+    /// behind a pointer because every clone of a rule shares it.
+    pub votes: Option<Arc<VoteMap>>,
 }
 
 impl Rule {
@@ -70,6 +80,7 @@ impl Rule {
             tie_break: Some(lexicon),
             topological: false,
             static_majority: false,
+            votes: None,
         }
     }
 
@@ -94,6 +105,7 @@ impl Rule {
             tie_break,
             topological: false,
             static_majority: true,
+            votes: None,
         }
     }
 }
@@ -247,6 +259,10 @@ pub fn decide(
                 .all(|s| states.get(s).partition == prev_partition),
         "members of Q must agree on the previous partition set"
     );
+    debug_assert!(
+        rule.votes.is_none() || (rule.static_majority && rule.tie_break.is_none()),
+        "a vote map needs a static majority without a tie-break"
+    );
 
     let counted = if rule.topological {
         let net = network.expect("topological rules require a Network");
@@ -272,26 +288,36 @@ pub fn decide(
         max_op,
         max_version,
         representative,
-        verdict: majority(counted, quorum_set, prev_partition, rule.tie_break.as_ref()),
+        verdict: majority(counted, quorum_set, prev_partition, rule),
     }
 }
 
 /// Step 5, the one majority test: `counted` wins iff it is more than
-/// half of `prev_partition`, or exactly half with `quorum_set` holding
-/// the `tie_break` maximum of `prev_partition`.
+/// half of `prev_partition` — in sites, or in the rule's votes — or
+/// exactly half with `quorum_set` holding the tie-break maximum of
+/// `prev_partition`.
 fn majority(
     counted: SiteSet,
     quorum_set: SiteSet,
     prev_partition: SiteSet,
-    tie_break: Option<&Lexicon>,
+    rule: &Rule,
 ) -> Result<(), Refusal> {
-    if 2 * counted.len() > prev_partition.len() {
+    let weigh = |sites: SiteSet| {
+        rule.votes
+            .as_ref()
+            .map_or(sites.len() as u64, |votes| votes.of(sites))
+    };
+    let (counted, needed) = (weigh(counted), weigh(prev_partition));
+    if 2 * counted > needed {
         Ok(())
-    } else if 2 * counted.len() == prev_partition.len() {
+    } else if 2 * counted == needed {
         // Tie: grant iff the rule breaks ties and Q holds max(P_m).
         // Note the tie-break consults Q — real, current, reachable
         // copies — even under topological counting (Figures 5–7).
-        let needed = tie_break.and_then(|lexicon| lexicon.max_of(prev_partition));
+        let needed = rule
+            .tie_break
+            .as_ref()
+            .and_then(|lexicon| lexicon.max_of(prev_partition));
         match needed {
             Some(site) if quorum_set.contains(site) => Ok(()),
             _ => Err(Refusal::TieLost { needed }),

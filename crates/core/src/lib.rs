@@ -16,7 +16,7 @@
 //! | **Topological Dynamic Voting (TDV)** | [`policy::dynamic`] | §3 |
 //! | **Optimistic Topological DV (OTDV)** | [`policy::dynamic`], [`ops`] | §3, Figs 5–7 |
 //! | Available Copy | [`policy::available_copy`] | §3 (degenerate case) |
-//! | Weighted voting (Gifford) | [`policy::weighted`] | §5 (future work) |
+//! | Weighted voting (Gifford) | [`policy::dynamic`], [`decision`] | §5 (future work) |
 //! | Voting with witnesses | [`policy::dynamic`], [`ops`] | §5 (future work) |
 //!
 //! # Architecture

@@ -1,8 +1,10 @@
 //! Algorithm 1 as an availability state machine: MCV, DV, LDV, ODV,
-//! TDV and OTDV, with or without witnesses.
+//! TDV and OTDV, with or without witnesses, and weighted MCV.
+
+use std::sync::Arc;
 
 use dynvote_topology::{Network, Reachability};
-use dynvote_types::{AccessError, SiteSet};
+use dynvote_types::{AccessError, SiteSet, VoteMap};
 
 use crate::decision::Rule;
 use crate::lexicon::Lexicon;
@@ -27,7 +29,8 @@ use super::{AvailabilityPolicy, CopiesView, Protocol};
 /// data; the constructors ([`DynamicPolicy::mcv`], [`DynamicPolicy::dv`],
 /// [`DynamicPolicy::ldv`], [`DynamicPolicy::odv`], [`DynamicPolicy::tdv`],
 /// [`DynamicPolicy::otdv`]) take the paper's combinations from
-/// [`Protocol`], and [`DynamicPolicy::with_witnesses`] adds witnesses.
+/// [`Protocol`], [`DynamicPolicy::with_witnesses`] adds witnesses, and
+/// [`DynamicPolicy::weighted_mcv`] weighs MCV's sites by a vote map.
 ///
 /// A state exchange is the planner's READ (Figure 1,
 /// [`plan_with_witnesses`]) in every group, applied with [`Plan::apply`]:
@@ -225,6 +228,27 @@ impl DynamicPolicy {
     #[must_use]
     pub fn mcv(copies: SiteSet) -> Self {
         DynamicPolicy::of(Protocol::Mcv, copies, None)
+    }
+
+    /// Weighted Majority Consensus Voting (Gifford; the paper's §5
+    /// "weight assignments"): strict MCV over the sites that hold a
+    /// vote, with step 5 weighing each site by `votes`, so a group is
+    /// granted iff it holds a strict majority of all votes. Uniform
+    /// votes are strict MCV; skewed ones bias availability toward
+    /// reliable or well-connected sites (`weight_study`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no site holds a vote.
+    #[must_use]
+    pub fn weighted_mcv(votes: VoteMap) -> Self {
+        assert!(votes.total() > 0, "at least one vote must be assigned");
+        let copies = votes.voters();
+        let rule = Rule {
+            votes: Some(Arc::new(votes)),
+            ..Rule::static_majority(None)
+        };
+        DynamicPolicy::custom("W-MCV", copies, rule, None)
     }
 
     /// Original Dynamic Voting (Davčev–Burkhard): instantaneous, strict
@@ -836,6 +860,60 @@ mod tests {
     #[should_panic(expected = "needs copies")]
     fn mcv_without_copies_is_rejected() {
         let _ = DynamicPolicy::mcv(SiteSet::EMPTY);
+    }
+
+    // ---- Weighted MCV -----------------------------------------------------
+
+    /// Uniform weights are strict MCV at n = 3 and n = 4: no tie vote,
+    /// so an even split of four copies strands both halves.
+    #[test]
+    fn uniform_weights_are_strict_mcv() {
+        for n in [3, 4] {
+            let copies = SiteSet::first_n(n);
+            let weighted = DynamicPolicy::weighted_mcv(VoteMap::uniform(copies));
+            let strict = strict_mcv(copies);
+            for mask in 0u64..1 << n {
+                let split = SiteSet::from_bits(mask);
+                let groups = Reachability::from_groups(
+                    [split, copies - split]
+                        .into_iter()
+                        .filter(|g| !g.is_empty())
+                        .collect(),
+                );
+                assert_eq!(
+                    weighted.is_available(&groups),
+                    strict.is_available(&groups),
+                    "n = {n}, mask {mask:#b}"
+                );
+            }
+        }
+        let weighted = DynamicPolicy::weighted_mcv(VoteMap::uniform(SiteSet::first_n(4)));
+        assert!(!weighted.is_available(&reach(&[&[0, 1], &[2, 3]])));
+    }
+
+    #[test]
+    fn a_heavy_site_dominates() {
+        let mut votes = VoteMap::uniform(SiteSet::first_n(3));
+        votes.set(SiteId::new(0), 3); // total = 5
+        let mut p = DynamicPolicy::weighted_mcv(votes);
+        assert!(p.on_topology_change(&reach(&[&[0]])), "3 of 5 votes");
+        assert!(!p.on_topology_change(&reach(&[&[1, 2]])), "2 of 5 votes");
+    }
+
+    #[test]
+    fn an_even_vote_total_still_needs_a_strict_majority() {
+        let mut votes = VoteMap::uniform(SiteSet::first_n(2));
+        votes.set(SiteId::new(0), 3); // total = 4
+        let mut p = DynamicPolicy::weighted_mcv(votes);
+        assert!(p.on_access(&reach(&[&[0]])));
+        assert!(!p.on_access(&reach(&[&[1]])), "1 of 4 votes");
+        assert!(!p.is_available(&reach(&[&[1]])), "1 of 4 votes");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one vote")]
+    fn zero_votes_are_rejected() {
+        let _ = DynamicPolicy::weighted_mcv(VoteMap::empty());
     }
 
     // ---- Witnesses --------------------------------------------------------

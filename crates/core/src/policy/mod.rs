@@ -22,7 +22,6 @@
 pub mod available_copy;
 pub mod dynamic;
 pub mod reassignment;
-pub mod weighted;
 
 use dynvote_topology::{Network, Reachability};
 use dynvote_types::SiteSet;
@@ -33,7 +32,6 @@ use crate::lexicon::Lexicon;
 pub use available_copy::AvailableCopyPolicy;
 pub use dynamic::DynamicPolicy;
 pub use reassignment::VoteReassignmentPolicy;
-pub use weighted::WeightedMcvPolicy;
 
 /// What the copies see of a partition: each group ∩ copies, in group
 /// order, with the groups that hold no copy dropped.

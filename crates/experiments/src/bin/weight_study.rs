@@ -13,9 +13,8 @@ use dynvote_availability::config::ALL_CONFIGS;
 use dynvote_availability::network::ucsd_network;
 use dynvote_availability::run::run_trace;
 use dynvote_availability::sites::UCSD_SITES;
-use dynvote_core::policy::{
-    AvailabilityPolicy, DynamicPolicy, VoteReassignmentPolicy, WeightedMcvPolicy,
-};
+use dynvote_core::policy::{AvailabilityPolicy, DynamicPolicy, VoteReassignmentPolicy};
+use dynvote_core::Rule;
 use dynvote_experiments::output::{fmt_unavail, Table};
 use dynvote_experiments::CliParams;
 use dynvote_types::{SiteId, VoteMap};
@@ -40,7 +39,12 @@ fn main() {
     for config in ALL_CONFIGS {
         // Build one common-random-numbers trace with every candidate.
         let mut policies: Vec<Box<dyn AvailabilityPolicy>> = vec![
-            Box::new(WeightedMcvPolicy::uniform(config.copies)),
+            Box::new(DynamicPolicy::custom(
+                "MCV",
+                config.copies,
+                Rule::static_majority(None),
+                None,
+            )),
             Box::new(DynamicPolicy::ldv(config.copies)),
             Box::new(VoteReassignmentPolicy::uniform(config.copies)),
         ];
@@ -48,7 +52,7 @@ fn main() {
         for &site in &candidates {
             let mut votes = VoteMap::uniform(config.copies);
             votes.set(site, 2);
-            policies.push(Box::new(WeightedMcvPolicy::new(votes)));
+            policies.push(Box::new(DynamicPolicy::weighted_mcv(votes)));
         }
         let results = run_trace(&network, &UCSD_SITES, policies, &cli.params, config.name);
         let uniform = results[0].unavailability;
