@@ -22,7 +22,8 @@
 //! not the sum of them. A `carry` of the request last posted on its
 //! link only reads the reply, and that read is bounded by one deadline
 //! counted from the post — k silent peers cost one read timeout, not
-//! k. Every reply, posted or not, counts only when its kind, sender
+//! k: a gather that starts past its deadline takes only a reply already
+//! received and never blocks, and a miss is silence. Every reply, posted or not, counts only when its kind, sender
 //! and ticket answer the request; anything else is silence and drops
 //! the connection. A post nobody gathered drops its connection at the
 //! link's next use, so its reply, too, never reaches a later exchange.
@@ -395,30 +396,35 @@ impl PeerLink {
         }
     }
 
-    /// Reads the reply to `question` by `deadline`.
+    /// Reads the reply to `question` by `deadline`. Past the deadline
+    /// only a reply already received counts: the read does not block.
     fn read_reply(&mut self, question: Question, deadline: Instant) -> Option<Frame> {
         let Some(conn) = self.conn.as_mut() else {
             return None; // dropped since the send, and counted then
         };
         let left = deadline.saturating_duration_since(Instant::now());
-        if left.abs_diff(self.armed) >= REARM {
+        let past = left.is_zero();
+        let armed = if past {
+            conn.get_ref().set_nonblocking(true)
+        } else if left.abs_diff(self.armed) >= REARM {
             let wait = left.max(REARM);
-            if conn.get_ref().set_read_timeout(Some(wait)).is_err() {
-                self.note_failure();
-                return None;
-            }
             self.armed = wait;
+            conn.get_ref().set_read_timeout(Some(wait))
+        } else {
+            Ok(())
+        };
+        let reply = armed
+            .and_then(|()| read_frame(conn))
+            .ok()
+            .filter(|reply| question.answered_by(reply))
+            .filter(|_| !past || conn.get_ref().set_nonblocking(false).is_ok());
+        if reply.is_none() {
+            // Timeout, nothing received by the deadline, reset, garbage,
+            // or a reply to some other request: the connection's framing
+            // can no longer be trusted — drop it and back off.
+            self.note_failure();
         }
-        match read_frame(conn) {
-            Ok(reply) if question.answered_by(&reply) => Some(reply),
-            _ => {
-                // Timeout, reset, garbage, or a reply to some other
-                // request: the connection's framing can no longer be
-                // trusted — drop it and back off.
-                self.note_failure();
-                None
-            }
-        }
+        reply
     }
 }
 
@@ -1200,6 +1206,83 @@ mod tests {
         }
         done.send(()).unwrap();
         silent.join().unwrap();
+    }
+
+    /// Sixteen silent posted peers cost the round one read timeout,
+    /// not sixteen timer ticks besides: once the first gather has
+    /// waited out the shared deadline, every later gather reads only
+    /// what is already buffered and never blocks.
+    #[test]
+    fn sixteen_silent_posted_peers_cost_one_read_timeout_and_no_more() {
+        const PEERS: usize = 16;
+        let listeners: Vec<TcpListener> = (0..PEERS)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let silent = std::thread::spawn(move || {
+            let held: Vec<TcpStream> = listeners.iter().map(|l| l.accept().unwrap().0).collect();
+            finished.recv().unwrap();
+            drop(held);
+        });
+        let timeouts = TcpTimeouts {
+            connect: Duration::from_millis(250),
+            read: Duration::from_millis(150),
+            backoff_floor: Duration::from_millis(400),
+            backoff_cap: Duration::from_millis(400),
+        };
+        let mut transport = transport_to(&addrs, timeouts);
+
+        let began = Instant::now();
+        let round = posted_round(&mut transport, PEERS, 1);
+        let waited = began.elapsed();
+        assert!(round.iter().all(|carried| carried.response.is_none()));
+        assert!(
+            waited >= timeouts.read && waited < timeouts.read + Duration::from_millis(40),
+            "one read timeout for all sixteen, got {waited:?}"
+        );
+        for (_, stats) in transport.peer_stats() {
+            assert_eq!((stats.sends, stats.failures, stats.reconnects), (1, 1, 1));
+            assert!(!stats.connected);
+        }
+        done.send(()).unwrap();
+        silent.join().unwrap();
+    }
+
+    /// A reply that arrived by its deadline counts even when its gather
+    /// comes after the deadline, because a silent peer gathered first
+    /// took the whole wait; the answering link stays connected.
+    #[test]
+    fn a_reply_buffered_by_its_deadline_counts_when_gathered_after_it() {
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let peers = std::thread::spawn(move || {
+            let (silent, _) = listeners[0].accept().unwrap();
+            let (mut answering, _) = listeners[1].accept().unwrap();
+            let request = read_request(&mut answering);
+            answer_start(&mut answering, &request, 7).unwrap();
+            finished.recv().unwrap();
+            drop(silent);
+        });
+        let timeouts = TcpTimeouts {
+            connect: Duration::from_millis(250),
+            read: Duration::from_millis(100),
+            backoff_floor: Duration::from_millis(400),
+            backoff_cap: Duration::from_millis(400),
+        };
+        let mut transport = transport_to(&addrs, timeouts);
+
+        let round = posted_round(&mut transport, 2, 1);
+        assert!(round[0].response.is_none(), "the silent peer answered");
+        let response = round[1].response.as_ref().expect("the buffered reply");
+        assert!(matches!(response.body, Reply::State { op: 7, .. }));
+        let stats = transport.peer_stats();
+        assert_eq!((stats[1].1.failures, stats[1].1.connected), (0, true));
+        done.send(()).unwrap();
+        peers.join().unwrap();
     }
 
     /// A reply whose ticket, then one whose kind, does not answer the
