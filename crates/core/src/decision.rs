@@ -18,7 +18,7 @@
 //! Majority Consensus Voting is the same step 5 with `P_m` fixed at all
 //! copies and every reachable copy counted ([`Rule::static_majority`]);
 //! weighted MCV (Gifford) weighs both sides of it by a vote map
-//! ([`Rule::votes`]).
+//! ([`DynamicPolicy::weighted_mcv`](crate::policy::DynamicPolicy::weighted_mcv)).
 
 use std::sync::Arc;
 
@@ -50,11 +50,11 @@ pub struct Rule {
     /// commits).
     pub static_majority: bool,
     /// Weighted MCV's vote map: step 5 weighs `counted` and `P_m` by it
-    /// instead of counting sites. Set only under a static majority with
-    /// no tie-break, by
-    /// [`DynamicPolicy::weighted_mcv`](crate::policy::DynamicPolicy::weighted_mcv);
-    /// behind a pointer because every clone of a rule shares it.
-    pub votes: Option<Arc<VoteMap>>,
+    /// instead of counting sites. Private, so that only
+    /// [`DynamicPolicy::weighted_mcv`](crate::policy::DynamicPolicy::weighted_mcv)
+    /// sets it, under a static majority with no tie-break; behind a
+    /// pointer because every clone of a rule shares it.
+    pub(crate) votes: Option<Arc<VoteMap>>,
 }
 
 impl Rule {
@@ -259,10 +259,6 @@ pub fn decide(
                 .all(|s| states.get(s).partition == prev_partition),
         "members of Q must agree on the previous partition set"
     );
-    debug_assert!(
-        rule.votes.is_none() || (rule.static_majority && rule.tie_break.is_none()),
-        "a vote map needs a static majority without a tie-break"
-    );
 
     let counted = if rule.topological {
         let net = network.expect("topological rules require a Network");
@@ -307,10 +303,10 @@ fn majority(
             .as_ref()
             .map_or(sites.len() as u64, |votes| votes.of(sites))
     };
-    let (counted, needed) = (weigh(counted), weigh(prev_partition));
-    if 2 * counted > needed {
+    let (counted, against) = (weigh(counted), weigh(prev_partition));
+    if 2 * counted > against {
         Ok(())
-    } else if 2 * counted == needed {
+    } else if 2 * counted == against {
         // Tie: grant iff the rule breaks ties and Q holds max(P_m).
         // Note the tie-break consults Q — real, current, reachable
         // copies — even under topological counting (Figures 5–7).

@@ -169,6 +169,11 @@ pub fn plan(
 /// All of [`plan`]'s errors, plus [`AccessError::NoCurrentCopy`] when
 /// the quorum exists but the latest version survives only on witnesses
 /// (and dead full copies).
+// Inline: `DynamicPolicy` calls it for every group of every state
+// exchange the simulator runs, and left out of line (eight arguments, a
+// `Plan` returned through memory) it cost `paper_tables` about a tenth
+// more CPU (EXPERIMENTS.md, "Weighted MCV is rule data").
+#[inline]
 pub fn plan_with_witnesses(
     kind: OpKind,
     group: SiteSet,

@@ -23,10 +23,11 @@
 //! link only reads the reply, and that read is bounded by one deadline
 //! counted from the post — k silent peers cost one read timeout, not
 //! k: a gather that starts past its deadline takes only a reply already
-//! received and never blocks, and a miss is silence. Every reply, posted or not, counts only when its kind, sender
-//! and ticket answer the request; anything else is silence and drops
-//! the connection. A post nobody gathered drops its connection at the
-//! link's next use, so its reply, too, never reaches a later exchange.
+//! received and never blocks, and a miss is silence. Every reply,
+//! posted or not, counts only when its kind, sender and ticket answer
+//! the request; anything else is silence and drops the connection. A
+//! post nobody gathered drops its connection at the link's next use,
+//! so its reply, too, never reaches a later exchange.
 //!
 //! Reconnection uses capped exponential backoff: after a failure the
 //! link refuses further attempts until the backoff window elapses
@@ -413,11 +414,13 @@ impl PeerLink {
         } else {
             Ok(())
         };
-        let reply = armed
+        let mut reply = armed
             .and_then(|()| read_frame(conn))
             .ok()
-            .filter(|reply| question.answered_by(reply))
-            .filter(|_| !past || conn.get_ref().set_nonblocking(false).is_ok());
+            .filter(|reply| question.answered_by(reply));
+        if past && conn.get_ref().set_nonblocking(false).is_err() {
+            reply = None;
+        }
         if reply.is_none() {
             // Timeout, nothing received by the deadline, reset, garbage,
             // or a reply to some other request: the connection's framing

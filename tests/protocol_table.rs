@@ -25,10 +25,9 @@ type Expected = (&'static str, &'static str, bool, fn(Lexicon) -> Rule);
 /// Every policy's [`Expected`] row, in the paper's column order.
 fn expected() -> [Expected; 6] {
     fn topological(lexicon: Lexicon) -> Rule {
-        Rule {
-            topological: true,
-            ..Rule::with_lexicon(lexicon)
-        }
+        let mut rule = Rule::with_lexicon(lexicon);
+        rule.topological = true;
+        rule
     }
     [
         ("MCV", "mcv", false, |lexicon| {
